@@ -20,7 +20,7 @@ import numpy as np
 
 from .chi2 import chi2_quantile
 from .estimator import StackedSensorForms, emergency_gain, optimal_gain, \
-    _covariance_update_stacked, _imu_only_gain
+    _covariance_update_stacked, _imu_only_gain, _solve_gain
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel
 
@@ -164,30 +164,51 @@ def drift_matrices(model: SystemModel) -> DriftAnalysis:
 
 
 def stationary_covariance(model: SystemModel, tol: float = 1e-12,
-                          max_iter: int = 100_000) -> np.ndarray:
-    """Fixed point of the optimal-gain covariance recursion, from P0 = Sigma_w.
+                          max_iter: int = 64) -> np.ndarray:
+    """Fixed point of the optimal-gain covariance recursion.
 
-    Raises ConvergenceError (carrying the last iterate and residual) if the
-    iteration does not settle, and fails fast when the GPS pair is not
-    detectable since no bounded fixed point exists then.
+    Solves the recursion's Riccati equation by structure-preserving doubling
+    after removing its cross term (Anderson & Moore, Optimal Filtering, 1979;
+    Chu, Fan, Lin et al.).  k doublings cover 2^k steps of the recursion, so
+    max_iter counts doublings.  Converged means |f(P) - P| <= tol for the
+    one-step recursion f.  Raises ConvergenceError (carrying the last iterate
+    and residual) when max_iter doublings do not converge or an iterate is
+    not finite, and fails fast when the GPS pair is not detectable since no
+    bounded fixed point exists then.
     """
     if not is_detectable(model.C_G, model.A):
         raise NumericalError(
             "(C_G, A) is not detectable: the covariance recursion has no "
             "bounded fixed point")
     stacked = StackedSensorForms.from_model(model)
-    P = model.Sigma_w.copy()
+    n, M, Sw_Ct = model.n, stacked._M, stacked._Sw_Ct
+    # [M^T; Sigma_w C^T] R^{-1} with R = C Sigma_w C^T + Sigma_y.
+    scaled = _solve_gain(stacked._C_Sw_Ct_Sy, np.vstack([M.T, Sw_Ct]),
+                         "measurement noise covariance")
+    # Doubling iterates: A_k -> 0, G_k and H_k symmetric, H_k -> P.
+    A_k = (model.A - scaled[n:].dot(M)).T
+    G = scaled[:n].dot(M)
+    H = model.Sigma_w - scaled[n:].dot(Sw_Ct.T)
     resid = math.inf
-    for _ in range(max_iter):
-        K = optimal_gain(P, model, stacked)
-        P_next = _covariance_update_stacked(P, K.stacked(), stacked)
-        resid = float(np.linalg.norm(P_next - P))
-        P = P_next
+    for doublings in range(1, max_iter + 1):
+        W_inv = np.linalg.solve(stacked._I_n + G.dot(H), np.hstack([A_k, G]))
+        W_inv_A = W_inv[:, :n]
+        G = G + A_k.dot(W_inv[:, n:]).dot(A_k.T)
+        H = H + A_k.T.dot(H).dot(W_inv_A)
+        A_k = A_k.dot(W_inv_A)
+        G, H = 0.5 * (G + G.T), 0.5 * (H + H.T)
+        if not np.isfinite(H).all():
+            raise ConvergenceError(
+                f"non-finite covariance after {doublings} doublings",
+                last_iterate=H, residual=math.inf)
+        K = optimal_gain(H, model, stacked)
+        resid = float(np.linalg.norm(
+            _covariance_update_stacked(H, K.stacked(), stacked) - H))
         if resid <= tol:
-            return P
+            return H
     raise ConvergenceError(
-        f"covariance fixed point not reached in {max_iter} iterations "
-        f"(last residual {resid:.3e})", last_iterate=P, residual=resid)
+        f"covariance fixed point not reached in {max_iter} doublings "
+        f"(last residual {resid:.3e})", last_iterate=H, residual=resid)
 
 
 def _emergency_propagator(model: SystemModel):

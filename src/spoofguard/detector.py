@@ -95,8 +95,10 @@ def normalized_residual(d_hat: np.ndarray, P_d: np.ndarray) -> float:
         z = np.linalg.solve(P_d, d_hat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("residual covariance is singular") from exc
+    q = float(d_hat @ z)
     # Clamp to zero: roundoff can leave a tiny negative value for d_hat ~ 0.
-    return max(0.0, float(d_hat @ z))
+    # A NaN or infinite GPS reading gives inf, which latches the alarm.
+    return max(0.0, q) if math.isfinite(q) else math.inf
 
 
 def evaluate_residual(y_G, x_hat_prev, u_prev, P_prev,

@@ -7,8 +7,8 @@ from the updated statistic, and (6) fuses in that mode.  The mode decision
 happens before the fuse so a detected attack never corrupts the estimate on
 the step it is detected.
 
-run_scenario steps one run: the plant, the measurements and the detector
-are written out in the loop, and the estimate goes through fuse.
+run_scenario steps one run: the plant, the measurements and the detector's
+innovation are written out in the loop, and the estimate goes through fuse.
 Each step's results go into arrays, one row per step (the run's columns);
 the trace's records, the confidence radii (one batched eigvalsh over the
 run's covariances) and monte_carlo's aggregates are read from them.
@@ -33,7 +33,7 @@ import numpy as np
 from .analysis import (EscapeTimeReport, drift_matrices, escape_report,
                        escape_time, stationary_covariance)
 from .chi2 import chi2_quantile
-from .detector import DetectorConfig
+from .detector import DetectorConfig, normalized_residual
 from .estimator import EstimatorState, Mode, StackedSensorForms, fuse
 from .exceptions import ConfigError, NumericalError
 from .model import (ATTACK_KINDS, AttackSignal, GaussianSampler, SystemModel,
@@ -264,12 +264,8 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         # and covariance, in both modes; its alarm picks this step's mode.
         if detector_enabled:
             d_hat = y_G - C_G.dot(A.dot(x_hat) + B.dot(u))
-            try:
-                z = np.linalg.solve(M_G.dot(P).dot(M_G_T) + P_d_noise, d_hat)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("residual covariance is singular") from exc
-            # Clamp: roundoff can leave a tiny negative value for d_hat ~ 0.
-            S = delta * S + max(0.0, float(d_hat.dot(z)))
+            S = delta * S + normalized_residual(
+                d_hat, M_G.dot(P).dot(M_G_T) + P_d_noise)
             alarmed = S > threshold
         est = fuse(EstimatorState(x_hat, P, _MODES[alarmed], est.x_hat_prev),
                    model, stacked, u, y_G, y_I)
@@ -278,6 +274,9 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         S_col[i] = S
         alarm_col[i] = alarmed
 
+    if not (np.isfinite(x_hats).all() and np.isfinite(Ps).all()):
+        raise NumericalError(f"run with seed {config.seed}: the estimate or "
+                             f"its covariance is not finite")
     eigvals = np.linalg.eigvalsh(Ps)
     norm_P = np.maximum(eigvals[:, -1], -eigvals[:, 0])
     return _RunColumns(
@@ -398,7 +397,8 @@ def parse_config(path) -> ScenarioConfig:
     """Parse and validate a scenario configuration file (strict schema)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            finite = partial(_finite_number, path)
+            raw = json.load(fh, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -504,6 +504,14 @@ def _parse_attack(raw, m_G: int) -> AttackSignal:
                 f"attack.sequence[{bad[0]}]: has shape "
                 f"{sequence[bad[0]].shape}, expected ({m_G},)")
     return AttackSignal(kind=kind, d=d, start_step=start_step, sequence=sequence)
+
+
+def _finite_number(path, token: str) -> float:
+    """json.load hook: NaN, Infinity, -Infinity and overflowing floats fail."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: non-finite number {token} is not allowed")
+    return value
 
 
 def _reject_unknown(section: dict, allowed, prefix: str) -> None:

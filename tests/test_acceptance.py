@@ -8,7 +8,7 @@ Criterion 4 (normal-mode stability) is checked over the reference run length,
 normal-mode covariance feeds the detector and the confidence radius.  It was
 first stated with a 500-step horizon, which no correct implementation can
 meet.  The fixed point P* from scipy's solve_discrete_are, an oracle
-independent of this package, agrees with stationary_covariance to 5.1e-11.
+independent of this package, agrees with stationary_covariance to 7.1e-16.
 The closed loop A - K* M at P* has spectral radius 0.99051, so errors
 contract at rho^2 = 0.98110 per step.  From P = Sigma_w the step change is
 3.9e-8 and |P_500 - P*| is 2.0e-6 at k = 500; the step change first drops

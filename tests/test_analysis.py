@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -111,10 +112,39 @@ class TestStationaryCovariance:
             stationary_covariance(model)
 
     def test_nonconvergence_carries_context(self, uav_model):
+        # Two doublings cover four recursion steps, far short of the tolerance.
         with pytest.raises(ConvergenceError) as info:
-            stationary_covariance(uav_model, tol=1e-30, max_iter=50)
+            stationary_covariance(uav_model, max_iter=2)
         assert info.value.last_iterate is not None
         assert info.value.residual > 0
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_matches_scipy_dare(self, uav_model, seed):
+        # scipy is a test-only oracle: the filter DARE with cross term
+        # S = Sigma_w C^T, in scipy's control form (A^T, M^T).
+        from scipy.linalg import solve_discrete_are
+        model = uav_model if seed is None else \
+            random_invertible_model(np.random.default_rng(seed))
+        stacked = StackedSensorForms(model)
+        oracle = solve_discrete_are(model.A.T, stacked._M.T, model.Sigma_w,
+                                    stacked._C_Sw_Ct_Sy, s=stacked._Sw_Ct)
+        P = stationary_covariance(model)
+        assert np.linalg.norm(P - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_uav_converges_in_few_doublings(self, uav_model):
+        # Raises ConvergenceError if 20 doublings do not reach the tolerance.
+        stationary_covariance(uav_model, max_iter=20)
+
+    def test_huge_process_noise_fails_fast(self, uav_model):
+        model = SystemModel(A=uav_model.A, B=uav_model.B, C_G=uav_model.C_G,
+                            C_I=uav_model.C_I, Sigma_w=1e300 * np.eye(4),
+                            Sigma_G=uav_model.Sigma_G,
+                            Sigma_I=uav_model.Sigma_I)
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError) as info:
+            stationary_covariance(model)
+        assert time.perf_counter() - t0 < 1.0
+        assert info.value.last_iterate is not None
 
 
 class TestDriftMatrices:

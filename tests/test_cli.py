@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -80,3 +81,30 @@ class TestValidate:
         assert main(["run", "--config", config_path, "--steps", "0"]) == 1
         assert main(["run", "--config", config_path, "--seed", "-1"]) == 1
         assert main(["mc", "--config", config_path, "--runs", "0"]) == 1
+
+    @pytest.mark.parametrize("keys, value", [
+        (("model", "A", 0, 0), math.nan),
+        (("attack", "d", 0), math.inf),
+        (("attack", "d", 1), -math.inf)])
+    def test_non_finite_number_exits_one(self, config_path, tmp_path, capsys,
+                                         keys, value):
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))     # writes NaN, Infinity, -Infinity
+        assert main(["run", "--config", str(bad), "--steps", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_overflowing_number_exits_one(self, config_path, tmp_path, capsys):
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["attack"]["d"][0] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw).replace('"@"', "1e400"))
+        assert main(["run", "--config", str(bad), "--steps", "10"]) == 1
+        assert "non-finite number 1e400" in capsys.readouterr().err

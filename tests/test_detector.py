@@ -114,6 +114,13 @@ class TestCusum:
             S = cusum_update(S, d, 1e-3 * np.eye(2), 0.15)
             assert S >= 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_latches_the_alarm(self, bad):
+        S = cusum_update(0.0, np.array([bad, 0.0]), np.eye(2), 0.15)
+        assert S == math.inf
+        # The statistic never decays from inf, so the alarm stays on.
+        assert cusum_update(S, np.zeros(2), np.eye(2), 0.15) == math.inf
+
     def test_quadratic_form_via_solve_matches_inverse(self):
         rng = np.random.default_rng(8)
         R = rng.normal(size=(3, 3))

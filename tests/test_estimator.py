@@ -189,6 +189,20 @@ class TestFuse:
             assert np.array_equal(est1.x_hat, est2.x_hat)
             assert np.array_equal(est1.P, est2.P)
 
+    @pytest.mark.parametrize("spoof", [1e6, np.inf, -np.inf, np.nan])
+    def test_emergency_ignores_non_finite_gps(self, model, stacked, spoof):
+        rng = np.random.default_rng(18)
+        est1 = EstimatorState.initial(np.zeros(4), P0=1e-3 * np.eye(4),
+                                      mode=Mode.EMERGENCY)
+        est2 = EstimatorState.initial(np.zeros(4), P0=1e-3 * np.eye(4),
+                                      mode=Mode.EMERGENCY)
+        for _ in range(20):
+            u, y_I, y_truth = rng.normal(size=(3, 2))
+            est1 = fuse(est1, model, stacked, u, y_truth, y_I)
+            est2 = fuse(est2, model, stacked, u, np.full(2, spoof), y_I)
+            assert np.array_equal(est1.x_hat, est2.x_hat)
+            assert np.array_equal(est1.P, est2.P)
+
     def test_emergency_gps_gain_is_zero(self, model, stacked):
         K = optimal_gain(1e-3 * np.eye(4), model, stacked)
         assert np.abs(K.K_G).max() > 0  # normal mode uses GPS

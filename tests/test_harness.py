@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
-                        PlantState, builtin_config_path, confidence_bound,
-                        cusum_update, derive_run_seed, export_trace, fuse,
-                        harness, measure_gps, measure_imu, monte_carlo,
-                        parse_config, pd_control, residual,
+                        NumericalError, PlantState, builtin_config_path,
+                        confidence_bound, cusum_update, derive_run_seed,
+                        export_trace, fuse, harness, measure_gps, measure_imu,
+                        monte_carlo, parse_config, pd_control, residual,
                         residual_covariance, run_scenario, step_dynamics)
 
 from conftest import make_uav_model
@@ -76,6 +76,25 @@ class TestRunScenario:
         for r1, r2 in zip(t1.records, t2.records):
             assert np.array_equal(r1.x_hat, r2.x_hat)
             assert np.array_equal(r1.x, r2.x)
+
+    def test_non_finite_spoof_forces_emergency(self, uav_config, uav_shared):
+        # A NaN or infinite GPS reading alarms on its step and latches the
+        # alarm; the estimate stays finite and equals the finite-spoof run's.
+        traces = [run_scenario(replace(uav_config, attack=AttackSignal(
+            kind="custom-sequence", start_step=700,
+            sequence=[np.full(2, v)] * 301)), shared=uav_shared)
+            for v in (1e6, np.nan, np.inf, -np.inf)]
+        for trace in traces:
+            assert trace.attack_detection_step == 700
+            assert trace.columns.alarmed[699:].all()
+            assert np.array_equal(trace.columns.x_hat, traces[0].columns.x_hat)
+            assert np.isfinite(trace.columns.x_hat).all()
+
+    def test_non_finite_estimate_raises(self, uav_config, uav_shared):
+        config = replace(uav_config, x0=np.full(4, 1e308), steps=10)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="not finite"):
+            run_scenario(config, shared=uav_shared)
 
     def test_run_matches_public_step_functions(self, uav_config, uav_shared):
         # The public step functions, stepped in a plain loop, are the
