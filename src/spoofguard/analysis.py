@@ -20,7 +20,7 @@ import numpy as np
 
 from .chi2 import chi2_quantile
 from .estimator import StackedSensorForms, emergency_gain, optimal_gain, \
-    _covariance_update_stacked, _imu_only_gain, _solve_gain
+    _covariance_update_stacked, _dead_reckoning, _solve_gain
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel
 
@@ -170,17 +170,18 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
     Solves the recursion's Riccati equation by structure-preserving doubling
     after removing its cross term (Anderson & Moore, Optimal Filtering, 1979;
     Chu, Fan, Lin et al.).  k doublings cover 2^k steps of the recursion, so
-    max_iter counts doublings.  Converged means |f(P) - P| <= tol for the
-    one-step recursion f.  Raises ConvergenceError (carrying the last iterate
-    and residual) when max_iter doublings do not converge or an iterate is
-    not finite, and fails fast when the GPS pair is not detectable since no
-    bounded fixed point exists then.
+    max_iter counts doublings.  Converged means
+    |f(P) - P| <= tol * max(1, |P|) for the one-step recursion f, so the
+    test scales with the covariance.  Raises ConvergenceError (carrying the
+    last iterate and residual) when max_iter doublings do not converge or an
+    iterate is not finite, and fails fast when the GPS pair is not
+    detectable since no bounded fixed point exists then.
     """
     if not is_detectable(model.C_G, model.A):
         raise NumericalError(
             "(C_G, A) is not detectable: the covariance recursion has no "
             "bounded fixed point")
-    stacked = StackedSensorForms.from_model(model)
+    stacked = StackedSensorForms(model)
     n, M, Sw_Ct = model.n, stacked._M, stacked._Sw_Ct
     # [M^T; Sigma_w C^T] R^{-1} with R = C Sigma_w C^T + Sigma_y.
     scaled = _solve_gain(stacked._C_Sw_Ct_Sy, np.vstack([M.T, Sw_Ct]),
@@ -204,7 +205,7 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
         K = optimal_gain(H, model, stacked)
         resid = float(np.linalg.norm(
             _covariance_update_stacked(H, K.stacked(), stacked) - H))
-        if resid <= tol:
+        if resid <= tol * max(1.0, float(np.linalg.norm(H))):
             return H
     raise ConvergenceError(
         f"covariance fixed point not reached in {max_iter} doublings "
@@ -213,21 +214,8 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
 
 def _emergency_propagator(model: SystemModel):
     """One-step covariance map under dead reckoning (GPS gain forced to zero)."""
-    stacked = StackedSensorForms.from_model(model)
-    if stacked._static_emergency:
-        drift = drift_matrices(model)
-        Sigma_bar = drift.Sigma_bar
-
-        def step(P):
-            P = model.A @ P @ model.A.T + Sigma_bar
-            return 0.5 * (P + P.T)
-    else:
-        zeros = np.zeros((model.n, model.m_G))
-
-        def step(P):
-            K_I = _imu_only_gain(P, model, stacked)
-            return _covariance_update_stacked(P, np.hstack([zeros, K_I]), stacked)
-    return step
+    stacked = StackedSensorForms(model)
+    return lambda P: _dead_reckoning(P, model, stacked)[1]
 
 
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,

@@ -8,6 +8,7 @@ robust for any degrees of freedom and any significance level.
 """
 
 import math
+from functools import lru_cache
 
 _EPS = 1e-16
 _MAX_TERMS = 500
@@ -77,10 +78,12 @@ def chi2_sf(x: float, df: int) -> float:
     return 1.0 - chi2_cdf(x, df)
 
 
+@lru_cache(maxsize=128)
 def chi2_quantile(df: int, alpha: float) -> float:
     """Upper-tail quantile: the q with P(X > q) = alpha, X ~ chi-square(df).
 
-    Bisection on the CDF; absolute accuracy is well below 1e-8.
+    Bisection on the CDF; absolute accuracy is well below 1e-8.  The result
+    is cached per (df, alpha), since every run asks for the same few.
     """
     _check_df(df)
     if not 0.0 < alpha < 1.0:

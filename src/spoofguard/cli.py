@@ -65,6 +65,7 @@ def _load(args):
         if args.runs < 1:
             raise ConfigError(f"runs: must be >= 1, got {args.runs}")
         config.runs = args.runs
+    config.check_attack_horizon()
     return config
 
 

@@ -92,14 +92,17 @@ class StackedSensorForms:
             drift_rows = model.C_I @ (self._I_n - np.linalg.inv(model.A))
             scale = max(1.0, float(np.abs(model.C_I).max(initial=0.0)))
             self._static_emergency = np.abs(drift_rows).max(initial=0.0) <= 1e-12 * scale
-        self._K_full_emergency = None
         if self._static_emergency:
-            self._K_full_emergency = np.hstack(
-                [np.zeros((n, m_G)), emergency_gain(model)])
-
-    @classmethod
-    def from_model(cls, model: SystemModel) -> "StackedSensorForms":
-        return cls(model)
+            # With the constant gain K_E = [0, K_I], dead reckoning is the
+            # constant map P -> T_E P T_E^T + Q_E, with T_E = A - K_E M and
+            # Q_E = (I - K_E C) Sigma_w (I - K_E C)^T + K_E Sigma_y K_E^T.
+            self._K_I_emergency = emergency_gain(model)
+            K_E = np.hstack([np.zeros((n, m_G)), self._K_I_emergency])
+            self._T_emergency = model.A - K_E.dot(self._M)
+            IKC = self._I_n - K_E.dot(self.C)
+            Q_E = (IKC.dot(model.Sigma_w).dot(IKC.T)
+                   + K_E.dot(self.Sigma_y).dot(K_E.T))
+            self._Q_emergency = 0.5 * (Q_E + Q_E.T)
 
 
 def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
@@ -175,17 +178,20 @@ def _imu_only_gain(P_prev: np.ndarray, model: SystemModel,
                        "IMU-only innovation covariance")
 
 
-def _emergency_gain_stacked(P_prev: np.ndarray, model: SystemModel,
-                            stacked: StackedSensorForms) -> np.ndarray:
-    """Stacked emergency-mode gain [0, K_I].
+def _dead_reckoning(P_prev: np.ndarray, model: SystemModel,
+                    stacked: StackedSensorForms):
+    """IMU gain and re-symmetrized covariance of one step with zero GPS gain.
 
-    K_I is the constant emergency gain when it is optimal, else the
-    IMU-only optimal gain for P.
+    With the constant emergency gain the covariance map is the constant
+    P -> T_E P T_E^T + Q_E; otherwise the IMU-only gain is optimal for P.
     """
     if stacked._static_emergency:
-        return stacked._K_full_emergency
+        T = stacked._T_emergency
+        P = T.dot(P_prev).dot(T.T) + stacked._Q_emergency
+        return stacked._K_I_emergency, 0.5 * (P + P.T)
     K_I = _imu_only_gain(P_prev, model, stacked)
-    return np.hstack([np.zeros((model.n, stacked._m_G)), K_I])
+    K = np.hstack([np.zeros((model.n, stacked._m_G)), K_I])
+    return K_I, _covariance_update_stacked(P_prev, K, stacked)
 
 
 def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
@@ -201,14 +207,13 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
     m_G = stacked._m_G
 
     if est.mode is Mode.EMERGENCY:
-        K_full = _emergency_gain_stacked(est.P, model, stacked)
-        x_new = pred + K_full[:, m_G:].dot(innov_imu)
+        K_I, P_new = _dead_reckoning(est.P, model, stacked)
+        x_new = pred + K_I.dot(innov_imu)
     else:
         K_full = _optimal_gain_stacked(est.P, stacked)
         innov_gps = np.asarray(y_G, dtype=float) - model.C_G.dot(pred)
         x_new = (pred + K_full[:, :m_G].dot(innov_gps)
                  + K_full[:, m_G:].dot(innov_imu))
-
-    P_new = _covariance_update_stacked(est.P, K_full, stacked)
+        P_new = _covariance_update_stacked(est.P, K_full, stacked)
     return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode,
                           x_hat_prev=est.x_hat)

@@ -10,8 +10,9 @@ the step it is detected.
 run_scenario steps one run: the plant, the measurements and the detector's
 innovation are written out in the loop, and the estimate goes through fuse.
 Each step's results go into arrays, one row per step (the run's columns);
-the trace's records, the confidence radii (one batched eigvalsh over the
-run's covariances) and monte_carlo's aggregates are read from them.
+the CSV and JSON exports, the confidence radii (one batched eigvalsh over the
+run's covariances) and monte_carlo's aggregates are read from them, and the
+trace's records are built from them on first access.
 monte_carlo calls run_scenario once per run.
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
@@ -23,7 +24,8 @@ reproducible and runs are independent.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import reprlib
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from importlib import resources
 from typing import Callable, List, NamedTuple, Optional
@@ -61,6 +63,17 @@ class ScenarioConfig:
         """Onset step of the attack, or None without one."""
         return self.attack.start_step if self.attack.kind != "none" else None
 
+    def check_attack_horizon(self) -> None:
+        """Raise ConfigError when a custom attack sequence ends before the run."""
+        attack = self.attack
+        if attack.kind != "custom-sequence":
+            return
+        needed = self.steps - attack.start_step + 1
+        if len(attack.sequence) < needed:
+            raise ConfigError(
+                f"attack.sequence: has {len(attack.sequence)} entries, but "
+                f"steps {attack.start_step}..{self.steps} need {needed}")
+
 
 @dataclass
 class StepRecord:
@@ -79,16 +92,22 @@ class StepRecord:
 
 @dataclass
 class ScenarioTrace:
-    records: List[StepRecord]
+    columns: "_RunColumns" = field(repr=False)
     first_alarm_step: Optional[int]
     attack_detection_step: Optional[int]
     escape: Optional[EscapeTimeReport]
     detectable_gps: Optional[bool]
     detectable_drift_pair: Optional[bool]
     covariances: Optional[List[np.ndarray]] = None
-    columns: Optional["_RunColumns"] = field(default=None, repr=False)
     _escape_from_alarm: Optional[Callable[[], int]] = field(default=None,
                                                             repr=False)
+
+    @cached_property
+    def records(self) -> List[StepRecord]:
+        """One StepRecord per step, built from the columns on first access."""
+        cols = self.columns
+        return [StepRecord(*row)
+                for row in _step_rows(cols, cols.x, cols.x_hat, cols.u)]
 
     @cached_property
     def escape_time_from_alarm(self) -> Optional[int]:
@@ -148,7 +167,7 @@ class ScenarioShared:
 
     def __init__(self, model: SystemModel):
         self.model = model
-        self.stacked = StackedSensorForms.from_model(model)
+        self.stacked = StackedSensorForms(model)
         self.sampler_w = GaussianSampler(model.Sigma_w)
         self.sampler_G = GaussianSampler(model.Sigma_G)
         self.sampler_I = GaussianSampler(model.Sigma_I)
@@ -214,6 +233,15 @@ class _RunColumns(NamedTuple):
 
 
 _MODES = {False: Mode.NORMAL, True: Mode.EMERGENCY}
+
+
+def _step_rows(cols: _RunColumns, x, x_hat, u):
+    """Each step's values in StepRecord field order, with x, x_hat, u as given."""
+    alarmed = cols.alarmed.tolist()
+    return zip(range(1, len(alarmed) + 1), x, x_hat, u, cols.S.tolist(),
+               [_MODES[a].value for a in alarmed], alarmed,
+               cols.trace_P.tolist(), cols.norm_P.tolist(),
+               cols.conf_radius.tolist(), cols.err_norm.tolist())
 
 
 def _first_step(mask: np.ndarray) -> Optional[int]:
@@ -308,17 +336,6 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
     if detection_step is not None:
         detection_step += detect_from
 
-    records = [
-        StepRecord(k=k, x=x, x_hat=x_hat, u=u, S=S,
-                   mode=_MODES[alarmed].value, alarmed=alarmed,
-                   trace_P=trace_P, norm_P=norm_P, conf_radius=radius,
-                   err_norm=err)
-        for k, x, x_hat, u, S, alarmed, trace_P, norm_P, radius, err in zip(
-            range(1, config.steps + 1), cols.x, cols.x_hat, cols.u,
-            cols.S.tolist(), cols.alarmed.tolist(), cols.trace_P.tolist(),
-            cols.norm_P.tolist(), cols.conf_radius.tolist(),
-            cols.err_norm.tolist())]
-
     report = None
     escape_from_alarm = None
     if first_alarm is not None:
@@ -330,14 +347,13 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
 
     drift = shared.drift()
     return ScenarioTrace(
-        records=records,
+        columns=cols,
         first_alarm_step=first_alarm,
         attack_detection_step=detection_step,
         escape=report,
         detectable_gps=None if drift is None else drift.gps_pair_detectable,
         detectable_drift_pair=None if drift is None else drift.drift_pair_detectable,
         covariances=list(cols.P) if keep_covariances else None,
-        columns=cols,
         _escape_from_alarm=escape_from_alarm,
     )
 
@@ -397,8 +413,9 @@ def parse_config(path) -> ScenarioConfig:
     """Parse and validate a scenario configuration file (strict schema)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            finite = partial(_finite_number, path)
-            raw = json.load(fh, parse_constant=finite, parse_float=finite)
+            finite = partial(_finite_float, path)
+            raw = json.load(fh, parse_constant=finite, parse_float=finite,
+                            parse_int=partial(_float_sized_int, path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -415,18 +432,19 @@ def parse_config(path) -> ScenarioConfig:
     missing = [k for k in _MODEL_KEYS if k not in model_raw]
     if missing:
         raise ConfigError(f"model: missing keys {missing}")
+    matrices = {k: _numbers(model_raw[k], f"model.{k}") for k in _MODEL_KEYS}
     try:
-        model = SystemModel(**{k: model_raw[k] for k in _MODEL_KEYS})
+        model = SystemModel(**matrices)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
     findings = validate_model(model)
     if findings:
         raise ConfigError("model: " + "; ".join(findings))
 
-    x0 = np.asarray(raw.get("x0", np.zeros(model.n)), dtype=float)
+    x0 = _numbers(raw.get("x0", [0.0] * model.n), "x0")
     if x0.shape != (model.n,):
         raise ConfigError(f"x0: has shape {x0.shape}, expected ({model.n},)")
-    target = np.asarray(raw.get("target", [10.0, 10.0]), dtype=float)
+    target = _numbers(raw.get("target", [10.0, 10.0]), "target")
     if target.shape != (model.p,):
         raise ConfigError(
             f"target: has shape {target.shape}, expected ({model.p},) "
@@ -436,8 +454,8 @@ def parse_config(path) -> ScenarioConfig:
     if not isinstance(controller, dict):
         raise ConfigError("controller: must be an object")
     _reject_unknown(controller, ("kp", "kd"), "controller.")
-    kp = float(controller.get("kp", 1.0))
-    kd = float(controller.get("kd", 2.0))
+    kp = _number(controller, "kp", 1.0, "controller.")
+    kd = _number(controller, "kd", 2.0, "controller.")
     if kp <= 0 or kd <= 0:
         raise ConfigError(f"controller: gains must be positive, got kp={kp}, kd={kd}")
 
@@ -447,29 +465,31 @@ def parse_config(path) -> ScenarioConfig:
     if not isinstance(det_raw, dict):
         raise ConfigError("detector: must be an object")
     _reject_unknown(det_raw, ("alpha", "delta"), "detector.")
+    alpha = _number(det_raw, "alpha", 0.01, "detector.")
+    delta = _number(det_raw, "delta", 0.15, "detector.")
     try:
-        detector = DetectorConfig(alpha=float(det_raw.get("alpha", 0.01)),
-                                  delta=float(det_raw.get("delta", 0.15)),
-                                  df=model.m_G)
+        detector = DetectorConfig(alpha=alpha, delta=delta, df=model.m_G)
     except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from exc
 
-    steps = int(raw.get("steps", 1000))
+    steps = _integer(raw, "steps", 1000)
     if steps < 1:
         raise ConfigError(f"steps: must be >= 1, got {steps}")
-    seed = int(raw.get("seed", 0))
+    seed = _integer(raw, "seed", 0)
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
-    zeta_norm = float(raw.get("zeta_norm", 2.0))
+    zeta_norm = _number(raw, "zeta_norm", 2.0)
     if zeta_norm <= 0:
         raise ConfigError(f"zeta_norm: must be positive, got {zeta_norm}")
-    runs = int(raw.get("runs", 1))
+    runs = _integer(raw, "runs", 1)
     if runs < 1:
         raise ConfigError(f"runs: must be >= 1, got {runs}")
 
-    return ScenarioConfig(model=model, x0=x0, target=target, kp=kp, kd=kd,
-                          attack=attack, detector=detector, steps=steps,
-                          seed=seed, zeta_norm=zeta_norm, runs=runs)
+    config = ScenarioConfig(model=model, x0=x0, target=target, kp=kp, kd=kd,
+                            attack=attack, detector=detector, steps=steps,
+                            seed=seed, zeta_norm=zeta_norm, runs=runs)
+    config.check_attack_horizon()
+    return config
 
 
 def _parse_attack(raw, m_G: int) -> AttackSignal:
@@ -484,20 +504,23 @@ def _parse_attack(raw, m_G: int) -> AttackSignal:
             f"attack.kind: unknown kind {kind!r}, expected one of {ATTACK_KINDS}")
     d = raw.get("d")
     sequence = raw.get("sequence")
-    start_step = int(raw.get("start_step", 0))
+    start_step = _integer(raw, "start_step", 0, "attack.")
     if start_step < 0:
         raise ConfigError(f"attack.start_step: must be >= 0, got {start_step}")
     if kind in ("constant-bias", "ramp"):
         if d is None:
             raise ConfigError(f"attack.d: required for kind {kind!r}")
-        d = np.asarray(d, dtype=float)
+        d = _numbers(d, "attack.d")
         if d.shape != (m_G,):
             raise ConfigError(
                 f"attack.d: has shape {d.shape}, expected ({m_G},)")
     if kind == "custom-sequence":
         if sequence is None:
             raise ConfigError("attack.sequence: required for kind 'custom-sequence'")
-        sequence = [np.asarray(s, dtype=float) for s in sequence]
+        if not isinstance(sequence, list):
+            raise ConfigError("attack.sequence: must be a list")
+        sequence = [_numbers(s, f"attack.sequence[{i}]")
+                    for i, s in enumerate(sequence)]
         bad = [i for i, s in enumerate(sequence) if s.shape != (m_G,)]
         if bad:
             raise ConfigError(
@@ -506,12 +529,54 @@ def _parse_attack(raw, m_G: int) -> AttackSignal:
     return AttackSignal(kind=kind, d=d, start_step=start_step, sequence=sequence)
 
 
-def _finite_number(path, token: str) -> float:
+def _finite_float(path, token: str) -> float:
     """json.load hook: NaN, Infinity, -Infinity and overflowing floats fail."""
     value = float(token)
     if not math.isfinite(value):
         raise ConfigError(f"{path}: non-finite number {token} is not allowed")
     return value
+
+
+def _float_sized_int(path, token: str) -> int:
+    """json.load hook: an integer too large for a float fails."""
+    if not math.isfinite(float(token)):
+        raise ConfigError(f"{path}: integer of {len(token.lstrip('-'))} "
+                          f"digits does not fit in a float")
+    return int(token)
+
+
+def _integer(section: dict, key: str, default: int, prefix: str = "") -> int:
+    """section[key] as a JSON integer; bools and floats fail."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{prefix}{key}: must be an integer, "
+                          f"got {reprlib.repr(value)}")
+    return value
+
+
+def _number(section: dict, key: str, default: float, prefix: str = "") -> float:
+    """section[key] as a float from a JSON number; bools and strings fail."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{prefix}{key}: must be a number, "
+                          f"got {reprlib.repr(value)}")
+    return float(value)
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array."""
+    if not _all_numbers(value):
+        raise ConfigError(f"{name}: must hold numbers only")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:       # ragged nesting
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _all_numbers(value) -> bool:
+    if isinstance(value, list):
+        return all(map(_all_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _reject_unknown(section: dict, allowed, prefix: str) -> None:
@@ -521,10 +586,6 @@ def _reject_unknown(section: dict, allowed, prefix: str) -> None:
 
 
 # --- trace export -------------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
 
 def export_trace(trace: ScenarioTrace, path, fmt: str = CSV_FORMAT) -> None:
     """Write a trace to disk as CSV (per-step rows) or JSON (records + summary)."""
@@ -537,50 +598,41 @@ def export_trace(trace: ScenarioTrace, path, fmt: str = CSV_FORMAT) -> None:
 
 
 def _export_csv(trace: ScenarioTrace, path) -> None:
-    first = trace.records[0]
-    n = first.x.size
-    p = first.u.size
+    """One row per step, read from the columns; floats as '%.17g'."""
+    cols = trace.columns
+    n, p = cols.x.shape[1], cols.u.shape[1]
     header = (["k"]
               + [f"x{i + 1}" for i in range(n)]
               + [f"xhat{i + 1}" for i in range(n)]
               + [f"u{i + 1}" for i in range(p)]
               + ["S", "mode", "alarmed", "trace_P", "norm_P",
                  "conf_radius", "err_norm"])
+    row = "%d," + "%.17g," * (2 * n + p + 1) + "%s,%.17g,%.17g,%.17g,%.17g"
+    before = np.hstack([cols.x, cols.x_hat, cols.u, cols.S[:, None]]).tolist()
+    after = np.column_stack([cols.trace_P, cols.norm_P, cols.conf_radius,
+                             cols.err_norm]).tolist()
+    flags = ["emergency,true" if a else "normal,false"
+             for a in cols.alarmed.tolist()]
     lines = [",".join(header)]
-    for rec in trace.records:
-        row = ([str(rec.k)]
-               + [_fmt(v) for v in rec.x]
-               + [_fmt(v) for v in rec.x_hat]
-               + [_fmt(v) for v in rec.u]
-               + [_fmt(rec.S), rec.mode, "true" if rec.alarmed else "false",
-                  _fmt(rec.trace_P), _fmt(rec.norm_P),
-                  _fmt(rec.conf_radius), _fmt(rec.err_norm)])
-        lines.append(",".join(row))
+    lines += [row % (k, *b, flag, *a) for k, b, flag, a in zip(
+        range(1, len(flags) + 1), before, flags, after)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _export_json(trace: ScenarioTrace, path) -> None:
+    """Records from the columns, one JSON object per line, then the summary."""
+    cols = trace.columns
     summary = trace.summary()
     if trace.escape is not None:
         summary["escape_report"] = trace.escape.to_dict()
         summary["escape_report"]["k_escape_from_alarm"] = trace.escape_time_from_alarm
-    payload = {
-        "records": [{
-            "k": rec.k,
-            "x": rec.x.tolist(),
-            "x_hat": rec.x_hat.tolist(),
-            "u": rec.u.tolist(),
-            "S": rec.S,
-            "mode": rec.mode,
-            "alarmed": rec.alarmed,
-            "trace_P": rec.trace_P,
-            "norm_P": rec.norm_P,
-            "conf_radius": rec.conf_radius,
-            "err_norm": rec.err_norm,
-        } for rec in trace.records],
-        "summary": summary,
-    }
+    keys = [f.name for f in fields(StepRecord)]
+    records = (json.dumps(dict(zip(keys, row))) for row in _step_rows(
+        cols, cols.x.tolist(), cols.x_hat.tolist(), cols.u.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write('{"records": [\n')
+        fh.write(",\n".join(records))
+        fh.write('\n], "summary": ')
+        fh.write(json.dumps(summary, indent=2))
+        fh.write("}\n")

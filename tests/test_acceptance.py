@@ -77,7 +77,7 @@ class TestAcceptance:
         # passage is at k = 692 and |P_1000 - P*| = 1.5e-10; a 500-step
         # horizon cannot be met (see the module docstring).
         from scipy.linalg import solve_discrete_are
-        stacked = StackedSensorForms.from_model(uav_model)
+        stacked = StackedSensorForms(uav_model)
         A, C = uav_model.A, stacked.C
         M = C @ A - stacked.D @ C
         R = C @ uav_model.Sigma_w @ C.T + stacked.Sigma_y
@@ -108,7 +108,7 @@ class TestAcceptance:
 
     def test_05_emergency_mode_instability(self, uav_model, uav_stationary_P):
         drift = drift_matrices(uav_model)
-        stacked = StackedSensorForms.from_model(uav_model)
+        stacked = StackedSensorForms(uav_model)
         est = EstimatorState.initial(np.zeros(4), P0=uav_stationary_P,
                                      mode=Mode.EMERGENCY)
         closed = uav_stationary_P.copy()
@@ -137,7 +137,7 @@ class TestAcceptance:
                          runs=1000, steps=200)
         batch = monte_carlo(config, shared=uav_shared)
         # reference covariance along the nominal normal-mode recursion
-        stacked = StackedSensorForms.from_model(uav_model)
+        stacked = StackedSensorForms(uav_model)
         P = np.zeros((4, 4))
         diag = {}
         for k in range(1, 201):
@@ -174,7 +174,7 @@ class TestAcceptance:
                f"(C_G, A) detectable={gps}, drift pair detectable={pair}")
 
     def test_09_gain_optimality_probe(self, uav_model):
-        stacked = StackedSensorForms.from_model(uav_model)
+        stacked = StackedSensorForms(uav_model)
         C, D, Sy = stacked.C, stacked.D, stacked.Sigma_y
         M = C @ uav_model.A - D @ C
         rng = np.random.default_rng(2357)

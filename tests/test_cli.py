@@ -108,3 +108,59 @@ class TestValidate:
         bad.write_text(json.dumps(raw).replace('"@"', "1e400"))
         assert main(["run", "--config", str(bad), "--steps", "10"]) == 1
         assert "non-finite number 1e400" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("controller", "kp"), "abc", "controller.kp: must be a number"),
+        (("detector", "alpha"), True, "detector.alpha: must be a number"),
+        (("attack", "start_step"), "x",
+         "attack.start_step: must be an integer"),
+        (("steps",), 720.7, "steps: must be an integer"),
+        (("steps",), True, "steps: must be an integer"),
+        (("seed",), 1.0, "seed: must be an integer"),
+        (("x0",), ["a", 0, 0, 0], "x0: must hold numbers only"),
+        (("attack",), {"kind": "custom-sequence", "start_step": 700,
+                       "sequence": [[1.0, 1.0]] * 300},
+         "attack.sequence: has 300 entries")])
+    def test_loose_type_exits_one(self, config_path, tmp_path, capsys, keys,
+                                  value, message):
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(bad), "--steps", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_integer_too_large_for_a_float_exits_one(self, config_path,
+                                                     tmp_path, capsys):
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["attack"]["d"][0] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw).replace('"@"', "1" * 401))
+        assert main(["run", "--config", str(bad), "--steps", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: {bad}: integer of 401 digits does not "
+                       f"fit in a float\n")
+
+    def test_sequence_checked_again_after_steps_flag(self, config_path,
+                                                     tmp_path, capsys):
+        # Steps 5..10 need six entries; --steps 11 needs seven.
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["steps"] = 10
+        raw["attack"] = {"kind": "custom-sequence", "start_step": 5,
+                         "sequence": [[1.0, 1.0]] * 6}
+        cfg = tmp_path / "seq.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--steps", "11"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: attack.sequence: has 6 entries")
+        assert err.count("\n") == 1

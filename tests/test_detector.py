@@ -29,7 +29,7 @@ class TestResidual:
     def test_no_attack_covariance_matches_prediction(self, uav_model):
         # Run the closed loop long enough for stationarity, then compare the
         # empirical covariance of the residual with the predicted formula.
-        stacked = StackedSensorForms.from_model(uav_model)
+        stacked = StackedSensorForms(uav_model)
         samplers = [GaussianSampler(S) for S in
                     (uav_model.Sigma_w, uav_model.Sigma_G, uav_model.Sigma_I)]
         rngs = [np.random.default_rng(s)

@@ -6,6 +6,8 @@ from spoofguard import (EstimatorState, GainPair, Mode, StackedSensorForms,
                         emergency_gain, fuse, optimal_gain, predict,
                         stationary_covariance)
 
+from spoofguard.analysis import _emergency_propagator
+
 from conftest import make_uav_model
 
 
@@ -16,7 +18,7 @@ def model():
 
 @pytest.fixture(scope="module")
 def stacked(model):
-    return StackedSensorForms.from_model(model)
+    return StackedSensorForms(model)
 
 
 def zero_gain(model):
@@ -133,7 +135,7 @@ class TestOptimalGain:
         model = SystemModel(A=base.A, B=base.B, C_G=base.C_G, C_I=base.C_I,
                             Sigma_w=np.zeros((4, 4)), Sigma_G=base.Sigma_G,
                             Sigma_I=base.Sigma_I)
-        stacked = StackedSensorForms.from_model(model)
+        stacked = StackedSensorForms(model)
         K = optimal_gain(np.zeros((4, 4)), model, stacked)
         assert np.abs(K.stacked()).max() <= 1e-15
 
@@ -213,6 +215,30 @@ class TestFuse:
         K_emergency = GainPair(K_G=np.zeros((4, 2)), K_I=emergency_gain(model))
         expected = covariance_update(est.P, K_emergency, model, stacked)
         np.testing.assert_allclose(out.P, expected, rtol=1e-14)
+
+    def test_emergency_covariance_is_the_dead_reckoning_map(self, model,
+                                                            stacked):
+        # fuse's constant emergency step, the escape analysis's
+        # dead-reckoning step and the Joseph update with the zero-padded
+        # gain are one map; on the UAV model it is A P A^T + Sigma_bar.
+        assert stacked._static_emergency
+        np.testing.assert_array_equal(stacked._T_emergency, model.A)
+        np.testing.assert_allclose(stacked._Q_emergency,
+                                   drift_matrices(model).Sigma_bar,
+                                   rtol=1e-15, atol=0)
+        step = _emergency_propagator(model)
+        K_emergency = GainPair(K_G=np.zeros((4, 2)), K_I=emergency_gain(model))
+        rng = np.random.default_rng(19)
+        for P in (stationary_covariance(model), 1e-3 * np.eye(4),
+                  *(R @ R.T for R in rng.normal(size=(3, 4, 4)))):
+            est = EstimatorState.initial(np.zeros(4), P0=P,
+                                         mode=Mode.EMERGENCY)
+            out = fuse(est, model, stacked, np.zeros(2), np.zeros(2),
+                       np.zeros(2))
+            joseph = covariance_update(P, K_emergency, model, stacked)
+            scale = np.linalg.norm(joseph)
+            assert np.linalg.norm(out.P - step(P)) <= 1e-15 * scale
+            assert np.linalg.norm(out.P - joseph) <= 1e-15 * scale
 
     def test_records_previous_estimate(self, model, stacked):
         est = EstimatorState.initial([1.0, 2.0, 3.0, 4.0])

@@ -344,6 +344,65 @@ class TestExportTrace:
         assert payload["summary"]["escape_report"]["k_escape"] == \
             trace.escape.k_escape
 
+    @pytest.mark.parametrize("spoof", [None, np.nan])
+    def test_csv_bytes_match_per_value_format(self, uav_config, uav_shared,
+                                              tmp_path, spoof):
+        trace = run_scenario(_spoofed(uav_config, spoof), shared=uav_shared)
+        path = tmp_path / "trace.csv"
+        export_trace(trace, path, "csv")
+
+        def fmt(v):
+            return format(float(v), ".17g")
+        lines = [("k,x1,x2,x3,x4,xhat1,xhat2,xhat3,xhat4,u1,u2,"
+                  "S,mode,alarmed,trace_P,norm_P,conf_radius,err_norm")]
+        for rec in trace.records:
+            lines.append(",".join(
+                [str(rec.k)] + [fmt(v) for v in (*rec.x, *rec.x_hat, *rec.u)]
+                + [fmt(rec.S), rec.mode, "true" if rec.alarmed else "false"]
+                + [fmt(v) for v in (rec.trace_P, rec.norm_P,
+                                    rec.conf_radius, rec.err_norm)]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("spoof", [None, np.nan])
+    def test_json_loads_to_records_and_summary(self, uav_config, uav_shared,
+                                               tmp_path, spoof):
+        trace = run_scenario(_spoofed(uav_config, spoof), shared=uav_shared)
+        path = tmp_path / "trace.json"
+        export_trace(trace, path, "json")
+        summary = trace.summary()
+        summary["escape_report"] = dict(
+            trace.escape.to_dict(),
+            k_escape_from_alarm=trace.escape_time_from_alarm)
+        expected = {"records": [{
+            "k": rec.k, "x": rec.x.tolist(), "x_hat": rec.x_hat.tolist(),
+            "u": rec.u.tolist(), "S": rec.S, "mode": rec.mode,
+            "alarmed": rec.alarmed, "trace_P": rec.trace_P,
+            "norm_P": rec.norm_P, "conf_radius": rec.conf_radius,
+            "err_norm": rec.err_norm} for rec in trace.records],
+            "summary": summary}
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == expected
+        # One record per line; a NaN spoof latches S = inf from step 700.
+        lines = path.read_text().splitlines()
+        assert lines[0] == '{"records": ['
+        for k, line in enumerate(lines[1:uav_config.steps + 1], start=1):
+            assert json.loads(line.rstrip(","))["k"] == k
+        assert ('"S": Infinity' in lines[700]) == (spoof is not None)
+
+    def test_records_built_on_first_access(self, uav_config, uav_shared,
+                                           monkeypatch):
+        trace = run_scenario(replace(uav_config, steps=20), shared=uav_shared)
+        assert "records" not in vars(trace)
+        assert [rec.k for rec in trace.records] == list(range(1, 21))
+        assert "records" in vars(trace)
+        np.testing.assert_array_equal(trace.records[4].x, trace.columns.x[4])
+
+        def not_built(trace):
+            raise AssertionError("records were built")
+        monkeypatch.setattr(harness.ScenarioTrace, "records",
+                            property(not_built))
+        monte_carlo(replace(uav_config, runs=2, steps=20), shared=uav_shared)
+
     def test_conf_radius_column_is_reproducible(self, uav_config, uav_shared):
         config = replace(uav_config, steps=200)
         trace = run_scenario(config, shared=uav_shared, keep_covariances=True)
@@ -355,3 +414,12 @@ class TestExportTrace:
         trace = run_scenario(replace(uav_config, steps=5), shared=uav_shared)
         with pytest.raises(ValueError, match="format"):
             export_trace(trace, tmp_path / "x.bin", "parquet")
+
+
+def _spoofed(config, spoof):
+    """config unchanged, or with a constant custom-sequence spoof from 700."""
+    if spoof is None:
+        return config
+    return replace(config, attack=AttackSignal(
+        kind="custom-sequence", start_step=700,
+        sequence=[np.full(2, spoof)] * (config.steps - 699)))
