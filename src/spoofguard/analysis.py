@@ -13,6 +13,7 @@ P, which gives a statistically valid per-step tail bound.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -40,7 +41,8 @@ def spectral_norm(M) -> float:
 
 def covariance_magnitude(P) -> float:
     """Frobenius norm, the covariance-size measure of the escape analysis."""
-    return float(np.linalg.norm(np.asarray(P, dtype=float)))
+    flat = np.asarray(P, dtype=float).ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 @dataclass
@@ -170,12 +172,11 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
     Solves the recursion's Riccati equation by structure-preserving doubling
     after removing its cross term (Anderson & Moore, Optimal Filtering, 1979;
     Chu, Fan, Lin et al.).  k doublings cover 2^k steps of the recursion, so
-    max_iter counts doublings.  Converged means
-    |f(P) - P| <= tol * max(1, |P|) for the one-step recursion f, so the
-    test scales with the covariance.  Raises ConvergenceError (carrying the
-    last iterate and residual) when max_iter doublings do not converge or an
-    iterate is not finite, and fails fast when the GPS pair is not
-    detectable since no bounded fixed point exists then.
+    max_iter counts doublings.  Converged means |f(P) - P| <= tol * |P| for
+    the one-step recursion f, a relative test at every scale.  Raises
+    ConvergenceError (carrying the last iterate and residual) when max_iter
+    doublings do not converge or an iterate is not finite, and fails fast
+    when the GPS pair is not detectable since no bounded fixed point exists.
     """
     if not is_detectable(model.C_G, model.A):
         raise NumericalError(
@@ -205,7 +206,7 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
         K = optimal_gain(H, model, stacked)
         resid = float(np.linalg.norm(
             _covariance_update_stacked(H, K.stacked(), stacked) - H))
-        if resid <= tol * max(1.0, float(np.linalg.norm(H))):
+        if resid <= tol * float(np.linalg.norm(H)):
             return H
     raise ConvergenceError(
         f"covariance fixed point not reached in {max_iter} doublings "
@@ -272,7 +273,14 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     norm of A is 1 the geometric sum degenerates and the linear branch is
     used.  Results below zero clamp to zero (tolerance already exceeded).
     """
-    drift = drift_matrices(model)
+    return _escape_time_lower_bound(P, model, zeta_norm, alpha, df,
+                                    drift_matrices(model))
+
+
+def _escape_time_lower_bound(P, model: SystemModel, zeta_norm: float,
+                             alpha: float, df: int,
+                             drift: DriftAnalysis) -> float:
+    """escape_time_lower_bound with the model's drift analysis supplied."""
     if not drift.drift_free():
         raise ValueError(
             "escape-time lower bound requires a drift-free relative sensor "
@@ -305,11 +313,6 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     return math.log(numerator / denominator) / math.log(growth)
 
 
-def branch_name(model: SystemModel) -> str:
-    """Which lower-bound branch applies to this model's transition norm."""
-    return "unit-norm" if abs(spectral_norm(model.A) - 1.0) <= 1e-12 else "general"
-
-
 def confidence_bound(P, alpha: float, df: int) -> float:
     """Radius sqrt(quantile * ||P||_2) covering the error at level 1 - alpha."""
     return math.sqrt(chi2_quantile(df, alpha) * spectral_norm(P))
@@ -317,21 +320,23 @@ def confidence_bound(P, alpha: float, df: int) -> float:
 
 def escape_report(model: SystemModel, zeta_norm: float, alpha: float,
                   df: Optional[int] = None,
-                  stationary_P: Optional[np.ndarray] = None) -> EscapeTimeReport:
-    """Bundle escape time and lower bound computed from the stationary covariance."""
+                  stationary_P: Optional[np.ndarray] = None,
+                  drift: Optional[DriftAnalysis] = None) -> EscapeTimeReport:
+    """Escape time and lower bound from the stationary covariance; each of
+    stationary_P and drift (the drift analysis) is computed when absent."""
     if df is None:
         df = model.n
     if stationary_P is None:
         stationary_P = stationary_covariance(model)
-    try:
-        drift_free = drift_matrices(model).drift_free()
-    except ValueError:
-        drift_free = False  # singular A: no drift structure, no closed form
+    if drift is None:
+        with suppress(ValueError):  # singular A: no drift, no closed form
+            drift = drift_matrices(model)
     k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha, df)
+    norm_A = spectral_norm(model.A)
     k_lb = None
-    if drift_free:
-        k_lb = escape_time_lower_bound(stationary_P, model, float(zeta_norm),
-                                       alpha, df)
+    if drift is not None and drift.drift_free():
+        k_lb = _escape_time_lower_bound(stationary_P, model, float(zeta_norm),
+                                        alpha, df, drift)
     return EscapeTimeReport(
         k_escape=k_esc,
         k_lower_bound=k_lb,
@@ -339,6 +344,6 @@ def escape_report(model: SystemModel, zeta_norm: float, alpha: float,
         alpha=alpha,
         df=df,
         stationary_P=stationary_P,
-        norm_A=spectral_norm(model.A),
-        branch=branch_name(model),
+        norm_A=norm_A,
+        branch="unit-norm" if abs(norm_A - 1.0) <= 1e-12 else "general",
     )

@@ -12,10 +12,9 @@ import sys
 
 import numpy as np
 
-from .analysis import branch_name, drift_matrices, escape_report, \
-    stationary_covariance
 from .exceptions import ConfigError, NumericalError
-from .harness import export_trace, monte_carlo, parse_config, run_scenario
+from .harness import (ScenarioShared, export_trace, monte_carlo, parse_config,
+                      run_scenario)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,18 +52,12 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 def _load(args):
     config = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {args.seed}")
-        config.seed = args.seed
-    if getattr(args, "steps", None) is not None:
-        if args.steps < 1:
-            raise ConfigError(f"steps: must be >= 1, got {args.steps}")
-        config.steps = args.steps
-    if getattr(args, "runs", None) is not None:
-        if args.runs < 1:
-            raise ConfigError(f"runs: must be >= 1, got {args.runs}")
-        config.runs = args.runs
+    for name, least in (("seed", 0), ("steps", 1), ("runs", 1)):
+        value = getattr(args, name, None)
+        if value is not None:
+            if value < least:
+                raise ConfigError(f"{name}: must be >= {least}, got {value}")
+            setattr(config, name, value)
     config.check_attack_horizon()
     return config
 
@@ -113,20 +106,19 @@ def cmd_mc(args) -> int:
 def cmd_analyze(args) -> int:
     config = parse_config(args.config)
     model = config.model
-    stationary_P = stationary_covariance(model)
-    report = escape_report(model, config.zeta_norm, config.detector.alpha,
-                           df=model.n, stationary_P=stationary_P)
-    drift = drift_matrices(model)
+    shared = ScenarioShared(model)
+    report = shared.escape(config.zeta_norm, config.detector.alpha)
+    drift = shared.drift()
     payload = {
         "first_alarm_step": None,
         "escape_time": int(report.k_escape),
         "escape_time_lower_bound":
             None if report.k_lower_bound is None else float(report.k_lower_bound),
-        "stationary_trace_P": float(np.trace(stationary_P)),
+        "stationary_trace_P": float(np.trace(report.stationary_P)),
         "detectable_gps": drift.gps_pair_detectable,
         "detectable_drift_pair": drift.drift_pair_detectable,
         "norm_A": report.norm_A,
-        "branch": branch_name(model),
+        "branch": report.branch,
         "zeta_norm": config.zeta_norm,
         "alpha": config.detector.alpha,
         "df": model.n,

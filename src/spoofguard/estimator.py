@@ -77,6 +77,12 @@ class StackedSensorForms:
         self._M = self.C @ model.A - self.D @ self.C
         self._Sw_Ct = model.Sigma_w @ self.C.T
         self._C_Sw_Ct_Sy = self.C @ self._Sw_Ct + self.Sigma_y
+        # _innovation_system's operands (contiguous M^T: a faster dot) and its
+        # last (key, R, G) result.
+        self._M_T = np.ascontiguousarray(self._M.T)
+        self._M_A = np.vstack([self._M, model.A])
+        self._innovation_noise = np.vstack([self._C_Sw_Ct_Sy, self._Sw_Ct])
+        self._innovation = (None, None, None)
 
         # IMU-only subproblem (used when emergency mode cannot rely on a
         # constant gain): drop the GPS rows, selector becomes the identity.
@@ -131,13 +137,20 @@ def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
 def _innovation_system(P_prev: np.ndarray, stacked: StackedSensorForms):
     """Normal-mode innovation covariance and gain numerator for a prior P.
 
-    Returns (M P M^T + C Sigma_w C^T + Sigma_y, A P M^T + Sigma_w C^T).  The
-    GPS-GPS block of the first is the detector's residual covariance,
-    because the GPS rows of M are C_G A.
+    Returns R = M P M^T + C Sigma_w C^T + Sigma_y and G = A P M^T + Sigma_w C^T
+    from one product [M; A] (P M^T).  R's GPS-GPS block is the detector's
+    residual covariance (the GPS rows of M are C_G A), so the runner's
+    detector and fuse share one result, kept on stacked under P's bytes;
+    callers must not write to it.
     """
-    P_Mt = P_prev.dot(stacked._M.T)
-    return (stacked._M.dot(P_Mt) + stacked._C_Sw_Ct_Sy,
-            stacked._A.dot(P_Mt) + stacked._Sw_Ct)
+    key = P_prev.tobytes()
+    cached = stacked._innovation
+    if cached[0] != key:
+        system = stacked._M_A.dot(P_prev.dot(stacked._M_T)) \
+            + stacked._innovation_noise
+        m = len(stacked.C)
+        cached = stacked._innovation = (key, system[:m], system[m:])
+    return cached[1], cached[2]
 
 
 def _optimal_gain_stacked(P_prev: np.ndarray,

@@ -36,7 +36,8 @@ from .analysis import (EscapeTimeReport, drift_matrices, escape_report,
                        escape_time, stationary_covariance)
 from .chi2 import chi2_quantile
 from .detector import DetectorConfig, normalized_residual
-from .estimator import EstimatorState, Mode, StackedSensorForms, fuse
+from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
+                        _innovation_system)
 from .exceptions import ConfigError, NumericalError
 from .model import (ATTACK_KINDS, AttackSignal, GaussianSampler, SystemModel,
                     validate_model)
@@ -106,8 +107,12 @@ class ScenarioTrace:
     def records(self) -> List[StepRecord]:
         """One StepRecord per step, built from the columns on first access."""
         cols = self.columns
-        return [StepRecord(*row)
-                for row in _step_rows(cols, cols.x, cols.x_hat, cols.u)]
+        alarmed = cols.alarmed.tolist()
+        return [StepRecord(*row) for row in zip(
+            range(1, len(alarmed) + 1), cols.x, cols.x_hat, cols.u,
+            cols.S.tolist(), [_MODES[a].value for a in alarmed], alarmed,
+            cols.trace_P.tolist(), cols.norm_P.tolist(),
+            cols.conf_radius.tolist(), cols.err_norm.tolist())]
 
     @cached_property
     def escape_time_from_alarm(self) -> Optional[int]:
@@ -187,7 +192,7 @@ class ScenarioShared:
         if key not in self._escape:
             self._escape[key] = escape_report(
                 self.model, zeta_norm, alpha, df=self.model.n,
-                stationary_P=self.stationary_P())
+                stationary_P=self.stationary_P(), drift=self.drift())
         return self._escape[key]
 
     def drift(self):
@@ -235,15 +240,6 @@ class _RunColumns(NamedTuple):
 _MODES = {False: Mode.NORMAL, True: Mode.EMERGENCY}
 
 
-def _step_rows(cols: _RunColumns, x, x_hat, u):
-    """Each step's values in StepRecord field order, with x, x_hat, u as given."""
-    alarmed = cols.alarmed.tolist()
-    return zip(range(1, len(alarmed) + 1), x, x_hat, u, cols.S.tolist(),
-               [_MODES[a].value for a in alarmed], alarmed,
-               cols.trace_P.tolist(), cols.norm_P.tolist(),
-               cols.conf_radius.tolist(), cols.err_norm.tolist())
-
-
 def _first_step(mask: np.ndarray) -> Optional[int]:
     """The first step (1-based) where mask holds, else None."""
     return int(mask.argmax()) + 1 if mask.any() else None
@@ -265,11 +261,6 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
                                     shared.sampler_G.sample,
                                     shared.sampler_I.sample)
     d = [config.attack.signal_at(k, m_G) for k in range(1, steps + 1)]
-    # The detector's residual covariance is the GPS-GPS block of the
-    # estimator's innovation covariance: the GPS rows of M are C_G A.
-    M_G = stacked._M[:m_G]
-    M_G_T = M_G.T
-    P_d_noise = stacked._C_Sw_Ct_Sy[:m_G, :m_G]
 
     x = np.asarray(config.x0, dtype=float).copy()
     est = EstimatorState.initial(config.x0)
@@ -290,10 +281,11 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
+        # P_d is the GPS block of the innovation system fuse then reads back.
         if detector_enabled:
             d_hat = y_G - C_G.dot(A.dot(x_hat) + B.dot(u))
-            S = delta * S + normalized_residual(
-                d_hat, M_G.dot(P).dot(M_G_T) + P_d_noise)
+            P_d = _innovation_system(P, stacked)[0][:m_G, :m_G]
+            S = delta * S + normalized_residual(d_hat, P_d)
             alarmed = S > threshold
         est = fuse(EstimatorState(x_hat, P, _MODES[alarmed], est.x_hat_prev),
                    model, stacked, u, y_G, y_I)
@@ -302,9 +294,9 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         S_col[i] = S
         alarm_col[i] = alarmed
 
-    if not (np.isfinite(x_hats).all() and np.isfinite(Ps).all()):
-        raise NumericalError(f"run with seed {config.seed}: the estimate or "
-                             f"its covariance is not finite")
+    if not all(np.isfinite(a).all() for a in (xs, x_hats, Ps)):
+        raise NumericalError(f"run with seed {config.seed}: the state, the "
+                             f"estimate or its covariance is not finite")
     eigvals = np.linalg.eigvalsh(Ps)
     norm_P = np.maximum(eigvals[:, -1], -eigvals[:, 0])
     return _RunColumns(
@@ -597,6 +589,17 @@ def export_trace(trace: ScenarioTrace, path, fmt: str = CSV_FORMAT) -> None:
         raise ValueError(f"unknown export format {fmt!r}, expected 'csv' or 'json'")
 
 
+def _export_rows(row: str, cols: _RunColumns, S: list) -> List[str]:
+    """Each step's values in StepRecord order, mode and alarmed as text."""
+    before = np.hstack([cols.x, cols.x_hat, cols.u]).tolist()
+    after = np.column_stack([cols.trace_P, cols.norm_P, cols.conf_radius,
+                             cols.err_norm]).tolist()
+    flags = [("emergency", "true") if a else ("normal", "false")
+             for a in cols.alarmed.tolist()]
+    return [row % (k, *b, s, *flag, *a) for k, b, s, flag, a in zip(
+        range(1, len(flags) + 1), before, S, flags, after)]
+
+
 def _export_csv(trace: ScenarioTrace, path) -> None:
     """One row per step, read from the columns; floats as '%.17g'."""
     cols = trace.columns
@@ -607,29 +610,31 @@ def _export_csv(trace: ScenarioTrace, path) -> None:
               + [f"u{i + 1}" for i in range(p)]
               + ["S", "mode", "alarmed", "trace_P", "norm_P",
                  "conf_radius", "err_norm"])
-    row = "%d," + "%.17g," * (2 * n + p + 1) + "%s,%.17g,%.17g,%.17g,%.17g"
-    before = np.hstack([cols.x, cols.x_hat, cols.u, cols.S[:, None]]).tolist()
-    after = np.column_stack([cols.trace_P, cols.norm_P, cols.conf_radius,
-                             cols.err_norm]).tolist()
-    flags = ["emergency,true" if a else "normal,false"
-             for a in cols.alarmed.tolist()]
-    lines = [",".join(header)]
-    lines += [row % (k, *b, flag, *a) for k, b, flag, a in zip(
-        range(1, len(flags) + 1), before, flags, after)]
+    row = "%d," + "%.17g," * (2 * n + p + 1) + "%s,%s,%.17g,%.17g,%.17g,%.17g"
+    lines = [",".join(header)] + _export_rows(row, cols, cols.S.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _export_json(trace: ScenarioTrace, path) -> None:
-    """Records from the columns, one JSON object per line, then the summary."""
+    """Records from the columns, one JSON object per line, then the summary.
+
+    A record is one %-template filled with the bytes json.dumps writes for
+    its dict: %r for floats, json's text while finite (the run's guard keeps
+    all but S finite), and S as json.dumps writes it, inf as Infinity.
+    """
     cols = trace.columns
     summary = trace.summary()
     if trace.escape is not None:
         summary["escape_report"] = trace.escape.to_dict()
         summary["escape_report"]["k_escape_from_alarm"] = trace.escape_time_from_alarm
-    keys = [f.name for f in fields(StepRecord)]
-    records = (json.dumps(dict(zip(keys, row))) for row in _step_rows(
-        cols, cols.x.tolist(), cols.x_hat.tolist(), cols.u.tolist()))
+    x, u = ("[" + ", ".join(["%r"] * a.shape[1]) + "]"
+            for a in (cols.x, cols.u))
+    slots = ("%d", x, x, u, "%s", '"%s"', "%s", "%r", "%r", "%r", "%r")
+    row = "{" + ", ".join(f'"{f.name}": {slot}' for f, slot in
+                          zip(fields(StepRecord), slots)) + "}"
+    records = _export_rows(row, cols,
+                           json.dumps(cols.S.tolist())[1:-1].split(", "))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"records": [\n')
         fh.write(",\n".join(records))

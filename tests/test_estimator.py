@@ -7,8 +7,9 @@ from spoofguard import (EstimatorState, GainPair, Mode, StackedSensorForms,
                         stationary_covariance)
 
 from spoofguard.analysis import _emergency_propagator
+from spoofguard.estimator import _innovation_system
 
-from conftest import make_uav_model
+from conftest import make_uav_model, random_invertible_model
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,37 @@ class TestStackedForms:
     def test_selector_zeroes_gps_block(self, stacked):
         y = np.array([1.0, 2.0, 3.0, 4.0])
         np.testing.assert_array_equal(stacked.D @ y, [0.0, 0.0, 3.0, 4.0])
+
+
+class TestInnovationSystem:
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_stacked_product_equals_two_products(self, model, seed):
+        # None is the UAV model; an integer seeds a random model.
+        rng = np.random.default_rng(99 if seed is None else seed)
+        if seed is not None:
+            model = random_invertible_model(rng)
+        stacked = StackedSensorForms(model)
+        M = stacked._M
+        for _ in range(10):
+            R = rng.normal(size=(model.n, model.n))
+            P = R @ R.T
+            P_Mt = P.dot(M.T)
+            innov_cov, gain_rhs = _innovation_system(P, stacked)
+            assert np.array_equal(innov_cov,
+                                  M.dot(P_Mt) + stacked._C_Sw_Ct_Sy)
+            assert np.array_equal(gain_rhs,
+                                  model.A.dot(P_Mt) + stacked._Sw_Ct)
+
+    def test_in_place_change_of_P_recomputes(self, model):
+        stacked = StackedSensorForms(model)
+        P = np.eye(4)
+        first = [a.copy() for a in _innovation_system(P, stacked)]
+        P *= 3.0
+        second = _innovation_system(P, stacked)
+        fresh = _innovation_system(3.0 * np.eye(4), StackedSensorForms(model))
+        for got, want, old in zip(second, fresh, first):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, old)
 
 
 class TestPredict:

@@ -11,6 +11,8 @@ from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
                         monte_carlo, parse_config, pd_control, residual,
                         residual_covariance, run_scenario, step_dynamics)
 
+from spoofguard.estimator import _innovation_system
+
 from conftest import make_uav_model
 
 
@@ -130,6 +132,20 @@ class TestRunScenario:
             assert rec.conf_radius == pytest.approx(
                 confidence_bound(est.P, det.alpha, model.n), rel=1e-9)
         assert trace.attack_detection_step == 700
+
+    def test_detector_covariance_is_the_innovation_block(self, uav_config,
+                                                        uav_shared):
+        # The runner's detector reads P_d as the GPS-GPS block of the
+        # estimator's innovation covariance, for the prior of every step.
+        trace = run_scenario(uav_config, shared=uav_shared,
+                             keep_covariances=True)
+        model = uav_config.model
+        priors = [np.zeros((model.n, model.n))] + trace.covariances[:-1]
+        for P in priors:
+            block = _innovation_system(P, uav_shared.stacked)[0][:2, :2]
+            reference = residual_covariance(P, model)
+            assert np.linalg.norm(block - reference) <= \
+                1e-14 * np.linalg.norm(reference)
 
     def test_deterministic_given_seed(self, uav_config, uav_shared, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -388,6 +404,30 @@ class TestExportTrace:
         for k, line in enumerate(lines[1:uav_config.steps + 1], start=1):
             assert json.loads(line.rstrip(","))["k"] == k
         assert ('"S": Infinity' in lines[700]) == (spoof is not None)
+
+    @pytest.mark.parametrize("spoof", [None, np.nan])
+    def test_json_bytes_match_per_record_dumps(self, uav_config, uav_shared,
+                                               tmp_path, spoof):
+        # The reference writes each record dict, in StepRecord field order,
+        # with its own json.dumps; a NaN spoof gives S = Infinity from 700.
+        trace = run_scenario(_spoofed(uav_config, spoof), shared=uav_shared)
+        path = tmp_path / "trace.json"
+        export_trace(trace, path, "json")
+        summary = trace.summary()
+        summary["escape_report"] = dict(
+            trace.escape.to_dict(),
+            k_escape_from_alarm=trace.escape_time_from_alarm)
+        records = [json.dumps({
+            "k": rec.k, "x": rec.x.tolist(), "x_hat": rec.x_hat.tolist(),
+            "u": rec.u.tolist(), "S": rec.S, "mode": rec.mode,
+            "alarmed": rec.alarmed, "trace_P": rec.trace_P,
+            "norm_P": rec.norm_P, "conf_radius": rec.conf_radius,
+            "err_norm": rec.err_norm}) for rec in trace.records]
+        expected = ('{"records": [\n' + ",\n".join(records)
+                    + '\n], "summary": ' + json.dumps(summary, indent=2)
+                    + "}\n")
+        assert path.read_bytes() == expected.encode()
+        assert ('"S": Infinity' in records[699]) == (spoof is not None)
 
     def test_records_built_on_first_access(self, uav_config, uav_shared,
                                            monkeypatch):
