@@ -5,8 +5,7 @@ from .analysis import (DriftAnalysis, EscapeTimeReport, confidence_bound,
                        escape_time, escape_time_lower_bound, is_detectable,
                        spectral_norm, stationary_covariance)
 from .chi2 import chi2_cdf, chi2_quantile, chi2_sf
-from .detector import (DetectorConfig, DetectorState, Residual, alarm,
-                       cusum_update, evaluate_residual, residual,
+from .detector import (DetectorConfig, cusum_update, residual,
                        residual_covariance)
 from .estimator import (EstimatorState, GainPair, Mode, StackedSensorForms,
                         covariance_update, emergency_gain, fuse, optimal_gain,
@@ -17,24 +16,22 @@ from .harness import (MonteCarloSummary, RunSummary, ScenarioConfig,
                       builtin_config_path, derive_run_seed, export_trace,
                       monte_carlo, parse_config, pd_control, run_scenario)
 from .model import (AttackSignal, GaussianSampler, PlantState, SystemModel,
-                    measure_gps, measure_imu, sample_noise, step_dynamics,
-                    validate_model)
+                    measure_gps, measure_imu, step_dynamics, validate_model)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttackSignal", "ConfigError", "ConvergenceError", "DetectorConfig",
-    "DetectorState", "DriftAnalysis", "EscapeTimeReport", "EstimatorState",
-    "GainPair", "GaussianSampler", "Mode", "MonteCarloSummary",
-    "NumericalError", "PlantState", "Residual", "RunSummary",
-    "ScenarioConfig", "ScenarioShared", "ScenarioTrace", "StackedSensorForms",
-    "StepRecord", "SystemModel", "alarm", "builtin_config_path", "chi2_cdf",
-    "chi2_quantile", "chi2_sf", "confidence_bound", "covariance_magnitude",
-    "covariance_update", "cusum_update", "derive_run_seed", "drift_matrices",
-    "emergency_gain", "escape_report", "escape_time",
-    "escape_time_lower_bound", "evaluate_residual", "export_trace", "fuse",
-    "is_detectable", "measure_gps", "measure_imu", "monte_carlo",
+    "DriftAnalysis", "EscapeTimeReport", "EstimatorState", "GainPair",
+    "GaussianSampler", "Mode", "MonteCarloSummary", "NumericalError",
+    "PlantState", "RunSummary", "ScenarioConfig", "ScenarioShared",
+    "ScenarioTrace", "StackedSensorForms", "StepRecord", "SystemModel",
+    "builtin_config_path", "chi2_cdf", "chi2_quantile", "chi2_sf",
+    "confidence_bound", "covariance_magnitude", "covariance_update",
+    "cusum_update", "derive_run_seed", "drift_matrices", "emergency_gain",
+    "escape_report", "escape_time", "escape_time_lower_bound", "export_trace",
+    "fuse", "is_detectable", "measure_gps", "measure_imu", "monte_carlo",
     "optimal_gain", "parse_config", "pd_control", "predict", "residual",
-    "residual_covariance", "run_scenario", "sample_noise", "spectral_norm",
+    "residual_covariance", "run_scenario", "spectral_norm",
     "stationary_covariance", "step_dynamics", "validate_model",
 ]

@@ -13,14 +13,13 @@ P, which gives a statistically valid per-step tail bound.
 """
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .chi2 import chi2_quantile
-from .estimator import StackedSensorForms, emergency_gain, optimal_gain, \
+from .estimator import StackedSensorForms, optimal_gain, \
     _covariance_update_stacked, _dead_reckoning, _solve_gain
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel
@@ -53,7 +52,9 @@ class DriftAnalysis:
     filtering problem seen by the relative sensor alone; L decouples its
     process and measurement noises; A_bar = (I - L C_bar_I) A is the
     decoupled transition; Sigma_bar is the per-step covariance floor added
-    during dead reckoning.
+    during dead reckoning; drift_free is True when the relative sensor carries
+    no drift structure (C_bar_I = 0).  C_bar_I, Sigma_bar and drift_free are
+    read from StackedSensorForms, which defines them.
     """
 
     C_bar_I: np.ndarray
@@ -62,14 +63,7 @@ class DriftAnalysis:
     Sigma_bar: np.ndarray
     gps_pair_detectable: bool
     drift_pair_detectable: bool
-    relative_sensor_scale: float = 1.0
-
-    def drift_free(self) -> bool:
-        """True when the relative sensor carries no drift structure (C_bar_I = 0)."""
-        if self.C_bar_I.size == 0:
-            return True
-        tol = 1e-12 * max(1.0, self.relative_sensor_scale)
-        return bool(np.abs(self.C_bar_I).max() <= tol)
+    drift_free: bool
 
 
 @dataclass
@@ -78,7 +72,7 @@ class EscapeTimeReport:
 
     k_escape: int
     k_lower_bound: Optional[float]
-    zeta: Union[float, np.ndarray]
+    zeta: float
     alpha: float
     df: int
     stationary_P: np.ndarray
@@ -86,14 +80,11 @@ class EscapeTimeReport:
     branch: str
 
     def to_dict(self) -> dict:
-        zeta = self.zeta
-        if isinstance(zeta, np.ndarray):
-            zeta = zeta.tolist()
         return {
             "k_escape": int(self.k_escape),
             "k_lower_bound": None if self.k_lower_bound is None
             else float(self.k_lower_bound),
-            "zeta": zeta,
+            "zeta": self.zeta,
             "alpha": float(self.alpha),
             "df": int(self.df),
             "stationary_trace_P": float(np.trace(self.stationary_P)),
@@ -128,13 +119,8 @@ def is_detectable(C, A, tol: float = 1e-8) -> bool:
 def drift_matrices(model: SystemModel) -> DriftAnalysis:
     """Build the dead-reckoning drift structure; requires invertible A."""
     n = model.n
-    sv = np.linalg.svd(model.A, compute_uv=False)
-    if sv.min() <= 1e-12 * max(1.0, sv.max()):
-        raise ValueError(
-            f"state transition matrix is singular (min singular value "
-            f"{sv.min():.3e}); the drift analysis needs A^-1")
-    A_inv = np.linalg.inv(model.A)
-    C_bar = model.C_I @ (np.eye(n) - A_inv)
+    stacked = StackedSensorForms(model)
+    A_inv, C_bar = stacked.A_inv, stacked.C_bar_I
     CI_Ainv = model.C_I @ A_inv
 
     if model.m_I == 0:
@@ -149,19 +135,14 @@ def drift_matrices(model: SystemModel) -> DriftAnalysis:
                 "noise-decoupling system is singular") from exc
 
     A_bar = (np.eye(n) - L @ C_bar) @ model.A
-    K_I = emergency_gain(model)
-    IKC = np.eye(n) - K_I @ model.C_I
-    Sigma_bar = IKC @ model.Sigma_w @ IKC.T + K_I @ model.Sigma_I @ K_I.T
-    Sigma_bar = 0.5 * (Sigma_bar + Sigma_bar.T)
-
     return DriftAnalysis(
         C_bar_I=C_bar,
         L=L,
         A_bar=A_bar,
-        Sigma_bar=Sigma_bar,
+        Sigma_bar=stacked.Sigma_bar,
         gps_pair_detectable=is_detectable(model.C_G, model.A),
         drift_pair_detectable=is_detectable(C_bar, A_bar),
-        relative_sensor_scale=float(np.abs(model.C_I).max(initial=0.0)),
+        drift_free=stacked.drift_free,
     )
 
 
@@ -178,11 +159,11 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
     doublings do not converge or an iterate is not finite, and fails fast
     when the GPS pair is not detectable since no bounded fixed point exists.
     """
+    stacked = StackedSensorForms(model)
     if not is_detectable(model.C_G, model.A):
         raise NumericalError(
             "(C_G, A) is not detectable: the covariance recursion has no "
             "bounded fixed point")
-    stacked = StackedSensorForms(model)
     n, M, Sw_Ct = model.n, stacked._M, stacked._Sw_Ct
     # [M^T; Sigma_w C^T] R^{-1} with R = C Sigma_w C^T + Sigma_y.
     scaled = _solve_gain(stacked._C_Sw_Ct_Sy, np.vstack([M.T, Sw_Ct]),
@@ -213,21 +194,15 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
         f"(last residual {resid:.3e})", last_iterate=H, residual=resid)
 
 
-def _emergency_propagator(model: SystemModel):
-    """One-step covariance map under dead reckoning (GPS gain forced to zero)."""
-    stacked = StackedSensorForms(model)
-    return lambda P: _dead_reckoning(P, model, stacked)[1]
-
-
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
                 alpha: float, df: int, max_horizon: int = 100_000) -> int:
     """Steps of dead reckoning until the error tolerance stops being credible.
 
     zeta may be an n-vector (directional test zeta^T P_k^{-1} zeta against the
     chi-square quantile) or a scalar norm (isotropic test ||zeta||^2 divided
-    by the Frobenius magnitude of P_k).  Counting starts at the covariance
-    supplied for the attack step; the count is 0 when the tolerance is
-    already not credible there.
+    by the Frobenius magnitude of P_k, inf when that is zero).  Counting
+    starts at the covariance supplied for the attack step; the count is 0
+    when the tolerance is already not credible there.
     """
     quantile = chi2_quantile(df, alpha)
     zeta_arr = np.asarray(zeta, dtype=float)
@@ -235,7 +210,8 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
         zeta_sq = float(zeta_arr) ** 2
 
         def quad(P):
-            return zeta_sq / covariance_magnitude(P)
+            magnitude = covariance_magnitude(P)
+            return zeta_sq / magnitude if magnitude > 0.0 else math.inf
     elif zeta_arr.ndim == 1:
         if zeta_arr.shape != (model.n,):
             raise ValueError(
@@ -247,12 +223,12 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
     else:
         raise ValueError("zeta must be a scalar norm or an n-vector")
 
-    step = _emergency_propagator(model)
+    stacked = StackedSensorForms(model)
     P = np.asarray(P_at_attack, dtype=float).copy()
     k = 0
     value = quad(P)
     while value > quantile:
-        P = step(P)
+        P = _dead_reckoning(P, model, stacked)[1]
         k += 1
         if k > max_horizon:
             raise ConvergenceError(
@@ -281,7 +257,7 @@ def _escape_time_lower_bound(P, model: SystemModel, zeta_norm: float,
                              alpha: float, df: int,
                              drift: DriftAnalysis) -> float:
     """escape_time_lower_bound with the model's drift analysis supplied."""
-    if not drift.drift_free():
+    if not drift.drift_free:
         raise ValueError(
             "escape-time lower bound requires a drift-free relative sensor "
             "(C_I (I - A^{-1}) = 0); this model has "
@@ -295,6 +271,8 @@ def _escape_time_lower_bound(P, model: SystemModel, zeta_norm: float,
 
     if target <= norm_P:
         return 0.0  # tolerance already exceeded at the attack step
+    if norm_P == 0.0 and norm_S == 0.0:
+        return math.inf  # P_k = 0 at every step: the tolerance stays credible
 
     if abs(norm_A - 1.0) <= 1e-12:
         return (target - norm_P) / norm_S if norm_S > 0.0 else math.inf
@@ -329,12 +307,11 @@ def escape_report(model: SystemModel, zeta_norm: float, alpha: float,
     if stationary_P is None:
         stationary_P = stationary_covariance(model)
     if drift is None:
-        with suppress(ValueError):  # singular A: no drift, no closed form
-            drift = drift_matrices(model)
+        drift = drift_matrices(model)
     k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha, df)
     norm_A = spectral_norm(model.A)
     k_lb = None
-    if drift is not None and drift.drift_free():
+    if drift.drift_free:
         k_lb = _escape_time_lower_bound(stationary_P, model, float(zeta_norm),
                                         alpha, df, drift)
     return EscapeTimeReport(

@@ -13,7 +13,8 @@ and accumulated into the detector statistic
 
     S_k = delta * S_{k-1} + d_hat^T P_d^{-1} d_hat,   S_0 = 0,
 
-which alarms when S_k exceeds chi2_quantile(df, alpha) / (1 - delta).
+which alarms when S_k strictly exceeds chi2_quantile(df, alpha) / (1 - delta)
+(a tie stays quiet).
 The statistic is updated from the GPS residual in both operating modes, so
 detection keeps running while the estimator dead-reckons.
 """
@@ -51,34 +52,15 @@ class DetectorConfig:
         return chi2_quantile(self.df, self.alpha) / (1.0 - self.delta)
 
 
-@dataclass
-class DetectorState:
-    S: float = 0.0
-    threshold: float = math.inf
-    alarmed: bool = False
-
-    @classmethod
-    def from_config(cls, config: DetectorConfig) -> "DetectorState":
-        return cls(S=0.0, threshold=config.threshold(), alarmed=False)
-
-
-@dataclass
-class Residual:
-    """Attack-vector estimate with its covariance and normalized magnitude."""
-
-    d_hat: np.ndarray
-    P_d: np.ndarray
-    normalized: float
-
-
-def residual(y_G, x_hat_prev, u_prev, model: SystemModel) -> np.ndarray:
-    """GPS innovation against the previous fused estimate.
+def residual(y_G, x_hat, u, model: SystemModel) -> np.ndarray:
+    """GPS innovation y_G - C_G (A x_hat + B u) against the previous fused
+    estimate x_hat and the previous input u.
 
     The previous estimate must be used here; the current one is correlated
     with the current measurement and would bias the statistic.
     """
-    pred = model.A @ np.asarray(x_hat_prev, dtype=float) + \
-        model.B @ np.asarray(u_prev, dtype=float)
+    pred = model.A @ np.asarray(x_hat, dtype=float) + \
+        model.B @ np.asarray(u, dtype=float)
     return np.asarray(y_G, dtype=float) - model.C_G @ pred
 
 
@@ -101,22 +83,8 @@ def normalized_residual(d_hat: np.ndarray, P_d: np.ndarray) -> float:
     return max(0.0, q) if math.isfinite(q) else math.inf
 
 
-def evaluate_residual(y_G, x_hat_prev, u_prev, P_prev,
-                      model: SystemModel) -> Residual:
-    """Build the full residual record for one step."""
-    d_hat = residual(y_G, x_hat_prev, u_prev, model)
-    P_d = residual_covariance(P_prev, model)
-    return Residual(d_hat=d_hat, P_d=P_d,
-                    normalized=normalized_residual(d_hat, P_d))
-
-
 def cusum_update(S_prev: float, d_hat: np.ndarray, P_d: np.ndarray,
                  delta: float) -> float:
     """Advance the detector statistic: delta * S_prev + normalized residual."""
     return delta * S_prev + normalized_residual(np.asarray(d_hat, dtype=float),
                                                 np.asarray(P_d, dtype=float))
-
-
-def alarm(det: DetectorState) -> bool:
-    """Alarm on strict exceedance; a tie with the threshold stays quiet."""
-    return det.S > det.threshold

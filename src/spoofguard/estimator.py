@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import SystemModel
+from .model import SystemModel, _transition_inverse
 
 
 class Mode(Enum):
@@ -46,7 +46,6 @@ class EstimatorState:
     x_hat: np.ndarray
     P: np.ndarray
     mode: Mode = Mode.NORMAL
-    x_hat_prev: np.ndarray = None
 
     @classmethod
     def initial(cls, x0, P0=None, mode: Mode = Mode.NORMAL) -> "EstimatorState":
@@ -54,13 +53,21 @@ class EstimatorState:
         if P0 is None:
             P0 = np.zeros((x0.size, x0.size))
         return cls(x_hat=x0.copy(), P=np.asarray(P0, dtype=float).copy(),
-                   mode=mode, x_hat_prev=x0.copy())
+                   mode=mode)
 
 
 class StackedSensorForms:
-    """Stacked sensor matrices plus products reused in the per-step loop."""
+    """Stacked sensor matrices, products reused in the per-step loop, and the
+    model invariants of dead reckoning.
+
+    The invariants are defined here once: A^{-1} (ValueError for a singular
+    A), C_bar_I = C_I (I - A^{-1}), the drift-free flag C_bar_I = 0, the
+    constant emergency gain K_I and its per-step noise floor
+    Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T + K_I Sigma_I K_I^T.
+    """
 
     def __init__(self, model: SystemModel):
+        self.A_inv = _transition_inverse(model.A)    # ValueError if singular
         n, m_G, m_I = model.n, model.m_G, model.m_I
         m = m_G + m_I
         self.C = np.vstack([model.C_G, model.C_I])
@@ -86,29 +93,25 @@ class StackedSensorForms:
 
         # IMU-only subproblem (used when emergency mode cannot rely on a
         # constant gain): drop the GPS rows, selector becomes the identity.
-        self._M_imu = model.C_I @ model.A - model.C_I
+        self._M_imu = self._M[m_G:]
         self._Sw_CIt = model.Sigma_w @ model.C_I.T
         self._CI_Sw_CIt_SI = model.C_I @ self._Sw_CIt + model.Sigma_I
 
-        # The constant emergency gain is exactly optimal when the relative
-        # sensor sees no drift structure, i.e. C_I (I - A^{-1}) = 0.
-        self._static_emergency = False
-        sv = np.linalg.svd(model.A, compute_uv=False) if model.A.size else np.array([1.0])
-        if sv.min() > 1e-12 * max(1.0, sv.max()):
-            drift_rows = model.C_I @ (self._I_n - np.linalg.inv(model.A))
-            scale = max(1.0, float(np.abs(model.C_I).max(initial=0.0)))
-            self._static_emergency = np.abs(drift_rows).max(initial=0.0) <= 1e-12 * scale
-        if self._static_emergency:
-            # With the constant gain K_E = [0, K_I], dead reckoning is the
-            # constant map P -> T_E P T_E^T + Q_E, with T_E = A - K_E M and
-            # Q_E = (I - K_E C) Sigma_w (I - K_E C)^T + K_E Sigma_y K_E^T.
-            self._K_I_emergency = emergency_gain(model)
-            K_E = np.hstack([np.zeros((n, m_G)), self._K_I_emergency])
-            self._T_emergency = model.A - K_E.dot(self._M)
-            IKC = self._I_n - K_E.dot(self.C)
-            Q_E = (IKC.dot(model.Sigma_w).dot(IKC.T)
-                   + K_E.dot(self.Sigma_y).dot(K_E.T))
-            self._Q_emergency = 0.5 * (Q_E + Q_E.T)
+        # Dead reckoning's invariants (class docstring).
+        self.C_bar_I = model.C_I @ (self._I_n - self.A_inv)
+        scale = max(1.0, float(np.abs(model.C_I).max(initial=0.0)))
+        self.drift_free = bool(
+            np.abs(self.C_bar_I).max(initial=0.0) <= 1e-12 * scale)
+        self.K_I = emergency_gain(model)
+        IKC = self._I_n - self.K_I @ model.C_I
+        Sigma_bar = (IKC @ model.Sigma_w @ IKC.T
+                     + self.K_I @ model.Sigma_I @ self.K_I.T)
+        self.Sigma_bar = 0.5 * (Sigma_bar + Sigma_bar.T)
+        if self.drift_free:
+            # The constant gain K_E = [0, K_I] is then exactly optimal and
+            # dead reckoning is the constant map P -> T_E P T_E^T + Sigma_bar,
+            # with T_E = A - K_E M (A itself when C_I A = C_I exactly).
+            self._T_emergency = model.A - self.K_I.dot(self._M_imu)
 
 
 def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
@@ -198,10 +201,10 @@ def _dead_reckoning(P_prev: np.ndarray, model: SystemModel,
     With the constant emergency gain the covariance map is the constant
     P -> T_E P T_E^T + Q_E; otherwise the IMU-only gain is optimal for P.
     """
-    if stacked._static_emergency:
+    if stacked.drift_free:
         T = stacked._T_emergency
-        P = T.dot(P_prev).dot(T.T) + stacked._Q_emergency
-        return stacked._K_I_emergency, 0.5 * (P + P.T)
+        P = T.dot(P_prev).dot(T.T) + stacked.Sigma_bar
+        return stacked.K_I, 0.5 * (P + P.T)
     K_I = _imu_only_gain(P_prev, model, stacked)
     K = np.hstack([np.zeros((model.n, stacked._m_G)), K_I])
     return K_I, _covariance_update_stacked(P_prev, K, stacked)
@@ -228,5 +231,4 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
         x_new = (pred + K_full[:, :m_G].dot(innov_gps)
                  + K_full[:, m_G:].dot(innov_imu))
         P_new = _covariance_update_stacked(est.P, K_full, stacked)
-    return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode,
-                          x_hat_prev=est.x_hat)
+    return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode)

@@ -32,8 +32,8 @@ from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .analysis import (EscapeTimeReport, drift_matrices, escape_report,
-                       escape_time, stationary_covariance)
+from .analysis import (DriftAnalysis, EscapeTimeReport, drift_matrices,
+                       escape_report, escape_time, stationary_covariance)
 from .chi2 import chi2_quantile
 from .detector import DetectorConfig, normalized_residual
 from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
@@ -97,9 +97,8 @@ class ScenarioTrace:
     first_alarm_step: Optional[int]
     attack_detection_step: Optional[int]
     escape: Optional[EscapeTimeReport]
-    detectable_gps: Optional[bool]
-    detectable_drift_pair: Optional[bool]
-    covariances: Optional[List[np.ndarray]] = None
+    detectable_gps: bool
+    detectable_drift_pair: bool
     _escape_from_alarm: Optional[Callable[[], int]] = field(default=None,
                                                             repr=False)
 
@@ -179,7 +178,6 @@ class ScenarioShared:
         self._stationary_P = None
         self._escape = {}
         self._drift = None
-        self._drift_failed = False
 
     def stationary_P(self) -> np.ndarray:
         if self._stationary_P is None:
@@ -195,20 +193,18 @@ class ScenarioShared:
                 stationary_P=self.stationary_P(), drift=self.drift())
         return self._escape[key]
 
-    def drift(self):
-        if self._drift is None and not self._drift_failed:
-            try:
-                self._drift = drift_matrices(self.model)
-            except ValueError:
-                self._drift_failed = True   # singular A: no drift analysis
+    def drift(self) -> DriftAnalysis:
+        if self._drift is None:
+            self._drift = drift_matrices(self.model)
         return self._drift
 
 
 def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:
     """Tracking input kp * (target - position) - kd * velocity.
 
-    Assumes the state is laid out as [position block, velocity block] with
-    the position block matching the target's length.
+    Assumes the state is laid out as [position block, velocity block, ...]
+    with both blocks matching the target's length (parse_config checks
+    n >= 2p).
     """
     x_hat = np.asarray(x_hat, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -287,7 +283,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
             P_d = _innovation_system(P, stacked)[0][:m_G, :m_G]
             S = delta * S + normalized_residual(d_hat, P_d)
             alarmed = S > threshold
-        est = fuse(EstimatorState(x_hat, P, _MODES[alarmed], est.x_hat_prev),
+        est = fuse(EstimatorState(x_hat, P, _MODES[alarmed]),
                    model, stacked, u, y_G, y_I)
 
         xs[i], x_hats[i], us[i], Ps[i] = x, est.x_hat, u, est.P
@@ -307,7 +303,6 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
 
 def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
-                 keep_covariances: bool = False,
                  shared: Optional[ScenarioShared] = None) -> ScenarioTrace:
     """Execute one seeded closed-loop run and return its trace.
 
@@ -343,9 +338,8 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
         first_alarm_step=first_alarm,
         attack_detection_step=detection_step,
         escape=report,
-        detectable_gps=None if drift is None else drift.gps_pair_detectable,
-        detectable_drift_pair=None if drift is None else drift.drift_pair_detectable,
-        covariances=list(cols.P) if keep_covariances else None,
+        detectable_gps=drift.gps_pair_detectable,
+        detectable_drift_pair=drift.drift_pair_detectable,
         _escape_from_alarm=escape_from_alarm,
     )
 
@@ -432,6 +426,10 @@ def parse_config(path) -> ScenarioConfig:
     findings = validate_model(model)
     if findings:
         raise ConfigError("model: " + "; ".join(findings))
+    if model.n < 2 * model.p:
+        raise ConfigError(
+            f"model: state dimension {model.n} is below 2p = {2 * model.p}; "
+            f"the controller reads positions x[:p] and velocities x[p:2p]")
 
     x0 = _numbers(raw.get("x0", [0.0] * model.n), "x0")
     if x0.shape != (model.n,):

@@ -182,15 +182,6 @@ class GaussianSampler:
         return self._factor.dot(rng.standard_normal(self.dim))
 
 
-def sample_noise(rng: np.random.Generator, Sigma) -> np.ndarray:
-    """One-off Gaussian draw with covariance Sigma.
-
-    Convenience wrapper; hot loops should hold a GaussianSampler so the
-    factorization happens once.
-    """
-    return GaussianSampler(Sigma).sample(rng)
-
-
 def validate_model(model: SystemModel) -> list:
     """Check the model invariants and return a list of findings (empty = valid)."""
     findings = []
@@ -221,13 +212,25 @@ def validate_model(model: SystemModel) -> list:
     findings.extend(_covariance_findings("Sigma_G", model.Sigma_G, strict=True))
     findings.extend(_covariance_findings("Sigma_I", model.Sigma_I, strict=True))
 
-    if model.A.size:
-        sv = np.linalg.svd(model.A, compute_uv=False)
-        if sv.min() <= 1e-12 * max(1.0, sv.max()):
-            findings.append(
-                f"A: singular or numerically singular (min singular value "
-                f"{sv.min():.3e}); drift analysis requires invertible A")
+    try:
+        _transition_inverse(model.A)
+    except ValueError as exc:
+        findings.append(str(exc))
     return findings
+
+
+def _transition_inverse(A: np.ndarray) -> np.ndarray:
+    """A^{-1}, or ValueError when A is singular or numerically singular.
+
+    Invertible A is a model invariant: dead reckoning's drift structure
+    C_I (I - A^{-1}) needs it.
+    """
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv.size and sv.min() <= 1e-12 * max(1.0, sv.max()):
+        raise ValueError(
+            f"A: singular or numerically singular (min singular value "
+            f"{sv.min():.3e}); the model requires invertible A")
+    return np.linalg.inv(A)
 
 
 def _covariance_findings(name: str, Sigma: np.ndarray, strict: bool) -> list:

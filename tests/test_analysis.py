@@ -176,7 +176,7 @@ class TestDriftMatrices:
         np.testing.assert_array_equal(drift.A_bar, uav_model.A)
         assert drift.gps_pair_detectable is True
         assert drift.drift_pair_detectable is False
-        assert drift.drift_free() is True
+        assert drift.drift_free is True
 
     def test_uav_noise_floor(self, uav_model):
         drift = drift_matrices(uav_model)
@@ -192,7 +192,7 @@ class TestDriftMatrices:
         drift = drift_matrices(model)
         np.testing.assert_allclose(drift.C_bar_I, -np.eye(2), atol=1e-14)
         assert decoupling_residual(model, drift.L, drift.C_bar_I) <= 1e-10
-        assert drift.drift_free() is False
+        assert drift.drift_free is False
 
     def test_rejects_singular_A(self):
         A = np.eye(2)
@@ -250,6 +250,16 @@ class TestEscapeTime:
         with pytest.raises(ValueError):
             escape_time(np.eye(4), uav_model, np.ones(3), 0.01, 4)
 
+    def test_zero_covariance_is_an_infinite_statistic(self, uav_model):
+        # P = 0 makes the tolerance credible, not a division by zero; with
+        # process noise dead reckoning leaves 0 after one step.
+        assert escape_time(np.zeros((4, 4)), uav_model, 2.0, 0.01, 4) >= 1
+        # Without process noise P stays 0, so the tolerance never escapes.
+        with pytest.raises(ConvergenceError, match="still credible") as info:
+            escape_time(np.zeros((1, 1)), scalar_model(a=2.0, sigma_w=0.0),
+                        1.0, 0.05, 1, max_horizon=50)
+        assert info.value.residual == math.inf
+
 
 class TestEscapeTimeLowerBound:
     def test_uav_bound(self, uav_model, uav_stationary_P):
@@ -281,6 +291,13 @@ class TestEscapeTimeLowerBound:
                             Sigma_I=np.eye(2))
         with pytest.raises(ValueError, match="drift-free"):
             escape_time_lower_bound(np.eye(2), model, 1.0, 0.05, 2)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_zero_covariance_without_noise_bound_is_infinite(self, a):
+        # P_k = A^k 0 A^kT = 0 at every step: the bound is inf in each branch.
+        model = scalar_model(a=a, sigma_w=0.0)
+        bound = escape_time_lower_bound(np.zeros((1, 1)), model, 1.0, 0.05, 1)
+        assert bound == math.inf
 
     def test_stable_plant_bound_is_infinite(self):
         model = scalar_model(a=0.5)

@@ -164,3 +164,39 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("config error: attack.sequence: has 6 entries")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 2)])
+    def test_state_shorter_than_two_input_blocks_exits_one(self, tmp_path,
+                                                           capsys, n, p):
+        # The controller reads positions x[:p] and velocities x[p:2p].
+        eye = [[float(i == j) for j in range(n)] for i in range(n)]
+        raw = {"model": {"A": eye, "B": [[0.01] * p] * n, "C_G": eye[:1],
+                         "C_I": eye[-1:], "Sigma_w": eye, "Sigma_G": [[1.0]],
+                         "Sigma_I": [[1.0]]},
+               "target": [10.0] * p, "steps": 5}
+        cfg = tmp_path / "short_state.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: model: state dimension {n} is below "
+                       f"2p = {2 * p}; the controller reads positions x[:p] "
+                       f"and velocities x[p:2p]\n")
+
+
+class TestZeroProcessNoise:
+    @pytest.mark.parametrize("argv", [["analyze"], ["run", "--steps", "750"],
+                                      ["mc", "--runs", "1", "--steps", "750"]])
+    def test_tolerance_stays_credible(self, config_path, tmp_path, capsys,
+                                      argv):
+        # Sigma_w = 0 is a valid PSD covariance: the stationary covariance is
+        # 0 and dead reckoning keeps it 0, so the tolerance never escapes.
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["model"]["Sigma_w"] = [[0.0] * 4] * 4
+        cfg = tmp_path / "noiseless.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: tolerance still credible "
+                              "after 100000 steps (last statistic inf")
+        assert err.count("\n") == 1

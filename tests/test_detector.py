@@ -1,13 +1,25 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from spoofguard import (AttackSignal, DetectorConfig, DetectorState,
-                        EstimatorState, GaussianSampler, PlantState,
-                        StackedSensorForms, alarm, cusum_update,
-                        evaluate_residual, fuse, measure_gps, measure_imu,
-                        residual, residual_covariance, step_dynamics)
+from spoofguard import (AttackSignal, DetectorConfig, EstimatorState,
+                        GaussianSampler, PlantState, StackedSensorForms,
+                        cusum_update, fuse, measure_gps, measure_imu,
+                        residual, residual_covariance, run_scenario,
+                        step_dynamics)
+from spoofguard.detector import normalized_residual
+
+
+@dataclass
+class FixedThreshold(DetectorConfig):
+    """Detector configuration whose alarm threshold is given directly."""
+
+    fixed: float = math.inf
+
+    def threshold(self) -> float:
+        return self.fixed
 
 
 class TestResidual:
@@ -131,21 +143,35 @@ class TestCusum:
 
 
 class TestAlarm:
-    def test_threshold_value_and_strictness(self):
+    def test_threshold_value_and_strictness(self, uav_config, uav_shared):
         config = DetectorConfig(alpha=0.01, delta=0.15, df=2)
         threshold = config.threshold()
         assert threshold == pytest.approx(9.210340371976184 / 0.85, abs=1e-8)
-        det = DetectorState.from_config(config)
-        det.S = 10.8
-        assert alarm(det) is False
-        det.S = 10.9
-        assert alarm(det) is True
-        det.S = threshold  # a tie stays quiet
-        assert alarm(det) is False
+        # The runner alarms on strict exceedance.  A run that never alarms
+        # does not depend on its threshold, so the largest statistic of a
+        # quiet run, taken as the threshold, is a tie at its first step.
+        quiet = replace(uav_config, steps=300, attack=AttackSignal.none())
 
-    def test_zero_statistic_never_alarms(self):
-        det = DetectorState.from_config(DetectorConfig())
-        assert alarm(det) is False
+        def run(fixed):
+            return run_scenario(replace(quiet, detector=FixedThreshold(
+                fixed=fixed)), shared=uav_shared)
+        S = run(math.inf).columns.S
+        peak = float(S.max())
+        tie = run(peak)
+        assert tie.first_alarm_step is None  # a tie stays quiet
+        np.testing.assert_array_equal(tie.columns.S, S)
+        assert run(np.nextafter(peak, 0.0)).first_alarm_step == \
+            int(S.argmax()) + 1
+
+    def test_zero_statistic_never_alarms(self, uav_config, uav_shared):
+        assert DetectorConfig().threshold() > 0.0
+        # With the detector off the statistic stays zero and the attack at
+        # step 700 never raises the alarm.
+        trace = run_scenario(replace(uav_config, steps=800),
+                             detector_enabled=False, shared=uav_shared)
+        assert not trace.columns.S.any()
+        assert not trace.columns.alarmed.any()
+        assert trace.first_alarm_step is None
 
     def test_decay_steps_after_attack_stops(self):
         # With nominal residuals after a spike, S decays geometrically; it
@@ -185,10 +211,12 @@ class TestEvaluateResidual:
             x_prev = rng.normal(size=4)
             u = rng.normal(size=2)
             R = rng.normal(size=(4, 4)) * 0.1
-            res = evaluate_residual(y_G, x_prev, u, R @ R.T, uav_model)
-            assert res.normalized >= 0.0
-            expected = res.d_hat @ np.linalg.solve(res.P_d, res.d_hat)
-            assert res.normalized == pytest.approx(expected, rel=1e-12)
+            d_hat = residual(y_G, x_prev, u, uav_model)
+            P_d = residual_covariance(R @ R.T, uav_model)
+            normalized = normalized_residual(d_hat, P_d)
+            assert normalized >= 0.0
+            expected = d_hat @ np.linalg.solve(P_d, d_hat)
+            assert normalized == pytest.approx(expected, rel=1e-12)
 
     def test_normalized_matches_chi2_scale_under_null(self, uav_model):
         # Sanity: with the true covariance, the average normalized residual

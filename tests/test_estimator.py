@@ -6,8 +6,7 @@ from spoofguard import (EstimatorState, GainPair, Mode, StackedSensorForms,
                         emergency_gain, fuse, optimal_gain, predict,
                         stationary_covariance)
 
-from spoofguard.analysis import _emergency_propagator
-from spoofguard.estimator import _innovation_system
+from spoofguard.estimator import _dead_reckoning, _innovation_system
 
 from conftest import make_uav_model, random_invertible_model
 
@@ -253,12 +252,10 @@ class TestFuse:
         # fuse's constant emergency step, the escape analysis's
         # dead-reckoning step and the Joseph update with the zero-padded
         # gain are one map; on the UAV model it is A P A^T + Sigma_bar.
-        assert stacked._static_emergency
+        assert stacked.drift_free
         np.testing.assert_array_equal(stacked._T_emergency, model.A)
-        np.testing.assert_allclose(stacked._Q_emergency,
-                                   drift_matrices(model).Sigma_bar,
-                                   rtol=1e-15, atol=0)
-        step = _emergency_propagator(model)
+        np.testing.assert_array_equal(stacked.Sigma_bar,
+                                      drift_matrices(model).Sigma_bar)
         K_emergency = GainPair(K_G=np.zeros((4, 2)), K_I=emergency_gain(model))
         rng = np.random.default_rng(19)
         for P in (stationary_covariance(model), 1e-3 * np.eye(4),
@@ -269,13 +266,8 @@ class TestFuse:
                        np.zeros(2))
             joseph = covariance_update(P, K_emergency, model, stacked)
             scale = np.linalg.norm(joseph)
-            assert np.linalg.norm(out.P - step(P)) <= 1e-15 * scale
+            assert np.array_equal(out.P, _dead_reckoning(P, model, stacked)[1])
             assert np.linalg.norm(out.P - joseph) <= 1e-15 * scale
-
-    def test_records_previous_estimate(self, model, stacked):
-        est = EstimatorState.initial([1.0, 2.0, 3.0, 4.0])
-        out = fuse(est, model, stacked, np.zeros(2), np.zeros(2), np.zeros(2))
-        assert np.array_equal(out.x_hat_prev, est.x_hat)
 
 
 class TestModeBehaviour:

@@ -137,10 +137,9 @@ class TestRunScenario:
                                                         uav_shared):
         # The runner's detector reads P_d as the GPS-GPS block of the
         # estimator's innovation covariance, for the prior of every step.
-        trace = run_scenario(uav_config, shared=uav_shared,
-                             keep_covariances=True)
+        trace = run_scenario(uav_config, shared=uav_shared)
         model = uav_config.model
-        priors = [np.zeros((model.n, model.n))] + trace.covariances[:-1]
+        priors = [np.zeros((model.n, model.n))] + list(trace.columns.P[:-1])
         for P in priors:
             block = _innovation_system(P, uav_shared.stacked)[0][:2, :2]
             reference = residual_covariance(P, model)
@@ -445,8 +444,8 @@ class TestExportTrace:
 
     def test_conf_radius_column_is_reproducible(self, uav_config, uav_shared):
         config = replace(uav_config, steps=200)
-        trace = run_scenario(config, shared=uav_shared, keep_covariances=True)
-        for rec, P in zip(trace.records, trace.covariances):
+        trace = run_scenario(config, shared=uav_shared)
+        for rec, P in zip(trace.records, trace.columns.P):
             assert rec.conf_radius == confidence_bound(
                 P, config.detector.alpha, config.model.n)
 

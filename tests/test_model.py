@@ -1,9 +1,15 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spoofguard import (AttackSignal, GaussianSampler, PlantState,
-                        SystemModel, measure_gps, measure_imu, sample_noise,
-                        step_dynamics, validate_model)
+                        ScenarioShared, StackedSensorForms, SystemModel,
+                        builtin_config_path, drift_matrices, escape_report,
+                        measure_gps, measure_imu, run_scenario, step_dynamics,
+                        validate_model)
+from spoofguard.cli import main
 
 from conftest import make_uav_model
 
@@ -181,11 +187,6 @@ class TestGaussianSampler:
         rng = np.random.default_rng(0)
         sampler.sample(rng)
 
-    def test_sample_noise_wrapper(self):
-        rng = np.random.default_rng(5)
-        v = sample_noise(rng, np.eye(3))
-        assert v.shape == (3,)
-
 
 class TestValidateModel:
     def test_uav_model_valid(self, uav_model):
@@ -209,6 +210,30 @@ class TestValidateModel:
                           Sigma_I=model.Sigma_I)
         findings = validate_model(bad)
         assert any("A" in f and "singular" in f for f in findings)
+
+    def test_singular_A_is_one_finding_everywhere(self, uav_config, tmp_path,
+                                                 capsys):
+        # Every entry point that needs A^-1 reports validate_model's finding.
+        model = uav_config.model
+        A = model.A.copy()
+        A[3, :] = 0.0
+        bad = SystemModel(A=A, B=model.B, C_G=model.C_G, C_I=model.C_I,
+                          Sigma_w=model.Sigma_w, Sigma_G=model.Sigma_G,
+                          Sigma_I=model.Sigma_I)
+        [finding] = validate_model(bad)
+        for build in (drift_matrices, StackedSensorForms, ScenarioShared,
+                      lambda m: run_scenario(replace(uav_config, model=m)),
+                      lambda m: escape_report(m, 2.0, 0.01)):
+            with pytest.raises(ValueError) as info:
+                build(bad)
+            assert str(info.value) == finding
+        with open(builtin_config_path(), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["model"]["A"] = A.tolist()
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: model: {finding}\n"
 
     def test_reports_dimension_mismatch(self):
         model = make_uav_model()
