@@ -228,14 +228,16 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
     k = 0
     value = quad(P)
     while value > quantile:
-        P = _dead_reckoning(P, model, stacked)[1]
+        P_prev, P = P, _dead_reckoning(P, model, stacked)[1]
         k += 1
         if k > max_horizon:
             raise ConvergenceError(
                 f"tolerance still credible after {max_horizon} steps "
                 f"(last statistic {value:.6g} > quantile {quantile:.6g})",
                 last_iterate=P, residual=value)
-        value = quad(P)
+        last, value = value, quad(P)
+        if value == last and P.tobytes() == P_prev.tobytes():
+            k = max_horizon     # a fixed point stays credible to the horizon
     return k
 
 

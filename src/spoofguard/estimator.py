@@ -84,12 +84,14 @@ class StackedSensorForms:
         self._M = self.C @ model.A - self.D @ self.C
         self._Sw_Ct = model.Sigma_w @ self.C.T
         self._C_Sw_Ct_Sy = self.C @ self._Sw_Ct + self.Sigma_y
-        # _innovation_system's operands (contiguous M^T: a faster dot) and its
-        # last (key, R, G) result.
+        # _innovation_system's operands (contiguous M^T: a faster dot) and
+        # its steps by prior P's bytes: the trunk (the no-alarm history from
+        # P = 0, its covariances in self.trunk) and the latest step off it.
         self._M_T = np.ascontiguousarray(self._M.T)
         self._M_A = np.vstack([self._M, model.A])
         self._innovation_noise = np.vstack([self._C_Sw_Ct_Sy, self._Sw_Ct])
-        self._innovation = (None, None, None)
+        self._steps, self.trunk, self._off_trunk = {}, [], None
+        self._tip = np.zeros((n, n)).tobytes()
 
         # IMU-only subproblem (used when emergency mode cannot rely on a
         # constant gain): drop the GPS rows, selector becomes the identity.
@@ -122,7 +124,8 @@ def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
                  stacked: StackedSensorForms) -> GainPair:
     """Trace-minimizing stacked gain for the given prior covariance."""
-    K = _optimal_gain_stacked(P_prev, stacked)
+    step = _innovation_system(P_prev, stacked)
+    K = _solve_gain(step.R, step.G, "innovation covariance")
     m_G = stacked._m_G
     return GainPair(K_G=K[:, :m_G], K_I=K[:, m_G:])
 
@@ -137,29 +140,33 @@ def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
             f"{what} is singular (condition number {cond:.3e})") from exc
 
 
-def _innovation_system(P_prev: np.ndarray, stacked: StackedSensorForms):
-    """Normal-mode innovation covariance and gain numerator for a prior P.
+class _NormalStep:
+    __slots__ = ("R", "G", "K", "P_next")
 
-    Returns R = M P M^T + C Sigma_w C^T + Sigma_y and G = A P M^T + Sigma_w C^T
-    from one product [M; A] (P M^T).  R's GPS-GPS block is the detector's
-    residual covariance (the GPS rows of M are C_G A), so the runner's
-    detector and fuse share one result, kept on stacked under P's bytes;
-    callers must not write to it.
+
+def _innovation_system(P_prev: np.ndarray,
+                       stacked: StackedSensorForms) -> _NormalStep:
+    """The normal-mode step for a prior P, one lookup by P's bytes.
+
+    A miss computes R = M P M^T + C Sigma_w C^T + Sigma_y and
+    G = A P M^T + Sigma_w C^T from one product [M; A] (P M^T); R's GPS-GPS
+    block is the detector's residual covariance (the GPS rows of M are C_G A).
+    fuse adds the gain K and the next covariance P_next.  The arrays are
+    read-only.  A step off the trunk replaces the last one.
     """
     key = P_prev.tobytes()
-    cached = stacked._innovation
-    if cached[0] != key:
+    step = stacked._steps.get(key)
+    if step is None:
         system = stacked._M_A.dot(P_prev.dot(stacked._M_T)) \
             + stacked._innovation_noise
+        system.setflags(write=False)
         m = len(stacked.C)
-        cached = stacked._innovation = (key, system[:m], system[m:])
-    return cached[1], cached[2]
-
-
-def _optimal_gain_stacked(P_prev: np.ndarray,
-                          stacked: StackedSensorForms) -> np.ndarray:
-    return _solve_gain(*_innovation_system(P_prev, stacked),
-                       "innovation covariance")
+        step = stacked._steps[key] = _NormalStep()
+        step.R, step.G, step.K = system[:m], system[m:], None
+        if key != stacked._tip:
+            stacked._steps.pop(stacked._off_trunk, None)
+            stacked._off_trunk = key
+    return step
 
 
 def emergency_gain(model: SystemModel) -> np.ndarray:
@@ -226,9 +233,17 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
         K_I, P_new = _dead_reckoning(est.P, model, stacked)
         x_new = pred + K_I.dot(innov_imu)
     else:
-        K_full = _optimal_gain_stacked(est.P, stacked)
+        step = _innovation_system(est.P, stacked)
+        if step.K is None:
+            step.K = _solve_gain(step.R, step.G, "innovation covariance")
+            step.P_next = _covariance_update_stacked(est.P, step.K, stacked)
+            step.K.setflags(write=False)
+            step.P_next.setflags(write=False)
+            if stacked._steps.get(stacked._tip) is step:    # extend the trunk
+                stacked.trunk.append(step.P_next)
+                stacked._tip = step.P_next.tobytes()
+        K_full, P_new = step.K, step.P_next
         innov_gps = np.asarray(y_G, dtype=float) - model.C_G.dot(pred)
         x_new = (pred + K_full[:, :m_G].dot(innov_gps)
                  + K_full[:, m_G:].dot(innov_imu))
-        P_new = _covariance_update_stacked(est.P, K_full, stacked)
     return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode)

@@ -10,10 +10,10 @@ the step it is detected.
 run_scenario steps one run: the plant, the measurements and the detector's
 innovation are written out in the loop, and the estimate goes through fuse.
 Each step's results go into arrays, one row per step (the run's columns);
-the CSV and JSON exports, the confidence radii (one batched eigvalsh over the
-run's covariances) and monte_carlo's aggregates are read from them, and the
-trace's records are built from them on first access.
-monte_carlo calls run_scenario once per run.
+the CSV and JSON exports, the confidence radii and monte_carlo's aggregates
+are read from them, and the trace's records are built from them on first
+access.  monte_carlo calls run_scenario once per run, all on one
+ScenarioShared, so its runs share the trunk (see StackedSensorForms).
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -178,6 +178,7 @@ class ScenarioShared:
         self._stationary_P = None
         self._escape = {}
         self._drift = None
+        self._trunk_norms = np.empty(0)
 
     def stationary_P(self) -> np.ndarray:
         if self._stationary_P is None:
@@ -197,6 +198,18 @@ class ScenarioShared:
         if self._drift is None:
             self._drift = drift_matrices(self.model)
         return self._drift
+
+    def spectral_norms(self, Ps: np.ndarray, no_alarm: int) -> np.ndarray:
+        """Spectral norm of each covariance of a run.  Its first no_alarm rows
+        are the no-alarm history from P = 0, alike in every run, so each of
+        their norms is decomposed once (the same bits in any eigvalsh batch)."""
+        start = min(len(self._trunk_norms), no_alarm)
+        eigvals = np.linalg.eigvalsh(Ps[start:])
+        norms = np.maximum(eigvals[:, -1], -eigvals[:, 0])
+        if start < no_alarm:
+            self._trunk_norms = np.concatenate(
+                [self._trunk_norms, norms[:no_alarm - start]])
+        return np.concatenate([self._trunk_norms[:start], norms])
 
 
 def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:
@@ -280,7 +293,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         # P_d is the GPS block of the innovation system fuse then reads back.
         if detector_enabled:
             d_hat = y_G - C_G.dot(A.dot(x_hat) + B.dot(u))
-            P_d = _innovation_system(P, stacked)[0][:m_G, :m_G]
+            P_d = _innovation_system(P, stacked).R[:m_G, :m_G]
             S = delta * S + normalized_residual(d_hat, P_d)
             alarmed = S > threshold
         est = fuse(EstimatorState(x_hat, P, _MODES[alarmed]),
@@ -293,8 +306,8 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     if not all(np.isfinite(a).all() for a in (xs, x_hats, Ps)):
         raise NumericalError(f"run with seed {config.seed}: the state, the "
                              f"estimate or its covariance is not finite")
-    eigvals = np.linalg.eigvalsh(Ps)
-    norm_P = np.maximum(eigvals[:, -1], -eigvals[:, 0])
+    norm_P = shared.spectral_norms(
+        Ps, int(alarm_col.argmax()) if alarm_col.any() else steps)
     return _RunColumns(
         x=xs, x_hat=x_hats, u=us, S=S_col, alarmed=alarm_col,
         trace_P=np.trace(Ps, axis1=1, axis2=2), norm_P=norm_P,

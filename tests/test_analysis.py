@@ -10,6 +10,8 @@ from spoofguard import (ConvergenceError, NumericalError,
                         covariance_update, drift_matrices, escape_report,
                         escape_time, escape_time_lower_bound, is_detectable,
                         optimal_gain, spectral_norm, stationary_covariance)
+from spoofguard import analysis
+from spoofguard.estimator import _dead_reckoning
 
 from conftest import decoupling_residual, random_invertible_model
 
@@ -259,6 +261,30 @@ class TestEscapeTime:
             escape_time(np.zeros((1, 1)), scalar_model(a=2.0, sigma_w=0.0),
                         1.0, 0.05, 1, max_horizon=50)
         assert info.value.residual == math.inf
+
+    def test_fixed_point_fails_without_walking_the_horizon(self, uav_model,
+                                                           monkeypatch):
+        # Without process noise dead reckoning maps P = 0 to itself bit for
+        # bit: the error is the one the full horizon would end in, after at
+        # most two steps instead of 100000.
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _dead_reckoning(*args)
+        monkeypatch.setattr(analysis, "_dead_reckoning", counted)
+        m = uav_model
+        model = SystemModel(A=m.A, B=m.B, C_G=m.C_G, C_I=m.C_I,
+                            Sigma_w=np.zeros((4, 4)), Sigma_G=m.Sigma_G,
+                            Sigma_I=m.Sigma_I)
+        with pytest.raises(ConvergenceError) as info:
+            escape_time(np.zeros((4, 4)), model, 2.0, 0.01, 4)
+        assert str(info.value) == (
+            "tolerance still credible after 100000 steps (last statistic inf "
+            f"> quantile {chi2_quantile(4, 0.01):.6g})")
+        assert info.value.residual == math.inf
+        assert np.array_equal(info.value.last_iterate, np.zeros((4, 4)))
+        assert len(calls) <= 2
 
 
 class TestEscapeTimeLowerBound:

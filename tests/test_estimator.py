@@ -54,7 +54,8 @@ class TestInnovationSystem:
             R = rng.normal(size=(model.n, model.n))
             P = R @ R.T
             P_Mt = P.dot(M.T)
-            innov_cov, gain_rhs = _innovation_system(P, stacked)
+            step = _innovation_system(P, stacked)
+            innov_cov, gain_rhs = step.R, step.G
             assert np.array_equal(innov_cov,
                                   M.dot(P_Mt) + stacked._C_Sw_Ct_Sy)
             assert np.array_equal(gain_rhs,
@@ -63,11 +64,13 @@ class TestInnovationSystem:
     def test_in_place_change_of_P_recomputes(self, model):
         stacked = StackedSensorForms(model)
         P = np.eye(4)
-        first = [a.copy() for a in _innovation_system(P, stacked)]
+        step = _innovation_system(P, stacked)
+        first = [step.R.copy(), step.G.copy()]
         P *= 3.0
         second = _innovation_system(P, stacked)
         fresh = _innovation_system(3.0 * np.eye(4), StackedSensorForms(model))
-        for got, want, old in zip(second, fresh, first):
+        for got, want, old in zip((second.R, second.G), (fresh.R, fresh.G),
+                                  first):
             assert np.array_equal(got, want)
             assert not np.array_equal(got, old)
 

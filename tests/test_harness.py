@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
-                        NumericalError, PlantState, builtin_config_path,
-                        confidence_bound, cusum_update, derive_run_seed,
-                        export_trace, fuse, harness, measure_gps, measure_imu,
-                        monte_carlo, parse_config, pd_control, residual,
-                        residual_covariance, run_scenario, step_dynamics)
+                        NumericalError, PlantState, ScenarioShared,
+                        builtin_config_path, confidence_bound, cusum_update,
+                        derive_run_seed, export_trace, fuse, harness,
+                        measure_gps, measure_imu, monte_carlo, parse_config,
+                        pd_control, residual, residual_covariance,
+                        run_scenario, step_dynamics)
 
 from spoofguard.estimator import _innovation_system
 
@@ -141,7 +142,7 @@ class TestRunScenario:
         model = uav_config.model
         priors = [np.zeros((model.n, model.n))] + list(trace.columns.P[:-1])
         for P in priors:
-            block = _innovation_system(P, uav_shared.stacked)[0][:2, :2]
+            block = _innovation_system(P, uav_shared.stacked).R[:2, :2]
             reference = residual_covariance(P, model)
             assert np.linalg.norm(block - reference) <= \
                 1e-14 * np.linalg.norm(reference)
@@ -249,6 +250,94 @@ class TestMonteCarlo:
     def test_rejects_nonpositive_runs(self, uav_config):
         with pytest.raises(ConfigError):
             monte_carlo(replace(uav_config, runs=0))
+
+
+def _batch_traces(config, monkeypatch, **kwargs):
+    """Run a monte_carlo batch on a fresh ScenarioShared; return it and the
+    trace of each of its runs."""
+    traces = []
+
+    def recorded(*args, **kw):
+        traces.append(run_scenario(*args, **kw))
+        return traces[-1]
+    monkeypatch.setattr(harness, "run_scenario", recorded)
+    shared = ScenarioShared(config.model)
+    monte_carlo(config, shared=shared, **kwargs)
+    monkeypatch.undo()
+    return shared, traces
+
+
+class TestCovarianceTrunk:
+    """Runs of a batch share the normal-mode steps of the no-alarm history
+    from P = 0; sharing must not change one bit of any run."""
+
+    @pytest.mark.parametrize("case", ["clean", "detector_off", "nan_spoof"])
+    def test_batch_runs_equal_runs_on_a_fresh_shared(self, uav_config,
+                                                     monkeypatch, case):
+        config = replace(uav_config, attack=AttackSignal.none(), runs=25,
+                         steps=200)
+        if case == "nan_spoof":
+            config = replace(config, runs=5, attack=AttackSignal(
+                kind="custom-sequence", start_step=120,
+                sequence=[np.full(2, np.nan)] * 81))
+        enabled = case != "detector_off"
+        shared, traces = _batch_traces(config, monkeypatch,
+                                       detector_enabled=enabled)
+        assert len(traces) == config.runs
+        on_trunk = 0
+        for i, trace in enumerate(traces):
+            fresh = run_scenario(
+                replace(config, seed=derive_run_seed(config.seed, i), runs=1),
+                detector_enabled=enabled,
+                shared=ScenarioShared(config.model))
+            for got, want in zip(trace.columns, fresh.columns):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            first = trace.first_alarm_step
+            on_trunk += config.steps if first is None else first - 1
+        # Later runs read what the first run to reach a step computed.
+        assert on_trunk > len(shared.stacked.trunk)
+        if case == "nan_spoof":
+            assert all(t.first_alarm_step <= 120 for t in traces)
+
+    def test_trunk_is_read_only_and_as_long_as_the_longest_stretch(
+            self, uav_config, monkeypatch):
+        config = replace(uav_config, attack=AttackSignal.none(), runs=25,
+                         steps=200)
+        shared, traces = _batch_traces(config, monkeypatch)
+        stacked = shared.stacked
+        stretches = [config.steps if t.first_alarm_step is None
+                     else t.first_alarm_step - 1 for t in traces]
+        longest = max(stretches)
+        assert len(stacked.trunk) == longest
+        assert np.array_equal(
+            stacked.trunk, traces[stretches.index(longest)].columns.P[:longest])
+        for step in stacked._steps.values():
+            for a in (step.R, step.G, step.K, step.P_next):
+                if a is not None:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0, 0] = 0.0
+        assert not any(P.flags.writeable for P in stacked.trunk)
+
+    def test_trunk_stops_growing_at_the_exact_fixed_point(self, uav_config):
+        # From P = 0 the recursion reaches a floating-point fixed point well
+        # within 3000 steps; a run past it adds no entry.
+        config = replace(uav_config, attack=AttackSignal.none(), steps=3000)
+        shared = ScenarioShared(config.model)
+        trace = run_scenario(config, detector_enabled=False, shared=shared)
+        trunk = shared.stacked.trunk
+        assert len(trunk) < config.steps
+        assert trunk[-1].tobytes() == trunk[-2].tobytes()
+        assert trunk[-3].tobytes() != trunk[-2].tobytes()
+        Ps = trace.columns.P
+        assert (Ps[len(trunk):] == trunk[-1]).all()
+        eigvals = np.linalg.eigvalsh(Ps)
+        assert trace.columns.norm_P.tobytes() == np.maximum(
+            eigvals[:, -1], -eigvals[:, 0]).tobytes()
+        run_scenario(replace(config, seed=1), detector_enabled=False,
+                     shared=shared)
+        assert len(shared.stacked.trunk) == len(trunk)
 
 
 class TestParseConfig:
