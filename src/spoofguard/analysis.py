@@ -164,9 +164,10 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
         raise NumericalError(
             "(C_G, A) is not detectable: the covariance recursion has no "
             "bounded fixed point")
-    n, M, Sw_Ct = model.n, stacked._M, stacked._Sw_Ct
-    # [M^T; Sigma_w C^T] R^{-1} with R = C Sigma_w C^T + Sigma_y.
-    scaled = _solve_gain(stacked._C_Sw_Ct_Sy, np.vstack([M.T, Sw_Ct]),
+    n, M, m = model.n, stacked._M, len(stacked.C)
+    # [M^T; Sigma_w C^T] R^{-1}, R = C Sigma_w C^T + Sigma_y: the P = 0 system.
+    R, Sw_Ct = np.split(stacked._innovation_noise, [m])
+    scaled = _solve_gain(R, np.vstack([M.T, Sw_Ct]),
                          "measurement noise covariance")
     # Doubling iterates: A_k -> 0, G_k and H_k symmetric, H_k -> P.
     A_k = (model.A - scaled[n:].dot(M)).T

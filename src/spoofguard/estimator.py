@@ -60,10 +60,13 @@ class StackedSensorForms:
     """Stacked sensor matrices, products reused in the per-step loop, and the
     model invariants of dead reckoning.
 
-    The invariants are defined here once: A^{-1} (ValueError for a singular
-    A), C_bar_I = C_I (I - A^{-1}), the drift-free flag C_bar_I = 0, the
-    constant emergency gain K_I and its per-step noise floor
-    Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T + K_I Sigma_I K_I^T.
+    _innovation_system is the one innovation system and
+    _covariance_update_stacked the one Joseph update.  The invariants are
+    defined here once: A^{-1} (ValueError for a singular A),
+    C_bar_I = C_I (I - A^{-1}), the drift-free flag C_bar_I = 0, the emergency
+    gain K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1}, the IMU block
+    of the P = 0 system, and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T
+    + K_I Sigma_I K_I^T, the Joseph update of P = 0 with K_E = [0, K_I].
     """
 
     def __init__(self, model: SystemModel):
@@ -82,38 +85,33 @@ class StackedSensorForms:
         self._m_G = m_G
         self._I_n = np.eye(n)
         self._M = self.C @ model.A - self.D @ self.C
-        self._Sw_Ct = model.Sigma_w @ self.C.T
-        self._C_Sw_Ct_Sy = self.C @ self._Sw_Ct + self.Sigma_y
-        # _innovation_system's operands (contiguous M^T: a faster dot) and
-        # its steps by prior P's bytes: the trunk (the no-alarm history from
-        # P = 0, its covariances in self.trunk) and the latest step off it.
+        # _innovation_system's operands (contiguous M^T: a faster dot), its
+        # P = 0 value and its steps by prior P's bytes: the trunk (the no-alarm
+        # history from P = 0, its covariances in self.trunk) and the latest
+        # step off it.
         self._M_T = np.ascontiguousarray(self._M.T)
         self._M_A = np.vstack([self._M, model.A])
-        self._innovation_noise = np.vstack([self._C_Sw_Ct_Sy, self._Sw_Ct])
+        Sw_Ct = model.Sigma_w @ self.C.T
+        self._innovation_noise = np.vstack([self.C @ Sw_Ct + self.Sigma_y,
+                                            Sw_Ct])
         self._steps, self.trunk, self._off_trunk = {}, [], None
         self._tip = np.zeros((n, n)).tobytes()
-
-        # IMU-only subproblem (used when emergency mode cannot rely on a
-        # constant gain): drop the GPS rows, selector becomes the identity.
-        self._M_imu = self._M[m_G:]
-        self._Sw_CIt = model.Sigma_w @ model.C_I.T
-        self._CI_Sw_CIt_SI = model.C_I @ self._Sw_CIt + model.Sigma_I
 
         # Dead reckoning's invariants (class docstring).
         self.C_bar_I = model.C_I @ (self._I_n - self.A_inv)
         scale = max(1.0, float(np.abs(model.C_I).max(initial=0.0)))
         self.drift_free = bool(
             np.abs(self.C_bar_I).max(initial=0.0) <= 1e-12 * scale)
-        self.K_I = emergency_gain(model)
-        IKC = self._I_n - self.K_I @ model.C_I
-        Sigma_bar = (IKC @ model.Sigma_w @ IKC.T
-                     + self.K_I @ model.Sigma_I @ self.K_I.T)
-        self.Sigma_bar = 0.5 * (Sigma_bar + Sigma_bar.T)
+        self.K_I = _solve_gain(self._innovation_noise[m_G:m, m_G:],
+                               self._innovation_noise[m:, m_G:],
+                               "IMU innovation covariance of the emergency gain")
+        K_E = np.hstack([np.zeros((n, m_G)), self.K_I])
+        self.Sigma_bar = _covariance_update_stacked(np.zeros((n, n)), K_E, self)
         if self.drift_free:
-            # The constant gain K_E = [0, K_I] is then exactly optimal and
-            # dead reckoning is the constant map P -> T_E P T_E^T + Sigma_bar,
+            # The constant gain K_E is then exactly optimal and dead
+            # reckoning is the constant map P -> T_E P T_E^T + Sigma_bar,
             # with T_E = A - K_E M (A itself when C_I A = C_I exactly).
-            self._T_emergency = model.A - self.K_I.dot(self._M_imu)
+            self._T_emergency = model.A - self.K_I.dot(self._M[m_G:])
 
 
 def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
@@ -171,9 +169,7 @@ def _innovation_system(P_prev: np.ndarray,
 
 def emergency_gain(model: SystemModel) -> np.ndarray:
     """Constant IMU gain Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1}."""
-    rhs = model.Sigma_w @ model.C_I.T
-    return _solve_gain(model.C_I @ rhs + model.Sigma_I, rhs,
-                       "IMU innovation covariance of the emergency gain")
+    return StackedSensorForms(model).K_I
 
 
 def covariance_update(P_prev: np.ndarray, K: GainPair, model: SystemModel,
@@ -193,27 +189,22 @@ def _covariance_update_stacked(P_prev: np.ndarray, K: np.ndarray,
     return 0.5 * (P + P.T)
 
 
-def _imu_only_gain(P_prev: np.ndarray, model: SystemModel,
-                   stacked: StackedSensorForms) -> np.ndarray:
-    M = stacked._M_imu
-    return _solve_gain(M @ P_prev @ M.T + stacked._CI_Sw_CIt_SI,
-                       model.A @ P_prev @ M.T + stacked._Sw_CIt,
-                       "IMU-only innovation covariance")
-
-
 def _dead_reckoning(P_prev: np.ndarray, model: SystemModel,
                     stacked: StackedSensorForms):
     """IMU gain and re-symmetrized covariance of one step with zero GPS gain.
 
     With the constant emergency gain the covariance map is the constant
-    P -> T_E P T_E^T + Q_E; otherwise the IMU-only gain is optimal for P.
+    P -> T_E P T_E^T + Sigma_bar; otherwise the IMU-only gain, solved from
+    the IMU rows and columns of P's innovation system, is optimal for P.
     """
     if stacked.drift_free:
         T = stacked._T_emergency
         P = T.dot(P_prev).dot(T.T) + stacked.Sigma_bar
         return stacked.K_I, 0.5 * (P + P.T)
-    K_I = _imu_only_gain(P_prev, model, stacked)
-    K = np.hstack([np.zeros((model.n, stacked._m_G)), K_I])
+    step, m_G = _innovation_system(P_prev, stacked), stacked._m_G
+    K_I = _solve_gain(step.R[m_G:, m_G:], step.G[:, m_G:],
+                      "IMU-only innovation covariance")
+    K = np.hstack([np.zeros((model.n, m_G)), K_I])
     return K_I, _covariance_update_stacked(P_prev, K, stacked)
 
 

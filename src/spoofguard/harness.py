@@ -178,7 +178,6 @@ class ScenarioShared:
         self._stationary_P = None
         self._escape = {}
         self._drift = None
-        self._trunk_norms = np.empty(0)
 
     def stationary_P(self) -> np.ndarray:
         if self._stationary_P is None:
@@ -198,18 +197,6 @@ class ScenarioShared:
         if self._drift is None:
             self._drift = drift_matrices(self.model)
         return self._drift
-
-    def spectral_norms(self, Ps: np.ndarray, no_alarm: int) -> np.ndarray:
-        """Spectral norm of each covariance of a run.  Its first no_alarm rows
-        are the no-alarm history from P = 0, alike in every run, so each of
-        their norms is decomposed once (the same bits in any eigvalsh batch)."""
-        start = min(len(self._trunk_norms), no_alarm)
-        eigvals = np.linalg.eigvalsh(Ps[start:])
-        norms = np.maximum(eigvals[:, -1], -eigvals[:, 0])
-        if start < no_alarm:
-            self._trunk_norms = np.concatenate(
-                [self._trunk_norms, norms[:no_alarm - start]])
-        return np.concatenate([self._trunk_norms[:start], norms])
 
 
 def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:
@@ -306,8 +293,8 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     if not all(np.isfinite(a).all() for a in (xs, x_hats, Ps)):
         raise NumericalError(f"run with seed {config.seed}: the state, the "
                              f"estimate or its covariance is not finite")
-    norm_P = shared.spectral_norms(
-        Ps, int(alarm_col.argmax()) if alarm_col.any() else steps)
+    eigvals = np.linalg.eigvalsh(Ps)
+    norm_P = np.maximum(eigvals[:, -1], -eigvals[:, 0])
     return _RunColumns(
         x=xs, x_hat=x_hats, u=us, S=S_col, alarmed=alarm_col,
         trace_P=np.trace(Ps, axis1=1, axis2=2), norm_P=norm_P,
@@ -365,7 +352,8 @@ def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,
     if shared is None:
         shared = ScenarioShared(config.model)
     attack_start = config.attack_start()
-    post_from = config.steps if attack_start is None else max(attack_start - 1, 0)
+    post_from = config.steps if attack_start is None else min(
+        max(attack_start - 1, 0), config.steps)
     post_steps = config.steps - post_from
 
     err_sum = np.zeros((config.steps, config.model.n))

@@ -132,8 +132,10 @@ class TestStationaryCovariance:
 
         def oracle_of(model):
             stacked = StackedSensorForms(model)
+            m = len(stacked.C)
             return solve_discrete_are(model.A.T, stacked._M.T, model.Sigma_w,
-                                      stacked._C_Sw_Ct_Sy, s=stacked._Sw_Ct)
+                                      stacked._innovation_noise[:m],
+                                      s=stacked._innovation_noise[m:])
         scale = {"scaled": 1e6, "small": 1e-6, "tiny": 1e-8}.get(seed)
         if seed is None:
             model = uav_model

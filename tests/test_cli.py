@@ -50,6 +50,15 @@ class TestMc:
         assert all(700 <= s <= 703 for s in payload["attack_detection_steps"])
         assert payload["coverage_post_attack"] >= 0.95
 
+    def test_horizon_before_the_onset_reports_no_coverage(self, config_path,
+                                                           capsys):
+        code = main(["mc", "--config", config_path, "--runs", "2",
+                     "--steps", "200"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["attack_start"] == 700
+        assert payload["coverage_post_attack"] is None
+
 
 class TestAnalyze:
     def test_report_fields(self, config_path, capsys):

@@ -49,17 +49,17 @@ class TestInnovationSystem:
         if seed is not None:
             model = random_invertible_model(rng)
         stacked = StackedSensorForms(model)
-        M = stacked._M
+        M, m = stacked._M, len(stacked.C)
+        C_Sw_Ct_Sy = stacked._innovation_noise[:m]
+        Sw_Ct = stacked._innovation_noise[m:]
         for _ in range(10):
             R = rng.normal(size=(model.n, model.n))
             P = R @ R.T
             P_Mt = P.dot(M.T)
             step = _innovation_system(P, stacked)
             innov_cov, gain_rhs = step.R, step.G
-            assert np.array_equal(innov_cov,
-                                  M.dot(P_Mt) + stacked._C_Sw_Ct_Sy)
-            assert np.array_equal(gain_rhs,
-                                  model.A.dot(P_Mt) + stacked._Sw_Ct)
+            assert np.array_equal(innov_cov, M.dot(P_Mt) + C_Sw_Ct_Sy)
+            assert np.array_equal(gain_rhs, model.A.dot(P_Mt) + Sw_Ct)
 
     def test_in_place_change_of_P_recomputes(self, model):
         stacked = StackedSensorForms(model)
@@ -196,6 +196,32 @@ class TestEmergencyGain:
         np.testing.assert_allclose(emergency_gain(model), [[0.5]], rtol=1e-14)
 
 
+def closed_form_invariants(model):
+    """K_I and Sigma_bar as StackedSensorForms' docstring writes them."""
+    Sw_CIt = model.Sigma_w @ model.C_I.T
+    K_I = np.linalg.solve((model.C_I @ Sw_CIt + model.Sigma_I).T, Sw_CIt.T).T
+    IKC = np.eye(model.n) - K_I @ model.C_I
+    return K_I, IKC @ model.Sigma_w @ IKC.T + K_I @ model.Sigma_I @ K_I.T
+
+
+class TestDerivedInvariants:
+    def test_uav_closed_forms_bit_for_bit(self, model, stacked):
+        K_I, Sigma_bar = closed_form_invariants(model)
+        assert stacked.K_I.tobytes() == K_I.tobytes()
+        assert stacked.Sigma_bar.tobytes() == Sigma_bar.tobytes()
+        assert emergency_gain(model).tobytes() == K_I.tobytes()
+
+    def test_random_closed_forms(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            model = random_invertible_model(rng)
+            stacked = StackedSensorForms(model)
+            for got, want in zip((stacked.K_I, stacked.Sigma_bar),
+                                 closed_form_invariants(model)):
+                assert (np.linalg.norm(got - want)
+                        <= 1e-12 * np.linalg.norm(want))
+
+
 class TestFuse:
     def test_noise_free_consistency(self, model, stacked):
         # Perfect initial estimate and no noise: the estimate tracks exactly.
@@ -271,6 +297,51 @@ class TestFuse:
             scale = np.linalg.norm(joseph)
             assert np.array_equal(out.P, _dead_reckoning(P, model, stacked)[1])
             assert np.linalg.norm(out.P - joseph) <= 1e-15 * scale
+
+
+class TestEmergencyWithDrift:
+    """fuse's emergency branch on models whose relative sensor drifts
+    (C_I A != C_I), where the IMU-only gain follows the prior."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_covariance_is_joseph_with_imu_only_gain(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_invertible_model(rng)
+        stacked = StackedSensorForms(model)
+        assert not stacked.drift_free
+        A, C_I, Sw, S_I = model.A, model.C_I, model.Sigma_w, model.Sigma_I
+        M_I = C_I @ A - C_I
+        R = rng.normal(size=(model.n, model.n))
+        est = EstimatorState.initial(rng.normal(size=model.n), P0=R @ R.T,
+                                     mode=Mode.EMERGENCY)
+        for _ in range(10):
+            P = est.P
+            K_I = np.linalg.solve((M_I @ P @ M_I.T + C_I @ Sw @ C_I.T + S_I).T,
+                                  (A @ P @ M_I.T + Sw @ C_I.T).T).T
+            T = A - K_I @ M_I
+            IKC = np.eye(model.n) - K_I @ C_I
+            want = T @ P @ T.T + IKC @ Sw @ IKC.T + K_I @ S_I @ K_I.T
+            est = fuse(est, model, stacked, rng.normal(size=1),
+                       rng.normal(size=model.m_G), rng.normal(size=model.m_I))
+            assert np.linalg.norm(est.P - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("spoof", [1e6, np.inf, -np.inf, np.nan])
+    def test_estimate_ignores_gps(self, spoof):
+        rng = np.random.default_rng(21)
+        model = random_invertible_model(rng)
+        stacked = StackedSensorForms(model)
+        assert not stacked.drift_free
+        est1 = est2 = EstimatorState.initial(np.zeros(model.n),
+                                             P0=np.eye(model.n),
+                                             mode=Mode.EMERGENCY)
+        for _ in range(20):
+            u, y_I = rng.normal(size=1), rng.normal(size=model.m_I)
+            y_truth = rng.normal(size=model.m_G)
+            est1 = fuse(est1, model, stacked, u, y_truth, y_I)
+            est2 = fuse(est2, model, stacked, u, np.full(model.m_G, spoof),
+                        y_I)
+            assert np.array_equal(est1.x_hat, est2.x_hat)
+            assert np.array_equal(est1.P, est2.P)
 
 
 class TestModeBehaviour:

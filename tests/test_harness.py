@@ -247,6 +247,17 @@ class TestMonteCarlo:
         covered = sum(r.covered_steps for r in batch.runs)
         assert covered >= 0.95 * config.runs * config.steps
 
+    def test_horizon_before_the_onset_has_no_post_attack_steps(
+            self, uav_config, uav_shared):
+        # The attack starts at step 700, after a 200-step horizon ends.
+        batch = monte_carlo(replace(uav_config, runs=3, steps=200),
+                            shared=uav_shared)
+        assert batch.attack_start == 700
+        for run in batch.runs:
+            assert run.post_attack_steps == 0
+            assert run.covered_post_attack == 0
+        assert batch.coverage_post_attack() is None
+
     def test_rejects_nonpositive_runs(self, uav_config):
         with pytest.raises(ConfigError):
             monte_carlo(replace(uav_config, runs=0))
