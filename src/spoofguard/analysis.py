@@ -187,7 +187,7 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
                 last_iterate=H, residual=math.inf)
         K = optimal_gain(H, model, stacked)
         resid = float(np.linalg.norm(
-            _covariance_update_stacked(H, K.stacked(), stacked) - H))
+            _covariance_update_stacked(H, K.stacked(), stacked)[1] - H))
         if resid <= tol * float(np.linalg.norm(H)):
             return H
     raise ConvergenceError(

@@ -17,6 +17,9 @@ which alarms when S_k strictly exceeds chi2_quantile(df, alpha) / (1 - delta)
 (a tie stays quiet).
 The statistic is updated from the GPS residual in both operating modes, so
 detection keeps running while the estimator dead-reckons.
+P_d^{-1} depends only on P_{k-1}: the runner reads it from the estimator's
+cached normal-mode step and cusum_update solves it from P_d; both take the
+one quadratic form, normalized_residual, which makes no linear solve.
 """
 
 import math
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi2 import chi2_quantile
-from .exceptions import NumericalError
+from .estimator import _solve_gain
 from .model import SystemModel
 
 
@@ -71,20 +74,20 @@ def residual_covariance(P_prev: np.ndarray, model: SystemModel) -> np.ndarray:
     return 0.5 * (P_d + P_d.T)
 
 
-def normalized_residual(d_hat: np.ndarray, P_d: np.ndarray) -> float:
-    """Quadratic form d_hat^T P_d^{-1} d_hat via a linear solve."""
-    try:
-        z = np.linalg.solve(P_d, d_hat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("residual covariance is singular") from exc
-    q = float(d_hat @ z)
-    # Clamp to zero: roundoff can leave a tiny negative value for d_hat ~ 0.
-    # A NaN or infinite GPS reading gives inf, which latches the alarm.
+def normalized_residual(d_hat: np.ndarray, P_d_inv: np.ndarray) -> float:
+    """Quadratic form d_hat^T (P_d^{-1} d_hat), clamped at zero against
+    roundoff.  A NaN or infinite GPS reading gives inf, which latches the
+    alarm; it is caught before the product, where inf * 0 would warn."""
+    if not all(map(math.isfinite, d_hat.tolist())):
+        return math.inf
+    q = float(d_hat.dot(P_d_inv.dot(d_hat)))
     return max(0.0, q) if math.isfinite(q) else math.inf
 
 
 def cusum_update(S_prev: float, d_hat: np.ndarray, P_d: np.ndarray,
                  delta: float) -> float:
     """Advance the detector statistic: delta * S_prev + normalized residual."""
+    P_d = np.asarray(P_d, dtype=float)
+    P_d_inv = _solve_gain(P_d, np.eye(len(P_d)), "residual covariance")
     return delta * S_prev + normalized_residual(np.asarray(d_hat, dtype=float),
-                                                np.asarray(P_d, dtype=float))
+                                                P_d_inv)

@@ -80,10 +80,11 @@ class StackedSensorForms:
         self.D = np.zeros((m, m))
         self.D[m_G:, m_G:] = np.eye(m_I)
 
-        self._A = model.A
+        self._A, self._B = model.A, model.B
+        self._CB = self.C @ model.B
         self._Sigma_w = model.Sigma_w
         self._m_G = m_G
-        self._I_n = np.eye(n)
+        self._I_n, self._I_G = np.eye(n), np.eye(m_G)
         self._M = self.C @ model.A - self.D @ self.C
         # _innovation_system's operands (contiguous M^T: a faster dot), its
         # P = 0 value and its steps by prior P's bytes: the trunk (the no-alarm
@@ -106,7 +107,7 @@ class StackedSensorForms:
                                self._innovation_noise[m:, m_G:],
                                "IMU innovation covariance of the emergency gain")
         K_E = np.hstack([np.zeros((n, m_G)), self.K_I])
-        self.Sigma_bar = _covariance_update_stacked(np.zeros((n, n)), K_E, self)
+        self.Sigma_bar = _covariance_update_stacked(np.zeros((n, n)), K_E, self)[1]
         if self.drift_free:
             # The constant gain K_E is then exactly optimal and dead
             # reckoning is the constant map P -> T_E P T_E^T + Sigma_bar,
@@ -139,7 +140,7 @@ def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
 
 
 class _NormalStep:
-    __slots__ = ("R", "G", "K", "P_next")
+    __slots__ = ("R", "G", "P_d_inv", "K", "P_next", "F")
 
 
 def _innovation_system(P_prev: np.ndarray,
@@ -148,9 +149,12 @@ def _innovation_system(P_prev: np.ndarray,
 
     A miss computes R = M P M^T + C Sigma_w C^T + Sigma_y and
     G = A P M^T + Sigma_w C^T from one product [M; A] (P M^T); R's GPS-GPS
-    block is the detector's residual covariance (the GPS rows of M are C_G A).
-    fuse adds the gain K and the next covariance P_next.  The arrays are
-    read-only.  A step off the trunk replaces the last one.
+    block is the detector's residual covariance P_d (the GPS rows of M are
+    C_G A).  The detector adds P_d^{-1} (_detector_weight).  fuse adds the
+    next covariance P_next and the one-step predictor F = [T, B_K, K_G, K_I]
+    with T = A - K M (the Joseph update's first product), B_K = B - K C B and
+    the gain K = [K_G, K_I], a view of F.  The arrays are read-only.  A step
+    off the trunk replaces the last one.
     """
     key = P_prev.tobytes()
     step = stacked._steps.get(key)
@@ -160,11 +164,24 @@ def _innovation_system(P_prev: np.ndarray,
         system.setflags(write=False)
         m = len(stacked.C)
         step = stacked._steps[key] = _NormalStep()
-        step.R, step.G, step.K = system[:m], system[m:], None
+        step.R, step.G = system[:m], system[m:]
+        step.P_d_inv = step.K = None
         if key != stacked._tip:
             stacked._steps.pop(stacked._off_trunk, None)
             stacked._off_trunk = key
     return step
+
+
+def _detector_weight(P_prev: np.ndarray,
+                     stacked: StackedSensorForms) -> np.ndarray:
+    """The detector's P_d^{-1} for a prior P, inverted on its first use."""
+    step = _innovation_system(P_prev, stacked)
+    if step.P_d_inv is None:
+        m_G = stacked._m_G
+        step.P_d_inv = _solve_gain(step.R[:m_G, :m_G], stacked._I_G,
+                                   "residual covariance")
+        step.P_d_inv.setflags(write=False)
+    return step.P_d_inv
 
 
 def emergency_gain(model: SystemModel) -> np.ndarray:
@@ -175,18 +192,18 @@ def emergency_gain(model: SystemModel) -> np.ndarray:
 def covariance_update(P_prev: np.ndarray, K: GainPair, model: SystemModel,
                       stacked: StackedSensorForms) -> np.ndarray:
     """Covariance propagation for an arbitrary stacked gain, re-symmetrized."""
-    return _covariance_update_stacked(P_prev, K.stacked(), stacked)
+    return _covariance_update_stacked(P_prev, K.stacked(), stacked)[1]
 
 
 def _covariance_update_stacked(P_prev: np.ndarray, K: np.ndarray,
-                               stacked: StackedSensorForms) -> np.ndarray:
-    """Covariance propagation for the stacked gain K = [K_G, K_I]."""
+                               stacked: StackedSensorForms):
+    """T = A - K M and the covariance propagated by the stacked gain K."""
     T = stacked._A - K.dot(stacked._M)
     IKC = stacked._I_n - K.dot(stacked.C)
     P = (T.dot(P_prev).dot(T.T)
          + IKC.dot(stacked._Sigma_w).dot(IKC.T)
          + K.dot(stacked.Sigma_y).dot(K.T))
-    return 0.5 * (P + P.T)
+    return T, 0.5 * (P + P.T)
 
 
 def _dead_reckoning(P_prev: np.ndarray, model: SystemModel,
@@ -205,36 +222,35 @@ def _dead_reckoning(P_prev: np.ndarray, model: SystemModel,
     K_I = _solve_gain(step.R[m_G:, m_G:], step.G[:, m_G:],
                       "IMU-only innovation covariance")
     K = np.hstack([np.zeros((model.n, m_G)), K_I])
-    return K_I, _covariance_update_stacked(P_prev, K, stacked)
+    return K_I, _covariance_update_stacked(P_prev, K, stacked)[1]
 
 
 def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
          u, y_G, y_I) -> EstimatorState:
     """Run one measurement update in the state's current mode.
 
-    Normal mode corrects the prediction with both innovations.  Emergency
-    mode never evaluates the GPS innovation, so the returned estimate is
-    bit-for-bit independent of y_G.
+    Normal mode is one product with the prior's predictor,
+    x' = T x_hat + B_K u + K_G y_G + K_I y_I, which is the prediction
+    A x_hat + B u corrected by both innovations.  Emergency mode corrects the
+    prediction with the IMU innovation only and never evaluates y_G, so the
+    returned estimate is bit-for-bit independent of y_G.
     """
-    pred = predict(est, model, u)
-    innov_imu = np.asarray(y_I, dtype=float) - model.C_I.dot(pred - est.x_hat)
-    m_G = stacked._m_G
-
     if est.mode is Mode.EMERGENCY:
+        pred = predict(est, model, u)
         K_I, P_new = _dead_reckoning(est.P, model, stacked)
-        x_new = pred + K_I.dot(innov_imu)
-    else:
-        step = _innovation_system(est.P, stacked)
-        if step.K is None:
-            step.K = _solve_gain(step.R, step.G, "innovation covariance")
-            step.P_next = _covariance_update_stacked(est.P, step.K, stacked)
-            step.K.setflags(write=False)
-            step.P_next.setflags(write=False)
-            if stacked._steps.get(stacked._tip) is step:    # extend the trunk
-                stacked.trunk.append(step.P_next)
-                stacked._tip = step.P_next.tobytes()
-        K_full, P_new = step.K, step.P_next
-        innov_gps = np.asarray(y_G, dtype=float) - model.C_G.dot(pred)
-        x_new = (pred + K_full[:, :m_G].dot(innov_gps)
-                 + K_full[:, m_G:].dot(innov_imu))
-    return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode)
+        x_new = pred + K_I.dot(np.asarray(y_I, dtype=float)
+                               - model.C_I.dot(pred - est.x_hat))
+        return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode)
+    step = _innovation_system(est.P, stacked)
+    if step.K is None:
+        K = _solve_gain(step.R, step.G, "innovation covariance")
+        T, step.P_next = _covariance_update_stacked(est.P, K, stacked)
+        step.F = np.concatenate((T, stacked._B - K.dot(stacked._CB), K), axis=1)
+        step.F.setflags(write=False)
+        step.P_next.setflags(write=False)
+        step.K = step.F[:, -K.shape[1]:]
+        if stacked._steps.get(stacked._tip) is step:    # extend the trunk
+            stacked.trunk.append(step.P_next)
+            stacked._tip = step.P_next.tobytes()
+    x_new = step.F.dot(np.concatenate((est.x_hat, u, y_G, y_I)))
+    return EstimatorState(x_hat=x_new, P=step.P_next, mode=est.mode)

@@ -37,7 +37,7 @@ from .analysis import (DriftAnalysis, EscapeTimeReport, drift_matrices,
 from .chi2 import chi2_quantile
 from .detector import DetectorConfig, normalized_residual
 from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
-                        _innovation_system)
+                        _detector_weight)
 from .exceptions import ConfigError, NumericalError
 from .model import (ATTACK_KINDS, AttackSignal, GaussianSampler, SystemModel,
                     validate_model)
@@ -277,11 +277,11 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
-        # P_d is the GPS block of the innovation system fuse then reads back.
+        # P_d^{-1} is cached on the normal-mode step that fuse then reads.
         if detector_enabled:
             d_hat = y_G - C_G.dot(A.dot(x_hat) + B.dot(u))
-            P_d = _innovation_system(P, stacked).R[:m_G, :m_G]
-            S = delta * S + normalized_residual(d_hat, P_d)
+            S = delta * S + normalized_residual(
+                d_hat, _detector_weight(P, stacked))
             alarmed = S > threshold
         est = fuse(EstimatorState(x_hat, P, _MODES[alarmed]),
                    model, stacked, u, y_G, y_I)

@@ -213,7 +213,7 @@ class TestEvaluateResidual:
             R = rng.normal(size=(4, 4)) * 0.1
             d_hat = residual(y_G, x_prev, u, uav_model)
             P_d = residual_covariance(R @ R.T, uav_model)
-            normalized = normalized_residual(d_hat, P_d)
+            normalized = normalized_residual(d_hat, np.linalg.inv(P_d))
             assert normalized >= 0.0
             expected = d_hat @ np.linalg.solve(P_d, d_hat)
             assert normalized == pytest.approx(expected, rel=1e-12)

@@ -1,12 +1,18 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from spoofguard import (EstimatorState, GainPair, Mode, StackedSensorForms,
-                        SystemModel, covariance_update, drift_matrices,
-                        emergency_gain, fuse, optimal_gain, predict,
-                        stationary_covariance)
+from spoofguard import (EstimatorState, GainPair, Mode, NumericalError,
+                        StackedSensorForms, SystemModel, builtin_config_path,
+                        covariance_update, cusum_update, drift_matrices,
+                        emergency_gain, fuse, optimal_gain, parse_config,
+                        predict, run_scenario, stationary_covariance)
 
-from spoofguard.estimator import _dead_reckoning, _innovation_system
+from spoofguard.detector import normalized_residual
+from spoofguard.estimator import (_dead_reckoning, _detector_weight,
+                                  _innovation_system)
 
 from conftest import make_uav_model, random_invertible_model
 
@@ -73,6 +79,78 @@ class TestInnovationSystem:
                                   first):
             assert np.array_equal(got, want)
             assert not np.array_equal(got, old)
+
+
+@pytest.fixture(scope="module")
+def priors_per_model():
+    """(model, priors): every prior of a 1000-step attacked paper_uav run,
+    then five random models with random priors and P = 0."""
+    config = parse_config(builtin_config_path())
+    trace = run_scenario(config)
+    n = config.model.n
+    cases = [(config.model, [np.zeros((n, n)), *trace.columns.P[:-1]])]
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        model = random_invertible_model(rng)
+        Rs = rng.normal(size=(20, model.n, model.n))
+        cases.append((model, [np.zeros((model.n, model.n)),
+                              *(R @ R.T for R in Rs)]))
+    return cases
+
+
+class TestNormalStepCoefficients:
+    """The detector's P_d^{-1} and fuse's one-step predictor, cached on the
+    normal-mode step, against the solve and the innovation form they
+    replace."""
+
+    def test_quadratic_form_matches_the_solve(self, priors_per_model):
+        rng = np.random.default_rng(42)
+        for model, priors in priors_per_model:
+            stacked, m_G = StackedSensorForms(model), model.m_G
+            for P in priors:
+                d_hat = rng.normal(size=m_G)
+                P_d = _innovation_system(P, stacked).R[:m_G, :m_G]
+                q = normalized_residual(d_hat, _detector_weight(P, stacked))
+                expected = d_hat @ np.linalg.solve(P_d, d_hat)
+                assert abs(q - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_is_inf_without_a_warning(self, bad):
+        # The diagonal P_d's inverse has exact zeros, so inf would meet 0
+        # inside the product.
+        P_d_inv = np.linalg.inv(np.diag([2.0, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d_hat in ([bad, 0.0], [1.0, bad], [bad, -bad]):
+                assert normalized_residual(np.array(d_hat), P_d_inv) == \
+                    math.inf
+
+    def test_singular_residual_covariance_raises(self, model):
+        quiet = SystemModel(A=model.A, B=model.B, C_G=model.C_G, C_I=model.C_I,
+                            Sigma_w=np.zeros((4, 4)), Sigma_G=np.zeros((2, 2)),
+                            Sigma_I=model.Sigma_I)
+        with pytest.raises(NumericalError, match="residual covariance"):
+            _detector_weight(np.zeros((4, 4)), StackedSensorForms(quiet))
+        with pytest.raises(NumericalError, match="residual covariance"):
+            cusum_update(0.0, np.ones(2), np.zeros((2, 2)), 0.15)
+
+    def test_normal_fuse_equals_the_innovation_form(self, priors_per_model):
+        rng = np.random.default_rng(43)
+        for model, priors in priors_per_model:
+            stacked = StackedSensorForms(model)
+            A, B, C_G, C_I = model.A, model.B, model.C_G, model.C_I
+            for P in priors:
+                x_hat = rng.normal(size=model.n)
+                u = rng.normal(size=model.p)
+                y_G, y_I = rng.normal(size=model.m_G), rng.normal(size=model.m_I)
+                got = fuse(EstimatorState(x_hat, P), model, stacked, u, y_G,
+                           y_I).x_hat
+                K = optimal_gain(P, model, stacked)
+                pred = A @ x_hat + B @ u
+                want = (pred + K.K_G @ (y_G - C_G @ pred)
+                        + K.K_I @ (y_I - C_I @ (pred - x_hat)))
+                assert np.linalg.norm(got - want) <= \
+                    1e-12 * np.linalg.norm(x_hat)
 
 
 class TestPredict:

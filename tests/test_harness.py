@@ -351,6 +351,48 @@ class TestCovarianceTrunk:
         assert len(shared.stacked.trunk) == len(trunk)
 
 
+class TestTrunkHits:
+    def test_second_run_makes_no_solve_before_its_alarm(self, uav_config,
+                                                         monkeypatch):
+        # Seed 11: the first run never alarms and leaves a 200-step trunk;
+        # the second first alarms at step 164.  Every step before it reads
+        # its gain, covariance and P_d^{-1} from the trunk.
+        config = replace(uav_config, attack=AttackSignal.none(), runs=2,
+                         steps=200, seed=11)
+        calls, run_starts, before_alarm, traces = [], [], [], []
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        def recorded_fuse(est, *args):
+            if (len(run_starts) == 2 and est.mode is Mode.EMERGENCY
+                    and not before_alarm):
+                before_alarm.append(calls[run_starts[1]:])
+            return fuse(est, *args)
+
+        def recorded_run(*args, **kwargs):
+            run_starts.append(len(calls))
+            traces.append(run_scenario(*args, **kwargs))
+            return traces[-1]
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        monkeypatch.setattr(harness, "fuse", recorded_fuse)
+        monkeypatch.setattr(harness, "run_scenario", recorded_run)
+        monte_carlo(config)
+        monkeypatch.undo()
+        assert [t.first_alarm_step for t in traces] == [None, 164]
+        assert before_alarm == [[]]
+        # The first run builds the trunk: the counters see its gain and its
+        # P_d^{-1} solved on every step.
+        first_run = calls[run_starts[0]:run_starts[1]]
+        assert first_run.count("solve") >= 2 * config.steps
+
+
 class TestParseConfig:
     def test_shipped_config_matches_reference_model(self, uav_config):
         ref = make_uav_model()
