@@ -2,12 +2,13 @@
 
 Subcommands: run (single scenario), mc (Monte Carlo batch), analyze
 (escape-time and detectability report without simulation), validate
-(configuration lint).  Exit codes: 0 success, 1 configuration error,
-2 numerical failure.
+(configuration lint).  Exit codes: 0 success, 1 configuration error or
+failed write (trace, --out file or stdout), 2 numerical failure.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -51,6 +52,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load(args):
+    out = getattr(args, "out", None)
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise FileNotFoundError(f"--out {out}: no such directory")
     config = parse_config(args.config)
     for name, least in (("seed", 0), ("steps", 1), ("runs", 1)):
         value = getattr(args, name, None)
@@ -104,7 +108,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = parse_config(args.config)
+    config = _load(args)
     model = config.model
     shared = ScenarioShared(model)
     report = shared.escape(config.zeta_norm, config.detector.alpha)
@@ -138,9 +142,18 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "mc": cmd_mc,
                 "analyze": cmd_analyze, "validate": cmd_validate}
     try:
-        return handlers[args.command](args)
-    except (ConfigError, OSError) as exc:
+        code = handlers[args.command](args)
+        sys.stdout.flush()      # a failed write to stdout raises here
+        return code
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:      # parse_config reports its reads as ConfigError
+        print(f"output error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:     # stdout failed: devnull takes the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -71,7 +71,7 @@ class StackedSensorForms:
 
     def __init__(self, model: SystemModel):
         self.A_inv = _transition_inverse(model.A)    # ValueError if singular
-        n, m_G, m_I = model.n, model.m_G, model.m_I
+        n, p, m_G, m_I = model.n, model.p, model.m_G, model.m_I
         m = m_G + m_I
         self.C = np.vstack([model.C_G, model.C_I])
         self.Sigma_y = np.zeros((m, m))
@@ -80,8 +80,6 @@ class StackedSensorForms:
         self.D = np.zeros((m, m))
         self.D[m_G:, m_G:] = np.eye(m_I)
 
-        self._A, self._B = model.A, model.B
-        self._CB = self.C @ model.B
         self._Sigma_w = model.Sigma_w
         self._m_G = m_G
         self._I_n, self._I_G = np.eye(n), np.eye(m_G)
@@ -98,6 +96,18 @@ class StackedSensorForms:
         self._steps, self.trunk, self._off_trunk = {}, [], None
         self._tip = np.zeros((n, n)).tobytes()
 
+        # One product per step quantity, with M = [C_G A; C_I (A - I)]: the
+        # plant and sensors, [x'; y_G - d; y_I] = _plant [x; u; w; v_G; v_I],
+        # whose GPS rows start with the detector's [C_G A, C_G B]; the gain's
+        # blocks [T, B_K, K, I - K C] = [A, B, 0, I] - K [M, CB, -I, C], formed
+        # transposed, each contiguous.  F_E has no y_G column: 0 * NaN is NaN.
+        A, B, CB = model.A, model.B, self.C @ model.B
+        self._plant = np.block([[A, B, self._I_n, np.zeros((n, m))],
+                                [self._M, CB, self.C, np.eye(m)]])
+        self._gain_base_T = np.vstack([A.T, B.T, np.zeros((m, n)), self._I_n])
+        self._gain_coef_T = np.vstack([self._M_T, CB.T, -np.eye(m), self.C.T])
+        self._emergency_cols = np.r_[:n + p, n + p + m_G:n + p + m]
+
         # Dead reckoning's invariants (class docstring).
         self.C_bar_I = model.C_I @ (self._I_n - self.A_inv)
         scale = max(1.0, float(np.abs(model.C_I).max(initial=0.0)))
@@ -107,12 +117,13 @@ class StackedSensorForms:
                                self._innovation_noise[m:, m_G:],
                                "IMU innovation covariance of the emergency gain")
         K_E = np.hstack([np.zeros((n, m_G)), self.K_I])
-        self.Sigma_bar = _covariance_update_stacked(np.zeros((n, n)), K_E, self)[1]
+        blocks, self.Sigma_bar = _covariance_update_stacked(
+            np.zeros((n, n)), K_E, self)
         if self.drift_free:
-            # The constant gain K_E is then exactly optimal and dead
-            # reckoning is the constant map P -> T_E P T_E^T + Sigma_bar,
-            # with T_E = A - K_E M (A itself when C_I A = C_I exactly).
-            self._T_emergency = model.A - self.K_I.dot(self._M[m_G:])
+            # K_E is then optimal: dead reckoning is the constant F_E and
+            # P -> T_E P T_E^T + Sigma_bar (T_E = A when C_I A = C_I exactly).
+            self._F_emergency = blocks[:, self._emergency_cols]
+            self._T_emergency = self._F_emergency[:, :n]
 
 
 def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
@@ -151,10 +162,9 @@ def _innovation_system(P_prev: np.ndarray,
     G = A P M^T + Sigma_w C^T from one product [M; A] (P M^T); R's GPS-GPS
     block is the detector's residual covariance P_d (the GPS rows of M are
     C_G A).  The detector adds P_d^{-1} (_detector_weight).  fuse adds the
-    next covariance P_next and the one-step predictor F = [T, B_K, K_G, K_I]
-    with T = A - K M (the Joseph update's first product), B_K = B - K C B and
-    the gain K = [K_G, K_I], a view of F.  The arrays are read-only.  A step
-    off the trunk replaces the last one.
+    next covariance P_next, the predictor F = [T, B_K, K] (the gain's blocks
+    but I - K C) and the gain K, views of one product.  The arrays are
+    read-only.  A step off the trunk replaces the last one.
     """
     key = P_prev.tobytes()
     step = stacked._steps.get(key)
@@ -197,57 +207,56 @@ def covariance_update(P_prev: np.ndarray, K: GainPair, model: SystemModel,
 
 def _covariance_update_stacked(P_prev: np.ndarray, K: np.ndarray,
                                stacked: StackedSensorForms):
-    """T = A - K M and the covariance propagated by the stacked gain K."""
-    T = stacked._A - K.dot(stacked._M)
-    IKC = stacked._I_n - K.dot(stacked.C)
+    """The gain's blocks [T, B_K, K, I - K C], one product, and the
+    covariance propagated by the stacked gain K."""
+    blocks = (stacked._gain_base_T - stacked._gain_coef_T.dot(K.T)).T
+    n = len(blocks)
+    T, IKC = blocks[:, :n], blocks[:, -n:]
     P = (T.dot(P_prev).dot(T.T)
          + IKC.dot(stacked._Sigma_w).dot(IKC.T)
          + K.dot(stacked.Sigma_y).dot(K.T))
-    return T, 0.5 * (P + P.T)
+    return blocks, 0.5 * (P + P.T)
 
 
 def _dead_reckoning(P_prev: np.ndarray, model: SystemModel,
                     stacked: StackedSensorForms):
-    """IMU gain and re-symmetrized covariance of one step with zero GPS gain.
-
-    With the constant emergency gain the covariance map is the constant
-    P -> T_E P T_E^T + Sigma_bar; otherwise the IMU-only gain, solved from
-    the IMU rows and columns of P's innovation system, is optimal for P.
+    """Predictor F_E = [T_E, B - K_I C_I B, K_I] of x' = F_E [x_hat; u; y_I]
+    and the re-symmetrized covariance of one step with zero GPS gain: the
+    constant emergency gain's on a drift-free model, else the IMU-only gain
+    solved from the IMU rows and columns of P's innovation system.
     """
     if stacked.drift_free:
         T = stacked._T_emergency
         P = T.dot(P_prev).dot(T.T) + stacked.Sigma_bar
-        return stacked.K_I, 0.5 * (P + P.T)
+        return stacked._F_emergency, 0.5 * (P + P.T)
     step, m_G = _innovation_system(P_prev, stacked), stacked._m_G
     K_I = _solve_gain(step.R[m_G:, m_G:], step.G[:, m_G:],
                       "IMU-only innovation covariance")
     K = np.hstack([np.zeros((model.n, m_G)), K_I])
-    return K_I, _covariance_update_stacked(P_prev, K, stacked)[1]
+    blocks, P = _covariance_update_stacked(P_prev, K, stacked)
+    return blocks[:, stacked._emergency_cols], P
 
 
 def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
          u, y_G, y_I) -> EstimatorState:
-    """Run one measurement update in the state's current mode.
+    """Run one measurement update in the state's current mode, one product.
 
-    Normal mode is one product with the prior's predictor,
-    x' = T x_hat + B_K u + K_G y_G + K_I y_I, which is the prediction
-    A x_hat + B u corrected by both innovations.  Emergency mode corrects the
-    prediction with the IMU innovation only and never evaluates y_G, so the
-    returned estimate is bit-for-bit independent of y_G.
+    Normal mode: x' = F [x_hat; u; y_G; y_I], the prediction A x_hat + B u
+    corrected by both innovations.  Emergency mode: x' = F_E [x_hat; u; y_I],
+    corrected by the IMU innovation only; y_G is never evaluated, so the
+    estimate is bit-for-bit independent of it.
     """
     if est.mode is Mode.EMERGENCY:
-        pred = predict(est, model, u)
-        K_I, P_new = _dead_reckoning(est.P, model, stacked)
-        x_new = pred + K_I.dot(np.asarray(y_I, dtype=float)
-                               - model.C_I.dot(pred - est.x_hat))
+        F_E, P_new = _dead_reckoning(est.P, model, stacked)
+        x_new = F_E.dot(np.concatenate((est.x_hat, u, y_I)))
         return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode)
     step = _innovation_system(est.P, stacked)
     if step.K is None:
         K = _solve_gain(step.R, step.G, "innovation covariance")
-        T, step.P_next = _covariance_update_stacked(est.P, K, stacked)
-        step.F = np.concatenate((T, stacked._B - K.dot(stacked._CB), K), axis=1)
-        step.F.setflags(write=False)
+        blocks, step.P_next = _covariance_update_stacked(est.P, K, stacked)
+        blocks.setflags(write=False)
         step.P_next.setflags(write=False)
+        step.F = blocks[:, :-len(blocks)]
         step.K = step.F[:, -K.shape[1]:]
         if stacked._steps.get(stacked._tip) is step:    # extend the trunk
             stacked.trunk.append(step.P_next)

@@ -1,19 +1,18 @@
 """Closed-loop scenario runner: plant + tracking controller + detector + estimator.
 
 Per step the runner (1) computes the control from the current estimate,
-(2) steps the true plant with process noise, (3) draws both measurements,
-(4) updates the detector from the GPS residual, (5) picks the operating mode
-from the updated statistic, and (6) fuses in that mode.  The mode decision
-happens before the fuse so a detected attack never corrupts the estimate on
-the step it is detected.
+(2) steps the plant and reads both sensors in one StackedSensorForms product,
+[x'; y_G - d; y_I] = Pi [x; u; w; v_G; v_I], (3) updates the detector from
+the GPS residual, (4) picks the operating mode from the updated statistic,
+and (5) fuses in that mode.  The mode decision happens before the fuse so a
+detected attack never corrupts the estimate on the step it is detected.
 
-run_scenario steps one run: the plant, the measurements and the detector's
-innovation are written out in the loop, and the estimate goes through fuse.
-Each step's results go into arrays, one row per step (the run's columns);
-the CSV and JSON exports, the confidence radii and monte_carlo's aggregates
-are read from them, and the trace's records are built from them on first
-access.  monte_carlo calls run_scenario once per run, all on one
-ScenarioShared, so its runs share the trunk (see StackedSensorForms).
+run_scenario steps one run; each step's results go into arrays, one row per
+step (the run's columns); the CSV and JSON exports, the confidence radii and
+monte_carlo's aggregates are read from them, and the trace's records are
+built from them on first access.  monte_carlo calls run_scenario once per
+run, all on one ScenarioShared, so its runs share the trunk (see
+StackedSensorForms).
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -245,8 +244,9 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
               detector_enabled: bool) -> _RunColumns:
     """Advance one closed-loop run and return its per-step columns."""
     model, stacked = config.model, shared.stacked
-    A, B, C_G, C_I = model.A, model.B, model.C_G, model.C_I
     steps, n, m_G = config.steps, model.n, model.m_G
+    plant, n_G = stacked._plant, n + m_G
+    gps_prediction = np.ascontiguousarray(plant[n:n_G, :n + model.p])
     det = config.detector
     delta = det.delta
     threshold = det.threshold() if detector_enabled else math.inf
@@ -271,20 +271,20 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     for i in range(steps):
         x_hat, P = est.x_hat, est.P
         u = pd_control(x_hat, target, kp, kd)
-        x_prev, x = x, A.dot(x) + B.dot(u) + sample_w(rng_w)
-        y_G = C_G.dot(x) + d[i] + sample_G(rng_G)
-        y_I = C_I.dot(x - x_prev) + sample_I(rng_I)
+        z = plant.dot(np.concatenate((x, u, sample_w(rng_w), sample_G(rng_G),
+                                      sample_I(rng_I))))
+        x, y_G, y_I = z[:n], z[n:n_G] + d[i], z[n_G:]
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
         # P_d^{-1} is cached on the normal-mode step that fuse then reads.
         if detector_enabled:
-            d_hat = y_G - C_G.dot(A.dot(x_hat) + B.dot(u))
+            d_hat = y_G - gps_prediction.dot(np.concatenate((x_hat, u)))
             S = delta * S + normalized_residual(
                 d_hat, _detector_weight(P, stacked))
             alarmed = S > threshold
-        est = fuse(EstimatorState(x_hat, P, _MODES[alarmed]),
-                   model, stacked, u, y_G, y_I)
+        est.mode = _MODES[alarmed]
+        est = fuse(est, model, stacked, u, y_G, y_I)
 
         xs[i], x_hats[i], us[i], Ps[i] = x, est.x_hat, u, est.P
         S_col[i] = S
@@ -405,6 +405,8 @@ def parse_config(path) -> ScenarioConfig:
                             parse_int=partial(_float_sized_int, path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
 
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from spoofguard import builtin_config_path
+import spoofguard
+from spoofguard import builtin_config_path, cli
 from spoofguard.cli import main
 
 
@@ -190,6 +194,47 @@ class TestValidate:
         assert err == (f"config error: model: state dimension {n} is below "
                        f"2p = {2 * p}; the controller reads positions x[:p] "
                        f"and velocities x[p:2p]\n")
+
+
+class TestOutputErrors:
+    def test_missing_out_directory_fails_before_simulating(
+            self, config_path, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking --out")
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        out = tmp_path / "missing" / "trace.csv"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"output error: --out {out}: no such directory\n"
+
+    def test_unwritable_out_file_is_an_output_error(self, config_path,
+                                                    tmp_path, capsys):
+        # The path names a directory: the check passes, the write fails.
+        assert main(["run", "--config", config_path, "--steps", "20",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: [Errno ") and \
+            err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["run", "--steps", "20"], ["validate"]])
+    def test_closed_stdout_is_an_output_error(self, config_path, argv):
+        # The reader closes the pipe before the output is written, as
+        # `spoofguard run ... | head -3` can.  Buffered stdout, as in a
+        # shell: the interpreter flushes it again at exit.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(spoofguard.__file__)),
+             os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from spoofguard.cli import main; sys.exit(main())",
+             argv[0], "--config", config_path, *argv[1:]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert err == "output error: [Errno 32] Broken pipe\n"
 
 
 class TestZeroProcessNoise:

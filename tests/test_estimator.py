@@ -11,7 +11,8 @@ from spoofguard import (EstimatorState, GainPair, Mode, NumericalError,
                         predict, run_scenario, stationary_covariance)
 
 from spoofguard.detector import normalized_residual
-from spoofguard.estimator import (_dead_reckoning, _detector_weight,
+from spoofguard.estimator import (_covariance_update_stacked,
+                                  _dead_reckoning, _detector_weight,
                                   _innovation_system)
 
 from conftest import make_uav_model, random_invertible_model
@@ -149,6 +150,62 @@ class TestNormalStepCoefficients:
                 pred = A @ x_hat + B @ u
                 want = (pred + K.K_G @ (y_G - C_G @ pred)
                         + K.K_I @ (y_I - C_I @ (pred - x_hat)))
+                assert np.linalg.norm(got - want) <= \
+                    1e-12 * np.linalg.norm(x_hat)
+
+
+class TestOneProductBlocks:
+    """The gain's blocks [T, B_K, K, I - K C] = [A, B, 0, I] - K [M, CB, -I, C]
+    and the emergency predictor F_E taken from them, against the separate
+    products and the innovation form they replace."""
+
+    @staticmethod
+    def blocks_and_separate(model, stacked, P):
+        K = optimal_gain(P, model, stacked).stacked()
+        n, p, m = model.n, model.p, K.shape[1]
+        blocks = _covariance_update_stacked(P, K, stacked)[0]
+        separate = (model.A - K.dot(stacked._M),
+                    model.B - K.dot(stacked.C @ model.B), K,
+                    np.eye(n) - K.dot(stacked.C))
+        return np.split(blocks, [n, n + p, n + p + m], axis=1), separate
+
+    def test_blocks_byte_equal_on_paper_uav(self, priors_per_model):
+        model, priors = priors_per_model[0]
+        stacked = StackedSensorForms(model)
+        for P in priors:
+            for got, want in zip(*self.blocks_and_separate(model, stacked, P)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_blocks_agree_on_random_models(self, priors_per_model):
+        for model, priors in priors_per_model[1:]:
+            stacked = StackedSensorForms(model)
+            for P in priors:
+                for got, want in zip(*self.blocks_and_separate(model, stacked,
+                                                               P)):
+                    assert (np.linalg.norm(got - want)
+                            <= 1e-14 * np.linalg.norm(want))
+
+    def test_emergency_predictor_equals_the_innovation_form(
+            self, priors_per_model):
+        # paper_uav's constant F_E, then drift models, whose IMU-only gain
+        # follows the prior.
+        rng = np.random.default_rng(44)
+        for index, (model, priors) in enumerate(priors_per_model):
+            stacked = StackedSensorForms(model)
+            assert stacked.drift_free == (index == 0)
+            A, B, C_I, Sw = model.A, model.B, model.C_I, model.Sigma_w
+            M_I = C_I @ A - C_I
+            for P in priors:
+                x_hat = rng.normal(size=model.n)
+                u = rng.normal(size=model.p)
+                y_I = rng.normal(size=model.m_I)
+                got = fuse(EstimatorState(x_hat, P, Mode.EMERGENCY), model,
+                           stacked, u, np.full(model.m_G, np.nan), y_I).x_hat
+                K_I = np.linalg.solve(
+                    (M_I @ P @ M_I.T + C_I @ Sw @ C_I.T + model.Sigma_I).T,
+                    (A @ P @ M_I.T + Sw @ C_I.T).T).T
+                pred = A @ x_hat + B @ u
+                want = pred + K_I @ (y_I - C_I @ (pred - x_hat))
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(x_hat)
 
@@ -315,6 +372,8 @@ class TestFuse:
             assert np.linalg.norm(x - est.x_hat) <= 1e-9
 
     def test_emergency_ignores_gps_bit_exact(self, model, stacked):
+        # The constant predictor of a drift-free model: the estimate and P
+        # are bit-for-bit those of the unspoofed readings.
         rng = np.random.default_rng(17)
         est1 = EstimatorState.initial(np.zeros(4), P0=1e-3 * np.eye(4),
                                       mode=Mode.EMERGENCY)
