@@ -20,18 +20,6 @@ from .model import (AttackSignal, GaussianSampler, PlantState, SystemModel,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackSignal", "ConfigError", "ConvergenceError", "DetectorConfig",
-    "DriftAnalysis", "EscapeTimeReport", "EstimatorState", "GainPair",
-    "GaussianSampler", "Mode", "MonteCarloSummary", "NumericalError",
-    "PlantState", "RunSummary", "ScenarioConfig", "ScenarioShared",
-    "ScenarioTrace", "StackedSensorForms", "StepRecord", "SystemModel",
-    "builtin_config_path", "chi2_cdf", "chi2_quantile", "chi2_sf",
-    "confidence_bound", "covariance_magnitude", "covariance_update",
-    "cusum_update", "derive_run_seed", "drift_matrices", "emergency_gain",
-    "escape_report", "escape_time", "escape_time_lower_bound", "export_trace",
-    "fuse", "is_detectable", "measure_gps", "measure_imu", "monte_carlo",
-    "optimal_gain", "parse_config", "pd_control", "predict", "residual",
-    "residual_covariance", "run_scenario", "spectral_norm",
-    "stationary_covariance", "step_dynamics", "validate_model",
-]
+# The public names are the names imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith("spoofguard."))

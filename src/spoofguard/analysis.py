@@ -104,8 +104,7 @@ def is_detectable(C, A, tol: float = 1e-8) -> bool:
     n = A.shape[0]
     if C.shape[0] and C.shape[1] != n:
         raise ValueError(f"C has {C.shape[1]} columns, expected {n}")
-    eigvals = np.linalg.eigvals(A)
-    for lam in eigvals:
+    for lam in np.linalg.eigvals(A):
         if abs(lam) < 1.0 - 1e-9:       # margin absorbs eigenvalue roundoff
             continue
         stackmat = np.vstack([A - lam * np.eye(n), C.astype(complex)])
@@ -243,7 +242,8 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
 
 
 def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
-                            zeta_norm: float, alpha: float, df: int) -> float:
+                            zeta_norm: float, alpha: float, df: int,
+                            drift: Optional[DriftAnalysis] = None) -> float:
     """Closed-form lower bound on the escape time, for drift-free models.
 
     Requires C_I (I - A^{-1}) = 0 so that dead reckoning reduces to
@@ -251,15 +251,9 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     magnitude and A, Sigma_bar through their spectral norms; when the spectral
     norm of A is 1 the geometric sum degenerates and the linear branch is
     used.  Results below zero clamp to zero (tolerance already exceeded).
+    drift, the model's drift analysis, is computed when absent.
     """
-    return _escape_time_lower_bound(P, model, zeta_norm, alpha, df,
-                                    drift_matrices(model))
-
-
-def _escape_time_lower_bound(P, model: SystemModel, zeta_norm: float,
-                             alpha: float, df: int,
-                             drift: DriftAnalysis) -> float:
-    """escape_time_lower_bound with the model's drift analysis supplied."""
+    drift = drift_matrices(model) if drift is None else drift
     if not drift.drift_free:
         raise ValueError(
             "escape-time lower bound requires a drift-free relative sensor "
@@ -305,25 +299,17 @@ def escape_report(model: SystemModel, zeta_norm: float, alpha: float,
                   drift: Optional[DriftAnalysis] = None) -> EscapeTimeReport:
     """Escape time and lower bound from the stationary covariance; each of
     stationary_P and drift (the drift analysis) is computed when absent."""
-    if df is None:
-        df = model.n
+    df = model.n if df is None else df
     if stationary_P is None:
         stationary_P = stationary_covariance(model)
-    if drift is None:
-        drift = drift_matrices(model)
+    drift = drift_matrices(model) if drift is None else drift
     k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha, df)
     norm_A = spectral_norm(model.A)
     k_lb = None
     if drift.drift_free:
-        k_lb = _escape_time_lower_bound(stationary_P, model, float(zeta_norm),
-                                        alpha, df, drift)
+        k_lb = escape_time_lower_bound(stationary_P, model, float(zeta_norm),
+                                       alpha, df, drift)
     return EscapeTimeReport(
-        k_escape=k_esc,
-        k_lower_bound=k_lb,
-        zeta=float(zeta_norm),
-        alpha=alpha,
-        df=df,
-        stationary_P=stationary_P,
-        norm_A=norm_A,
-        branch="unit-norm" if abs(norm_A - 1.0) <= 1e-12 else "general",
-    )
+        k_escape=k_esc, k_lower_bound=k_lb, zeta=float(zeta_norm),
+        alpha=alpha, df=df, stationary_P=stationary_P, norm_A=norm_A,
+        branch="unit-norm" if abs(norm_A - 1.0) <= 1e-12 else "general")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigError, NumericalError
 from .harness import (ScenarioShared, export_trace, monte_carlo, parse_config,
-                      run_scenario)
+                      run_scenario, _integer)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,11 +57,8 @@ def _load(args):
         raise FileNotFoundError(f"--out {out}: no such directory")
     config = parse_config(args.config)
     for name, least in (("seed", 0), ("steps", 1), ("runs", 1)):
-        value = getattr(args, name, None)
-        if value is not None:
-            if value < least:
-                raise ConfigError(f"{name}: must be >= {least}, got {value}")
-            setattr(config, name, value)
+        if getattr(args, name, None) is not None:
+            setattr(config, name, _integer(vars(args), name, None, least))
     config.check_attack_horizon()
     return config
 

@@ -74,13 +74,16 @@ class StackedSensorForms:
         n, p, m_G, m_I = model.n, model.p, model.m_G, model.m_I
         m = m_G + m_I
         self.C = np.vstack([model.C_G, model.C_I])
-        self.Sigma_y = np.zeros((m, m))
+        # The Joseph weight blockdiag(P, 0_p, Sigma_y, Sigma_w); updates write P.
+        k = n + p + m
+        self._joseph_weight = np.zeros((k + n, k + n))
+        self._joseph_weight[k:, k:] = model.Sigma_w
+        self.Sigma_y = self._joseph_weight[n + p:k, n + p:k]
         self.Sigma_y[:m_G, :m_G] = model.Sigma_G
         self.Sigma_y[m_G:, m_G:] = model.Sigma_I
         self.D = np.zeros((m, m))
         self.D[m_G:, m_G:] = np.eye(m_I)
 
-        self._Sigma_w = model.Sigma_w
         self._m_G = m_G
         self._I_n, self._I_G = np.eye(n), np.eye(m_G)
         self._M = self.C @ model.A - self.D @ self.C
@@ -95,6 +98,9 @@ class StackedSensorForms:
                                             Sw_Ct])
         self._steps, self.trunk, self._off_trunk = {}, [], None
         self._tip = np.zeros((n, n)).tobytes()
+        # Selects [R, blockdiag(P_d, R_II)] from R for _inverse.
+        same_block = np.equal.outer(np.arange(m) < m_G, np.arange(m) < m_G)
+        self._inverse_mask = np.stack([same_block | True, same_block])
 
         # One product per step quantity, with M = [C_G A; C_I (A - I)]: the
         # plant and sensors, [x'; y_G - d; y_I] = _plant [x; u; w; v_G; v_I],
@@ -134,9 +140,7 @@ def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
                  stacked: StackedSensorForms) -> GainPair:
     """Trace-minimizing stacked gain for the given prior covariance."""
-    step = _innovation_system(P_prev, stacked)
-    K = _solve_gain(step.R, step.G, "innovation covariance")
-    m_G = stacked._m_G
+    K, m_G = _gain(_innovation_system(P_prev, stacked), stacked), stacked._m_G
     return GainPair(K_G=K[:, :m_G], K_I=K[:, m_G:])
 
 
@@ -151,7 +155,7 @@ def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
 
 
 class _NormalStep:
-    __slots__ = ("R", "G", "P_d_inv", "K", "P_next", "F")
+    __slots__ = ("R", "G", "inverse", "P_d_inv", "K", "P_next", "F")
 
 
 def _innovation_system(P_prev: np.ndarray,
@@ -175,21 +179,46 @@ def _innovation_system(P_prev: np.ndarray,
         m = len(stacked.C)
         step = stacked._steps[key] = _NormalStep()
         step.R, step.G = system[:m], system[m:]
-        step.P_d_inv = step.K = None
+        step.inverse = step.P_d_inv = step.K = None
         if key != stacked._tip:
             stacked._steps.pop(stacked._off_trunk, None)
             stacked._off_trunk = key
     return step
 
 
+def _inverse(step: _NormalStep, stacked: StackedSensorForms):
+    """The step's [R^{-1}, blockdiag(P_d, R_II)^{-1}], one inv call kept until
+    fuse forms K, or None if one is singular: each user then solves its own
+    block, which names the error."""
+    if step.inverse is not None:
+        return step.inverse
+    try:
+        inverse = np.linalg.inv(np.where(stacked._inverse_mask, step.R, 0.0))
+    except np.linalg.LinAlgError:
+        return None
+    if step.K is None:
+        step.inverse = inverse
+    return inverse
+
+
+def _gain(step: _NormalStep, stacked: StackedSensorForms) -> np.ndarray:
+    """The step's normal-mode gain K = G R^{-1}."""
+    if step.K is not None:
+        return step.K
+    inverse = _inverse(step, stacked)
+    return step.G.dot(inverse[0]) if inverse is not None \
+        else _solve_gain(step.R, step.G, "innovation covariance")
+
+
 def _detector_weight(P_prev: np.ndarray,
                      stacked: StackedSensorForms) -> np.ndarray:
-    """The detector's P_d^{-1} for a prior P, inverted on its first use."""
+    """The detector's P_d^{-1} for a prior P, copied on its first use."""
     step = _innovation_system(P_prev, stacked)
     if step.P_d_inv is None:
-        m_G = stacked._m_G
-        step.P_d_inv = _solve_gain(step.R[:m_G, :m_G], stacked._I_G,
-                                   "residual covariance")
+        m_G, inverse = stacked._m_G, _inverse(step, stacked)
+        step.P_d_inv = inverse[1, :m_G, :m_G].copy() if inverse is not None \
+            else _solve_gain(step.R[:m_G, :m_G], stacked._I_G,
+                             "residual covariance")
         step.P_d_inv.setflags(write=False)
     return step.P_d_inv
 
@@ -207,14 +236,14 @@ def covariance_update(P_prev: np.ndarray, K: GainPair, model: SystemModel,
 
 def _covariance_update_stacked(P_prev: np.ndarray, K: np.ndarray,
                                stacked: StackedSensorForms):
-    """The gain's blocks [T, B_K, K, I - K C], one product, and the
-    covariance propagated by the stacked gain K."""
+    """The gain's blocks W = [T, B_K, K, I - K C], one product, and the
+    covariance propagated by the stacked gain K, the Joseph update as one
+    quadratic form W blockdiag(P, 0_p, Sigma_y, Sigma_w) W^T."""
     blocks = (stacked._gain_base_T - stacked._gain_coef_T.dot(K.T)).T
     n = len(blocks)
-    T, IKC = blocks[:, :n], blocks[:, -n:]
-    P = (T.dot(P_prev).dot(T.T)
-         + IKC.dot(stacked._Sigma_w).dot(IKC.T)
-         + K.dot(stacked.Sigma_y).dot(K.T))
+    weight = stacked._joseph_weight
+    weight[:n, :n] = P_prev
+    P = blocks.dot(weight).dot(blocks.T)
     return blocks, 0.5 * (P + P.T)
 
 
@@ -230,8 +259,10 @@ def _dead_reckoning(P_prev: np.ndarray, model: SystemModel,
         P = T.dot(P_prev).dot(T.T) + stacked.Sigma_bar
         return stacked._F_emergency, 0.5 * (P + P.T)
     step, m_G = _innovation_system(P_prev, stacked), stacked._m_G
-    K_I = _solve_gain(step.R[m_G:, m_G:], step.G[:, m_G:],
-                      "IMU-only innovation covariance")
+    inverse = _inverse(step, stacked)
+    K_I = step.G[:, m_G:].dot(inverse[1, m_G:, m_G:]) if inverse is not None \
+        else _solve_gain(step.R[m_G:, m_G:], step.G[:, m_G:],
+                         "IMU-only innovation covariance")
     K = np.hstack([np.zeros((model.n, m_G)), K_I])
     blocks, P = _covariance_update_stacked(P_prev, K, stacked)
     return blocks[:, stacked._emergency_cols], P
@@ -252,7 +283,7 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
         return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode)
     step = _innovation_system(est.P, stacked)
     if step.K is None:
-        K = _solve_gain(step.R, step.G, "innovation covariance")
+        K, step.inverse = _gain(step, stacked), None
         blocks, step.P_next = _covariance_update_stacked(est.P, K, stacked)
         blocks.setflags(write=False)
         step.P_next.setflags(write=False)

@@ -63,6 +63,11 @@ class ScenarioConfig:
         """Onset step of the attack, or None without one."""
         return self.attack.start_step if self.attack.kind != "none" else None
 
+    def attack_onset(self) -> int:
+        """Index of the first step the attack can change, steps without one."""
+        start = self.attack_start()
+        return self.steps if start is None else min(max(start - 1, 0), self.steps)
+
     def check_attack_horizon(self) -> None:
         """Raise ConfigError when a custom attack sequence ends before the run."""
         attack = self.attack
@@ -174,9 +179,7 @@ class ScenarioShared:
         self.sampler_w = GaussianSampler(model.Sigma_w)
         self.sampler_G = GaussianSampler(model.Sigma_G)
         self.sampler_I = GaussianSampler(model.Sigma_I)
-        self._stationary_P = None
-        self._escape = {}
-        self._drift = None
+        self._stationary_P, self._drift, self._escape = None, None, {}
 
     def stationary_P(self) -> np.ndarray:
         if self._stationary_P is None:
@@ -199,16 +202,17 @@ class ScenarioShared:
 
 
 def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:
-    """Tracking input kp * (target - position) - kd * velocity.
+    """Tracking input kp * (target - position) - kd * velocity."""
+    u_ref, L = _control_law(target, kp, kd, len(x_hat))
+    return u_ref - L.dot(x_hat)
 
-    Assumes the state is laid out as [position block, velocity block, ...]
-    with both blocks matching the target's length (parse_config checks
-    n >= 2p).
-    """
-    x_hat = np.asarray(x_hat, dtype=float)
-    target = np.asarray(target, dtype=float)
-    p = target.size
-    return kp * (target - x_hat[:p]) - kd * x_hat[p:2 * p]
+
+def _control_law(target, kp: float, kd: float, n: int):
+    """u_ref = kp target and L = [kp I, kd I, 0] of u = u_ref - L x_hat for
+    x = [positions, velocities, ...], p each (parse_config checks n >= 2p)."""
+    p = len(target)
+    L = np.hstack([kp * np.eye(p), kd * np.eye(p), np.zeros((p, n - 2 * p))])
+    return kp * np.asarray(target, dtype=float), L
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
@@ -247,33 +251,33 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     steps, n, m_G = config.steps, model.n, model.m_G
     plant, n_G = stacked._plant, n + m_G
     gps_prediction = np.ascontiguousarray(plant[n:n_G, :n + model.p])
-    det = config.detector
-    delta = det.delta
+    det, delta = config.detector, config.detector.delta
     threshold = det.threshold() if detector_enabled else math.inf
-    target, kp, kd = config.target, config.kp, config.kd
+    u_ref, L = _control_law(config.target, config.kp, config.kd, n)
     rng_w, rng_G, rng_I = (np.random.default_rng(s) for s in
                            np.random.SeedSequence(config.seed).spawn(3))
     sample_w, sample_G, sample_I = (shared.sampler_w.sample,
                                     shared.sampler_G.sample,
                                     shared.sampler_I.sample)
-    d = [config.attack.signal_at(k, m_G) for k in range(1, steps + 1)]
+    onset = config.attack_onset()
+    attack = np.array([config.attack.signal_at(k, m_G)
+                       for k in range(onset + 1, steps + 1)]).reshape(-1, m_G)
 
     x = np.asarray(config.x0, dtype=float).copy()
     est = EstimatorState.initial(config.x0)
-    S = 0.0
-    alarmed = False
-    xs, x_hats = np.empty((steps, n)), np.empty((steps, n))
-    us = np.empty((steps, model.p))
-    Ps = np.empty((steps, n, n))
-    S_col = np.empty(steps)
+    S, alarmed = 0.0, False
+    xs, x_hats, us = (np.empty((steps, k)) for k in (n, n, model.p))
+    Ps, S_col = np.empty((steps, n, n)), np.empty(steps)
     alarm_col = np.zeros(steps, dtype=bool)
 
     for i in range(steps):
         x_hat, P = est.x_hat, est.P
-        u = pd_control(x_hat, target, kp, kd)
+        u = u_ref - L.dot(x_hat)
         z = plant.dot(np.concatenate((x, u, sample_w(rng_w), sample_G(rng_G),
                                       sample_I(rng_I))))
-        x, y_G, y_I = z[:n], z[n:n_G] + d[i], z[n_G:]
+        x, y_G, y_I = z[:n], z[n:n_G], z[n_G:]
+        if i >= onset:
+            y_G = y_G + attack[i - onset]
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
@@ -287,19 +291,24 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         est = fuse(est, model, stacked, u, y_G, y_I)
 
         xs[i], x_hats[i], us[i], Ps[i] = x, est.x_hat, u, est.P
-        S_col[i] = S
-        alarm_col[i] = alarmed
+        S_col[i], alarm_col[i] = S, alarmed
 
-    if not all(np.isfinite(a).all() for a in (xs, x_hats, Ps)):
-        raise NumericalError(f"run with seed {config.seed}: the state, the "
-                             f"estimate or its covariance is not finite")
-    eigvals = np.linalg.eigvalsh(Ps)
+    # Every exported column but S must be finite; eigvalsh sees finite Ps.
+    finite = np.isfinite(Ps).all(axis=(1, 2))
+    eigvals = np.linalg.eigvalsh(Ps if finite.all() else
+                                 np.where(finite[:, None, None], Ps, 0.0))
     norm_P = np.maximum(eigvals[:, -1], -eigvals[:, 0])
-    return _RunColumns(
+    cols = _RunColumns(
         x=xs, x_hat=x_hats, u=us, S=S_col, alarmed=alarm_col,
         trace_P=np.trace(Ps, axis1=1, axis2=2), norm_P=norm_P,
         conf_radius=np.sqrt(chi2_quantile(n, det.alpha) * norm_P),
         err_norm=np.linalg.norm(xs - x_hats, axis=-1), P=Ps)
+    for col in (xs, x_hats, us, cols.trace_P, norm_P, cols.conf_radius, cols.err_norm):
+        finite &= np.isfinite(col.reshape(steps, -1)).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"run with seed {config.seed}: a value of step "
+                             f"{_first_step(~finite)} is not finite")
+    return cols
 
 
 def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
@@ -314,11 +323,10 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
     if shared is None:
         shared = ScenarioShared(model)
     cols = _simulate(config, shared, detector_enabled)
-    attack_start = config.attack_start()
     first_alarm = _first_step(cols.alarmed)
     # Detection latency is measured against the attack onset; noise can trip
     # transient alarms earlier, which are kept separate.
-    detect_from = 0 if attack_start is None else max(attack_start - 1, 0)
+    detect_from = 0 if config.attack_start() is None else config.attack_onset()
     detection_step = _first_step(cols.alarmed[detect_from:])
     if detection_step is not None:
         detection_step += detect_from
@@ -351,9 +359,7 @@ def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,
         raise ConfigError(f"runs must be >= 1, got {config.runs}")
     if shared is None:
         shared = ScenarioShared(config.model)
-    attack_start = config.attack_start()
-    post_from = config.steps if attack_start is None else min(
-        max(attack_start - 1, 0), config.steps)
+    post_from = config.attack_onset()
     post_steps = config.steps - post_from
 
     err_sum = np.zeros((config.steps, config.model.n))
@@ -376,12 +382,9 @@ def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,
             final_err_norm=float(cols.err_norm[-1])))
 
     return MonteCarloSummary(
-        n_runs=config.runs,
-        mean_error=err_sum / config.runs,
-        coverage=covered_sum / config.runs,
-        runs=summaries,
-        attack_start=attack_start,
-    )
+        n_runs=config.runs, mean_error=err_sum / config.runs,
+        coverage=covered_sum / config.runs, runs=summaries,
+        attack_start=config.attack_start())
 
 
 # --- configuration files -----------------------------------------------------
@@ -465,18 +468,12 @@ def parse_config(path) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from exc
 
-    steps = _integer(raw, "steps", 1000)
-    if steps < 1:
-        raise ConfigError(f"steps: must be >= 1, got {steps}")
-    seed = _integer(raw, "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    steps = _integer(raw, "steps", 1000, least=1)
+    seed = _integer(raw, "seed", 0, least=0)
     zeta_norm = _number(raw, "zeta_norm", 2.0)
     if zeta_norm <= 0:
         raise ConfigError(f"zeta_norm: must be positive, got {zeta_norm}")
-    runs = _integer(raw, "runs", 1)
-    if runs < 1:
-        raise ConfigError(f"runs: must be >= 1, got {runs}")
+    runs = _integer(raw, "runs", 1, least=1)
 
     config = ScenarioConfig(model=model, x0=x0, target=target, kp=kp, kd=kd,
                             attack=attack, detector=detector, steps=steps,
@@ -497,9 +494,7 @@ def _parse_attack(raw, m_G: int) -> AttackSignal:
             f"attack.kind: unknown kind {kind!r}, expected one of {ATTACK_KINDS}")
     d = raw.get("d")
     sequence = raw.get("sequence")
-    start_step = _integer(raw, "start_step", 0, "attack.")
-    if start_step < 0:
-        raise ConfigError(f"attack.start_step: must be >= 0, got {start_step}")
+    start_step = _integer(raw, "start_step", 0, least=0, prefix="attack.")
     if kind in ("constant-bias", "ramp"):
         if d is None:
             raise ConfigError(f"attack.d: required for kind {kind!r}")
@@ -538,12 +533,16 @@ def _float_sized_int(path, token: str) -> int:
     return int(token)
 
 
-def _integer(section: dict, key: str, default: int, prefix: str = "") -> int:
-    """section[key] as a JSON integer; bools and floats fail."""
+def _integer(section: dict, key: str, default: int, least: int,
+             prefix: str = "") -> int:
+    """section[key] as a JSON integer of at least least; bools and floats
+    fail."""
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{prefix}{key}: must be an integer, "
                           f"got {reprlib.repr(value)}")
+    if value < least:
+        raise ConfigError(f"{prefix}{key}: must be >= {least}, got {value}")
     return value
 
 

@@ -208,9 +208,8 @@ def validate_model(model: SystemModel) -> list:
     if findings:
         return findings  # eigen checks below need consistent shapes
 
-    findings.extend(_covariance_findings("Sigma_w", model.Sigma_w, strict=False))
-    findings.extend(_covariance_findings("Sigma_G", model.Sigma_G, strict=True))
-    findings.extend(_covariance_findings("Sigma_I", model.Sigma_I, strict=True))
+    for name, strict in (("Sigma_w", False), ("Sigma_G", True), ("Sigma_I", True)):
+        findings.extend(_covariance_findings(name, getattr(model, name), strict))
 
     try:
         _transition_inverse(model.A)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spoofguard
@@ -254,3 +255,24 @@ class TestZeroProcessNoise:
         assert err.startswith("numerical failure: tolerance still credible "
                               "after 100000 steps (last statistic inf")
         assert err.count("\n") == 1
+
+
+class TestOverflowingRun:
+    def test_overflowing_error_norm_exits_two_without_a_trace(
+            self, config_path, tmp_path, capsys):
+        # x and x_hat stay finite near the target, but |x - x_hat| does not:
+        # no trace with a bare inf, one line and exit 2 instead.
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["target"] = [1e300, 1e300]
+        cfg, out = tmp_path / "far.json", tmp_path / "trace.json"
+        cfg.write_text(json.dumps(raw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", str(cfg), "--steps", "50",
+                         "--format", "json", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: run with seed 0: a value "
+                                "of step 2 is not finite\n")
+        assert not out.exists()

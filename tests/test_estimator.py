@@ -13,7 +13,7 @@ from spoofguard import (EstimatorState, GainPair, Mode, NumericalError,
 from spoofguard.detector import normalized_residual
 from spoofguard.estimator import (_covariance_update_stacked,
                                   _dead_reckoning, _detector_weight,
-                                  _innovation_system)
+                                  _innovation_system, _inverse)
 
 from conftest import make_uav_model, random_invertible_model
 
@@ -154,6 +154,64 @@ class TestNormalStepCoefficients:
                     1e-12 * np.linalg.norm(x_hat)
 
 
+class TestStackedInverse:
+    """One inv call per new prior gives R^{-1}, P_d^{-1} and R_II^{-1}; when
+    it fails, each user solves its own block, as without the stacked
+    inverse."""
+
+    def test_blocks_match_the_solves(self, priors_per_model):
+        drift_free = set()
+        for model, priors in priors_per_model:
+            stacked, m_G = StackedSensorForms(model), model.m_G
+            drift_free.add(stacked.drift_free)
+            for P in priors:
+                R = _innovation_system(P, stacked).R
+                inverse = _inverse(_innovation_system(P, stacked), stacked)
+                P_d_inv = _detector_weight(P, stacked)
+                assert not inverse[1, :m_G, m_G:].any()
+                assert not inverse[1, m_G:, :m_G].any()
+                assert np.array_equal(P_d_inv, inverse[1, :m_G, :m_G])
+                for got, block in ((inverse[0], R), (P_d_inv, R[:m_G, :m_G]),
+                                   (inverse[1, m_G:, m_G:], R[m_G:, m_G:])):
+                    want = np.linalg.solve(block, np.eye(len(block)))
+                    assert (np.abs(got - want).max()
+                            <= 1e-12 * np.abs(want).max())
+        assert drift_free == {True, False}
+
+    def test_failed_inverse_falls_back_to_the_solves(self, priors_per_model,
+                                                     monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def quantities(model, P, stacked):
+            return (_detector_weight(P, stacked),
+                    optimal_gain(P, model, stacked).stacked(),
+                    _dead_reckoning(P, model, stacked)[1])
+
+        for model, priors in priors_per_model:
+            for P in priors[:5]:
+                want = quantities(model, P, StackedSensorForms(model))
+                stacked = StackedSensorForms(model)
+                with monkeypatch.context() as patched:
+                    patched.setattr(np.linalg, "inv", singular)
+                    got = quantities(model, P, stacked)
+                assert _innovation_system(P, stacked).inverse is None
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_singular_innovation_covariance_raises(self, model):
+        # Sigma_w = 0 and Sigma_G = 0: at P = 0, R = blockdiag(0, Sigma_I).
+        quiet = SystemModel(A=model.A, B=model.B, C_G=model.C_G, C_I=model.C_I,
+                            Sigma_w=np.zeros((4, 4)), Sigma_G=np.zeros((2, 2)),
+                            Sigma_I=model.Sigma_I)
+        stacked, P = StackedSensorForms(quiet), np.zeros((4, 4))
+        with pytest.raises(NumericalError, match="^innovation covariance"):
+            fuse(EstimatorState(np.zeros(4), P), quiet, stacked,
+                 np.zeros(2), np.zeros(2), np.zeros(2))
+        with pytest.raises(NumericalError, match="^innovation covariance"):
+            optimal_gain(P, quiet, stacked)
+
+
 class TestOneProductBlocks:
     """The gain's blocks [T, B_K, K, I - K C] = [A, B, 0, I] - K [M, CB, -I, C]
     and the emergency predictor F_E taken from them, against the separate
@@ -250,6 +308,26 @@ class TestCovarianceUpdate:
             closed = model.A @ P @ model.A.T + drift.Sigma_bar
             assert np.linalg.norm(updated - closed) <= 1e-12 * np.linalg.norm(closed)
             P = updated
+
+    def test_one_quadratic_form_equals_the_three_terms(self,
+                                                       priors_per_model):
+        # W blockdiag(P, 0_p, Sigma_y, Sigma_w) W^T against
+        # T P T^T + (I - K C) Sigma_w (I - K C)^T + K Sigma_y K^T, for the
+        # optimal gain and a perturbed one.
+        rng = np.random.default_rng(45)
+        for model, priors in priors_per_model:
+            stacked, n = StackedSensorForms(model), model.n
+            for P in priors:
+                K = optimal_gain(P, model, stacked).stacked()
+                for gain in (K, K + rng.normal(scale=0.1, size=K.shape)):
+                    got = _covariance_update_stacked(P, gain, stacked)[1]
+                    T = model.A - gain @ stacked._M
+                    IKC = np.eye(n) - gain @ stacked.C
+                    want = (T @ P @ T.T + IKC @ model.Sigma_w @ IKC.T
+                            + gain @ stacked.Sigma_y @ gain.T)
+                    want = 0.5 * (want + want.T)
+                    assert (np.abs(got - want).max()
+                            <= 1e-14 * np.linalg.norm(want, 2))
 
     def test_output_symmetric_psd(self, model, stacked):
         rng = np.random.default_rng(7)

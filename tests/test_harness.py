@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
-                        NumericalError, PlantState, ScenarioShared,
+from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
+                        EstimatorState, Mode, NumericalError, PlantState,
+                        ScenarioConfig, ScenarioShared, SystemModel,
                         builtin_config_path, confidence_bound, cusum_update,
                         derive_run_seed, export_trace, fuse, harness,
                         measure_gps, measure_imu, monte_carlo, parse_config,
@@ -14,7 +15,7 @@ from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
 
 from spoofguard.estimator import _innovation_system
 
-from conftest import make_uav_model
+from conftest import make_uav_model, random_invertible_model
 
 
 class TestPdControl:
@@ -98,6 +99,46 @@ class TestRunScenario:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError, match="not finite"):
             run_scenario(config, shared=uav_shared)
+
+    def test_non_finite_error_norm_raises_at_its_step(self, uav_config,
+                                                      uav_shared):
+        # x and x_hat stay finite near 1e300, but |x - x_hat| overflows from
+        # step 2 on.
+        config = replace(uav_config, target=np.full(2, 1e300), steps=20)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="step 2 is not finite"):
+            run_scenario(config, shared=uav_shared)
+
+    def test_input_column_is_pd_control_bit_for_bit(self, uav_config,
+                                                    uav_shared):
+        config = replace(uav_config, steps=800)
+        cols = run_scenario(config, shared=uav_shared).columns
+        priors = np.vstack([config.x0, cols.x_hat[:-1]])
+        for u, x_hat in zip(cols.u, priors):
+            want = pd_control(x_hat, config.target, config.kp, config.kd)
+            assert u.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("attack", [
+        AttackSignal(kind="constant-bias", d=[100.0, 100.0], start_step=301),
+        AttackSignal(kind="ramp", d=[1.0, 1.0], start_step=5000),
+        AttackSignal(kind="custom-sequence", start_step=301, sequence=[])])
+    def test_attack_past_the_horizon_changes_nothing(self, uav_config,
+                                                     uav_shared, tmp_path,
+                                                     attack):
+        config = replace(uav_config, steps=300)
+        paths = []
+        for name, run_attack in (("none", AttackSignal.none()),
+                                 ("late", attack)):
+            trace = run_scenario(replace(config, attack=run_attack),
+                                 shared=uav_shared)
+            paths.append(tmp_path / f"{name}.csv")
+            export_trace(trace, paths[-1], "csv")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # The last step inside the horizon is attacked.
+        last = run_scenario(replace(config, attack=replace(
+            attack, kind="constant-bias", d=np.full(2, 100.0),
+            start_step=300)), shared=uav_shared)
+        assert last.columns.alarmed[-1]
 
     def test_run_matches_public_step_functions(self, uav_config, uav_shared):
         # The public step functions, stepped in a plain loop, are the
@@ -351,6 +392,33 @@ class TestCovarianceTrunk:
         assert len(shared.stacked.trunk) == len(trunk)
 
 
+class TestDriftModelBatch:
+    def test_batch_runs_equal_runs_on_a_fresh_shared(self, monkeypatch):
+        # On a drift model dead reckoning reads the prior's inverses, which
+        # fuse drops once a run has fused normally from that prior; an alarm
+        # there recomputes them, bit for bit.
+        model = random_invertible_model(np.random.default_rng(0))
+        model = SystemModel(A=0.98 * model.A / np.abs(
+            np.linalg.eigvals(model.A)).max(), B=model.B, C_G=model.C_G,
+            C_I=model.C_I, Sigma_w=model.Sigma_w, Sigma_G=model.Sigma_G,
+            Sigma_I=model.Sigma_I)
+        config = ScenarioConfig(
+            model=model, x0=np.zeros(model.n), target=np.zeros(model.p),
+            attack=AttackSignal(kind="constant-bias",
+                                d=np.full(model.m_G, 5.0), start_step=60),
+            detector=DetectorConfig(df=model.m_G), steps=120, runs=8)
+        _, traces = _batch_traces(config, monkeypatch)
+        first = [t.first_alarm_step for t in traces]
+        assert not ScenarioShared(model).stacked.drift_free
+        assert min(first) < max(first) == 60
+        for i, trace in enumerate(traces):
+            fresh = run_scenario(
+                replace(config, seed=derive_run_seed(config.seed, i), runs=1),
+                shared=ScenarioShared(model))
+            for got, want in zip(trace.columns, fresh.columns):
+                assert got.tobytes() == want.tobytes()
+
+
 class TestTrunkHits:
     def test_second_run_makes_no_solve_before_its_alarm(self, uav_config,
                                                          monkeypatch):
@@ -387,10 +455,10 @@ class TestTrunkHits:
         monkeypatch.undo()
         assert [t.first_alarm_step for t in traces] == [None, 164]
         assert before_alarm == [[]]
-        # The first run builds the trunk: the counters see its gain and its
-        # P_d^{-1} solved on every step.
+        # The first run builds the trunk: exactly one inverse per step gives
+        # its gain and its P_d^{-1}; the drift analysis inverts A once.
         first_run = calls[run_starts[0]:run_starts[1]]
-        assert first_run.count("solve") >= 2 * config.steps
+        assert first_run.count("inv") == config.steps + 1
 
 
 class TestParseConfig:
