@@ -194,6 +194,21 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
         f"(last residual {resid:.3e})", last_iterate=H, residual=resid)
 
 
+def _finite_covariance(P) -> np.ndarray:
+    """P as a float array; NumericalError if an entry is NaN or infinite."""
+    P = np.asarray(P, dtype=float)
+    if not np.isfinite(P).all():
+        raise NumericalError("non-finite covariance at the attack step")
+    return P
+
+
+def _growth(model: SystemModel):
+    """||A||_2 and the escape bound's branch: "unit-norm" when ||A||_2 is 1
+    within 1e-12, where the geometric sum degenerates, else "general"."""
+    norm_A = spectral_norm(model.A)
+    return norm_A, "unit-norm" if abs(norm_A - 1.0) <= 1e-12 else "general"
+
+
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
                 alpha: float, df: int, max_horizon: int = 100_000) -> int:
     """Steps of dead reckoning until the error tolerance stops being credible.
@@ -202,7 +217,8 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
     chi-square quantile) or a scalar norm (isotropic test ||zeta||^2 divided
     by the Frobenius magnitude of P_k, inf when that is zero).  Counting
     starts at the covariance supplied for the attack step; the count is 0
-    when the tolerance is already not credible there.
+    when the tolerance is already not credible there.  A NaN or infinite
+    entry in it raises NumericalError.
     """
     quantile = chi2_quantile(df, alpha)
     zeta_arr = np.asarray(zeta, dtype=float)
@@ -224,7 +240,7 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
         raise ValueError("zeta must be a scalar norm or an n-vector")
 
     stacked = StackedSensorForms(model)
-    P = np.asarray(P_at_attack, dtype=float).copy()
+    P = _finite_covariance(P_at_attack)
     k = 0
     value = quad(P)
     while value > quantile:
@@ -251,8 +267,10 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     magnitude and A, Sigma_bar through their spectral norms; when the spectral
     norm of A is 1 the geometric sum degenerates and the linear branch is
     used.  Results below zero clamp to zero (tolerance already exceeded).
-    drift, the model's drift analysis, is computed when absent.
+    drift, the model's drift analysis, is computed when absent.  A NaN or
+    infinite entry in P raises NumericalError.
     """
+    P = _finite_covariance(P)
     drift = drift_matrices(model) if drift is None else drift
     if not drift.drift_free:
         raise ValueError(
@@ -262,7 +280,7 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
 
     quantile = chi2_quantile(df, alpha)
     target = float(zeta_norm) ** 2 / quantile
-    norm_A = spectral_norm(model.A)
+    norm_A, branch = _growth(model)
     norm_P = covariance_magnitude(P)
     norm_S = spectral_norm(drift.Sigma_bar)
 
@@ -271,7 +289,7 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     if norm_P == 0.0 and norm_S == 0.0:
         return math.inf  # P_k = 0 at every step: the tolerance stays credible
 
-    if abs(norm_A - 1.0) <= 1e-12:
+    if branch == "unit-norm":
         return (target - norm_P) / norm_S if norm_S > 0.0 else math.inf
 
     growth = norm_A * norm_A
@@ -304,7 +322,7 @@ def escape_report(model: SystemModel, zeta_norm: float, alpha: float,
         stationary_P = stationary_covariance(model)
     drift = drift_matrices(model) if drift is None else drift
     k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha, df)
-    norm_A = spectral_norm(model.A)
+    norm_A, branch = _growth(model)
     k_lb = None
     if drift.drift_free:
         k_lb = escape_time_lower_bound(stationary_P, model, float(zeta_norm),
@@ -312,4 +330,4 @@ def escape_report(model: SystemModel, zeta_norm: float, alpha: float,
     return EscapeTimeReport(
         k_escape=k_esc, k_lower_bound=k_lb, zeta=float(zeta_norm),
         alpha=alpha, df=df, stationary_P=stationary_P, norm_A=norm_A,
-        branch="unit-norm" if abs(norm_A - 1.0) <= 1e-12 else "general")
+        branch=branch)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigError, NumericalError
 from .harness import (ScenarioShared, export_trace, monte_carlo, parse_config,
-                      run_scenario, _integer)
+                      run_scenario, _escape_fields, _integer)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,12 +112,8 @@ def cmd_analyze(args) -> int:
     drift = shared.drift()
     payload = {
         "first_alarm_step": None,
-        "escape_time": int(report.k_escape),
-        "escape_time_lower_bound":
-            None if report.k_lower_bound is None else float(report.k_lower_bound),
-        "stationary_trace_P": float(np.trace(report.stationary_P)),
-        "detectable_gps": drift.gps_pair_detectable,
-        "detectable_drift_pair": drift.drift_pair_detectable,
+        **_escape_fields(report, drift.gps_pair_detectable,
+                         drift.drift_pair_detectable),
         "norm_A": report.norm_A,
         "branch": report.branch,
         "zeta_norm": config.zeta_norm,

@@ -17,9 +17,10 @@ which alarms when S_k strictly exceeds chi2_quantile(df, alpha) / (1 - delta)
 (a tie stays quiet).
 The statistic is updated from the GPS residual in both operating modes, so
 detection keeps running while the estimator dead-reckons.
-P_d^{-1} depends only on P_{k-1}: the runner reads it from the estimator's
-cached normal-mode step and cusum_update solves it from P_d; both take the
-one quadratic form, normalized_residual, which makes no linear solve.
+P_d^{-1} depends only on P_{k-1}: the runner reads it as a view of the
+inverse that the estimator's normal-mode step for P_{k-1} keeps, and
+cusum_update solves it from P_d; both take the one quadratic form,
+normalized_residual, which makes no linear solve.
 """
 
 import math

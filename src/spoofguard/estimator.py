@@ -60,8 +60,9 @@ class StackedSensorForms:
     """Stacked sensor matrices, products reused in the per-step loop, and the
     model invariants of dead reckoning.
 
-    _innovation_system is the one innovation system and
-    _covariance_update_stacked the one Joseph update.  The invariants are
+    _innovation_system builds a new prior's whole step once, the innovation
+    system and the one inverse behind P_d^{-1} and the gains, and
+    _covariance_update_stacked is the one Joseph update.  The invariants are
     defined here once: A^{-1} (ValueError for a singular A),
     C_bar_I = C_I (I - A^{-1}), the drift-free flag C_bar_I = 0, the emergency
     gain K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1}, the IMU block
@@ -98,7 +99,7 @@ class StackedSensorForms:
                                             Sw_Ct])
         self._steps, self.trunk, self._off_trunk = {}, [], None
         self._tip = np.zeros((n, n)).tobytes()
-        # Selects [R, blockdiag(P_d, R_II)] from R for _inverse.
+        # Selects [R, blockdiag(P_d, R_II)] from R for the step's inverse.
         same_block = np.equal.outer(np.arange(m) < m_G, np.arange(m) < m_G)
         self._inverse_mask = np.stack([same_block | True, same_block])
 
@@ -140,7 +141,7 @@ def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
                  stacked: StackedSensorForms) -> GainPair:
     """Trace-minimizing stacked gain for the given prior covariance."""
-    K, m_G = _gain(_innovation_system(P_prev, stacked), stacked), stacked._m_G
+    K, m_G = _gain(_innovation_system(P_prev, stacked)), stacked._m_G
     return GainPair(K_G=K[:, :m_G], K_I=K[:, m_G:])
 
 
@@ -155,20 +156,21 @@ def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
 
 
 class _NormalStep:
-    __slots__ = ("R", "G", "inverse", "P_d_inv", "K", "P_next", "F")
+    __slots__ = ("R", "G", "inverse", "F", "P_next")
 
 
 def _innovation_system(P_prev: np.ndarray,
                        stacked: StackedSensorForms) -> _NormalStep:
     """The normal-mode step for a prior P, one lookup by P's bytes.
 
-    A miss computes R = M P M^T + C Sigma_w C^T + Sigma_y and
-    G = A P M^T + Sigma_w C^T from one product [M; A] (P M^T); R's GPS-GPS
-    block is the detector's residual covariance P_d (the GPS rows of M are
-    C_G A).  The detector adds P_d^{-1} (_detector_weight).  fuse adds the
-    next covariance P_next, the predictor F = [T, B_K, K] (the gain's blocks
-    but I - K C) and the gain K, views of one product.  The arrays are
-    read-only.  A step off the trunk replaces the last one.
+    A miss builds the whole step but fuse's part:
+    R = M P M^T + C Sigma_w C^T + Sigma_y and G = A P M^T + Sigma_w C^T from
+    one product [M; A] (P M^T), and [R^{-1}, blockdiag(P_d, R_II)^{-1}] from
+    one inv call, None if one is singular (each user then solves its own
+    block, which names the error).  R's GPS-GPS block is the detector's P_d
+    (the GPS rows of M are C_G A).  fuse adds the next covariance P_next and
+    the predictor F = [T, B_K, K] (the gain's blocks but I - K C).  The
+    arrays are read-only.  A step off the trunk replaces the last one.
     """
     key = P_prev.tobytes()
     step = stacked._steps.get(key)
@@ -178,49 +180,32 @@ def _innovation_system(P_prev: np.ndarray,
         system.setflags(write=False)
         m = len(stacked.C)
         step = stacked._steps[key] = _NormalStep()
-        step.R, step.G = system[:m], system[m:]
-        step.inverse = step.P_d_inv = step.K = None
+        step.R, step.G, step.F, step.P_next = system[:m], system[m:], None, None
+        try:
+            step.inverse = np.linalg.inv(
+                np.where(stacked._inverse_mask, step.R, 0.0))
+            step.inverse.setflags(write=False)
+        except np.linalg.LinAlgError:
+            step.inverse = None
         if key != stacked._tip:
             stacked._steps.pop(stacked._off_trunk, None)
             stacked._off_trunk = key
     return step
 
 
-def _inverse(step: _NormalStep, stacked: StackedSensorForms):
-    """The step's [R^{-1}, blockdiag(P_d, R_II)^{-1}], one inv call kept until
-    fuse forms K, or None if one is singular: each user then solves its own
-    block, which names the error."""
-    if step.inverse is not None:
-        return step.inverse
-    try:
-        inverse = np.linalg.inv(np.where(stacked._inverse_mask, step.R, 0.0))
-    except np.linalg.LinAlgError:
-        return None
-    if step.K is None:
-        step.inverse = inverse
-    return inverse
-
-
-def _gain(step: _NormalStep, stacked: StackedSensorForms) -> np.ndarray:
+def _gain(step: _NormalStep) -> np.ndarray:
     """The step's normal-mode gain K = G R^{-1}."""
-    if step.K is not None:
-        return step.K
-    inverse = _inverse(step, stacked)
-    return step.G.dot(inverse[0]) if inverse is not None \
+    return step.G.dot(step.inverse[0]) if step.inverse is not None \
         else _solve_gain(step.R, step.G, "innovation covariance")
 
 
 def _detector_weight(P_prev: np.ndarray,
                      stacked: StackedSensorForms) -> np.ndarray:
-    """The detector's P_d^{-1} for a prior P, copied on its first use."""
-    step = _innovation_system(P_prev, stacked)
-    if step.P_d_inv is None:
-        m_G, inverse = stacked._m_G, _inverse(step, stacked)
-        step.P_d_inv = inverse[1, :m_G, :m_G].copy() if inverse is not None \
-            else _solve_gain(step.R[:m_G, :m_G], stacked._I_G,
-                             "residual covariance")
-        step.P_d_inv.setflags(write=False)
-    return step.P_d_inv
+    """The detector's P_d^{-1} for a prior P, a view of the step's inverse."""
+    step, m_G = _innovation_system(P_prev, stacked), stacked._m_G
+    return step.inverse[1, :m_G, :m_G] if step.inverse is not None \
+        else _solve_gain(step.R[:m_G, :m_G], stacked._I_G,
+                         "residual covariance")
 
 
 def emergency_gain(model: SystemModel) -> np.ndarray:
@@ -259,8 +244,8 @@ def _dead_reckoning(P_prev: np.ndarray, model: SystemModel,
         P = T.dot(P_prev).dot(T.T) + stacked.Sigma_bar
         return stacked._F_emergency, 0.5 * (P + P.T)
     step, m_G = _innovation_system(P_prev, stacked), stacked._m_G
-    inverse = _inverse(step, stacked)
-    K_I = step.G[:, m_G:].dot(inverse[1, m_G:, m_G:]) if inverse is not None \
+    K_I = step.G[:, m_G:].dot(step.inverse[1, m_G:, m_G:]) \
+        if step.inverse is not None \
         else _solve_gain(step.R[m_G:, m_G:], step.G[:, m_G:],
                          "IMU-only innovation covariance")
     K = np.hstack([np.zeros((model.n, m_G)), K_I])
@@ -282,13 +267,12 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
         x_new = F_E.dot(np.concatenate((est.x_hat, u, y_I)))
         return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode)
     step = _innovation_system(est.P, stacked)
-    if step.K is None:
-        K, step.inverse = _gain(step, stacked), None
+    if step.F is None:
+        K = _gain(step)
         blocks, step.P_next = _covariance_update_stacked(est.P, K, stacked)
         blocks.setflags(write=False)
         step.P_next.setflags(write=False)
         step.F = blocks[:, :-len(blocks)]
-        step.K = step.F[:, -K.shape[1]:]
         if stacked._steps.get(stacked._tip) is step:    # extend the trunk
             stacked.trunk.append(step.P_next)
             stacked._tip = step.P_next.tobytes()

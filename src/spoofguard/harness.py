@@ -38,8 +38,8 @@ from .detector import DetectorConfig, normalized_residual
 from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
                         _detector_weight)
 from .exceptions import ConfigError, NumericalError
-from .model import (ATTACK_KINDS, AttackSignal, GaussianSampler, SystemModel,
-                    validate_model)
+from .model import (ATTACK_KINDS, MATRIX_NAMES, AttackSignal, GaussianSampler,
+                    SystemModel, validate_model)
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
@@ -127,19 +127,22 @@ class ScenarioTrace:
         return None if self._escape_from_alarm is None else self._escape_from_alarm()
 
     def summary(self) -> dict:
-        return {
-            "first_alarm_step": self.first_alarm_step,
-            "attack_detection_step": self.attack_detection_step,
-            "escape_time": None if self.escape is None else int(self.escape.k_escape),
-            "escape_time_lower_bound":
-                None if self.escape is None or self.escape.k_lower_bound is None
-                else float(self.escape.k_lower_bound),
-            "stationary_trace_P":
-                None if self.escape is None
-                else float(np.trace(self.escape.stationary_P)),
-            "detectable_gps": self.detectable_gps,
-            "detectable_drift_pair": self.detectable_drift_pair,
-        }
+        return {"first_alarm_step": self.first_alarm_step,
+                "attack_detection_step": self.attack_detection_step,
+                **_escape_fields(self.escape, self.detectable_gps,
+                                 self.detectable_drift_pair)}
+
+
+def _escape_fields(report: Optional[EscapeTimeReport], detectable_gps: bool,
+                   detectable_drift_pair: bool) -> dict:
+    """The escape and detectability fields of a run summary and of analyze;
+    the escape fields are None without a report."""
+    escape = {} if report is None else report.to_dict()
+    return {"escape_time": escape.get("k_escape"),
+            "escape_time_lower_bound": escape.get("k_lower_bound"),
+            "stationary_trace_P": escape.get("stationary_trace_P"),
+            "detectable_gps": detectable_gps,
+            "detectable_drift_pair": detectable_drift_pair}
 
 
 @dataclass
@@ -259,6 +262,13 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     sample_w, sample_G, sample_I = (shared.sampler_w.sample,
                                     shared.sampler_G.sample,
                                     shared.sampler_I.sample)
+    try:    # before the attack, which is built from a list of steps arrays
+        xs, x_hats, us = (np.empty((steps, k)) for k in (n, n, model.p))
+        Ps, S_col = np.empty((steps, n, n)), np.empty(steps)
+        alarm_col = np.zeros(steps, dtype=bool)
+    except (MemoryError, ValueError) as exc:    # ValueError: array is too big
+        raise ConfigError(
+            f"steps: {steps} steps cannot be allocated ({exc})") from exc
     onset = config.attack_onset()
     attack = np.array([config.attack.signal_at(k, m_G)
                        for k in range(onset + 1, steps + 1)]).reshape(-1, m_G)
@@ -266,9 +276,6 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     x = np.asarray(config.x0, dtype=float).copy()
     est = EstimatorState.initial(config.x0)
     S, alarmed = 0.0, False
-    xs, x_hats, us = (np.empty((steps, k)) for k in (n, n, model.p))
-    Ps, S_col = np.empty((steps, n, n)), np.empty(steps)
-    alarm_col = np.zeros(steps, dtype=bool)
 
     for i in range(steps):
         x_hat, P = est.x_hat, est.P
@@ -362,8 +369,8 @@ def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,
     post_from = config.attack_onset()
     post_steps = config.steps - post_from
 
-    err_sum = np.zeros((config.steps, config.model.n))
-    covered_sum = np.zeros(config.steps, dtype=int)
+    # Arrays from the first run on, once _simulate has allocated the horizon.
+    err_sum = covered_sum = 0
     summaries: List[RunSummary] = []
     for i in range(config.runs):
         seed = derive_run_seed(config.seed, i)
@@ -389,7 +396,6 @@ def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,
 
 # --- configuration files -----------------------------------------------------
 
-_MODEL_KEYS = ("A", "B", "C_G", "C_I", "Sigma_w", "Sigma_G", "Sigma_I")
 _TOP_KEYS = ("model", "x0", "target", "controller", "attack", "detector",
              "steps", "seed", "zeta_norm", "runs")
 
@@ -420,11 +426,11 @@ def parse_config(path) -> ScenarioConfig:
     model_raw = raw["model"]
     if not isinstance(model_raw, dict):
         raise ConfigError("model: must be an object")
-    _reject_unknown(model_raw, _MODEL_KEYS, "model.")
-    missing = [k for k in _MODEL_KEYS if k not in model_raw]
+    _reject_unknown(model_raw, MATRIX_NAMES, "model.")
+    missing = [k for k in MATRIX_NAMES if k not in model_raw]
     if missing:
         raise ConfigError(f"model: missing keys {missing}")
-    matrices = {k: _numbers(model_raw[k], f"model.{k}") for k in _MODEL_KEYS}
+    matrices = {k: _numbers(model_raw[k], f"model.{k}") for k in MATRIX_NAMES}
     try:
         model = SystemModel(**matrices)
     except ValueError as exc:

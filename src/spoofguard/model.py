@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 ATTACK_KINDS = ("none", "constant-bias", "ramp", "custom-sequence")
+MATRIX_NAMES = ("A", "B", "C_G", "C_I", "Sigma_w", "Sigma_G", "Sigma_I")
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -33,20 +34,13 @@ class SystemModel:
     """
 
     def __init__(self, A, B, C_G, C_I, Sigma_w, Sigma_G, Sigma_I):
-        self.A = _as_matrix(A, "A")
-        self.B = _as_matrix(B, "B")
-        self.C_G = _as_matrix(C_G, "C_G")
-        self.C_I = _as_matrix(C_I, "C_I")
-        self.Sigma_w = _as_matrix(Sigma_w, "Sigma_w")
-        self.Sigma_G = _as_matrix(Sigma_G, "Sigma_G")
-        self.Sigma_I = _as_matrix(Sigma_I, "Sigma_I")
-        self.n = self.A.shape[0]
-        self.p = self.B.shape[1]
-        self.m_G = self.C_G.shape[0]
-        self.m_I = self.C_I.shape[0]
-        for M in (self.A, self.B, self.C_G, self.C_I,
-                  self.Sigma_w, self.Sigma_G, self.Sigma_I):
+        for name, M in zip(MATRIX_NAMES,
+                           (A, B, C_G, C_I, Sigma_w, Sigma_G, Sigma_I)):
+            M = _as_matrix(M, name)
             M.setflags(write=False)
+            setattr(self, name, M)
+        self.n, self.p = self.A.shape[0], self.B.shape[1]
+        self.m_G, self.m_I = self.C_G.shape[0], self.C_I.shape[0]
 
     def __repr__(self):
         return (f"SystemModel(n={self.n}, p={self.p}, "

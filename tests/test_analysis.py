@@ -289,6 +289,29 @@ class TestEscapeTime:
         assert len(calls) <= 2
 
 
+class TestNonFiniteCovariance:
+    # The message is the check: ConvergenceError, which escape_time raised
+    # for a NaN P, is a NumericalError too.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("zeta", [2.0, np.array([2.0, 0.0, 0.0, 0.0])])
+    def test_escape_time_names_the_covariance(self, uav_model,
+                                              uav_stationary_P, bad, zeta):
+        P = uav_stationary_P.copy()
+        P[1, 2] = bad
+        with pytest.raises(NumericalError) as info:
+            escape_time(P, uav_model, zeta, 0.01, 4)
+        assert str(info.value) == "non-finite covariance at the attack step"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_lower_bound_names_the_covariance(self, uav_model,
+                                              uav_stationary_P, bad):
+        P = uav_stationary_P.copy()
+        P[0, 0] = bad
+        with pytest.raises(NumericalError) as info:
+            escape_time_lower_bound(P, uav_model, 2.0, 0.01, 4)
+        assert str(info.value) == "non-finite covariance at the attack step"
+
+
 class TestEscapeTimeLowerBound:
     def test_uav_bound(self, uav_model, uav_stationary_P):
         bound = escape_time_lower_bound(uav_stationary_P, uav_model, 2.0, 0.01, 4)

@@ -276,3 +276,27 @@ class TestOverflowingRun:
         assert captured.err == ("numerical failure: run with seed 0: a value "
                                 "of step 2 is not finite\n")
         assert not out.exists()
+
+
+class TestHorizonTooLarge:
+    @pytest.mark.parametrize("command", ["run", "mc"])
+    @pytest.mark.parametrize("attacked", [True, False])
+    def test_unallocatable_steps_is_a_config_error(
+            self, config_path, tmp_path, capsys, command, attacked):
+        # numpy refuses 2^62 rows before allocating anything, on any host;
+        # the columns come before the attack's per-step list.
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not attacked:
+            del raw["attack"]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        code = main([command, "--config", str(cfg),
+                     "--steps", "4611686018427387904"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "config error: steps: 4611686018427387904 steps cannot be "
+            "allocated (")
+        assert captured.err.count("\n") == 1

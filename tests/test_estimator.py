@@ -13,7 +13,7 @@ from spoofguard import (EstimatorState, GainPair, Mode, NumericalError,
 from spoofguard.detector import normalized_residual
 from spoofguard.estimator import (_covariance_update_stacked,
                                   _dead_reckoning, _detector_weight,
-                                  _innovation_system, _inverse)
+                                  _innovation_system)
 
 from conftest import make_uav_model, random_invertible_model
 
@@ -165,8 +165,8 @@ class TestStackedInverse:
             stacked, m_G = StackedSensorForms(model), model.m_G
             drift_free.add(stacked.drift_free)
             for P in priors:
-                R = _innovation_system(P, stacked).R
-                inverse = _inverse(_innovation_system(P, stacked), stacked)
+                step = _innovation_system(P, stacked)
+                R, inverse = step.R, step.inverse
                 P_d_inv = _detector_weight(P, stacked)
                 assert not inverse[1, :m_G, m_G:].any()
                 assert not inverse[1, m_G:, :m_G].any()
@@ -177,6 +177,30 @@ class TestStackedInverse:
                     assert (np.abs(got - want).max()
                             <= 1e-12 * np.abs(want).max())
         assert drift_free == {True, False}
+
+    def test_one_inv_call_per_prior_on_drift_models(self, priors_per_model,
+                                                    monkeypatch):
+        # The detector, a normal fuse, dead reckoning and optimal_gain all
+        # read the inverse that the prior's first use builds; none drops or
+        # recomputes it.
+        calls, inv = [], np.linalg.inv
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inv(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        for model, priors in priors_per_model[1:]:
+            stacked = StackedSensorForms(model)
+            assert not stacked.drift_free
+            n, p, m_G, m_I = model.n, model.p, model.m_G, model.m_I
+            for P in priors[:5]:
+                del calls[:]
+                _detector_weight(P, stacked)
+                fuse(EstimatorState(np.zeros(n), P), model, stacked,
+                     np.zeros(p), np.zeros(m_G), np.zeros(m_I))
+                _dead_reckoning(P, model, stacked)
+                optimal_gain(P, model, stacked)
+                assert len(calls) == 1
 
     def test_failed_inverse_falls_back_to_the_solves(self, priors_per_model,
                                                      monkeypatch):

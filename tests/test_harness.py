@@ -364,13 +364,24 @@ class TestCovarianceTrunk:
         assert len(stacked.trunk) == longest
         assert np.array_equal(
             stacked.trunk, traces[stretches.index(longest)].columns.P[:longest])
+        # A NaN spoof keeps a run in emergency mode from its onset on, so the
+        # detector's last step, off the trunk, is never fused.
+        run_scenario(replace(config, seed=1, runs=1, attack=AttackSignal(
+            kind="custom-sequence", start_step=150,
+            sequence=[np.full(2, np.nan)] * 51)), shared=shared)
+        assert len(stacked.trunk) == longest
+        # Every slot is set when a step is built, fuse's F and P_next too
+        # (None until a run fuses normally from the step's prior).
+        unfused = 0
         for step in stacked._steps.values():
-            for a in (step.R, step.G, step.K, step.P_next):
+            unfused += step.F is None
+            for a in (step.R, step.G, step.inverse, step.F, step.P_next):
                 if a is not None:
                     assert not a.flags.writeable
                     with pytest.raises(ValueError):
                         a[0, 0] = 0.0
         assert not any(P.flags.writeable for P in stacked.trunk)
+        assert unfused == 1
 
     def test_trunk_stops_growing_at_the_exact_fixed_point(self, uav_config):
         # From P = 0 the recursion reaches a floating-point fixed point well
@@ -394,9 +405,9 @@ class TestCovarianceTrunk:
 
 class TestDriftModelBatch:
     def test_batch_runs_equal_runs_on_a_fresh_shared(self, monkeypatch):
-        # On a drift model dead reckoning reads the prior's inverses, which
-        # fuse drops once a run has fused normally from that prior; an alarm
-        # there recomputes them, bit for bit.
+        # On a drift model dead reckoning reads the prior's inverse, which
+        # the step keeps from its first use, so a run that alarms where an
+        # earlier run fused normally reads the same inverse.
         model = random_invertible_model(np.random.default_rng(0))
         model = SystemModel(A=0.98 * model.A / np.abs(
             np.linalg.eigvals(model.A)).max(), B=model.B, C_G=model.C_G,
