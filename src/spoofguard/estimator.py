@@ -199,10 +199,19 @@ def _gain(step: _NormalStep) -> np.ndarray:
         else _solve_gain(step.R, step.G, "innovation covariance")
 
 
-def _detector_weight(P_prev: np.ndarray,
-                     stacked: StackedSensorForms) -> np.ndarray:
-    """The detector's P_d^{-1} for a prior P, a view of the step's inverse."""
-    step, m_G = _innovation_system(P_prev, stacked), stacked._m_G
+def _detector_weight(P_prev: np.ndarray, stacked: StackedSensorForms,
+                     reckoning: bool = False) -> np.ndarray:
+    """The detector's P_d^{-1} for a prior P: a view of the step's inverse,
+    or after dead reckoning on a drift-free model (no step) P_d's own."""
+    m_G = stacked._m_G
+    if reckoning and stacked.drift_free:
+        P_d = stacked._M[:m_G].dot(P_prev.dot(stacked._M_T))[:, :m_G] \
+            + stacked._innovation_noise[:m_G, :m_G]
+        try:
+            return np.linalg.inv(P_d)
+        except np.linalg.LinAlgError:
+            return _solve_gain(P_d, stacked._I_G, "residual covariance")
+    step = _innovation_system(P_prev, stacked)
     return step.inverse[1, :m_G, :m_G] if step.inverse is not None \
         else _solve_gain(step.R[:m_G, :m_G], stacked._I_G,
                          "residual covariance")

@@ -8,11 +8,10 @@ and (5) fuses in that mode.  The mode decision happens before the fuse so a
 detected attack never corrupts the estimate on the step it is detected.
 
 run_scenario steps one run; each step's results go into arrays, one row per
-step (the run's columns); the CSV and JSON exports, the confidence radii and
-monte_carlo's aggregates are read from them, and the trace's records are
-built from them on first access.  monte_carlo calls run_scenario once per
-run, all on one ScenarioShared, so its runs share the trunk (see
-StackedSensorForms).
+step (the run's columns); the exports and monte_carlo's aggregates read
+them, and the spectral norms, confidence radii and records are built from
+them on first read.  monte_carlo calls run_scenario once per run, all on
+one ScenarioShared, so its runs share the trunk (see StackedSensorForms).
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -25,9 +24,9 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from importlib import resources
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -224,8 +223,10 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-class _RunColumns(NamedTuple):
-    """Per-step results of one run, one row per step."""
+@dataclass(eq=False)
+class _RunColumns:
+    """Per-step results of one run, one row per step; iterating yields the
+    ten columns, x to err_norm in StepRecord order, then P."""
 
     x: np.ndarray               # (steps, n) true states
     x_hat: np.ndarray           # (steps, n) estimates
@@ -233,10 +234,39 @@ class _RunColumns(NamedTuple):
     S: np.ndarray               # (steps,) detector statistic
     alarmed: np.ndarray         # (steps,) alarm, i.e. emergency mode
     trace_P: np.ndarray         # (steps,)
-    norm_P: np.ndarray          # (steps,) spectral norm of P
-    conf_radius: np.ndarray     # (steps,)
     err_norm: np.ndarray        # (steps,) |x - x_hat|
     P: np.ndarray               # (steps, n, n) covariances
+    q: float                    # chi2 quantile of conf_radius = sqrt(q norm_P)
+    # (steps,) each, computed on first read: spectral norm of P, conf_radius
+    norm_P = cached_property(lambda self: _spectral_norms(self.P))
+    conf_radius = cached_property(lambda self: np.sqrt(self.q * self.norm_P))
+
+    def __iter__(self):
+        return iter((self.x, self.x_hat, self.u, self.S, self.alarmed,
+                     self.trace_P, self.norm_P, self.conf_radius,
+                     self.err_norm, self.P))
+
+
+def _spectral_norms(Ps: np.ndarray) -> np.ndarray:
+    """max(lambda_max, -lambda_min) of each symmetric P, one eigvalsh."""
+    eigvals = np.linalg.eigvalsh(Ps)
+    return np.maximum(eigvals[:, -1], -eigvals[:, 0])
+
+
+def _covered(cols: _RunColumns) -> np.ndarray:
+    """err_norm <= conf_radius per step, decided by the bracket max |P_ii| <=
+    |P|_2 <= |P|_F with 1e-9 margins; the rows it leaves open, and those whose
+    squares may underflow (|P|_F < 1e-140), are decomposed.  Each radius is
+    sqrt(q) sqrt(norm), which cannot overflow."""
+    P, err, q = cols.P, cols.err_norm, cols.q
+    # max|P_ii| column by column: numpy's max over a short last axis is slow
+    diagonal = reduce(np.maximum, np.abs(np.einsum("kii->ki", P)).T)
+    squares = np.einsum("kij,kij->k", P, P)
+    covered = err <= math.sqrt(q * (1 - 1e-9)) * np.sqrt(diagonal)
+    rows = np.flatnonzero(~covered & ((squares < 1e-280) | (
+        err <= math.sqrt(q * (1 + 1e-9)) * np.sqrt(np.sqrt(squares)))))
+    covered[rows] = err[rows] <= np.sqrt(q * _spectral_norms(P[rows]))
+    return covered
 
 
 _MODES = {False: Mode.NORMAL, True: Mode.EMERGENCY}
@@ -262,7 +292,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     sample_w, sample_G, sample_I = (shared.sampler_w.sample,
                                     shared.sampler_G.sample,
                                     shared.sampler_I.sample)
-    try:    # before the attack, which is built from a list of steps arrays
+    try:    # before the attack's (steps - onset, m_G) array
         xs, x_hats, us = (np.empty((steps, k)) for k in (n, n, model.p))
         Ps, S_col = np.empty((steps, n, n)), np.empty(steps)
         alarm_col = np.zeros(steps, dtype=bool)
@@ -270,8 +300,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         raise ConfigError(
             f"steps: {steps} steps cannot be allocated ({exc})") from exc
     onset = config.attack_onset()
-    attack = np.array([config.attack.signal_at(k, m_G)
-                       for k in range(onset + 1, steps + 1)]).reshape(-1, m_G)
+    attack = config.attack.signal_range(onset + 1, steps + 1, m_G)
 
     x = np.asarray(config.x0, dtype=float).copy()
     est = EstimatorState.initial(config.x0)
@@ -288,11 +317,12 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
-        # P_d^{-1} is cached on the normal-mode step that fuse then reads.
+        # P_d^{-1} is kept on the normal-mode step that fuse then reads, but
+        # after dead reckoning on a drift-free model (see _detector_weight).
         if detector_enabled:
             d_hat = y_G - gps_prediction.dot(np.concatenate((x_hat, u)))
-            S = delta * S + normalized_residual(
-                d_hat, _detector_weight(P, stacked))
+            S = delta * S + normalized_residual(d_hat, _detector_weight(
+                P, stacked, est.mode is Mode.EMERGENCY))
             alarmed = S > threshold
         est.mode = _MODES[alarmed]
         est = fuse(est, model, stacked, u, y_G, y_I)
@@ -300,21 +330,24 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         xs[i], x_hats[i], us[i], Ps[i] = x, est.x_hat, u, est.P
         S_col[i], alarm_col[i] = S, alarmed
 
-    # Every exported column but S must be finite; eigvalsh sees finite Ps.
-    finite = np.isfinite(Ps).all(axis=(1, 2))
-    eigvals = np.linalg.eigvalsh(Ps if finite.all() else
-                                 np.where(finite[:, None, None], Ps, 0.0))
-    norm_P = np.maximum(eigvals[:, -1], -eigvals[:, 0])
     cols = _RunColumns(
         x=xs, x_hat=x_hats, u=us, S=S_col, alarmed=alarm_col,
-        trace_P=np.trace(Ps, axis1=1, axis2=2), norm_P=norm_P,
-        conf_radius=np.sqrt(chi2_quantile(n, det.alpha) * norm_P),
-        err_norm=np.linalg.norm(xs - x_hats, axis=-1), P=Ps)
-    for col in (xs, x_hats, us, cols.trace_P, norm_P, cols.conf_radius, cols.err_norm):
-        finite &= np.isfinite(col.reshape(steps, -1)).all(axis=1)
-    if not finite.all():
-        raise NumericalError(f"run with seed {config.seed}: a value of step "
-                             f"{_first_step(~finite)} is not finite")
+        trace_P=np.trace(Ps, axis1=1, axis2=2),
+        err_norm=np.linalg.norm(xs - x_hats, axis=-1), P=Ps,
+        q=chi2_quantile(n, det.alpha))
+    # Every exported column but S must be finite.  |P|_2 <= |P|_F, so only
+    # a row with |P|_F > 1e150 is decomposed to check conf_radius.
+    exported = (Ps, xs, x_hats, us, cols.trace_P, cols.err_norm)
+    big = np.flatnonzero(np.einsum("kij,kij->k", Ps, Ps) > 1e300)
+    if big.size or not all(np.isfinite(col).all() for col in exported):
+        finite = np.ones(steps, dtype=bool)
+        for col in exported:
+            finite &= np.isfinite(col.reshape(steps, -1)).all(axis=1)
+        big = big[finite[big]]
+        finite[big] = np.isfinite(np.sqrt(cols.q * _spectral_norms(Ps[big])))
+        if not finite.all():
+            raise NumericalError(f"run with seed {config.seed}: a value of "
+                                 f"step {_first_step(~finite)} is not finite")
     return cols
 
 
@@ -378,7 +411,7 @@ def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,
                              detector_enabled=detector_enabled, shared=shared)
         cols = trace.columns
         err_sum += cols.x - cols.x_hat
-        covered = cols.err_norm <= cols.conf_radius
+        covered = _covered(cols)
         covered_sum += covered
         summaries.append(RunSummary(
             index=i, seed=seed, first_alarm_step=trace.first_alarm_step,

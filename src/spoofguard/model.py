@@ -94,22 +94,29 @@ class AttackSignal:
 
     def signal_at(self, k: int, m_G: int) -> np.ndarray:
         """Evaluate d_k for step k; zero before start_step."""
-        zero = np.zeros(m_G)
-        if self.kind == "none" or k < self.start_step:
-            return zero
+        return self.signal_range(k, k + 1, m_G)[0]
+
+    def signal_range(self, first: int, stop: int, m_G: int) -> np.ndarray:
+        """d_k for the steps first <= k < stop, one row each."""
+        d, start = np.zeros((max(stop - first, 0), m_G)), self.start_step
+        lo = max(first, start)
+        if self.kind == "none" or lo >= stop:
+            return d
         if self.kind == "constant-bias":
-            return self._magnitude(m_G)
-        if self.kind == "ramp":
-            return (k - self.start_step) * self._magnitude(m_G)
-        # custom-sequence
-        if self.sequence is None:
+            d[lo - first:] = self._magnitude(m_G)
+        elif self.kind == "ramp":
+            d[lo - first:] = np.arange(lo - start, stop - start)[:, None] \
+                * self._magnitude(m_G)
+        elif self.sequence is None:
             raise ValueError("custom-sequence attack requires a sequence")
-        idx = k - self.start_step
-        if idx >= len(self.sequence):
+        elif stop - start > len(self.sequence):
+            k = max(lo, start + len(self.sequence))
             raise ValueError(
-                f"attack sequence too short: step {k} needs index {idx}, "
-                f"sequence has {len(self.sequence)} entries")
-        return np.asarray(self.sequence[idx], dtype=float)
+                f"attack sequence too short: step {k} needs index "
+                f"{k - start}, sequence has {len(self.sequence)} entries")
+        else:
+            d[lo - first:] = self.sequence[lo - start:stop - start]
+        return d
 
     def _magnitude(self, m_G: int) -> np.ndarray:
         if self.d is None:

@@ -277,6 +277,30 @@ class TestOverflowingRun:
                                 "of step 2 is not finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["run", "--format", "csv"],
+                                      ["run", "--format", "json"],
+                                      ["mc", "--runs", "2"]])
+    def test_overflowing_confidence_radius_exits_two_without_output(
+            self, config_path, tmp_path, capsys, argv):
+        # Noise covariances near 1e306 keep P finite, but sqrt(q |P|_2)
+        # overflows at step 90 of seed 0 and of mc's first run.
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["model"].update(Sigma_w=(2e305 * np.eye(4)).tolist(),
+                            Sigma_G=(2e306 * np.eye(2)).tolist(),
+                            Sigma_I=(2e306 * np.eye(2)).tolist())
+        cfg, out = tmp_path / "loud.json", tmp_path / "out"
+        cfg.write_text(json.dumps(raw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        seed = 0 if argv[0] == "run" else spoofguard.derive_run_seed(0, 0)
+        assert captured.out == ""
+        assert captured.err == (f"numerical failure: run with seed {seed}: "
+                                f"a value of step 90 is not finite\n")
+        assert not out.exists()
+
 
 class TestHorizonTooLarge:
     @pytest.mark.parametrize("command", ["run", "mc"])

@@ -1,14 +1,17 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spoofguard import (EstimatorState, GainPair, Mode, NumericalError,
-                        StackedSensorForms, SystemModel, builtin_config_path,
+from spoofguard import (AttackSignal, EstimatorState, GainPair, Mode,
+                        NumericalError, ScenarioShared, StackedSensorForms,
+                        SystemModel, builtin_config_path,
                         covariance_update, cusum_update, drift_matrices,
                         emergency_gain, fuse, optimal_gain, parse_config,
-                        predict, run_scenario, stationary_covariance)
+                        harness, predict, run_scenario,
+                        stationary_covariance)
 
 from spoofguard.detector import normalized_residual
 from spoofguard.estimator import (_covariance_update_stacked,
@@ -234,6 +237,75 @@ class TestStackedInverse:
                  np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(NumericalError, match="^innovation covariance"):
             optimal_gain(P, quiet, stacked)
+
+
+class TestDeadReckoningDetector:
+    """After a dead-reckoning step on a drift-free model the detector
+    inverts P_d alone: no normal step, no (2, m, m) inverse, no dict entry;
+    a drift model still builds the step, whose inverse dead reckoning
+    reads."""
+
+    def test_equals_the_steps_block_bit_for_bit(self):
+        config = parse_config(builtin_config_path())
+        m_G = config.model.m_G
+        for seed in range(5):
+            shared = ScenarioShared(config.model)
+            cols = run_scenario(replace(config, seed=seed),
+                                shared=shared).columns
+            priors = cols.P[cols.alarmed]
+            assert len(priors) >= 300
+            stacked = shared.stacked
+            for P in priors:
+                got = _detector_weight(P, stacked, reckoning=True)
+                want = _innovation_system(P, stacked).inverse[1, :m_G, :m_G]
+                assert got.tobytes() == want.tobytes()
+
+    def test_one_small_inverse_and_no_step(self, model, stacked, monkeypatch):
+        P = _dead_reckoning(_dead_reckoning(
+            stacked.Sigma_bar, model, stacked)[1], model, stacked)[1]
+        steps = dict(stacked._steps)
+        shapes, inv = [], np.linalg.inv
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return inv(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        _detector_weight(P, stacked, reckoning=True)
+        assert shapes == [(model.m_G, model.m_G)]
+        assert stacked._steps == steps
+
+    def test_a_spoofed_run_builds_no_step_after_its_alarm(self, monkeypatch):
+        # A NaN spoof from step 150 of seed 1 (no earlier alarm): every step
+        # through 150 builds a step, each later one inverts P_d only.
+        config = parse_config(builtin_config_path())
+        config = replace(config, seed=1, steps=200, attack=AttackSignal(
+            kind="custom-sequence", start_step=150,
+            sequence=[np.full(2, np.nan)] * 51))
+        shapes, inv, simulate = [], np.linalg.inv, harness._simulate
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return inv(a, *args, **kwargs)
+
+        def simulated(*args, **kwargs):
+            with monkeypatch.context() as patched:
+                patched.setattr(np.linalg, "inv", counted)
+                return simulate(*args, **kwargs)
+        monkeypatch.setattr(harness, "_simulate", simulated)
+        shared = ScenarioShared(config.model)
+        cols = run_scenario(config, shared=shared).columns
+        assert np.flatnonzero(cols.alarmed).tolist() == list(range(149, 200))
+        assert len(shared.stacked._steps) == 150    # the priors P_0..P_149
+        m, m_G = len(shared.stacked.C), config.model.m_G
+        assert shapes == [(2, m, m)] * 150 + [(m_G, m_G)] * 50
+
+    def test_drift_models_build_the_step(self, priors_per_model):
+        for model, priors in priors_per_model[1:]:
+            stacked, m_G = StackedSensorForms(model), model.m_G
+            for P in priors[:5]:
+                got = _detector_weight(P, stacked, reckoning=True)
+                step = stacked._steps[P.tobytes()]
+                assert got.base is step.inverse
 
 
 class TestOneProductBlocks:

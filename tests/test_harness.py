@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
                         EstimatorState, Mode, NumericalError, PlantState,
@@ -304,6 +305,102 @@ class TestMonteCarlo:
             monte_carlo(replace(uav_config, runs=0))
 
 
+def _columns(P, err_norm, q):
+    """A run's columns around covariances P and error norms, for _covered."""
+    zeros = np.zeros((len(P), P.shape[-1]))
+    return harness._RunColumns(
+        x=zeros, x_hat=zeros, u=zeros, S=zeros[:, 0], alarmed=zeros[:, 0] > 0,
+        trace_P=zeros[:, 0], err_norm=err_norm, P=P, q=q)
+
+
+@st.composite
+def _bracket_cases(draw):
+    """A symmetric P (PSD, indefinite, diagonal or rank one) at a scale
+    from 1e-300 to 1e150, a quantile q, and error norms at, just inside and
+    just outside the radius sqrt(q max(lambda_max, -lambda_min))."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["psd", "indefinite", "diagonal", "rank_one"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.normal(size=(n, n))
+    P = {"psd": lambda: G @ G.T, "indefinite": lambda: G + G.T,
+         "diagonal": lambda: np.diag(G[0]),
+         "rank_one": lambda: np.outer(G[0], G[0]) * rng.choice([-1.0, 1.0])
+         }[kind]() * 10.0 ** draw(st.integers(-300, 150))
+    q = draw(st.floats(0.5, 50.0))
+    eigvals = np.linalg.eigvalsh(P)
+    radius = np.sqrt(q * max(eigvals[-1], -eigvals[0]))
+    err = np.array([radius, np.nextafter(radius, 0),
+                    np.nextafter(radius, np.inf),
+                    radius * (1 - 1e-9), radius * (1 + 1e-9),
+                    radius * (1 - 1e-12), radius * (1 + 1e-12),
+                    0.5 * radius, 2.0 * radius, 0.0])
+    return P, q, err, radius
+
+
+class TestCoverage:
+    """monte_carlo's coverage err_norm <= conf_radius, decided from the
+    bracket max |P_ii| <= |P|_2 <= |P|_F where it can be."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_bracket_cases())
+    def test_bracket_and_fallback_equal_the_decomposition(self, case):
+        P, q, err, radius = case
+        Ps = np.repeat(P[None], len(err), axis=0)
+        covered = harness._covered(_columns(Ps, err, q))
+        assert covered.tolist() == (err <= radius).tolist()
+
+    @pytest.mark.parametrize("attack", [None, AttackSignal.none()])
+    def test_runs_decompose_few_steps_and_agree(self, uav_config, uav_shared,
+                                                 monkeypatch, attack):
+        rows, spectral_norms = [], harness._spectral_norms
+
+        def counted(Ps):
+            rows.append(len(Ps))
+            return spectral_norms(Ps)
+        monkeypatch.setattr(harness, "_spectral_norms", counted)
+        config = uav_config if attack is None else replace(uav_config,
+                                                           attack=attack)
+        for seed in range(5):
+            cols = run_scenario(replace(config, seed=seed),
+                                shared=uav_shared).columns
+            assert not rows     # the guard: no |P|_F past 1e150
+            covered = harness._covered(cols)
+            assert covered.tolist() == (
+                cols.err_norm <= cols.conf_radius).tolist()
+            assert rows[0] < 0.05 * config.steps
+            assert rows[1:] == [config.steps]   # conf_radius, on first read
+            del rows[:]
+
+
+class TestOverflowingCovariance:
+    """Noise covariances near 1e306 keep P finite up to about 1.3e307 at step
+    90 (seed 0), where the confidence radius sqrt(q |P|_2) overflows."""
+
+    @pytest.fixture()
+    def config(self, uav_config):
+        m = uav_config.model
+        return replace(uav_config, model=SystemModel(
+            A=m.A, B=m.B, C_G=m.C_G, C_I=m.C_I, Sigma_w=2e305 * np.eye(4),
+            Sigma_G=2e306 * np.eye(2), Sigma_I=2e306 * np.eye(2)), runs=3)
+
+    def test_run_scenario_raises_at_the_step(self, config):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = run_scenario(replace(config, steps=89)).columns
+            with pytest.raises(NumericalError, match=(
+                    "^run with seed 0: a value of step 90 is not finite$")):
+                run_scenario(config)
+        assert np.isfinite(cols.conf_radius).all()
+        assert 1e307 < np.abs(cols.P[-1]).max() < np.inf
+
+    def test_monte_carlo_raises_at_the_step(self, config):
+        seed = derive_run_seed(config.seed, 0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=(
+                    f"^run with seed {seed}: a value of step 90 is not "
+                    f"finite$")):
+            monte_carlo(config)
+
+
 def _batch_traces(config, monkeypatch, **kwargs):
     """Run a monte_carlo batch on a fresh ScenarioShared; return it and the
     trace of each of its runs."""
@@ -364,11 +461,17 @@ class TestCovarianceTrunk:
         assert len(stacked.trunk) == longest
         assert np.array_equal(
             stacked.trunk, traces[stretches.index(longest)].columns.P[:longest])
-        # A NaN spoof keeps a run in emergency mode from its onset on, so the
-        # detector's last step, off the trunk, is never fused.
-        run_scenario(replace(config, seed=1, runs=1, attack=AttackSignal(
-            kind="custom-sequence", start_step=150,
-            sequence=[np.full(2, np.nan)] * 51)), shared=shared)
+        # A NaN spoof keeps a run in emergency mode from its onset on.  Seed
+        # 3 alarms at step 73 only, so at the onset it fuses normally off the
+        # trunk: the detector builds the step of its last normal prior,
+        # which is never fused (after dead reckoning it builds none).
+        spoofed = run_scenario(replace(
+            config, seed=3, runs=1, attack=AttackSignal(
+                kind="custom-sequence", start_step=150,
+                sequence=[np.full(2, np.nan)] * 51)), shared=shared)
+        alarmed = spoofed.columns.alarmed
+        assert np.flatnonzero(alarmed[:149]).tolist() == [72]
+        assert alarmed[149:].all()
         assert len(stacked.trunk) == longest
         # Every slot is set when a step is built, fuse's F and P_next too
         # (None until a run fuses normally from the step's prior).

@@ -130,6 +130,39 @@ class TestAttackSignal:
         with pytest.raises(ValueError, match="too short"):
             attack.signal_at(1, 1)
 
+    @pytest.mark.parametrize("kind", ["none", "constant-bias", "ramp",
+                                      "custom-sequence"])
+    def test_range_equals_the_per_step_rule_bit_for_bit(self, kind):
+        rng = np.random.default_rng(5)
+        sequence = rng.normal(size=(20, 2))
+        sequence[3] = [np.nan, -0.0]
+        attack = AttackSignal(kind=kind, d=[-1.5, 0.3], start_step=5,
+                              sequence=list(sequence))
+
+        def per_step(k):        # the class docstring's rule for step k
+            if kind == "none" or k < 5:
+                return np.zeros(2)
+            if kind == "constant-bias":
+                return attack.d
+            if kind == "ramp":
+                return (k - 5) * attack.d
+            return attack.sequence[k - 5]
+        for first, stop in ((0, 25), (1, 5), (5, 6), (7, 25), (24, 25),
+                            (9, 9)):
+            rows = attack.signal_range(first, stop, 2)
+            assert rows.shape == (stop - first, 2)
+            for k, row in zip(range(first, stop), rows):
+                assert row.tobytes() == per_step(k).tobytes()
+                assert attack.signal_at(k, 2).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("first, step", [(0, 25), (24, 25), (27, 27)])
+    def test_range_names_the_first_step_past_the_sequence(self, first, step):
+        attack = AttackSignal(kind="custom-sequence", start_step=5,
+                              sequence=[[1.0]] * 20)
+        with pytest.raises(ValueError, match=(
+                f"step {step} needs index {step - 5}, sequence has 20")):
+            attack.signal_range(first, 30, 1)
+
     def test_magnitude_dimension_checked(self, uav_model):
         attack = AttackSignal(kind="constant-bias", d=[1.0, 2.0, 3.0])
         state = PlantState.initial(np.zeros(4))
