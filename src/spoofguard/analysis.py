@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .chi2 import chi2_quantile
-from .estimator import StackedSensorForms, optimal_gain, \
+from .estimator import EstimatorState, StackedSensorForms, optimal_gain, \
     _covariance_update_stacked, _dead_reckoning, _solve_gain
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel
@@ -244,7 +244,8 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
     k = 0
     value = quad(P)
     while value > quantile:
-        P_prev, P = P, _dead_reckoning(P, model, stacked)[1]
+        P_prev, P = P, _dead_reckoning(EstimatorState(None, P), model,
+                                       stacked)[1]
         k += 1
         if k > max_horizon:
             raise ConvergenceError(

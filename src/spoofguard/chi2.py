@@ -74,8 +74,11 @@ def chi2_cdf(x: float, df: int) -> float:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper tail P(X > x) for the chi-square distribution."""
-    return 1.0 - chi2_cdf(x, df)
+    """Upper tail P(X > x): Q(a, x) itself where the continued fraction
+    converges (x / 2 >= a + 1), so a small tail keeps its precision."""
+    _check_df(df)
+    return _gamma_cont_frac(df / 2.0, x / 2.0) if x >= df + 2.0 \
+        else 1.0 - chi2_cdf(x, df)
 
 
 @lru_cache(maxsize=128)

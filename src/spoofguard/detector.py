@@ -17,10 +17,10 @@ which alarms when S_k strictly exceeds chi2_quantile(df, alpha) / (1 - delta)
 (a tie stays quiet).
 The statistic is updated from the GPS residual in both operating modes, so
 detection keeps running while the estimator dead-reckons.
-P_d^{-1} depends only on P_{k-1}: the runner reads it from the estimator's
-normal-mode step for P_{k-1}, or inverts P_d alone after dead reckoning on a
-drift-free model, and cusum_update solves it from P_d; all take the one
-quadratic form, normalized_residual, which makes no linear solve.
+P_d^{-1} depends only on P_{k-1}: the runner reads it from the step its
+estimator state holds for P_{k-1} (inverting P_d alone after dead reckoning
+on a drift-free model) and cusum_update solves it from P_d; both take the
+quadratic form normalized_residual, which makes no linear solve.
 """
 
 import math

@@ -16,7 +16,7 @@ and the trace-minimizing gain is
     K = (A P M^T + Sigma_w C^T) (M P M^T + C Sigma_w C^T + Sigma_y)^{-1}.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -45,7 +45,10 @@ class GainPair:
 class EstimatorState:
     x_hat: np.ndarray
     P: np.ndarray
-    mode: Mode = Mode.NORMAL
+    mode: Mode = Mode.NORMAL    # the mode that produced P
+    # P's normal-mode step; never passed in, so replace never copies it.
+    step: "_NormalStep" = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @classmethod
     def initial(cls, x0, P0=None, mode: Mode = Mode.NORMAL) -> "EstimatorState":
@@ -60,13 +63,14 @@ class StackedSensorForms:
     """Stacked sensor matrices, products reused in the per-step loop, and the
     model invariants of dead reckoning.
 
-    _innovation_system builds a new prior's whole step once, the innovation
-    system and the one inverse behind P_d^{-1} and the gains, and
-    _covariance_update_stacked is the one Joseph update.  The invariants are
-    defined here once: A^{-1} (ValueError for a singular A),
-    C_bar_I = C_I (I - A^{-1}), the drift-free flag C_bar_I = 0, the emergency
-    gain K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1}, the IMU block
-    of the P = 0 system, and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T
+    origin is the step from P = 0, whose chain of next steps is the trunk.
+    _innovation_system builds a state's step, its innovation system and the
+    one inverse behind P_d^{-1} and the gains; _covariance_update_stacked is
+    the one Joseph update.  The invariants are defined here once: A^{-1}
+    (ValueError for a singular A), C_bar_I = C_I (I - A^{-1}), the
+    drift-free flag C_bar_I = 0, the emergency gain
+    K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1}, the IMU block of
+    the P = 0 system, and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T
     + K_I Sigma_I K_I^T, the Joseph update of P = 0 with K_E = [0, K_I].
     """
 
@@ -88,17 +92,14 @@ class StackedSensorForms:
         self._m_G = m_G
         self._I_n, self._I_G = np.eye(n), np.eye(m_G)
         self._M = self.C @ model.A - self.D @ self.C
-        # _innovation_system's operands (contiguous M^T: a faster dot), its
-        # P = 0 value and its steps by prior P's bytes: the trunk (the no-alarm
-        # history from P = 0, its covariances in self.trunk) and the latest
-        # step off it.
+        # _innovation_system's operands (contiguous M^T: a faster dot).
         self._M_T = np.ascontiguousarray(self._M.T)
         self._M_A = np.vstack([self._M, model.A])
         Sw_Ct = model.Sigma_w @ self.C.T
         self._innovation_noise = np.vstack([self.C @ Sw_Ct + self.Sigma_y,
                                             Sw_Ct])
-        self._steps, self.trunk, self._off_trunk = {}, [], None
-        self._tip = np.zeros((n, n)).tobytes()
+        self.origin = _NormalStep(np.zeros((n, n)))
+        self.origin.P.setflags(write=False)
         # Selects [R, blockdiag(P_d, R_II)] from R for the step's inverse.
         same_block = np.equal.outer(np.arange(m) < m_G, np.arange(m) < m_G)
         self._inverse_mask = np.stack([same_block | True, same_block])
@@ -141,8 +142,8 @@ def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
                  stacked: StackedSensorForms) -> GainPair:
     """Trace-minimizing stacked gain for the given prior covariance."""
-    K, m_G = _gain(_innovation_system(P_prev, stacked)), stacked._m_G
-    return GainPair(K_G=K[:, :m_G], K_I=K[:, m_G:])
+    K = _gain(_innovation_system(EstimatorState(None, P_prev), stacked))
+    return GainPair(K_G=K[:, :stacked._m_G], K_I=K[:, stacked._m_G:])
 
 
 def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -156,40 +157,41 @@ def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
 
 
 class _NormalStep:
-    __slots__ = ("R", "G", "inverse", "F", "P_next")
+    """The normal-mode step from a prior P; its arrays are read-only.  fuse
+    adds P_next, the predictor F = [T, B_K, K] (the gain's blocks but I - K C)
+    and next, P_next's step or, where P_next's bytes equal P's, itself."""
+
+    __slots__ = ("P", "R", "G", "inverse", "F", "P_next", "next")
+
+    def __init__(self, P: np.ndarray):
+        self.P, self.R, self.G, self.inverse = P, None, None, None
+        self.F = self.P_next = self.next = None
 
 
-def _innovation_system(P_prev: np.ndarray,
+def _innovation_system(est: EstimatorState,
                        stacked: StackedSensorForms) -> _NormalStep:
-    """The normal-mode step for a prior P, one lookup by P's bytes.
-
-    A miss builds the whole step but fuse's part:
-    R = M P M^T + C Sigma_w C^T + Sigma_y and G = A P M^T + Sigma_w C^T from
-    one product [M; A] (P M^T), and [R^{-1}, blockdiag(P_d, R_II)^{-1}] from
-    one inv call, None if one is singular (each user then solves its own
-    block, which names the error).  R's GPS-GPS block is the detector's P_d
-    (the GPS rows of M are C_G A).  fuse adds the next covariance P_next and
-    the predictor F = [T, B_K, K] (the gain's blocks but I - K C).  The
-    arrays are read-only.  A step off the trunk replaces the last one.
+    """The state's step, made from its P if it has none, with its innovation
+    system built once: R = M P M^T + C Sigma_w C^T + Sigma_y and
+    G = A P M^T + Sigma_w C^T from one product [M; A] (P M^T), and
+    [R^{-1}, blockdiag(P_d, R_II)^{-1}] from one inv call, None if one is
+    singular (each user then solves its own block, which names the error).
+    R's GPS-GPS block is the detector's P_d (the GPS rows of M are C_G A).
     """
-    key = P_prev.tobytes()
-    step = stacked._steps.get(key)
-    if step is None:
-        system = stacked._M_A.dot(P_prev.dot(stacked._M_T)) \
+    if est.step is None:
+        est.step = _NormalStep(est.P)
+    step = est.step
+    if step.R is None:
+        system = stacked._M_A.dot(step.P.dot(stacked._M_T)) \
             + stacked._innovation_noise
         system.setflags(write=False)
         m = len(stacked.C)
-        step = stacked._steps[key] = _NormalStep()
-        step.R, step.G, step.F, step.P_next = system[:m], system[m:], None, None
+        step.R, step.G = system[:m], system[m:]
         try:
             step.inverse = np.linalg.inv(
                 np.where(stacked._inverse_mask, step.R, 0.0))
             step.inverse.setflags(write=False)
         except np.linalg.LinAlgError:
-            step.inverse = None
-        if key != stacked._tip:
-            stacked._steps.pop(stacked._off_trunk, None)
-            stacked._off_trunk = key
+            pass
     return step
 
 
@@ -199,19 +201,19 @@ def _gain(step: _NormalStep) -> np.ndarray:
         else _solve_gain(step.R, step.G, "innovation covariance")
 
 
-def _detector_weight(P_prev: np.ndarray, stacked: StackedSensorForms,
-                     reckoning: bool = False) -> np.ndarray:
-    """The detector's P_d^{-1} for a prior P: a view of the step's inverse,
-    or after dead reckoning on a drift-free model (no step) P_d's own."""
+def _detector_weight(est: EstimatorState,
+                     stacked: StackedSensorForms) -> np.ndarray:
+    """The detector's P_d^{-1} for the state's P: a view of its step's
+    inverse, but P_d's own after dead reckoning on a drift-free model."""
     m_G = stacked._m_G
-    if reckoning and stacked.drift_free:
-        P_d = stacked._M[:m_G].dot(P_prev.dot(stacked._M_T))[:, :m_G] \
+    if est.mode is Mode.EMERGENCY and stacked.drift_free:
+        P_d = stacked._M[:m_G].dot(est.P.dot(stacked._M_T))[:, :m_G] \
             + stacked._innovation_noise[:m_G, :m_G]
         try:
             return np.linalg.inv(P_d)
         except np.linalg.LinAlgError:
             return _solve_gain(P_d, stacked._I_G, "residual covariance")
-    step = _innovation_system(P_prev, stacked)
+    step = _innovation_system(est, stacked)
     return step.inverse[1, :m_G, :m_G] if step.inverse is not None \
         else _solve_gain(step.R[:m_G, :m_G], stacked._I_G,
                          "residual covariance")
@@ -241,24 +243,24 @@ def _covariance_update_stacked(P_prev: np.ndarray, K: np.ndarray,
     return blocks, 0.5 * (P + P.T)
 
 
-def _dead_reckoning(P_prev: np.ndarray, model: SystemModel,
+def _dead_reckoning(est: EstimatorState, model: SystemModel,
                     stacked: StackedSensorForms):
     """Predictor F_E = [T_E, B - K_I C_I B, K_I] of x' = F_E [x_hat; u; y_I]
-    and the re-symmetrized covariance of one step with zero GPS gain: the
-    constant emergency gain's on a drift-free model, else the IMU-only gain
-    solved from the IMU rows and columns of P's innovation system.
+    and the re-symmetrized covariance of one step from the state's P with zero
+    GPS gain: the constant emergency gain's on a drift-free model, else the
+    IMU-only gain solved from the IMU blocks of the state's step.
     """
     if stacked.drift_free:
         T = stacked._T_emergency
-        P = T.dot(P_prev).dot(T.T) + stacked.Sigma_bar
+        P = T.dot(est.P).dot(T.T) + stacked.Sigma_bar
         return stacked._F_emergency, 0.5 * (P + P.T)
-    step, m_G = _innovation_system(P_prev, stacked), stacked._m_G
+    step, m_G = _innovation_system(est, stacked), stacked._m_G
     K_I = step.G[:, m_G:].dot(step.inverse[1, m_G:, m_G:]) \
         if step.inverse is not None \
         else _solve_gain(step.R[m_G:, m_G:], step.G[:, m_G:],
                          "IMU-only innovation covariance")
     K = np.hstack([np.zeros((model.n, m_G)), K_I])
-    blocks, P = _covariance_update_stacked(P_prev, K, stacked)
+    blocks, P = _covariance_update_stacked(est.P, K, stacked)
     return blocks[:, stacked._emergency_cols], P
 
 
@@ -267,23 +269,24 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
     """Run one measurement update in the state's current mode, one product.
 
     Normal mode: x' = F [x_hat; u; y_G; y_I], the prediction A x_hat + B u
-    corrected by both innovations.  Emergency mode: x' = F_E [x_hat; u; y_I],
-    corrected by the IMU innovation only; y_G is never evaluated, so the
-    estimate is bit-for-bit independent of it.
+    corrected by both innovations, in a state that holds P_next's step.
+    Emergency mode: x' = F_E [x_hat; u; y_I], the IMU innovation only; y_G is
+    never evaluated, so the estimate is bit-for-bit independent of it.
     """
     if est.mode is Mode.EMERGENCY:
-        F_E, P_new = _dead_reckoning(est.P, model, stacked)
+        F_E, P_new = _dead_reckoning(est, model, stacked)
         x_new = F_E.dot(np.concatenate((est.x_hat, u, y_I)))
         return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode)
-    step = _innovation_system(est.P, stacked)
+    step = _innovation_system(est, stacked)
     if step.F is None:
         K = _gain(step)
-        blocks, step.P_next = _covariance_update_stacked(est.P, K, stacked)
+        blocks, P_next = _covariance_update_stacked(step.P, K, stacked)
         blocks.setflags(write=False)
-        step.P_next.setflags(write=False)
-        step.F = blocks[:, :-len(blocks)]
-        if stacked._steps.get(stacked._tip) is step:    # extend the trunk
-            stacked.trunk.append(step.P_next)
-            stacked._tip = step.P_next.tobytes()
+        P_next.setflags(write=False)
+        step.F, step.P_next = blocks[:, :-len(blocks)], P_next
+        step.next = step if P_next.tobytes() == step.P.tobytes() \
+            else _NormalStep(P_next)
     x_new = step.F.dot(np.concatenate((est.x_hat, u, y_G, y_I)))
-    return EstimatorState(x_hat=x_new, P=step.P_next, mode=est.mode)
+    new = EstimatorState(x_hat=x_new, P=step.P_next, mode=est.mode)
+    new.step = step.next
+    return new

@@ -304,11 +304,11 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
     x = np.asarray(config.x0, dtype=float).copy()
     est = EstimatorState.initial(config.x0)
+    est.step = stacked.origin    # runs that have not alarmed share its chain
     S, alarmed = 0.0, False
 
     for i in range(steps):
-        x_hat, P = est.x_hat, est.P
-        u = u_ref - L.dot(x_hat)
+        u = u_ref - L.dot(est.x_hat)
         z = plant.dot(np.concatenate((x, u, sample_w(rng_w), sample_G(rng_G),
                                       sample_I(rng_I))))
         x, y_G, y_I = z[:n], z[n:n_G], z[n_G:]
@@ -317,12 +317,12 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
-        # P_d^{-1} is kept on the normal-mode step that fuse then reads, but
-        # after dead reckoning on a drift-free model (see _detector_weight).
+        # P_d^{-1} comes from the state's step; it reads the state's mode,
+        # the one that produced P, before this step's mode replaces it.
         if detector_enabled:
-            d_hat = y_G - gps_prediction.dot(np.concatenate((x_hat, u)))
-            S = delta * S + normalized_residual(d_hat, _detector_weight(
-                P, stacked, est.mode is Mode.EMERGENCY))
+            d_hat = y_G - gps_prediction.dot(np.concatenate((est.x_hat, u)))
+            S = delta * S + normalized_residual(d_hat,
+                                                _detector_weight(est, stacked))
             alarmed = S > threshold
         est.mode = _MODES[alarmed]
         est = fuse(est, model, stacked, u, y_G, y_I)

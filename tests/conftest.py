@@ -50,6 +50,17 @@ def random_invertible_model(rng: np.random.Generator) -> SystemModel:
                        Sigma_w=Sigma_w, Sigma_G=np.eye(n), Sigma_I=Sigma_I)
 
 
+def chain_steps(stacked) -> list:
+    """The steps of the chain from stacked.origin, P = 0, in order, up to the
+    last one built: the trunk's steps, the last of which may be unfused.  A
+    step whose next is itself, the exact fixed point, ends the chain."""
+    steps, step = [], stacked.origin
+    while step is not None and step.R is not None:
+        steps.append(step)
+        step = None if step.next is step else step.next
+    return steps
+
+
 def decoupling_residual(model: SystemModel, L: np.ndarray,
                         C_bar: np.ndarray) -> float:
     """Residual of the noise-decoupling identity that L must satisfy:

@@ -54,6 +54,13 @@ class TestCdf:
         assert chi2_sf(0.0, 3) == 1.0
         assert chi2_sf(1e4, 3) < 1e-200
 
+    @pytest.mark.parametrize("x, df", [(60.0, 2), (80.0, 4), (100.0, 2),
+                                       (200.0, 10)])
+    def test_small_upper_tail_keeps_relative_precision(self, x, df):
+        # 1 - cdf loses these: 1.7e-4 and 27 % relative, then 0.0 for the
+        # true 1.9e-22 and 1.6e-37.
+        assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), rel=1e-10)
+
     def test_quantile_inverts_cdf(self):
         q = chi2_quantile(7, 0.03)
         assert chi2_sf(q, 7) == pytest.approx(0.03, abs=1e-10)

@@ -18,7 +18,7 @@ from spoofguard.estimator import (_covariance_update_stacked,
                                   _dead_reckoning, _detector_weight,
                                   _innovation_system)
 
-from conftest import make_uav_model, random_invertible_model
+from conftest import chain_steps, make_uav_model, random_invertible_model
 
 
 @pytest.fixture(scope="module")
@@ -66,23 +66,37 @@ class TestInnovationSystem:
             R = rng.normal(size=(model.n, model.n))
             P = R @ R.T
             P_Mt = P.dot(M.T)
-            step = _innovation_system(P, stacked)
+            step = _innovation_system(EstimatorState(None, P), stacked)
             innov_cov, gain_rhs = step.R, step.G
             assert np.array_equal(innov_cov, M.dot(P_Mt) + C_Sw_Ct_Sy)
             assert np.array_equal(gain_rhs, model.A.dot(P_Mt) + Sw_Ct)
 
-    def test_in_place_change_of_P_recomputes(self, model):
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_state_never_reads_another_covariances_step(self, model, mode):
+        # The step lives on the state that holds its P: neither
+        # dataclasses.replace nor a hand-built state carries one over.
         stacked = StackedSensorForms(model)
-        P = np.eye(4)
-        step = _innovation_system(P, stacked)
-        first = [step.R.copy(), step.G.copy()]
-        P *= 3.0
-        second = _innovation_system(P, stacked)
-        fresh = _innovation_system(3.0 * np.eye(4), StackedSensorForms(model))
-        for got, want, old in zip((second.R, second.G), (fresh.R, fresh.G),
-                                  first):
-            assert np.array_equal(got, want)
-            assert not np.array_equal(got, old)
+        rng = np.random.default_rng(7)
+        x_hat, u, y_G, y_I = (rng.normal(size=2 * k) for k in (2, 1, 1, 1))
+        first = fuse(EstimatorState(x_hat, 1e-3 * np.eye(4)), model, stacked,
+                     u, y_G, y_I)
+        assert first.step is not None and first.step.P is first.P
+        _detector_weight(first, stacked)
+        assert first.step.R is not None
+        other = 5.0 * first.P
+
+        def outputs(est):
+            out = fuse(est, model, stacked, u, y_G, y_I)
+            return (_detector_weight(est, stacked), out.x_hat, out.P,
+                    optimal_gain(est.P, model, stacked).stacked())
+
+        want = outputs(EstimatorState(first.x_hat, other, mode))
+        for est in (replace(first, P=other, mode=mode),
+                    EstimatorState(first.x_hat, other, mode)):
+            assert est.step is None
+            for got, w in zip(outputs(est), want):
+                assert got.tobytes() == w.tobytes()
+            assert est.step is None or est.step.P is other
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +127,10 @@ class TestNormalStepCoefficients:
             stacked, m_G = StackedSensorForms(model), model.m_G
             for P in priors:
                 d_hat = rng.normal(size=m_G)
-                P_d = _innovation_system(P, stacked).R[:m_G, :m_G]
-                q = normalized_residual(d_hat, _detector_weight(P, stacked))
+                P_d = _innovation_system(EstimatorState(None, P),
+                                         stacked).R[:m_G, :m_G]
+                q = normalized_residual(d_hat, _detector_weight(
+                    EstimatorState(np.zeros(model.n), P), stacked))
                 expected = d_hat @ np.linalg.solve(P_d, d_hat)
                 assert abs(q - expected) <= 1e-12 * expected
 
@@ -134,7 +150,8 @@ class TestNormalStepCoefficients:
                             Sigma_w=np.zeros((4, 4)), Sigma_G=np.zeros((2, 2)),
                             Sigma_I=model.Sigma_I)
         with pytest.raises(NumericalError, match="residual covariance"):
-            _detector_weight(np.zeros((4, 4)), StackedSensorForms(quiet))
+            _detector_weight(EstimatorState(np.zeros(4), np.zeros((4, 4))),
+                             StackedSensorForms(quiet))
         with pytest.raises(NumericalError, match="residual covariance"):
             cusum_update(0.0, np.ones(2), np.zeros((2, 2)), 0.15)
 
@@ -168,9 +185,9 @@ class TestStackedInverse:
             stacked, m_G = StackedSensorForms(model), model.m_G
             drift_free.add(stacked.drift_free)
             for P in priors:
-                step = _innovation_system(P, stacked)
-                R, inverse = step.R, step.inverse
-                P_d_inv = _detector_weight(P, stacked)
+                est = EstimatorState(np.zeros(model.n), P)
+                P_d_inv = _detector_weight(est, stacked)
+                R, inverse = est.step.R, est.step.inverse
                 assert not inverse[1, :m_G, m_G:].any()
                 assert not inverse[1, m_G:, :m_G].any()
                 assert np.array_equal(P_d_inv, inverse[1, :m_G, :m_G])
@@ -183,9 +200,10 @@ class TestStackedInverse:
 
     def test_one_inv_call_per_prior_on_drift_models(self, priors_per_model,
                                                     monkeypatch):
-        # The detector, a normal fuse, dead reckoning and optimal_gain all
-        # read the inverse that the prior's first use builds; none drops or
-        # recomputes it.
+        # From one state the detector and then a normal fuse, or dead
+        # reckoning, read the inverse that the state's step builds on its
+        # first use; none drops or recomputes it.  optimal_gain builds a
+        # fresh step.
         calls, inv = [], np.linalg.inv
 
         def counted(*args, **kwargs):
@@ -197,32 +215,37 @@ class TestStackedInverse:
             assert not stacked.drift_free
             n, p, m_G, m_I = model.n, model.p, model.m_G, model.m_I
             for P in priors[:5]:
-                del calls[:]
-                _detector_weight(P, stacked)
-                fuse(EstimatorState(np.zeros(n), P), model, stacked,
-                     np.zeros(p), np.zeros(m_G), np.zeros(m_I))
-                _dead_reckoning(P, model, stacked)
+                for mode in Mode:
+                    del calls[:]
+                    est = EstimatorState(np.zeros(n), P, mode)
+                    _detector_weight(est, stacked)
+                    fuse(est, model, stacked,
+                         np.zeros(p), np.zeros(m_G), np.zeros(m_I))
+                    _dead_reckoning(est, model, stacked)
+                    assert len(calls) == 1
                 optimal_gain(P, model, stacked)
-                assert len(calls) == 1
+                assert len(calls) == 2
 
     def test_failed_inverse_falls_back_to_the_solves(self, priors_per_model,
                                                      monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        def quantities(model, P, stacked):
-            return (_detector_weight(P, stacked),
-                    optimal_gain(P, model, stacked).stacked(),
-                    _dead_reckoning(P, model, stacked)[1])
+        def quantities(model, est, stacked):
+            return (_detector_weight(est, stacked),
+                    optimal_gain(est.P, model, stacked).stacked(),
+                    _dead_reckoning(est, model, stacked)[1])
 
         for model, priors in priors_per_model:
             for P in priors[:5]:
-                want = quantities(model, P, StackedSensorForms(model))
+                want = quantities(model, EstimatorState(np.zeros(model.n), P),
+                                  StackedSensorForms(model))
                 stacked = StackedSensorForms(model)
+                est = EstimatorState(np.zeros(model.n), P)
                 with monkeypatch.context() as patched:
                     patched.setattr(np.linalg, "inv", singular)
-                    got = quantities(model, P, stacked)
-                assert _innovation_system(P, stacked).inverse is None
+                    got = quantities(model, est, stacked)
+                assert est.step.R is not None and est.step.inverse is None
                 for g, w in zip(got, want):
                     assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
@@ -241,8 +264,8 @@ class TestStackedInverse:
 
 class TestDeadReckoningDetector:
     """After a dead-reckoning step on a drift-free model the detector
-    inverts P_d alone: no normal step, no (2, m, m) inverse, no dict entry;
-    a drift model still builds the step, whose inverse dead reckoning
+    inverts P_d alone: no normal step and no (2, m, m) inverse; a drift
+    model still builds the state's step, whose inverse dead reckoning
     reads."""
 
     def test_equals_the_steps_block_bit_for_bit(self):
@@ -256,23 +279,28 @@ class TestDeadReckoningDetector:
             assert len(priors) >= 300
             stacked = shared.stacked
             for P in priors:
-                got = _detector_weight(P, stacked, reckoning=True)
-                want = _innovation_system(P, stacked).inverse[1, :m_G, :m_G]
+                got = _detector_weight(
+                    EstimatorState(np.zeros(config.model.n), P,
+                                   Mode.EMERGENCY), stacked)
+                want = _innovation_system(EstimatorState(None, P),
+                                          stacked).inverse[1, :m_G, :m_G]
                 assert got.tobytes() == want.tobytes()
 
     def test_one_small_inverse_and_no_step(self, model, stacked, monkeypatch):
-        P = _dead_reckoning(_dead_reckoning(
-            stacked.Sigma_bar, model, stacked)[1], model, stacked)[1]
-        steps = dict(stacked._steps)
+        P = stacked.Sigma_bar
+        for _ in range(2):
+            P = _dead_reckoning(EstimatorState(np.zeros(4), P), model,
+                                stacked)[1]
+        est = EstimatorState(np.zeros(4), P, Mode.EMERGENCY)
         shapes, inv = [], np.linalg.inv
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return inv(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "inv", counted)
-        _detector_weight(P, stacked, reckoning=True)
+        _detector_weight(est, stacked)
         assert shapes == [(model.m_G, model.m_G)]
-        assert stacked._steps == steps
+        assert est.step is None
 
     def test_a_spoofed_run_builds_no_step_after_its_alarm(self, monkeypatch):
         # A NaN spoof from step 150 of seed 1 (no earlier alarm): every step
@@ -295,7 +323,9 @@ class TestDeadReckoningDetector:
         shared = ScenarioShared(config.model)
         cols = run_scenario(config, shared=shared).columns
         assert np.flatnonzero(cols.alarmed).tolist() == list(range(149, 200))
-        assert len(shared.stacked._steps) == 150    # the priors P_0..P_149
+        # The priors P_0..P_149 are the trunk's; P_149's step is not fused.
+        trunk = chain_steps(shared.stacked)
+        assert len(trunk) == 150 and trunk[-1].F is None
         m, m_G = len(shared.stacked.C), config.model.m_G
         assert shapes == [(2, m, m)] * 150 + [(m_G, m_G)] * 50
 
@@ -303,9 +333,9 @@ class TestDeadReckoningDetector:
         for model, priors in priors_per_model[1:]:
             stacked, m_G = StackedSensorForms(model), model.m_G
             for P in priors[:5]:
-                got = _detector_weight(P, stacked, reckoning=True)
-                step = stacked._steps[P.tobytes()]
-                assert got.base is step.inverse
+                est = EstimatorState(np.zeros(model.n), P, Mode.EMERGENCY)
+                got = _detector_weight(est, stacked)
+                assert got.base is est.step.inverse
 
 
 class TestOneProductBlocks:
@@ -606,7 +636,8 @@ class TestFuse:
                        np.zeros(2))
             joseph = covariance_update(P, K_emergency, model, stacked)
             scale = np.linalg.norm(joseph)
-            assert np.array_equal(out.P, _dead_reckoning(P, model, stacked)[1])
+            assert np.array_equal(out.P,
+                                  _dead_reckoning(est, model, stacked)[1])
             assert np.linalg.norm(out.P - joseph) <= 1e-15 * scale
 
 

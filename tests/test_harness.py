@@ -16,7 +16,7 @@ from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
 
 from spoofguard.estimator import _innovation_system
 
-from conftest import make_uav_model, random_invertible_model
+from conftest import chain_steps, make_uav_model, random_invertible_model
 
 
 class TestPdControl:
@@ -184,7 +184,8 @@ class TestRunScenario:
         model = uav_config.model
         priors = [np.zeros((model.n, model.n))] + list(trace.columns.P[:-1])
         for P in priors:
-            block = _innovation_system(P, uav_shared.stacked).R[:2, :2]
+            block = _innovation_system(EstimatorState(None, P),
+                                       uav_shared.stacked).R[:2, :2]
             reference = residual_covariance(P, model)
             assert np.linalg.norm(block - reference) <= \
                 1e-14 * np.linalg.norm(reference)
@@ -416,9 +417,16 @@ def _batch_traces(config, monkeypatch, **kwargs):
     return shared, traces
 
 
+def _trunk(stacked):
+    """The trunk's covariances: P_next of each fused step of the chain."""
+    return [step.P_next for step in chain_steps(stacked)
+            if step.F is not None]
+
+
 class TestCovarianceTrunk:
     """Runs of a batch share the normal-mode steps of the no-alarm history
-    from P = 0; sharing must not change one bit of any run."""
+    from P = 0, the chain from stacked.origin; sharing must not change one
+    bit of any run."""
 
     @pytest.mark.parametrize("case", ["clean", "detector_off", "nan_spoof"])
     def test_batch_runs_equal_runs_on_a_fresh_shared(self, uav_config,
@@ -445,7 +453,7 @@ class TestCovarianceTrunk:
             first = trace.first_alarm_step
             on_trunk += config.steps if first is None else first - 1
         # Later runs read what the first run to reach a step computed.
-        assert on_trunk > len(shared.stacked.trunk)
+        assert on_trunk > len(_trunk(shared.stacked))
         if case == "nan_spoof":
             assert all(t.first_alarm_step <= 120 for t in traces)
 
@@ -458,13 +466,16 @@ class TestCovarianceTrunk:
         stretches = [config.steps if t.first_alarm_step is None
                      else t.first_alarm_step - 1 for t in traces]
         longest = max(stretches)
-        assert len(stacked.trunk) == longest
+        trunk = _trunk(stacked)
+        assert len(trunk) == longest
         assert np.array_equal(
-            stacked.trunk, traces[stretches.index(longest)].columns.P[:longest])
+            trunk, traces[stretches.index(longest)].columns.P[:longest])
         # A NaN spoof keeps a run in emergency mode from its onset on.  Seed
         # 3 alarms at step 73 only, so at the onset it fuses normally off the
         # trunk: the detector builds the step of its last normal prior,
-        # which is never fused (after dead reckoning it builds none).
+        # which is never fused (after dead reckoning it builds none).  Those
+        # steps hang off the run's states, never off the chain.
+        steps = chain_steps(stacked)
         spoofed = run_scenario(replace(
             config, seed=3, runs=1, attack=AttackSignal(
                 kind="custom-sequence", start_step=150,
@@ -472,38 +483,42 @@ class TestCovarianceTrunk:
         alarmed = spoofed.columns.alarmed
         assert np.flatnonzero(alarmed[:149]).tolist() == [72]
         assert alarmed[149:].all()
-        assert len(stacked.trunk) == longest
-        # Every slot is set when a step is built, fuse's F and P_next too
-        # (None until a run fuses normally from the step's prior).
-        unfused = 0
-        for step in stacked._steps.values():
-            unfused += step.F is None
-            for a in (step.R, step.G, step.inverse, step.F, step.P_next):
+        assert chain_steps(stacked) == steps
+        # Every array a step stores is read-only; fuse's F, P_next and next
+        # are None until a run fuses normally from the step's prior, which
+        # only the chain's last step may lack.
+        assert all(step.F is not None for step in steps[:-1])
+        for step in steps:
+            if step.F is not None:
+                assert step.next.P is step.P_next
+            for a in (step.P, step.R, step.G, step.inverse, step.F,
+                      step.P_next):
                 if a is not None:
                     assert not a.flags.writeable
                     with pytest.raises(ValueError):
                         a[0, 0] = 0.0
-        assert not any(P.flags.writeable for P in stacked.trunk)
-        assert unfused == 1
 
     def test_trunk_stops_growing_at_the_exact_fixed_point(self, uav_config):
         # From P = 0 the recursion reaches a floating-point fixed point well
-        # within 3000 steps; a run past it adds no entry.
+        # within 3000 steps; its step links to itself, so a run past it adds
+        # no step.
         config = replace(uav_config, attack=AttackSignal.none(), steps=3000)
         shared = ScenarioShared(config.model)
         trace = run_scenario(config, detector_enabled=False, shared=shared)
-        trunk = shared.stacked.trunk
-        assert len(trunk) < config.steps
-        assert trunk[-1].tobytes() == trunk[-2].tobytes()
-        assert trunk[-3].tobytes() != trunk[-2].tobytes()
+        steps = chain_steps(shared.stacked)
+        fixed = steps[-1]
+        assert len(steps) < config.steps
+        assert fixed.next is fixed
+        assert fixed.P_next.tobytes() == fixed.P.tobytes()
+        assert steps[-2].P_next.tobytes() != steps[-2].P.tobytes()
         Ps = trace.columns.P
-        assert (Ps[len(trunk):] == trunk[-1]).all()
+        assert (Ps[len(steps):] == fixed.P).all()
         eigvals = np.linalg.eigvalsh(Ps)
         assert trace.columns.norm_P.tobytes() == np.maximum(
             eigvals[:, -1], -eigvals[:, 0]).tobytes()
         run_scenario(replace(config, seed=1), detector_enabled=False,
                      shared=shared)
-        assert len(shared.stacked.trunk) == len(trunk)
+        assert chain_steps(shared.stacked) == steps
 
 
 class TestDriftModelBatch:
