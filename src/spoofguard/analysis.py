@@ -31,11 +31,15 @@ def spectral_norm(M) -> float:
     if M.size == 0:
         return 0.0
     if M.shape[0] == M.shape[1] and (M == M.T).all():
-        # For symmetric matrices the largest singular value is the largest
-        # absolute eigenvalue; eigvalsh is much cheaper than an SVD.
-        eigvals = np.linalg.eigvalsh(M)
-        return float(max(eigvals[-1], -eigvals[0]))
+        return float(_spectral_norms(M[None])[0])
     return float(np.linalg.norm(M, 2))
+
+
+def _spectral_norms(Ms: np.ndarray) -> np.ndarray:
+    """max(lambda_max, -lambda_min) of each symmetric M, its largest singular
+    value, by one eigvalsh (much cheaper than an SVD)."""
+    eigvals = np.linalg.eigvalsh(Ms)
+    return np.maximum(eigvals[:, -1], -eigvals[:, 0])
 
 
 def covariance_magnitude(P) -> float:

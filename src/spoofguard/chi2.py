@@ -43,6 +43,8 @@ def _gamma_series(a: float, x: float) -> float:
 
 def _gamma_cont_frac(a: float, x: float) -> float:
     # Q(a, x) by Lentz's continued fraction, converges well for x >= a + 1.
+    if x == math.inf:
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny

@@ -74,9 +74,10 @@ def _emit(payload: dict, out_path=None) -> None:
 def cmd_run(args) -> int:
     config = _load(args)
     trace = run_scenario(config)
+    summary = trace.summary()   # a failing escape analysis writes no trace
     if args.out:
         export_trace(trace, args.out, args.format)
-    _emit(trace.summary())
+    _emit(summary)
     return 0
 
 
@@ -109,7 +110,7 @@ def cmd_analyze(args) -> int:
     model = config.model
     shared = ScenarioShared(model)
     report = shared.escape(config.zeta_norm, config.detector.alpha)
-    drift = shared.drift()
+    drift = shared.drift
     payload = {
         "first_alarm_step": None,
         **_escape_fields(report, drift.gps_pair_detectable,

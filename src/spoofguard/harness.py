@@ -10,8 +10,9 @@ detected attack never corrupts the estimate on the step it is detected.
 run_scenario steps one run; each step's results go into arrays, one row per
 step (the run's columns); the exports and monte_carlo's aggregates read
 them, and the spectral norms, confidence radii and records are built from
-them on first read.  monte_carlo calls run_scenario once per run, all on
-one ScenarioShared, so its runs share the trunk (see StackedSensorForms).
+them on first read, as is the run's escape analysis.  monte_carlo calls
+run_scenario once per run, all on one ScenarioShared, so its runs share the
+trunk (see StackedSensorForms).
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -26,12 +27,12 @@ import reprlib
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial, reduce
 from importlib import resources
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .analysis import (DriftAnalysis, EscapeTimeReport, drift_matrices,
-                       escape_report, escape_time, stationary_covariance)
+from .analysis import (EscapeTimeReport, drift_matrices, escape_report,
+                       escape_time, stationary_covariance, _spectral_norms)
 from .chi2 import chi2_quantile
 from .detector import DetectorConfig, normalized_residual
 from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
@@ -96,14 +97,18 @@ class StepRecord:
 
 @dataclass
 class ScenarioTrace:
+    """One run's columns and alarm steps, with the config and ScenarioShared
+    it ran with; its records and escape analysis are derived on first read."""
+
     columns: "_RunColumns" = field(repr=False)
     first_alarm_step: Optional[int]
     attack_detection_step: Optional[int]
-    escape: Optional[EscapeTimeReport]
-    detectable_gps: bool
-    detectable_drift_pair: bool
-    _escape_from_alarm: Optional[Callable[[], int]] = field(default=None,
-                                                            repr=False)
+    config: ScenarioConfig = field(repr=False, compare=False)
+    shared: "ScenarioShared" = field(repr=False, compare=False)
+    detectable_gps = cached_property(
+        lambda self: self.shared.drift.gps_pair_detectable)
+    detectable_drift_pair = cached_property(
+        lambda self: self.shared.drift.drift_pair_detectable)
 
     @cached_property
     def records(self) -> List[StepRecord]:
@@ -117,13 +122,22 @@ class ScenarioTrace:
             cols.conf_radius.tolist(), cols.err_norm.tolist())]
 
     @cached_property
-    def escape_time_from_alarm(self) -> Optional[int]:
-        """Escape time counted from the covariance at the attack's detection.
+    def escape(self) -> Optional[EscapeTimeReport]:
+        """The stationary covariance's escape report, None without alarms."""
+        if self.first_alarm_step is None:
+            return None
+        return self.shared.escape(self.config.zeta_norm,
+                                  self.config.detector.alpha)
 
-        Computed on first access, so a Monte Carlo batch, which does not
-        report it, does not pay for it.
-        """
-        return None if self._escape_from_alarm is None else self._escape_from_alarm()
+    @cached_property
+    def escape_time_from_alarm(self) -> Optional[int]:
+        """Escape time from the covariance at the attack's detection."""
+        step, config = self.attack_detection_step, self.config
+        if step is None:
+            return None
+        return escape_time(self.columns.P[step - 1], config.model,
+                           config.zeta_norm, config.detector.alpha,
+                           config.model.n)
 
     def summary(self) -> dict:
         return {"first_alarm_step": self.first_alarm_step,
@@ -173,7 +187,8 @@ class MonteCarloSummary:
 
 
 class ScenarioShared:
-    """Model-derived pieces reused across runs of the same scenario."""
+    """Model-derived pieces reused across runs of the same scenario; the
+    stationary covariance, drift analysis and escape reports on first read."""
 
     def __init__(self, model: SystemModel):
         self.model = model
@@ -181,12 +196,11 @@ class ScenarioShared:
         self.sampler_w = GaussianSampler(model.Sigma_w)
         self.sampler_G = GaussianSampler(model.Sigma_G)
         self.sampler_I = GaussianSampler(model.Sigma_I)
-        self._stationary_P, self._drift, self._escape = None, None, {}
+        self._escape = {}
 
-    def stationary_P(self) -> np.ndarray:
-        if self._stationary_P is None:
-            self._stationary_P = stationary_covariance(self.model)
-        return self._stationary_P
+    stationary_P = cached_property(
+        lambda self: stationary_covariance(self.model))
+    drift = cached_property(lambda self: drift_matrices(self.model))
 
     def escape(self, zeta_norm: float, alpha: float) -> EscapeTimeReport:
         """Escape report from the stationary covariance, once per tolerance."""
@@ -194,13 +208,8 @@ class ScenarioShared:
         if key not in self._escape:
             self._escape[key] = escape_report(
                 self.model, zeta_norm, alpha, df=self.model.n,
-                stationary_P=self.stationary_P(), drift=self.drift())
+                stationary_P=self.stationary_P, drift=self.drift)
         return self._escape[key]
-
-    def drift(self) -> DriftAnalysis:
-        if self._drift is None:
-            self._drift = drift_matrices(self.model)
-        return self._drift
 
 
 def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:
@@ -247,12 +256,6 @@ class _RunColumns:
                      self.err_norm, self.P))
 
 
-def _spectral_norms(Ps: np.ndarray) -> np.ndarray:
-    """max(lambda_max, -lambda_min) of each symmetric P, one eigvalsh."""
-    eigvals = np.linalg.eigvalsh(Ps)
-    return np.maximum(eigvals[:, -1], -eigvals[:, 0])
-
-
 def _covered(cols: _RunColumns) -> np.ndarray:
     """err_norm <= conf_radius per step, decided by the bracket max |P_ii| <=
     |P|_2 <= |P|_F with 1e-9 margins; the rows it leaves open, and those whose
@@ -278,8 +281,9 @@ def _first_step(mask: np.ndarray) -> Optional[int]:
 
 
 def _simulate(config: ScenarioConfig, shared: ScenarioShared,
-              detector_enabled: bool) -> _RunColumns:
-    """Advance one closed-loop run and return its per-step columns."""
+              detector_enabled: bool, rooted: bool) -> _RunColumns:
+    """Advance one closed-loop run and return its per-step columns; a
+    rooted run starts at stacked.origin, the trunk's first step."""
     model, stacked = config.model, shared.stacked
     steps, n, m_G = config.steps, model.n, model.m_G
     plant, n_G = stacked._plant, n + m_G
@@ -304,7 +308,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
     x = np.asarray(config.x0, dtype=float).copy()
     est = EstimatorState.initial(config.x0)
-    est.step = stacked.origin    # runs that have not alarmed share its chain
+    est.step = stacked.origin if rooted else None   # see run_scenario
     S, alarmed = 0.0, False
 
     for i in range(steps):
@@ -353,16 +357,18 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
 def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
                  shared: Optional[ScenarioShared] = None) -> ScenarioTrace:
-    """Execute one seeded closed-loop run and return its trace.
+    """Execute one seeded closed-loop run; the trace it returns derives its
+    escape analysis on first read.
 
     detector_enabled=False disables the alarm entirely (the statistic is not
     accumulated and the estimator stays in normal mode), matching an
-    infinite-threshold detector.
+    infinite-threshold detector.  A run without a shared roots no chain: its
+    steps are held by its states only, so none outlives the run.
     """
-    model = config.model
+    rooted = shared is not None
     if shared is None:
-        shared = ScenarioShared(model)
-    cols = _simulate(config, shared, detector_enabled)
+        shared = ScenarioShared(config.model)
+    cols = _simulate(config, shared, detector_enabled, rooted)
     first_alarm = _first_step(cols.alarmed)
     # Detection latency is measured against the attack onset; noise can trip
     # transient alarms earlier, which are kept separate.
@@ -370,26 +376,9 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
     detection_step = _first_step(cols.alarmed[detect_from:])
     if detection_step is not None:
         detection_step += detect_from
-
-    report = None
-    escape_from_alarm = None
-    if first_alarm is not None:
-        report = shared.escape(config.zeta_norm, config.detector.alpha)
-        if detection_step is not None:
-            escape_from_alarm = partial(
-                escape_time, cols.P[detection_step - 1], model,
-                config.zeta_norm, config.detector.alpha, model.n)
-
-    drift = shared.drift()
-    return ScenarioTrace(
-        columns=cols,
-        first_alarm_step=first_alarm,
-        attack_detection_step=detection_step,
-        escape=report,
-        detectable_gps=drift.gps_pair_detectable,
-        detectable_drift_pair=drift.drift_pair_detectable,
-        _escape_from_alarm=escape_from_alarm,
-    )
+    return ScenarioTrace(columns=cols, first_alarm_step=first_alarm,
+                         attack_detection_step=detection_step, config=config,
+                         shared=shared)
 
 
 def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,

@@ -9,7 +9,8 @@ from spoofguard import (ConvergenceError, NumericalError,
                         confidence_bound, covariance_magnitude,
                         covariance_update, drift_matrices, escape_report,
                         escape_time, escape_time_lower_bound, is_detectable,
-                        optimal_gain, spectral_norm, stationary_covariance)
+                        optimal_gain, run_scenario, spectral_norm,
+                        stationary_covariance)
 from spoofguard import analysis
 from spoofguard.estimator import _dead_reckoning
 
@@ -44,6 +45,25 @@ class TestSpectralNorm:
             M = rng.normal(size=(4, 3))
             sv = np.linalg.svd(M, compute_uv=False)
             assert spectral_norm(M) == pytest.approx(sv[0], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "indefinite", "diagonal"])
+    def test_symmetric_branch_is_the_batched_rule(self, kind):
+        # One rule for the norm of a symmetric matrix: spectral_norm gives
+        # bit for bit what the batched rule gives for the whole stack.
+        rng = np.random.default_rng(7)
+        n = 4
+        if kind == "symmetric":
+            R = rng.normal(size=(20, n, n))
+            Ms = R @ R.transpose(0, 2, 1)
+        elif kind == "indefinite":
+            R = rng.normal(size=(20, n, n))
+            Ms = R + R.transpose(0, 2, 1)
+        else:
+            Ms = np.stack([np.diag(d) for d in rng.normal(size=(20, n))])
+        batched = analysis._spectral_norms(Ms)
+        assert [spectral_norm(M) for M in Ms] == batched.tolist()
+        if kind != "symmetric":     # some norms come from lambda_min
+            assert (batched == -np.linalg.eigvalsh(Ms)[:, 0]).any()
 
 
 class TestDetectability:
@@ -406,6 +426,15 @@ class TestConfidenceBound:
 
     def test_zero_covariance(self):
         assert confidence_bound(np.zeros((4, 4)), 0.01, 4) == 0.0
+
+    def test_equals_the_run_columns(self, uav_config):
+        # spectral_norm and confidence_bound give a run's norm_P and
+        # conf_radius columns bit for bit.
+        cols = run_scenario(uav_config).columns
+        alpha = uav_config.detector.alpha
+        assert [spectral_norm(P) for P in cols.P] == cols.norm_P.tolist()
+        assert [confidence_bound(P, alpha, 4) for P in cols.P] == \
+            cols.conf_radius.tolist()
 
     def test_scales_with_sqrt(self):
         rng = np.random.default_rng(12)

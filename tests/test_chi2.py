@@ -61,6 +61,18 @@ class TestCdf:
         # true 1.9e-22 and 1.6e-37.
         assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), rel=1e-10)
 
+    @pytest.mark.parametrize("df", range(1, 11))
+    @pytest.mark.parametrize("x", [1e308, math.inf])
+    def test_far_tail_against_scipy(self, df, x):
+        # Q(a, inf) = 0: the whole mass lies below x.
+        assert chi2_cdf(x, df) == stats.chi2.cdf(x, df) == 1.0
+        assert chi2_sf(x, df) == stats.chi2.sf(x, df) == 0.0
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(chi2_cdf(math.nan, 2))
+        assert math.isnan(chi2_sf(math.nan, 2))
+        assert math.isnan(regularized_gamma_p(1.0, math.nan))
+
     def test_quantile_inverts_cdf(self):
         q = chi2_quantile(7, 0.03)
         assert chi2_sf(q, 7) == pytest.approx(0.03, abs=1e-10)

@@ -197,6 +197,72 @@ class TestValidate:
                        f"and velocities x[p:2p]\n")
 
 
+_DELETE = object()
+_RAGGED = [[0.0, 0.0], [0.0]]
+
+
+def _ragged_error() -> str:
+    """numpy's own message for the ragged list, which parse_config passes on."""
+    try:
+        np.asarray(_RAGGED, dtype=float)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("a ragged list converted")
+
+
+class TestValidateRejections:
+    @pytest.mark.parametrize("keys, value, message", [
+        ((), [], "{cfg}: top level must be an object"),
+        (("model",), [], "model: must be an object"),
+        (("controller",), [1.0], "controller: must be an object"),
+        (("detector",), 0.01, "detector: must be an object"),
+        (("attack",), "constant-bias", "attack: must be an object"),
+        (("model", "Sigma_I"), _DELETE, "model: missing keys ['Sigma_I']"),
+        (("model", "B"), [0.01, 0.01],
+         "model: B must be 2-dimensional, got shape (2,)"),
+        (("target",), [10.0, 10.0, 0.0], "target: has shape (3,), expected "
+         "(2,) to match the input dimension"),
+        (("controller", "kp"), 0.0,
+         "controller: gains must be positive, got kp=0.0, kd=2.0"),
+        (("zeta_norm",), -2.0, "zeta_norm: must be positive, got -2.0"),
+        (("attack", "kind"), "jam", "attack.kind: unknown kind 'jam', "
+         "expected one of ('none', 'constant-bias', 'ramp', "
+         "'custom-sequence')"),
+        (("attack", "d"), [1.0, 2.0, 3.0],
+         "attack.d: has shape (3,), expected (2,)"),
+        (("attack",), {"kind": "custom-sequence"},
+         "attack.sequence: required for kind 'custom-sequence'"),
+        (("attack",), {"kind": "custom-sequence", "sequence": 1.0},
+         "attack.sequence: must be a list"),
+        (("attack",), {"kind": "custom-sequence",
+                       "sequence": [[1.0, 1.0], [1.0]]},
+         "attack.sequence[1]: has shape (1,), expected (2,)"),
+        (("x0",), _RAGGED, None)])
+    def test_rejection_exits_one_with_its_message(self, config_path, tmp_path,
+                                                  capsys, keys, value,
+                                                  message):
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not keys:
+            raw = value
+        else:
+            node = raw
+            for key in keys[:-1]:
+                node = node[key]
+            if value is _DELETE:
+                del node[keys[-1]]
+            else:
+                node[keys[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        if message is None:
+            message = f"x0: {_ragged_error()}"
+        assert main(["validate", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message.format(cfg=bad)}\n"
+
+
 class TestOutputErrors:
     def test_missing_out_directory_fails_before_simulating(
             self, config_path, tmp_path, capsys, monkeypatch):
@@ -239,22 +305,51 @@ class TestOutputErrors:
 
 
 class TestZeroProcessNoise:
-    @pytest.mark.parametrize("argv", [["analyze"], ["run", "--steps", "750"],
-                                      ["mc", "--runs", "1", "--steps", "750"]])
-    def test_tolerance_stays_credible(self, config_path, tmp_path, capsys,
-                                      argv):
-        # Sigma_w = 0 is a valid PSD covariance: the stationary covariance is
-        # 0 and dead reckoning keeps it 0, so the tolerance never escapes.
+    """Sigma_w = 0 is a valid PSD covariance: the stationary covariance is 0
+    and dead reckoning keeps it 0, so the tolerance never escapes and the
+    escape analysis fails.  mc runs no escape analysis."""
+
+    @pytest.fixture()
+    def noiseless(self, config_path, tmp_path):
         with open(config_path, encoding="utf-8") as fh:
             raw = json.load(fh)
         raw["model"]["Sigma_w"] = [[0.0] * 4] * 4
         cfg = tmp_path / "noiseless.json"
         cfg.write_text(json.dumps(raw))
-        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
-        err = capsys.readouterr().err
+        return str(cfg)
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["run", "--steps", "750"],
+                                      ["mc", "--runs", "1", "--steps", "750"]])
+    def test_tolerance_stays_credible(self, noiseless, capsys, argv):
+        code = main([argv[0], "--config", noiseless, *argv[1:]])
+        captured = capsys.readouterr()
+        if argv[0] == "mc":
+            assert code == 0 and captured.err == ""
+            payload = json.loads(captured.out)
+            assert payload["runs"] == 1
+            assert payload["first_alarm_steps"] == [264]
+            assert payload["attack_detection_steps"] == [700]
+            assert payload["per_run"][0]["steps"] == 750
+            return
+        assert code == 2
+        err = captured.err
         assert err.startswith("numerical failure: tolerance still credible "
                               "after 100000 steps (last statistic inf")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_run_writes_no_trace(self, noiseless, tmp_path, capsys, fmt):
+        # The summary, and with it the failing analysis, is read before the
+        # trace is written.
+        out = tmp_path / f"trace.{fmt}"
+        assert main(["run", "--config", noiseless, "--steps", "750",
+                     "--format", fmt, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: tolerance still "
+                                       "credible after 100000 steps")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestOverflowingRun:

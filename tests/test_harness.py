@@ -273,6 +273,36 @@ class TestMonteCarlo:
         with pytest.raises(AssertionError, match="escape_time was called"):
             trace.escape_time_from_alarm
 
+    @pytest.mark.parametrize("attacked, runs, steps", [(True, 2, 710),
+                                                        (False, 25, 200)])
+    def test_batch_runs_no_escape_analysis(self, uav_config, monkeypatch,
+                                           attacked, runs, steps):
+        # A batch reports no escape or detectability field, so it computes
+        # none; a single run's summary still reports them.
+        config = replace(uav_config, runs=runs, steps=steps)
+        if not attacked:
+            config = replace(config, attack=AttackSignal.none())
+        want = monte_carlo(config).runs
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("escape analysis ran")
+        for name in ("stationary_covariance", "drift_matrices",
+                     "escape_report", "escape_time"):
+            monkeypatch.setattr(harness, name, not_called)
+        assert monte_carlo(config).runs == want
+        trace = run_scenario(replace(config, seed=derive_run_seed(
+            config.seed, 0), runs=1))
+        with pytest.raises(AssertionError, match="escape analysis ran"):
+            trace.summary()
+        monkeypatch.undo()
+        summary = trace.summary()
+        assert summary["first_alarm_step"] == want[0].first_alarm_step
+        assert summary["detectable_gps"] is True
+        assert summary["detectable_drift_pair"] is False
+        if want[0].first_alarm_step is not None:
+            assert 285 <= summary["escape_time"] <= 295
+            assert summary["escape_time_lower_bound"] is not None
+
     def test_attacked_batch_coverage(self, uav_config, uav_shared):
         config = replace(uav_config, runs=10)
         batch = monte_carlo(config, shared=uav_shared)
@@ -498,6 +528,21 @@ class TestCovarianceTrunk:
                     with pytest.raises(ValueError):
                         a[0, 0] = 0.0
 
+    @pytest.mark.parametrize("steps", [200, 1000])
+    def test_private_run_roots_no_chain(self, uav_config, steps):
+        # Without a shared a run keeps its steps on its states only: its
+        # private origin stays unfused, and its columns are a shared run's.
+        config = replace(uav_config, steps=steps)
+        private = run_scenario(config)
+        origin = private.shared.stacked.origin
+        assert origin.next is None and origin.R is None
+        shared = run_scenario(config, shared=ScenarioShared(config.model))
+        assert len(chain_steps(shared.shared.stacked)) > 0
+        for got, want in zip(private.columns, shared.columns):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert private.summary() == shared.summary()
+
     def test_trunk_stops_growing_at_the_exact_fixed_point(self, uav_config):
         # From P = 0 the recursion reaches a floating-point fixed point well
         # within 3000 steps; its step links to itself, so a run past it adds
@@ -585,9 +630,9 @@ class TestTrunkHits:
         assert [t.first_alarm_step for t in traces] == [None, 164]
         assert before_alarm == [[]]
         # The first run builds the trunk: exactly one inverse per step gives
-        # its gain and its P_d^{-1}; the drift analysis inverts A once.
+        # its gain and its P_d^{-1}; a batch runs no drift analysis.
         first_run = calls[run_starts[0]:run_starts[1]]
-        assert first_run.count("inv") == config.steps + 1
+        assert first_run.count("inv") == config.steps
 
 
 class TestParseConfig:
