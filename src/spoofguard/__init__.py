@@ -7,14 +7,13 @@ from .analysis import (DriftAnalysis, EscapeTimeReport, confidence_bound,
 from .chi2 import chi2_cdf, chi2_quantile, chi2_sf
 from .detector import (DetectorConfig, cusum_update, residual,
                        residual_covariance)
-from .estimator import (EstimatorState, GainPair, Mode, StackedSensorForms,
-                        covariance_update, emergency_gain, fuse, optimal_gain,
-                        predict)
+from .estimator import (EstimatorState, Mode, StackedSensorForms,
+                        covariance_update, fuse, optimal_gain, predict)
 from .exceptions import ConfigError, ConvergenceError, NumericalError
 from .harness import (MonteCarloSummary, RunSummary, ScenarioConfig,
-                      ScenarioShared, ScenarioTrace, StepRecord,
-                      builtin_config_path, derive_run_seed, export_trace,
-                      monte_carlo, parse_config, pd_control, run_scenario)
+                      ScenarioShared, ScenarioTrace, builtin_config_path,
+                      derive_run_seed, export_trace, monte_carlo,
+                      parse_config, pd_control, run_scenario)
 from .model import (AttackSignal, GaussianSampler, PlantState, SystemModel,
                     measure_gps, measure_imu, step_dynamics, validate_model)
 

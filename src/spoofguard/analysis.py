@@ -190,7 +190,7 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
                 last_iterate=H, residual=math.inf)
         K = optimal_gain(H, model, stacked)
         resid = float(np.linalg.norm(
-            _covariance_update_stacked(H, K.stacked(), stacked)[1] - H))
+            _covariance_update_stacked(H, K, stacked)[1] - H))
         if resid <= tol * float(np.linalg.norm(H)):
             return H
     raise ConvergenceError(
@@ -214,17 +214,18 @@ def _growth(model: SystemModel):
 
 
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
-                alpha: float, df: int, max_horizon: int = 100_000) -> int:
+                alpha: float, *, max_horizon: int = 100_000) -> int:
     """Steps of dead reckoning until the error tolerance stops being credible.
 
+    The chi-square quantile has n degrees of freedom, the state dimension.
     zeta may be an n-vector (directional test zeta^T P_k^{-1} zeta against the
-    chi-square quantile) or a scalar norm (isotropic test ||zeta||^2 divided
-    by the Frobenius magnitude of P_k, inf when that is zero).  Counting
+    quantile) or a scalar norm (isotropic test ||zeta||^2 divided by the
+    Frobenius magnitude of P_k, inf when that is zero).  Counting
     starts at the covariance supplied for the attack step; the count is 0
     when the tolerance is already not credible there.  A NaN or infinite
     entry in it raises NumericalError.
     """
-    quantile = chi2_quantile(df, alpha)
+    quantile = chi2_quantile(model.n, alpha)
     zeta_arr = np.asarray(zeta, dtype=float)
     if zeta_arr.ndim == 0:
         zeta_sq = float(zeta_arr) ** 2
@@ -263,7 +264,7 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
 
 
 def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
-                            zeta_norm: float, alpha: float, df: int,
+                            zeta_norm: float, alpha: float, *,
                             drift: Optional[DriftAnalysis] = None) -> float:
     """Closed-form lower bound on the escape time, for drift-free models.
 
@@ -283,7 +284,7 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
             "(C_I (I - A^{-1}) = 0); this model has "
             f"max |C_bar_I| = {np.abs(drift.C_bar_I).max():.3e}")
 
-    quantile = chi2_quantile(df, alpha)
+    quantile = chi2_quantile(model.n, alpha)
     target = float(zeta_norm) ** 2 / quantile
     norm_A, branch = _growth(model)
     norm_P = covariance_magnitude(P)
@@ -311,28 +312,27 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     return math.log(numerator / denominator) / math.log(growth)
 
 
-def confidence_bound(P, alpha: float, df: int) -> float:
-    """Radius sqrt(quantile * ||P||_2) covering the error at level 1 - alpha."""
-    return math.sqrt(chi2_quantile(df, alpha) * spectral_norm(P))
+def confidence_bound(P, alpha: float) -> float:
+    """Radius sqrt(quantile * ||P||_2) covering the error at level 1 - alpha,
+    the chi-square quantile with len(P) degrees of freedom."""
+    return math.sqrt(chi2_quantile(len(P), alpha) * spectral_norm(P))
 
 
-def escape_report(model: SystemModel, zeta_norm: float, alpha: float,
-                  df: Optional[int] = None,
+def escape_report(model: SystemModel, zeta_norm: float, alpha: float, *,
                   stationary_P: Optional[np.ndarray] = None,
                   drift: Optional[DriftAnalysis] = None) -> EscapeTimeReport:
     """Escape time and lower bound from the stationary covariance; each of
     stationary_P and drift (the drift analysis) is computed when absent."""
-    df = model.n if df is None else df
     if stationary_P is None:
         stationary_P = stationary_covariance(model)
     drift = drift_matrices(model) if drift is None else drift
-    k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha, df)
+    k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha)
     norm_A, branch = _growth(model)
     k_lb = None
     if drift.drift_free:
         k_lb = escape_time_lower_bound(stationary_P, model, float(zeta_norm),
-                                       alpha, df, drift)
+                                       alpha, drift=drift)
     return EscapeTimeReport(
         k_escape=k_esc, k_lower_bound=k_lb, zeta=float(zeta_norm),
-        alpha=alpha, df=df, stationary_P=stationary_P, norm_A=norm_A,
+        alpha=alpha, df=model.n, stationary_P=stationary_P, norm_A=norm_A,
         branch=branch)

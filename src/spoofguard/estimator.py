@@ -31,17 +31,6 @@ class Mode(Enum):
 
 
 @dataclass
-class GainPair:
-    """Gain split into the GPS block and the IMU block."""
-
-    K_G: np.ndarray
-    K_I: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.hstack([self.K_G, self.K_I])
-
-
-@dataclass
 class EstimatorState:
     x_hat: np.ndarray
     P: np.ndarray
@@ -140,10 +129,10 @@ def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
 
 
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
-                 stacked: StackedSensorForms) -> GainPair:
-    """Trace-minimizing stacked gain for the given prior covariance."""
-    K = _gain(_innovation_system(EstimatorState(None, P_prev), stacked))
-    return GainPair(K_G=K[:, :stacked._m_G], K_I=K[:, stacked._m_G:])
+                 stacked: StackedSensorForms) -> np.ndarray:
+    """Trace-minimizing stacked gain K = [K_G, K_I], (n, m_G + m_I), for the
+    given prior covariance."""
+    return _gain(_innovation_system(EstimatorState(None, P_prev), stacked))
 
 
 def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -219,15 +208,11 @@ def _detector_weight(est: EstimatorState,
                          "residual covariance")
 
 
-def emergency_gain(model: SystemModel) -> np.ndarray:
-    """Constant IMU gain Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1}."""
-    return StackedSensorForms(model).K_I
-
-
-def covariance_update(P_prev: np.ndarray, K: GainPair, model: SystemModel,
+def covariance_update(P_prev: np.ndarray, K: np.ndarray, model: SystemModel,
                       stacked: StackedSensorForms) -> np.ndarray:
-    """Covariance propagation for an arbitrary stacked gain, re-symmetrized."""
-    return _covariance_update_stacked(P_prev, K.stacked(), stacked)[1]
+    """Covariance propagation for an arbitrary stacked gain K = [K_G, K_I],
+    re-symmetrized."""
+    return _covariance_update_stacked(P_prev, K, stacked)[1]
 
 
 def _covariance_update_stacked(P_prev: np.ndarray, K: np.ndarray,

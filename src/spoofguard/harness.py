@@ -9,8 +9,8 @@ detected attack never corrupts the estimate on the step it is detected.
 
 run_scenario steps one run; each step's results go into arrays, one row per
 step (the run's columns); the exports and monte_carlo's aggregates read
-them, and the spectral norms, confidence radii and records are built from
-them on first read, as is the run's escape analysis.  monte_carlo calls
+them, and the spectral norms and confidence radii are built from them on
+first read, as is the run's escape analysis.  monte_carlo calls
 run_scenario once per run, all on one ScenarioShared, so its runs share the
 trunk (see StackedSensorForms).
 
@@ -24,7 +24,7 @@ reproducible and runs are independent.
 import json
 import math
 import reprlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
 from importlib import resources
 from typing import List, Optional
@@ -81,24 +81,9 @@ class ScenarioConfig:
 
 
 @dataclass
-class StepRecord:
-    k: int
-    x: np.ndarray
-    x_hat: np.ndarray
-    u: np.ndarray
-    S: float
-    mode: str
-    alarmed: bool
-    trace_P: float
-    norm_P: float
-    conf_radius: float
-    err_norm: float
-
-
-@dataclass
 class ScenarioTrace:
     """One run's columns and alarm steps, with the config and ScenarioShared
-    it ran with; its records and escape analysis are derived on first read."""
+    it ran with; its escape analysis is derived on first read."""
 
     columns: "_RunColumns" = field(repr=False)
     first_alarm_step: Optional[int]
@@ -109,17 +94,6 @@ class ScenarioTrace:
         lambda self: self.shared.drift.gps_pair_detectable)
     detectable_drift_pair = cached_property(
         lambda self: self.shared.drift.drift_pair_detectable)
-
-    @cached_property
-    def records(self) -> List[StepRecord]:
-        """One StepRecord per step, built from the columns on first access."""
-        cols = self.columns
-        alarmed = cols.alarmed.tolist()
-        return [StepRecord(*row) for row in zip(
-            range(1, len(alarmed) + 1), cols.x, cols.x_hat, cols.u,
-            cols.S.tolist(), [_MODES[a].value for a in alarmed], alarmed,
-            cols.trace_P.tolist(), cols.norm_P.tolist(),
-            cols.conf_radius.tolist(), cols.err_norm.tolist())]
 
     @cached_property
     def escape(self) -> Optional[EscapeTimeReport]:
@@ -136,8 +110,7 @@ class ScenarioTrace:
         if step is None:
             return None
         return escape_time(self.columns.P[step - 1], config.model,
-                           config.zeta_norm, config.detector.alpha,
-                           config.model.n)
+                           config.zeta_norm, config.detector.alpha)
 
     def summary(self) -> dict:
         return {"first_alarm_step": self.first_alarm_step,
@@ -188,7 +161,7 @@ class MonteCarloSummary:
 
 class ScenarioShared:
     """Model-derived pieces reused across runs of the same scenario; the
-    stationary covariance, drift analysis and escape reports on first read."""
+    stationary covariance and drift analysis on first read."""
 
     def __init__(self, model: SystemModel):
         self.model = model
@@ -196,20 +169,15 @@ class ScenarioShared:
         self.sampler_w = GaussianSampler(model.Sigma_w)
         self.sampler_G = GaussianSampler(model.Sigma_G)
         self.sampler_I = GaussianSampler(model.Sigma_I)
-        self._escape = {}
 
     stationary_P = cached_property(
         lambda self: stationary_covariance(self.model))
     drift = cached_property(lambda self: drift_matrices(self.model))
 
     def escape(self, zeta_norm: float, alpha: float) -> EscapeTimeReport:
-        """Escape report from the stationary covariance, once per tolerance."""
-        key = (float(zeta_norm), float(alpha))
-        if key not in self._escape:
-            self._escape[key] = escape_report(
-                self.model, zeta_norm, alpha, df=self.model.n,
-                stationary_P=self.stationary_P, drift=self.drift)
-        return self._escape[key]
+        """Escape report from the stationary covariance."""
+        return escape_report(self.model, zeta_norm, alpha,
+                             stationary_P=self.stationary_P, drift=self.drift)
 
 
 def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:
@@ -235,7 +203,7 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
 @dataclass(eq=False)
 class _RunColumns:
     """Per-step results of one run, one row per step; iterating yields the
-    ten columns, x to err_norm in StepRecord order, then P."""
+    ten columns, x to err_norm in _RECORD_KEYS order, then P."""
 
     x: np.ndarray               # (steps, n) true states
     x_hat: np.ndarray           # (steps, n) estimates
@@ -371,8 +339,9 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
     cols = _simulate(config, shared, detector_enabled, rooted)
     first_alarm = _first_step(cols.alarmed)
     # Detection latency is measured against the attack onset; noise can trip
-    # transient alarms earlier, which are kept separate.
-    detect_from = 0 if config.attack_start() is None else config.attack_onset()
+    # transient alarms earlier, which are kept separate.  Without an attack
+    # the onset is the horizon, so no alarm counts as a detection.
+    detect_from = config.attack_onset()
     detection_step = _first_step(cols.alarmed[detect_from:])
     if detection_step is not None:
         detection_step += detect_from
@@ -468,7 +437,7 @@ def parse_config(path) -> ScenarioConfig:
     x0 = _numbers(raw.get("x0", [0.0] * model.n), "x0")
     if x0.shape != (model.n,):
         raise ConfigError(f"x0: has shape {x0.shape}, expected ({model.n},)")
-    target = _numbers(raw.get("target", [10.0, 10.0]), "target")
+    target = _numbers(raw.get("target", [10.0] * model.p), "target")
     if target.shape != (model.p,):
         raise ConfigError(
             f"target: has shape {target.shape}, expected ({model.p},) "
@@ -617,8 +586,13 @@ def export_trace(trace: ScenarioTrace, path, fmt: str = CSV_FORMAT) -> None:
         raise ValueError(f"unknown export format {fmt!r}, expected 'csv' or 'json'")
 
 
+# A JSON trace record's keys, in the order of the CSV columns.
+_RECORD_KEYS = ("k", "x", "x_hat", "u", "S", "mode", "alarmed", "trace_P",
+                "norm_P", "conf_radius", "err_norm")
+
+
 def _export_rows(row: str, cols: _RunColumns, S: list) -> List[str]:
-    """Each step's values in StepRecord order, mode and alarmed as text."""
+    """Each step's values in _RECORD_KEYS order, mode and alarmed as text."""
     before = np.hstack([cols.x, cols.x_hat, cols.u]).tolist()
     after = np.column_stack([cols.trace_P, cols.norm_P, cols.conf_radius,
                              cols.err_norm]).tolist()
@@ -659,8 +633,8 @@ def _export_json(trace: ScenarioTrace, path) -> None:
     x, u = ("[" + ", ".join(["%r"] * a.shape[1]) + "]"
             for a in (cols.x, cols.u))
     slots = ("%d", x, x, u, "%s", '"%s"', "%s", "%r", "%r", "%r", "%r")
-    row = "{" + ", ".join(f'"{f.name}": {slot}' for f, slot in
-                          zip(fields(StepRecord), slots)) + "}"
+    row = "{" + ", ".join(f'"{key}": {slot}' for key, slot in
+                          zip(_RECORD_KEYS, slots)) + "}"
     records = _export_rows(row, cols,
                            json.dumps(cols.S.tolist())[1:-1].split(", "))
     with open(path, "w", encoding="utf-8") as fh:

@@ -22,7 +22,7 @@ from time import perf_counter
 
 import numpy as np
 
-from spoofguard import (AttackSignal, EstimatorState, GainPair, Mode,
+from spoofguard import (AttackSignal, EstimatorState, Mode,
                         StackedSensorForms, covariance_update,
                         drift_matrices, escape_time, escape_time_lower_bound,
                         fuse, is_detectable, monte_carlo, optimal_gain,
@@ -41,7 +41,7 @@ class TestAcceptance:
     def test_01_escape_time_reproduction(self, uav_model, uav_config):
         t0 = perf_counter()
         P = stationary_covariance(uav_model)
-        k = escape_time(P, uav_model, uav_config.zeta_norm, 0.01, 4)
+        k = escape_time(P, uav_model, uav_config.zeta_norm, 0.01)
         elapsed = perf_counter() - t0
         ok = 285 <= k <= 295 and elapsed < 1.0
         report(1, "escape time reproduction", ok,
@@ -49,8 +49,8 @@ class TestAcceptance:
 
     def test_02_lower_bound_reproduction(self, uav_model, uav_stationary_P):
         t0 = perf_counter()
-        bound = escape_time_lower_bound(uav_stationary_P, uav_model, 2.0, 0.01, 4)
-        k = escape_time(uav_stationary_P, uav_model, 2.0, 0.01, 4)
+        bound = escape_time_lower_bound(uav_stationary_P, uav_model, 2.0, 0.01)
+        k = escape_time(uav_stationary_P, uav_model, 2.0, 0.01)
         elapsed = perf_counter() - t0
         ok = 252 <= math.ceil(bound) <= 262 and bound <= k and elapsed < 1.0
         report(2, "lower bound reproduction", ok,
@@ -185,16 +185,14 @@ class TestAcceptance:
             P = R @ R.T
             K = optimal_gain(P, uav_model, stacked)
             base = np.trace(covariance_update(P, K, uav_model, stacked))
-            Ks = K.stacked()
-            foc = np.abs((uav_model.A - Ks @ M) @ P @ (-M).T
-                         - (np.eye(4) - Ks @ C) @ uav_model.Sigma_w @ C.T
-                         + Ks @ Sy).max()
+            foc = np.abs((uav_model.A - K @ M) @ P @ (-M).T
+                         - (np.eye(4) - K @ C) @ uav_model.Sigma_w @ C.T
+                         + K @ Sy).max()
             max_foc = max(max_foc, foc)
             for _ in range(100):
                 eps = rng.normal(size=(4, 4))
                 eps *= 1e-2 / np.linalg.norm(eps)
-                K_pert = GainPair(K_G=Ks[:, :2] + eps[:, :2],
-                                  K_I=Ks[:, 2:] + eps[:, 2:])
+                K_pert = K + eps
                 if base > np.trace(covariance_update(P, K_pert,
                                                      uav_model, stacked)):
                     optimal_everywhere = False
@@ -220,11 +218,10 @@ class TestAcceptance:
         config = replace(uav_config, steps=2500)
         trace = run_scenario(config, detector_enabled=False, shared=uav_shared)
         goal = np.array([10.0, 10.0, 0.0, 0.0])
-        tail = trace.records[2000:]
-        pos_ok = all(np.all(np.abs(rec.x[:2] - (-90.0)) <= 5.0) for rec in tail)
-        est_ok = all(np.linalg.norm(rec.x_hat - goal) <= 1.0 for rec in tail)
-        final = tail[-1]
+        xs, x_hats = trace.columns.x[2000:], trace.columns.x_hat[2000:]
+        pos_ok = all(np.all(np.abs(x[:2] - (-90.0)) <= 5.0) for x in xs)
+        est_ok = all(np.linalg.norm(x_hat - goal) <= 1.0 for x_hat in x_hats)
         ok = pos_ok and est_ok
         report(11, "no-detector divergence", ok,
-               f"true position {np.round(final.x[:2], 2).tolist()} near "
+               f"true position {np.round(xs[-1][:2], 2).tolist()} near "
                f"(-90, -90): {pos_ok}, estimate pinned to target: {est_ok}")

@@ -237,51 +237,51 @@ class TestDriftMatrices:
 
 class TestEscapeTime:
     def test_uav_escape_steps(self, uav_model, uav_stationary_P):
-        k = escape_time(uav_stationary_P, uav_model, 2.0, 0.01, 4)
+        k = escape_time(uav_stationary_P, uav_model, 2.0, 0.01)
         assert 285 <= k <= 295
 
     def test_already_escaped(self, uav_model):
         # Large covariance at the attack step: the tolerance is already
         # not credible, so the count is zero.
         P0 = 10.0 * np.eye(4)
-        assert escape_time(P0, uav_model, 2.0, 0.01, 4) == 0
+        assert escape_time(P0, uav_model, 2.0, 0.01) == 0
 
     def test_scalar_arithmetic_progression(self):
         # P_k = 1 + k crosses zeta^2 / chi2 = 11 at k = 10.
         model = scalar_model(a=1.0)
         chi2 = chi2_quantile(1, 0.05)
         zeta = math.sqrt(11.0 * chi2)
-        assert escape_time(np.eye(1), model, zeta, 0.05, 1) == 10
+        assert escape_time(np.eye(1), model, zeta, 0.05) == 10
 
     def test_directional_form(self, uav_model, uav_stationary_P):
         zeta = np.array([2.0, 0.0, 0.0, 0.0])
-        k_dir = escape_time(uav_stationary_P, uav_model, zeta, 0.01, 4)
-        k_iso = escape_time(uav_stationary_P, uav_model, 2.0, 0.01, 4)
+        k_dir = escape_time(uav_stationary_P, uav_model, zeta, 0.01)
+        k_iso = escape_time(uav_stationary_P, uav_model, 2.0, 0.01)
         # isotropic form is conservative: it uses the full covariance
         # magnitude, so it declares escape earlier than any single direction
         assert k_iso <= k_dir
 
     def test_directional_zero_steps(self, uav_model):
         zeta = np.array([2.0, 0.0, 0.0, 0.0])
-        assert escape_time(100.0 * np.eye(4), uav_model, zeta, 0.01, 4) == 0
+        assert escape_time(100.0 * np.eye(4), uav_model, zeta, 0.01) == 0
 
     def test_stable_plant_never_escapes(self):
         model = scalar_model(a=0.5)
         with pytest.raises(ConvergenceError, match="still credible"):
-            escape_time(np.eye(1), model, 100.0, 0.05, 1, max_horizon=2000)
+            escape_time(np.eye(1), model, 100.0, 0.05, max_horizon=2000)
 
     def test_rejects_bad_zeta_shape(self, uav_model):
         with pytest.raises(ValueError):
-            escape_time(np.eye(4), uav_model, np.ones(3), 0.01, 4)
+            escape_time(np.eye(4), uav_model, np.ones(3), 0.01)
 
     def test_zero_covariance_is_an_infinite_statistic(self, uav_model):
         # P = 0 makes the tolerance credible, not a division by zero; with
         # process noise dead reckoning leaves 0 after one step.
-        assert escape_time(np.zeros((4, 4)), uav_model, 2.0, 0.01, 4) >= 1
+        assert escape_time(np.zeros((4, 4)), uav_model, 2.0, 0.01) >= 1
         # Without process noise P stays 0, so the tolerance never escapes.
         with pytest.raises(ConvergenceError, match="still credible") as info:
             escape_time(np.zeros((1, 1)), scalar_model(a=2.0, sigma_w=0.0),
-                        1.0, 0.05, 1, max_horizon=50)
+                        1.0, 0.05, max_horizon=50)
         assert info.value.residual == math.inf
 
     def test_fixed_point_fails_without_walking_the_horizon(self, uav_model,
@@ -300,7 +300,7 @@ class TestEscapeTime:
                             Sigma_w=np.zeros((4, 4)), Sigma_G=m.Sigma_G,
                             Sigma_I=m.Sigma_I)
         with pytest.raises(ConvergenceError) as info:
-            escape_time(np.zeros((4, 4)), model, 2.0, 0.01, 4)
+            escape_time(np.zeros((4, 4)), model, 2.0, 0.01)
         assert str(info.value) == (
             "tolerance still credible after 100000 steps (last statistic inf "
             f"> quantile {chi2_quantile(4, 0.01):.6g})")
@@ -319,7 +319,7 @@ class TestNonFiniteCovariance:
         P = uav_stationary_P.copy()
         P[1, 2] = bad
         with pytest.raises(NumericalError) as info:
-            escape_time(P, uav_model, zeta, 0.01, 4)
+            escape_time(P, uav_model, zeta, 0.01)
         assert str(info.value) == "non-finite covariance at the attack step"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -328,18 +328,18 @@ class TestNonFiniteCovariance:
         P = uav_stationary_P.copy()
         P[0, 0] = bad
         with pytest.raises(NumericalError) as info:
-            escape_time_lower_bound(P, uav_model, 2.0, 0.01, 4)
+            escape_time_lower_bound(P, uav_model, 2.0, 0.01)
         assert str(info.value) == "non-finite covariance at the attack step"
 
 
 class TestEscapeTimeLowerBound:
     def test_uav_bound(self, uav_model, uav_stationary_P):
-        bound = escape_time_lower_bound(uav_stationary_P, uav_model, 2.0, 0.01, 4)
+        bound = escape_time_lower_bound(uav_stationary_P, uav_model, 2.0, 0.01)
         assert 252 <= math.ceil(bound) <= 262
 
     def test_bound_below_escape(self, uav_model, uav_stationary_P):
-        bound = escape_time_lower_bound(uav_stationary_P, uav_model, 2.0, 0.01, 4)
-        k = escape_time(uav_stationary_P, uav_model, 2.0, 0.01, 4)
+        bound = escape_time_lower_bound(uav_stationary_P, uav_model, 2.0, 0.01)
+        k = escape_time(uav_stationary_P, uav_model, 2.0, 0.01)
         assert bound <= k
 
     def test_scalar_unit_branch_exact(self):
@@ -347,13 +347,13 @@ class TestEscapeTimeLowerBound:
         model = scalar_model(a=1.0)
         chi2 = chi2_quantile(1, 0.05)
         zeta = math.sqrt(11.0 * chi2)
-        bound = escape_time_lower_bound(np.eye(1), model, zeta, 0.05, 1)
+        bound = escape_time_lower_bound(np.eye(1), model, zeta, 0.05)
         assert bound == pytest.approx(10.0, abs=1e-9)
 
     def test_degenerate_tolerance_clamps_to_zero(self):
         model = scalar_model(a=1.0)
         # zeta^2 / chi2 < ||P||: already outside the tolerable region
-        assert escape_time_lower_bound(5.0 * np.eye(1), model, 0.1, 0.05, 1) == 0.0
+        assert escape_time_lower_bound(5.0 * np.eye(1), model, 0.1, 0.05) == 0.0
 
     def test_rejects_drifting_relative_sensor(self):
         model = SystemModel(A=0.5 * np.eye(2), B=np.zeros((2, 1)),
@@ -361,18 +361,18 @@ class TestEscapeTimeLowerBound:
                             Sigma_w=np.eye(2), Sigma_G=np.eye(2),
                             Sigma_I=np.eye(2))
         with pytest.raises(ValueError, match="drift-free"):
-            escape_time_lower_bound(np.eye(2), model, 1.0, 0.05, 2)
+            escape_time_lower_bound(np.eye(2), model, 1.0, 0.05)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_zero_covariance_without_noise_bound_is_infinite(self, a):
         # P_k = A^k 0 A^kT = 0 at every step: the bound is inf in each branch.
         model = scalar_model(a=a, sigma_w=0.0)
-        bound = escape_time_lower_bound(np.zeros((1, 1)), model, 1.0, 0.05, 1)
+        bound = escape_time_lower_bound(np.zeros((1, 1)), model, 1.0, 0.05)
         assert bound == math.inf
 
     def test_stable_plant_bound_is_infinite(self):
         model = scalar_model(a=0.5)
-        bound = escape_time_lower_bound(np.eye(1), model, 100.0, 0.05, 1)
+        bound = escape_time_lower_bound(np.eye(1), model, 100.0, 0.05)
         assert math.isinf(bound)
 
     def test_stable_plant_already_exceeded_is_zero(self):
@@ -382,8 +382,8 @@ class TestEscapeTimeLowerBound:
         chi2 = chi2_quantile(1, 0.05)
         zeta = math.sqrt(2.0 * chi2)  # target 2 < ||P0|| = 3
         P0 = 3.0 * np.eye(1)
-        assert escape_time_lower_bound(P0, model, zeta, 0.05, 1) == 0.0
-        assert escape_time(P0, model, zeta, 0.05, 1) == 0
+        assert escape_time_lower_bound(P0, model, zeta, 0.05) == 0.0
+        assert escape_time(P0, model, zeta, 0.05) == 0
 
     def test_stable_plant_climbing_case_dominated(self):
         # Dead-reckoning covariance climbs from 1 toward 4/3; a target in
@@ -391,15 +391,15 @@ class TestEscapeTimeLowerBound:
         model = scalar_model(a=0.5)
         chi2 = chi2_quantile(1, 0.05)
         zeta = math.sqrt(1.2 * chi2)
-        bound = escape_time_lower_bound(np.eye(1), model, zeta, 0.05, 1)
-        k = escape_time(np.eye(1), model, zeta, 0.05, 1)
+        bound = escape_time_lower_bound(np.eye(1), model, zeta, 0.05)
+        k = escape_time(np.eye(1), model, zeta, 0.05)
         assert 0.0 < bound <= k
 
     def test_dominance_across_tolerances(self, uav_model, uav_stationary_P):
         for zeta in (1.0, 2.0, 4.0, 8.0):
             bound = escape_time_lower_bound(uav_stationary_P, uav_model,
-                                            zeta, 0.01, 4)
-            k = escape_time(uav_stationary_P, uav_model, zeta, 0.01, 4)
+                                            zeta, 0.01)
+            k = escape_time(uav_stationary_P, uav_model, zeta, 0.01)
             assert bound <= k
 
 
@@ -421,11 +421,11 @@ class TestEmergencyGrowth:
 class TestConfidenceBound:
     def test_identity_covariance(self):
         expected = math.sqrt(chi2_quantile(4, 0.01))
-        assert confidence_bound(np.eye(4), 0.01, 4) == pytest.approx(expected)
-        assert confidence_bound(np.eye(4), 0.01, 4) == pytest.approx(3.6437, abs=1e-4)
+        assert confidence_bound(np.eye(4), 0.01) == pytest.approx(expected)
+        assert confidence_bound(np.eye(4), 0.01) == pytest.approx(3.6437, abs=1e-4)
 
     def test_zero_covariance(self):
-        assert confidence_bound(np.zeros((4, 4)), 0.01, 4) == 0.0
+        assert confidence_bound(np.zeros((4, 4)), 0.01) == 0.0
 
     def test_equals_the_run_columns(self, uav_config):
         # spectral_norm and confidence_bound give a run's norm_P and
@@ -433,15 +433,15 @@ class TestConfidenceBound:
         cols = run_scenario(uav_config).columns
         alpha = uav_config.detector.alpha
         assert [spectral_norm(P) for P in cols.P] == cols.norm_P.tolist()
-        assert [confidence_bound(P, alpha, 4) for P in cols.P] == \
+        assert [confidence_bound(P, alpha) for P in cols.P] == \
             cols.conf_radius.tolist()
 
     def test_scales_with_sqrt(self):
         rng = np.random.default_rng(12)
         R = rng.normal(size=(4, 4))
         P = R @ R.T
-        one = confidence_bound(P, 0.01, 4)
-        two = confidence_bound(2.0 * P, 0.01, 4)
+        one = confidence_bound(P, 0.01)
+        two = confidence_bound(2.0 * P, 0.01)
         assert two == pytest.approx(math.sqrt(2.0) * one, rel=1e-12)
 
 
@@ -470,3 +470,19 @@ class TestEscapeReport:
         report = escape_report(model, 1e-3, 0.05)
         assert report.k_escape == 0
         assert report.k_lower_bound is None
+
+
+class TestDegreesOfFreedom:
+    """The chi-square quantiles take the state dimension as their degrees of
+    freedom, so no function takes a df; a positional one is a TypeError
+    rather than a max_horizon or a drift analysis."""
+
+    @pytest.mark.parametrize("call", [
+        lambda m, P: escape_time(P, m, 2.0, 0.01, 4),
+        lambda m, P: escape_time_lower_bound(P, m, 2.0, 0.01, 4),
+        lambda m, P: escape_report(m, 2.0, 0.01, 4),
+        lambda m, P: confidence_bound(P, 0.01, 4)])
+    def test_positional_df_is_rejected(self, uav_model, uav_stationary_P,
+                                       call):
+        with pytest.raises(TypeError):
+            call(uav_model, uav_stationary_P)

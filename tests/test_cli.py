@@ -91,6 +91,20 @@ class TestValidate:
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "none.json")]) == 1
 
+    def test_default_target_has_one_entry_per_input(self, tmp_path, capsys):
+        # A 2-state, 1-input model (position, velocity) without a target.
+        raw = {"model": {"A": [[1.0, 0.01], [0.0, 1.0]], "B": [[0.0], [0.01]],
+                         "C_G": [[1.0, 0.0]], "C_I": [[0.0, 1.0]],
+                         "Sigma_w": [[1e-4, 0.0], [0.0, 1e-4]],
+                         "Sigma_G": [[1e-3]], "Sigma_I": [[1e-3]]},
+               "steps": 50}
+        cfg = tmp_path / "one_input.json"
+        cfg.write_text(json.dumps(raw))
+        assert spoofguard.parse_config(cfg).target.tolist() == [10.0]
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert main(["run", "--config", str(cfg)]) == 0
+
     def test_flag_bounds_checked(self, config_path):
         assert main(["run", "--config", config_path, "--steps", "0"]) == 1
         assert main(["run", "--config", config_path, "--seed", "-1"]) == 1

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spoofguard import (AttackSignal, EstimatorState, GainPair, Mode,
+from spoofguard import (AttackSignal, EstimatorState, Mode,
                         NumericalError, ScenarioShared, StackedSensorForms,
                         SystemModel, builtin_config_path,
                         covariance_update, cusum_update, drift_matrices,
-                        emergency_gain, fuse, optimal_gain, parse_config,
+                        fuse, optimal_gain, parse_config,
                         harness, predict, run_scenario,
                         stationary_covariance)
 
@@ -32,8 +32,7 @@ def stacked(model):
 
 
 def zero_gain(model):
-    return GainPair(K_G=np.zeros((model.n, model.m_G)),
-                    K_I=np.zeros((model.n, model.m_I)))
+    return np.zeros((model.n, model.m_G + model.m_I))
 
 
 class TestStackedForms:
@@ -88,7 +87,7 @@ class TestInnovationSystem:
         def outputs(est):
             out = fuse(est, model, stacked, u, y_G, y_I)
             return (_detector_weight(est, stacked), out.x_hat, out.P,
-                    optimal_gain(est.P, model, stacked).stacked())
+                    optimal_gain(est.P, model, stacked))
 
         want = outputs(EstimatorState(first.x_hat, other, mode))
         for est in (replace(first, P=other, mode=mode),
@@ -168,8 +167,8 @@ class TestNormalStepCoefficients:
                            y_I).x_hat
                 K = optimal_gain(P, model, stacked)
                 pred = A @ x_hat + B @ u
-                want = (pred + K.K_G @ (y_G - C_G @ pred)
-                        + K.K_I @ (y_I - C_I @ (pred - x_hat)))
+                want = (pred + K[:, :model.m_G] @ (y_G - C_G @ pred)
+                        + K[:, model.m_G:] @ (y_I - C_I @ (pred - x_hat)))
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(x_hat)
 
@@ -233,7 +232,7 @@ class TestStackedInverse:
 
         def quantities(model, est, stacked):
             return (_detector_weight(est, stacked),
-                    optimal_gain(est.P, model, stacked).stacked(),
+                    optimal_gain(est.P, model, stacked),
                     _dead_reckoning(est, model, stacked)[1])
 
         for model, priors in priors_per_model:
@@ -345,7 +344,7 @@ class TestOneProductBlocks:
 
     @staticmethod
     def blocks_and_separate(model, stacked, P):
-        K = optimal_gain(P, model, stacked).stacked()
+        K = optimal_gain(P, model, stacked)
         n, p, m = model.n, model.p, K.shape[1]
         blocks = _covariance_update_stacked(P, K, stacked)[0]
         separate = (model.A - K.dot(stacked._M),
@@ -427,7 +426,7 @@ class TestCovarianceUpdate:
         # With a drift-free relative sensor the dead-reckoning covariance law
         # collapses to A P A^T + Sigma_bar.
         drift = drift_matrices(model)
-        K = GainPair(K_G=np.zeros((4, 2)), K_I=emergency_gain(model))
+        K = np.hstack([np.zeros((4, 2)), stacked.K_I])
         P = stationary_covariance(model)
         for _ in range(50):
             updated = covariance_update(P, K, model, stacked)
@@ -444,7 +443,7 @@ class TestCovarianceUpdate:
         for model, priors in priors_per_model:
             stacked, n = StackedSensorForms(model), model.n
             for P in priors:
-                K = optimal_gain(P, model, stacked).stacked()
+                K = optimal_gain(P, model, stacked)
                 for gain in (K, K + rng.normal(scale=0.1, size=K.shape)):
                     got = _covariance_update_stacked(P, gain, stacked)[1]
                     T = model.A - gain @ stacked._M
@@ -466,8 +465,8 @@ class TestCovarianceUpdate:
         # also holds for random (suboptimal) gains
         P = 1e-4 * np.eye(4)
         for _ in range(200):
-            K = GainPair(K_G=rng.normal(scale=0.1, size=(4, 2)),
-                         K_I=rng.normal(scale=0.1, size=(4, 2)))
+            K = np.hstack([rng.normal(scale=0.1, size=(4, 2)),
+                           rng.normal(scale=0.1, size=(4, 2))])
             P = covariance_update(P, K, model, stacked)
             assert np.array_equal(P, P.T)
             assert np.linalg.eigvalsh(P).min() >= -1e-10
@@ -484,8 +483,7 @@ class TestOptimalGain:
             for _ in range(20):
                 eps = rng.normal(size=(4, 4))
                 eps *= 1e-2 / np.linalg.norm(eps)
-                K_pert = GainPair(K_G=K_opt.K_G + eps[:, :2],
-                                  K_I=K_opt.K_I + eps[:, 2:])
+                K_pert = K_opt + eps
                 assert base <= np.trace(covariance_update(P, K_pert, model, stacked))
 
     def test_first_order_condition(self, model, stacked):
@@ -497,7 +495,7 @@ class TestOptimalGain:
         for _ in range(25):
             R = rng.normal(size=(4, 4))
             P = R @ R.T
-            K = optimal_gain(P, model, stacked).stacked()
+            K = optimal_gain(P, model, stacked)
             resid = ((model.A - K @ M) @ P @ (-M).T
                      - (np.eye(4) - K @ C) @ model.Sigma_w @ C.T
                      + K @ Sy)
@@ -510,12 +508,12 @@ class TestOptimalGain:
                             Sigma_I=base.Sigma_I)
         stacked = StackedSensorForms(model)
         K = optimal_gain(np.zeros((4, 4)), model, stacked)
-        assert np.abs(K.stacked()).max() <= 1e-15
+        assert np.abs(K).max() <= 1e-15
 
 
 class TestEmergencyGain:
     def test_uav_values(self, model):
-        K = emergency_gain(model)
+        K = StackedSensorForms(model).K_I
         expected = np.zeros((4, 2))
         expected[2, 0] = 1e-4 / 1.1e-3
         expected[3, 1] = 1e-4 / 1.1e-3
@@ -526,13 +524,14 @@ class TestEmergencyGain:
         model = SystemModel(A=base.A, B=base.B, C_G=base.C_G, C_I=base.C_I,
                             Sigma_w=base.Sigma_w, Sigma_G=base.Sigma_G,
                             Sigma_I=1e6 * np.eye(2))
-        assert np.linalg.norm(emergency_gain(model)) <= 1e-6
+        assert np.linalg.norm(StackedSensorForms(model).K_I) <= 1e-6
 
     def test_symmetric_scalar_blend(self):
         one = np.eye(1)
         model = SystemModel(A=one, B=one, C_G=one, C_I=one,
                             Sigma_w=one, Sigma_G=one, Sigma_I=one)
-        np.testing.assert_allclose(emergency_gain(model), [[0.5]], rtol=1e-14)
+        np.testing.assert_allclose(StackedSensorForms(model).K_I, [[0.5]],
+                                   rtol=1e-14)
 
 
 def closed_form_invariants(model):
@@ -548,7 +547,7 @@ class TestDerivedInvariants:
         K_I, Sigma_bar = closed_form_invariants(model)
         assert stacked.K_I.tobytes() == K_I.tobytes()
         assert stacked.Sigma_bar.tobytes() == Sigma_bar.tobytes()
-        assert emergency_gain(model).tobytes() == K_I.tobytes()
+        assert StackedSensorForms(model).K_I.tobytes() == K_I.tobytes()
 
     def test_random_closed_forms(self):
         rng = np.random.default_rng(2024)
@@ -608,12 +607,12 @@ class TestFuse:
 
     def test_emergency_gps_gain_is_zero(self, model, stacked):
         K = optimal_gain(1e-3 * np.eye(4), model, stacked)
-        assert np.abs(K.K_G).max() > 0  # normal mode uses GPS
+        assert np.abs(K[:, :2]).max() > 0  # normal mode uses GPS
         # emergency covariance equals the zero-GPS-gain update
         est = EstimatorState.initial(np.zeros(4), P0=1e-3 * np.eye(4),
                                      mode=Mode.EMERGENCY)
         out = fuse(est, model, stacked, np.zeros(2), np.zeros(2), np.zeros(2))
-        K_emergency = GainPair(K_G=np.zeros((4, 2)), K_I=emergency_gain(model))
+        K_emergency = np.hstack([np.zeros((4, 2)), stacked.K_I])
         expected = covariance_update(est.P, K_emergency, model, stacked)
         np.testing.assert_allclose(out.P, expected, rtol=1e-14)
 
@@ -626,7 +625,7 @@ class TestFuse:
         np.testing.assert_array_equal(stacked._T_emergency, model.A)
         np.testing.assert_array_equal(stacked.Sigma_bar,
                                       drift_matrices(model).Sigma_bar)
-        K_emergency = GainPair(K_G=np.zeros((4, 2)), K_I=emergency_gain(model))
+        K_emergency = np.hstack([np.zeros((4, 2)), stacked.K_I])
         rng = np.random.default_rng(19)
         for P in (stationary_covariance(model), 1e-3 * np.eye(4),
                   *(R @ R.T for R in rng.normal(size=(3, 4, 4)))):
@@ -705,7 +704,7 @@ class TestModeBehaviour:
         assert np.linalg.norm(P - stationary_covariance(model)) <= 1e-8
 
     def test_emergency_mode_covariance_grows_unbounded(self, model, stacked):
-        K = GainPair(K_G=np.zeros((4, 2)), K_I=emergency_gain(model))
+        K = np.hstack([np.zeros((4, 2)), stacked.K_I])
         P = stationary_covariance(model)
         start_trace = np.trace(P)
         prev = start_trace

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -47,25 +48,45 @@ class TestPdControl:
 
 
 class TestRunScenario:
-    def test_paper_scenario_alarm_latency(self, uav_config, uav_shared):
+    def test_paper_scenario_alarm_latency(self, uav_config, uav_shared,
+                                          tmp_path):
         trace = run_scenario(uav_config, shared=uav_shared)
         # Noise can trip transient alarms before the attack; the detection
         # latency is measured from the attack onset.
         assert 700 <= trace.attack_detection_step <= 703
         assert trace.first_alarm_step <= trace.attack_detection_step
-        rec = trace.records[trace.attack_detection_step - 1]
-        assert rec.alarmed and rec.mode == "emergency"
+        row = _csv_rows(trace, tmp_path)[trace.attack_detection_step - 1]
+        assert row["alarmed"] == "true" and row["mode"] == "emergency"
 
-    def test_record_count_and_initial_mode(self, uav_config, uav_shared):
+    def test_record_count_and_initial_mode(self, uav_config, uav_shared,
+                                           tmp_path):
         trace = run_scenario(uav_config, shared=uav_shared)
-        assert len(trace.records) == uav_config.steps
-        assert trace.records[0].k == 1
-        assert trace.records[0].mode == "normal"
+        rows = _csv_rows(trace, tmp_path)
+        assert len(trace.columns.alarmed) == len(rows) == uav_config.steps
+        assert rows[0]["k"] == "1"
+        assert rows[0]["mode"] == "normal"
 
-    def test_alarmed_steps_ran_in_emergency(self, uav_config, uav_shared):
+    def test_alarmed_steps_ran_in_emergency(self, uav_config, uav_shared,
+                                            tmp_path):
         trace = run_scenario(uav_config, shared=uav_shared)
-        for rec in trace.records:
-            assert rec.mode == ("emergency" if rec.alarmed else "normal")
+        rows = _csv_rows(trace, tmp_path)
+        for row, alarmed in zip(rows, trace.columns.alarmed.tolist()):
+            assert row["alarmed"] == ("true" if alarmed else "false")
+            assert row["mode"] == ("emergency" if alarmed else "normal")
+
+    @pytest.mark.parametrize("attack", [
+        AttackSignal.none(),
+        AttackSignal(kind="constant-bias", d=[100.0, 100.0], start_step=601)])
+    def test_false_alarm_without_attack_is_no_detection(self, uav_config,
+                                                        uav_shared, attack):
+        # Seed 1 trips a false alarm at step 311; with no attack inside the
+        # horizon it is reported as the first alarm, never as a detection.
+        config = replace(uav_config, attack=attack, steps=600, seed=1)
+        trace = run_scenario(config, shared=uav_shared)
+        assert trace.first_alarm_step == 311
+        assert trace.attack_detection_step is None
+        assert trace.escape_time_from_alarm is None
+        assert trace.summary()["attack_detection_step"] is None
 
     def test_spoofed_gps_never_touches_estimate(self, uav_config, uav_shared):
         # Identical streams, wildly different attack magnitudes: once both
@@ -78,9 +99,8 @@ class TestRunScenario:
         t2 = run_scenario(big, shared=uav_shared)
         assert t1.attack_detection_step == t2.attack_detection_step == 700
         assert t1.first_alarm_step == t2.first_alarm_step
-        for r1, r2 in zip(t1.records, t2.records):
-            assert np.array_equal(r1.x_hat, r2.x_hat)
-            assert np.array_equal(r1.x, r2.x)
+        assert np.array_equal(t1.columns.x_hat, t2.columns.x_hat)
+        assert np.array_equal(t1.columns.x, t2.columns.x)
 
     def test_non_finite_spoof_forces_emergency(self, uav_config, uav_shared):
         # A NaN or infinite GPS reading alarms on its step and latches the
@@ -149,6 +169,7 @@ class TestRunScenario:
         config = replace(uav_config, steps=720)
         model, det = config.model, config.detector
         trace = run_scenario(config, shared=uav_shared)
+        cols = trace.columns
         samplers = (uav_shared.sampler_w, uav_shared.sampler_G,
                     uav_shared.sampler_I)
         rngs = [np.random.default_rng(s)
@@ -156,7 +177,7 @@ class TestRunScenario:
         plant = PlantState.initial(config.x0)
         est = EstimatorState.initial(config.x0)
         S, threshold = 0.0, det.threshold()
-        for rec in trace.records:
+        for i in range(config.steps):
             w, v_G, v_I = (s.sample(rng) for s, rng in zip(samplers, rngs))
             u = pd_control(est.x_hat, config.target, config.kp, config.kd)
             plant = step_dynamics(model, plant, u, w)
@@ -167,13 +188,14 @@ class TestRunScenario:
             mode = Mode.EMERGENCY if S > threshold else Mode.NORMAL
             est = fuse(replace(est, mode=mode), model, uav_shared.stacked,
                        u, y_G, y_I)
-            assert rec.mode == mode.value
-            np.testing.assert_allclose(rec.x, plant.x, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(rec.x_hat, est.x_hat,
+            assert cols.alarmed[i] == (mode is Mode.EMERGENCY)
+            np.testing.assert_allclose(cols.x[i], plant.x, rtol=1e-9,
+                                       atol=1e-12)
+            np.testing.assert_allclose(cols.x_hat[i], est.x_hat,
                                        rtol=1e-9, atol=1e-12)
-            assert rec.S == pytest.approx(S, rel=1e-9, abs=1e-12)
-            assert rec.conf_radius == pytest.approx(
-                confidence_bound(est.P, det.alpha, model.n), rel=1e-9)
+            assert cols.S[i] == pytest.approx(S, rel=1e-9, abs=1e-12)
+            assert cols.conf_radius[i] == pytest.approx(
+                confidence_bound(est.P, det.alpha), rel=1e-9)
         assert trace.attack_detection_step == 700
 
     def test_detector_covariance_is_the_innovation_block(self, uav_config,
@@ -199,12 +221,12 @@ class TestRunScenario:
     def test_seed_changes_trace(self, uav_config, uav_shared):
         t1 = run_scenario(uav_config, shared=uav_shared)
         t2 = run_scenario(replace(uav_config, seed=1), shared=uav_shared)
-        assert not np.array_equal(t1.records[10].x, t2.records[10].x)
+        assert not np.array_equal(t1.columns.x[10], t2.columns.x[10])
 
     def test_no_attack_stays_normal(self, uav_config, uav_shared):
         config = replace(uav_config, attack=AttackSignal.none(), steps=10_000)
         trace = run_scenario(config, shared=uav_shared)
-        normal = sum(rec.mode == "normal" for rec in trace.records)
+        normal = int((~trace.columns.alarmed).sum())
         assert normal >= 0.99 * config.steps
         assert trace.first_alarm_step is None or trace.escape is not None
 
@@ -215,9 +237,10 @@ class TestRunScenario:
         trace = run_scenario(config, detector_enabled=False, shared=uav_shared)
         assert trace.first_alarm_step is None
         goal = np.array([10.0, 10.0, 0.0, 0.0])
-        for rec in trace.records[2000:]:
-            assert np.all(np.abs(rec.x[:2] - (-90.0)) <= 5.0)
-            assert np.linalg.norm(rec.x_hat - goal) <= 1.0
+        cols = trace.columns
+        for x, x_hat in zip(cols.x[2000:], cols.x_hat[2000:]):
+            assert np.all(np.abs(x[:2] - (-90.0)) <= 5.0)
+            assert np.linalg.norm(x_hat - goal) <= 1.0
 
     def test_escape_report_attached_on_alarm(self, uav_config, uav_shared):
         trace = run_scenario(uav_config, shared=uav_shared)
@@ -239,7 +262,7 @@ class TestMonteCarlo:
             shared=uav_shared)
         assert batch.runs[0].seed == derive_run_seed(config.seed, 0)
         assert batch.runs[0].first_alarm_step == direct.first_alarm_step
-        errors = np.array([rec.x - rec.x_hat for rec in direct.records])
+        errors = direct.columns.x - direct.columns.x_hat
         np.testing.assert_array_equal(batch.mean_error, errors)
 
     def test_run_result_does_not_depend_on_its_batch(self, uav_config,
@@ -252,12 +275,13 @@ class TestMonteCarlo:
             direct = run_scenario(
                 replace(config, seed=derive_run_seed(config.seed, i), runs=1),
                 shared=uav_shared)
-            covered = [rec.err_norm <= rec.conf_radius for rec in direct.records]
+            cols = direct.columns
+            covered = (cols.err_norm <= cols.conf_radius).tolist()
             assert run.first_alarm_step == direct.first_alarm_step
             assert run.attack_detection_step == direct.attack_detection_step
             assert run.covered_steps == sum(covered)
             assert run.covered_post_attack == sum(covered[699:])
-            assert run.final_err_norm == direct.records[-1].err_norm
+            assert run.final_err_norm == cols.err_norm[-1]
 
     def test_batch_skips_the_unreported_escape_time(self, uav_config,
                                                      uav_shared, monkeypatch):
@@ -754,12 +778,14 @@ class TestExportTrace:
             return format(float(v), ".17g")
         lines = [("k,x1,x2,x3,x4,xhat1,xhat2,xhat3,xhat4,u1,u2,"
                   "S,mode,alarmed,trace_P,norm_P,conf_radius,err_norm")]
-        for rec in trace.records:
+        for rec in _step_dicts(trace.columns):
             lines.append(",".join(
-                [str(rec.k)] + [fmt(v) for v in (*rec.x, *rec.x_hat, *rec.u)]
-                + [fmt(rec.S), rec.mode, "true" if rec.alarmed else "false"]
-                + [fmt(v) for v in (rec.trace_P, rec.norm_P,
-                                    rec.conf_radius, rec.err_norm)]))
+                [str(rec["k"])]
+                + [fmt(v) for v in (*rec["x"], *rec["x_hat"], *rec["u"])]
+                + [fmt(rec["S"]), rec["mode"],
+                   "true" if rec["alarmed"] else "false"]
+                + [fmt(rec[key]) for key in ("trace_P", "norm_P",
+                                             "conf_radius", "err_norm")]))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("spoof", [None, np.nan])
@@ -772,13 +798,8 @@ class TestExportTrace:
         summary["escape_report"] = dict(
             trace.escape.to_dict(),
             k_escape_from_alarm=trace.escape_time_from_alarm)
-        expected = {"records": [{
-            "k": rec.k, "x": rec.x.tolist(), "x_hat": rec.x_hat.tolist(),
-            "u": rec.u.tolist(), "S": rec.S, "mode": rec.mode,
-            "alarmed": rec.alarmed, "trace_P": rec.trace_P,
-            "norm_P": rec.norm_P, "conf_radius": rec.conf_radius,
-            "err_norm": rec.err_norm} for rec in trace.records],
-            "summary": summary}
+        expected = {"records": list(_step_dicts(trace.columns)),
+                    "summary": summary}
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh) == expected
         # One record per line; a NaN spoof latches S = inf from step 700.
@@ -791,8 +812,9 @@ class TestExportTrace:
     @pytest.mark.parametrize("spoof", [None, np.nan])
     def test_json_bytes_match_per_record_dumps(self, uav_config, uav_shared,
                                                tmp_path, spoof):
-        # The reference writes each record dict, in StepRecord field order,
-        # with its own json.dumps; a NaN spoof gives S = Infinity from 700.
+        # The reference writes each record dict, keys in the order of the CSV
+        # columns, with its own json.dumps; a NaN spoof gives S = Infinity
+        # from 700.
         trace = run_scenario(_spoofed(uav_config, spoof), shared=uav_shared)
         path = tmp_path / "trace.json"
         export_trace(trace, path, "json")
@@ -800,43 +822,46 @@ class TestExportTrace:
         summary["escape_report"] = dict(
             trace.escape.to_dict(),
             k_escape_from_alarm=trace.escape_time_from_alarm)
-        records = [json.dumps({
-            "k": rec.k, "x": rec.x.tolist(), "x_hat": rec.x_hat.tolist(),
-            "u": rec.u.tolist(), "S": rec.S, "mode": rec.mode,
-            "alarmed": rec.alarmed, "trace_P": rec.trace_P,
-            "norm_P": rec.norm_P, "conf_radius": rec.conf_radius,
-            "err_norm": rec.err_norm}) for rec in trace.records]
+        records = [json.dumps(rec) for rec in _step_dicts(trace.columns)]
         expected = ('{"records": [\n' + ",\n".join(records)
                     + '\n], "summary": ' + json.dumps(summary, indent=2)
                     + "}\n")
         assert path.read_bytes() == expected.encode()
         assert ('"S": Infinity' in records[699]) == (spoof is not None)
 
-    def test_records_built_on_first_access(self, uav_config, uav_shared,
-                                           monkeypatch):
-        trace = run_scenario(replace(uav_config, steps=20), shared=uav_shared)
-        assert "records" not in vars(trace)
-        assert [rec.k for rec in trace.records] == list(range(1, 21))
-        assert "records" in vars(trace)
-        np.testing.assert_array_equal(trace.records[4].x, trace.columns.x[4])
-
-        def not_built(trace):
-            raise AssertionError("records were built")
-        monkeypatch.setattr(harness.ScenarioTrace, "records",
-                            property(not_built))
-        monte_carlo(replace(uav_config, runs=2, steps=20), shared=uav_shared)
-
     def test_conf_radius_column_is_reproducible(self, uav_config, uav_shared):
         config = replace(uav_config, steps=200)
         trace = run_scenario(config, shared=uav_shared)
-        for rec, P in zip(trace.records, trace.columns.P):
-            assert rec.conf_radius == confidence_bound(
-                P, config.detector.alpha, config.model.n)
+        cols = trace.columns
+        for conf_radius, P in zip(cols.conf_radius.tolist(), cols.P):
+            assert conf_radius == confidence_bound(P, config.detector.alpha)
 
     def test_rejects_unknown_format(self, uav_config, uav_shared, tmp_path):
         trace = run_scenario(replace(uav_config, steps=5), shared=uav_shared)
         with pytest.raises(ValueError, match="format"):
             export_trace(trace, tmp_path / "x.bin", "parquet")
+
+
+def _csv_rows(trace, tmp_path):
+    """The trace's CSV export read back, one dict per step."""
+    path = tmp_path / "trace.csv"
+    export_trace(trace, path, "csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _step_dicts(cols):
+    """Each step's values from the run's columns as Python objects, keyed
+    and ordered as a JSON trace record."""
+    for i, alarmed in enumerate(cols.alarmed.tolist()):
+        yield {"k": i + 1, "x": cols.x[i].tolist(),
+               "x_hat": cols.x_hat[i].tolist(),
+               "u": cols.u[i].tolist(), "S": float(cols.S[i]),
+               "mode": "emergency" if alarmed else "normal",
+               "alarmed": alarmed, "trace_P": float(cols.trace_P[i]),
+               "norm_P": float(cols.norm_P[i]),
+               "conf_radius": float(cols.conf_radius[i]),
+               "err_norm": float(cols.err_norm[i])}
 
 
 def _spoofed(config, spoof):

@@ -6,7 +6,7 @@ import pytest
 
 from spoofguard import (AttackSignal, GaussianSampler, PlantState,
                         ScenarioShared, StackedSensorForms, SystemModel,
-                        builtin_config_path, drift_matrices, emergency_gain,
+                        builtin_config_path, drift_matrices,
                         escape_report, measure_gps, measure_imu, run_scenario,
                         step_dynamics, validate_model)
 from spoofguard.cli import main
@@ -255,7 +255,7 @@ class TestValidateModel:
                           Sigma_I=model.Sigma_I)
         [finding] = validate_model(bad)
         for build in (drift_matrices, StackedSensorForms, ScenarioShared,
-                      emergency_gain, lambda m: run_scenario(replace(uav_config, model=m)),
+                      lambda m: run_scenario(replace(uav_config, model=m)),
                       lambda m: escape_report(m, 2.0, 0.01)):
             with pytest.raises(ValueError) as info:
                 build(bad)
