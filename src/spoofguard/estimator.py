@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import SystemModel, _transition_inverse
+from .model import SystemModel, _inv, _transition_inverse
 
 
 class Mode(Enum):
@@ -176,8 +176,7 @@ def _innovation_system(est: EstimatorState,
         m = len(stacked.C)
         step.R, step.G = system[:m], system[m:]
         try:
-            step.inverse = np.linalg.inv(
-                np.where(stacked._inverse_mask, step.R, 0.0))
+            step.inverse = _inv(np.where(stacked._inverse_mask, step.R, 0.0))
             step.inverse.setflags(write=False)
         except np.linalg.LinAlgError:
             pass
@@ -199,7 +198,7 @@ def _detector_weight(est: EstimatorState,
         P_d = stacked._M[:m_G].dot(est.P.dot(stacked._M_T))[:, :m_G] \
             + stacked._innovation_noise[:m_G, :m_G]
         try:
-            return np.linalg.inv(P_d)
+            return _inv(P_d)
         except np.linalg.LinAlgError:
             return _solve_gain(P_d, stacked._I_G, "residual covariance")
     step = _innovation_system(est, stacked)

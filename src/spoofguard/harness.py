@@ -202,8 +202,7 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
 
 @dataclass(eq=False)
 class _RunColumns:
-    """Per-step results of one run, one row per step; iterating yields the
-    ten columns, x to err_norm in _RECORD_KEYS order, then P."""
+    """Per-step results of one run, one row per step."""
 
     x: np.ndarray               # (steps, n) true states
     x_hat: np.ndarray           # (steps, n) estimates
@@ -217,11 +216,6 @@ class _RunColumns:
     # (steps,) each, computed on first read: spectral norm of P, conf_radius
     norm_P = cached_property(lambda self: _spectral_norms(self.P))
     conf_radius = cached_property(lambda self: np.sqrt(self.q * self.norm_P))
-
-    def __iter__(self):
-        return iter((self.x, self.x_hat, self.u, self.S, self.alarmed,
-                     self.trace_P, self.norm_P, self.conf_radius,
-                     self.err_norm, self.P))
 
 
 def _covered(cols: _RunColumns) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 ATTACK_KINDS = ("none", "constant-bias", "ramp", "custom-sequence")
 MATRIX_NAMES = ("A", "B", "C_G", "C_I", "Sigma_w", "Sigma_G", "Sigma_I")
@@ -230,7 +231,21 @@ def _transition_inverse(A: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"A: singular or numerically singular (min singular value "
             f"{sv.min():.3e}); the model requires invertible A")
-    return np.linalg.inv(A)
+    return _inv(A)
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """numpy.linalg.inv of a float64 matrix or stack: LAPACK's inv gufunc in
+    the error state that wrapper enters, so a singular matrix raises
+    LinAlgError, without its argument handling, which costs more than the
+    call on the per-step 2x2 to 4x4 operands."""
+    with np.errstate(call=_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.inv(a, signature="d->d")
 
 
 def _covariance_findings(name: str, Sigma: np.ndarray, strict: bool) -> list:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spoofguard import (ScenarioShared, SystemModel, builtin_config_path,
-                        parse_config, stationary_covariance)
+                        harness, parse_config, stationary_covariance)
 
 
 def make_uav_model() -> SystemModel:
@@ -59,6 +59,12 @@ def chain_steps(stacked) -> list:
         steps.append(step)
         step = None if step.next is step else step.next
     return steps
+
+
+def run_columns(cols) -> tuple:
+    """A run's ten columns: x to err_norm in _RECORD_KEYS order, then P."""
+    return (*(getattr(cols, key) for key in harness._RECORD_KEYS
+              if key not in ("k", "mode")), cols.P)
 
 
 def decoupling_residual(model: SystemModel, L: np.ndarray,

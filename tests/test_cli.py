@@ -411,6 +411,24 @@ class TestOverflowingRun:
         assert not out.exists()
 
 
+class TestLargeFiniteSpoof:
+    @pytest.mark.parametrize("argv, key, want", [
+        (["run"], "attack_detection_step", 700),
+        (["mc", "--runs", "2"], "attack_detection_steps", [700, 700])])
+    def test_alarms_at_the_onset_without_a_warning(self, config_path,
+                                                  tmp_path, capsys, argv,
+                                                  key, want):
+        # The detector's quadratic form of a 1e200 residual overflows: it
+        # scores inf, under pytest's error::RuntimeWarning as in CI.
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["attack"]["d"] = [1e200, 1e200]
+        cfg = tmp_path / "large.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)[key] == want
+
+
 class TestHorizonTooLarge:
     @pytest.mark.parametrize("command", ["run", "mc"])
     @pytest.mark.parametrize("attacked", [True, False])

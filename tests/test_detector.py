@@ -133,6 +133,29 @@ class TestCusum:
         # The statistic never decays from inf, so the alarm stays on.
         assert cusum_update(S, np.zeros(2), np.eye(2), 0.15) == math.inf
 
+    @pytest.mark.parametrize("d", [[1e200, 1e200], [1e308, -1e308],
+                                   [0.0, 1e155]])
+    def test_overflowing_form_latches_the_alarm(self, d):
+        # A finite residual whose form overflows scores inf, as a non-finite
+        # one does, without an overflow warning.
+        S = cusum_update(0.0, np.array(d), 1e-3 * np.eye(2), 0.15)
+        assert S == math.inf
+
+    def test_large_residual_form_is_bit_for_bit_unscaled(self):
+        # Above 1e100 the form is scaled by a power of two: where the plain
+        # product is finite, it gives the same bits, else inf.
+        rng, finite = np.random.default_rng(5), set()
+        for exponent in range(95, 200, 3):
+            R = rng.normal(size=(2, 2))
+            P_d_inv = R @ R.T * 10.0 ** rng.uniform(-250, 3)
+            d_hat = rng.normal(size=2) * 10.0 ** exponent
+            with np.errstate(over="ignore"):
+                want = float(d_hat.dot(P_d_inv.dot(d_hat)))
+            got = normalized_residual(d_hat, P_d_inv)
+            assert got == (want if math.isfinite(want) else math.inf)
+            finite.add(math.isfinite(want))
+        assert finite == {True, False}
+
     def test_quadratic_form_via_solve_matches_inverse(self):
         rng = np.random.default_rng(8)
         R = rng.normal(size=(3, 3))

@@ -9,14 +9,15 @@ from spoofguard import (AttackSignal, EstimatorState, Mode,
                         NumericalError, ScenarioShared, StackedSensorForms,
                         SystemModel, builtin_config_path,
                         covariance_update, cusum_update, drift_matrices,
-                        fuse, optimal_gain, parse_config,
-                        harness, predict, run_scenario,
+                        estimator, fuse, monte_carlo, optimal_gain,
+                        parse_config, harness, predict, run_scenario,
                         stationary_covariance)
 
 from spoofguard.detector import normalized_residual
 from spoofguard.estimator import (_covariance_update_stacked,
                                   _dead_reckoning, _detector_weight,
                                   _innovation_system)
+from spoofguard.model import _inv
 
 from conftest import chain_steps, make_uav_model, random_invertible_model
 
@@ -203,12 +204,12 @@ class TestStackedInverse:
         # reckoning, read the inverse that the state's step builds on its
         # first use; none drops or recomputes it.  optimal_gain builds a
         # fresh step.
-        calls, inv = [], np.linalg.inv
+        calls, inv = [], estimator._inv
 
         def counted(*args, **kwargs):
             calls.append(args)
             return inv(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(estimator, "_inv", counted)
         for model, priors in priors_per_model[1:]:
             stacked = StackedSensorForms(model)
             assert not stacked.drift_free
@@ -242,7 +243,7 @@ class TestStackedInverse:
                 stacked = StackedSensorForms(model)
                 est = EstimatorState(np.zeros(model.n), P)
                 with monkeypatch.context() as patched:
-                    patched.setattr(np.linalg, "inv", singular)
+                    patched.setattr(estimator, "_inv", singular)
                     got = quantities(model, est, stacked)
                 assert est.step.R is not None and est.step.inverse is None
                 for g, w in zip(got, want):
@@ -259,6 +260,66 @@ class TestStackedInverse:
                  np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(NumericalError, match="^innovation covariance"):
             optimal_gain(P, quiet, stacked)
+
+
+class TestInverseHelper:
+    """model._inv is np.linalg.inv without the wrapper's argument handling:
+    the same bytes or the same LinAlgError, and no warning."""
+
+    @staticmethod
+    def outcome(inv, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = inv(a)
+            except np.linalg.LinAlgError as exc:
+                return type(exc), str(exc)
+        return got.dtype, got.shape, got.tobytes()
+
+    def same_as_inv(self, a):
+        want = self.outcome(np.linalg.inv, a)
+        assert self.outcome(_inv, a) == want
+        return want
+
+    def test_equals_inv_on_the_steps_operands(self, priors_per_model):
+        for model, priors in priors_per_model:
+            stacked, m_G = StackedSensorForms(model), model.m_G
+            for P in priors:
+                R = _innovation_system(EstimatorState(None, P), stacked).R
+                for a in (np.where(stacked._inverse_mask, R, 0.0),
+                          R[:m_G, :m_G]):
+                    assert self.same_as_inv(a)[0] == np.float64
+
+    def test_equals_inv_on_random_spd_matrices(self):
+        rng = np.random.default_rng(17)
+        for size in range(1, 7):
+            for _ in range(20):
+                X = rng.normal(size=(size, size))
+                spd = X @ X.T + 1e-3 * np.eye(size)
+                assert self.same_as_inv(spd)[0] == np.float64
+
+    def test_singular_raises_as_inv_does(self):
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        for a in (singular, np.zeros((3, 3)),
+                  np.stack([np.eye(2), singular])):
+            assert self.same_as_inv(a) == (np.linalg.LinAlgError,
+                                           "Singular matrix")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_as_inv(self, bad):
+        for a in (np.array([[bad, 0.0], [0.0, 1.0]]),
+                  np.array([[2.0, bad], [bad, 3.0]]), np.full((2, 2), bad),
+                  np.stack([np.eye(2), np.full((2, 2), bad)])):
+            self.same_as_inv(a)
+
+    def test_the_program_never_calls_np_linalg_inv(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        config = parse_config(builtin_config_path())
+        assert run_scenario(config).attack_detection_step == 700
+        batch = monte_carlo(replace(config, runs=4, steps=200))
+        assert batch.n_runs == 4 and np.isfinite(batch.mean_error).all()
 
 
 class TestDeadReckoningDetector:
@@ -291,12 +352,12 @@ class TestDeadReckoningDetector:
             P = _dead_reckoning(EstimatorState(np.zeros(4), P), model,
                                 stacked)[1]
         est = EstimatorState(np.zeros(4), P, Mode.EMERGENCY)
-        shapes, inv = [], np.linalg.inv
+        shapes, inv = [], estimator._inv
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return inv(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(estimator, "_inv", counted)
         _detector_weight(est, stacked)
         assert shapes == [(model.m_G, model.m_G)]
         assert est.step is None
@@ -308,7 +369,7 @@ class TestDeadReckoningDetector:
         config = replace(config, seed=1, steps=200, attack=AttackSignal(
             kind="custom-sequence", start_step=150,
             sequence=[np.full(2, np.nan)] * 51))
-        shapes, inv, simulate = [], np.linalg.inv, harness._simulate
+        shapes, inv, simulate = [], estimator._inv, harness._simulate
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
@@ -316,7 +377,7 @@ class TestDeadReckoningDetector:
 
         def simulated(*args, **kwargs):
             with monkeypatch.context() as patched:
-                patched.setattr(np.linalg, "inv", counted)
+                patched.setattr(estimator, "_inv", counted)
                 return simulate(*args, **kwargs)
         monkeypatch.setattr(harness, "_simulate", simulated)
         shared = ScenarioShared(config.model)

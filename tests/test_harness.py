@@ -10,14 +10,15 @@ from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
                         EstimatorState, Mode, NumericalError, PlantState,
                         ScenarioConfig, ScenarioShared, SystemModel,
                         builtin_config_path, confidence_bound, cusum_update,
-                        derive_run_seed, export_trace, fuse, harness,
-                        measure_gps, measure_imu, monte_carlo, parse_config,
-                        pd_control, residual, residual_covariance,
-                        run_scenario, step_dynamics)
+                        derive_run_seed, estimator, export_trace, fuse,
+                        harness, measure_gps, measure_imu, monte_carlo,
+                        parse_config, pd_control, residual,
+                        residual_covariance, run_scenario, step_dynamics)
 
 from spoofguard.estimator import _innovation_system
 
-from conftest import chain_steps, make_uav_model, random_invertible_model
+from conftest import (chain_steps, make_uav_model, random_invertible_model,
+                      run_columns)
 
 
 class TestPdControl:
@@ -114,6 +115,18 @@ class TestRunScenario:
             assert trace.columns.alarmed[699:].all()
             assert np.array_equal(trace.columns.x_hat, traces[0].columns.x_hat)
             assert np.isfinite(trace.columns.x_hat).all()
+
+    def test_large_finite_spoof_alarms_at_its_onset(self, uav_config,
+                                                    uav_shared):
+        # The detector's form of a 1e200 residual overflows: S is inf from
+        # the onset, and the estimate is the 1e6 spoof's, bit for bit.
+        traces = [run_scenario(replace(uav_config, attack=AttackSignal(
+            kind="constant-bias", d=[v, v], start_step=700)),
+            shared=uav_shared) for v in (1e6, 1e200)]
+        assert traces[1].attack_detection_step == 700
+        assert (traces[1].columns.S[699:] == np.inf).all()
+        assert np.array_equal(traces[1].columns.x_hat,
+                              traces[0].columns.x_hat)
 
     def test_non_finite_estimate_raises(self, uav_config, uav_shared):
         config = replace(uav_config, x0=np.full(4, 1e308), steps=10)
@@ -501,7 +514,8 @@ class TestCovarianceTrunk:
                 replace(config, seed=derive_run_seed(config.seed, i), runs=1),
                 detector_enabled=enabled,
                 shared=ScenarioShared(config.model))
-            for got, want in zip(trace.columns, fresh.columns):
+            for got, want in zip(run_columns(trace.columns),
+                                 run_columns(fresh.columns)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
             first = trace.first_alarm_step
@@ -562,7 +576,8 @@ class TestCovarianceTrunk:
         assert origin.next is None and origin.R is None
         shared = run_scenario(config, shared=ScenarioShared(config.model))
         assert len(chain_steps(shared.shared.stacked)) > 0
-        for got, want in zip(private.columns, shared.columns):
+        for got, want in zip(run_columns(private.columns),
+                             run_columns(shared.columns)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         assert private.summary() == shared.summary()
@@ -613,7 +628,8 @@ class TestDriftModelBatch:
             fresh = run_scenario(
                 replace(config, seed=derive_run_seed(config.seed, i), runs=1),
                 shared=ScenarioShared(model))
-            for got, want in zip(trace.columns, fresh.columns):
+            for got, want in zip(run_columns(trace.columns),
+                                 run_columns(fresh.columns)):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -627,8 +643,8 @@ class TestTrunkHits:
                          steps=200, seed=11)
         calls, run_starts, before_alarm, traces = [], [], [], []
 
-        def counted(name):
-            original = getattr(np.linalg, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
@@ -645,8 +661,8 @@ class TestTrunkHits:
             run_starts.append(len(calls))
             traces.append(run_scenario(*args, **kwargs))
             return traces[-1]
-        for name in ("solve", "inv"):
-            monkeypatch.setattr(np.linalg, name, counted(name))
+        for module, name in ((np.linalg, "solve"), (estimator, "_inv")):
+            monkeypatch.setattr(module, name, counted(module, name))
         monkeypatch.setattr(harness, "fuse", recorded_fuse)
         monkeypatch.setattr(harness, "run_scenario", recorded_run)
         monte_carlo(config)
@@ -656,7 +672,7 @@ class TestTrunkHits:
         # The first run builds the trunk: exactly one inverse per step gives
         # its gain and its P_d^{-1}; a batch runs no drift analysis.
         first_run = calls[run_starts[0]:run_starts[1]]
-        assert first_run.count("inv") == config.steps
+        assert first_run.count("_inv") == config.steps
 
 
 class TestParseConfig:
