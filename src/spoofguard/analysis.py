@@ -43,9 +43,14 @@ def _spectral_norms(Ms: np.ndarray) -> np.ndarray:
 
 
 def covariance_magnitude(P) -> float:
-    """Frobenius norm, the covariance-size measure of the escape analysis."""
+    """Frobenius norm, the covariance-size measure of the escape analysis; a
+    sum of squares out of the float range is redone at a power-of-two scale."""
     flat = np.asarray(P, dtype=float).ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+    square = np.vdot(flat, flat)    # flat.dot(flat)'s bits, without a warning
+    if (square == math.inf or square < 1e-290) and np.isfinite(flat).all():
+        scale = 2.0 ** (math.frexp(np.abs(flat).max(initial=0.0))[1] - 1)
+        return math.sqrt(np.vdot(flat / scale, flat / scale)) * scale
+    return math.sqrt(square)
 
 
 @dataclass
@@ -156,11 +161,11 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
     Solves the recursion's Riccati equation by structure-preserving doubling
     after removing its cross term (Anderson & Moore, Optimal Filtering, 1979;
     Chu, Fan, Lin et al.).  k doublings cover 2^k steps of the recursion, so
-    max_iter counts doublings.  Converged means |f(P) - P| <= tol * |P| for
-    the one-step recursion f, a relative test at every scale.  Raises
-    ConvergenceError (carrying the last iterate and residual) when max_iter
-    doublings do not converge or an iterate is not finite, and fails fast
-    when the GPS pair is not detectable since no bounded fixed point exists.
+    max_iter counts doublings.  Converged means |f(P) - P| <= tol * |P| < inf
+    for the one-step recursion f (covariance_magnitude's norm), a relative
+    test at every scale.  Raises ConvergenceError (carrying the last iterate
+    and residual) when max_iter doublings do not converge or an iterate is
+    not finite, and fails fast on an undetectable GPS pair (no fixed point).
     """
     stacked = StackedSensorForms(model)
     if not is_detectable(model.C_G, model.A):
@@ -189,9 +194,8 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
                 f"non-finite covariance after {doublings} doublings",
                 last_iterate=H, residual=math.inf)
         K = optimal_gain(H, model, stacked)
-        resid = float(np.linalg.norm(
-            _covariance_update_stacked(H, K, stacked)[1] - H))
-        if resid <= tol * float(np.linalg.norm(H)):
+        resid = covariance_magnitude(_covariance_update_stacked(H, K, stacked)[1] - H)
+        if resid <= tol * covariance_magnitude(H) < math.inf:
             return H
     raise ConvergenceError(
         f"covariance fixed point not reached in {max_iter} doublings "

@@ -87,11 +87,14 @@ class StackedSensorForms:
         Sw_Ct = model.Sigma_w @ self.C.T
         self._innovation_noise = np.vstack([self.C @ Sw_Ct + self.Sigma_y,
                                             Sw_Ct])
+        self._M_G = self._M[:m_G]       # P_d = M_G P M_G^T + _P_d_noise
+        self._P_d_noise = self._innovation_noise[:m_G, :m_G]
         self.origin = _NormalStep(np.zeros((n, n)))
         self.origin.P.setflags(write=False)
-        # Selects [R, blockdiag(P_d, R_II)] from R for the step's inverse.
+        # Selects [R, blockdiag(P_d, R_II)] from R into _inverse_in, 0 off it.
         same_block = np.equal.outer(np.arange(m) < m_G, np.arange(m) < m_G)
         self._inverse_mask = np.stack([same_block | True, same_block])
+        self._inverse_in = np.zeros((2, m, m))
 
         # One product per step quantity, with M = [C_G A; C_I (A - I)]: the
         # plant and sensors, [x'; y_G - d; y_I] = _plant [x; u; w; v_G; v_I],
@@ -176,7 +179,8 @@ def _innovation_system(est: EstimatorState,
         m = len(stacked.C)
         step.R, step.G = system[:m], system[m:]
         try:
-            step.inverse = _inv(np.where(stacked._inverse_mask, step.R, 0.0))
+            np.copyto(stacked._inverse_in, step.R, where=stacked._inverse_mask)
+            step.inverse = _inv(stacked._inverse_in)
             step.inverse.setflags(write=False)
         except np.linalg.LinAlgError:
             pass
@@ -195,8 +199,8 @@ def _detector_weight(est: EstimatorState,
     inverse, but P_d's own after dead reckoning on a drift-free model."""
     m_G = stacked._m_G
     if est.mode is Mode.EMERGENCY and stacked.drift_free:
-        P_d = stacked._M[:m_G].dot(est.P.dot(stacked._M_T))[:, :m_G] \
-            + stacked._innovation_noise[:m_G, :m_G]
+        P_d = stacked._M_G.dot(est.P.dot(stacked._M_T))[:, :m_G] \
+            + stacked._P_d_noise
         try:
             return _inv(P_d)
         except np.linalg.LinAlgError:

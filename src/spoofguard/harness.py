@@ -242,6 +242,7 @@ def _first_step(mask: np.ndarray) -> Optional[int]:
     return int(mask.argmax()) + 1 if mask.any() else None
 
 
+@np.errstate(all="ignore")      # only the final guard reports non-finite values
 def _simulate(config: ScenarioConfig, shared: ScenarioShared,
               detector_enabled: bool, rooted: bool) -> _RunColumns:
     """Advance one closed-loop run and return its per-step columns; a
@@ -255,9 +256,9 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     u_ref, L = _control_law(config.target, config.kp, config.kd, n)
     rng_w, rng_G, rng_I = (np.random.default_rng(s) for s in
                            np.random.SeedSequence(config.seed).spawn(3))
-    sample_w, sample_G, sample_I = (shared.sampler_w.sample,
-                                    shared.sampler_G.sample,
-                                    shared.sampler_I.sample)
+    # Operands filled in place each step; no column or state keeps a view.
+    plant_in, detector_in = np.empty(plant.shape[1]), np.empty(n + model.p)
+    u, w, v_G, v_I = np.split(plant_in[n:], np.cumsum((model.p, n, m_G)))
     try:    # before the attack's (steps - onset, m_G) array
         xs, x_hats, us = (np.empty((steps, k)) for k in (n, n, model.p))
         Ps, S_col = np.empty((steps, n, n)), np.empty(steps)
@@ -268,25 +269,29 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     onset = config.attack_onset()
     attack = config.attack.signal_range(onset + 1, steps + 1, m_G)
 
-    x = np.asarray(config.x0, dtype=float).copy()
+    plant_in[:n] = config.x0
     est = EstimatorState.initial(config.x0)
     est.step = stacked.origin if rooted else None   # see run_scenario
     S, alarmed = 0.0, False
 
     for i in range(steps):
-        u = u_ref - L.dot(est.x_hat)
-        z = plant.dot(np.concatenate((x, u, sample_w(rng_w), sample_G(rng_G),
-                                      sample_I(rng_I))))
+        np.subtract(u_ref, L.dot(est.x_hat), out=u)
+        shared.sampler_w.sample(rng_w, out=w)
+        shared.sampler_G.sample(rng_G, out=v_G)
+        shared.sampler_I.sample(rng_I, out=v_I)
+        z = plant.dot(plant_in)
         x, y_G, y_I = z[:n], z[n:n_G], z[n_G:]
+        plant_in[:n] = x
         if i >= onset:
-            y_G = y_G + attack[i - onset]
+            y_G += attack[i - onset]
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
         # P_d^{-1} comes from the state's step; it reads the state's mode,
         # the one that produced P, before this step's mode replaces it.
         if detector_enabled:
-            d_hat = y_G - gps_prediction.dot(np.concatenate((est.x_hat, u)))
+            detector_in[:n], detector_in[n:] = est.x_hat, u
+            d_hat = y_G - gps_prediction.dot(detector_in)
             S = delta * S + normalized_residual(d_hat,
                                                 _detector_weight(est, stacked))
             alarmed = S > threshold

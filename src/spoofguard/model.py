@@ -167,21 +167,18 @@ class GaussianSampler:
         if Sigma.shape[0] != Sigma.shape[1]:
             raise ValueError(f"covariance must be square, got shape {Sigma.shape}")
         self.dim = Sigma.shape[0]
-        if self.dim == 0:
-            self._factor = np.zeros((0, 0))
-            return
         sym = 0.5 * (Sigma + Sigma.T)
-        eigvals, eigvecs = np.linalg.eigh(sym)
-        tol = 1e-12 * max(1.0, float(np.abs(eigvals).max()))
-        if eigvals.min() < -tol:
+        eigvals, eigvecs = np.linalg.eigh(sym)      # (0,) and (0, 0) at dim 0
+        tol = 1e-12 * max(1.0, float(np.abs(eigvals).max(initial=0.0)))
+        if eigvals.min(initial=0.0) < -tol:
             raise ValueError(
                 f"covariance is not positive semidefinite "
                 f"(min eigenvalue {eigvals.min():.3e})")
         self._factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one vector; deterministic given the generator state."""
-        return self._factor.dot(rng.standard_normal(self.dim))
+    def sample(self, rng: np.random.Generator, out=None) -> np.ndarray:
+        """Draw one vector, into out if given; deterministic per generator."""
+        return self._factor.dot(rng.standard_normal(self.dim), out=out)
 
 
 def validate_model(model: SystemModel) -> list:
@@ -238,14 +235,14 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
 def _inv(a: np.ndarray) -> np.ndarray:
     """numpy.linalg.inv of a float64 matrix or stack: LAPACK's inv gufunc in
-    the error state that wrapper enters, so a singular matrix raises
-    LinAlgError, without its argument handling, which costs more than the
-    call on the per-step 2x2 to 4x4 operands."""
-    with np.errstate(call=_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _umath_linalg.inv(a, signature="d->d")
+    the error state that wrapper enters, set by one decorator, so a singular
+    matrix raises LinAlgError, without the wrapper's argument handling, which
+    costs more than the call on the per-step 2x2 to 4x4 operands."""
+    return _umath_linalg.inv(a, signature="d->d")
 
 
 def _covariance_findings(name: str, Sigma: np.ndarray, strict: bool) -> list:

@@ -181,6 +181,38 @@ class TestStationaryCovariance:
         # Raises ConvergenceError if 20 doublings do not reach the tolerance.
         stationary_covariance(uav_model, max_iter=20)
 
+    def test_huge_noise_converges_at_a_scaled_test(self, uav_model):
+        # Both Frobenius norms of the test overflow unscaled: inf <= tol *
+        # inf held after one doubling, at a relative residual of 0.42.
+        model = SystemModel(A=uav_model.A, B=uav_model.B, C_G=uav_model.C_G,
+                            C_I=uav_model.C_I, Sigma_w=2e305 * np.eye(4),
+                            Sigma_G=2e306 * np.eye(2),
+                            Sigma_I=2e306 * np.eye(2))
+        H = stationary_covariance(model)
+        stacked = StackedSensorForms(model)
+        update = covariance_update(H, optimal_gain(H, model, stacked), model,
+                                   stacked)
+        scale = 2.0 ** (math.frexp(np.abs(H).max())[1] - 1)
+        assert (np.linalg.norm((update - H) / scale)
+                <= 1e-12 * np.linalg.norm(H / scale))
+        assert 4.03e307 < np.trace(H) < 4.05e307
+
+    @pytest.mark.parametrize("scale", [1e-250, 1e-160, 1e200, 1e250])
+    def test_extreme_noise_scales_keep_the_uav_solution(self, uav_model,
+                                                         uav_stationary_P,
+                                                         scale):
+        # The solution scales with the covariances.  Unscaled, both norms of
+        # the test underflowed to 0 (or overflowed to inf) and it passed
+        # after one doubling, 98 % away from the fixed point.
+        model = SystemModel(A=uav_model.A, B=uav_model.B, C_G=uav_model.C_G,
+                            C_I=uav_model.C_I,
+                            Sigma_w=scale * uav_model.Sigma_w,
+                            Sigma_G=scale * uav_model.Sigma_G,
+                            Sigma_I=scale * uav_model.Sigma_I)
+        P = stationary_covariance(model) / scale
+        assert (np.linalg.norm(P - uav_stationary_P)
+                <= 1e-12 * np.linalg.norm(uav_stationary_P))
+
     def test_huge_process_noise_fails_fast(self, uav_model):
         model = SystemModel(A=uav_model.A, B=uav_model.B, C_G=uav_model.C_G,
                             C_I=uav_model.C_I, Sigma_w=1e300 * np.eye(4),
@@ -401,6 +433,31 @@ class TestEscapeTimeLowerBound:
                                             zeta, 0.01)
             k = escape_time(uav_stationary_P, uav_model, zeta, 0.01)
             assert bound <= k
+
+
+class TestCovarianceMagnitude:
+    """A sum of squares that overflows or falls below 1e-290 is redone at a
+    power-of-two scale; pytest makes any overflow warning an error."""
+
+    def test_in_range_it_has_the_bits_of_the_plain_sum(self):
+        rng = np.random.default_rng(8)
+        for exponent in (-140, -5, 0, 5, 140, 151, 152):
+            P = rng.normal(size=(4, 4)) * 10.0 ** exponent
+            flat = P.ravel()
+            assert covariance_magnitude(P) == math.sqrt(flat.dot(flat))
+
+    def test_squares_out_of_range(self):
+        # Exact where the norm is a float; inf only beyond the float range.
+        assert covariance_magnitude(1e300 * np.eye(4)) == 2e300
+        assert covariance_magnitude(np.full((2, 2), 8e307)) == 2 * 8e307
+        assert covariance_magnitude(np.full((2, 2), 1e308)) == math.inf
+        assert covariance_magnitude(1e-170 * np.eye(4)) == 2e-170
+        assert covariance_magnitude(np.zeros((3, 3))) == 0.0
+
+    def test_non_finite_entries(self):
+        assert covariance_magnitude([[math.inf, 1e308]]) == math.inf
+        assert math.isnan(covariance_magnitude([[math.nan, 1.0]]))
+        assert math.isnan(covariance_magnitude([[math.inf, math.nan]]))
 
 
 class TestEmergencyGrowth:

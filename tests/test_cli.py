@@ -411,6 +411,47 @@ class TestOverflowingRun:
         assert not out.exists()
 
 
+class TestDivergingModel:
+    """Velocity entries A[2][2] = A[3][3] = 3 pass validation; the run,
+    attacked from step 10, overflows at step 361.  No np.errstate here:
+    pytest turns a RuntimeWarning into an error, as CI's console-script
+    step does."""
+
+    @pytest.mark.parametrize("argv", [["run"], ["mc", "--runs", "2"]])
+    def test_exits_two_with_one_line(self, config_path, tmp_path, capsys,
+                                     argv):
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["model"]["A"][2][2] = raw["model"]["A"][3][3] = 3.0
+        raw["attack"]["start_step"] = 10
+        cfg = tmp_path / "diverging.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        seed = 0 if argv[0] == "run" else spoofguard.derive_run_seed(0, 0)
+        assert captured.out == ""
+        assert captured.err == (f"numerical failure: run with seed {seed}: "
+                                f"a value of step 361 is not finite\n")
+
+
+class TestHugeNoiseAnalyze:
+    def test_reports_the_fixed_point_without_a_warning(self, config_path,
+                                                       tmp_path, capsys):
+        # Noise covariances near 1e306: the fixed point's trace is 4.04e307,
+        # and neither norm of the convergence test overflows.
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["model"].update(Sigma_w=(2e305 * np.eye(4)).tolist(),
+                            Sigma_G=(2e306 * np.eye(2)).tolist(),
+                            Sigma_I=(2e306 * np.eye(2)).tolist())
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 4.03e307 < payload["stationary_trace_P"] < 4.05e307
+        assert payload["escape_time"] == 0
+
+
 class TestLargeFiniteSpoof:
     @pytest.mark.parametrize("argv, key, want", [
         (["run"], "attack_detection_step", 700),

@@ -249,6 +249,43 @@ class TestStackedInverse:
                 for g, w in zip(got, want):
                     assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf off the blocks",
+                                     "singular"])
+    def test_no_stale_input_after_a_failed_inverse(self, model, bad):
+        # The inverse's input is one buffer per StackedSensorForms.  A step
+        # after one whose R held NaN, or inf only off its diagonal blocks,
+        # or whose inverse raised LinAlgError, inverts the bytes of
+        # np.where(mask, R, 0): no entry of the earlier R is left in it.
+        if bad == "nan":
+            P_bad = np.full((4, 4), np.nan)
+        elif bad == "singular":     # at P = 0, R = blockdiag(0, Sigma_I)
+            model = SystemModel(A=model.A, B=model.B, C_G=model.C_G,
+                                C_I=model.C_I, Sigma_w=np.zeros((4, 4)),
+                                Sigma_G=np.zeros((2, 2)),
+                                Sigma_I=model.Sigma_I)
+            P_bad = np.zeros((4, 4))
+        else:   # M = [2, 0; 0, 2]: (M P M^T)_GI = 4 * 5e307 overflows
+            model = SystemModel(A=np.diag([2.0, 3.0]), B=np.ones((2, 1)),
+                                C_G=[[1.0, 0.0]], C_I=[[0.0, 1.0]],
+                                Sigma_w=np.eye(2), Sigma_G=np.eye(1),
+                                Sigma_I=np.eye(1))
+            P_bad = np.array([[1.0, 5e307], [5e307, 1.0]])
+        stacked, n = StackedSensorForms(model), model.n
+        mask = stacked._inverse_mask
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _innovation_system(EstimatorState(None, P_bad), stacked)
+        if bad == "singular":
+            assert step.inverse is None
+        elif bad == "inf off the blocks":
+            assert np.isfinite(step.R[mask[1]]).all()
+            assert np.isinf(step.R[~mask[1]]).all()
+        assert not stacked._inverse_in[~mask].any()
+        X = np.random.default_rng(5).normal(size=(n, n))
+        for P in (np.eye(n), X @ X.T):
+            step = _innovation_system(EstimatorState(None, P), stacked)
+            want = _inv(np.where(mask, step.R, 0.0))
+            assert step.inverse.tobytes() == want.tobytes()
+
     def test_singular_innovation_covariance_raises(self, model):
         # Sigma_w = 0 and Sigma_G = 0: at P = 0, R = blockdiag(0, Sigma_I).
         quiet = SystemModel(A=model.A, B=model.B, C_G=model.C_G, C_I=model.C_I,
@@ -311,6 +348,20 @@ class TestInverseHelper:
                   np.array([[2.0, bad], [bad, 3.0]]), np.full((2, 2), bad),
                   np.stack([np.eye(2), np.full((2, 2), bad)])):
             self.same_as_inv(a)
+
+    def test_keeps_its_error_state_inside_any_caller_state(self):
+        # The decorator's state replaces the caller's for the call only: a
+        # singular matrix is LinAlgError, not FloatingPointError, and a
+        # non-finite input is the same outcome as outside.
+        before = np.geterr()
+        for state in ({"all": "raise"}, {"all": "ignore"}, {"all": "warn"}):
+            with np.errstate(**state):
+                assert self.same_as_inv(np.zeros((2, 2))) == (
+                    np.linalg.LinAlgError, "Singular matrix")
+                self.same_as_inv(np.full((2, 2), math.inf))
+                assert np.geterr() == {**before, **{
+                    k: state["all"] for k in before}}
+        assert np.geterr() == before
 
     def test_the_program_never_calls_np_linalg_inv(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -143,6 +143,24 @@ class TestRunScenario:
                 pytest.raises(NumericalError, match="step 2 is not finite"):
             run_scenario(config, shared=uav_shared)
 
+    def test_diverging_model_raises_at_its_step_without_a_warning(
+            self, uav_config):
+        # No np.errstate here: the run's own state keeps the overflowing
+        # steps quiet, the guard reports the first one, and the caller's
+        # state is back afterwards.
+        m = uav_config.model
+        A = m.A.copy()
+        A[2, 2] = A[3, 3] = 3.0
+        config = replace(uav_config, model=SystemModel(
+            A=A, B=m.B, C_G=m.C_G, C_I=m.C_I, Sigma_w=m.Sigma_w,
+            Sigma_G=m.Sigma_G, Sigma_I=m.Sigma_I),
+            attack=replace(uav_config.attack, start_step=10))
+        before = np.geterr()
+        with pytest.raises(NumericalError, match=(
+                "^run with seed 0: a value of step 361 is not finite$")):
+            run_scenario(config)
+        assert np.geterr() == before
+
     def test_input_column_is_pd_control_bit_for_bit(self, uav_config,
                                                     uav_shared):
         config = replace(uav_config, steps=800)

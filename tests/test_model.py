@@ -209,6 +209,23 @@ class TestGaussianSampler:
         emp = np.cov(draws.T)
         assert np.linalg.norm(emp - sigma) / np.linalg.norm(sigma) < 0.05
 
+    @pytest.mark.parametrize("sigma", [np.array([[2.0, 0.8], [0.8, 1.0]]),
+                                       1e-4 * np.eye(4), np.zeros((3, 3)),
+                                       np.zeros((0, 0))])
+    def test_out_holds_the_draw_of_an_equal_generator(self, sigma):
+        # out may be a view, as the runner's operand slices are; the draw
+        # and the stream's state are those of a call without out.
+        sampler, dim = GaussianSampler(sigma), len(sigma)
+        rng_out, rng = np.random.default_rng(23), np.random.default_rng(23)
+        operand = np.full(dim + 3, np.nan)
+        out = operand[1:dim + 1]
+        for _ in range(4):
+            assert sampler.sample(rng_out, out=out) is out
+            assert out.tobytes() == sampler.sample(rng).tobytes()
+            assert np.isnan(operand[[0, -2, -1]]).all()
+        assert rng_out.bit_generator.state == rng.bit_generator.state
+        assert out.shape == (dim,)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             GaussianSampler(np.array([[1.0, 0.0], [0.0, -0.5]]))
