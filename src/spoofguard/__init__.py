@@ -8,7 +8,7 @@ from .chi2 import chi2_cdf, chi2_quantile, chi2_sf
 from .detector import (DetectorConfig, cusum_update, residual,
                        residual_covariance)
 from .estimator import (EstimatorState, Mode, StackedSensorForms,
-                        covariance_update, fuse, optimal_gain, predict)
+                        covariance_update, fuse, optimal_gain)
 from .exceptions import ConfigError, ConvergenceError, NumericalError
 from .harness import (MonteCarloSummary, RunSummary, ScenarioConfig,
                       ScenarioShared, ScenarioTrace, builtin_config_path,

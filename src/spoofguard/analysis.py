@@ -232,7 +232,7 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
     quantile = chi2_quantile(model.n, alpha)
     zeta_arr = np.asarray(zeta, dtype=float)
     if zeta_arr.ndim == 0:
-        zeta_sq = float(zeta_arr) ** 2
+        zeta_sq = float(zeta_arr) * float(zeta_arr)     # inf past 1e154
 
         def quad(P):
             magnitude = covariance_magnitude(P)
@@ -289,7 +289,7 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
             f"max |C_bar_I| = {np.abs(drift.C_bar_I).max():.3e}")
 
     quantile = chi2_quantile(model.n, alpha)
-    target = float(zeta_norm) ** 2 / quantile
+    target = float(zeta_norm) * float(zeta_norm) / quantile  # inf past 1e154
     norm_A, branch = _growth(model)
     norm_P = covariance_magnitude(P)
     norm_S = spectral_norm(drift.Sigma_bar)

@@ -13,7 +13,7 @@ and accumulated into the detector statistic
 
     S_k = delta * S_{k-1} + d_hat^T P_d^{-1} d_hat,   S_0 = 0,
 
-which alarms when S_k strictly exceeds chi2_quantile(df, alpha) / (1 - delta)
+which alarms when S_k strictly exceeds chi2_quantile(m_G, alpha) / (1 - delta)
 (a tie stays quiet).
 The statistic is updated from the GPS residual in both operating modes, so
 detection keeps running while the estimator dead-reckons.
@@ -30,30 +30,30 @@ import numpy as np
 
 from .chi2 import chi2_quantile
 from .estimator import _solve_gain
+from .exceptions import ConfigError
 from .model import SystemModel
 
 
 @dataclass
 class DetectorConfig:
-    """Significance level, forgetting factor, and residual dimension."""
+    """Significance level and forgetting factor; the chi-square degrees of
+    freedom are the model's GPS dimension m_G."""
 
     alpha: float = 0.01
     delta: float = 0.15
-    df: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(
-                f"significance level alpha must lie in (0, 1), got {self.alpha}")
+            raise ConfigError(f"detector: significance level alpha must lie "
+                              f"in (0, 1), got {self.alpha}")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError(
-                f"forgetting factor delta must lie in (0, 1), got {self.delta}")
-        if self.df < 1:
-            raise ValueError(f"degrees of freedom must be >= 1, got {self.df}")
+            raise ConfigError(f"detector: forgetting factor delta must lie "
+                              f"in (0, 1), got {self.delta}")
 
-    def threshold(self) -> float:
-        """Alarm threshold: the chi-square tail quantile scaled by the geometric sum."""
-        return chi2_quantile(self.df, self.alpha) / (1.0 - self.delta)
+    def threshold(self, m_G: int) -> float:
+        """Alarm threshold: the chi-square tail quantile with m_G degrees of
+        freedom scaled by the geometric sum."""
+        return chi2_quantile(m_G, self.alpha) / (1.0 - self.delta)
 
 
 def residual(y_G, x_hat, u, model: SystemModel) -> np.ndarray:

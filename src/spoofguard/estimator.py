@@ -126,11 +126,6 @@ class StackedSensorForms:
             self._T_emergency = self._F_emergency[:, :n]
 
 
-def predict(est: EstimatorState, model: SystemModel, u) -> np.ndarray:
-    """One-step state prediction A x_hat + B u."""
-    return model.A.dot(est.x_hat) + model.B.dot(np.asarray(u, dtype=float))
-
-
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
                  stacked: StackedSensorForms) -> np.ndarray:
     """Trace-minimizing stacked gain K = [K_G, K_I], (n, m_G + m_I), for the

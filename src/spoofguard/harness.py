@@ -38,15 +38,18 @@ from .detector import DetectorConfig, normalized_residual
 from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
                         _detector_weight)
 from .exceptions import ConfigError, NumericalError
-from .model import (ATTACK_KINDS, MATRIX_NAMES, AttackSignal, GaussianSampler,
-                    SystemModel, validate_model)
+from .model import (MATRIX_NAMES, AttackSignal, GaussianSampler, SystemModel,
+                    validate_model)
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; every rule on its values is checked on construction, so
+    change a config with dataclasses.replace."""
+
     model: SystemModel
     x0: np.ndarray
     target: np.ndarray
@@ -59,6 +62,31 @@ class ScenarioConfig:
     zeta_norm: float = 2.0
     runs: int = 1
 
+    def __post_init__(self):
+        n, p = self.model.n, self.model.p
+        if n < 2 * p:
+            raise ConfigError(
+                f"model: state dimension {n} is below 2p = {2 * p}; "
+                f"the controller reads positions x[:p] and velocities x[p:2p]")
+        if np.shape(self.x0) != (n,):
+            raise ConfigError(
+                f"x0: has shape {np.shape(self.x0)}, expected ({n},)")
+        if np.shape(self.target) != (p,):
+            raise ConfigError(
+                f"target: has shape {np.shape(self.target)}, expected ({p},) "
+                f"to match the input dimension")
+        if not (self.kp > 0 and self.kd > 0):
+            raise ConfigError(f"controller: gains must be positive, "
+                              f"got kp={self.kp}, kd={self.kd}")
+        for name, least in (("steps", 1), ("seed", 0), ("runs", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name}: must be >= {least}, "
+                                  f"got {getattr(self, name)}")
+        if not self.zeta_norm > 0:
+            raise ConfigError(
+                f"zeta_norm: must be positive, got {self.zeta_norm}")
+        self.attack.check(self.model.m_G, self.steps)
+
     def attack_start(self) -> Optional[int]:
         """Onset step of the attack, or None without one."""
         return self.attack.start_step if self.attack.kind != "none" else None
@@ -67,17 +95,6 @@ class ScenarioConfig:
         """Index of the first step the attack can change, steps without one."""
         start = self.attack_start()
         return self.steps if start is None else min(max(start - 1, 0), self.steps)
-
-    def check_attack_horizon(self) -> None:
-        """Raise ConfigError when a custom attack sequence ends before the run."""
-        attack = self.attack
-        if attack.kind != "custom-sequence":
-            return
-        needed = self.steps - attack.start_step + 1
-        if len(attack.sequence) < needed:
-            raise ConfigError(
-                f"attack.sequence: has {len(attack.sequence)} entries, but "
-                f"steps {attack.start_step}..{self.steps} need {needed}")
 
 
 @dataclass
@@ -188,7 +205,7 @@ def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:
 
 def _control_law(target, kp: float, kd: float, n: int):
     """u_ref = kp target and L = [kp I, kd I, 0] of u = u_ref - L x_hat for
-    x = [positions, velocities, ...], p each (parse_config checks n >= 2p)."""
+    x = [positions, velocities, ...], p each; ScenarioConfig checks n >= 2p."""
     p = len(target)
     L = np.hstack([kp * np.eye(p), kd * np.eye(p), np.zeros((p, n - 2 * p))])
     return kp * np.asarray(target, dtype=float), L
@@ -252,7 +269,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     plant, n_G = stacked._plant, n + m_G
     gps_prediction = np.ascontiguousarray(plant[n:n_G, :n + model.p])
     det, delta = config.detector, config.detector.delta
-    threshold = det.threshold() if detector_enabled else math.inf
+    threshold = det.threshold(m_G) if detector_enabled else math.inf
     u_ref, L = _control_law(config.target, config.kp, config.kd, n)
     rng_w, rng_G, rng_I = (np.random.default_rng(s) for s in
                            np.random.SeedSequence(config.seed).spawn(3))
@@ -352,8 +369,6 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
 def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,
                 shared: Optional[ScenarioShared] = None) -> MonteCarloSummary:
     """Run `config.runs` independent scenarios with derived seeds and aggregate."""
-    if config.runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {config.runs}")
     if shared is None:
         shared = ScenarioShared(config.model)
     post_from = config.attack_onset()
@@ -396,7 +411,8 @@ def builtin_config_path(name: str = "paper_uav"):
 
 
 def parse_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario configuration file (strict schema)."""
+    """Read a scenario configuration file (strict schema): JSON types,
+    unknown keys and the model's findings; ScenarioConfig checks the rest."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             finite = partial(_finite_float, path)
@@ -413,10 +429,7 @@ def parse_config(path) -> ScenarioConfig:
 
     if "model" not in raw:
         raise ConfigError("model: section is required")
-    model_raw = raw["model"]
-    if not isinstance(model_raw, dict):
-        raise ConfigError("model: must be an object")
-    _reject_unknown(model_raw, MATRIX_NAMES, "model.")
+    model_raw = _section(raw, "model", MATRIX_NAMES)
     missing = [k for k in MATRIX_NAMES if k not in model_raw]
     if missing:
         raise ConfigError(f"model: missing keys {missing}")
@@ -428,89 +441,50 @@ def parse_config(path) -> ScenarioConfig:
     findings = validate_model(model)
     if findings:
         raise ConfigError("model: " + "; ".join(findings))
-    if model.n < 2 * model.p:
-        raise ConfigError(
-            f"model: state dimension {model.n} is below 2p = {2 * model.p}; "
-            f"the controller reads positions x[:p] and velocities x[p:2p]")
 
     x0 = _numbers(raw.get("x0", [0.0] * model.n), "x0")
-    if x0.shape != (model.n,):
-        raise ConfigError(f"x0: has shape {x0.shape}, expected ({model.n},)")
     target = _numbers(raw.get("target", [10.0] * model.p), "target")
-    if target.shape != (model.p,):
-        raise ConfigError(
-            f"target: has shape {target.shape}, expected ({model.p},) "
-            f"to match the input dimension")
-
-    controller = raw.get("controller", {})
-    if not isinstance(controller, dict):
-        raise ConfigError("controller: must be an object")
-    _reject_unknown(controller, ("kp", "kd"), "controller.")
-    kp = _number(controller, "kp", 1.0, "controller.")
-    kd = _number(controller, "kd", 2.0, "controller.")
-    if kp <= 0 or kd <= 0:
-        raise ConfigError(f"controller: gains must be positive, got kp={kp}, kd={kd}")
-
-    attack = _parse_attack(raw.get("attack"), model.m_G)
-
-    det_raw = raw.get("detector", {})
-    if not isinstance(det_raw, dict):
-        raise ConfigError("detector: must be an object")
-    _reject_unknown(det_raw, ("alpha", "delta"), "detector.")
-    alpha = _number(det_raw, "alpha", 0.01, "detector.")
-    delta = _number(det_raw, "delta", 0.15, "detector.")
-    try:
-        detector = DetectorConfig(alpha=alpha, delta=delta, df=model.m_G)
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from exc
-
-    steps = _integer(raw, "steps", 1000, least=1)
-    seed = _integer(raw, "seed", 0, least=0)
-    zeta_norm = _number(raw, "zeta_norm", 2.0)
-    if zeta_norm <= 0:
-        raise ConfigError(f"zeta_norm: must be positive, got {zeta_norm}")
-    runs = _integer(raw, "runs", 1, least=1)
-
-    config = ScenarioConfig(model=model, x0=x0, target=target, kp=kp, kd=kd,
-                            attack=attack, detector=detector, steps=steps,
-                            seed=seed, zeta_norm=zeta_norm, runs=runs)
-    config.check_attack_horizon()
-    return config
+    controller = _section(raw, "controller", ("kp", "kd"))
+    det_raw = _section(raw, "detector", ("alpha", "delta"))
+    return ScenarioConfig(
+        model=model, x0=x0, target=target,
+        kp=_number(controller, "kp", 1.0, "controller."),
+        kd=_number(controller, "kd", 2.0, "controller."),
+        attack=_parse_attack(raw.get("attack")),
+        detector=DetectorConfig(
+            alpha=_number(det_raw, "alpha", 0.01, "detector."),
+            delta=_number(det_raw, "delta", 0.15, "detector.")),
+        steps=_integer(raw, "steps", 1000), seed=_integer(raw, "seed", 0),
+        zeta_norm=_number(raw, "zeta_norm", 2.0),
+        runs=_integer(raw, "runs", 1))
 
 
-def _parse_attack(raw, m_G: int) -> AttackSignal:
+def _section(raw: dict, key: str, keys) -> dict:
+    """raw[key] as an object holding only the given keys, {} when absent."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: must be an object")
+    _reject_unknown(section, keys, f"{key}.")
+    return section
+
+
+def _parse_attack(raw) -> AttackSignal:
     if raw is None:
         return AttackSignal.none()
     if not isinstance(raw, dict):
         raise ConfigError("attack: must be an object")
     _reject_unknown(raw, ("kind", "d", "start_step", "sequence"), "attack.")
-    kind = raw.get("kind", "none")
-    if kind not in ATTACK_KINDS:
-        raise ConfigError(
-            f"attack.kind: unknown kind {kind!r}, expected one of {ATTACK_KINDS}")
-    d = raw.get("d")
-    sequence = raw.get("sequence")
-    start_step = _integer(raw, "start_step", 0, least=0, prefix="attack.")
-    if kind in ("constant-bias", "ramp"):
-        if d is None:
-            raise ConfigError(f"attack.d: required for kind {kind!r}")
+    d, sequence = raw.get("d"), raw.get("sequence")
+    if d is not None:
         d = _numbers(d, "attack.d")
-        if d.shape != (m_G,):
-            raise ConfigError(
-                f"attack.d: has shape {d.shape}, expected ({m_G},)")
-    if kind == "custom-sequence":
-        if sequence is None:
-            raise ConfigError("attack.sequence: required for kind 'custom-sequence'")
+    if sequence is not None:
         if not isinstance(sequence, list):
             raise ConfigError("attack.sequence: must be a list")
         sequence = [_numbers(s, f"attack.sequence[{i}]")
                     for i, s in enumerate(sequence)]
-        bad = [i for i, s in enumerate(sequence) if s.shape != (m_G,)]
-        if bad:
-            raise ConfigError(
-                f"attack.sequence[{bad[0]}]: has shape "
-                f"{sequence[bad[0]].shape}, expected ({m_G},)")
-    return AttackSignal(kind=kind, d=d, start_step=start_step, sequence=sequence)
+    return AttackSignal(kind=raw.get("kind", "none"), d=d,
+                        start_step=_integer(raw, "start_step", 0, "attack."),
+                        sequence=sequence)
 
 
 def _finite_float(path, token: str) -> float:
@@ -529,16 +503,12 @@ def _float_sized_int(path, token: str) -> int:
     return int(token)
 
 
-def _integer(section: dict, key: str, default: int, least: int,
-             prefix: str = "") -> int:
-    """section[key] as a JSON integer of at least least; bools and floats
-    fail."""
+def _integer(section: dict, key: str, default: int, prefix: str = "") -> int:
+    """section[key] as a JSON integer; bools and floats fail."""
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{prefix}{key}: must be an integer, "
                           f"got {reprlib.repr(value)}")
-    if value < least:
-        raise ConfigError(f"{prefix}{key}: must be >= {least}, got {value}")
     return value
 
 

@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .exceptions import ConfigError
+
 ATTACK_KINDS = ("none", "constant-bias", "ramp", "custom-sequence")
 MATRIX_NAMES = ("A", "B", "C_G", "C_I", "Sigma_w", "Sigma_G", "Sigma_I")
 
@@ -80,10 +82,16 @@ class AttackSignal:
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
-            raise ValueError(
-                f"unknown attack kind {self.kind!r}, expected one of {ATTACK_KINDS}")
+            raise ConfigError(f"attack.kind: unknown kind {self.kind!r}, "
+                              f"expected one of {ATTACK_KINDS}")
         if self.start_step < 0:
-            raise ValueError(f"start_step must be >= 0, got {self.start_step}")
+            raise ConfigError(
+                f"attack.start_step: must be >= 0, got {self.start_step}")
+        if self.kind in ("constant-bias", "ramp") and self.d is None:
+            raise ConfigError(f"attack.d: required for kind {self.kind!r}")
+        if self.kind == "custom-sequence" and self.sequence is None:
+            raise ConfigError(
+                "attack.sequence: required for kind 'custom-sequence'")
         if self.d is not None:
             self.d = np.asarray(self.d, dtype=float)
         if self.sequence is not None:
@@ -93,39 +101,43 @@ class AttackSignal:
     def none(cls) -> "AttackSignal":
         return cls(kind="none")
 
+    def check(self, m_G: int, steps: int) -> None:
+        """Raise ConfigError unless d, or each sequence row, has m_G entries
+        and a custom sequence lasts through step `steps`."""
+        if self.kind in ("constant-bias", "ramp") and self.d.shape != (m_G,):
+            raise ConfigError(
+                f"attack.d: has shape {self.d.shape}, expected ({m_G},)")
+        if self.kind != "custom-sequence":
+            return
+        for i, row in enumerate(self.sequence):
+            if row.shape != (m_G,):
+                raise ConfigError(f"attack.sequence[{i}]: has shape "
+                                  f"{row.shape}, expected ({m_G},)")
+        needed = steps - self.start_step + 1
+        if len(self.sequence) < needed:
+            raise ConfigError(
+                f"attack.sequence: has {len(self.sequence)} entries, but "
+                f"steps {self.start_step}..{steps} need {needed}")
+
     def signal_at(self, k: int, m_G: int) -> np.ndarray:
         """Evaluate d_k for step k; zero before start_step."""
         return self.signal_range(k, k + 1, m_G)[0]
 
     def signal_range(self, first: int, stop: int, m_G: int) -> np.ndarray:
-        """d_k for the steps first <= k < stop, one row each."""
+        """d_k for the steps first <= k < stop, one row each, for an attack
+        that passes check(m_G, stop - 1)."""
         d, start = np.zeros((max(stop - first, 0), m_G)), self.start_step
         lo = max(first, start)
         if self.kind == "none" or lo >= stop:
             return d
         if self.kind == "constant-bias":
-            d[lo - first:] = self._magnitude(m_G)
+            d[lo - first:] = self.d
         elif self.kind == "ramp":
             d[lo - first:] = np.arange(lo - start, stop - start)[:, None] \
-                * self._magnitude(m_G)
-        elif self.sequence is None:
-            raise ValueError("custom-sequence attack requires a sequence")
-        elif stop - start > len(self.sequence):
-            k = max(lo, start + len(self.sequence))
-            raise ValueError(
-                f"attack sequence too short: step {k} needs index "
-                f"{k - start}, sequence has {len(self.sequence)} entries")
+                * self.d
         else:
             d[lo - first:] = self.sequence[lo - start:stop - start]
         return d
-
-    def _magnitude(self, m_G: int) -> np.ndarray:
-        if self.d is None:
-            raise ValueError(f"attack kind {self.kind!r} requires a magnitude d")
-        if self.d.shape != (m_G,):
-            raise ValueError(
-                f"attack magnitude has shape {self.d.shape}, expected ({m_G},)")
-        return self.d
 
 
 def step_dynamics(model: SystemModel, state: PlantState,

@@ -340,6 +340,19 @@ class TestEscapeTime:
         assert np.array_equal(info.value.last_iterate, np.zeros((4, 4)))
         assert len(calls) <= 2
 
+    def test_tolerance_whose_square_overflows(self, uav_model,
+                                              uav_stationary_P):
+        # 1e200 ** 2 raises OverflowError; the squared tolerance is inf, so
+        # the tolerance stays credible to the horizon.
+        with pytest.raises(ConvergenceError) as info:
+            escape_time(uav_stationary_P, uav_model, 1e200, 0.01,
+                        max_horizon=50)
+        assert str(info.value) == (
+            "tolerance still credible after 50 steps (last statistic inf "
+            f"> quantile {chi2_quantile(4, 0.01):.6g})")
+        assert escape_time_lower_bound(uav_stationary_P, uav_model, 1e200,
+                                       0.01) == math.inf
+
 
 class TestNonFiniteCovariance:
     # The message is the check: ConvergenceError, which escape_time raised

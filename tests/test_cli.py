@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 import spoofguard
-from spoofguard import builtin_config_path, cli
+from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
+                        ScenarioConfig, SystemModel, builtin_config_path, cli,
+                        parse_config)
 from spoofguard.cli import main
 
 
@@ -492,3 +495,137 @@ class TestHorizonTooLarge:
             "config error: steps: 4611686018427387904 steps cannot be "
             "allocated (")
         assert captured.err.count("\n") == 1
+
+
+class TestLargeTolerance:
+    def test_analyze_fails_with_one_line(self, config_path, tmp_path, capsys):
+        # zeta_norm ** 2 overflows: the squared tolerance is inf, which stays
+        # credible to the escape analysis's horizon.
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["zeta_norm"] = 1e200
+        cfg = tmp_path / "large_zeta.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: tolerance still credible after 100000 steps "
+            "(last statistic inf > quantile 13.2767)\n")
+
+
+_ONE_STATE = SystemModel(A=[[1.0]], B=[[0.01]], C_G=[[1.0]], C_I=[[1.0]],
+                         Sigma_w=[[1.0]], Sigma_G=[[1.0]], Sigma_I=[[1.0]])
+_SEQUENCE = {"kind": "custom-sequence", "start_step": 5,
+             "sequence": [[1.0, 1.0]] * 6}
+
+
+def _rule(name, edit, fields, message, cli=None):
+    """A scenario rule: an edit of the shipped JSON that breaks it, the
+    ScenarioConfig fields that hold the same values (built when called), the
+    message, and optionally a CLI call (command, edit of the file, flags)
+    that breaks it by a flag."""
+    return pytest.param(edit, fields, message, cli, id=name)
+
+
+# Each rule is checked once, by the type that holds the value; parse_config,
+# dataclasses.replace and the CLI's flags all reach it.
+_RULES = [
+    _rule("n-below-2p",
+          {"model": {k: [[1.0]] for k in ("A", "C_G", "C_I", "Sigma_w",
+                                          "Sigma_G", "Sigma_I")}
+           | {"B": [[0.01]]}, "x0": [0.0], "target": [1.0]},
+          lambda: {"model": _ONE_STATE},
+          "model: state dimension 1 is below 2p = 2; the controller reads "
+          "positions x[:p] and velocities x[p:2p]"),
+    _rule("x0-shape", {"x0": [0.0] * 3}, lambda: {"x0": np.zeros(3)},
+          "x0: has shape (3,), expected (4,)"),
+    _rule("target-shape", {"target": [3.0]},
+          lambda: {"target": np.array([3.0])},
+          "target: has shape (1,), expected (2,) to match the input "
+          "dimension"),
+    _rule("positive-gains", {"controller": {"kp": -1.0}},
+          lambda: {"kp": -1.0},
+          "controller: gains must be positive, got kp=-1.0, kd=2.0"),
+    _rule("steps", {"steps": 0}, lambda: {"steps": 0},
+          "steps: must be >= 1, got 0", ("run", {}, ["--steps", "0"])),
+    _rule("seed", {"seed": -1}, lambda: {"seed": -1},
+          "seed: must be >= 0, got -1", ("run", {}, ["--seed", "-1"])),
+    _rule("runs", {"runs": 0}, lambda: {"runs": 0},
+          "runs: must be >= 1, got 0", ("mc", {}, ["--runs", "0"])),
+    _rule("zeta-norm", {"zeta_norm": -2.0}, lambda: {"zeta_norm": -2.0},
+          "zeta_norm: must be positive, got -2.0"),
+    _rule("detector-delta", {"detector": {"delta": 1.5}},
+          lambda: {"detector": DetectorConfig(delta=1.5)},
+          "detector: forgetting factor delta must lie in (0, 1), got 1.5"),
+    _rule("attack-kind", {"attack": {"kind": "jam"}},
+          lambda: {"attack": AttackSignal(kind="jam")},
+          "attack.kind: unknown kind 'jam', expected one of ('none', "
+          "'constant-bias', 'ramp', 'custom-sequence')"),
+    _rule("attack-start",
+          {"attack": {"kind": "ramp", "start_step": -1, "d": [1.0, 1.0]}},
+          lambda: {"attack": AttackSignal(kind="ramp", start_step=-1,
+                                          d=[1.0, 1.0])},
+          "attack.start_step: must be >= 0, got -1"),
+    _rule("attack-d-required", {"attack": {"kind": "ramp"}},
+          lambda: {"attack": AttackSignal(kind="ramp")},
+          "attack.d: required for kind 'ramp'"),
+    _rule("attack-d-shape", {"attack": {"kind": "constant-bias", "d": [1.0]}},
+          lambda: {"attack": AttackSignal(kind="constant-bias", d=[1.0])},
+          "attack.d: has shape (1,), expected (2,)"),
+    # Before the rules moved onto the types, replace broadcast these rows
+    # onto both GPS rows.
+    _rule("sequence-row-shape",
+          {"attack": {**_SEQUENCE, "sequence": [[1.0]] * 1000}},
+          lambda: {"attack": AttackSignal(**{**_SEQUENCE,
+                                             "sequence": [[1.0]] * 1000})},
+          "attack.sequence[0]: has shape (1,), expected (2,)"),
+    _rule("sequence-horizon", {"attack": _SEQUENCE, "steps": 11},
+          lambda: {"attack": AttackSignal(**_SEQUENCE), "steps": 11},
+          "attack.sequence: has 6 entries, but steps 5..11 need 7",
+          ("run", {"attack": _SEQUENCE, "steps": 10}, ["--steps", "11"]))]
+
+
+class TestScenarioRules:
+    @staticmethod
+    def _write(config_path, tmp_path, edit):
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        for key, value in edit.items():
+            if key in ("controller", "detector"):
+                value = {**raw[key], **value}
+            raw[key] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        return str(cfg)
+
+    @pytest.mark.parametrize("edit, fields, message, cli", _RULES)
+    def test_one_message_on_every_path(self, config_path, uav_config,
+                                       tmp_path, capsys, edit, fields,
+                                       message, cli):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(self._write(config_path, tmp_path, edit))
+        assert str(parsed.value) == message
+        with pytest.raises(ConfigError) as replaced:
+            replace(uav_config, **fields())
+        assert str(replaced.value) == message
+        if cli is None:
+            return
+        command, base, flags = cli
+        cfg = self._write(config_path, tmp_path, base)
+        assert main([command, "--config", cfg, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    def test_config_is_frozen(self, uav_config):
+        with pytest.raises(FrozenInstanceError):
+            uav_config.steps = 10
+        assert uav_config.steps == 1000
+
+    def test_hand_built_config_is_checked(self, uav_model):
+        # Before the rules moved onto ScenarioConfig, this target was
+        # broadcast onto both inputs.
+        with pytest.raises(ConfigError, match=r"^target: has shape \(1,\)"):
+            ScenarioConfig(model=uav_model, x0=np.zeros(4),
+                           target=np.array([3.0]))

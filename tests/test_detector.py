@@ -4,11 +4,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from spoofguard import (AttackSignal, DetectorConfig, EstimatorState,
-                        GaussianSampler, PlantState, StackedSensorForms,
-                        cusum_update, fuse, measure_gps, measure_imu,
-                        residual, residual_covariance, run_scenario,
-                        step_dynamics)
+from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
+                        EstimatorState, GaussianSampler, PlantState,
+                        ScenarioConfig, StackedSensorForms, SystemModel,
+                        chi2_quantile, cusum_update, fuse, measure_gps,
+                        measure_imu, residual, residual_covariance,
+                        run_scenario, step_dynamics)
 from spoofguard.detector import normalized_residual
 
 
@@ -18,7 +19,7 @@ class FixedThreshold(DetectorConfig):
 
     fixed: float = math.inf
 
-    def threshold(self) -> float:
+    def threshold(self, m_G: int) -> float:
         return self.fixed
 
 
@@ -167,8 +168,8 @@ class TestCusum:
 
 class TestAlarm:
     def test_threshold_value_and_strictness(self, uav_config, uav_shared):
-        config = DetectorConfig(alpha=0.01, delta=0.15, df=2)
-        threshold = config.threshold()
+        config = DetectorConfig(alpha=0.01, delta=0.15)
+        threshold = config.threshold(2)
         assert threshold == pytest.approx(9.210340371976184 / 0.85, abs=1e-8)
         # The runner alarms on strict exceedance.  A run that never alarms
         # does not depend on its threshold, so the largest statistic of a
@@ -186,8 +187,27 @@ class TestAlarm:
         assert run(np.nextafter(peak, 0.0)).first_alarm_step == \
             int(S.argmax()) + 1
 
+    def test_threshold_has_the_model_gps_dimension(self):
+        # A hand-built scenario with one GPS row: its threshold is
+        # chi2(1, 0.01) / 0.85 = 7.806, not chi2(2, 0.01) / 0.85 = 10.836.
+        # Seed 0's statistic lies between the two at step 222 only.
+        model = SystemModel(A=[[1.0, 0.01], [0.0, 1.0]], B=[[0.0], [0.01]],
+                            C_G=[[1.0, 0.0]], C_I=[[0.0, 1.0]],
+                            Sigma_w=1e-4 * np.eye(2), Sigma_G=[[1e-3]],
+                            Sigma_I=[[1e-3]])
+        config = ScenarioConfig(model=model, x0=np.zeros(2),
+                                target=np.array([1.0]), steps=300)
+        trace = run_scenario(config)
+        S = trace.columns.S
+        threshold = chi2_quantile(1, 0.01) / 0.85
+        assert config.detector.threshold(model.m_G) == threshold
+        assert 7.805 < threshold < 7.806
+        np.testing.assert_array_equal(trace.columns.alarmed, S > threshold)
+        assert trace.first_alarm_step == 222
+        assert threshold < S[221] <= chi2_quantile(2, 0.01) / 0.85
+
     def test_zero_statistic_never_alarms(self, uav_config, uav_shared):
-        assert DetectorConfig().threshold() > 0.0
+        assert DetectorConfig().threshold(2) > 0.0
         # With the detector off the statistic stays zero and the attack at
         # step 700 never raises the alarm.
         trace = run_scenario(replace(uav_config, steps=800),
@@ -199,8 +219,8 @@ class TestAlarm:
     def test_decay_steps_after_attack_stops(self):
         # With nominal residuals after a spike, S decays geometrically; it
         # drops below the threshold within ceil(log(threshold / S_peak) / log(delta)).
-        config = DetectorConfig(alpha=0.01, delta=0.15, df=2)
-        threshold = config.threshold()
+        config = DetectorConfig(alpha=0.01, delta=0.15)
+        threshold = config.threshold(2)
         S = 5e4
         expected_steps = math.ceil(math.log(threshold / S) / math.log(config.delta))
         steps = 0
@@ -212,18 +232,22 @@ class TestAlarm:
 
 class TestConfigValidation:
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError, match="forgetting factor"):
-            DetectorConfig(alpha=0.01, delta=1.5, df=2)
-        with pytest.raises(ValueError, match="forgetting factor"):
-            DetectorConfig(alpha=0.01, delta=0.0, df=2)
+        with pytest.raises(ConfigError, match="^detector: forgetting factor"):
+            DetectorConfig(alpha=0.01, delta=1.5)
+        with pytest.raises(ConfigError, match="^detector: forgetting factor"):
+            DetectorConfig(alpha=0.01, delta=0.0)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            DetectorConfig(alpha=0.0, delta=0.15, df=2)
+        with pytest.raises(ConfigError, match="^detector: .* alpha"):
+            DetectorConfig(alpha=0.0, delta=0.15)
 
     def test_rejects_bad_df(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(alpha=0.01, delta=0.15, df=0)
+        # The degrees of freedom are the model's m_G, passed to threshold;
+        # the config holds none.
+        with pytest.raises(TypeError):
+            DetectorConfig(alpha=0.01, delta=0.15, df=2)
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            DetectorConfig(alpha=0.01, delta=0.15).threshold(0)
 
 
 class TestEvaluateResidual:

@@ -10,7 +10,7 @@ from spoofguard import (AttackSignal, EstimatorState, Mode,
                         SystemModel, builtin_config_path,
                         covariance_update, cusum_update, drift_matrices,
                         estimator, fuse, monte_carlo, optimal_gain,
-                        parse_config, harness, predict, run_scenario,
+                        parse_config, harness, run_scenario,
                         stationary_covariance)
 
 from spoofguard.detector import normalized_residual
@@ -503,22 +503,6 @@ class TestOneProductBlocks:
                 want = pred + K_I @ (y_I - C_I @ (pred - x_hat))
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(x_hat)
-
-
-class TestPredict:
-    def test_zero(self, model):
-        est = EstimatorState.initial(np.zeros(4))
-        np.testing.assert_array_equal(predict(est, model, np.zeros(2)), np.zeros(4))
-
-    def test_velocity_advects(self, model):
-        est = EstimatorState.initial([0.0, 0.0, 1.0, 1.0])
-        np.testing.assert_allclose(predict(est, model, np.zeros(2)),
-                                   [0.01, 0.01, 1.0, 1.0], atol=1e-15)
-
-    def test_input_term(self, model):
-        est = EstimatorState.initial(np.zeros(4))
-        np.testing.assert_allclose(predict(est, model, [1.0, 1.0]),
-                                   [0.0, 0.0, 0.01, 0.01], atol=1e-15)
 
 
 class TestCovarianceUpdate:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
-                        EstimatorState, Mode, NumericalError, PlantState,
-                        ScenarioConfig, ScenarioShared, SystemModel,
-                        builtin_config_path, confidence_bound, cusum_update,
+from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
+                        NumericalError, PlantState, ScenarioConfig,
+                        ScenarioShared, SystemModel, builtin_config_path,
+                        chi2_quantile, confidence_bound, cusum_update,
                         derive_run_seed, estimator, export_trace, fuse,
                         harness, measure_gps, measure_imu, monte_carlo,
                         parse_config, pd_control, residual,
@@ -207,7 +207,7 @@ class TestRunScenario:
                 for s in np.random.SeedSequence(config.seed).spawn(3)]
         plant = PlantState.initial(config.x0)
         est = EstimatorState.initial(config.x0)
-        S, threshold = 0.0, det.threshold()
+        S, threshold = 0.0, det.threshold(model.m_G)
         for i in range(config.steps):
             w, v_G, v_I = (s.sample(rng) for s, rng in zip(samplers, rngs))
             u = pd_control(est.x_hat, config.target, config.kp, config.kd)
@@ -637,7 +637,7 @@ class TestDriftModelBatch:
             model=model, x0=np.zeros(model.n), target=np.zeros(model.p),
             attack=AttackSignal(kind="constant-bias",
                                 d=np.full(model.m_G, 5.0), start_step=60),
-            detector=DetectorConfig(df=model.m_G), steps=120, runs=8)
+            steps=120, runs=8)
         _, traces = _batch_traces(config, monkeypatch)
         first = [t.first_alarm_step for t in traces]
         assert not ScenarioShared(model).stacked.drift_free
@@ -705,7 +705,8 @@ class TestParseConfig:
         np.testing.assert_array_equal(uav_config.attack.d, [100.0, 100.0])
         assert uav_config.detector.alpha == 0.01
         assert uav_config.detector.delta == 0.15
-        assert uav_config.detector.df == 2
+        assert uav_config.detector.threshold(uav_config.model.m_G) == \
+            chi2_quantile(2, 0.01) / 0.85
         assert uav_config.steps == 1000
         assert uav_config.zeta_norm == 2.0
 

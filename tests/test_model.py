@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spoofguard import (AttackSignal, GaussianSampler, PlantState,
+from spoofguard import (AttackSignal, ConfigError, GaussianSampler, PlantState,
                         ScenarioShared, StackedSensorForms, SystemModel,
                         builtin_config_path, drift_matrices,
                         escape_report, measure_gps, measure_imu, run_scenario,
@@ -127,8 +127,10 @@ class TestAttackSignal:
     def test_custom_sequence_exhausted(self):
         attack = AttackSignal(kind="custom-sequence", start_step=0,
                               sequence=[[1.0]])
-        with pytest.raises(ValueError, match="too short"):
-            attack.signal_at(1, 1)
+        attack.check(1, 0)
+        with pytest.raises(ConfigError, match=(
+                r"^attack.sequence: has 1 entries, but steps 0..1 need 2$")):
+            attack.check(1, 1)
 
     @pytest.mark.parametrize("kind", ["none", "constant-bias", "ramp",
                                       "custom-sequence"])
@@ -155,19 +157,25 @@ class TestAttackSignal:
                 assert row.tobytes() == per_step(k).tobytes()
                 assert attack.signal_at(k, 2).tobytes() == row.tobytes()
 
-    @pytest.mark.parametrize("first, step", [(0, 25), (24, 25), (27, 27)])
-    def test_range_names_the_first_step_past_the_sequence(self, first, step):
+    @pytest.mark.parametrize("steps, needed", [(25, 21), (30, 26), (24, None)])
+    def test_check_names_the_steps_the_sequence_must_cover(self, steps,
+                                                           needed):
+        # 20 entries from step 5 cover steps 5..24.
         attack = AttackSignal(kind="custom-sequence", start_step=5,
                               sequence=[[1.0]] * 20)
-        with pytest.raises(ValueError, match=(
-                f"step {step} needs index {step - 5}, sequence has 20")):
-            attack.signal_range(first, 30, 1)
+        if needed is None:
+            attack.check(1, steps)
+            return
+        with pytest.raises(ConfigError, match=(
+                f"^attack.sequence: has 20 entries, but steps 5..{steps} "
+                f"need {needed}$")):
+            attack.check(1, steps)
 
-    def test_magnitude_dimension_checked(self, uav_model):
+    def test_magnitude_dimension_checked(self):
         attack = AttackSignal(kind="constant-bias", d=[1.0, 2.0, 3.0])
-        state = PlantState.initial(np.zeros(4))
-        with pytest.raises(ValueError):
-            measure_gps(uav_model, state, attack, np.zeros(2))
+        with pytest.raises(ConfigError, match=(
+                r"^attack.d: has shape \(3,\), expected \(2,\)$")):
+            attack.check(2, 10)
 
 
 class TestGaussianSampler:

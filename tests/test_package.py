@@ -21,7 +21,7 @@ def test_public_names():
         "cusum_update", "derive_run_seed", "drift_matrices", "escape_report",
         "escape_time", "escape_time_lower_bound", "export_trace", "fuse",
         "is_detectable", "measure_gps", "measure_imu", "monte_carlo",
-        "optimal_gain", "parse_config", "pd_control", "predict", "residual",
+        "optimal_gain", "parse_config", "pd_control", "residual",
         "residual_covariance", "run_scenario", "spectral_norm",
         "stationary_covariance", "step_dynamics", "validate_model"]
 
