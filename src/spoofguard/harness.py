@@ -39,7 +39,7 @@ from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
                         _detector_weight)
 from .exceptions import ConfigError, NumericalError
 from .model import (MATRIX_NAMES, AttackSignal, GaussianSampler, SystemModel,
-                    validate_model)
+                    validate_model, _check_count)
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
@@ -79,9 +79,7 @@ class ScenarioConfig:
             raise ConfigError(f"controller: gains must be positive, "
                               f"got kp={self.kp}, kd={self.kd}")
         for name, least in (("steps", 1), ("seed", 0), ("runs", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name}: must be >= {least}, "
-                                  f"got {getattr(self, name)}")
+            _check_count(name, getattr(self, name), least)
         if not self.zeta_norm > 0:
             raise ConfigError(
                 f"zeta_norm: must be positive, got {self.zeta_norm}")
@@ -454,9 +452,8 @@ def parse_config(path) -> ScenarioConfig:
         detector=DetectorConfig(
             alpha=_number(det_raw, "alpha", 0.01, "detector."),
             delta=_number(det_raw, "delta", 0.15, "detector.")),
-        steps=_integer(raw, "steps", 1000), seed=_integer(raw, "seed", 0),
-        zeta_norm=_number(raw, "zeta_norm", 2.0),
-        runs=_integer(raw, "runs", 1))
+        steps=raw.get("steps", 1000), seed=raw.get("seed", 0),
+        zeta_norm=_number(raw, "zeta_norm", 2.0), runs=raw.get("runs", 1))
 
 
 def _section(raw: dict, key: str, keys) -> dict:
@@ -483,7 +480,7 @@ def _parse_attack(raw) -> AttackSignal:
         sequence = [_numbers(s, f"attack.sequence[{i}]")
                     for i, s in enumerate(sequence)]
     return AttackSignal(kind=raw.get("kind", "none"), d=d,
-                        start_step=_integer(raw, "start_step", 0, "attack."),
+                        start_step=raw.get("start_step", 0),
                         sequence=sequence)
 
 
@@ -501,15 +498,6 @@ def _float_sized_int(path, token: str) -> int:
         raise ConfigError(f"{path}: integer of {len(token.lstrip('-'))} "
                           f"digits does not fit in a float")
     return int(token)
-
-
-def _integer(section: dict, key: str, default: int, prefix: str = "") -> int:
-    """section[key] as a JSON integer; bools and floats fail."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{prefix}{key}: must be an integer, "
-                          f"got {reprlib.repr(value)}")
-    return value
 
 
 def _number(section: dict, key: str, default: float, prefix: str = "") -> float:

@@ -10,6 +10,7 @@ with iid zero-mean Gaussian noises of covariances Sigma_w, Sigma_G, Sigma_I.
 The additive term d_k is the injected spoofing signal.
 """
 
+import reprlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,6 +21,16 @@ from .exceptions import ConfigError
 
 ATTACK_KINDS = ("none", "constant-bias", "ramp", "custom-sequence")
 MATRIX_NAMES = ("A", "B", "C_G", "C_I", "Sigma_w", "Sigma_G", "Sigma_I")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ConfigError unless value is an integer (numpy's too, bools not)
+    of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(
+            f"{name}: must be an integer, got {reprlib.repr(value)}")
+    if value < least:
+        raise ConfigError(f"{name}: must be >= {least}, got {value}")
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -84,9 +95,7 @@ class AttackSignal:
         if self.kind not in ATTACK_KINDS:
             raise ConfigError(f"attack.kind: unknown kind {self.kind!r}, "
                               f"expected one of {ATTACK_KINDS}")
-        if self.start_step < 0:
-            raise ConfigError(
-                f"attack.start_step: must be >= 0, got {self.start_step}")
+        _check_count("attack.start_step", self.start_step, 0)
         if self.kind in ("constant-bias", "ramp") and self.d is None:
             raise ConfigError(f"attack.d: required for kind {self.kind!r}")
         if self.kind == "custom-sequence" and self.sequence is None:

@@ -514,6 +514,23 @@ class TestLargeTolerance:
             "(last statistic inf > quantile 13.2767)\n")
 
 
+class TestSmallSignificanceLevel:
+    def test_analyze_uses_the_true_quantile(self, config_path, tmp_path,
+                                            capsys):
+        # chi2(4, 1e-20) is 99.97.  Bisection on the CDF saturated at 82.34
+        # for every alpha <= 1e-17 and reported escape time 95 (bound 89.75).
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["detector"]["alpha"] = 1e-20
+        cfg = tmp_path / "small_alpha.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["escape_time"] == 80
+        assert payload["escape_time_lower_bound"] == pytest.approx(73.93,
+                                                                   abs=5e-3)
+
+
 _ONE_STATE = SystemModel(A=[[1.0]], B=[[0.01]], C_G=[[1.0]], C_I=[[1.0]],
                          Sigma_w=[[1.0]], Sigma_G=[[1.0]], Sigma_I=[[1.0]])
 _SEQUENCE = {"kind": "custom-sequence", "start_step": 5,
@@ -553,6 +570,16 @@ _RULES = [
           "seed: must be >= 0, got -1", ("run", {}, ["--seed", "-1"])),
     _rule("runs", {"runs": 0}, lambda: {"runs": 0},
           "runs: must be >= 1, got 0", ("mc", {}, ["--runs", "0"])),
+    # Before the types checked integers, each of these replaced values ended
+    # a run or a batch in a TypeError.
+    _rule("steps-float", {"steps": 10.5}, lambda: {"steps": 10.5},
+          "steps: must be an integer, got 10.5"),
+    _rule("steps-bool", {"steps": True}, lambda: {"steps": True},
+          "steps: must be an integer, got True"),
+    _rule("seed-float", {"seed": 1.5}, lambda: {"seed": 1.5},
+          "seed: must be an integer, got 1.5"),
+    _rule("runs-float", {"runs": 2.0}, lambda: {"runs": 2.0},
+          "runs: must be an integer, got 2.0"),
     _rule("zeta-norm", {"zeta_norm": -2.0}, lambda: {"zeta_norm": -2.0},
           "zeta_norm: must be positive, got -2.0"),
     _rule("detector-delta", {"detector": {"delta": 1.5}},
@@ -567,6 +594,11 @@ _RULES = [
           lambda: {"attack": AttackSignal(kind="ramp", start_step=-1,
                                           d=[1.0, 1.0])},
           "attack.start_step: must be >= 0, got -1"),
+    _rule("attack-start-float",
+          {"attack": {"kind": "ramp", "start_step": 2.5, "d": [1.0, 1.0]}},
+          lambda: {"attack": AttackSignal(kind="ramp", start_step=2.5,
+                                          d=[1.0, 1.0])},
+          "attack.start_step: must be an integer, got 2.5"),
     _rule("attack-d-required", {"attack": {"kind": "ramp"}},
           lambda: {"attack": AttackSignal(kind="ramp")},
           "attack.d: required for kind 'ramp'"),

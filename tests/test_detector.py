@@ -187,6 +187,11 @@ class TestAlarm:
         assert run(np.nextafter(peak, 0.0)).first_alarm_step == \
             int(S.argmax()) + 1
 
+    def test_threshold_at_a_tiny_alpha(self):
+        # chi2(2, alpha) = -2 ln(alpha); the CDF-based bisection gave 88.07.
+        assert DetectorConfig(alpha=1e-20).threshold(2) == pytest.approx(
+            -2.0 * math.log(1e-20) / 0.85, rel=1e-12)
+
     def test_threshold_has_the_model_gps_dimension(self):
         # A hand-built scenario with one GPS row: its threshold is
         # chi2(1, 0.01) / 0.85 = 7.806, not chi2(2, 0.01) / 0.85 = 10.836.
