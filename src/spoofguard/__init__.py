@@ -1,9 +1,9 @@
 """Spoof-resilient state estimation with attack detection and escape-time analysis."""
 
-from .analysis import (DriftAnalysis, EscapeTimeReport, confidence_bound,
-                       covariance_magnitude, drift_matrices, escape_report,
-                       escape_time, escape_time_lower_bound, is_detectable,
-                       spectral_norm, stationary_covariance)
+from .analysis import (DriftAnalysis, EscapeTimeReport, covariance_magnitude,
+                       drift_matrices, escape_report, escape_time,
+                       escape_time_lower_bound, is_detectable, spectral_norm,
+                       stationary_covariance)
 from .chi2 import chi2_cdf, chi2_quantile, chi2_sf
 from .detector import (DetectorConfig, cusum_update, residual,
                        residual_covariance)

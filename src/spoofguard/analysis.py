@@ -7,9 +7,6 @@ Norm conventions used throughout the escape-time analysis:
   escape earlier (the conservative side for a safety margin);
 * the growth factor of the dead-reckoning recursion uses the spectral norm
   of A and of the additive noise floor Sigma_bar.
-
-The per-step confidence radius (confidence_bound) uses the spectral norm of
-P, which gives a statistically valid per-step tail bound.
 """
 
 import math
@@ -22,7 +19,7 @@ from .chi2 import chi2_quantile
 from .estimator import EstimatorState, StackedSensorForms, optimal_gain, \
     _covariance_update_stacked, _dead_reckoning, _solve_gain
 from .exceptions import ConvergenceError, NumericalError
-from .model import SystemModel
+from .model import SystemModel, _read_only
 
 
 def spectral_norm(M) -> float:
@@ -53,7 +50,7 @@ def covariance_magnitude(P) -> float:
     return math.sqrt(square)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriftAnalysis:
     """Derived matrices describing dead-reckoning error growth.
 
@@ -63,7 +60,8 @@ class DriftAnalysis:
     decoupled transition; Sigma_bar is the per-step covariance floor added
     during dead reckoning; drift_free is True when the relative sensor carries
     no drift structure (C_bar_I = 0).  C_bar_I, Sigma_bar and drift_free are
-    read from StackedSensorForms, which defines them.
+    read from StackedSensorForms, which defines them.  The arrays are
+    read-only.
     """
 
     C_bar_I: np.ndarray
@@ -144,10 +142,10 @@ def drift_matrices(model: SystemModel) -> DriftAnalysis:
 
     A_bar = (np.eye(n) - L @ C_bar) @ model.A
     return DriftAnalysis(
-        C_bar_I=C_bar,
-        L=L,
-        A_bar=A_bar,
-        Sigma_bar=stacked.Sigma_bar,
+        C_bar_I=_read_only(C_bar),
+        L=_read_only(L),
+        A_bar=_read_only(A_bar),
+        Sigma_bar=_read_only(stacked.Sigma_bar),
         gps_pair_detectable=is_detectable(model.C_G, model.A),
         drift_pair_detectable=is_detectable(C_bar, A_bar),
         drift_free=stacked.drift_free,
@@ -163,9 +161,10 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
     Chu, Fan, Lin et al.).  k doublings cover 2^k steps of the recursion, so
     max_iter counts doublings.  Converged means |f(P) - P| <= tol * |P| < inf
     for the one-step recursion f (covariance_magnitude's norm), a relative
-    test at every scale.  Raises ConvergenceError (carrying the last iterate
-    and residual) when max_iter doublings do not converge or an iterate is
-    not finite, and fails fast on an undetectable GPS pair (no fixed point).
+    test at every scale; the fixed point is returned read-only.  Raises
+    ConvergenceError (carrying the last iterate and residual) when max_iter
+    doublings do not converge or an iterate is not finite, and fails fast on
+    an undetectable GPS pair (no fixed point).
     """
     stacked = StackedSensorForms(model)
     if not is_detectable(model.C_G, model.A):
@@ -196,6 +195,7 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
         K = optimal_gain(H, model, stacked)
         resid = covariance_magnitude(_covariance_update_stacked(H, K, stacked)[1] - H)
         if resid <= tol * covariance_magnitude(H) < math.inf:
+            H.setflags(write=False)
             return H
     raise ConvergenceError(
         f"covariance fixed point not reached in {max_iter} doublings "
@@ -217,41 +217,28 @@ def _growth(model: SystemModel):
     return norm_A, "unit-norm" if abs(norm_A - 1.0) <= 1e-12 else "general"
 
 
-def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
+def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
                 alpha: float, *, max_horizon: int = 100_000) -> int:
     """Steps of dead reckoning until the error tolerance stops being credible.
 
-    The chi-square quantile has n degrees of freedom, the state dimension.
-    zeta may be an n-vector (directional test zeta^T P_k^{-1} zeta against the
-    quantile) or a scalar norm (isotropic test ||zeta||^2 divided by the
-    Frobenius magnitude of P_k, inf when that is zero).  Counting
-    starts at the covariance supplied for the attack step; the count is 0
-    when the tolerance is already not credible there.  A NaN or infinite
-    entry in it raises NumericalError.
+    The statistic is the squared norm tolerance zeta^2 divided by the
+    Frobenius magnitude of P_k (inf when that is zero), tested against the
+    chi-square quantile with n degrees of freedom, the state dimension.
+    Counting starts at the covariance supplied for the attack step; the
+    count is 0 when the tolerance is already not credible there.  A NaN or
+    infinite entry in it raises NumericalError.
     """
     quantile = chi2_quantile(model.n, alpha)
-    zeta_arr = np.asarray(zeta, dtype=float)
-    if zeta_arr.ndim == 0:
-        zeta_sq = float(zeta_arr) * float(zeta_arr)     # inf past 1e154
+    zeta_sq = float(zeta) * float(zeta)     # inf past 1e154
 
-        def quad(P):
-            magnitude = covariance_magnitude(P)
-            return zeta_sq / magnitude if magnitude > 0.0 else math.inf
-    elif zeta_arr.ndim == 1:
-        if zeta_arr.shape != (model.n,):
-            raise ValueError(
-                f"directional tolerance has shape {zeta_arr.shape}, "
-                f"expected ({model.n},)")
-
-        def quad(P):
-            return float(zeta_arr @ np.linalg.solve(P, zeta_arr))
-    else:
-        raise ValueError("zeta must be a scalar norm or an n-vector")
+    def statistic(P):
+        magnitude = covariance_magnitude(P)
+        return zeta_sq / magnitude if magnitude > 0.0 else math.inf
 
     stacked = StackedSensorForms(model)
     P = _finite_covariance(P_at_attack)
     k = 0
-    value = quad(P)
+    value = statistic(P)
     while value > quantile:
         P_prev, P = P, _dead_reckoning(EstimatorState(None, P), model,
                                        stacked)[1]
@@ -261,7 +248,7 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta,
                 f"tolerance still credible after {max_horizon} steps "
                 f"(last statistic {value:.6g} > quantile {quantile:.6g})",
                 last_iterate=P, residual=value)
-        last, value = value, quad(P)
+        last, value = value, statistic(P)
         if value == last and P.tobytes() == P_prev.tobytes():
             k = max_horizon     # a fixed point stays credible to the horizon
     return k
@@ -314,12 +301,6 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     if numerator >= 0.0 or denominator >= 0.0:
         return math.inf
     return math.log(numerator / denominator) / math.log(growth)
-
-
-def confidence_bound(P, alpha: float) -> float:
-    """Radius sqrt(quantile * ||P||_2) covering the error at level 1 - alpha,
-    the chi-square quantile with len(P) degrees of freedom."""
-    return math.sqrt(chi2_quantile(len(P), alpha) * spectral_norm(P))
 
 
 def escape_report(model: SystemModel, zeta_norm: float, alpha: float, *,

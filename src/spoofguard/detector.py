@@ -34,7 +34,7 @@ from .exceptions import ConfigError
 from .model import SystemModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     """Significance level and forgetting factor; the chi-square degrees of
     freedom are the model's GPS dimension m_G."""

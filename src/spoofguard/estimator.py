@@ -40,12 +40,10 @@ class EstimatorState:
                                 compare=False)
 
     @classmethod
-    def initial(cls, x0, P0=None, mode: Mode = Mode.NORMAL) -> "EstimatorState":
+    def initial(cls, x0) -> "EstimatorState":
+        """Normal mode at x0 with P = 0."""
         x0 = np.asarray(x0, dtype=float)
-        if P0 is None:
-            P0 = np.zeros((x0.size, x0.size))
-        return cls(x_hat=x0.copy(), P=np.asarray(P0, dtype=float).copy(),
-                   mode=mode)
+        return cls(x_hat=x0.copy(), P=np.zeros((x0.size, x0.size)))
 
 
 class StackedSensorForms:

@@ -39,7 +39,7 @@ from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
                         _detector_weight)
 from .exceptions import ConfigError, NumericalError
 from .model import (MATRIX_NAMES, AttackSignal, GaussianSampler, SystemModel,
-                    validate_model, _check_count)
+                    validate_model, _check_count, _read_only)
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
@@ -47,8 +47,9 @@ JSON_FORMAT = "json"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario; every rule on its values is checked on construction, so
-    change a config with dataclasses.replace."""
+    """One scenario; every rule on its values is checked on construction,
+    and x0 and target are stored as read-only float copies, so change a
+    config, or the attack or detector it holds, with dataclasses.replace."""
 
     model: SystemModel
     x0: np.ndarray
@@ -84,6 +85,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"zeta_norm: must be positive, got {self.zeta_norm}")
         self.attack.check(self.model.m_G, self.steps)
+        object.__setattr__(self, "x0", _read_only(self.x0))
+        object.__setattr__(self, "target", _read_only(self.target))
 
     def attack_start(self) -> Optional[int]:
         """Onset step of the attack, or None without one."""

@@ -33,11 +33,11 @@ def _check_count(name: str, value, least: int) -> None:
         raise ConfigError(f"{name}: must be >= {least}, got {value}")
 
 
-def _as_matrix(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {M.shape}")
-    return M.copy()
+def _read_only(values) -> np.ndarray:
+    """A read-only float copy of values."""
+    values = np.array(values, dtype=float)
+    values.setflags(write=False)
+    return values
 
 
 class SystemModel:
@@ -50,8 +50,10 @@ class SystemModel:
     def __init__(self, A, B, C_G, C_I, Sigma_w, Sigma_G, Sigma_I):
         for name, M in zip(MATRIX_NAMES,
                            (A, B, C_G, C_I, Sigma_w, Sigma_G, Sigma_I)):
-            M = _as_matrix(M, name)
-            M.setflags(write=False)
+            M = _read_only(M)
+            if M.ndim != 2:
+                raise ValueError(
+                    f"{name} must be 2-dimensional, got shape {M.shape}")
             setattr(self, name, M)
         self.n, self.p = self.A.shape[0], self.B.shape[1]
         self.m_G, self.m_I = self.C_G.shape[0], self.C_I.shape[0]
@@ -76,7 +78,7 @@ class PlantState:
         return cls(x=x0.copy(), x_prev=x0.copy(), k=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackSignal:
     """Additive spoofing signal d_k applied to the absolute sensor.
 
@@ -84,6 +86,8 @@ class AttackSignal:
     kind 'constant-bias':   d_k = d for k >= start_step, else 0.
     kind 'ramp':            d_k = (k - start_step) * d for k >= start_step.
     kind 'custom-sequence': d_k = sequence[k - start_step] for k >= start_step.
+
+    d and the sequence's rows (a tuple) are stored as read-only float copies.
     """
 
     kind: str = "none"
@@ -102,9 +106,10 @@ class AttackSignal:
             raise ConfigError(
                 "attack.sequence: required for kind 'custom-sequence'")
         if self.d is not None:
-            self.d = np.asarray(self.d, dtype=float)
+            object.__setattr__(self, "d", _read_only(self.d))
         if self.sequence is not None:
-            self.sequence = [np.asarray(s, dtype=float) for s in self.sequence]
+            object.__setattr__(self, "sequence",
+                               tuple(map(_read_only, self.sequence)))
 
     @classmethod
     def none(cls) -> "AttackSignal":

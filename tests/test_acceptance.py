@@ -109,8 +109,8 @@ class TestAcceptance:
     def test_05_emergency_mode_instability(self, uav_model, uav_stationary_P):
         drift = drift_matrices(uav_model)
         stacked = StackedSensorForms(uav_model)
-        est = EstimatorState.initial(np.zeros(4), P0=uav_stationary_P,
-                                     mode=Mode.EMERGENCY)
+        est = EstimatorState(x_hat=np.zeros(4), P=uav_stationary_P,
+                             mode=Mode.EMERGENCY)
         closed = uav_stationary_P.copy()
         u = np.zeros(2)
         y = np.zeros(2)

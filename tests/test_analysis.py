@@ -6,13 +6,13 @@ import pytest
 
 from spoofguard import (ConvergenceError, NumericalError,
                         StackedSensorForms, SystemModel, chi2_quantile,
-                        confidence_bound, covariance_magnitude,
-                        covariance_update, drift_matrices, escape_report,
-                        escape_time, escape_time_lower_bound, is_detectable,
-                        optimal_gain, run_scenario, spectral_norm,
-                        stationary_covariance)
+                        covariance_magnitude, covariance_update,
+                        drift_matrices, escape_report, escape_time,
+                        escape_time_lower_bound, is_detectable, optimal_gain,
+                        run_scenario, spectral_norm, stationary_covariance)
 from spoofguard import analysis
 from spoofguard.estimator import _dead_reckoning
+from spoofguard.harness import _RunColumns
 
 from conftest import decoupling_residual, random_invertible_model
 
@@ -285,26 +285,17 @@ class TestEscapeTime:
         zeta = math.sqrt(11.0 * chi2)
         assert escape_time(np.eye(1), model, zeta, 0.05) == 10
 
-    def test_directional_form(self, uav_model, uav_stationary_P):
-        zeta = np.array([2.0, 0.0, 0.0, 0.0])
-        k_dir = escape_time(uav_stationary_P, uav_model, zeta, 0.01)
-        k_iso = escape_time(uav_stationary_P, uav_model, 2.0, 0.01)
-        # isotropic form is conservative: it uses the full covariance
-        # magnitude, so it declares escape earlier than any single direction
-        assert k_iso <= k_dir
-
-    def test_directional_zero_steps(self, uav_model):
-        zeta = np.array([2.0, 0.0, 0.0, 0.0])
-        assert escape_time(100.0 * np.eye(4), uav_model, zeta, 0.01) == 0
-
     def test_stable_plant_never_escapes(self):
         model = scalar_model(a=0.5)
         with pytest.raises(ConvergenceError, match="still credible"):
             escape_time(np.eye(1), model, 100.0, 0.05, max_horizon=2000)
 
     def test_rejects_bad_zeta_shape(self, uav_model):
-        with pytest.raises(ValueError):
-            escape_time(np.eye(4), uav_model, np.ones(3), 0.01)
+        # zeta is the scalar norm tolerance; a vector, directional or not,
+        # is not a number.
+        for zeta in (np.ones(3), np.array([2.0, 0.0, 0.0, 0.0])):
+            with pytest.raises(TypeError):
+                escape_time(np.eye(4), uav_model, zeta, 0.01)
 
     def test_zero_covariance_is_an_infinite_statistic(self, uav_model):
         # P = 0 makes the tolerance credible, not a division by zero; with
@@ -358,7 +349,7 @@ class TestNonFiniteCovariance:
     # The message is the check: ConvergenceError, which escape_time raised
     # for a NaN P, is a NumericalError too.
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("zeta", [2.0, np.array([2.0, 0.0, 0.0, 0.0])])
+    @pytest.mark.parametrize("zeta", [2.0])
     def test_escape_time_names_the_covariance(self, uav_model,
                                               uav_stationary_P, bad, zeta):
         P = uav_stationary_P.copy()
@@ -488,30 +479,45 @@ class TestEmergencyGrowth:
             prev_fro, prev_spec = fro, spec
 
 
+def confidence_radius(P, alpha):
+    """The confidence radius sqrt(chi2(n, alpha) ||P||_2), written out."""
+    return math.sqrt(chi2_quantile(len(P), alpha) * spectral_norm(P))
+
+
+def run_radius(P, alpha):
+    """The runner's conf_radius for one step whose covariance is P."""
+    cols = _RunColumns(*[None] * 7, P=np.asarray([P], dtype=float),
+                       q=chi2_quantile(len(P), alpha))
+    return float(cols.conf_radius[0])
+
+
 class TestConfidenceBound:
+    # _RunColumns.conf_radius is the one confidence-radius rule.
     def test_identity_covariance(self):
         expected = math.sqrt(chi2_quantile(4, 0.01))
-        assert confidence_bound(np.eye(4), 0.01) == pytest.approx(expected)
-        assert confidence_bound(np.eye(4), 0.01) == pytest.approx(3.6437, abs=1e-4)
+        assert run_radius(np.eye(4), 0.01) == pytest.approx(expected)
+        assert run_radius(np.eye(4), 0.01) == pytest.approx(3.6437, abs=1e-4)
+        assert run_radius(np.eye(4), 0.01) == confidence_radius(np.eye(4),
+                                                                0.01)
 
     def test_zero_covariance(self):
-        assert confidence_bound(np.zeros((4, 4)), 0.01) == 0.0
+        assert run_radius(np.zeros((4, 4)), 0.01) == 0.0
 
     def test_equals_the_run_columns(self, uav_config):
-        # spectral_norm and confidence_bound give a run's norm_P and
+        # spectral_norm and the written-out radius give a run's norm_P and
         # conf_radius columns bit for bit.
         cols = run_scenario(uav_config).columns
         alpha = uav_config.detector.alpha
         assert [spectral_norm(P) for P in cols.P] == cols.norm_P.tolist()
-        assert [confidence_bound(P, alpha) for P in cols.P] == \
+        assert [confidence_radius(P, alpha) for P in cols.P] == \
             cols.conf_radius.tolist()
 
     def test_scales_with_sqrt(self):
         rng = np.random.default_rng(12)
         R = rng.normal(size=(4, 4))
         P = R @ R.T
-        one = confidence_bound(P, 0.01)
-        two = confidence_bound(2.0 * P, 0.01)
+        one = run_radius(P, 0.01)
+        two = run_radius(2.0 * P, 0.01)
         assert two == pytest.approx(math.sqrt(2.0) * one, rel=1e-12)
 
 
@@ -550,8 +556,7 @@ class TestDegreesOfFreedom:
     @pytest.mark.parametrize("call", [
         lambda m, P: escape_time(P, m, 2.0, 0.01, 4),
         lambda m, P: escape_time_lower_bound(P, m, 2.0, 0.01, 4),
-        lambda m, P: escape_report(m, 2.0, 0.01, 4),
-        lambda m, P: confidence_bound(P, 0.01, 4)])
+        lambda m, P: escape_report(m, 2.0, 0.01, 4)])
     def test_positional_df_is_rejected(self, uav_model, uav_stationary_P,
                                        call):
         with pytest.raises(TypeError):

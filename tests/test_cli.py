@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import spoofguard
 from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
                         ScenarioConfig, SystemModel, builtin_config_path, cli,
-                        parse_config)
+                        parse_config, run_scenario)
 from spoofguard.cli import main
 
 
@@ -661,3 +662,83 @@ class TestScenarioRules:
         with pytest.raises(ConfigError, match=r"^target: has shape \(1,\)"):
             ScenarioConfig(model=uav_model, x0=np.zeros(4),
                            target=np.array([3.0]))
+
+    # A value a config holds fails at the assignment; before every part was
+    # frozen, start_step = 2.5 ended a later run in a TypeError, alpha = 2.0
+    # in a bare ValueError and x0[0] = nan in a NumericalError at step 1.
+    @pytest.mark.parametrize("mutate, error", [
+        pytest.param(lambda c, s: setattr(c.attack, "start_step", 2.5),
+                     FrozenInstanceError, id="attack.start_step"),
+        pytest.param(lambda c, s: setattr(c.detector, "alpha", 2.0),
+                     FrozenInstanceError, id="detector.alpha"),
+        pytest.param(lambda c, s: setitem(c.x0, 0, math.nan),
+                     ValueError, id="x0[0]"),
+        pytest.param(lambda c, s: setitem(c.target, 0, 0.0),
+                     ValueError, id="target[0]"),
+        pytest.param(lambda c, s: setitem(c.attack.d, 0, 0.0),
+                     ValueError, id="attack.d[0]"),
+        pytest.param(lambda c, s: setitem(s.attack.sequence[0], 0, 0.0),
+                     ValueError, id="attack.sequence[0][0]"),
+        pytest.param(lambda c, s: setitem(s.attack.sequence, 0, [0.0, 0.0]),
+                     TypeError, id="attack.sequence[0]")])
+    def test_held_values_fail_at_the_assignment(self, uav_config, uav_shared,
+                                                mutate, error):
+        sequenced = replace(uav_config, attack=AttackSignal(**_SEQUENCE),
+                            steps=10)
+        with pytest.raises(error):
+            mutate(uav_config, sequenced)
+        for config in (uav_config, sequenced):
+            run_scenario(replace(config, steps=10), shared=uav_shared)
+        assert uav_config.x0.tolist() == [0.0] * 4
+        assert sequenced.attack.sequence[0].tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(lambda c: replace(c.attack, start_step=2.5),
+                     "attack.start_step: must be an integer, got 2.5",
+                     id="attack"),
+        pytest.param(lambda c: replace(c.detector, delta=1.0),
+                     "detector: forgetting factor delta must lie in (0, 1), "
+                     "got 1.0", id="detector"),
+        pytest.param(lambda c: replace(c, attack=replace(c.attack, d=[1.0])),
+                     "attack.d: has shape (1,), expected (2,)",
+                     id="config")])
+    def test_replace_checks_every_level(self, uav_config, change, message):
+        with pytest.raises(ConfigError) as info:
+            change(uav_config)
+        assert str(info.value) == message
+
+
+class TestCrossProcessReproducibility:
+    """A seed reproduces its outputs byte for byte in two processes, under
+    the warnings rule of the console-script steps."""
+
+    COMMANDS = [["run", "--seed", "7", "--format", "csv",
+                 "--out", "seed7.csv"],
+                ["run", "--seed", "7", "--format", "json",
+                 "--out", "seed7.json"],
+                ["mc", "--runs", "4"],
+                ["analyze"]]
+
+    def test_two_processes_write_the_same_bytes(self, config_path, tmp_path):
+        env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+               "PYTHONPATH": os.pathsep.join(
+                   [os.path.dirname(os.path.dirname(spoofguard.__file__)),
+                    os.environ.get("PYTHONPATH", "")])}
+        dirs = [tmp_path / "1", tmp_path / "2"]
+        for directory in dirs:
+            directory.mkdir()
+        for command, *flags in self.COMMANDS:
+            procs = [subprocess.Popen(
+                [sys.executable, "-m", "spoofguard.cli", command,
+                 "--config", config_path, *flags], cwd=directory,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                for directory in dirs]
+            (out_1, err_1), (out_2, err_2) = (p.communicate() for p in procs)
+            assert [p.returncode for p in procs] == [0, 0], err_1 + err_2
+            assert err_1 == err_2 == b""
+            assert out_1 == out_2
+        for name in ("seed7.csv", "seed7.json"):
+            assert (dirs[0] / name).read_bytes() == \
+                (dirs[1] / name).read_bytes()
+        with open(dirs[0] / "seed7.json", encoding="utf-8") as fh:
+            json.load(fh)       # rejects a bare inf or nan

@@ -13,7 +13,7 @@ from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
 from spoofguard.detector import normalized_residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedThreshold(DetectorConfig):
     """Detector configuration whose alarm threshold is given directly."""
 

@@ -674,10 +674,10 @@ class TestFuse:
         # The constant predictor of a drift-free model: the estimate and P
         # are bit-for-bit those of the unspoofed readings.
         rng = np.random.default_rng(17)
-        est1 = EstimatorState.initial(np.zeros(4), P0=1e-3 * np.eye(4),
-                                      mode=Mode.EMERGENCY)
-        est2 = EstimatorState.initial(np.zeros(4), P0=1e-3 * np.eye(4),
-                                      mode=Mode.EMERGENCY)
+        est1 = EstimatorState(x_hat=np.zeros(4), P=1e-3 * np.eye(4),
+                              mode=Mode.EMERGENCY)
+        est2 = EstimatorState(x_hat=np.zeros(4), P=1e-3 * np.eye(4),
+                              mode=Mode.EMERGENCY)
         for _ in range(50):
             u = rng.normal(size=2)
             y_I = rng.normal(size=2)
@@ -690,10 +690,10 @@ class TestFuse:
     @pytest.mark.parametrize("spoof", [1e6, np.inf, -np.inf, np.nan])
     def test_emergency_ignores_non_finite_gps(self, model, stacked, spoof):
         rng = np.random.default_rng(18)
-        est1 = EstimatorState.initial(np.zeros(4), P0=1e-3 * np.eye(4),
-                                      mode=Mode.EMERGENCY)
-        est2 = EstimatorState.initial(np.zeros(4), P0=1e-3 * np.eye(4),
-                                      mode=Mode.EMERGENCY)
+        est1 = EstimatorState(x_hat=np.zeros(4), P=1e-3 * np.eye(4),
+                              mode=Mode.EMERGENCY)
+        est2 = EstimatorState(x_hat=np.zeros(4), P=1e-3 * np.eye(4),
+                              mode=Mode.EMERGENCY)
         for _ in range(20):
             u, y_I, y_truth = rng.normal(size=(3, 2))
             est1 = fuse(est1, model, stacked, u, y_truth, y_I)
@@ -705,8 +705,8 @@ class TestFuse:
         K = optimal_gain(1e-3 * np.eye(4), model, stacked)
         assert np.abs(K[:, :2]).max() > 0  # normal mode uses GPS
         # emergency covariance equals the zero-GPS-gain update
-        est = EstimatorState.initial(np.zeros(4), P0=1e-3 * np.eye(4),
-                                     mode=Mode.EMERGENCY)
+        est = EstimatorState(x_hat=np.zeros(4), P=1e-3 * np.eye(4),
+                             mode=Mode.EMERGENCY)
         out = fuse(est, model, stacked, np.zeros(2), np.zeros(2), np.zeros(2))
         K_emergency = np.hstack([np.zeros((4, 2)), stacked.K_I])
         expected = covariance_update(est.P, K_emergency, model, stacked)
@@ -725,8 +725,8 @@ class TestFuse:
         rng = np.random.default_rng(19)
         for P in (stationary_covariance(model), 1e-3 * np.eye(4),
                   *(R @ R.T for R in rng.normal(size=(3, 4, 4)))):
-            est = EstimatorState.initial(np.zeros(4), P0=P,
-                                         mode=Mode.EMERGENCY)
+            est = EstimatorState(x_hat=np.zeros(4), P=P,
+                                 mode=Mode.EMERGENCY)
             out = fuse(est, model, stacked, np.zeros(2), np.zeros(2),
                        np.zeros(2))
             joseph = covariance_update(P, K_emergency, model, stacked)
@@ -749,8 +749,8 @@ class TestEmergencyWithDrift:
         A, C_I, Sw, S_I = model.A, model.C_I, model.Sigma_w, model.Sigma_I
         M_I = C_I @ A - C_I
         R = rng.normal(size=(model.n, model.n))
-        est = EstimatorState.initial(rng.normal(size=model.n), P0=R @ R.T,
-                                     mode=Mode.EMERGENCY)
+        est = EstimatorState(x_hat=rng.normal(size=model.n), P=R @ R.T,
+                             mode=Mode.EMERGENCY)
         for _ in range(10):
             P = est.P
             K_I = np.linalg.solve((M_I @ P @ M_I.T + C_I @ Sw @ C_I.T + S_I).T,
@@ -768,9 +768,9 @@ class TestEmergencyWithDrift:
         model = random_invertible_model(rng)
         stacked = StackedSensorForms(model)
         assert not stacked.drift_free
-        est1 = est2 = EstimatorState.initial(np.zeros(model.n),
-                                             P0=np.eye(model.n),
-                                             mode=Mode.EMERGENCY)
+        est1 = est2 = EstimatorState(x_hat=np.zeros(model.n),
+                                     P=np.eye(model.n),
+                                     mode=Mode.EMERGENCY)
         for _ in range(20):
             u, y_I = rng.normal(size=1), rng.normal(size=model.m_I)
             y_truth = rng.normal(size=model.m_G)

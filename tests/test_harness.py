@@ -1,6 +1,7 @@
 import csv
 import json
-from dataclasses import replace
+import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
                         NumericalError, PlantState, ScenarioConfig,
                         ScenarioShared, SystemModel, builtin_config_path,
-                        chi2_quantile, confidence_bound, cusum_update,
-                        derive_run_seed, estimator, export_trace, fuse,
-                        harness, measure_gps, measure_imu, monte_carlo,
-                        parse_config, pd_control, residual,
-                        residual_covariance, run_scenario, step_dynamics)
+                        chi2_quantile, cusum_update, derive_run_seed,
+                        estimator, export_trace, fuse, harness, measure_gps,
+                        measure_imu, monte_carlo, parse_config, pd_control,
+                        residual, residual_covariance, run_scenario,
+                        spectral_norm, step_dynamics)
 
 from spoofguard.estimator import _innovation_system
 
@@ -225,8 +226,9 @@ class TestRunScenario:
             np.testing.assert_allclose(cols.x_hat[i], est.x_hat,
                                        rtol=1e-9, atol=1e-12)
             assert cols.S[i] == pytest.approx(S, rel=1e-9, abs=1e-12)
-            assert cols.conf_radius[i] == pytest.approx(
-                confidence_bound(est.P, det.alpha), rel=1e-9)
+            assert cols.conf_radius[i] == pytest.approx(math.sqrt(
+                chi2_quantile(model.n, det.alpha) * spectral_norm(est.P)),
+                rel=1e-9)
         assert trace.attack_detection_step == 700
 
     def test_detector_covariance_is_the_innovation_block(self, uav_config,
@@ -868,8 +870,9 @@ class TestExportTrace:
         config = replace(uav_config, steps=200)
         trace = run_scenario(config, shared=uav_shared)
         cols = trace.columns
+        q = chi2_quantile(config.model.n, config.detector.alpha)
         for conf_radius, P in zip(cols.conf_radius.tolist(), cols.P):
-            assert conf_radius == confidence_bound(P, config.detector.alpha)
+            assert conf_radius == math.sqrt(q * spectral_norm(P))
 
     def test_rejects_unknown_format(self, uav_config, uav_shared, tmp_path):
         trace = run_scenario(replace(uav_config, steps=5), shared=uav_shared)
@@ -906,3 +909,21 @@ def _spoofed(config, spoof):
     return replace(config, attack=AttackSignal(
         kind="custom-sequence", start_step=700,
         sequence=[np.full(2, spoof)] * (config.steps - 699)))
+
+
+class TestSharedAnalysisIsReadOnly:
+    def test_a_run_cannot_change_the_next_runs_escape(self, uav_config):
+        # Before the shared results were read-only, the in-place product
+        # made the next run on the shared report escape time 0.
+        shared = ScenarioShared(uav_config.model)
+        first = run_scenario(uav_config, shared=shared)
+        with pytest.raises(ValueError, match="read-only"):
+            first.escape.stationary_P *= 100
+        drift = shared.drift
+        for name in ("C_bar_I", "L", "A_bar", "Sigma_bar"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(drift, name)[...] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            drift.drift_free = False
+        second = run_scenario(replace(uav_config, seed=1), shared=shared)
+        assert second.summary()["escape_time"] == 291

@@ -17,13 +17,13 @@ def test_public_names():
         "PlantState", "RunSummary", "ScenarioConfig", "ScenarioShared",
         "ScenarioTrace", "StackedSensorForms", "SystemModel",
         "builtin_config_path", "chi2_cdf", "chi2_quantile", "chi2_sf",
-        "confidence_bound", "covariance_magnitude", "covariance_update",
-        "cusum_update", "derive_run_seed", "drift_matrices", "escape_report",
-        "escape_time", "escape_time_lower_bound", "export_trace", "fuse",
-        "is_detectable", "measure_gps", "measure_imu", "monte_carlo",
-        "optimal_gain", "parse_config", "pd_control", "residual",
-        "residual_covariance", "run_scenario", "spectral_norm",
-        "stationary_covariance", "step_dynamics", "validate_model"]
+        "covariance_magnitude", "covariance_update", "cusum_update",
+        "derive_run_seed", "drift_matrices", "escape_report", "escape_time",
+        "escape_time_lower_bound", "export_trace", "fuse", "is_detectable",
+        "measure_gps", "measure_imu", "monte_carlo", "optimal_gain",
+        "parse_config", "pd_control", "residual", "residual_covariance",
+        "run_scenario", "spectral_norm", "stationary_covariance",
+        "step_dynamics", "validate_model"]
 
 
 def test_readme_quick_tour_runs(tmp_path, monkeypatch, capsys):
