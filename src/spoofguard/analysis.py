@@ -9,6 +9,8 @@ Norm conventions used throughout the escape-time analysis:
   of A and of the additive noise floor Sigma_bar.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +19,7 @@ import numpy as np
 
 from .chi2 import chi2_quantile
 from .estimator import EstimatorState, StackedSensorForms, optimal_gain, \
-    _covariance_update_stacked, _dead_reckoning, _solve_gain
+    _covariance_update_stacked, _dead_reckoning, _propagate, _solve_gain
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel, _read_only
 
@@ -227,6 +229,15 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     Counting starts at the covariance supplied for the attack step; the
     count is 0 when the tolerance is already not credible there.  A NaN or
     infinite entry in it raises NumericalError.
+
+    On a drift-free model dead reckoning is the affine map
+    f(P) = T_E P T_E^T + Sigma_bar, so P_{j+1} - P_j = T_E^j D_0 T_E^jT with
+    D_0 = f(P_0) - P_0.  When P_0 and D_0 are positive semidefinite (each
+    smallest eigenvalue at least -1e-12 times the largest) and D_0 is not
+    0, the iterates are Loewner-nondecreasing, their magnitude never falls,
+    and the horizon is found by doubling in O(log k) products
+    (_doubling_search).  Drift models, other starts, and iterates that
+    overflow step once per step.
     """
     quantile = chi2_quantile(model.n, alpha)
     zeta_sq = float(zeta) * float(zeta)     # inf past 1e154
@@ -235,23 +246,89 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
         magnitude = covariance_magnitude(P)
         return zeta_sq / magnitude if magnitude > 0.0 else math.inf
 
+    def step(P):
+        return _dead_reckoning(EstimatorState(None, P), model, stacked)[1]
+
     stacked = StackedSensorForms(model)
     P = _finite_covariance(P_at_attack)
-    k = 0
     value = statistic(P)
-    while value > quantile:
-        P_prev, P = P, _dead_reckoning(EstimatorState(None, P), model,
-                                       stacked)[1]
-        k += 1
-        if k > max_horizon:
-            raise ConvergenceError(
-                f"tolerance still credible after {max_horizon} steps "
-                f"(last statistic {value:.6g} > quantile {quantile:.6g})",
-                last_iterate=P, residual=value)
-        last, value = value, statistic(P)
-        if value == last and P.tobytes() == P_prev.tobytes():
+    if not value > quantile:
+        return 0
+    P_next = step(P)
+    if stacked.drift_free and _grows(P, P_next):
+        found = _doubling_search(P, value, quantile, statistic, stacked,
+                                 max_horizon)
+        if found is not None:
+            k, P, value = found
+            if k < max_horizon:
+                return k + 1
+            raise _still_credible(max_horizon, value, quantile, step(P))
+    k = 1
+    while k <= max_horizon:
+        last, value = value, statistic(P_next)
+        if not value > quantile:
+            return k
+        if value == last and P_next.tobytes() == P.tobytes():
             k = max_horizon     # a fixed point stays credible to the horizon
-    return k
+        P, P_next = P_next, step(P_next)
+        k += 1
+    raise _still_credible(max_horizon, value, quantile, P_next)
+
+
+def _still_credible(max_horizon: int, value: float, quantile: float,
+                    P_after: np.ndarray) -> ConvergenceError:
+    """The error for a tolerance still credible at step max_horizon, whose
+    statistic is value, carrying the covariance one step later."""
+    return ConvergenceError(
+        f"tolerance still credible after {max_horizon} steps "
+        f"(last statistic {value:.6g} > quantile {quantile:.6g})",
+        last_iterate=P_after, residual=value)
+
+
+def _grows(P: np.ndarray, P_next: np.ndarray) -> bool:
+    """escape_time's doubling condition on P_0 = P (symmetrized, as each
+    step leaves it) and D_0 = P_next - P, by one eigvalsh over both.  D_0 = 0
+    is a fixed point, which the step loop ends after one step."""
+    if not np.isfinite(P_next).all():
+        return False
+    sym = 0.5 * (P + P.T)
+    eigvals = np.linalg.eigvalsh(np.stack([P_next - sym, sym]))
+    return bool(eigvals[0, -1] > 0.0
+                and (eigvals[:, 0] >= -1e-12 * eigvals[:, -1]).all())
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _doubling_search(P, value, quantile, statistic, stacked, max_horizon):
+    """(k, P_k, statistic(P_k)) for the last k <= max_horizon whose P_k is
+    credible, for a credible P_0 = P whose iterates are nondecreasing; None
+    when an iterate is not finite (the step loop then decides).
+
+    The pairs (Phi_1, S_1) = (T_E, Sigma_bar) and (Phi_2m, S_2m) =
+    (Phi_m^2, Phi_m S_m Phi_m^T + S_m) give P_{k+m} = Phi_m P_k Phi_m^T + S_m.
+    Galloping tries m = 1, 2, 4, ... from the last credible k, composing a
+    pair only while its predecessor's target stayed credible and the new
+    one lies inside the horizon; from the first miss, bisecting tries each
+    smaller pair once.
+    """
+    pairs = [(stacked._T_emergency, stacked.Sigma_bar)]
+    k, level, galloping = 0, 0, True
+    while level >= 0:
+        m = 1 << level
+        if k + m <= max_horizon:
+            if level == len(pairs):
+                Phi, S = pairs[-1]
+                pairs.append((Phi.dot(Phi), _propagate(Phi, S, S)))
+            candidate = _propagate(*pairs[level], P)
+            if not np.isfinite(candidate).all():
+                return None
+            candidate_value = statistic(candidate)
+            if candidate_value > quantile:
+                k, P, value = k + m, candidate, candidate_value
+                level += 1 if galloping else -1
+                continue
+        galloping = False
+        level -= 1
+    return k, P, value
 
 
 def escape_time_lower_bound(P: np.ndarray, model: SystemModel,

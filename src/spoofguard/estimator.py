@@ -232,9 +232,8 @@ def _dead_reckoning(est: EstimatorState, model: SystemModel,
     IMU-only gain solved from the IMU blocks of the state's step.
     """
     if stacked.drift_free:
-        T = stacked._T_emergency
-        P = T.dot(est.P).dot(T.T) + stacked.Sigma_bar
-        return stacked._F_emergency, 0.5 * (P + P.T)
+        return stacked._F_emergency, _propagate(
+            stacked._T_emergency, stacked.Sigma_bar, est.P)
     step, m_G = _innovation_system(est, stacked), stacked._m_G
     K_I = step.G[:, m_G:].dot(step.inverse[1, m_G:, m_G:]) \
         if step.inverse is not None \
@@ -243,6 +242,14 @@ def _dead_reckoning(est: EstimatorState, model: SystemModel,
     K = np.hstack([np.zeros((model.n, m_G)), K_I])
     blocks, P = _covariance_update_stacked(est.P, K, stacked)
     return blocks[:, stacked._emergency_cols], P
+
+
+def _propagate(Phi: np.ndarray, S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Phi P Phi^T + S, re-symmetrized: one drift-free dead-reckoning step
+    for (Phi, S) = (T_E, Sigma_bar), m steps for the pair (Phi_m, S_m) of
+    the escape analysis's doubling, and the pair of 2m steps from S_m."""
+    P = Phi.dot(P).dot(Phi.T) + S
+    return 0.5 * (P + P.T)
 
 
 def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,

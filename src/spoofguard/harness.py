@@ -21,6 +21,8 @@ SeedSequence([master_seed, i]).generate_state(1)[0], so batches are
 reproducible and runs are independent.
 """
 
+from __future__ import annotations
+
 import json
 import math
 import reprlib
@@ -179,7 +181,8 @@ class MonteCarloSummary:
 
 class ScenarioShared:
     """Model-derived pieces reused across runs of the same scenario; the
-    stationary covariance and drift analysis on first read."""
+    stationary covariance and drift analysis are computed once, on first
+    read, behind read-only properties."""
 
     def __init__(self, model: SystemModel):
         self.model = model
@@ -188,9 +191,11 @@ class ScenarioShared:
         self.sampler_G = GaussianSampler(model.Sigma_G)
         self.sampler_I = GaussianSampler(model.Sigma_I)
 
-    stationary_P = cached_property(
+    _stationary_P = cached_property(
         lambda self: stationary_covariance(self.model))
-    drift = cached_property(lambda self: drift_matrices(self.model))
+    _drift = cached_property(lambda self: drift_matrices(self.model))
+    stationary_P = property(lambda self: self._stationary_P)
+    drift = property(lambda self: self._drift)
 
     def escape(self, zeta_norm: float, alpha: float) -> EscapeTimeReport:
         """Escape report from the stationary covariance."""

@@ -10,8 +10,10 @@ with iid zero-mean Gaussian noises of covariances Sigma_w, Sigma_G, Sigma_I.
 The additive term d_k is the injected spoofing signal.
 """
 
+from __future__ import annotations
+
 import reprlib
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +43,9 @@ def _read_only(values) -> np.ndarray:
 
 
 class SystemModel:
-    """Immutable container for the plant and sensor matrices.
+    """Immutable container for the plant and sensor matrices: each is a
+    read-only float copy, and every attribute fails at assignment, as a
+    frozen dataclass's does.
 
     Construction only coerces shapes; use validate_model() to get a report
     of violated invariants (dimensions, positive definiteness, singular A).
@@ -54,9 +58,17 @@ class SystemModel:
             if M.ndim != 2:
                 raise ValueError(
                     f"{name} must be 2-dimensional, got shape {M.shape}")
-            setattr(self, name, M)
-        self.n, self.p = self.A.shape[0], self.B.shape[1]
-        self.m_G, self.m_I = self.C_G.shape[0], self.C_I.shape[0]
+            object.__setattr__(self, name, M)
+        for name, size in (("n", self.A.shape[0]), ("p", self.B.shape[1]),
+                           ("m_G", self.C_G.shape[0]),
+                           ("m_I", self.C_I.shape[0])):
+            object.__setattr__(self, name, size)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return (f"SystemModel(n={self.n}, p={self.p}, "

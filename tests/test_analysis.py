@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from spoofguard import (ConvergenceError, NumericalError,
+from spoofguard import (ConvergenceError, EstimatorState, NumericalError,
                         StackedSensorForms, SystemModel, chi2_quantile,
                         covariance_magnitude, covariance_update,
                         drift_matrices, escape_report, escape_time,
@@ -14,7 +14,8 @@ from spoofguard import analysis
 from spoofguard.estimator import _dead_reckoning
 from spoofguard.harness import _RunColumns
 
-from conftest import decoupling_residual, random_invertible_model
+from conftest import (decoupling_residual, make_uav_model,
+                      random_invertible_model)
 
 
 def scalar_model(a=1.0, sigma_w=1.0, sigma_g=1.0):
@@ -343,6 +344,115 @@ class TestEscapeTime:
             f"> quantile {chi2_quantile(4, 0.01):.6g})")
         assert escape_time_lower_bound(uav_stationary_P, uav_model, 1e200,
                                        0.01) == math.inf
+
+
+def stepped_escape_time(P, model, zeta, alpha):
+    """escape_time by the definition: dead-reckon one step at a time until
+    the statistic drops to the quantile."""
+    stacked = StackedSensorForms(model)
+    quantile = chi2_quantile(model.n, alpha)
+    k, magnitude = 0, covariance_magnitude(P)
+    while magnitude == 0.0 or zeta * zeta / magnitude > quantile:
+        P = _dead_reckoning(EstimatorState(None, P), model, stacked)[1]
+        k, magnitude = k + 1, covariance_magnitude(P)
+    return k
+
+
+def uav_variant(a=1.0, noise=1.0):
+    """The UAV model with position entries A[0][0] = A[1][1] = a (C_I A = C_I
+    still, so drift-free) and every noise covariance scaled by noise."""
+    m = make_uav_model()
+    A = m.A.copy()
+    A[0, 0] = A[1, 1] = a
+    return SystemModel(A=A, B=m.B, C_G=m.C_G, C_I=m.C_I,
+                       Sigma_w=noise * m.Sigma_w, Sigma_G=noise * m.Sigma_G,
+                       Sigma_I=noise * m.Sigma_I)
+
+
+def counted_steps(monkeypatch) -> list:
+    """The list escape_time's _dead_reckoning calls append to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _dead_reckoning(*args)
+    monkeypatch.setattr(analysis, "_dead_reckoning", counted)
+    return calls
+
+
+class TestEscapeTimeByDoubling:
+    """On a drift-free model whose start lies below its successor, the
+    horizon is searched by doubling; its k is the one stepping gives."""
+
+    def test_uav_tolerance_grid(self, uav_model, uav_stationary_P):
+        ks = [escape_time(uav_stationary_P, uav_model, zeta, 0.01)
+              for zeta in (2.0, 20.0, 200.0, 2000.0)]
+        assert ks == [291, 1805, 8784, 41165]
+
+    def test_far_horizon_takes_few_products(self, uav_model,
+                                            uav_stationary_P, monkeypatch):
+        # Stepping took 41165 dead-reckoning steps and about 0.4 s.
+        calls = counted_steps(monkeypatch)
+        start = time.perf_counter()
+        assert escape_time(uav_stationary_P, uav_model, 2000.0, 0.01) == 41165
+        assert time.perf_counter() - start < 0.25
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model, zeta", [
+        pytest.param(uav_variant(), 2.0, id="uav"),
+        pytest.param(uav_variant(noise=1e-3), 0.1, id="uav-quiet"),
+        pytest.param(uav_variant(noise=1e3), 50.0, id="uav-loud"),
+        pytest.param(uav_variant(a=0.99), 2.0, id="uav-contracting"),
+        pytest.param(uav_variant(a=1.01), 20.0, id="uav-expanding"),
+        pytest.param(scalar_model(a=1.0, sigma_w=0.3), 10.0, id="scalar"),
+        pytest.param(scalar_model(a=0.9, sigma_w=2.0), 6.2,
+                     id="scalar-contracting"),
+        pytest.param(scalar_model(a=1.02, sigma_w=1e-3), 3.0,
+                     id="scalar-expanding")])
+    def test_equals_the_stepped_loop(self, model, zeta):
+        stacked = StackedSensorForms(model)
+        assert stacked.drift_free
+        n = model.n
+        starts = [stationary_covariance(model), np.zeros((n, n)),
+                  1e-3 * np.trace(stacked.Sigma_bar) * np.eye(n)]
+        for P0 in starts:
+            P1 = _dead_reckoning(EstimatorState(None, P0), model, stacked)[1]
+            assert analysis._grows(P0, P1)
+            k = escape_time(P0, model, zeta, 0.05)
+            assert k == stepped_escape_time(P0, model, zeta, 0.05)
+            assert k > 10
+
+    def test_failing_start_steps_once_per_step(self, uav_model, monkeypatch):
+        # A large velocity variance: D_0 = f(P_0) - P_0 is indefinite (its
+        # position-velocity block has determinant below 0), so escape_time
+        # steps, one counted call per step.
+        P0 = np.diag([0.0, 0.0, 1e-2, 1e-2])
+        stacked = StackedSensorForms(uav_model)
+        P1 = _dead_reckoning(EstimatorState(None, P0), uav_model, stacked)[1]
+        assert not analysis._grows(P0, P1)
+        calls = counted_steps(monkeypatch)
+        k = escape_time(P0, uav_model, 2.0, 0.01)
+        assert k == len(calls) > 1
+        assert k == stepped_escape_time(P0, uav_model, 2.0, 0.01)
+
+    def test_horizon_error_carries_the_next_covariance(self, uav_model,
+                                                       uav_stationary_P):
+        # Still credible at step 50: the statistic of P_50, and P_51.
+        with pytest.raises(ConvergenceError) as info:
+            escape_time(uav_stationary_P, uav_model, 2.0, 0.01,
+                        max_horizon=50)
+        stacked = StackedSensorForms(uav_model)
+        P = uav_stationary_P
+        for _ in range(50):
+            P = _dead_reckoning(EstimatorState(None, P), uav_model,
+                                stacked)[1]
+        value = 4.0 / covariance_magnitude(P)
+        assert str(info.value) == (
+            f"tolerance still credible after 50 steps (last statistic "
+            f"{value:.6g} > quantile {chi2_quantile(4, 0.01):.6g})")
+        assert info.value.residual == pytest.approx(value, rel=1e-12)
+        P = _dead_reckoning(EstimatorState(None, P), uav_model, stacked)[1]
+        np.testing.assert_allclose(info.value.last_iterate, P, rtol=1e-12)
 
 
 class TestNonFiniteCovariance:

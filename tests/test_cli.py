@@ -515,6 +515,20 @@ class TestLargeTolerance:
             "(last statistic inf > quantile 13.2767)\n")
 
 
+class TestFarTolerance:
+    def test_analyze_finds_a_far_horizon(self, config_path, tmp_path,
+                                         capsys):
+        # 41165 steps of dead reckoning, searched by doubling on the
+        # drift-free model.
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["zeta_norm"] = 2000
+        cfg = tmp_path / "far_zeta.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["escape_time"] == 41165
+
+
 class TestSmallSignificanceLevel:
     def test_analyze_uses_the_true_quantile(self, config_path, tmp_path,
                                             capsys):
@@ -671,6 +685,8 @@ class TestScenarioRules:
                      FrozenInstanceError, id="attack.start_step"),
         pytest.param(lambda c, s: setattr(c.detector, "alpha", 2.0),
                      FrozenInstanceError, id="detector.alpha"),
+        pytest.param(lambda c, s: setattr(c.model, "A", np.zeros((4, 4))),
+                     FrozenInstanceError, id="model.A"),
         pytest.param(lambda c, s: setitem(c.x0, 0, math.nan),
                      ValueError, id="x0[0]"),
         pytest.param(lambda c, s: setitem(c.target, 0, 0.0),

@@ -927,3 +927,16 @@ class TestSharedAnalysisIsReadOnly:
             drift.drift_free = False
         second = run_scenario(replace(uav_config, seed=1), shared=shared)
         assert second.summary()["escape_time"] == 291
+
+    def test_shared_results_cannot_be_rebound(self, uav_config):
+        # Before they were read-only properties, stationary_P = 100 I made
+        # the next run on the shared report escape time 0.
+        shared = ScenarioShared(uav_config.model)
+        first = shared.stationary_P
+        for name, value in (("stationary_P", 100 * np.eye(4)),
+                            ("drift", None)):
+            with pytest.raises(AttributeError):
+                setattr(shared, name, value)
+        assert shared.stationary_P is first
+        run = run_scenario(replace(uav_config, seed=1), shared=shared)
+        assert run.summary()["escape_time"] == 291

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from spoofguard import (AttackSignal, ConfigError, GaussianSampler, PlantState,
                         escape_report, measure_gps, measure_imu, run_scenario,
                         step_dynamics, validate_model)
 from spoofguard.cli import main
+from spoofguard.model import MATRIX_NAMES
 
 from conftest import make_uav_model
 
@@ -244,6 +245,20 @@ class TestGaussianSampler:
         sampler = GaussianSampler(sigma)
         rng = np.random.default_rng(0)
         sampler.sample(rng)
+
+
+class TestSystemModel:
+    @pytest.mark.parametrize("name", [*MATRIX_NAMES, "n", "p", "m_G", "m_I"])
+    def test_every_attribute_fails_at_assignment(self, name):
+        # Before SystemModel was frozen, model.A = zeros replaced a parsed
+        # config's transition and skipped validate_model.
+        model = make_uav_model()
+        before = getattr(model, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, np.zeros((4, 4)))
+        with pytest.raises(FrozenInstanceError):
+            delattr(model, name)
+        assert getattr(model, name) is before
 
 
 class TestValidateModel:

@@ -1,6 +1,9 @@
 """The package's public surface and the README's library quick tour."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import spoofguard
@@ -36,3 +39,29 @@ def test_readme_quick_tour_runs(tmp_path, monkeypatch, capsys):
     assert len(printed) == 3
     assert 285 <= int(printed[1]) <= 295
     assert (tmp_path / "trace.csv").is_file()
+
+
+REIMPORT = """
+import gc, sys, weakref
+import spoofguard
+config = spoofguard.parse_config(spoofguard.builtin_config_path())
+spoofguard.ScenarioShared(config.model).escape(2.0, 0.01)
+old = weakref.ref(spoofguard.harness.ScenarioConfig)
+for name in [m for m in sys.modules if m.split(".")[0] == "spoofguard"]:
+    del sys.modules[name]
+del spoofguard, config
+import spoofguard
+gc.collect()
+print(old() is None)
+"""
+
+
+def test_reimported_package_releases_the_old_one():
+    # A fresh import, as the benchmark's set-ups make, leaves the old
+    # package to the collector: no typing cache keeps a subscript of its
+    # classes (typing.Optional[EscapeTimeReport] pinned every old copy).
+    src = str(Path(spoofguard.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", REIMPORT], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "True\n"
