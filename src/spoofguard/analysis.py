@@ -19,9 +19,9 @@ import numpy as np
 
 from .chi2 import chi2_quantile
 from .estimator import EstimatorState, StackedSensorForms, optimal_gain, \
-    _covariance_update_stacked, _dead_reckoning, _propagate, _solve_gain
+    _covariance_update_stacked, _dead_reckoning, _solve_gain
 from .exceptions import ConvergenceError, NumericalError
-from .model import SystemModel, _read_only
+from .model import SystemModel, _inv, _read_only
 
 
 def spectral_norm(M) -> float:
@@ -77,9 +77,10 @@ class DriftAnalysis:
 
 @dataclass
 class EscapeTimeReport:
-    """Escape horizon plus the closed-form lower bound and its inputs."""
+    """Escape horizon (None: never) plus the closed-form lower bound and its
+    inputs; to_dict writes a bound that is not finite as None."""
 
-    k_escape: int
+    k_escape: Optional[int]
     k_lower_bound: Optional[float]
     zeta: float
     alpha: float
@@ -90,9 +91,9 @@ class EscapeTimeReport:
 
     def to_dict(self) -> dict:
         return {
-            "k_escape": int(self.k_escape),
-            "k_lower_bound": None if self.k_lower_bound is None
-            else float(self.k_lower_bound),
+            "k_escape": None if self.k_escape is None else int(self.k_escape),
+            "k_lower_bound": None if self.k_lower_bound is None or not
+            math.isfinite(self.k_lower_bound) else float(self.k_lower_bound),
             "zeta": self.zeta,
             "alpha": float(self.alpha),
             "df": int(self.df),
@@ -163,7 +164,9 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
     Chu, Fan, Lin et al.).  k doublings cover 2^k steps of the recursion, so
     max_iter counts doublings.  Converged means |f(P) - P| <= tol * |P| < inf
     for the one-step recursion f (covariance_magnitude's norm), a relative
-    test at every scale; the fixed point is returned read-only.  Raises
+    test at every scale, or A_k exactly 0, where every start maps to H (a
+    floor near 1e-16 Sigma_w can keep the test from tol).  The fixed point
+    is returned read-only.  Raises
     ConvergenceError (carrying the last iterate and residual) when max_iter
     doublings do not converge or an iterate is not finite, and fails fast on
     an undetectable GPS pair (no fixed point).
@@ -173,30 +176,19 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
         raise NumericalError(
             "(C_G, A) is not detectable: the covariance recursion has no "
             "bounded fixed point")
-    n, M, m = model.n, stacked._M, len(stacked.C)
-    # [M^T; Sigma_w C^T] R^{-1}, R = C Sigma_w C^T + Sigma_y: the P = 0 system.
-    R, Sw_Ct = np.split(stacked._innovation_noise, [m])
-    scaled = _solve_gain(R, np.vstack([M.T, Sw_Ct]),
-                         "measurement noise covariance")
     # Doubling iterates: A_k -> 0, G_k and H_k symmetric, H_k -> P.
-    A_k = (model.A - scaled[n:].dot(M)).T
-    G = scaled[:n].dot(M)
-    H = model.Sigma_w - scaled[n:].dot(Sw_Ct.T)
+    triple = _riccati_triple(model, stacked, 0)
     resid = math.inf
     for doublings in range(1, max_iter + 1):
-        W_inv = np.linalg.solve(stacked._I_n + G.dot(H), np.hstack([A_k, G]))
-        W_inv_A = W_inv[:, :n]
-        G = G + A_k.dot(W_inv[:, n:]).dot(A_k.T)
-        H = H + A_k.T.dot(H).dot(W_inv_A)
-        A_k = A_k.dot(W_inv_A)
-        G, H = 0.5 * (G + G.T), 0.5 * (H + H.T)
+        A_k, _, H = triple = _square_triple(*triple)
         if not np.isfinite(H).all():
             raise ConvergenceError(
                 f"non-finite covariance after {doublings} doublings",
                 last_iterate=H, residual=math.inf)
         K = optimal_gain(H, model, stacked)
         resid = covariance_magnitude(_covariance_update_stacked(H, K, stacked)[1] - H)
-        if resid <= tol * covariance_magnitude(H) < math.inf:
+        if resid <= tol * covariance_magnitude(H) < math.inf \
+                or not A_k.any():
             H.setflags(write=False)
             return H
     raise ConvergenceError(
@@ -220,8 +212,9 @@ def _growth(model: SystemModel):
 
 
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
-                alpha: float, *, max_horizon: int = 100_000) -> int:
-    """Steps of dead reckoning until the error tolerance stops being credible.
+                alpha: float, *, max_horizon: int = 100_000) -> Optional[int]:
+    """Steps of dead reckoning until the error tolerance stops being credible,
+    None when it never does.
 
     The statistic is the squared norm tolerance zeta^2 divided by the
     Frobenius magnitude of P_k (inf when that is zero), tested against the
@@ -230,14 +223,13 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     count is 0 when the tolerance is already not credible there.  A NaN or
     infinite entry in it raises NumericalError.
 
-    On a drift-free model dead reckoning is the affine map
-    f(P) = T_E P T_E^T + Sigma_bar, so P_{j+1} - P_j = T_E^j D_0 T_E^jT with
-    D_0 = f(P_0) - P_0.  When P_0 and D_0 are positive semidefinite (each
-    smallest eigenvalue at least -1e-12 times the largest) and D_0 is not
-    0, the iterates are Loewner-nondecreasing, their magnitude never falls,
-    and the horizon is found by doubling in O(log k) products
-    (_doubling_search).  Drift models, other starts, and iterates that
-    overflow step once per step.
+    None ("never") follows from an exact rule only: zeta^2 overflows (the
+    statistic is inf at every finite P); one step returns the start bit for
+    bit, as with Sigma_w = 0; or the doubling search's limit is credible.
+    From a start that passes _grows, on any model, the horizon is searched
+    in O(log k) products (_doubling_search); other starts, and a search that
+    meets a non-finite value, step.  A tolerance credible at max_horizon
+    but not "never" raises ConvergenceError.
     """
     quantile = chi2_quantile(model.n, alpha)
     zeta_sq = float(zeta) * float(zeta)     # inf past 1e154
@@ -255,70 +247,71 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     if not value > quantile:
         return 0
     P_next = step(P)
-    if stacked.drift_free and _grows(P, P_next):
-        found = _doubling_search(P, value, quantile, statistic, stacked,
-                                 max_horizon)
+    if zeta_sq == math.inf or P_next.tobytes() == P.tobytes():
+        return None
+    last = max_horizon      # the last step the loop below may take
+    if _grows(P, P_next):
+        found = _doubling_search(
+            P, value, quantile, statistic,
+            _riccati_triple(model, stacked, stacked._m_G), max_horizon)
         if found is not None:
             k, P, value = found
-            if k < max_horizon:
-                return k + 1
-            raise _still_credible(max_horizon, value, quantile, step(P))
-    k = 1
-    while k <= max_horizon:
-        last, value = value, statistic(P_next)
+            if k != max_horizon:
+                return None if k == math.inf else k + 1
+            last, P_next = 0, step(P)   # the search took every step
+    for k in range(1, last + 1):
+        value = statistic(P_next)
         if not value > quantile:
             return k
-        if value == last and P_next.tobytes() == P.tobytes():
-            k = max_horizon     # a fixed point stays credible to the horizon
-        P, P_next = P_next, step(P_next)
-        k += 1
-    raise _still_credible(max_horizon, value, quantile, P_next)
-
-
-def _still_credible(max_horizon: int, value: float, quantile: float,
-                    P_after: np.ndarray) -> ConvergenceError:
-    """The error for a tolerance still credible at step max_horizon, whose
-    statistic is value, carrying the covariance one step later."""
-    return ConvergenceError(
+        P_next = step(P_next)
+    raise ConvergenceError(     # value is P_max_horizon's, P_next one later
         f"tolerance still credible after {max_horizon} steps "
         f"(last statistic {value:.6g} > quantile {quantile:.6g})",
-        last_iterate=P_after, residual=value)
+        last_iterate=P_next, residual=value)
 
 
 def _grows(P: np.ndarray, P_next: np.ndarray) -> bool:
-    """escape_time's doubling condition on P_0 = P (symmetrized, as each
-    step leaves it) and D_0 = P_next - P, by one eigvalsh over both.  D_0 = 0
-    is a fixed point, which the step loop ends after one step."""
+    """escape_time's doubling condition, by one eigvalsh: P_0 = P (as each
+    step leaves it, symmetric) and D_0 = P_next - P_0 positive semidefinite
+    (smallest eigenvalue >= -1e-12 x largest): the iterates never decrease."""
     if not np.isfinite(P_next).all():
         return False
     sym = 0.5 * (P + P.T)
     eigvals = np.linalg.eigvalsh(np.stack([P_next - sym, sym]))
-    return bool(eigvals[0, -1] > 0.0
-                and (eigvals[:, 0] >= -1e-12 * eigvals[:, -1]).all())
+    return bool((eigvals[:, 0] >= -1e-12 * eigvals[:, -1]).all())
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _doubling_search(P, value, quantile, statistic, stacked, max_horizon):
+def _doubling_search(P, value, quantile, statistic, triple, max_horizon):
     """(k, P_k, statistic(P_k)) for the last k <= max_horizon whose P_k is
-    credible, for a credible P_0 = P whose iterates are nondecreasing; None
-    when an iterate is not finite (the step loop then decides).
+    credible, for a credible P_0 = P whose iterates are nondecreasing;
+    (inf, limit, its statistic) for "never"; None when an iterate is not
+    finite (the step loop then decides).
 
-    The pairs (Phi_1, S_1) = (T_E, Sigma_bar) and (Phi_2m, S_2m) =
-    (Phi_m^2, Phi_m S_m Phi_m^T + S_m) give P_{k+m} = Phi_m P_k Phi_m^T + S_m.
-    Galloping tries m = 1, 2, 4, ... from the last credible k, composing a
-    pair only while its predecessor's target stayed credible and the new
-    one lies inside the horizon; from the first miss, bisecting tries each
-    smaller pair once.
+    triple is dead reckoning's one-step triple; that of m steps gives
+    P_{k+m} = H_m + A_m^T P_k (I + G_m P_k)^{-1} A_m.  Galloping tries
+    m = 1, 2, 4, ... from the last credible k, squaring a triple only while
+    its predecessor's target stayed credible; past the horizon it squares
+    on, up to 64 doublings, to an A_m exactly 0, whose H_m is the limit of
+    the iterates.  From the first miss, bisecting tries each triple once.
     """
-    pairs = [(stacked._T_emergency, stacked.Sigma_bar)]
+    triples, eye = [triple], np.eye(len(P))
     k, level, galloping = 0, 0, True
     while level >= 0:
         m = 1 << level
-        if k + m <= max_horizon:
-            if level == len(pairs):
-                Phi, S = pairs[-1]
-                pairs.append((Phi.dot(Phi), _propagate(Phi, S, S)))
-            candidate = _propagate(*pairs[level], P)
+        if level == len(triples):
+            triples.append(_square_triple(*triples[-1]))
+        A_m, G_m, H_m = triples[level]
+        if k + m > max_horizon:
+            if galloping and A_m.any() and level < 64:
+                level += 1
+                continue
+            if galloping and not A_m.any() and statistic(H_m) > quantile:
+                return math.inf, H_m, statistic(H_m)
+        else:
+            candidate = H_m + A_m.T.dot(P).dot(
+                _inv(eye + G_m.dot(P)).dot(A_m))
+            candidate = 0.5 * (candidate + candidate.T)
             if not np.isfinite(candidate).all():
                 return None
             candidate_value = statistic(candidate)
@@ -398,3 +391,29 @@ def escape_report(model: SystemModel, zeta_norm: float, alpha: float, *,
         k_escape=k_esc, k_lower_bound=k_lb, zeta=float(zeta_norm),
         alpha=alpha, df=model.n, stationary_P=stationary_P, norm_A=norm_A,
         branch=branch)
+
+
+def _riccati_triple(model: SystemModel, stacked: StackedSensorForms,
+                    first: int):
+    """The one-step triple (A_1, G_1, H_1), f(P) = H_1 + A_1^T P (I + G_1
+    P)^{-1} A_1, of the optimal-gain recursion on the sensor rows from first
+    on (0: the normal mode; m_G: the IMU alone, dead reckoning), its cross
+    term removed by the P = 0 system R = C Sigma_w C^T + Sigma_y."""
+    n, m, noise = model.n, len(stacked.C), stacked._innovation_noise
+    M, R, Sw_Ct = stacked._M[first:], noise[first:m, first:], noise[m:, first:]
+    scaled = _solve_gain(R, np.vstack([M.T, Sw_Ct]),
+                         "measurement noise covariance")
+    return ((model.A - scaled[n:].dot(M)).T, scaled[:n].dot(M),
+            model.Sigma_w - scaled[n:].dot(Sw_Ct.T))
+
+
+def _square_triple(A_k, G, H):
+    """The triple of 2m steps from the triple of m (structure-preserving
+    doubling): with W = (I + G H)^{-1}, A W A, G + A W G A^T and
+    H + A^T H W A, G and H re-symmetrized."""
+    n = len(H)
+    W_inv = np.linalg.solve(np.eye(n) + G.dot(H), np.hstack([A_k, G]))
+    W_inv_A = W_inv[:, :n]
+    G = G + A_k.dot(W_inv[:, n:]).dot(A_k.T)
+    H = H + A_k.T.dot(H).dot(W_inv_A)
+    return A_k.dot(W_inv_A), 0.5 * (G + G.T), 0.5 * (H + H.T)

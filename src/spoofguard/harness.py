@@ -125,7 +125,8 @@ class ScenarioTrace:
 
     @cached_property
     def escape_time_from_alarm(self) -> Optional[int]:
-        """Escape time from the covariance at the attack's detection."""
+        """Escape time from the covariance at the attack's detection; None
+        without a detection or when the tolerance never escapes."""
         step, config = self.attack_detection_step, self.config
         if step is None:
             return None

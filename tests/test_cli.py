@@ -324,8 +324,8 @@ class TestOutputErrors:
 
 class TestZeroProcessNoise:
     """Sigma_w = 0 is a valid PSD covariance: the stationary covariance is 0
-    and dead reckoning keeps it 0, so the tolerance never escapes and the
-    escape analysis fails.  mc runs no escape analysis."""
+    and dead reckoning keeps it 0 bit for bit, so the tolerance never
+    escapes: escape_time is null.  mc runs no escape analysis."""
 
     @pytest.fixture()
     def noiseless(self, config_path, tmp_path):
@@ -349,25 +349,69 @@ class TestZeroProcessNoise:
             assert payload["attack_detection_steps"] == [700]
             assert payload["per_run"][0]["steps"] == 750
             return
-        assert code == 2
-        err = captured.err
-        assert err.startswith("numerical failure: tolerance still credible "
-                              "after 100000 steps (last statistic inf")
-        assert err.count("\n") == 1
+        assert code == 0 and captured.err == ""
+        payload = json.loads(captured.out, parse_constant=_reject)
+        assert payload["escape_time"] is None
+        assert payload["escape_time_lower_bound"] is None
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_run_writes_no_trace(self, noiseless, tmp_path, capsys, fmt):
-        # The summary, and with it the failing analysis, is read before the
-        # trace is written.
+        # The verdict "never" is a result: the run writes its trace, and
+        # its escape fields are null, the alarm's too.
         out = tmp_path / f"trace.{fmt}"
         assert main(["run", "--config", noiseless, "--steps", "750",
-                     "--format", fmt, "--out", str(out)]) == 2
+                     "--format", fmt, "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numerical failure: tolerance still "
-                                       "credible after 100000 steps")
-        assert captured.err.count("\n") == 1
-        assert not out.exists()
+        assert captured.err == ""
+        assert json.loads(captured.out)["escape_time"] is None
+        if fmt == "csv":
+            assert len(out.read_text().splitlines()) == 751
+            return
+        report = json.loads(out.read_text(),
+                            parse_constant=_reject)["summary"]["escape_report"]
+        assert report["k_escape"] is None
+        assert report["k_escape_from_alarm"] is None
+
+
+def _reject(constant):
+    """json's parse_constant: a bare Infinity, -Infinity or NaN fails."""
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+class TestContractingPlant:
+    """Every A[i][i] = 0.9: dead reckoning stays bounded, and its limit is
+    credible, so the tolerance never escapes; analyze and run exit 0."""
+
+    @pytest.fixture()
+    def contracting(self, config_path, tmp_path):
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        for i in range(4):
+            raw["model"]["A"][i][i] = 0.9
+        cfg = tmp_path / "contracting.json"
+        cfg.write_text(json.dumps(raw))
+        return str(cfg)
+
+    def test_analyze_reports_never(self, contracting, capsys):
+        assert main(["analyze", "--config", contracting]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out, parse_constant=_reject)
+        assert payload["escape_time"] is None
+        assert payload["detectable_drift_pair"] is True
+
+    def test_run_reports_never(self, contracting, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        assert main(["run", "--config", contracting, "--steps", "800",
+                     "--format", "json", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = json.loads(captured.out, parse_constant=_reject)
+        assert summary["attack_detection_step"] == 700
+        assert summary["escape_time"] is None
+        trace = json.loads(out.read_text(), parse_constant=_reject)
+        assert trace["summary"]["escape_report"]["k_escape"] is None
+        assert trace["summary"]["escape_report"]["k_escape_from_alarm"] is None
 
 
 class TestOverflowingRun:
@@ -500,19 +544,20 @@ class TestHorizonTooLarge:
 
 class TestLargeTolerance:
     def test_analyze_fails_with_one_line(self, config_path, tmp_path, capsys):
-        # zeta_norm ** 2 overflows: the squared tolerance is inf, which stays
-        # credible to the escape analysis's horizon.
+        # zeta_norm ** 2 overflows: the squared tolerance is inf, credible
+        # at every finite covariance, so the tolerance never escapes and
+        # the lower bound is inf; both are null in strict JSON.
         with open(config_path, encoding="utf-8") as fh:
             raw = json.load(fh)
         raw["zeta_norm"] = 1e200
         cfg = tmp_path / "large_zeta.json"
         cfg.write_text(json.dumps(raw))
-        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert main(["analyze", "--config", str(cfg)]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "numerical failure: tolerance still credible after 100000 steps "
-            "(last statistic inf > quantile 13.2767)\n")
+        assert captured.err == ""
+        payload = json.loads(captured.out, parse_constant=_reject)
+        assert payload["escape_time"] is None
+        assert payload["escape_time_lower_bound"] is None
 
 
 class TestFarTolerance:

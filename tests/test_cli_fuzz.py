@@ -3,30 +3,20 @@
 Whatever the configuration, a command ends with exit 0 (no stderr), 1 (one
 "config error" line) or 2 (one "numerical failure" line), never with an
 exception.  Examples are derandomized so the suite stays reproducible.
-
-A tolerance that never escapes (no process noise, or a contracting plant)
-costs escape_time's full 100000 dead-reckoning steps, up to 1.7 s on a
-drifting model; the test runs escape_time with a 1000-step horizon, which
-ends the same way (ConvergenceError, exit 2).  TestZeroProcessNoise in
-test_cli.py covers the full horizon.
 """
 
 import contextlib
 import io
 import json
 import tempfile
-from functools import partial
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from spoofguard import analysis, harness
 from spoofguard.cli import main
 
 ENTRIES = st.sampled_from([1.0, 0.5, 0.0, -1.0, 0.01, 2.0])
 EXIT_PREFIX = {1: "config error: ", 2: "numerical failure: "}
-SHORT_HORIZON = partial(analysis.escape_time, max_horizon=1000)
 
 
 @st.composite
@@ -97,10 +87,7 @@ def test_cli_exits_cleanly_on_random_configs(raw, command):
         if command[0] in ("run", "mc"):
             argv += ["--out", str(Path(tmp) / "out")]
         out, err = io.StringIO(), io.StringIO()
-        with (mock.patch.object(analysis, "escape_time", SHORT_HORIZON),
-              mock.patch.object(harness, "escape_time", SHORT_HORIZON),
-              contextlib.redirect_stdout(out),
-              contextlib.redirect_stderr(err)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2)
     message = err.getvalue()
