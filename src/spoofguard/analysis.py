@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .chi2 import chi2_quantile
-from .estimator import EstimatorState, StackedSensorForms, optimal_gain, \
-    _covariance_update_stacked, _dead_reckoning, _solve_gain
+from .estimator import Mode, StackedSensorForms, optimal_gain, _compose, \
+    _covariance_update_stacked, _joseph_step, _riccati_triple
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel, _inv, _read_only
 
@@ -180,7 +180,7 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
     triple = _riccati_triple(model, stacked, 0)
     resid = math.inf
     for doublings in range(1, max_iter + 1):
-        A_k, _, H = triple = _square_triple(*triple)
+        A_k, _, H = triple = _compose(triple, triple)
         if not np.isfinite(H).all():
             raise ConvergenceError(
                 f"non-finite covariance after {doublings} doublings",
@@ -239,7 +239,7 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
         return zeta_sq / magnitude if magnitude > 0.0 else math.inf
 
     def step(P):
-        return _dead_reckoning(EstimatorState(None, P), model, stacked)[1]
+        return _joseph_step(P, Mode.EMERGENCY, stacked)[1]
 
     stacked = StackedSensorForms(model)
     P = _finite_covariance(P_at_attack)
@@ -300,7 +300,7 @@ def _doubling_search(P, value, quantile, statistic, triple, max_horizon):
     while level >= 0:
         m = 1 << level
         if level == len(triples):
-            triples.append(_square_triple(*triples[-1]))
+            triples.append(_compose(triples[-1], triples[-1]))
         A_m, G_m, H_m = triples[level]
         if k + m > max_horizon:
             if galloping and A_m.any() and level < 64:
@@ -391,29 +391,3 @@ def escape_report(model: SystemModel, zeta_norm: float, alpha: float, *,
         k_escape=k_esc, k_lower_bound=k_lb, zeta=float(zeta_norm),
         alpha=alpha, df=model.n, stationary_P=stationary_P, norm_A=norm_A,
         branch=branch)
-
-
-def _riccati_triple(model: SystemModel, stacked: StackedSensorForms,
-                    first: int):
-    """The one-step triple (A_1, G_1, H_1), f(P) = H_1 + A_1^T P (I + G_1
-    P)^{-1} A_1, of the optimal-gain recursion on the sensor rows from first
-    on (0: the normal mode; m_G: the IMU alone, dead reckoning), its cross
-    term removed by the P = 0 system R = C Sigma_w C^T + Sigma_y."""
-    n, m, noise = model.n, len(stacked.C), stacked._innovation_noise
-    M, R, Sw_Ct = stacked._M[first:], noise[first:m, first:], noise[m:, first:]
-    scaled = _solve_gain(R, np.vstack([M.T, Sw_Ct]),
-                         "measurement noise covariance")
-    return ((model.A - scaled[n:].dot(M)).T, scaled[:n].dot(M),
-            model.Sigma_w - scaled[n:].dot(Sw_Ct.T))
-
-
-def _square_triple(A_k, G, H):
-    """The triple of 2m steps from the triple of m (structure-preserving
-    doubling): with W = (I + G H)^{-1}, A W A, G + A W G A^T and
-    H + A^T H W A, G and H re-symmetrized."""
-    n = len(H)
-    W_inv = np.linalg.solve(np.eye(n) + G.dot(H), np.hstack([A_k, G]))
-    W_inv_A = W_inv[:, :n]
-    G = G + A_k.dot(W_inv[:, n:]).dot(A_k.T)
-    H = H + A_k.T.dot(H).dot(W_inv_A)
-    return A_k.dot(W_inv_A), 0.5 * (G + G.T), 0.5 * (H + H.T)

@@ -14,15 +14,24 @@ IMU block, and M = C A - D C, the covariance obeys
 and the trace-minimizing gain is
 
     K = (A P M^T + Sigma_w C^T) (M P M^T + C Sigma_w C^T + Sigma_y)^{-1}.
+
+Each mode's covariance is one Riccati map f of P, so fuse reads it from a
+_Stretch: row j is f^j(P_a) = H_j + A_j^T P_a (I + G_j P_a)^{-1} A_j, from the
+j-step triple of the mode since its last switch (Anderson & Moore, Optimal
+Filtering, 1979).  covariance_update is the Joseph form the rows match.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import NumericalError
-from .model import SystemModel, _inv, _transition_inverse
+from .model import (SystemModel, _inv, _read_only, _solve,
+                    _transition_inverse)
+
+_FIRST_CHUNK, _STRETCH = 8, 256     # rows of a stretch's first chunk, at most
 
 
 class Mode(Enum):
@@ -35,9 +44,10 @@ class EstimatorState:
     x_hat: np.ndarray
     P: np.ndarray
     mode: Mode = Mode.NORMAL    # the mode that produced P
-    # P's normal-mode step; never passed in, so replace never copies it.
-    step: "_NormalStep" = field(default=None, init=False, repr=False,
+    # P as row `row` of a stretch; never passed in, so replace never copies it.
+    stretch: "_Stretch" = field(default=None, init=False, repr=False,
                                 compare=False)
+    row: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, x0) -> "EstimatorState":
@@ -47,18 +57,17 @@ class EstimatorState:
 
 
 class StackedSensorForms:
-    """Stacked sensor matrices, products reused in the per-step loop, and the
-    model invariants of dead reckoning.
+    """Stacked sensor matrices, products reused in the per-step loop, each
+    mode's j-step triples, and the model invariants of dead reckoning.
 
-    origin is the step from P = 0, whose chain of next steps is the trunk.
-    _innovation_system builds a state's step, its innovation system and the
-    one inverse behind P_d^{-1} and the gains; _covariance_update_stacked is
-    the one Joseph update.  The invariants are defined here once: A^{-1}
-    (ValueError for a singular A), C_bar_I = C_I (I - A^{-1}), the
-    drift-free flag C_bar_I = 0, the emergency gain
-    K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1}, the IMU block of
-    the P = 0 system, and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T
-    + K_I Sigma_I K_I^T, the Joseph update of P = 0 with K_E = [0, K_I].
+    _triples(mode) is the stack of the mode's j-step triples, j = 1..256,
+    built on first use; _innovation_system is the innovation system of one
+    P; _covariance_update_stacked is the one Joseph update.  The invariants are
+    defined here once: A^{-1} (ValueError for a singular A), C_bar_I = C_I
+    (I - A^{-1}), the drift-free flag C_bar_I = 0, the emergency gain
+    K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1}, and Sigma_bar =
+    (I - K_I C_I) Sigma_w (I - K_I C_I)^T + K_I Sigma_I K_I^T, the Joseph
+    update of P = 0 with K_E = [0, K_I].
     """
 
     def __init__(self, model: SystemModel):
@@ -73,10 +82,9 @@ class StackedSensorForms:
         self.Sigma_y = self._joseph_weight[n + p:k, n + p:k]
         self.Sigma_y[:m_G, :m_G] = model.Sigma_G
         self.Sigma_y[m_G:, m_G:] = model.Sigma_I
-        self.D = np.zeros((m, m))
-        self.D[m_G:, m_G:] = np.eye(m_I)
+        self.D = np.diag(np.arange(m) >= m_G).astype(float)
 
-        self._m_G = m_G
+        self._model, self._stacks, self._m_G = model, {}, m_G
         self._I_n, self._I_G = np.eye(n), np.eye(m_G)
         self._M = self.C @ model.A - self.D @ self.C
         # _innovation_system's operands (contiguous M^T: a faster dot).
@@ -85,14 +93,9 @@ class StackedSensorForms:
         Sw_Ct = model.Sigma_w @ self.C.T
         self._innovation_noise = np.vstack([self.C @ Sw_Ct + self.Sigma_y,
                                             Sw_Ct])
-        self._M_G = self._M[:m_G]       # P_d = M_G P M_G^T + _P_d_noise
-        self._P_d_noise = self._innovation_noise[:m_G, :m_G]
-        self.origin = _NormalStep(np.zeros((n, n)))
-        self.origin.P.setflags(write=False)
-        # Selects [R, blockdiag(P_d, R_II)] from R into _inverse_in, 0 off it.
+        # Selects [R, blockdiag(P_d, R_II)] from R, 0 off it.
         same_block = np.equal.outer(np.arange(m) < m_G, np.arange(m) < m_G)
         self._inverse_mask = np.stack([same_block | True, same_block])
-        self._inverse_in = np.zeros((2, m, m))
 
         # One product per step quantity, with M = [C_G A; C_I (A - I)]: the
         # plant and sensors, [x'; y_G - d; y_I] = _plant [x; u; w; v_G; v_I],
@@ -104,31 +107,45 @@ class StackedSensorForms:
                                 [self._M, CB, self.C, np.eye(m)]])
         self._gain_base_T = np.vstack([A.T, B.T, np.zeros((m, n)), self._I_n])
         self._gain_coef_T = np.vstack([self._M_T, CB.T, -np.eye(m), self.C.T])
-        self._emergency_cols = np.r_[:n + p, n + p + m_G:n + p + m]
+        self._predictor_cols = {Mode.NORMAL: np.s_[:n + p + m],
+                                Mode.EMERGENCY: np.r_[:n + p, n + p + m_G:k]}
 
         # Dead reckoning's invariants (class docstring).
         self.C_bar_I = model.C_I @ (self._I_n - self.A_inv)
         scale = max(1.0, float(np.abs(model.C_I).max(initial=0.0)))
         self.drift_free = bool(
             np.abs(self.C_bar_I).max(initial=0.0) <= 1e-12 * scale)
-        self.K_I = _solve_gain(self._innovation_noise[m_G:m, m_G:],
-                               self._innovation_noise[m:, m_G:],
-                               "IMU innovation covariance of the emergency gain")
-        K_E = np.hstack([np.zeros((n, m_G)), self.K_I])
-        blocks, self.Sigma_bar = _covariance_update_stacked(
-            np.zeros((n, n)), K_E, self)
-        if self.drift_free:
-            # K_E is then optimal: dead reckoning is the constant F_E and
-            # P -> T_E P T_E^T + Sigma_bar (T_E = A when C_I A = C_I exactly).
-            self._F_emergency = blocks[:, self._emergency_cols]
-            self._T_emergency = self._F_emergency[:, :n]
+        K_E = _mode_gain(np.zeros((n, n)), Mode.EMERGENCY, self)
+        self.K_I = K_E[:, m_G:]
+        self.Sigma_bar = _covariance_update_stacked(np.zeros((n, n)), K_E,
+                                                    self)[1]
+
+    def _triples(self, mode: Mode):
+        """The mode's j-step triples (A_j, G_j, H_j), j = 1..256, read-only,
+        built on first use by doubling (triple j + 2^k composes triples j and
+        2^k: powers of one map commute), cut before the first non-finite one;
+        none where the mode's noise covariance is singular."""
+        if mode not in self._stacks:
+            try:
+                stack = [t[None] for t in _riccati_triple(
+                    self._model, self, 0 if mode is Mode.NORMAL else self._m_G)]
+            except NumericalError:
+                stack = [np.empty((0,) + self._I_n.shape)] * 3
+            finite = len(stack[0])      # the leading finite triples
+            while 0 < finite == len(stack[0]) < _STRETCH:
+                stack = [np.concatenate(pair) for pair in zip(
+                    stack, _compose(stack, [t[-1] for t in stack]))]
+                finite = int(np.isfinite(np.concatenate(stack, axis=1)).all(
+                    axis=(1, 2)).cumprod().sum())
+            self._stacks[mode] = [_read_only(t[:finite]) for t in stack]
+        return self._stacks[mode]
 
 
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
                  stacked: StackedSensorForms) -> np.ndarray:
     """Trace-minimizing stacked gain K = [K_G, K_I], (n, m_G + m_I), for the
     given prior covariance."""
-    return _gain(_innovation_system(EstimatorState(None, P_prev), stacked))
+    return _mode_gain(P_prev, Mode.NORMAL, stacked)
 
 
 def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -141,67 +158,22 @@ def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
             f"{what} is singular (condition number {cond:.3e})") from exc
 
 
-class _NormalStep:
-    """The normal-mode step from a prior P; its arrays are read-only.  fuse
-    adds P_next, the predictor F = [T, B_K, K] (the gain's blocks but I - K C)
-    and next, P_next's step or, where P_next's bytes equal P's, itself."""
-
-    __slots__ = ("P", "R", "G", "inverse", "F", "P_next", "next")
-
-    def __init__(self, P: np.ndarray):
-        self.P, self.R, self.G, self.inverse = P, None, None, None
-        self.F = self.P_next = self.next = None
-
-
-def _innovation_system(est: EstimatorState,
-                       stacked: StackedSensorForms) -> _NormalStep:
-    """The state's step, made from its P if it has none, with its innovation
-    system built once: R = M P M^T + C Sigma_w C^T + Sigma_y and
-    G = A P M^T + Sigma_w C^T from one product [M; A] (P M^T), and
-    [R^{-1}, blockdiag(P_d, R_II)^{-1}] from one inv call, None if one is
-    singular (each user then solves its own block, which names the error).
-    R's GPS-GPS block is the detector's P_d (the GPS rows of M are C_G A).
-    """
-    if est.step is None:
-        est.step = _NormalStep(est.P)
-    step = est.step
-    if step.R is None:
-        system = stacked._M_A.dot(step.P.dot(stacked._M_T)) \
-            + stacked._innovation_noise
-        system.setflags(write=False)
-        m = len(stacked.C)
-        step.R, step.G = system[:m], system[m:]
-        try:
-            np.copyto(stacked._inverse_in, step.R, where=stacked._inverse_mask)
-            step.inverse = _inv(stacked._inverse_in)
-            step.inverse.setflags(write=False)
-        except np.linalg.LinAlgError:
-            pass
-    return step
-
-
-def _gain(step: _NormalStep) -> np.ndarray:
-    """The step's normal-mode gain K = G R^{-1}."""
-    return step.G.dot(step.inverse[0]) if step.inverse is not None \
-        else _solve_gain(step.R, step.G, "innovation covariance")
+def _innovation_system(P: np.ndarray, stacked: StackedSensorForms):
+    """(R, G) of P from one product [M; A] (P M^T): R = M P M^T + C Sigma_w
+    C^T + Sigma_y, whose GPS-GPS block is the detector's P_d (the GPS rows
+    of M are C_G A), and G = A P M^T + Sigma_w C^T."""
+    system = stacked._M_A.dot(P.dot(stacked._M_T)) + stacked._innovation_noise
+    return system[:len(stacked.C)], system[len(stacked.C):]
 
 
 def _detector_weight(est: EstimatorState,
                      stacked: StackedSensorForms) -> np.ndarray:
-    """The detector's P_d^{-1} for the state's P: a view of its step's
-    inverse, but P_d's own after dead reckoning on a drift-free model."""
-    m_G = stacked._m_G
-    if est.mode is Mode.EMERGENCY and stacked.drift_free:
-        P_d = stacked._M_G.dot(est.P.dot(stacked._M_T))[:, :m_G] \
-            + stacked._P_d_noise
-        try:
-            return _inv(P_d)
-        except np.linalg.LinAlgError:
-            return _solve_gain(P_d, stacked._I_G, "residual covariance")
-    step = _innovation_system(est, stacked)
-    return step.inverse[1, :m_G, :m_G] if step.inverse is not None \
-        else _solve_gain(step.R[:m_G, :m_G], stacked._I_G,
-                         "residual covariance")
+    """P_d^{-1} of the state's P: its stretch row's, else (a bare state or a
+    stepped row) solved from its own system."""
+    if est.stretch is not None and est.stretch._ready(est.row, stacked):
+        return est.stretch.P_d_inv[est.row]
+    R, m_G = _innovation_system(est.P, stacked)[0], stacked._m_G
+    return _solve_gain(R[:m_G, :m_G], stacked._I_G, "residual covariance")
 
 
 def covariance_update(P_prev: np.ndarray, K: np.ndarray, model: SystemModel,
@@ -224,25 +196,77 @@ def _covariance_update_stacked(P_prev: np.ndarray, K: np.ndarray,
     return blocks, 0.5 * (P + P.T)
 
 
-def _dead_reckoning(est: EstimatorState, model: SystemModel,
-                    stacked: StackedSensorForms):
-    """Predictor F_E = [T_E, B - K_I C_I B, K_I] of x' = F_E [x_hat; u; y_I]
-    and the re-symmetrized covariance of one step from the state's P with zero
-    GPS gain: the constant emergency gain's on a drift-free model, else the
-    IMU-only gain solved from the IMU blocks of the state's step.
-    """
-    if stacked.drift_free:
-        T_E = stacked._T_emergency
-        P = T_E.dot(est.P).dot(T_E.T) + stacked.Sigma_bar
-        return stacked._F_emergency, 0.5 * (P + P.T)
-    step, m_G = _innovation_system(est, stacked), stacked._m_G
-    K_I = step.G[:, m_G:].dot(step.inverse[1, m_G:, m_G:]) \
-        if step.inverse is not None \
-        else _solve_gain(step.R[m_G:, m_G:], step.G[:, m_G:],
-                         "IMU-only innovation covariance")
-    K = np.hstack([np.zeros((model.n, m_G)), K_I])
-    blocks, P = _covariance_update_stacked(est.P, K, stacked)
-    return blocks[:, stacked._emergency_cols], P
+def _mode_gain(P: np.ndarray, mode: Mode, stacked: StackedSensorForms):
+    """The mode's optimal gain for P, solved from P's own system: the normal
+    gain G R^{-1}, or the IMU-only one [0, G_I R_II^{-1}]."""
+    (R, G), m_G = _innovation_system(P, stacked), stacked._m_G
+    if mode is Mode.NORMAL:
+        return _solve_gain(R, G, "innovation covariance")
+    return np.hstack([np.zeros_like(G[:, :m_G]), _solve_gain(
+        R[m_G:, m_G:], G[:, m_G:], "IMU-only innovation covariance")])
+
+
+def _joseph_step(P: np.ndarray, mode: Mode, stacked: StackedSensorForms):
+    """The mode's predictor, [T, B_K, K] or F_E = [T_E, B - K_I C_I B, K_I],
+    and covariance one step from P by the Joseph update with P's own gain
+    (dead reckoning's step in emergency mode)."""
+    blocks, P = _covariance_update_stacked(P, _mode_gain(P, mode, stacked),
+                                           stacked)
+    return blocks[:, stacked._predictor_cols[mode]], P
+
+
+class _Stretch:
+    """Row j of P is f^j(P_a), j = 0..L, L = 256 unless a triple overflows;
+    the covariance goes on in the restart stretch from row L, so no triple
+    past 256 steps, whose A_j and G_j grow with j, is read.  Prior row j < L
+    has its P_d^{-1} and predictor F (as _joseph_step's), read-only, computed
+    in chunks of 8, 8, 16, ..., 128 rows as read; a row whose chunk's
+    inverse failed is stepped by _joseph_step."""
+
+    def __init__(self, mode: Mode, P_a: np.ndarray, stacked: StackedSensorForms):
+        self.mode, self._triples = mode, stacked._triples(mode)
+        F_T = stacked._gain_base_T[stacked._predictor_cols[mode]]
+        self._buffers = [np.empty((len(self._triples[0]) + k, *shape)) for
+                         k, shape in ((1, P_a.shape), (0, stacked._I_G.shape),
+                                      (0, F_T.T.shape))]
+        self._buffers[0][0] = P_a
+        self.P, self.P_d_inv, self.F = (as_strided(b, writeable=False)
+                                        for b in self._buffers)
+        self.restart, self._done, self._stepped = None, 0, set()
+
+    def _ready(self, j: int, stacked: StackedSensorForms) -> bool:
+        """Whether prior row j has P_d^{-1} and F, computing its chunk."""
+        if self._done <= j < len(self.F):
+            self._extend(stacked)
+        return j < self._done and j not in self._stepped
+
+    @np.errstate(over="ignore", invalid="ignore")   # the run's check reports
+    def _extend(self, stacked: StackedSensorForms) -> None:
+        """Rows lo + 1..hi by one stacked solve, P_d^{-1} and F of rows lo..
+        hi - 1 by one stacked inverse, and after the last chunk the restart."""
+        (P, P_d_inv, F), lo = self._buffers, self._done
+        hi = self._done = min(len(F), max(_FIRST_CHUNK, 2 * lo))
+        A, G, H = (t[lo:hi] for t in self._triples)
+        rows = H + A.swapaxes(1, 2) @ (P[0] @ _solve(
+            stacked._I_n + G @ P[0], A))
+        P[lo + 1:hi + 1] = 0.5 * (rows + rows.swapaxes(1, 2))
+        system = stacked._M_A @ (P[lo:hi] @ stacked._M_T) \
+            + stacked._innovation_noise
+        m, m_G, normal = len(stacked.C), stacked._m_G, self.mode is Mode.NORMAL
+        mask = stacked._inverse_mask[0 if normal else 1:]   # no R^{-1} for F_E
+        try:
+            inverse = _inv(np.where(mask, system[:, None, :m], 0.0))
+        except np.linalg.LinAlgError:
+            inverse = np.zeros((hi - lo, len(mask), m, m))
+            self._stepped.update(range(lo, hi))
+        P_d_inv[lo:hi] = inverse[:, -1, :m_G, :m_G]
+        K = system[:, m:] @ inverse[:, 0]   # G R^{-1}, else G_I R_II^{-1}
+        K = K if normal else K @ stacked.D  # in K_I's columns, 0 in K_G's
+        blocks = stacked._gain_base_T - stacked._gain_coef_T @ K.swapaxes(1, 2)
+        F[lo:hi] = blocks.swapaxes(1, 2)[..., stacked._predictor_cols[
+            self.mode]]
+        if hi == len(F):
+            self.restart = _Stretch(self.mode, P[hi], stacked)
 
 
 def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
@@ -250,24 +274,49 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
     """Run one measurement update in the state's current mode, one product.
 
     Normal mode: x' = F [x_hat; u; y_G; y_I], the prediction A x_hat + B u
-    corrected by both innovations, in a state that holds P_next's step.
-    Emergency mode: x' = F_E [x_hat; u; y_I], the IMU innovation only; y_G is
-    never evaluated, so the estimate is bit-for-bit independent of it.
+    corrected by both innovations.  Emergency mode: x' = F_E [x_hat; u; y_I],
+    the IMU innovation only; y_G is never evaluated, so the estimate is
+    bit-for-bit independent of it.  F and P' are read from the state's
+    stretch; a mode switch or a bare state opens one, a stepped row leaves it.
     """
-    if est.mode is Mode.EMERGENCY:
-        F_E, P_new = _dead_reckoning(est, model, stacked)
-        x_new = F_E.dot(np.concatenate((est.x_hat, u, y_I)))
-        return EstimatorState(x_hat=x_new, P=P_new, mode=est.mode)
-    step = _innovation_system(est, stacked)
-    if step.F is None:
-        K = _gain(step)
-        blocks, P_next = _covariance_update_stacked(step.P, K, stacked)
-        blocks.setflags(write=False)
-        P_next.setflags(write=False)
-        step.F, step.P_next = blocks[:, :-len(blocks)], P_next
-        step.next = step if P_next.tobytes() == step.P.tobytes() \
-            else _NormalStep(P_next)
-    x_new = step.F.dot(np.concatenate((est.x_hat, u, y_G, y_I)))
-    new = EstimatorState(x_hat=x_new, P=step.P_next, mode=est.mode)
-    new.step = step.next
+    stretch, j = est.stretch, est.row
+    if stretch is None or stretch.mode is not est.mode:
+        stretch, j = _Stretch(est.mode, est.P, stacked), 0
+    operand = np.concatenate((est.x_hat, u, y_I) if est.mode is
+                             Mode.EMERGENCY else (est.x_hat, u, y_G, y_I))
+    if not stretch._ready(j, stacked):
+        F, P = _joseph_step(est.P, est.mode, stacked)
+        return EstimatorState(x_hat=F.dot(operand), P=P, mode=est.mode)
+    x_new = stretch.F[j].dot(operand)
+    stretch, j = (stretch, j + 1) if j + 1 < len(stretch.F) else \
+        (stretch.restart, 0)
+    new = EstimatorState(x_hat=x_new, P=stretch.P[j], mode=est.mode)
+    new.stretch, new.row = stretch, j
     return new
+
+
+def _riccati_triple(model: SystemModel, stacked: StackedSensorForms,
+                    first: int):
+    """The one-step triple (A_1, G_1, H_1) of the optimal-gain recursion on
+    the sensor rows from first on (0: normal mode; m_G: the IMU alone), its
+    cross term removed by the P = 0 system R = C Sigma_w C^T + Sigma_y."""
+    n, m, noise = model.n, len(stacked.C), stacked._innovation_noise
+    M, R, Sw_Ct = stacked._M[first:], noise[first:m, first:], noise[m:, first:]
+    scaled = _solve_gain(R, np.vstack([M.T, Sw_Ct]),
+                         "measurement noise covariance")
+    return ((model.A - scaled[n:].dot(M)).T, scaled[:n].dot(M),
+            model.Sigma_w - scaled[n:].dot(Sw_Ct.T))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _compose(first, second):
+    """The triple of first's map, then second's (first may be a stack): with
+    W = (I + G_2 H_1)^{-1}, A_1 W A_2, G_1 + A_1 W G_2 A_1^T, H_2 + A_2^T H_1 W
+    A_2, G and H re-symmetrized; overflow is left non-finite, unwarned."""
+    (A_1, G_1, H_1), (A_2, G_2, H_2) = first, second
+    n = H_1.shape[-1]
+    W = _solve(np.eye(n) + G_2 @ H_1, np.concatenate([A_2, G_2], axis=-1))
+    G = G_1 + A_1 @ W[..., n:] @ A_1.swapaxes(-1, -2)
+    H = H_2 + A_2.swapaxes(-1, -2) @ H_1 @ W[..., :n]
+    return (A_1 @ W[..., :n], 0.5 * (G + G.swapaxes(-1, -2)),
+            0.5 * (H + H.swapaxes(-1, -2)))

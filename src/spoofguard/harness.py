@@ -11,8 +11,8 @@ run_scenario steps one run; each step's results go into arrays, one row per
 step (the run's columns); the exports and monte_carlo's aggregates read
 them, and the spectral norms and confidence radii are built from them on
 first read, as is the run's escape analysis.  monte_carlo calls
-run_scenario once per run, all on one ScenarioShared, so its runs share the
-trunk (see StackedSensorForms).
+run_scenario once per run, all on one ScenarioShared, so each run reads
+the trunk's covariances until its first alarm.
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -38,7 +38,7 @@ from .analysis import (EscapeTimeReport, drift_matrices, escape_report,
 from .chi2 import chi2_quantile
 from .detector import DetectorConfig, normalized_residual
 from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
-                        _detector_weight)
+                        _detector_weight, _Stretch)
 from .exceptions import ConfigError, NumericalError
 from .model import (MATRIX_NAMES, AttackSignal, GaussianSampler, SystemModel,
                     validate_model, _check_count, _read_only)
@@ -182,8 +182,8 @@ class MonteCarloSummary:
 
 class ScenarioShared:
     """Model-derived pieces reused across runs of the same scenario; the
-    stationary covariance and drift analysis are computed once, on first
-    read, behind read-only properties."""
+    trunk (the normal stretch from P = 0, see estimator), the stationary
+    covariance and the drift analysis are built once, on first read."""
 
     def __init__(self, model: SystemModel):
         self.model = model
@@ -192,6 +192,8 @@ class ScenarioShared:
         self.sampler_G = GaussianSampler(model.Sigma_G)
         self.sampler_I = GaussianSampler(model.Sigma_I)
 
+    trunk = cached_property(lambda self: _Stretch(
+        Mode.NORMAL, np.zeros((self.model.n,) * 2), self.stacked))
     _stationary_P = cached_property(
         lambda self: stationary_covariance(self.model))
     _drift = cached_property(lambda self: drift_matrices(self.model))
@@ -268,9 +270,9 @@ def _first_step(mask: np.ndarray) -> Optional[int]:
 
 @np.errstate(all="ignore")      # only the final guard reports non-finite values
 def _simulate(config: ScenarioConfig, shared: ScenarioShared,
-              detector_enabled: bool, rooted: bool) -> _RunColumns:
-    """Advance one closed-loop run and return its per-step columns; a
-    rooted run starts at stacked.origin, the trunk's first step."""
+              detector_enabled: bool) -> _RunColumns:
+    """Advance one closed-loop run and return its per-step columns; it
+    starts on the trunk, the normal stretch from P = 0."""
     model, stacked = config.model, shared.stacked
     steps, n, m_G = config.steps, model.n, model.m_G
     plant, n_G = stacked._plant, n + m_G
@@ -295,7 +297,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
     plant_in[:n] = config.x0
     est = EstimatorState.initial(config.x0)
-    est.step = stacked.origin if rooted else None   # see run_scenario
+    est.stretch = shared.trunk
     S, alarmed = 0.0, False
 
     for i in range(steps):
@@ -311,8 +313,8 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
-        # P_d^{-1} comes from the state's step; it reads the state's mode,
-        # the one that produced P, before this step's mode replaces it.
+        # P_d^{-1} is the state's stretch row's, read before this step's
+        # mode replaces the state's.
         if detector_enabled:
             detector_in[:n], detector_in[n:] = est.x_hat, u
             d_hat = y_G - gps_prediction.dot(detector_in)
@@ -353,13 +355,12 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
 
     detector_enabled=False disables the alarm entirely (the statistic is not
     accumulated and the estimator stays in normal mode), matching an
-    infinite-threshold detector.  A run without a shared roots no chain: its
-    steps are held by its states only, so none outlives the run.
+    infinite-threshold detector.  A run without a shared builds its own
+    trunk on a new ScenarioShared.
     """
-    rooted = shared is not None
     if shared is None:
         shared = ScenarioShared(config.model)
-    cols = _simulate(config, shared, detector_enabled, rooted)
+    cols = _simulate(config, shared, detector_enabled)
     first_alarm = _first_step(cols.alarmed)
     # Detection latency is measured against the attack onset; noise can trip
     # transient alarms earlier, which are kept separate.  Without an attack

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import FrozenInstanceError, dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -281,6 +282,11 @@ def _inv(a: np.ndarray) -> np.ndarray:
     matrix raises LinAlgError, without the wrapper's argument handling, which
     costs more than the call on the per-step 2x2 to 4x4 operands."""
     return _umath_linalg.inv(a, signature="d->d")
+
+
+# a^{-1} b for float64 stacks by LAPACK's solve gufunc, in the caller's error
+# state: where it ignores invalid values, a singular matrix gives NaN.
+_solve = partial(_umath_linalg.solve, signature="dd->d")
 
 
 def _covariance_findings(name: str, Sigma: np.ndarray, strict: bool) -> list:

@@ -50,15 +50,26 @@ def random_invertible_model(rng: np.random.Generator) -> SystemModel:
                        Sigma_w=Sigma_w, Sigma_G=np.eye(n), Sigma_I=Sigma_I)
 
 
-def chain_steps(stacked) -> list:
-    """The steps of the chain from stacked.origin, P = 0, in order, up to the
-    last one built: the trunk's steps, the last of which may be unfused.  A
-    step whose next is itself, the exact fixed point, ends the chain."""
-    steps, step = [], stacked.origin
-    while step is not None and step.R is not None:
-        steps.append(step)
-        step = None if step.next is step else step.next
-    return steps
+def stretch_chain(stretch) -> list:
+    """The stretch and its restarts, in order, as far as rows are computed."""
+    stretches = []
+    while stretch is not None and stretch._done:
+        stretches.append(stretch)
+        stretch = stretch.restart
+    return stretches
+
+
+def trunk_stretches(shared) -> list:
+    """The trunk's stretches with computed rows: the normal stretch from
+    P = 0, then each restart; none before a run reads it."""
+    return stretch_chain(shared.__dict__.get("trunk"))
+
+
+def trunk_rows(shared) -> np.ndarray:
+    """The trunk's computed covariances P_1, P_2, ... across its restarts."""
+    n = shared.model.n
+    return np.concatenate([np.empty((0, n, n))] + [
+        s.P[1:s._done + 1] for s in trunk_stretches(shared)])
 
 
 def run_columns(cols) -> tuple:

@@ -4,14 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from spoofguard import (ConvergenceError, EstimatorState, NumericalError,
+from spoofguard import (ConvergenceError, NumericalError,
                         StackedSensorForms, SystemModel, chi2_quantile,
                         covariance_magnitude, covariance_update,
                         drift_matrices, escape_report, escape_time,
                         escape_time_lower_bound, is_detectable, optimal_gain,
                         run_scenario, spectral_norm, stationary_covariance)
 from spoofguard import analysis
-from spoofguard.estimator import _dead_reckoning
+from spoofguard.estimator import Mode, _joseph_step
 from spoofguard.harness import _RunColumns
 
 from conftest import (decoupling_residual, make_uav_model,
@@ -330,8 +330,8 @@ class TestEscapeTime:
 
         def counted(*args):
             calls.append(1)
-            return _dead_reckoning(*args)
-        monkeypatch.setattr(analysis, "_dead_reckoning", counted)
+            return _joseph_step(*args)
+        monkeypatch.setattr(analysis, "_joseph_step", counted)
         m = uav_model
         model = SystemModel(A=m.A, B=m.B, C_G=m.C_G, C_I=m.C_I,
                             Sigma_w=np.zeros((4, 4)), Sigma_G=m.Sigma_G,
@@ -363,7 +363,7 @@ def stepped_escape_time(P, model, zeta, alpha, horizon=math.inf):
     while magnitude == 0.0 or zeta * zeta / magnitude > quantile:
         if k == horizon:
             return None
-        P = _dead_reckoning(EstimatorState(None, P), model, stacked)[1]
+        P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
         k, magnitude = k + 1, covariance_magnitude(P)
     return k
 
@@ -380,13 +380,14 @@ def uav_variant(a=1.0, noise=1.0):
 
 
 def counted_steps(monkeypatch) -> list:
-    """The list escape_time's _dead_reckoning calls append to."""
+    """The list escape_time's dead-reckoning steps (_joseph_step calls)
+    append to."""
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return _dead_reckoning(*args)
-    monkeypatch.setattr(analysis, "_dead_reckoning", counted)
+        return _joseph_step(*args)
+    monkeypatch.setattr(analysis, "_joseph_step", counted)
     return calls
 
 
@@ -426,7 +427,7 @@ class TestEscapeTimeByDoubling:
         starts = [stationary_covariance(model), np.zeros((n, n)),
                   1e-3 * np.trace(stacked.Sigma_bar) * np.eye(n)]
         for P0 in starts:
-            P1 = _dead_reckoning(EstimatorState(None, P0), model, stacked)[1]
+            P1 = _joseph_step(P0, Mode.EMERGENCY, stacked)[1]
             assert analysis._grows(P0, P1)
             k = escape_time(P0, model, zeta, 0.05)
             assert k == stepped_escape_time(P0, model, zeta, 0.05)
@@ -461,7 +462,7 @@ class TestEscapeTimeByDoubling:
         # steps, one counted call per step.
         P0 = np.diag([0.0, 0.0, 1e-2, 1e-2])
         stacked = StackedSensorForms(uav_model)
-        P1 = _dead_reckoning(EstimatorState(None, P0), uav_model, stacked)[1]
+        P1 = _joseph_step(P0, Mode.EMERGENCY, stacked)[1]
         assert not analysis._grows(P0, P1)
         calls = counted_steps(monkeypatch)
         k = escape_time(P0, uav_model, 2.0, 0.01)
@@ -477,14 +478,13 @@ class TestEscapeTimeByDoubling:
         stacked = StackedSensorForms(uav_model)
         P = uav_stationary_P
         for _ in range(50):
-            P = _dead_reckoning(EstimatorState(None, P), uav_model,
-                                stacked)[1]
+            P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
         value = 4.0 / covariance_magnitude(P)
         assert str(info.value) == (
             f"tolerance still credible after 50 steps (last statistic "
             f"{value:.6g} > quantile {chi2_quantile(4, 0.01):.6g})")
         assert info.value.residual == pytest.approx(value, rel=1e-12)
-        P = _dead_reckoning(EstimatorState(None, P), uav_model, stacked)[1]
+        P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
         np.testing.assert_allclose(info.value.last_iterate, P, rtol=1e-12)
 
 

@@ -482,6 +482,45 @@ class TestDivergingModel:
                                 f"a value of step 361 is not finite\n")
 
 
+class TestUnexcitedUnstableMode:
+    """A = diag(2, 1) whose unstable mode gets no process noise: the model is
+    valid and detectable, but the stationary covariance's doubling
+    overflows (its G_k grows like 4^(2^k)).  The non-finite check reports
+    it: analyze and run exit 2 with one line and nothing on stdout; mc runs
+    no escape analysis, and its stretches are finite, so it exits 0.  No
+    np.errstate here: pytest turns a RuntimeWarning into an error, as CI's
+    console-script step does."""
+
+    @pytest.fixture()
+    def unexcited(self, config_path, tmp_path):
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["model"] = {"A": [[2.0, 0.0], [0.0, 1.0]], "B": [[0.0], [0.0]],
+                        "C_G": [[1.0, 0.0], [0.0, 1.0]], "C_I": [[1.0, 0.0]],
+                        "Sigma_w": [[0.0, 0.0], [0.0, 1e-4]],
+                        "Sigma_G": [[1.0, 0.0], [0.0, 1.0]],
+                        "Sigma_I": [[1.0]]}
+        raw["x0"], raw["target"] = [0.0, 0.0], [10.0]
+        cfg = tmp_path / "unexcited.json"
+        cfg.write_text(json.dumps(raw))
+        return str(cfg)
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["run"],
+                                      ["mc", "--runs", "2"]])
+    def test_overflow_is_one_numerical_failure_line(self, unexcited, capsys,
+                                                     argv):
+        code = main([argv[0], "--config", unexcited, *argv[1:]])
+        captured = capsys.readouterr()
+        if argv[0] == "mc":
+            assert code == 0 and captured.err == ""
+            assert json.loads(captured.out)["runs"] == 2
+            return
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: non-finite covariance "
+                                "after 10 doublings\n")
+
+
 class TestHugeNoiseAnalyze:
     def test_reports_the_fixed_point_without_a_warning(self, config_path,
                                                        tmp_path, capsys):

@@ -14,12 +14,14 @@ from spoofguard import (AttackSignal, EstimatorState, Mode,
                         stationary_covariance)
 
 from spoofguard.detector import normalized_residual
-from spoofguard.estimator import (_covariance_update_stacked,
-                                  _dead_reckoning, _detector_weight,
-                                  _innovation_system)
+from spoofguard.estimator import (_STRETCH, _Stretch,
+                                  _covariance_update_stacked,
+                                  _detector_weight, _innovation_system,
+                                  _joseph_step)
 from spoofguard.model import _inv
 
-from conftest import chain_steps, make_uav_model, random_invertible_model
+from conftest import (make_uav_model, random_invertible_model, stretch_chain,
+                      trunk_stretches)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,26 @@ def stacked(model):
 
 def zero_gain(model):
     return np.zeros((model.n, model.m_G + model.m_I))
+
+
+def on_stretch(P, stacked, mode=Mode.NORMAL):
+    """A state at x_hat = 0 whose P is row 0 of a new stretch of the mode."""
+    est = EstimatorState(np.zeros(len(P)), P, mode)
+    est.stretch = _Stretch(mode, P, stacked)
+    return est
+
+
+def stretch_rows(stretch, stacked, steps):
+    """The covariances of `steps` steps from the stretch's row 0, read as
+    fuse reads them, across restarts."""
+    rows, j = [], 0
+    for _ in range(steps):
+        assert stretch._ready(j, stacked)
+        j += 1
+        if j == len(stretch.F):
+            stretch, j = stretch.restart, 0
+        rows.append(stretch.P[j])
+    return np.array(rows)
 
 
 class TestStackedForms:
@@ -66,23 +88,22 @@ class TestInnovationSystem:
             R = rng.normal(size=(model.n, model.n))
             P = R @ R.T
             P_Mt = P.dot(M.T)
-            step = _innovation_system(EstimatorState(None, P), stacked)
-            innov_cov, gain_rhs = step.R, step.G
+            innov_cov, gain_rhs = _innovation_system(P, stacked)
             assert np.array_equal(innov_cov, M.dot(P_Mt) + C_Sw_Ct_Sy)
             assert np.array_equal(gain_rhs, model.A.dot(P_Mt) + Sw_Ct)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_a_state_never_reads_another_covariances_step(self, model, mode):
-        # The step lives on the state that holds its P: neither
+        # The stretch lives on the state whose P is its row: neither
         # dataclasses.replace nor a hand-built state carries one over.
         stacked = StackedSensorForms(model)
         rng = np.random.default_rng(7)
         x_hat, u, y_G, y_I = (rng.normal(size=2 * k) for k in (2, 1, 1, 1))
         first = fuse(EstimatorState(x_hat, 1e-3 * np.eye(4)), model, stacked,
                      u, y_G, y_I)
-        assert first.step is not None and first.step.P is first.P
+        assert first.stretch is not None and first.row == 1
+        assert np.shares_memory(first.P, first.stretch.P)
         _detector_weight(first, stacked)
-        assert first.step.R is not None
         other = 5.0 * first.P
 
         def outputs(est):
@@ -93,10 +114,10 @@ class TestInnovationSystem:
         want = outputs(EstimatorState(first.x_hat, other, mode))
         for est in (replace(first, P=other, mode=mode),
                     EstimatorState(first.x_hat, other, mode)):
-            assert est.step is None
+            assert est.stretch is None
             for got, w in zip(outputs(est), want):
                 assert got.tobytes() == w.tobytes()
-            assert est.step is None or est.step.P is other
+            assert est.stretch is None
 
 
 @pytest.fixture(scope="module")
@@ -117,9 +138,8 @@ def priors_per_model():
 
 
 class TestNormalStepCoefficients:
-    """The detector's P_d^{-1} and fuse's one-step predictor, cached on the
-    normal-mode step, against the solve and the innovation form they
-    replace."""
+    """The detector's P_d^{-1} and fuse's one-step predictor, read from a
+    stretch row, against the solve and the innovation form they replace."""
 
     def test_quadratic_form_matches_the_solve(self, priors_per_model):
         rng = np.random.default_rng(42)
@@ -127,10 +147,9 @@ class TestNormalStepCoefficients:
             stacked, m_G = StackedSensorForms(model), model.m_G
             for P in priors:
                 d_hat = rng.normal(size=m_G)
-                P_d = _innovation_system(EstimatorState(None, P),
-                                         stacked).R[:m_G, :m_G]
+                P_d = _innovation_system(P, stacked)[0][:m_G, :m_G]
                 q = normalized_residual(d_hat, _detector_weight(
-                    EstimatorState(np.zeros(model.n), P), stacked))
+                    on_stretch(P, stacked), stacked))
                 expected = d_hat @ np.linalg.solve(P_d, d_hat)
                 assert abs(q - expected) <= 1e-12 * expected
 
@@ -149,9 +168,11 @@ class TestNormalStepCoefficients:
         quiet = SystemModel(A=model.A, B=model.B, C_G=model.C_G, C_I=model.C_I,
                             Sigma_w=np.zeros((4, 4)), Sigma_G=np.zeros((2, 2)),
                             Sigma_I=model.Sigma_I)
-        with pytest.raises(NumericalError, match="residual covariance"):
-            _detector_weight(EstimatorState(np.zeros(4), np.zeros((4, 4))),
-                             StackedSensorForms(quiet))
+        stacked = StackedSensorForms(quiet)
+        for est in (EstimatorState(np.zeros(4), np.zeros((4, 4))),
+                    on_stretch(np.zeros((4, 4)), stacked)):
+            with pytest.raises(NumericalError, match="residual covariance"):
+                _detector_weight(est, stacked)
         with pytest.raises(NumericalError, match="residual covariance"):
             cusum_update(0.0, np.ones(2), np.zeros((2, 2)), 0.15)
 
@@ -175,9 +196,9 @@ class TestNormalStepCoefficients:
 
 
 class TestStackedInverse:
-    """One inv call per new prior gives R^{-1}, P_d^{-1} and R_II^{-1}; when
-    it fails, each user solves its own block, as without the stacked
-    inverse."""
+    """One inv call per chunk of a stretch gives its rows' P_d^{-1} and
+    gains; when it fails, each row of the chunk is stepped, solving its own
+    blocks, as without the stacked inverse."""
 
     def test_blocks_match_the_solves(self, priors_per_model):
         drift_free = set()
@@ -185,25 +206,24 @@ class TestStackedInverse:
             stacked, m_G = StackedSensorForms(model), model.m_G
             drift_free.add(stacked.drift_free)
             for P in priors:
-                est = EstimatorState(np.zeros(model.n), P)
-                P_d_inv = _detector_weight(est, stacked)
-                R, inverse = est.step.R, est.step.inverse
-                assert not inverse[1, :m_G, m_G:].any()
-                assert not inverse[1, m_G:, :m_G].any()
-                assert np.array_equal(P_d_inv, inverse[1, :m_G, :m_G])
-                for got, block in ((inverse[0], R), (P_d_inv, R[:m_G, :m_G]),
-                                   (inverse[1, m_G:, m_G:], R[m_G:, m_G:])):
-                    want = np.linalg.solve(block, np.eye(len(block)))
-                    assert (np.abs(got - want).max()
+                P_d = _innovation_system(P, stacked)[0][:m_G, :m_G]
+                want_P_d_inv = np.linalg.solve(P_d, np.eye(m_G))
+                for mode in Mode:
+                    est = on_stretch(P, stacked, mode)
+                    P_d_inv = _detector_weight(est, stacked)
+                    assert (np.abs(P_d_inv - want_P_d_inv).max()
+                            <= 1e-12 * np.abs(want_P_d_inv).max())
+                    F, want = est.stretch.F[0], _joseph_step(P, mode,
+                                                             stacked)[0]
+                    assert (np.abs(F - want).max()
                             <= 1e-12 * np.abs(want).max())
         assert drift_free == {True, False}
 
-    def test_one_inv_call_per_prior_on_drift_models(self, priors_per_model,
+    def test_one_inv_call_per_chunk_on_drift_models(self, priors_per_model,
                                                     monkeypatch):
-        # From one state the detector and then a normal fuse, or dead
-        # reckoning, read the inverse that the state's step builds on its
-        # first use; none drops or recomputes it.  optimal_gain builds a
-        # fresh step.
+        # From one state the detector, then fuse, read the inverse that its
+        # row's chunk made; the rows of a chunk make no further call, and
+        # the next chunk one more.  optimal_gain solves and inverts nothing.
         calls, inv = [], estimator._inv
 
         def counted(*args, **kwargs):
@@ -217,12 +237,12 @@ class TestStackedInverse:
             for P in priors[:5]:
                 for mode in Mode:
                     del calls[:]
-                    est = EstimatorState(np.zeros(n), P, mode)
-                    _detector_weight(est, stacked)
-                    fuse(est, model, stacked,
-                         np.zeros(p), np.zeros(m_G), np.zeros(m_I))
-                    _dead_reckoning(est, model, stacked)
-                    assert len(calls) == 1
+                    est = on_stretch(P, stacked, mode)
+                    for _ in range(9):
+                        _detector_weight(est, stacked)
+                        est = fuse(est, model, stacked, np.zeros(p),
+                                   np.zeros(m_G), np.zeros(m_I))
+                        assert len(calls) == 1 + (est.row > 8)
                 optimal_gain(P, model, stacked)
                 assert len(calls) == 2
 
@@ -232,30 +252,34 @@ class TestStackedInverse:
             raise np.linalg.LinAlgError("Singular matrix")
 
         def quantities(model, est, stacked):
-            return (_detector_weight(est, stacked),
-                    optimal_gain(est.P, model, stacked),
-                    _dead_reckoning(est, model, stacked)[1])
+            out = fuse(est, model, stacked, np.ones(model.p),
+                       np.ones(model.m_G), np.ones(model.m_I))
+            return _detector_weight(est, stacked), out.x_hat, out.P
 
         for model, priors in priors_per_model:
             for P in priors[:5]:
-                want = quantities(model, EstimatorState(np.zeros(model.n), P),
-                                  StackedSensorForms(model))
-                stacked = StackedSensorForms(model)
-                est = EstimatorState(np.zeros(model.n), P)
-                with monkeypatch.context() as patched:
-                    patched.setattr(estimator, "_inv", singular)
-                    got = quantities(model, est, stacked)
-                assert est.step.R is not None and est.step.inverse is None
-                for g, w in zip(got, want):
-                    assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+                for mode in Mode:
+                    want = quantities(model, on_stretch(
+                        P, StackedSensorForms(model), mode),
+                        StackedSensorForms(model))
+                    stacked = StackedSensorForms(model)
+                    with monkeypatch.context() as patched:
+                        patched.setattr(estimator, "_inv", singular)
+                        est = on_stretch(P, stacked, mode)
+                        got = quantities(model, est, stacked)
+                    assert est.stretch._stepped == set(range(8))
+                    for g, w in zip(got, want):
+                        assert np.abs(g - w).max() <= \
+                            1e-12 * np.abs(w).max()
 
     @pytest.mark.parametrize("bad", ["nan", "inf off the blocks",
                                      "singular"])
     def test_no_stale_input_after_a_failed_inverse(self, model, bad):
-        # The inverse's input is one buffer per StackedSensorForms.  A step
-        # after one whose R held NaN, or inf only off its diagonal blocks,
-        # or whose inverse raised LinAlgError, inverts the bytes of
-        # np.where(mask, R, 0): no entry of the earlier R is left in it.
+        # A stretch whose R held NaN, or inf only off its diagonal blocks,
+        # or whose noise covariance is singular (no triple: every row is
+        # stepped), leaves nothing behind: a later stretch's chunk inverts
+        # np.where(mask, R, 0) of its own rows, bit for bit, or, without a
+        # triple, each row solves its own P_d.
         if bad == "nan":
             P_bad = np.full((4, 4), np.nan)
         elif bad == "singular":     # at P = 0, R = blockdiag(0, Sigma_I)
@@ -270,21 +294,30 @@ class TestStackedInverse:
                                 Sigma_w=np.eye(2), Sigma_G=np.eye(1),
                                 Sigma_I=np.eye(1))
             P_bad = np.array([[1.0, 5e307], [5e307, 1.0]])
-        stacked, n = StackedSensorForms(model), model.n
+        stacked, n, m_G = StackedSensorForms(model), model.n, model.m_G
         mask = stacked._inverse_mask
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = _innovation_system(EstimatorState(None, P_bad), stacked)
+        stretch = _Stretch(Mode.NORMAL, P_bad, stacked)
         if bad == "singular":
-            assert step.inverse is None
-        elif bad == "inf off the blocks":
-            assert np.isfinite(step.R[mask[1]]).all()
-            assert np.isinf(step.R[~mask[1]]).all()
-        assert not stacked._inverse_in[~mask].any()
+            assert not stretch._ready(0, stacked)
+        else:   # a non-finite predictor, for the run's final check
+            assert stretch._ready(0, stacked)
+            assert not np.isfinite(stretch.F[0]).all()
+        if bad == "inf off the blocks":
+            with np.errstate(over="ignore"):
+                R = _innovation_system(P_bad, stacked)[0]
+            assert np.isfinite(R[mask[1]]).all()
+            assert np.isinf(R[~mask[1]]).all()
         X = np.random.default_rng(5).normal(size=(n, n))
         for P in (np.eye(n), X @ X.T):
-            step = _innovation_system(EstimatorState(None, P), stacked)
-            want = _inv(np.where(mask, step.R, 0.0))
-            assert step.inverse.tobytes() == want.tobytes()
+            est = on_stretch(P, stacked)
+            got = _detector_weight(est, stacked)
+            R = _innovation_system(P, stacked)[0]
+            if bad == "singular":
+                assert not est.stretch._ready(0, stacked)
+                want = np.linalg.solve(R[:m_G, :m_G], np.eye(m_G))
+            else:
+                want = _inv(np.where(mask, R, 0.0))[1, :m_G, :m_G]
+            assert got.tobytes() == want.tobytes()
 
     def test_singular_innovation_covariance_raises(self, model):
         # Sigma_w = 0 and Sigma_G = 0: at P = 0, R = blockdiag(0, Sigma_I).
@@ -322,7 +355,7 @@ class TestInverseHelper:
         for model, priors in priors_per_model:
             stacked, m_G = StackedSensorForms(model), model.m_G
             for P in priors:
-                R = _innovation_system(EstimatorState(None, P), stacked).R
+                R = _innovation_system(P, stacked)[0]
                 for a in (np.where(stacked._inverse_mask, R, 0.0),
                           R[:m_G, :m_G]):
                     assert self.same_as_inv(a)[0] == np.float64
@@ -374,14 +407,14 @@ class TestInverseHelper:
 
 
 class TestDeadReckoningDetector:
-    """After a dead-reckoning step on a drift-free model the detector
-    inverts P_d alone: no normal step and no (2, m, m) inverse; a drift
-    model still builds the state's step, whose inverse dead reckoning
-    reads."""
+    """After an alarm the detector reads P_d^{-1} from the emergency
+    stretch: a chunk's one inverse of blockdiag(P_d, R_II) per row, no
+    inverse per step and no R^{-1}, on drift-free and drift models."""
 
     def test_equals_the_steps_block_bit_for_bit(self):
         config = parse_config(builtin_config_path())
-        m_G = config.model.m_G
+        m_G, mask = config.model.m_G, ScenarioShared(
+            config.model).stacked._inverse_mask
         for seed in range(5):
             shared = ScenarioShared(config.model)
             cols = run_scenario(replace(config, seed=seed),
@@ -390,32 +423,36 @@ class TestDeadReckoningDetector:
             assert len(priors) >= 300
             stacked = shared.stacked
             for P in priors:
-                got = _detector_weight(
-                    EstimatorState(np.zeros(config.model.n), P,
-                                   Mode.EMERGENCY), stacked)
-                want = _innovation_system(EstimatorState(None, P),
-                                          stacked).inverse[1, :m_G, :m_G]
+                got = _detector_weight(on_stretch(P, stacked, Mode.EMERGENCY),
+                                       stacked)
+                R = _innovation_system(P, stacked)[0]
+                want = _inv(np.where(mask[1], R, 0.0))[:m_G, :m_G]
                 assert got.tobytes() == want.tobytes()
 
-    def test_one_small_inverse_and_no_step(self, model, stacked, monkeypatch):
+    def test_emergency_chunks_invert_one_block_pair(self, model, stacked,
+                                                    monkeypatch):
         P = stacked.Sigma_bar
         for _ in range(2):
-            P = _dead_reckoning(EstimatorState(np.zeros(4), P), model,
-                                stacked)[1]
-        est = EstimatorState(np.zeros(4), P, Mode.EMERGENCY)
+            P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
+        est = on_stretch(P, stacked, Mode.EMERGENCY)
         shapes, inv = [], estimator._inv
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return inv(a, *args, **kwargs)
         monkeypatch.setattr(estimator, "_inv", counted)
-        _detector_weight(est, stacked)
-        assert shapes == [(model.m_G, model.m_G)]
-        assert est.step is None
+        m = len(stacked.C)
+        for _ in range(8):
+            _detector_weight(est, stacked)
+            est = fuse(est, model, stacked, np.zeros(2), np.zeros(2),
+                       np.zeros(2))
+        assert shapes == [(8, 1, m, m)]
 
     def test_a_spoofed_run_builds_no_step_after_its_alarm(self, monkeypatch):
-        # A NaN spoof from step 150 of seed 1 (no earlier alarm): every step
-        # through 150 builds a step, each later one inverts P_d only.
+        # A NaN spoof from step 150 of seed 1 (no earlier alarm): the trunk's
+        # chunks give priors 0..149 (8, 8, 16, 32, 64 and 128 rows, each
+        # inverting [R, blockdiag(P_d, R_II)]), the emergency stretch's
+        # priors 0..50 (8, 8, 16 and 32 rows, blockdiag(P_d, R_II) only).
         config = parse_config(builtin_config_path())
         config = replace(config, seed=1, steps=200, attack=AttackSignal(
             kind="custom-sequence", start_step=150,
@@ -434,19 +471,19 @@ class TestDeadReckoningDetector:
         shared = ScenarioShared(config.model)
         cols = run_scenario(config, shared=shared).columns
         assert np.flatnonzero(cols.alarmed).tolist() == list(range(149, 200))
-        # The priors P_0..P_149 are the trunk's; P_149's step is not fused.
-        trunk = chain_steps(shared.stacked)
-        assert len(trunk) == 150 and trunk[-1].F is None
-        m, m_G = len(shared.stacked.C), config.model.m_G
-        assert shapes == [(2, m, m)] * 150 + [(m_G, m_G)] * 50
+        assert [s._done for s in trunk_stretches(shared)] == [256]
+        m = len(shared.stacked.C)
+        assert shapes == [(k, 2, m, m) for k in (8, 8, 16, 32, 64, 128)] \
+            + [(k, 1, m, m) for k in (8, 8, 16, 32)]
 
-    def test_drift_models_build_the_step(self, priors_per_model):
+    def test_drift_models_read_the_stretch(self, priors_per_model):
         for model, priors in priors_per_model[1:]:
-            stacked, m_G = StackedSensorForms(model), model.m_G
+            stacked = StackedSensorForms(model)
             for P in priors[:5]:
-                est = EstimatorState(np.zeros(model.n), P, Mode.EMERGENCY)
+                est = on_stretch(P, stacked, Mode.EMERGENCY)
                 got = _detector_weight(est, stacked)
-                assert got.base is est.step.inverse
+                assert np.shares_memory(got, est.stretch.P_d_inv)
+                assert not got.flags.writeable
 
 
 class TestOneProductBlocks:
@@ -714,11 +751,17 @@ class TestFuse:
 
     def test_emergency_covariance_is_the_dead_reckoning_map(self, model,
                                                             stacked):
-        # fuse's constant emergency step, the escape analysis's
+        # fuse's emergency covariance is the emergency stretch's row 1, f(P)
+        # from the one-step triple, bit for bit; the escape analysis's
         # dead-reckoning step and the Joseph update with the zero-padded
-        # gain are one map; on the UAV model it is A P A^T + Sigma_bar.
+        # gain agree with it to 1e-15.  On the UAV model the triple is
+        # (A^T, 0, Sigma_bar): f(P) = A P A^T + Sigma_bar.
         assert stacked.drift_free
-        np.testing.assert_array_equal(stacked._T_emergency, model.A)
+        A_1, G_1, H_1 = (t[0] for t in stacked._triples(Mode.EMERGENCY))
+        np.testing.assert_array_equal(A_1, model.A.T)
+        assert not G_1.any()
+        assert np.linalg.norm(H_1 - stacked.Sigma_bar) <= \
+            1e-15 * np.linalg.norm(stacked.Sigma_bar)
         np.testing.assert_array_equal(stacked.Sigma_bar,
                                       drift_matrices(model).Sigma_bar)
         K_emergency = np.hstack([np.zeros((4, 2)), stacked.K_I])
@@ -729,11 +772,13 @@ class TestFuse:
                                  mode=Mode.EMERGENCY)
             out = fuse(est, model, stacked, np.zeros(2), np.zeros(2),
                        np.zeros(2))
-            joseph = covariance_update(P, K_emergency, model, stacked)
-            scale = np.linalg.norm(joseph)
-            assert np.array_equal(out.P,
-                                  _dead_reckoning(est, model, stacked)[1])
-            assert np.linalg.norm(out.P - joseph) <= 1e-15 * scale
+            stretch = _Stretch(Mode.EMERGENCY, P, stacked)
+            assert stretch._ready(0, stacked)
+            assert out.P.tobytes() == stretch.P[1].tobytes()
+            for other in (covariance_update(P, K_emergency, model, stacked),
+                          _joseph_step(P, Mode.EMERGENCY, stacked)[1]):
+                assert np.linalg.norm(out.P - other) <= \
+                    1e-15 * np.linalg.norm(other)
 
 
 class TestEmergencyWithDrift:
@@ -813,3 +858,125 @@ class TestModeBehaviour:
             if crossed is None and tr > 1e3 * start_trace:
                 crossed = k
         assert crossed is not None
+
+
+def unexcited_unstable_model(a=2.0):
+    """A = diag(a, 1) whose unstable mode gets no process noise: valid and
+    detectable, but its triples' G_j grow like a^(2j)."""
+    return SystemModel(A=np.diag([a, 1.0]), B=np.zeros((2, 1)), C_G=np.eye(2),
+                       C_I=[[1.0, 0.0]], Sigma_w=np.diag([0.0, 1e-4]),
+                       Sigma_G=np.eye(2), Sigma_I=np.eye(1))
+
+
+def drift_free_random_model(rng):
+    """A random model whose IMU row c has c A = c (so C_bar_I = 0): A = V
+    diag(1, lambda) V^{-1} with the other eigenvalues in [0.5, 0.95], V = U
+    diag(s) (U orthogonal, s in [0.5, 2]) well conditioned, and c the first
+    row of V^{-1}."""
+    base = random_invertible_model(rng)
+    n = base.n
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0] @ np.diag(
+        rng.uniform(0.5, 2.0, size=n))
+    V_inv = np.linalg.inv(V)
+    A = V @ np.diag([1.0, *rng.uniform(0.5, 0.95, size=n - 1)]) @ V_inv
+    return SystemModel(A=A, B=base.B, C_G=base.C_G, C_I=V_inv[:1],
+                       Sigma_w=base.Sigma_w, Sigma_G=base.Sigma_G,
+                       Sigma_I=base.Sigma_I[:1, :1])
+
+
+def joseph_rows(P, mode, stacked, steps):
+    """The covariances of `steps` Joseph updates from P, each with the
+    mode's optimal gain for its prior."""
+    rows = []
+    for _ in range(steps):
+        P = _joseph_step(P, mode, stacked)[1]
+        rows.append(P)
+    return np.array(rows)
+
+
+def largest_relative_gap(rows, oracle):
+    """max over rows of |row - oracle|_F / |oracle|_F."""
+    return (np.linalg.norm(rows - oracle, axis=(1, 2))
+            / np.linalg.norm(oracle, axis=(1, 2))).max()
+
+
+class TestStretch:
+    """Row j of a stretch is f^j(P_a) from the j-step triple, computed in
+    chunks; a stretch restarts from its last row."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_rows_are_byte_equal_in_any_chunks(self, monkeypatch,
+                                               priors_per_model, index):
+        # First chunks of 1 (then 1, 2, 4, ... rows), 8 (the program's) and
+        # 256 rows (all at once) give the same bytes of every row, P_d^{-1}
+        # and predictor, in both modes.
+        model, priors = priors_per_model[index]
+        P_a = priors[-1]
+        arrays = []
+        for first in (1, 8, 256):
+            monkeypatch.setattr(estimator, "_FIRST_CHUNK", first)
+            stacked = StackedSensorForms(model)
+            for mode in Mode:
+                stretch = _Stretch(mode, P_a, stacked)
+                for j in range(_STRETCH):
+                    assert stretch._ready(j, stacked)
+                arrays.append([stretch.P.tobytes(), stretch.P_d_inv.tobytes(),
+                               stretch.F.tobytes()])
+        assert arrays[0:2] == arrays[2:4] == arrays[4:6]
+
+    def test_rows_follow_the_joseph_recursion_on_paper_uav(self, model,
+                                                          stacked):
+        # 1000 steps in each mode from P = 0 and from the stationary
+        # covariance, across three restarts: within 1e-13.
+        for P_a in (np.zeros((4, 4)), stationary_covariance(model)):
+            for mode in Mode:
+                rows = stretch_rows(_Stretch(mode, P_a, stacked), stacked,
+                                    1000)
+                oracle = joseph_rows(P_a, mode, stacked, 1000)
+                assert largest_relative_gap(rows, oracle) <= 1e-13
+
+    @pytest.mark.parametrize("drift", [True, False])
+    def test_rows_follow_the_joseph_recursion_on_random_models(self, drift):
+        # 20 draws with a drifting IMU (random_invertible_model) and 20
+        # without (C_I A = C_I): 1000 steps in each mode from P = 0, within
+        # 1e-11.
+        rng = np.random.default_rng(0 if drift else 1)
+        for _ in range(20):
+            model = random_invertible_model(rng) if drift \
+                else drift_free_random_model(rng)
+            stacked = StackedSensorForms(model)
+            assert stacked.drift_free is not drift
+            P_a = np.zeros((model.n, model.n))
+            for mode in Mode:
+                rows = stretch_rows(_Stretch(mode, P_a, stacked), stacked,
+                                    1000)
+                oracle = joseph_rows(P_a, mode, stacked, 1000)
+                assert largest_relative_gap(rows, oracle) <= 1e-11
+
+    @pytest.mark.parametrize("a", [2.0, 8.0])
+    def test_overflowing_triples_cut_the_stack(self, a):
+        # The unexcited unstable mode: at a = 2 every triple up to 256 steps
+        # is finite (G_256 is near 4^256); at a = 8 the stack stops before
+        # its first non-finite triple, and stretches restart every 170 rows.
+        # Both follow the Joseph recursion over 1000 steps to 1e-12, and a
+        # batch runs without a warning.
+        model = unexcited_unstable_model(a)
+        stacked = StackedSensorForms(model)
+        length = {2.0: 256, 8.0: 170}[a]
+        for mode in Mode:
+            stack = stacked._triples(mode)
+            assert [len(t) for t in stack] == [length] * 3
+            assert all(np.isfinite(t).all() for t in stack)
+            stretch = _Stretch(mode, np.zeros((2, 2)), stacked)
+            rows = stretch_rows(stretch, stacked, 1000)
+            assert len(stretch_chain(stretch)) == -(-1000 // length)
+            oracle = joseph_rows(np.zeros((2, 2)), mode, stacked, 1000)
+            assert largest_relative_gap(rows, oracle) <= 1e-12
+        config = harness.ScenarioConfig(
+            model=model, x0=np.zeros(2), target=np.ones(1), steps=400,
+            runs=3, attack=AttackSignal(kind="constant-bias",
+                                        d=np.full(2, 50.0), start_step=200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = monte_carlo(config)
+        assert [r.attack_detection_step for r in batch.runs] == [200] * 3

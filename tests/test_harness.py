@@ -16,10 +16,10 @@ from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
                         residual, residual_covariance, run_scenario,
                         spectral_norm, step_dynamics)
 
-from spoofguard.estimator import _innovation_system
+from spoofguard.estimator import _STRETCH, _innovation_system
 
-from conftest import (chain_steps, make_uav_model, random_invertible_model,
-                      run_columns)
+from conftest import (make_uav_model, random_invertible_model, run_columns,
+                      trunk_rows, trunk_stretches)
 
 
 class TestPdControl:
@@ -239,8 +239,7 @@ class TestRunScenario:
         model = uav_config.model
         priors = [np.zeros((model.n, model.n))] + list(trace.columns.P[:-1])
         for P in priors:
-            block = _innovation_system(EstimatorState(None, P),
-                                       uav_shared.stacked).R[:2, :2]
+            block = _innovation_system(P, uav_shared.stacked)[0][:2, :2]
             reference = residual_covariance(P, model)
             assert np.linalg.norm(block - reference) <= \
                 1e-14 * np.linalg.norm(reference)
@@ -504,16 +503,10 @@ def _batch_traces(config, monkeypatch, **kwargs):
     return shared, traces
 
 
-def _trunk(stacked):
-    """The trunk's covariances: P_next of each fused step of the chain."""
-    return [step.P_next for step in chain_steps(stacked)
-            if step.F is not None]
-
-
 class TestCovarianceTrunk:
-    """Runs of a batch share the normal-mode steps of the no-alarm history
-    from P = 0, the chain from stacked.origin; sharing must not change one
-    bit of any run."""
+    """Runs of a batch share the trunk, the normal stretch from P = 0 and its
+    restarts, until their first alarms; sharing must not change one bit of
+    any run."""
 
     @pytest.mark.parametrize("case", ["clean", "detector_off", "nan_spoof"])
     def test_batch_runs_equal_runs_on_a_fresh_shared(self, uav_config,
@@ -540,8 +533,8 @@ class TestCovarianceTrunk:
                 assert got.tobytes() == want.tobytes()
             first = trace.first_alarm_step
             on_trunk += config.steps if first is None else first - 1
-        # Later runs read what the first run to reach a step computed.
-        assert on_trunk > len(_trunk(shared.stacked))
+        # Later runs read what the first run to reach a row computed.
+        assert on_trunk > len(trunk_rows(shared))
         if case == "nan_spoof":
             assert all(t.first_alarm_step <= 120 for t in traces)
 
@@ -550,20 +543,22 @@ class TestCovarianceTrunk:
         config = replace(uav_config, attack=AttackSignal.none(), runs=25,
                          steps=200)
         shared, traces = _batch_traces(config, monkeypatch)
-        stacked = shared.stacked
         stretches = [config.steps if t.first_alarm_step is None
                      else t.first_alarm_step - 1 for t in traces]
         longest = max(stretches)
-        trunk = _trunk(stacked)
-        assert len(trunk) == longest
+        # Chunks of 8, 8, 16, 32, ... rows: the trunk computed the rows up
+        # to the first chunk end past the last prior a run read there (its
+        # detector reads the prior of its alarm step too), and the longest
+        # no-alarm stretch reads rows 1..longest as its P column.
+        last = max(config.steps - 1 if t.first_alarm_step is None
+                   else t.first_alarm_step - 1 for t in traces)
+        trunk = trunk_rows(shared)
+        assert len(trunk) == max(8, 1 << last.bit_length())
         assert np.array_equal(
-            trunk, traces[stretches.index(longest)].columns.P[:longest])
+            trunk[:longest], traces[stretches.index(longest)].columns.P[:longest])
         # A NaN spoof keeps a run in emergency mode from its onset on.  Seed
-        # 3 alarms at step 73 only, so at the onset it fuses normally off the
-        # trunk: the detector builds the step of its last normal prior,
-        # which is never fused (after dead reckoning it builds none).  Those
-        # steps hang off the run's states, never off the chain.
-        steps = chain_steps(stacked)
+        # 3 alarms at step 73 only, so it leaves the trunk there: its normal
+        # and emergency stretches are its own, and the trunk gains no row.
         spoofed = run_scenario(replace(
             config, seed=3, runs=1, attack=AttackSignal(
                 kind="custom-sequence", start_step=150,
@@ -571,58 +566,50 @@ class TestCovarianceTrunk:
         alarmed = spoofed.columns.alarmed
         assert np.flatnonzero(alarmed[:149]).tolist() == [72]
         assert alarmed[149:].all()
-        assert chain_steps(stacked) == steps
-        # Every array a step stores is read-only; fuse's F, P_next and next
-        # are None until a run fuses normally from the step's prior, which
-        # only the chain's last step may lack.
-        assert all(step.F is not None for step in steps[:-1])
-        for step in steps:
-            if step.F is not None:
-                assert step.next.P is step.P_next
-            for a in (step.P, step.R, step.G, step.inverse, step.F,
-                      step.P_next):
-                if a is not None:
-                    assert not a.flags.writeable
-                    with pytest.raises(ValueError):
-                        a[0, 0] = 0.0
+        assert trunk_rows(shared).tobytes() == trunk.tobytes()
+        # Every array a stretch or a triple stack holds is read-only.
+        stacked = shared.stacked
+        arrays = [a for s in trunk_stretches(shared)
+                  for a in (s.P, s.P_d_inv, s.F)]
+        for a in arrays + [t for mode in Mode for t in stacked._triples(mode)]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
 
     @pytest.mark.parametrize("steps", [200, 1000])
     def test_private_run_roots_no_chain(self, uav_config, steps):
-        # Without a shared a run keeps its steps on its states only: its
-        # private origin stays unfused, and its columns are a shared run's.
+        # Without a shared a run builds its trunk on a ScenarioShared of its
+        # own, whose rows no other run reads, and its columns are a shared
+        # run's.
         config = replace(uav_config, steps=steps)
         private = run_scenario(config)
-        origin = private.shared.stacked.origin
-        assert origin.next is None and origin.R is None
         shared = run_scenario(config, shared=ScenarioShared(config.model))
-        assert len(chain_steps(shared.shared.stacked)) > 0
+        assert private.shared is not shared.shared
+        assert trunk_rows(private.shared).tobytes() == \
+            trunk_rows(shared.shared).tobytes()
         for got, want in zip(run_columns(private.columns),
                              run_columns(shared.columns)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         assert private.summary() == shared.summary()
 
-    def test_trunk_stops_growing_at_the_exact_fixed_point(self, uav_config):
-        # From P = 0 the recursion reaches a floating-point fixed point well
-        # within 3000 steps; its step links to itself, so a run past it adds
-        # no step.
-        config = replace(uav_config, attack=AttackSignal.none(), steps=3000)
+    def test_trunk_restarts_every_256_rows(self, uav_config):
+        # No triple past 256 steps is read: row j of the trunk's k-th
+        # stretch is f^j of row 256 of the one before, bit for bit, so a
+        # run's columns are those rows, and a second run adds no row.
+        config = replace(uav_config, attack=AttackSignal.none(), steps=1000)
         shared = ScenarioShared(config.model)
         trace = run_scenario(config, detector_enabled=False, shared=shared)
-        steps = chain_steps(shared.stacked)
-        fixed = steps[-1]
-        assert len(steps) < config.steps
-        assert fixed.next is fixed
-        assert fixed.P_next.tobytes() == fixed.P.tobytes()
-        assert steps[-2].P_next.tobytes() != steps[-2].P.tobytes()
-        Ps = trace.columns.P
-        assert (Ps[len(steps):] == fixed.P).all()
-        eigvals = np.linalg.eigvalsh(Ps)
-        assert trace.columns.norm_P.tobytes() == np.maximum(
-            eigvals[:, -1], -eigvals[:, 0]).tobytes()
+        stretches = trunk_stretches(shared)
+        assert [s._done for s in stretches] == [_STRETCH] * 4
+        for before, after in zip(stretches, stretches[1:]):
+            assert after.P[0].tobytes() == before.P[_STRETCH].tobytes()
+        assert trace.columns.P.tobytes() == \
+            trunk_rows(shared)[:config.steps].tobytes()
+        rows = trunk_rows(shared)
         run_scenario(replace(config, seed=1), detector_enabled=False,
                      shared=shared)
-        assert chain_steps(shared.stacked) == steps
+        assert trunk_rows(shared).tobytes() == rows.tobytes()
 
 
 class TestDriftModelBatch:
@@ -658,7 +645,7 @@ class TestTrunkHits:
                                                          monkeypatch):
         # Seed 11: the first run never alarms and leaves a 200-step trunk;
         # the second first alarms at step 164.  Every step before it reads
-        # its gain, covariance and P_d^{-1} from the trunk.
+        # its predictor, covariance and P_d^{-1} from the trunk.
         config = replace(uav_config, attack=AttackSignal.none(), runs=2,
                          steps=200, seed=11)
         calls, run_starts, before_alarm, traces = [], [], [], []
@@ -681,18 +668,25 @@ class TestTrunkHits:
             run_starts.append(len(calls))
             traces.append(run_scenario(*args, **kwargs))
             return traces[-1]
-        for module, name in ((np.linalg, "solve"), (estimator, "_inv")):
+        for module, name in ((np.linalg, "solve"), (estimator, "_inv"),
+                             (estimator, "_solve")):
             monkeypatch.setattr(module, name, counted(module, name))
         monkeypatch.setattr(harness, "fuse", recorded_fuse)
         monkeypatch.setattr(harness, "run_scenario", recorded_run)
-        monte_carlo(config)
+        shared = ScenarioShared(config.model)
+        monte_carlo(config, shared=shared)
         monkeypatch.undo()
         assert [t.first_alarm_step for t in traces] == [None, 164]
         assert before_alarm == [[]]
-        # The first run builds the trunk: exactly one inverse per step gives
-        # its gain and its P_d^{-1}; a batch runs no drift analysis.
+        # The first run builds the normal triples (one solve per doubling
+        # after the one-step triple's) and the trunk: per chunk of rows, one
+        # stacked solve and one stacked inverse give its rows, gains and
+        # P_d^{-1}; a batch runs no drift analysis.
         first_run = calls[run_starts[0]:run_starts[1]]
-        assert first_run.count("_inv") == config.steps
+        chunks = [8, 16, 32, 64, 128, 256]
+        assert len(trunk_rows(shared)) == chunks[-1]
+        assert first_run == ["solve"] + ["_solve"] * 8 \
+            + ["_solve", "_inv"] * len(chunks)
 
 
 class TestParseConfig:
