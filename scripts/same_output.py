@@ -1,0 +1,180 @@
+"""Compare the command-line outputs of two source trees.
+
+    python scripts/same_output.py --parent <checkout> [--child <tree>]
+
+Runs one fixed command list in each tree, through ``python -m spoofguard.cli``
+with the tree's ``src`` on PYTHONPATH and PYTHONWARNINGS=error::RuntimeWarning:
+
+* ``run`` with a CSV and a JSON trace, seeds 0-4, on the shipped config;
+* ``mc --runs 20``, seeds 0-4, and ``analyze`` on the shipped config;
+* ``analyze`` and ``run`` on the configs the CI console-script step derives
+  from it.
+
+For every output (stdout, stderr, trace file; the exit code goes with stdout,
+and the tree's own path reads <tree>, as in a traceback's file names) it
+prints "identical", or the largest relative and absolute differences of the
+floats and whether every other field (text, integers, exit codes) matches.
+A token is a float if either side writes it with a point or an exponent.  The exit status
+is 1 if some non-float field differs, else 0.  --child defaults to the tree
+this script belongs to.
+"""
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+SEEDS = range(5)
+
+
+def _eye(k, value):
+    return [[value * (i == j) for j in range(k)] for i in range(k)]
+
+
+def _set(*path_values):
+    """A config mutation setting raw[path...] = value for each pair."""
+    def mutate(raw):
+        for path, value in path_values:
+            *outer, last = path
+            for key in outer:
+                raw = raw[key]
+            raw[last] = value
+    return mutate
+
+
+def _diverging(raw):
+    raw["model"]["A"][2][2] = raw["model"]["A"][3][3] = 3
+    raw["attack"]["start_step"] = 10
+
+
+def _unexcited(raw):
+    raw["model"] = {
+        "A": [[2.0, 0.0], [0.0, 1.0]], "B": [[0.0], [0.0]], "C_G": _eye(2, 1.0),
+        "C_I": [[1.0, 0.0]], "Sigma_w": [[0.0, 0.0], [0.0, 1e-4]],
+        "Sigma_G": _eye(2, 1.0), "Sigma_I": [[1.0]]}
+    raw["x0"], raw["target"] = [0.0, 0.0], [10.0]
+
+
+def _huge(raw):
+    raw["model"].update(Sigma_w=_eye(4, 2e305), Sigma_G=_eye(2, 2e306),
+                        Sigma_I=_eye(2, 2e306))
+
+
+# The configs of the CI console-script step: name -> mutation of the raw JSON.
+DERIVED = {
+    "clean": _set((("attack", "kind"), "none")),
+    "large": _set((("attack", "d"), [1e200, 1e200])),
+    "diverging": _diverging,
+    "unexcited": _unexcited,
+    "huge": _huge,
+    "small_alpha": _set((("detector", "alpha"), 1e-20)),
+    "far_zeta": _set((("zeta_norm",), 2000)),
+    "wide": _set((("zeta_norm",), 1e200)),
+}
+
+
+def commands(config, out_dir):
+    """(name, argv, trace path or None) of the fixed command list; the
+    derived configs are written to out_dir, and every path it names but
+    the shipped config's is relative to out_dir, so both trees print the
+    same paths."""
+    out = []
+    for seed in SEEDS:
+        for fmt in ("csv", "json"):
+            trace = f"run_{seed}.{fmt}"
+            out.append((f"run seed {seed} {fmt}",
+                        ["run", "--config", config, "--seed", str(seed),
+                         "--format", fmt, "--out", trace], trace))
+    out += [(f"mc seed {seed}", ["mc", "--config", config, "--runs", "20",
+                                 "--seed", str(seed)], None) for seed in SEEDS]
+    out.append(("analyze", ["analyze", "--config", config], None))
+    raw = json.loads(Path(config).read_text(encoding="utf-8"))
+    for name, mutate in DERIVED.items():
+        derived = json.loads(json.dumps(raw))
+        mutate(derived)
+        path = f"{name}.json"
+        Path(out_dir, path).write_text(json.dumps(derived), encoding="utf-8")
+        out += [(f"{command} {name}", [command, "--config", path], None)
+                for command in ("analyze", "run")]
+    return out
+
+
+def run_tree(tree, out_dir):
+    """{output name: text} of the command list in one tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()),
+               PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONDONTWRITEBYTECODE="1")
+    config = str(Path(tree, "src", "spoofguard", "configs",
+                      "paper_uav.json").resolve())
+    outputs, own = {}, str(Path(tree).resolve())
+    for name, argv, trace in commands(config, out_dir):
+        done = subprocess.run([sys.executable, "-m", "spoofguard.cli", *argv],
+                              env=env, cwd=out_dir, capture_output=True,
+                              text=True, check=False)
+        outputs[f"{name}: stdout"] = f"exit {done.returncode}\n{done.stdout}"
+        outputs[f"{name}: stderr"] = done.stderr.replace(own, "<tree>")
+        if trace is not None:
+            trace = Path(out_dir, trace)
+            outputs[f"{name}: trace"] = trace.read_text(encoding="utf-8") \
+                if trace.exists() else "(no file)"
+    return outputs
+
+
+def compare(parent: str, child: str):
+    """(largest relative and absolute float differences, whether every other
+    field matches) of two texts."""
+    a_tokens, b_tokens = NUMBER.split(parent), NUMBER.split(child)
+    a_numbers, b_numbers = NUMBER.findall(parent), NUMBER.findall(child)
+    if a_tokens != b_tokens or len(a_numbers) != len(b_numbers):
+        return 0.0, 0.0, False
+    relative = absolute = 0.0
+    same = True
+    for a, b in zip(a_numbers, b_numbers):
+        if a == b:
+            continue
+        if not any(c in a + b for c in ".eE"):
+            same = False        # integers differ
+            continue
+        x, y = float(a), float(b)
+        if x == y:              # 0.0 and -0.0, or 1.0 and 1.00
+            continue
+        absolute = max(absolute, abs(x - y))
+        relative = max(relative, abs(x - y) / max(abs(x), abs(y)))
+    return relative, absolute, same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True,
+                        help="the tree to compare against")
+    parser.add_argument("--child", default=str(Path(__file__).resolve()
+                                               .parent.parent),
+                        help="the tree under test (default: this one)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        results = []
+        for side in ("parent", "child"):
+            out_dir = os.path.join(tmp, side)
+            os.mkdir(out_dir)
+            results.append(run_tree(getattr(args, side), out_dir))
+    parent, child = results
+    status = 0
+    for name in parent:
+        if parent[name] == child[name]:
+            print(f"{name}: identical")
+            continue
+        relative, absolute, same = compare(parent[name], child[name])
+        print(f"{name}: floats differ by at most {relative:.2g} relative, "
+              f"{absolute:.2g} absolute; other fields "
+              f"{'match' if same else 'DIFFER'}")
+        status |= not same
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

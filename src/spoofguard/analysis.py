@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .chi2 import chi2_quantile
-from .estimator import Mode, StackedSensorForms, optimal_gain, _compose, \
-    _covariance_update_stacked, _joseph_step, _riccati_triple
+from .estimator import Mode, StackedSensorForms, optimal_gain, \
+    _covariance_update_stacked, _joseph_step, _Stretch
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel, _inv, _read_only
 
@@ -125,10 +125,11 @@ def is_detectable(C, A, tol: float = 1e-8) -> bool:
     return True
 
 
-def drift_matrices(model: SystemModel) -> DriftAnalysis:
-    """Build the dead-reckoning drift structure; requires invertible A."""
+def drift_matrices(model: SystemModel, *, stacked=None) -> DriftAnalysis:
+    """Build the dead-reckoning drift structure; requires invertible A.
+    stacked, the model's StackedSensorForms, is built when absent."""
     n = model.n
-    stacked = StackedSensorForms(model)
+    stacked = StackedSensorForms(model) if stacked is None else stacked
     A_inv, C_bar = stacked.A_inv, stacked.C_bar_I
     CI_Ainv = model.C_I @ A_inv
 
@@ -156,31 +157,30 @@ def drift_matrices(model: SystemModel) -> DriftAnalysis:
 
 
 def stationary_covariance(model: SystemModel, tol: float = 1e-12,
-                          max_iter: int = 64) -> np.ndarray:
+                          max_iter: int = 64, *, stacked=None) -> np.ndarray:
     """Fixed point of the optimal-gain covariance recursion.
 
     Solves the recursion's Riccati equation by structure-preserving doubling
     after removing its cross term (Anderson & Moore, Optimal Filtering, 1979;
-    Chu, Fan, Lin et al.).  k doublings cover 2^k steps of the recursion, so
-    max_iter counts doublings.  Converged means |f(P) - P| <= tol * |P| < inf
-    for the one-step recursion f (covariance_magnitude's norm), a relative
-    test at every scale, or A_k exactly 0, where every start maps to H (a
-    floor near 1e-16 Sigma_w can keep the test from tol).  The fixed point
-    is returned read-only.  Raises
-    ConvergenceError (carrying the last iterate and residual) when max_iter
-    doublings do not converge or an iterate is not finite, and fails fast on
-    an undetectable GPS pair (no fixed point).
+    Chu, Fan, Lin et al.): doubling k reads the normal mode's 2^k-step
+    triple from stacked, the model's StackedSensorForms (built when absent),
+    so max_iter counts doublings.  Converged means |f(P) - P| <= tol * |P| <
+    inf for the one-step recursion f (covariance_magnitude's norm), a
+    relative test at every scale, or A_k exactly 0, where every start maps
+    to H (a floor near 1e-16 Sigma_w can keep the test from tol).  The fixed
+    point is returned read-only.  Raises ConvergenceError (carrying the last
+    iterate and residual) when max_iter doublings do not converge or an
+    iterate is not finite, and fails fast on an undetectable GPS pair.
     """
-    stacked = StackedSensorForms(model)
+    stacked = StackedSensorForms(model) if stacked is None else stacked
     if not is_detectable(model.C_G, model.A):
         raise NumericalError(
             "(C_G, A) is not detectable: the covariance recursion has no "
             "bounded fixed point")
     # Doubling iterates: A_k -> 0, G_k and H_k symmetric, H_k -> P.
-    triple = _riccati_triple(model, stacked, 0)
     resid = math.inf
     for doublings in range(1, max_iter + 1):
-        A_k, _, H = triple = _compose(triple, triple)
+        A_k, _, H = stacked._power(Mode.NORMAL, doublings)
         if not np.isfinite(H).all():
             raise ConvergenceError(
                 f"non-finite covariance after {doublings} doublings",
@@ -189,7 +189,6 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
         resid = covariance_magnitude(_covariance_update_stacked(H, K, stacked)[1] - H)
         if resid <= tol * covariance_magnitude(H) < math.inf \
                 or not A_k.any():
-            H.setflags(write=False)
             return H
     raise ConvergenceError(
         f"covariance fixed point not reached in {max_iter} doublings "
@@ -212,7 +211,8 @@ def _growth(model: SystemModel):
 
 
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
-                alpha: float, *, max_horizon: int = 100_000) -> Optional[int]:
+                alpha: float, *, max_horizon: int = 100_000,
+                stacked=None) -> Optional[int]:
     """Steps of dead reckoning until the error tolerance stops being credible,
     None when it never does.
 
@@ -225,11 +225,13 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
 
     None ("never") follows from an exact rule only: zeta^2 overflows (the
     statistic is inf at every finite P); one step returns the start bit for
-    bit, as with Sigma_w = 0; or the doubling search's limit is credible.
-    From a start that passes _grows, on any model, the horizon is searched
-    in O(log k) products (_doubling_search); other starts, and a search that
-    meets a non-finite value, step.  A tolerance credible at max_horizon
-    but not "never" raises ConvergenceError.
+    bit, as with Sigma_w = 0; the doubling search's limit is credible; or
+    P - f(P) passes _grows, so the statistic never falls.  From a start that
+    passes _grows the horizon is searched in O(log k) products over the
+    power triples of stacked, the model's StackedSensorForms (built when
+    absent); other starts, and a search meeting a non-finite value, read
+    emergency stretch rows.  A tolerance credible at max_horizon but not
+    "never" raises ConvergenceError.
     """
     quantile = chi2_quantile(model.n, alpha)
     zeta_sq = float(zeta) * float(zeta)     # inf past 1e154
@@ -238,70 +240,81 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
         magnitude = covariance_magnitude(P)
         return zeta_sq / magnitude if magnitude > 0.0 else math.inf
 
-    def step(P):
-        return _joseph_step(P, Mode.EMERGENCY, stacked)[1]
-
-    stacked = StackedSensorForms(model)
+    stacked = StackedSensorForms(model) if stacked is None else stacked
     P = _finite_covariance(P_at_attack)
     value = statistic(P)
     if not value > quantile:
         return 0
-    P_next = step(P)
+    P_next = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
     if zeta_sq == math.inf or P_next.tobytes() == P.tobytes():
         return None
     last = max_horizon      # the last step the loop below may take
     if _grows(P, P_next):
-        found = _doubling_search(
-            P, value, quantile, statistic,
-            _riccati_triple(model, stacked, stacked._m_G), max_horizon)
+        found = _doubling_search(P, value, quantile, statistic, stacked,
+                                 max_horizon)
         if found is not None:
             k, P, value = found
             if k != max_horizon:
                 return None if k == math.inf else k + 1
-            last, P_next = 0, step(P)   # the search took every step
+            last = 0        # the search took every step
+    elif _grows(P, P_next, -1.0):
+        return None
+    iterates = _dead_reckoning(P, stacked)
     for k in range(1, last + 1):
-        value = statistic(P_next)
+        value = statistic(next(iterates))
         if not value > quantile:
             return k
-        P_next = step(P_next)
-    raise ConvergenceError(     # value is P_max_horizon's, P_next one later
+    raise ConvergenceError(     # value is P_max_horizon's, the iterate next
         f"tolerance still credible after {max_horizon} steps "
         f"(last statistic {value:.6g} > quantile {quantile:.6g})",
-        last_iterate=P_next, residual=value)
+        last_iterate=next(iterates), residual=value)
 
 
-def _grows(P: np.ndarray, P_next: np.ndarray) -> bool:
+def _dead_reckoning(P, stacked: StackedSensorForms):
+    """Dead reckoning's f^k(P), k = 1, 2, ..., rows of the emergency stretch
+    from P and its restarts, or steps where the mode has no triple."""
+    stretch = _Stretch(Mode.EMERGENCY, P, stacked)
+    while len(stretch.F):
+        for j in range(len(stretch.F)):
+            stretch._ready(j, stacked)
+            yield stretch.P[j + 1]
+        stretch = stretch.restart
+    while True:
+        P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
+        yield P
+
+
+def _grows(P: np.ndarray, P_next: np.ndarray, sign: float = 1.0) -> bool:
     """escape_time's doubling condition, by one eigvalsh: P_0 = P (as each
-    step leaves it, symmetric) and D_0 = P_next - P_0 positive semidefinite
-    (smallest eigenvalue >= -1e-12 x largest): the iterates never decrease."""
+    step leaves it, symmetric) and sign D_0 = sign (P_next - P_0) positive
+    semidefinite (smallest eigenvalue >= -1e-12 x largest): the iterates
+    never decrease (sign 1) or never increase (sign -1)."""
     if not np.isfinite(P_next).all():
         return False
     sym = 0.5 * (P + P.T)
-    eigvals = np.linalg.eigvalsh(np.stack([P_next - sym, sym]))
+    eigvals = np.linalg.eigvalsh(np.stack([sign * (P_next - sym), sym]))
     return bool((eigvals[:, 0] >= -1e-12 * eigvals[:, -1]).all())
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _doubling_search(P, value, quantile, statistic, triple, max_horizon):
+def _doubling_search(P, value, quantile, statistic, stacked, max_horizon):
     """(k, P_k, statistic(P_k)) for the last k <= max_horizon whose P_k is
     credible, for a credible P_0 = P whose iterates are nondecreasing;
     (inf, limit, its statistic) for "never"; None when an iterate is not
     finite (the step loop then decides).
 
-    triple is dead reckoning's one-step triple; that of m steps gives
-    P_{k+m} = H_m + A_m^T P_k (I + G_m P_k)^{-1} A_m.  Galloping tries
-    m = 1, 2, 4, ... from the last credible k, squaring a triple only while
-    its predecessor's target stayed credible; past the horizon it squares
-    on, up to 64 doublings, to an A_m exactly 0, whose H_m is the limit of
-    the iterates.  From the first miss, bisecting tries each triple once.
+    stacked's emergency triple of m = 2^k steps gives P_{k+m} = H_m + A_m^T
+    P_k (I + G_m P_k)^{-1} A_m.  Galloping tries m = 1, 2, 4, ... from the
+    last credible k, squaring a triple only while its predecessor's target
+    stayed credible; past the horizon it squares on, up to 64 doublings, to
+    an A_m exactly 0, whose H_m is the limit of the iterates.  From the
+    first miss, bisecting tries each triple once.
     """
-    triples, eye = [triple], np.eye(len(P))
+    eye = np.eye(len(P))
     k, level, galloping = 0, 0, True
     while level >= 0:
         m = 1 << level
-        if level == len(triples):
-            triples.append(_compose(triples[-1], triples[-1]))
-        A_m, G_m, H_m = triples[level]
+        A_m, G_m, H_m = stacked._power(Mode.EMERGENCY, level)
         if k + m > max_horizon:
             if galloping and A_m.any() and level < 64:
                 level += 1
@@ -375,13 +388,17 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
 
 def escape_report(model: SystemModel, zeta_norm: float, alpha: float, *,
                   stationary_P: Optional[np.ndarray] = None,
-                  drift: Optional[DriftAnalysis] = None) -> EscapeTimeReport:
+                  drift: Optional[DriftAnalysis] = None,
+                  stacked=None) -> EscapeTimeReport:
     """Escape time and lower bound from the stationary covariance; each of
-    stationary_P and drift (the drift analysis) is computed when absent."""
+    stationary_P, drift (the drift analysis) and stacked (the model's
+    StackedSensorForms) is computed when absent."""
+    stacked = StackedSensorForms(model) if stacked is None else stacked
     if stationary_P is None:
-        stationary_P = stationary_covariance(model)
-    drift = drift_matrices(model) if drift is None else drift
-    k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha)
+        stationary_P = stationary_covariance(model, stacked=stacked)
+    drift = drift_matrices(model, stacked=stacked) if drift is None else drift
+    k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha,
+                        stacked=stacked)
     norm_A, branch = _growth(model)
     k_lb = None
     if drift.drift_free:

@@ -106,19 +106,16 @@ def cmd_mc(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _load(args)
-    model = config.model
-    shared = ScenarioShared(model)
+    shared = ScenarioShared(config.model)
     report = shared.escape(config.zeta_norm, config.detector.alpha)
-    drift = shared.drift
     payload = {
         "first_alarm_step": None,
-        **_escape_fields(report, drift.gps_pair_detectable,
-                         drift.drift_pair_detectable),
+        **_escape_fields(report, shared.drift),
         "norm_A": report.norm_A,
         "branch": report.branch,
         "zeta_norm": config.zeta_norm,
         "alpha": config.detector.alpha,
-        "df": model.n,
+        "df": config.model.n,
     }
     _emit(payload, args.out)
     return 0

@@ -14,13 +14,8 @@ and accumulated into the detector statistic
     S_k = delta * S_{k-1} + d_hat^T P_d^{-1} d_hat,   S_0 = 0,
 
 which alarms when S_k strictly exceeds chi2_quantile(m_G, alpha) / (1 - delta)
-(a tie stays quiet).
-The statistic is updated from the GPS residual in both operating modes, so
-detection keeps running while the estimator dead-reckons.
-P_d^{-1} depends only on P_{k-1}: the runner reads it from the step its
-estimator state holds for P_{k-1} (inverting P_d alone after dead reckoning
-on a drift-free model) and cusum_update solves it from P_d; both take the
-quadratic form normalized_residual, which makes no linear solve.
+(a tie stays quiet), in both operating modes.  The runner reads P_d^{-1} from
+the stretch row of P_{k-1}; cusum_update solves it from P_d.
 """
 
 import math

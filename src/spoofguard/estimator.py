@@ -16,11 +16,12 @@ and the trace-minimizing gain is
     K = (A P M^T + Sigma_w C^T) (M P M^T + C Sigma_w C^T + Sigma_y)^{-1}.
 
 Each mode's covariance is one Riccati map f of P, so fuse reads it from a
-_Stretch: row j is f^j(P_a) = H_j + A_j^T P_a (I + G_j P_a)^{-1} A_j, from the
-j-step triple of the mode since its last switch (Anderson & Moore, Optimal
+_Stretch: row j is f^j(P_a), P_a at the mode's last switch, from j-step triples
+f^j(P) = H_j + A_j^T P (I + G_j P)^{-1} A_j (Anderson & Moore, Optimal
 Filtering, 1979).  covariance_update is the Joseph form the rows match.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,16 +59,16 @@ class EstimatorState:
 
 class StackedSensorForms:
     """Stacked sensor matrices, products reused in the per-step loop, each
-    mode's j-step triples, and the model invariants of dead reckoning.
+    mode's triple table, and the model invariants of dead reckoning.
 
-    _triples(mode) is the stack of the mode's j-step triples, j = 1..256,
-    built on first use; _innovation_system is the innovation system of one
-    P; _covariance_update_stacked is the one Joseph update.  The invariants are
-    defined here once: A^{-1} (ValueError for a singular A), C_bar_I = C_I
-    (I - A^{-1}), the drift-free flag C_bar_I = 0, the emergency gain
-    K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1}, and Sigma_bar =
-    (I - K_I C_I) Sigma_w (I - K_I C_I)^T + K_I Sigma_I K_I^T, the Joseph
-    update of P = 0 with K_E = [0, K_I].
+    _table(mode) holds the mode's j-step triples, j = 1..8, and its 2^k-step
+    ones, which stretches and the escape analysis read; _innovation_system
+    is the innovation system of one P; _covariance_update_stacked is the one
+    Joseph update.  The invariants are defined here once: A^{-1} (ValueError
+    for a singular A), C_bar_I = C_I (I - A^{-1}), the drift-free flag
+    C_bar_I = 0, the emergency gain K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T +
+    Sigma_I)^{-1}, and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T +
+    K_I Sigma_I K_I^T, the Joseph update of P = 0 with K_E = [0, K_I].
     """
 
     def __init__(self, model: SystemModel):
@@ -84,7 +85,7 @@ class StackedSensorForms:
         self.Sigma_y[m_G:, m_G:] = model.Sigma_I
         self.D = np.diag(np.arange(m) >= m_G).astype(float)
 
-        self._model, self._stacks, self._m_G = model, {}, m_G
+        self._model, self._tables, self._m_G = model, {}, m_G
         self._I_n, self._I_G = np.eye(n), np.eye(m_G)
         self._M = self.C @ model.A - self.D @ self.C
         # _innovation_system's operands (contiguous M^T: a faster dot).
@@ -120,25 +121,36 @@ class StackedSensorForms:
         self.Sigma_bar = _covariance_update_stacked(np.zeros((n, n)), K_E,
                                                     self)[1]
 
-    def _triples(self, mode: Mode):
-        """The mode's j-step triples (A_j, G_j, H_j), j = 1..256, read-only,
-        built on first use by doubling (triple j + 2^k composes triples j and
-        2^k: powers of one map commute), cut before the first non-finite one;
-        none where the mode's noise covariance is singular."""
-        if mode not in self._stacks:
-            try:
-                stack = [t[None] for t in _riccati_triple(
-                    self._model, self, 0 if mode is Mode.NORMAL else self._m_G)]
-            except NumericalError:
-                stack = [np.empty((0,) + self._I_n.shape)] * 3
-            finite = len(stack[0])      # the leading finite triples
-            while 0 < finite == len(stack[0]) < _STRETCH:
+    def _table(self, mode: Mode):
+        """[stack, powers, length], read-only, built on first use: the mode's
+        j-step triples (A_j, G_j, H_j), j = 1..8, by three stacked doublings,
+        cut before the first non-finite one; its 2^k-step triples (_power);
+        its stretch length, 8 doubled per finite power.  NumericalError for
+        a singular noise covariance."""
+        if mode not in self._tables:
+            powers = [tuple(map(_read_only, _riccati_triple(
+                self._model, self, 0 if mode is Mode.NORMAL else self._m_G)))]
+            stack = [t[None] for t in powers[0]]
+            for k in range(3):      # triples 1..2^(k + 1)
                 stack = [np.concatenate(pair) for pair in zip(
-                    stack, _compose(stack, [t[-1] for t in stack]))]
-                finite = int(np.isfinite(np.concatenate(stack, axis=1)).all(
-                    axis=(1, 2)).cumprod().sum())
-            self._stacks[mode] = [_read_only(t[:finite]) for t in stack]
-        return self._stacks[mode]
+                    stack, _compose(stack, powers[k]))]
+                powers.append(tuple(map(_read_only, (t[-1] for t in stack))))
+            finite = int(np.isfinite(np.concatenate(stack, axis=1)).all(
+                axis=(1, 2)).cumprod().sum())
+            self._tables[mode] = table = [
+                [_read_only(t[:finite]) for t in stack], powers, finite]
+            while _FIRST_CHUNK <= table[2] < _STRETCH and np.isfinite(
+                    self._power(mode, table[2].bit_length() - 1)).all():
+                table[2] *= 2
+        return self._tables[mode]
+
+    def _power(self, mode: Mode, k: int):
+        """The mode's 2^k-step triple, squared on demand and kept."""
+        powers = self._table(mode)[1]
+        while len(powers) <= k:
+            last = powers[-1]
+            powers.append(tuple(map(_read_only, _compose(last, last))))
+        return powers[k]
 
 
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
@@ -216,17 +228,19 @@ def _joseph_step(P: np.ndarray, mode: Mode, stacked: StackedSensorForms):
 
 
 class _Stretch:
-    """Row j of P is f^j(P_a), j = 0..L, L = 256 unless a triple overflows;
-    the covariance goes on in the restart stretch from row L, so no triple
-    past 256 steps, whose A_j and G_j grow with j, is read.  Prior row j < L
-    has its P_d^{-1} and predictor F (as _joseph_step's), read-only, computed
-    in chunks of 8, 8, 16, ..., 128 rows as read; a row whose chunk's
-    inverse failed is stepped by _joseph_step."""
+    """Row j of P is f^j(P_a), j = 0..L, L = 256 unless a power triple
+    overflows, then the restart stretch from row L.  Chunks, as read: rows
+    1..8 are the stack's triples on P_a, rows lo + 1..2 lo (lo = 8, ...,
+    128) the power triple lo on rows 1..lo.  Prior row j < L has P_d^{-1}
+    and predictor F (as _joseph_step's), read-only, from one stacked
+    inverse per chunk; a row whose own inverse fails is stepped."""
 
     def __init__(self, mode: Mode, P_a: np.ndarray, stacked: StackedSensorForms):
-        self.mode, self._triples = mode, stacked._triples(mode)
+        self.mode, length = mode, 0     # no triple: every row is stepped
+        with suppress(NumericalError):
+            self._stack, _, length = stacked._table(mode)
         F_T = stacked._gain_base_T[stacked._predictor_cols[mode]]
-        self._buffers = [np.empty((len(self._triples[0]) + k, *shape)) for
+        self._buffers = [np.empty((length + k, *shape)) for
                          k, shape in ((1, P_a.shape), (0, stacked._I_G.shape),
                                       (0, F_T.T.shape))]
         self._buffers[0][0] = P_a
@@ -246,19 +260,25 @@ class _Stretch:
         hi - 1 by one stacked inverse, and after the last chunk the restart."""
         (P, P_d_inv, F), lo = self._buffers, self._done
         hi = self._done = min(len(F), max(_FIRST_CHUNK, 2 * lo))
-        A, G, H = (t[lo:hi] for t in self._triples)
-        rows = H + A.swapaxes(1, 2) @ (P[0] @ _solve(
-            stacked._I_n + G @ P[0], A))
+        (A, G, H), P_in = (stacked._power(self.mode, lo.bit_length() - 1),
+                           P[1:lo + 1]) if lo else (self._stack, P[0])
+        rows = H + A.swapaxes(-1, -2) @ (P_in @ _solve(
+            stacked._I_n + G @ P_in, A))
         P[lo + 1:hi + 1] = 0.5 * (rows + rows.swapaxes(1, 2))
         system = stacked._M_A @ (P[lo:hi] @ stacked._M_T) \
             + stacked._innovation_noise
         m, m_G, normal = len(stacked.C), stacked._m_G, self.mode is Mode.NORMAL
         mask = stacked._inverse_mask[0 if normal else 1:]   # no R^{-1} for F_E
+        operand = np.where(mask, system[:, None, :m], 0.0)
         try:
-            inverse = _inv(np.where(mask, system[:, None, :m], 0.0))
-        except np.linalg.LinAlgError:
-            inverse = np.zeros((hi - lo, len(mask), m, m))
-            self._stepped.update(range(lo, hi))
+            inverse = _inv(operand)
+        except np.linalg.LinAlgError:   # row by row; step the rows that fail
+            inverse = np.zeros(operand.shape)
+            for i, row in enumerate(operand):
+                try:
+                    inverse[i] = _inv(row)
+                except np.linalg.LinAlgError:
+                    self._stepped.add(lo + i)
         P_d_inv[lo:hi] = inverse[:, -1, :m_G, :m_G]
         K = system[:, m:] @ inverse[:, 0]   # G R^{-1}, else G_I R_II^{-1}
         K = K if normal else K @ stacked.D  # in K_I's columns, 0 in K_G's

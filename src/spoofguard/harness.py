@@ -110,10 +110,6 @@ class ScenarioTrace:
     attack_detection_step: Optional[int]
     config: ScenarioConfig = field(repr=False, compare=False)
     shared: "ScenarioShared" = field(repr=False, compare=False)
-    detectable_gps = cached_property(
-        lambda self: self.shared.drift.gps_pair_detectable)
-    detectable_drift_pair = cached_property(
-        lambda self: self.shared.drift.drift_pair_detectable)
 
     @cached_property
     def escape(self) -> Optional[EscapeTimeReport]:
@@ -131,25 +127,25 @@ class ScenarioTrace:
         if step is None:
             return None
         return escape_time(self.columns.P[step - 1], config.model,
-                           config.zeta_norm, config.detector.alpha)
+                           config.zeta_norm, config.detector.alpha,
+                           stacked=self.shared.stacked)
 
     def summary(self) -> dict:
         return {"first_alarm_step": self.first_alarm_step,
                 "attack_detection_step": self.attack_detection_step,
-                **_escape_fields(self.escape, self.detectable_gps,
-                                 self.detectable_drift_pair)}
+                **_escape_fields(self.escape, self.shared.drift)}
 
 
-def _escape_fields(report: Optional[EscapeTimeReport], detectable_gps: bool,
-                   detectable_drift_pair: bool) -> dict:
-    """The escape and detectability fields of a run summary and of analyze;
-    the escape fields are None without a report."""
+def _escape_fields(report: Optional[EscapeTimeReport], drift) -> dict:
+    """The escape and detectability (from the drift analysis) fields of a
+    run summary and of analyze; the escape fields are None without a
+    report."""
     escape = {} if report is None else report.to_dict()
     return {"escape_time": escape.get("k_escape"),
             "escape_time_lower_bound": escape.get("k_lower_bound"),
             "stationary_trace_P": escape.get("stationary_trace_P"),
-            "detectable_gps": detectable_gps,
-            "detectable_drift_pair": detectable_drift_pair}
+            "detectable_gps": drift.gps_pair_detectable,
+            "detectable_drift_pair": drift.drift_pair_detectable}
 
 
 @dataclass
@@ -194,16 +190,18 @@ class ScenarioShared:
 
     trunk = cached_property(lambda self: _Stretch(
         Mode.NORMAL, np.zeros((self.model.n,) * 2), self.stacked))
-    _stationary_P = cached_property(
-        lambda self: stationary_covariance(self.model))
-    _drift = cached_property(lambda self: drift_matrices(self.model))
+    _stationary_P = cached_property(lambda self: stationary_covariance(
+        self.model, stacked=self.stacked))
+    _drift = cached_property(
+        lambda self: drift_matrices(self.model, stacked=self.stacked))
     stationary_P = property(lambda self: self._stationary_P)
     drift = property(lambda self: self._drift)
 
     def escape(self, zeta_norm: float, alpha: float) -> EscapeTimeReport:
         """Escape report from the stationary covariance."""
         return escape_report(self.model, zeta_norm, alpha,
-                             stationary_P=self.stationary_P, drift=self.drift)
+                             stationary_P=self.stationary_P, drift=self.drift,
+                             stacked=self.stacked)
 
 
 def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:

@@ -1,15 +1,18 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spoofguard import (ConvergenceError, NumericalError,
-                        StackedSensorForms, SystemModel, chi2_quantile,
+from spoofguard import (ConvergenceError, NumericalError, ScenarioShared,
+                        StackedSensorForms, SystemModel, builtin_config_path,
+                        chi2_quantile,
                         covariance_magnitude, covariance_update,
                         drift_matrices, escape_report, escape_time,
                         escape_time_lower_bound, is_detectable, optimal_gain,
-                        run_scenario, spectral_norm, stationary_covariance)
+                        parse_config, run_scenario, spectral_norm,
+                        stationary_covariance)
 from spoofguard import analysis
 from spoofguard.estimator import Mode, _joseph_step
 from spoofguard.harness import _RunColumns
@@ -306,6 +309,32 @@ class TestEscapeTime:
             assert escape_time(np.eye(1), model, 100.0, 0.05,
                                max_horizon=max_horizon) is None
 
+    def test_a_shrinking_credible_start_never_escapes(self):
+        # Every diagonal entry of A at 0.9: all modes decay.  From 10 times
+        # its dead-reckoning limit (3000 steps from the stationary
+        # covariance) f(P) <= P, so every later iterate is smaller and the
+        # tolerance stays credible: "never" at once, where stepping took
+        # 100000 Joseph steps and then raised ConvergenceError.
+        config = parse_config(builtin_config_path())
+        m, A = config.model, config.model.A.copy()
+        np.fill_diagonal(A, 0.9)
+        model = SystemModel(A=A, B=m.B, C_G=m.C_G, C_I=m.C_I,
+                            Sigma_w=m.Sigma_w, Sigma_G=m.Sigma_G,
+                            Sigma_I=m.Sigma_I)
+        stacked, P = StackedSensorForms(model), stationary_covariance(model)
+        for _ in range(3000):
+            P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
+        start = 10.0 * P
+        P1 = _joseph_step(start, Mode.EMERGENCY, stacked)[1]
+        assert not analysis._grows(start, P1)
+        assert analysis._grows(start, P1, -1.0)
+        zeta, alpha = config.zeta_norm, config.detector.alpha
+        began = time.perf_counter()
+        assert escape_time(start, model, zeta, alpha) is None
+        assert time.perf_counter() - began < 0.25
+        assert stepped_escape_time(start, model, zeta, alpha,
+                                   horizon=2000) is None
+
     def test_rejects_bad_zeta_shape(self, uav_model):
         # zeta is the scalar norm tolerance; a vector, directional or not,
         # is not a number.
@@ -456,18 +485,39 @@ class TestEscapeTimeByDoubling:
                 verdicts.append(k is None)
         assert 10 <= sum(verdicts) <= 30
 
-    def test_failing_start_steps_once_per_step(self, uav_model, monkeypatch):
+    def test_failing_start_reads_an_emergency_stretch(self, uav_model,
+                                                      monkeypatch):
         # A large velocity variance: D_0 = f(P_0) - P_0 is indefinite (its
         # position-velocity block has determinant below 0), so escape_time
-        # steps, one counted call per step.
+        # reads the iterates from emergency stretches: one counted step, for
+        # the rules, and the k that stepping gives.
         P0 = np.diag([0.0, 0.0, 1e-2, 1e-2])
         stacked = StackedSensorForms(uav_model)
         P1 = _joseph_step(P0, Mode.EMERGENCY, stacked)[1]
         assert not analysis._grows(P0, P1)
+        assert not analysis._grows(P0, P1, -1.0)
         calls = counted_steps(monkeypatch)
         k = escape_time(P0, uav_model, 2.0, 0.01)
-        assert k == len(calls) > 1
-        assert k == stepped_escape_time(P0, uav_model, 2.0, 0.01)
+        assert len(calls) == 1
+        assert k == stepped_escape_time(P0, uav_model, 2.0, 0.01) > 256
+
+    def test_detections_that_fail_the_check_read_a_stretch(self,
+                                                           monkeypatch):
+        # 9 of paper_uav's seeds 0-39 detect the attack at a covariance that
+        # fails _grows: their escape from the alarm reads emergency stretch
+        # rows, one counted step for the rules, and gives stepping's 290.
+        config = parse_config(builtin_config_path())
+        shared = ScenarioShared(config.model)
+        calls = counted_steps(monkeypatch)
+        for seed in (13, 21, 23, 26, 31, 32, 35, 36, 38):
+            trace = run_scenario(replace(config, seed=seed), shared=shared)
+            P = trace.columns.P[trace.attack_detection_step - 1]
+            assert not analysis._grows(P, _joseph_step(
+                P, Mode.EMERGENCY, shared.stacked)[1])
+            calls.clear()
+            assert trace.escape_time_from_alarm == 290 == stepped_escape_time(
+                P, config.model, config.zeta_norm, config.detector.alpha)
+            assert len(calls) == 1
 
     def test_horizon_error_carries_the_next_covariance(self, uav_model,
                                                        uav_stationary_P):

@@ -81,6 +81,29 @@ class TestAnalyze:
         assert payload["branch"] == "general"
 
 
+class TestSharedForms:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--format", "csv"], ["run", "--format", "json"], ["analyze"]])
+    def test_a_command_builds_one_set_of_sensor_forms(self, config_path,
+                                                      tmp_path, monkeypatch,
+                                                      capsys, argv):
+        # ScenarioShared hands its StackedSensorForms to the stationary
+        # covariance, the drift analysis and both escape analyses (a JSON
+        # trace runs the one from the alarm too), so a command builds one.
+        built, init = [], spoofguard.StackedSensorForms.__init__
+
+        def counted(self, model):
+            built.append(model)
+            init(self, model)
+        monkeypatch.setattr(spoofguard.StackedSensorForms, "__init__",
+                            counted)
+        if argv[0] == "run":
+            argv = argv + ["--out", str(tmp_path / "trace")]
+        assert main(argv + ["--config", config_path]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+
+
 class TestValidate:
     def test_valid_config(self, config_path, capsys):
         assert main(["validate", "--config", config_path]) == 0

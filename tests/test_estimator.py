@@ -14,10 +14,10 @@ from spoofguard import (AttackSignal, EstimatorState, Mode,
                         stationary_covariance)
 
 from spoofguard.detector import normalized_residual
-from spoofguard.estimator import (_STRETCH, _Stretch,
+from spoofguard.estimator import (_STRETCH, _Stretch, _compose,
                                   _covariance_update_stacked,
                                   _detector_weight, _innovation_system,
-                                  _joseph_step)
+                                  _joseph_step, _riccati_triple)
 from spoofguard.model import _inv
 
 from conftest import (make_uav_model, random_invertible_model, stretch_chain,
@@ -318,6 +318,62 @@ class TestStackedInverse:
             else:
                 want = _inv(np.where(mask, R, 0.0))[1, :m_G, :m_G]
             assert got.tobytes() == want.tobytes()
+
+    def test_a_failed_chunk_inverts_row_by_row(self, priors_per_model,
+                                               monkeypatch):
+        # A chunk whose stacked inverse raises inverts its rows one at a
+        # time: a row whose own inverse succeeds is not stepped, and has the
+        # bytes the stacked inverse gives it.
+        inv = estimator._inv
+
+        def stack_fails(a, *args, **kwargs):
+            if np.ndim(a) == 4:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a, *args, **kwargs)
+
+        for model, priors in priors_per_model[:3]:
+            stacked = StackedSensorForms(model)
+            for mode in Mode:
+                want = _Stretch(mode, priors[-1], stacked)
+                with monkeypatch.context() as patched:
+                    patched.setattr(estimator, "_inv", stack_fails)
+                    got = _Stretch(mode, priors[-1], stacked)
+                    for j in range(16):
+                        assert got._ready(j, stacked)
+                for j in range(16):
+                    assert want._ready(j, stacked)
+                assert not got._stepped
+                for a, b in ((got.P_d_inv, want.P_d_inv), (got.F, want.F)):
+                    assert a[:16].tobytes() == b[:16].tobytes()
+
+    def test_only_rows_whose_own_inverse_fails_are_stepped(self,
+                                                            monkeypatch):
+        # Draws 3 and 9 of imu_blind_model: at P near 1e32 some rows'
+        # blockdiag(P_d, R_II) is singular to working precision.  When every
+        # row of a failed chunk was stepped, 952 and 936 of 1000 emergency
+        # steps were Joseph steps; now at most 300, and the covariances stay
+        # within 1e-11 of the Joseph recursion.
+        rng = np.random.default_rng(1)
+        models = [imu_blind_model(rng) for _ in range(10)]
+        steps, step = [], estimator._joseph_step
+
+        def counted(*args):
+            steps.append(1)
+            return step(*args)
+        monkeypatch.setattr(estimator, "_joseph_step", counted)
+        for model in (models[3], models[9]):
+            stacked, n = StackedSensorForms(model), model.n
+            est = EstimatorState(np.zeros(n), np.zeros((n, n)),
+                                 Mode.EMERGENCY)
+            rows, steps[:] = [], []
+            for _ in range(1000):
+                est = fuse(est, model, stacked, np.zeros(model.p),
+                           np.zeros(model.m_G), np.zeros(model.m_I))
+                rows.append(est.P)
+            assert 0 < len(steps) <= 300
+            oracle = joseph_rows(np.zeros((n, n)), Mode.EMERGENCY, stacked,
+                                 1000)
+            assert largest_relative_gap(np.array(rows), oracle) <= 1e-11
 
     def test_singular_innovation_covariance_raises(self, model):
         # Sigma_w = 0 and Sigma_G = 0: at P = 0, R = blockdiag(0, Sigma_I).
@@ -757,7 +813,7 @@ class TestFuse:
         # gain agree with it to 1e-15.  On the UAV model the triple is
         # (A^T, 0, Sigma_bar): f(P) = A P A^T + Sigma_bar.
         assert stacked.drift_free
-        A_1, G_1, H_1 = (t[0] for t in stacked._triples(Mode.EMERGENCY))
+        A_1, G_1, H_1 = stacked._power(Mode.EMERGENCY, 0)
         np.testing.assert_array_equal(A_1, model.A.T)
         assert not G_1.any()
         assert np.linalg.norm(H_1 - stacked.Sigma_bar) <= \
@@ -868,20 +924,38 @@ def unexcited_unstable_model(a=2.0):
                        Sigma_G=np.eye(2), Sigma_I=np.eye(1))
 
 
-def drift_free_random_model(rng):
+def drift_free_random_model(rng, gaussian=False):
     """A random model whose IMU row c has c A = c (so C_bar_I = 0): A = V
     diag(1, lambda) V^{-1} with the other eigenvalues in [0.5, 0.95], V = U
-    diag(s) (U orthogonal, s in [0.5, 2]) well conditioned, and c the first
-    row of V^{-1}."""
+    diag(s) (U orthogonal, s in [0.5, 2]) well conditioned, or Gaussian,
+    and c the first row of V^{-1}."""
     base = random_invertible_model(rng)
     n = base.n
-    V = np.linalg.qr(rng.normal(size=(n, n)))[0] @ np.diag(
-        rng.uniform(0.5, 2.0, size=n))
+    V = rng.normal(size=(n, n)) if gaussian else np.linalg.qr(
+        rng.normal(size=(n, n)))[0] @ np.diag(rng.uniform(0.5, 2.0, size=n))
     V_inv = np.linalg.inv(V)
     A = V @ np.diag([1.0, *rng.uniform(0.5, 0.95, size=n - 1)]) @ V_inv
     return SystemModel(A=A, B=base.B, C_G=base.C_G, C_I=V_inv[:1],
                        Sigma_w=base.Sigma_w, Sigma_G=base.Sigma_G,
                        Sigma_I=base.Sigma_I[:1, :1])
+
+
+def imu_blind_model(rng):
+    """A random model made drift-free by A + c^T (c - c A) / (c c^T), with
+    C_I = c its first IMU row and Sigma_I = 1: unstable modes up to about
+    1.6 that the IMU does not see, so dead reckoning's P reaches 1e32."""
+    base = random_invertible_model(rng)
+    c = base.C_I[:1]
+    return SystemModel(A=base.A + c.T @ (c - c @ base.A) / (c @ c.T),
+                       B=base.B, C_G=base.C_G, C_I=c, Sigma_w=base.Sigma_w,
+                       Sigma_G=base.Sigma_G, Sigma_I=np.eye(1))
+
+
+def riccati_map(triple, P):
+    """H + A^T P (I + G P)^{-1} A of one triple (A, G, H), re-symmetrized."""
+    A, G, H = triple
+    row = H + A.T @ (P @ np.linalg.solve(np.eye(len(P)) + G @ P, A))
+    return 0.5 * (row + row.T)
 
 
 def joseph_rows(P, mode, stacked, steps):
@@ -905,24 +979,64 @@ class TestStretch:
     chunks; a stretch restarts from its last row."""
 
     @pytest.mark.parametrize("index", range(4))
-    def test_rows_are_byte_equal_in_any_chunks(self, monkeypatch,
-                                               priors_per_model, index):
-        # First chunks of 1 (then 1, 2, 4, ... rows), 8 (the program's) and
-        # 256 rows (all at once) give the same bytes of every row, P_d^{-1}
-        # and predictor, in both modes.
+    def test_rows_are_byte_equal_in_any_chunks(self, priors_per_model,
+                                               index):
+        # Each row has the bytes it has in a chunk of its own: row j <= 8 is
+        # the stack's triple j on P_a, row lo + i (lo = 8, ..., 128, i =
+        # 1..lo) the power triple lo on row i.  Each prior's P_d^{-1} and
+        # predictor are those of a stretch opened at its row.  Both modes.
         model, priors = priors_per_model[index]
-        P_a = priors[-1]
-        arrays = []
-        for first in (1, 8, 256):
-            monkeypatch.setattr(estimator, "_FIRST_CHUNK", first)
+        P_a, stacked = priors[-1], StackedSensorForms(model)
+        for mode in Mode:
+            stretch = _Stretch(mode, P_a, stacked)
+            for j in range(_STRETCH):
+                assert stretch._ready(j, stacked)
+            stack = stacked._table(mode)[0]
+            for j in range(1, _STRETCH + 1):
+                if j <= 8:
+                    want = riccati_map([t[j - 1] for t in stack], P_a)
+                else:
+                    lo = 1 << ((j - 1).bit_length() - 1)
+                    want = riccati_map(
+                        stacked._power(mode, lo.bit_length() - 1),
+                        stretch.P[j - lo])
+                assert stretch.P[j].tobytes() == want.tobytes()
+            for j in range(_STRETCH):
+                alone = _Stretch(mode, stretch.P[j], stacked)
+                assert alone._ready(0, stacked)
+                assert alone.P_d_inv[0].tobytes() == \
+                    stretch.P_d_inv[j].tobytes()
+                assert alone.F[0].tobytes() == stretch.F[j].tobytes()
+
+    @pytest.mark.parametrize("drift", [True, False])
+    def test_powers_are_squarings_of_the_one_step_triple(self, drift):
+        # The table's 2^k-step triples, k = 0..9, the stack's for k <= 3,
+        # are k two-dimensional squarings of the one-step triple, bit for
+        # bit, in both modes: on paper_uav and 10 random draws, with and
+        # without drift.
+        rng = np.random.default_rng(3)
+        models = [random_invertible_model(rng) for _ in range(10)]
+        if not drift:
+            models = [parse_config(builtin_config_path()).model] + [
+                drift_free_random_model(rng) for _ in range(10)]
+        for model in models:
             stacked = StackedSensorForms(model)
+            assert stacked.drift_free is not drift
             for mode in Mode:
-                stretch = _Stretch(mode, P_a, stacked)
-                for j in range(_STRETCH):
-                    assert stretch._ready(j, stacked)
-                arrays.append([stretch.P.tobytes(), stretch.P_d_inv.tobytes(),
-                               stretch.F.tobytes()])
-        assert arrays[0:2] == arrays[2:4] == arrays[4:6]
+                triple = _riccati_triple(model, stacked,
+                                         0 if mode is Mode.NORMAL
+                                         else model.m_G)
+                for k in range(10):
+                    power = stacked._power(mode, k)
+                    assert all(a.tobytes() == b.tobytes()
+                               for a, b in zip(power, triple))
+                    assert not any(a.flags.writeable for a in power)
+                    triple = _compose(triple, triple)
+                stack = stacked._table(mode)[0]
+                for k in range(4):
+                    assert all(a.tobytes() == t[(1 << k) - 1].tobytes()
+                               for a, t in zip(stacked._power(mode, k),
+                                               stack))
 
     def test_rows_follow_the_joseph_recursion_on_paper_uav(self, model,
                                                           stacked):
@@ -953,20 +1067,45 @@ class TestStretch:
                 oracle = joseph_rows(P_a, mode, stacked, 1000)
                 assert largest_relative_gap(rows, oracle) <= 1e-11
 
-    @pytest.mark.parametrize("a", [2.0, 8.0])
+    def test_a_non_normal_model_keeps_its_digits(self):
+        # Draw 13 with a Gaussian V: cond(A) near 2150.  Its 1000 emergency
+        # rows from P = 0 stay within 5e-9 relative of dead reckoning's
+        # recursion P <- A P A^T + Sigma_bar in extended precision (the
+        # Joseph recursion gets within about 8e-10).
+        rng = np.random.default_rng(1)
+        for _ in range(14):
+            model = drift_free_random_model(rng, gaussian=True)
+        stacked = StackedSensorForms(model)
+        assert stacked.drift_free and 2000 < np.linalg.cond(model.A) < 2300
+        rows = stretch_rows(_Stretch(Mode.EMERGENCY, np.zeros((model.n,) * 2),
+                                     stacked), stacked, 1000)
+        A, floor = (np.asarray(a, dtype=np.longdouble)
+                    for a in (model.A, stacked.Sigma_bar))
+        P, oracle = np.zeros_like(A), []
+        for _ in range(1000):
+            P = A @ P @ A.T + floor
+            oracle.append(P)
+        assert largest_relative_gap(rows, np.array(oracle)) <= 5e-9
+
+    @pytest.mark.parametrize("a", [2.0, 8.0, 16.0])
     def test_overflowing_triples_cut_the_stack(self, a):
-        # The unexcited unstable mode: at a = 2 every triple up to 256 steps
-        # is finite (G_256 is near 4^256); at a = 8 the stack stops before
-        # its first non-finite triple, and stretches restart every 170 rows.
-        # Both follow the Joseph recursion over 1000 steps to 1e-12, and a
-        # batch runs without a warning.
+        # The unexcited unstable mode, whose G_j grows like a^(2j): at a = 2
+        # and 8 every power triple up to 128 steps is finite (at a = 8 the
+        # 256-step one is not, but no stretch reads it); at a = 16 the
+        # 128-step triple is the first non-finite power, so stretches end at
+        # row 128 and restart there.  All follow the Joseph recursion over
+        # 1000 steps to 1e-12, and a batch runs without a warning.
         model = unexcited_unstable_model(a)
         stacked = StackedSensorForms(model)
-        length = {2.0: 256, 8.0: 170}[a]
+        length = {2.0: 256, 8.0: 256, 16.0: 128}[a]
         for mode in Mode:
-            stack = stacked._triples(mode)
-            assert [len(t) for t in stack] == [length] * 3
+            stack, _, got = stacked._table(mode)
+            assert got == length
+            assert [len(t) for t in stack] == [8] * 3
             assert all(np.isfinite(t).all() for t in stack)
+            finite = [bool(np.isfinite(stacked._power(mode, k)).all())
+                      for k in range(8)]
+            assert finite == [(1 << k) < length for k in range(8)]
             stretch = _Stretch(mode, np.zeros((2, 2)), stacked)
             rows = stretch_rows(stretch, stacked, 1000)
             assert len(stretch_chain(stretch)) == -(-1000 // length)

@@ -567,11 +567,16 @@ class TestCovarianceTrunk:
         assert np.flatnonzero(alarmed[:149]).tolist() == [72]
         assert alarmed[149:].all()
         assert trunk_rows(shared).tobytes() == trunk.tobytes()
-        # Every array a stretch or a triple stack holds is read-only.
+        # Every array a stretch or a triple table holds is read-only: the
+        # stack of triples 1..8 and the powers, 2^k steps, each mode has.
         stacked = shared.stacked
         arrays = [a for s in trunk_stretches(shared)
                   for a in (s.P, s.P_d_inv, s.F)]
-        for a in arrays + [t for mode in Mode for t in stacked._triples(mode)]:
+        for mode in Mode:
+            stack, powers, _ = stacked._table(mode)
+            assert len(powers) >= 8
+            arrays += stack + [a for power in powers for a in power]
+        for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
@@ -678,14 +683,15 @@ class TestTrunkHits:
         monkeypatch.undo()
         assert [t.first_alarm_step for t in traces] == [None, 164]
         assert before_alarm == [[]]
-        # The first run builds the normal triples (one solve per doubling
-        # after the one-step triple's) and the trunk: per chunk of rows, one
-        # stacked solve and one stacked inverse give its rows, gains and
-        # P_d^{-1}; a batch runs no drift analysis.
+        # The first run builds the normal table (the one-step triple's
+        # solve, three stacked doublings to triple 8, then one solve per
+        # power 16..128) and the trunk: per chunk of rows, one stacked solve
+        # and one stacked inverse give its rows, gains and P_d^{-1}; a batch
+        # runs no drift analysis.
         first_run = calls[run_starts[0]:run_starts[1]]
         chunks = [8, 16, 32, 64, 128, 256]
         assert len(trunk_rows(shared)) == chunks[-1]
-        assert first_run == ["solve"] + ["_solve"] * 8 \
+        assert first_run == ["solve"] + ["_solve"] * 3 + ["_solve"] * 4 \
             + ["_solve", "_inv"] * len(chunks)
 
 
