@@ -8,7 +8,10 @@ with the tree's ``src`` on PYTHONPATH and PYTHONWARNINGS=error::RuntimeWarning:
 * ``run`` with a CSV and a JSON trace, seeds 0-4, on the shipped config;
 * ``mc --runs 20``, seeds 0-4, and ``analyze`` on the shipped config;
 * ``analyze`` and ``run`` on the configs the CI console-script step derives
-  from it.
+  from it;
+* ``analyze`` on the IMU-blind test config (``tests/configs/imu_blind.json``,
+  read from this script's tree), and ``run`` on it with a 50 m bias from
+  step 10.
 
 For every output (stdout, stderr, trace file; the exit code goes with stdout,
 and the tree's own path reads <tree>, as in a traceback's file names) it
@@ -30,6 +33,8 @@ from pathlib import Path
 
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 SEEDS = range(5)
+IMU_BLIND_CONFIG = Path(__file__).resolve().parent.parent / "tests" / \
+    "configs" / "imu_blind.json"
 
 
 def _eye(k, value):
@@ -77,6 +82,23 @@ DERIVED = {
     "wide": _set((("zeta_norm",), 1e200)),
 }
 
+# The IMU-blind config's commands: name -> (command, mutation of its JSON).
+IMU_BLIND = {
+    "imu_blind": ("analyze", _set()),
+    "imu_blind_bias": ("run", _set((("attack",), {
+        "kind": "constant-bias", "d": [50.0] * 4, "start_step": 10}))),
+}
+
+
+def _write(raw, mutate, out_dir, name) -> str:
+    """The path, relative to out_dir, of a mutated copy of raw written
+    there."""
+    derived = json.loads(json.dumps(raw))
+    mutate(derived)
+    path = f"{name}.json"
+    Path(out_dir, path).write_text(json.dumps(derived), encoding="utf-8")
+    return path
+
 
 def commands(config, out_dir):
     """(name, argv, trace path or None) of the fixed command list; the
@@ -95,12 +117,13 @@ def commands(config, out_dir):
     out.append(("analyze", ["analyze", "--config", config], None))
     raw = json.loads(Path(config).read_text(encoding="utf-8"))
     for name, mutate in DERIVED.items():
-        derived = json.loads(json.dumps(raw))
-        mutate(derived)
-        path = f"{name}.json"
-        Path(out_dir, path).write_text(json.dumps(derived), encoding="utf-8")
+        path = _write(raw, mutate, out_dir, name)
         out += [(f"{command} {name}", [command, "--config", path], None)
                 for command in ("analyze", "run")]
+    raw = json.loads(IMU_BLIND_CONFIG.read_text(encoding="utf-8"))
+    for name, (command, mutate) in IMU_BLIND.items():
+        path = _write(raw, mutate, out_dir, name)
+        out.append((f"{command} {name}", [command, "--config", path], None))
     return out
 
 

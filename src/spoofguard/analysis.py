@@ -195,11 +195,12 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
         f"(last residual {resid:.3e})", last_iterate=H, residual=resid)
 
 
-def _finite_covariance(P) -> np.ndarray:
-    """P as a float array; NumericalError if an entry is NaN or infinite."""
+def _finite_covariance(P, where: str = "the attack step") -> np.ndarray:
+    """P as a float array; NumericalError naming where if an entry is NaN
+    or infinite."""
     P = np.asarray(P, dtype=float)
     if not np.isfinite(P).all():
-        raise NumericalError("non-finite covariance at the attack step")
+        raise NumericalError(f"non-finite covariance at {where}")
     return P
 
 
@@ -221,7 +222,8 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     chi-square quantile with n degrees of freedom, the state dimension.
     Counting starts at the covariance supplied for the attack step; the
     count is 0 when the tolerance is already not credible there.  A NaN or
-    infinite entry in it raises NumericalError.
+    infinite entry in it, or in an iterate read, raises NumericalError
+    naming that step.
 
     None ("never") follows from an exact rule only: zeta^2 overflows (the
     statistic is inf at every finite P); one step returns the start bit for
@@ -261,7 +263,8 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
         return None
     iterates = _dead_reckoning(P, stacked)
     for k in range(1, last + 1):
-        value = statistic(next(iterates))
+        value = statistic(_finite_covariance(next(iterates),
+                                             f"dead-reckoning step {k}"))
         if not value > quantile:
             return k
     raise ConvergenceError(     # value is P_max_horizon's, the iterate next
@@ -271,17 +274,13 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
 
 
 def _dead_reckoning(P, stacked: StackedSensorForms):
-    """Dead reckoning's f^k(P), k = 1, 2, ..., rows of the emergency stretch
-    from P and its restarts, or steps where the mode has no triple."""
+    """Dead reckoning's f^k(P), k = 1, 2, ..., the emergency stretch's rows."""
     stretch = _Stretch(Mode.EMERGENCY, P, stacked)
-    while len(stretch.F):
+    while True:
         for j in range(len(stretch.F)):
             stretch._ready(j, stacked)
             yield stretch.P[j + 1]
         stretch = stretch.restart
-    while True:
-        P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
-        yield P
 
 
 def _grows(P: np.ndarray, P_next: np.ndarray, sign: float = 1.0) -> bool:

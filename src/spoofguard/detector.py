@@ -72,8 +72,9 @@ def residual_covariance(P_prev: np.ndarray, model: SystemModel) -> np.ndarray:
 
 def normalized_residual(d_hat: np.ndarray, P_d_inv: np.ndarray) -> float:
     """Quadratic form d_hat^T (P_d^{-1} d_hat), clamped at zero against
-    roundoff.  A NaN or infinite GPS reading gives inf, which latches the
-    alarm; it is caught before the product, where inf * 0 would warn.  A
+    roundoff; NaN for a singular P_d's NaN weight, which the run's final
+    check reports.  A NaN or infinite GPS reading gives inf, which latches
+    the alarm; it is caught before the product, where inf * 0 would warn.  A
     residual above 1e100 is scaled by a power of two, which changes no bit,
     so a form that overflows is inf as well, without a warning."""
     values = d_hat.tolist()
@@ -83,7 +84,7 @@ def normalized_residual(d_hat: np.ndarray, P_d_inv: np.ndarray) -> float:
         scale = 2.0 ** (math.frexp(max(map(abs, values)))[1] - 1)
         return normalized_residual(d_hat / scale, P_d_inv) * scale * scale
     q = float(d_hat.dot(P_d_inv.dot(d_hat)))
-    return max(0.0, q) if math.isfinite(q) else math.inf
+    return math.inf if q == -math.inf else max(q, 0.0)   # max(NaN, 0) is NaN
 
 
 def cusum_update(S_prev: float, d_hat: np.ndarray, P_d: np.ndarray,

@@ -15,13 +15,14 @@ and the trace-minimizing gain is
 
     K = (A P M^T + Sigma_w C^T) (M P M^T + C Sigma_w C^T + Sigma_y)^{-1}.
 
-Each mode's covariance is one Riccati map f of P, so fuse reads it from a
-_Stretch: row j is f^j(P_a), P_a at the mode's last switch, from j-step triples
-f^j(P) = H_j + A_j^T P (I + G_j P)^{-1} A_j (Anderson & Moore, Optimal
-Filtering, 1979).  covariance_update is the Joseph form the rows match.
+Each mode's covariance is one Riccati map f of P, so a run reads it, its
+predictor and P_d^{-1} only from a _Stretch: row j is f^j(P_a), P_a at the
+mode's last switch, from j-step triples f^j(P) = H_j + A_j^T P (I + G_j P)^{-1}
+A_j (Anderson & Moore, Optimal Filtering, 1979); a singular inverse is NaN, an
+overflow inf, for the run's final check.  covariance_update is the Joseph
+form the rows match.
 """
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import NumericalError
-from .model import (SystemModel, _inv, _read_only, _solve,
+from .model import (SystemModel, _inverse, _read_only, _solve,
                     _transition_inverse)
 
 _FIRST_CHUNK, _STRETCH = 8, 256     # rows of a stretch's first chunk, at most
@@ -66,9 +67,11 @@ class StackedSensorForms:
     is the innovation system of one P; _covariance_update_stacked is the one
     Joseph update.  The invariants are defined here once: A^{-1} (ValueError
     for a singular A), C_bar_I = C_I (I - A^{-1}), the drift-free flag
-    C_bar_I = 0, the emergency gain K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T +
-    Sigma_I)^{-1}, and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T +
-    K_I Sigma_I K_I^T, the Joseph update of P = 0 with K_E = [0, K_I].
+    C_bar_I = 0 within 1e-12, whereupon C_bar_I and M's IMU rows C_I (A - I)
+    are exact zeros in every form, so the flag and the matrices agree, the
+    emergency gain K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1},
+    and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T + K_I Sigma_I
+    K_I^T, the Joseph update of P = 0 with K_E = [0, K_I].
     """
 
     def __init__(self, model: SystemModel):
@@ -86,17 +89,21 @@ class StackedSensorForms:
         self.D = np.diag(np.arange(m) >= m_G).astype(float)
 
         self._model, self._tables, self._m_G = model, {}, m_G
-        self._I_n, self._I_G = np.eye(n), np.eye(m_G)
+        self._I_n = np.eye(n)
+        # The drift-free structure (class docstring), before any form reads M.
+        self.C_bar_I = model.C_I @ (self._I_n - self.A_inv)
+        scale = max(1.0, float(np.abs(model.C_I).max(initial=0.0)))
+        self.drift_free = bool(
+            np.abs(self.C_bar_I).max(initial=0.0) <= 1e-12 * scale)
         self._M = self.C @ model.A - self.D @ self.C
+        if self.drift_free:
+            self.C_bar_I[:] = self._M[m_G:] = 0.0
         # _innovation_system's operands (contiguous M^T: a faster dot).
         self._M_T = np.ascontiguousarray(self._M.T)
         self._M_A = np.vstack([self._M, model.A])
         Sw_Ct = model.Sigma_w @ self.C.T
         self._innovation_noise = np.vstack([self.C @ Sw_Ct + self.Sigma_y,
                                             Sw_Ct])
-        # Selects [R, blockdiag(P_d, R_II)] from R, 0 off it.
-        same_block = np.equal.outer(np.arange(m) < m_G, np.arange(m) < m_G)
-        self._inverse_mask = np.stack([same_block | True, same_block])
 
         # One product per step quantity, with M = [C_G A; C_I (A - I)]: the
         # plant and sensors, [x'; y_G - d; y_I] = _plant [x; u; w; v_G; v_I],
@@ -111,11 +118,7 @@ class StackedSensorForms:
         self._predictor_cols = {Mode.NORMAL: np.s_[:n + p + m],
                                 Mode.EMERGENCY: np.r_[:n + p, n + p + m_G:k]}
 
-        # Dead reckoning's invariants (class docstring).
-        self.C_bar_I = model.C_I @ (self._I_n - self.A_inv)
-        scale = max(1.0, float(np.abs(model.C_I).max(initial=0.0)))
-        self.drift_free = bool(
-            np.abs(self.C_bar_I).max(initial=0.0) <= 1e-12 * scale)
+        # Dead reckoning's gain and noise floor (class docstring).
         K_E = _mode_gain(np.zeros((n, n)), Mode.EMERGENCY, self)
         self.K_I = K_E[:, m_G:]
         self.Sigma_bar = _covariance_update_stacked(np.zeros((n, n)), K_E,
@@ -126,7 +129,7 @@ class StackedSensorForms:
         j-step triples (A_j, G_j, H_j), j = 1..8, by three stacked doublings,
         cut before the first non-finite one; its 2^k-step triples (_power);
         its stretch length, 8 doubled per finite power.  NumericalError for
-        a singular noise covariance."""
+        a singular noise covariance or a non-finite one-step triple."""
         if mode not in self._tables:
             powers = [tuple(map(_read_only, _riccati_triple(
                 self._model, self, 0 if mode is Mode.NORMAL else self._m_G)))]
@@ -137,6 +140,8 @@ class StackedSensorForms:
                 powers.append(tuple(map(_read_only, (t[-1] for t in stack))))
             finite = int(np.isfinite(np.concatenate(stack, axis=1)).all(
                 axis=(1, 2)).cumprod().sum())
+            if not finite:
+                raise NumericalError(f"non-finite {mode.value} one-step triple")
             self._tables[mode] = table = [
                 [_read_only(t[:finite]) for t in stack], powers, finite]
             while _FIRST_CHUNK <= table[2] < _STRETCH and np.isfinite(
@@ -180,12 +185,10 @@ def _innovation_system(P: np.ndarray, stacked: StackedSensorForms):
 
 def _detector_weight(est: EstimatorState,
                      stacked: StackedSensorForms) -> np.ndarray:
-    """P_d^{-1} of the state's P: its stretch row's, else (a bare state or a
-    stepped row) solved from its own system."""
-    if est.stretch is not None and est.stretch._ready(est.row, stacked):
-        return est.stretch.P_d_inv[est.row]
-    R, m_G = _innovation_system(est.P, stacked)[0], stacked._m_G
-    return _solve_gain(R[:m_G, :m_G], stacked._I_G, "residual covariance")
+    """P_d^{-1} of the state's P, read from its stretch row (NaN where P_d
+    is singular); a bare state opens a stretch, as fuse does."""
+    stretch, j = _stretch_row(est, stacked)
+    return stretch.P_d_inv[j]
 
 
 def covariance_update(P_prev: np.ndarray, K: np.ndarray, model: SystemModel,
@@ -232,32 +235,30 @@ class _Stretch:
     overflows, then the restart stretch from row L.  Chunks, as read: rows
     1..8 are the stack's triples on P_a, rows lo + 1..2 lo (lo = 8, ...,
     128) the power triple lo on rows 1..lo.  Prior row j < L has P_d^{-1}
-    and predictor F (as _joseph_step's), read-only, from one stacked
-    inverse per chunk; a row whose own inverse fails is stepped."""
+    and predictor F (as _joseph_step's), read-only, from one stacked inverse
+    per chunk of each reader's operand (P_d; R, or R_II in emergency mode),
+    so a singular one is NaN in its own row and reader only."""
 
     def __init__(self, mode: Mode, P_a: np.ndarray, stacked: StackedSensorForms):
-        self.mode, length = mode, 0     # no triple: every row is stepped
-        with suppress(NumericalError):
-            self._stack, _, length = stacked._table(mode)
+        self.mode, (self._stack, _, length) = mode, stacked._table(mode)
         F_T = stacked._gain_base_T[stacked._predictor_cols[mode]]
-        self._buffers = [np.empty((length + k, *shape)) for
-                         k, shape in ((1, P_a.shape), (0, stacked._I_G.shape),
-                                      (0, F_T.T.shape))]
+        self._buffers = [np.empty((length + k, *shape)) for k, shape in (
+            (1, P_a.shape), (0, (stacked._m_G,) * 2), (0, F_T.T.shape))]
         self._buffers[0][0] = P_a
         self.P, self.P_d_inv, self.F = (as_strided(b, writeable=False)
                                         for b in self._buffers)
-        self.restart, self._done, self._stepped = None, 0, set()
+        self.restart, self._done = None, 0
 
     def _ready(self, j: int, stacked: StackedSensorForms) -> bool:
         """Whether prior row j has P_d^{-1} and F, computing its chunk."""
         if self._done <= j < len(self.F):
             self._extend(stacked)
-        return j < self._done and j not in self._stepped
+        return j < self._done
 
     @np.errstate(over="ignore", invalid="ignore")   # the run's check reports
     def _extend(self, stacked: StackedSensorForms) -> None:
         """Rows lo + 1..hi by one stacked solve, P_d^{-1} and F of rows lo..
-        hi - 1 by one stacked inverse, and after the last chunk the restart."""
+        hi - 1 by a stacked inverse each, and after the last the restart."""
         (P, P_d_inv, F), lo = self._buffers, self._done
         hi = self._done = min(len(F), max(_FIRST_CHUNK, 2 * lo))
         (A, G, H), P_in = (stacked._power(self.mode, lo.bit_length() - 1),
@@ -267,26 +268,26 @@ class _Stretch:
         P[lo + 1:hi + 1] = 0.5 * (rows + rows.swapaxes(1, 2))
         system = stacked._M_A @ (P[lo:hi] @ stacked._M_T) \
             + stacked._innovation_noise
-        m, m_G, normal = len(stacked.C), stacked._m_G, self.mode is Mode.NORMAL
-        mask = stacked._inverse_mask[0 if normal else 1:]   # no R^{-1} for F_E
-        operand = np.where(mask, system[:, None, :m], 0.0)
-        try:
-            inverse = _inv(operand)
-        except np.linalg.LinAlgError:   # row by row; step the rows that fail
-            inverse = np.zeros(operand.shape)
-            for i, row in enumerate(operand):
-                try:
-                    inverse[i] = _inv(row)
-                except np.linalg.LinAlgError:
-                    self._stepped.add(lo + i)
-        P_d_inv[lo:hi] = inverse[:, -1, :m_G, :m_G]
-        K = system[:, m:] @ inverse[:, 0]   # G R^{-1}, else G_I R_II^{-1}
-        K = K if normal else K @ stacked.D  # in K_I's columns, 0 in K_G's
-        blocks = stacked._gain_base_T - stacked._gain_coef_T @ K.swapaxes(1, 2)
+        m, m_G = len(stacked.C), stacked._m_G
+        P_d_inv[lo:hi] = _inverse(system[:, :m_G, :m_G])
+        # G R^{-1}, or G_I R_II^{-1} in K_I's columns: F_E needs no R^{-1}.
+        gain = np.s_[:m] if self.mode is Mode.NORMAL else np.s_[m_G:m]
+        K = system[:, m:, gain] @ _inverse(system[:, gain, gain])
+        blocks = stacked._gain_base_T \
+            - stacked._gain_coef_T[:, gain] @ K.swapaxes(1, 2)
         F[lo:hi] = blocks.swapaxes(1, 2)[..., stacked._predictor_cols[
             self.mode]]
         if hi == len(F):
             self.restart = _Stretch(self.mode, P[hi], stacked)
+
+
+def _stretch_row(est: EstimatorState, stacked: StackedSensorForms):
+    """The state's (stretch, row), computed; new at a switch or bare state."""
+    stretch, j = est.stretch, est.row
+    if stretch is None or stretch.mode is not est.mode:
+        stretch, j = _Stretch(est.mode, est.P, stacked), 0
+    stretch._ready(j, stacked)
+    return stretch, j
 
 
 def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
@@ -297,16 +298,12 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
     corrected by both innovations.  Emergency mode: x' = F_E [x_hat; u; y_I],
     the IMU innovation only; y_G is never evaluated, so the estimate is
     bit-for-bit independent of it.  F and P' are read from the state's
-    stretch; a mode switch or a bare state opens one, a stepped row leaves it.
+    stretch, NaN or inf where they failed; a mode switch or a bare state
+    opens one.
     """
-    stretch, j = est.stretch, est.row
-    if stretch is None or stretch.mode is not est.mode:
-        stretch, j = _Stretch(est.mode, est.P, stacked), 0
+    stretch, j = _stretch_row(est, stacked)
     operand = np.concatenate((est.x_hat, u, y_I) if est.mode is
                              Mode.EMERGENCY else (est.x_hat, u, y_G, y_I))
-    if not stretch._ready(j, stacked):
-        F, P = _joseph_step(est.P, est.mode, stacked)
-        return EstimatorState(x_hat=F.dot(operand), P=P, mode=est.mode)
     x_new = stretch.F[j].dot(operand)
     stretch, j = (stretch, j + 1) if j + 1 < len(stretch.F) else \
         (stretch.restart, 0)

@@ -330,9 +330,10 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         trace_P=np.trace(Ps, axis1=1, axis2=2),
         err_norm=np.linalg.norm(xs - x_hats, axis=-1), P=Ps,
         q=chi2_quantile(n, det.alpha))
-    # Every exported column but S must be finite.  |P|_2 <= |P|_F, so only
-    # a row with |P|_F > 1e150 is decomposed to check conf_radius.
-    exported = (Ps, xs, x_hats, us, cols.trace_P, cols.err_norm)
+    # Columns but S must be finite, S not NaN (min(S, 0) is 0 at inf, the
+    # latched alarm); conf_radius can overflow only where |P|_F > 1e150.
+    exported = (Ps, xs, x_hats, us, cols.trace_P, cols.err_norm,
+                np.minimum(S_col, 0.0))
     big = np.flatnonzero(np.einsum("kij,kij->k", Ps, Ps) > 1e300)
     if big.size or not all(np.isfinite(col).all() for col in exported):
         finite = np.ones(steps, dtype=bool)

@@ -284,9 +284,10 @@ def _inv(a: np.ndarray) -> np.ndarray:
     return _umath_linalg.inv(a, signature="d->d")
 
 
-# a^{-1} b for float64 stacks by LAPACK's solve gufunc, in the caller's error
-# state: where it ignores invalid values, a singular matrix gives NaN.
+# a^{-1} b and a^{-1} for float64 stacks by LAPACK's gufuncs, in the caller's
+# error state: where it ignores invalid values, a singular a gives NaN.
 _solve = partial(_umath_linalg.solve, signature="dd->d")
+_inverse = partial(_umath_linalg.inv, signature="d->d")
 
 
 def _covariance_findings(name: str, Sigma: np.ndarray, strict: bool) -> list:

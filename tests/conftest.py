@@ -1,8 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spoofguard import (ScenarioShared, SystemModel, builtin_config_path,
                         harness, parse_config, stationary_covariance)
+from spoofguard.model import MATRIX_NAMES
+
+# Draw 4 of imu_blind_model from default_rng(1), as written by
+# imu_blind_config.
+IMU_BLIND_CONFIG = Path(__file__).resolve().parent / "configs" / \
+    "imu_blind.json"
 
 
 def make_uav_model() -> SystemModel:
@@ -48,6 +56,33 @@ def random_invertible_model(rng: np.random.Generator) -> SystemModel:
     Sigma_I = S @ S.T + 0.1 * np.eye(m_I)
     return SystemModel(A=A, B=np.zeros((n, 1)), C_G=np.eye(n), C_I=C_I,
                        Sigma_w=Sigma_w, Sigma_G=np.eye(n), Sigma_I=Sigma_I)
+
+
+def imu_blind_model(rng):
+    """A random model made drift-free by A + c^T (c - c A) / (c c^T), with
+    C_I = c its first IMU row and Sigma_I = 1: unstable modes up to about
+    1.6 that the IMU does not see, so dead reckoning's P reaches 1e32."""
+    base = random_invertible_model(rng)
+    c = base.C_I[:1]
+    return SystemModel(A=base.A + c.T @ (c - c @ base.A) / (c @ c.T),
+                       B=base.B, C_G=base.C_G, C_I=c, Sigma_w=base.Sigma_w,
+                       Sigma_G=base.Sigma_G, Sigma_I=np.eye(1))
+
+
+def imu_blind_config() -> dict:
+    """The raw config of IMU_BLIND_CONFIG: draw 4 of imu_blind_model from
+    default_rng(1), unattacked, with zeta_norm 1e20 (escape time 117).  B
+    is 0, so the state grows with the unstable modes; 150 steps keep a clean
+    run finite (1000-step runs of 40 seeds end from step 162 on, where dead
+    reckoning after a false alarm has made P_d singular)."""
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        model = imu_blind_model(rng)
+    return {"model": {name: getattr(model, name).tolist()
+                      for name in MATRIX_NAMES},
+            "x0": [0.0] * model.n, "target": [10.0],
+            "attack": {"kind": "none"}, "steps": 150, "seed": 0,
+            "zeta_norm": 1e20}
 
 
 def stretch_chain(stretch) -> list:

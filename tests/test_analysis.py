@@ -551,6 +551,25 @@ class TestNonFiniteCovariance:
             escape_time(P, uav_model, zeta, 0.01)
         assert str(info.value) == "non-finite covariance at the attack step"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_iterate_names_its_step(self, uav_model,
+                                                 monkeypatch, bad):
+        # A start that fails both of _grows's checks: escape_time reads the
+        # iterates.  A non-finite fifth iterate is a NumericalError naming
+        # that step, never an escape time (NaN's statistic read as
+        # credible, inf's as escaped).
+        reckoning = analysis._dead_reckoning
+
+        def corrupted(P, stacked):
+            for k, P_k in enumerate(reckoning(P, stacked), 1):
+                yield np.full_like(P_k, bad) if k == 5 else P_k
+        monkeypatch.setattr(analysis, "_dead_reckoning", corrupted)
+        with pytest.raises(NumericalError) as info:
+            escape_time(np.diag([0.0, 0.0, 1e-2, 1e-2]), uav_model, 2.0,
+                        0.01)
+        assert str(info.value) == \
+            "non-finite covariance at dead-reckoning step 5"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_lower_bound_names_the_covariance(self, uav_model,
                                               uav_stationary_P, bad):

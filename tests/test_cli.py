@@ -15,6 +15,8 @@ from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
                         parse_config, run_scenario)
 from spoofguard.cli import main
 
+from conftest import IMU_BLIND_CONFIG, imu_blind_config
+
 
 @pytest.fixture()
 def config_path():
@@ -542,6 +544,65 @@ class TestUnexcitedUnstableMode:
         assert captured.out == ""
         assert captured.err == ("numerical failure: non-finite covariance "
                                 "after 10 doublings\n")
+
+
+class TestImuBlindConfig:
+    """tests/configs/imu_blind.json: a drift-free model whose unstable modes
+    the IMU does not see, so dead reckoning's P passes 1e300.  No
+    np.errstate here: pytest turns a RuntimeWarning into an error, as CI's
+    console-script step does."""
+
+    def test_the_file_is_rebuilt_by_its_helper(self):
+        assert IMU_BLIND_CONFIG.read_text(encoding="utf-8") == \
+            json.dumps(imu_blind_config(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("zeta, want", [(1e20, 117), (1e30, 178),
+                                            (1e60, 360)])
+    def test_analyze_finds_the_escape_time(self, tmp_path, capsys, zeta,
+                                           want):
+        # The escape times of dead reckoning's recursion in extended
+        # precision; with C_I (A - I) left at its 1e-16 roundoff each read
+        # a NaN iterate as credible and gave up after 100000 steps.
+        raw = imu_blind_config()
+        raw["zeta_norm"] = zeta
+        cfg = tmp_path / "zeta.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["escape_time"] == want
+
+    def test_a_singular_residual_covariance_exits_two(self, tmp_path,
+                                                      capsys):
+        # A 50 m bias from step 10 latches the alarm; dead reckoning makes
+        # P_d singular at step 125, whose NaN P_d^{-1} gives a NaN
+        # statistic, and the run's final check names that step.
+        raw = imu_blind_config()
+        raw["attack"] = {"kind": "constant-bias", "d": [50.0] * 4,
+                         "start_step": 10}
+        cfg = tmp_path / "bias.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: run with seed 0: a value "
+                                "of step 125 is not finite\n")
+
+    def test_a_nan_spoof_runs_until_the_covariance_overflows(
+            self, monkeypatch, capsys):
+        # A NaN reading scores inf before P_d^{-1} is read, so a NaN spoof
+        # from step 10 latches the alarm and never meets a singular P_d:
+        # the run ends where dead reckoning's P overflows.  A config file
+        # cannot hold NaN, so the spoof is set on the parsed config.
+        def spoofed(path):
+            return replace(parse_config(path), attack=AttackSignal(
+                kind="custom-sequence", start_step=10,
+                sequence=[np.full(4, np.nan)] * 991))
+        monkeypatch.setattr(cli, "parse_config", spoofed)
+        assert main(["run", "--config", str(IMU_BLIND_CONFIG),
+                     "--steps", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: run with seed 0: a value "
+                                "of step 940 is not finite\n")
 
 
 class TestHugeNoiseAnalyze:

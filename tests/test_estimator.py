@@ -18,10 +18,10 @@ from spoofguard.estimator import (_STRETCH, _Stretch, _compose,
                                   _covariance_update_stacked,
                                   _detector_weight, _innovation_system,
                                   _joseph_step, _riccati_triple)
-from spoofguard.model import _inv
+from spoofguard.model import _inv, _inverse
 
-from conftest import (make_uav_model, random_invertible_model, stretch_chain,
-                      trunk_stretches)
+from conftest import (imu_blind_model, make_uav_model,
+                      random_invertible_model, stretch_chain, trunk_stretches)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +153,14 @@ class TestNormalStepCoefficients:
                 expected = d_hat @ np.linalg.solve(P_d, d_hat)
                 assert abs(q - expected) <= 1e-12 * expected
 
+    def test_a_nan_weight_is_a_nan_statistic(self):
+        # A singular P_d's NaN inverse: the run's final check reports the
+        # NaN, where inf would be a latched alarm.
+        P_d_inv = np.full((2, 2), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(normalized_residual(np.ones(2), P_d_inv))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_residual_is_inf_without_a_warning(self, bad):
         # The diagonal P_d's inverse has exact zeros, so inf would meet 0
@@ -165,14 +173,21 @@ class TestNormalStepCoefficients:
                     math.inf
 
     def test_singular_residual_covariance_raises(self, model):
+        # Sigma_w = 0 and Sigma_G = 0, which validate_model rejects: at P = 0
+        # P_d = 0 and R = blockdiag(0, Sigma_I).  The normal mode has no
+        # triple, so the stretch a bare state opens for its weight raises
+        # _table's error; the emergency mode's does not, and its P_d^{-1}
+        # is NaN, for the run's check.  cusum_update solves its P_d.
         quiet = SystemModel(A=model.A, B=model.B, C_G=model.C_G, C_I=model.C_I,
                             Sigma_w=np.zeros((4, 4)), Sigma_G=np.zeros((2, 2)),
                             Sigma_I=model.Sigma_I)
         stacked = StackedSensorForms(quiet)
-        for est in (EstimatorState(np.zeros(4), np.zeros((4, 4))),
-                    on_stretch(np.zeros((4, 4)), stacked)):
-            with pytest.raises(NumericalError, match="residual covariance"):
-                _detector_weight(est, stacked)
+        with pytest.raises(NumericalError, match="^measurement noise "
+                                                 "covariance is singular"):
+            _detector_weight(EstimatorState(np.zeros(4), np.zeros((4, 4))),
+                             stacked)
+        assert np.isnan(_detector_weight(EstimatorState(
+            np.zeros(4), np.zeros((4, 4)), Mode.EMERGENCY), stacked)).all()
         with pytest.raises(NumericalError, match="residual covariance"):
             cusum_update(0.0, np.ones(2), np.zeros((2, 2)), 0.15)
 
@@ -196,9 +211,10 @@ class TestNormalStepCoefficients:
 
 
 class TestStackedInverse:
-    """One inv call per chunk of a stretch gives its rows' P_d^{-1} and
-    gains; when it fails, each row of the chunk is stepped, solving its own
-    blocks, as without the stacked inverse."""
+    """Each chunk of a stretch inverts one operand per reader, stacked over
+    its rows: P_d for the detector's P_d^{-1}, and R (normal mode) or R_II
+    (emergency mode) for the predictor's gain.  A singular operand is NaN
+    in its own row and slot only, for the run's final check."""
 
     def test_blocks_match_the_solves(self, priors_per_model):
         drift_free = set()
@@ -219,17 +235,18 @@ class TestStackedInverse:
                             <= 1e-12 * np.abs(want).max())
         assert drift_free == {True, False}
 
-    def test_one_inv_call_per_chunk_on_drift_models(self, priors_per_model,
-                                                    monkeypatch):
-        # From one state the detector, then fuse, read the inverse that its
-        # row's chunk made; the rows of a chunk make no further call, and
-        # the next chunk one more.  optimal_gain solves and inverts nothing.
-        calls, inv = [], estimator._inv
+    def test_one_inverse_per_reader_per_chunk_on_drift_models(
+            self, priors_per_model, monkeypatch):
+        # From one state the detector, then fuse, read the inverses that its
+        # row's chunk made, one of P_d and one of the gain's block; the rows
+        # of a chunk make no further call, and the next chunk two more.
+        # optimal_gain solves and inverts nothing.
+        calls, inverse = [], estimator._inverse
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return inv(*args, **kwargs)
-        monkeypatch.setattr(estimator, "_inv", counted)
+            return inverse(*args, **kwargs)
+        monkeypatch.setattr(estimator, "_inverse", counted)
         for model, priors in priors_per_model[1:]:
             stacked = StackedSensorForms(model)
             assert not stacked.drift_free
@@ -242,14 +259,17 @@ class TestStackedInverse:
                         _detector_weight(est, stacked)
                         est = fuse(est, model, stacked, np.zeros(p),
                                    np.zeros(m_G), np.zeros(m_I))
-                        assert len(calls) == 1 + (est.row > 8)
+                        assert len(calls) == 2 * (1 + (est.row > 8))
                 optimal_gain(P, model, stacked)
-                assert len(calls) == 2
+                assert len(calls) == 4
 
-    def test_failed_inverse_falls_back_to_the_solves(self, priors_per_model,
-                                                     monkeypatch):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+    def test_a_failed_inverse_is_nan_for_the_runs_check(
+            self, priors_per_model, monkeypatch):
+        # Inverses that fail (LAPACK's NaN for a singular matrix) leave the
+        # chunk's P_d^{-1} and predictors NaN and its covariances as they
+        # are: no other computation takes their place.
+        def singular(a):
+            return np.full(np.shape(a), np.nan)
 
         def quantities(model, est, stacked):
             out = fuse(est, model, stacked, np.ones(model.p),
@@ -264,30 +284,34 @@ class TestStackedInverse:
                         StackedSensorForms(model))
                     stacked = StackedSensorForms(model)
                     with monkeypatch.context() as patched:
-                        patched.setattr(estimator, "_inv", singular)
-                        est = on_stretch(P, stacked, mode)
-                        got = quantities(model, est, stacked)
-                    assert est.stretch._stepped == set(range(8))
-                    for g, w in zip(got, want):
-                        assert np.abs(g - w).max() <= \
-                            1e-12 * np.abs(w).max()
+                        patched.setattr(estimator, "_inverse", singular)
+                        patched.setattr(estimator, "_joseph_step", None)
+                        P_d_inv, x_hat, P_next = quantities(
+                            model, on_stretch(P, stacked, mode), stacked)
+                    assert np.isnan(P_d_inv).all() and np.isnan(x_hat).all()
+                    assert P_next.tobytes() == want[2].tobytes()
 
     @pytest.mark.parametrize("bad", ["nan", "inf off the blocks",
                                      "singular"])
     def test_no_stale_input_after_a_failed_inverse(self, model, bad):
         # A stretch whose R held NaN, or inf only off its diagonal blocks,
-        # or whose noise covariance is singular (no triple: every row is
-        # stepped), leaves nothing behind: a later stretch's chunk inverts
-        # np.where(mask, R, 0) of its own rows, bit for bit, or, without a
-        # triple, each row solves its own P_d.
-        if bad == "nan":
-            P_bad = np.full((4, 4), np.nan)
-        elif bad == "singular":     # at P = 0, R = blockdiag(0, Sigma_I)
+        # leaves nothing behind: a later stretch's chunk inverts its own
+        # rows' P_d, bit for bit.  A model whose noise covariance is
+        # singular has no normal triple: opening a normal stretch raises
+        # _table's error, for every state.
+        if bad == "singular":     # at P = 0, R = blockdiag(0, Sigma_I)
             model = SystemModel(A=model.A, B=model.B, C_G=model.C_G,
                                 C_I=model.C_I, Sigma_w=np.zeros((4, 4)),
                                 Sigma_G=np.zeros((2, 2)),
                                 Sigma_I=model.Sigma_I)
-            P_bad = np.zeros((4, 4))
+            stacked = StackedSensorForms(model)
+            for P in (np.zeros((4, 4)), np.eye(4)):
+                with pytest.raises(NumericalError, match="^measurement noise "
+                                   "covariance is singular"):
+                    on_stretch(P, stacked)
+            return
+        if bad == "nan":
+            P_bad = np.full((4, 4), np.nan)
         else:   # M = [2, 0; 0, 2]: (M P M^T)_GI = 4 * 5e307 overflows
             model = SystemModel(A=np.diag([2.0, 3.0]), B=np.ones((2, 1)),
                                 C_G=[[1.0, 0.0]], C_I=[[0.0, 1.0]],
@@ -295,93 +319,102 @@ class TestStackedInverse:
                                 Sigma_I=np.eye(1))
             P_bad = np.array([[1.0, 5e307], [5e307, 1.0]])
         stacked, n, m_G = StackedSensorForms(model), model.n, model.m_G
-        mask = stacked._inverse_mask
         stretch = _Stretch(Mode.NORMAL, P_bad, stacked)
-        if bad == "singular":
-            assert not stretch._ready(0, stacked)
-        else:   # a non-finite predictor, for the run's final check
-            assert stretch._ready(0, stacked)
-            assert not np.isfinite(stretch.F[0]).all()
+        assert stretch._ready(0, stacked)
+        # a non-finite predictor, for the run's final check
+        assert not np.isfinite(stretch.F[0]).all()
         if bad == "inf off the blocks":
             with np.errstate(over="ignore"):
                 R = _innovation_system(P_bad, stacked)[0]
-            assert np.isfinite(R[mask[1]]).all()
-            assert np.isinf(R[~mask[1]]).all()
+            assert np.isfinite([R[0, 0], R[1, 1]]).all()
+            assert np.isinf([R[0, 1], R[1, 0]]).all()
+            # P_d is finite: the detector's slot is too.
+            assert np.isfinite(stretch.P_d_inv[0]).all()
         X = np.random.default_rng(5).normal(size=(n, n))
         for P in (np.eye(n), X @ X.T):
             est = on_stretch(P, stacked)
             got = _detector_weight(est, stacked)
             R = _innovation_system(P, stacked)[0]
-            if bad == "singular":
-                assert not est.stretch._ready(0, stacked)
-                want = np.linalg.solve(R[:m_G, :m_G], np.eye(m_G))
-            else:
-                want = _inv(np.where(mask, R, 0.0))[1, :m_G, :m_G]
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == _inv(R[:m_G, :m_G]).tobytes()
+            assert np.isfinite(est.stretch.F[0]).all()
 
-    def test_a_failed_chunk_inverts_row_by_row(self, priors_per_model,
-                                               monkeypatch):
-        # A chunk whose stacked inverse raises inverts its rows one at a
-        # time: a row whose own inverse succeeds is not stepped, and has the
-        # bytes the stacked inverse gives it.
-        inv = estimator._inv
+    def test_a_singular_P_d_is_nan_in_its_own_slot(self, model, stacked):
+        # P_a = -diag(s, s, 0, 0) with s = 1e-4 + 1e-3 makes row 0's P_d
+        # exactly 0 on paper_uav (C_G A = [I, dt I]).  Its P_d^{-1} alone is
+        # NaN: every other prior of the chunk has the bytes of a stretch
+        # opened at its row, and row 0's emergency predictor, which needs
+        # only R_II^{-1}, stays finite and matches _joseph_step's.
+        s = 1e-4 + 1e-3
+        P_a = -np.diag([s, s, 0.0, 0.0])
+        assert not _innovation_system(P_a, stacked)[0][:2, :2].any()
+        stretch = _Stretch(Mode.EMERGENCY, P_a, stacked)
+        assert stretch._ready(0, stacked)
+        assert np.isnan(stretch.P_d_inv[0]).all()
+        for j in range(1, 8):
+            alone = _Stretch(Mode.EMERGENCY, stretch.P[j], stacked)
+            assert alone._ready(0, stacked)
+            assert np.isfinite(stretch.P_d_inv[j]).all()
+            assert alone.P_d_inv[0].tobytes() == stretch.P_d_inv[j].tobytes()
+            assert alone.F[0].tobytes() == stretch.F[j].tobytes()
+        want = _joseph_step(P_a, Mode.EMERGENCY, stacked)[0]
+        assert np.isfinite(stretch.F[0]).all()
+        assert np.abs(stretch.F[0] - want).max() <= 1e-12 * np.abs(want).max()
 
-        def stack_fails(a, *args, **kwargs):
-            if np.ndim(a) == 4:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return inv(a, *args, **kwargs)
-
-        for model, priors in priors_per_model[:3]:
-            stacked = StackedSensorForms(model)
-            for mode in Mode:
-                want = _Stretch(mode, priors[-1], stacked)
-                with monkeypatch.context() as patched:
-                    patched.setattr(estimator, "_inv", stack_fails)
-                    got = _Stretch(mode, priors[-1], stacked)
-                    for j in range(16):
-                        assert got._ready(j, stacked)
-                for j in range(16):
-                    assert want._ready(j, stacked)
-                assert not got._stepped
-                for a, b in ((got.P_d_inv, want.P_d_inv), (got.F, want.F)):
-                    assert a[:16].tobytes() == b[:16].tobytes()
-
-    def test_only_rows_whose_own_inverse_fails_are_stepped(self,
-                                                            monkeypatch):
-        # Draws 3 and 9 of imu_blind_model: at P near 1e32 some rows'
-        # blockdiag(P_d, R_II) is singular to working precision.  When every
-        # row of a failed chunk was stepped, 952 and 936 of 1000 emergency
-        # steps were Joseph steps; now at most 300, and the covariances stay
-        # within 1e-11 of the Joseph recursion.
-        rng = np.random.default_rng(1)
-        models = [imu_blind_model(rng) for _ in range(10)]
-        steps, step = [], estimator._joseph_step
-
-        def counted(*args):
-            steps.append(1)
-            return step(*args)
-        monkeypatch.setattr(estimator, "_joseph_step", counted)
-        for model in (models[3], models[9]):
+    def test_emergency_fuse_follows_long_double_until_overflow(
+            self, monkeypatch):
+        # The 20 imu_blind_model draws: drift-free, with unstable modes the
+        # IMU does not see.  1000 emergency fuse calls from P = 0 stay
+        # within 1e-11 of dead reckoning's recursion P <- A P A^T +
+        # Sigma_bar in extended precision until it leaves the float range,
+        # and the first non-finite P comes at that step or one before (on 7
+        # draws; the other 13 stay finite).  No call makes a Joseph step.
+        # With C_I (A - I) left at its 1e-16 roundoff, up to 952 of the 1000
+        # calls were Joseph steps, and draw 4's rows stalled near 1e34.
+        monkeypatch.setattr(estimator, "_joseph_step", None)
+        rng, overflowed = np.random.default_rng(1), {}
+        big = np.finfo(float).max
+        for draw in range(20):
+            model = imu_blind_model(rng)
             stacked, n = StackedSensorForms(model), model.n
+            assert stacked.drift_free
             est = EstimatorState(np.zeros(n), np.zeros((n, n)),
                                  Mode.EMERGENCY)
-            rows, steps[:] = [], []
+            rows = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(1000):
+                    est = fuse(est, model, stacked, np.zeros(model.p),
+                               np.zeros(model.m_G), np.zeros(model.m_I))
+                    rows.append(est.P)
+            A, floor = (np.asarray(a, dtype=np.longdouble)
+                        for a in (model.A, stacked.Sigma_bar))
+            P, oracle = np.zeros_like(A), []
             for _ in range(1000):
-                est = fuse(est, model, stacked, np.zeros(model.p),
-                           np.zeros(model.m_G), np.zeros(model.m_I))
-                rows.append(est.P)
-            assert 0 < len(steps) <= 300
-            oracle = joseph_rows(np.zeros((n, n)), Mode.EMERGENCY, stacked,
-                                 1000)
-            assert largest_relative_gap(np.array(rows), oracle) <= 1e-11
+                P = A @ P @ A.T + floor
+                oracle.append(P)
+            oracle = np.array(oracle)
+            rows = np.array(rows)
+            inside = np.abs(oracle).max(axis=(1, 2)) <= big
+            stop = int(inside.argmin()) if not inside.all() else 1000
+            finite = np.isfinite(rows).all(axis=(1, 2))
+            first_bad = int(finite.argmin()) if not finite.all() else 1000
+            assert first_bad in (stop - 1, stop)
+            assert largest_relative_gap(rows[:first_bad],
+                                        oracle[:first_bad]) <= 1e-11
+            if stop < 1000:
+                overflowed[draw] = first_bad + 1    # as a 1-based step
+        assert overflowed == {1: 996, 3: 753, 4: 935, 6: 820, 9: 793,
+                              10: 972, 14: 750}
 
     def test_singular_innovation_covariance_raises(self, model):
         # Sigma_w = 0 and Sigma_G = 0: at P = 0, R = blockdiag(0, Sigma_I).
+        # The normal stretch fuse opens raises _table's error; optimal_gain
+        # solves R itself.
         quiet = SystemModel(A=model.A, B=model.B, C_G=model.C_G, C_I=model.C_I,
                             Sigma_w=np.zeros((4, 4)), Sigma_G=np.zeros((2, 2)),
                             Sigma_I=model.Sigma_I)
         stacked, P = StackedSensorForms(quiet), np.zeros((4, 4))
-        with pytest.raises(NumericalError, match="^innovation covariance"):
+        with pytest.raises(NumericalError, match="^measurement noise "
+                                                 "covariance is singular"):
             fuse(EstimatorState(np.zeros(4), P), quiet, stacked,
                  np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(NumericalError, match="^innovation covariance"):
@@ -408,13 +441,16 @@ class TestInverseHelper:
         return want
 
     def test_equals_inv_on_the_steps_operands(self, priors_per_model):
+        # A chunk's operands, each prior's R, P_d and R_II; model._inverse,
+        # which the chunks call, gives the same bytes.
         for model, priors in priors_per_model:
             stacked, m_G = StackedSensorForms(model), model.m_G
             for P in priors:
                 R = _innovation_system(P, stacked)[0]
-                for a in (np.where(stacked._inverse_mask, R, 0.0),
-                          R[:m_G, :m_G]):
-                    assert self.same_as_inv(a)[0] == np.float64
+                for a in (R, R[:m_G, :m_G], R[m_G:, m_G:]):
+                    want = self.same_as_inv(a)
+                    assert want[0] == np.float64
+                    assert self.outcome(_inverse, a) == want
 
     def test_equals_inv_on_random_spd_matrices(self):
         rng = np.random.default_rng(17)
@@ -464,13 +500,14 @@ class TestInverseHelper:
 
 class TestDeadReckoningDetector:
     """After an alarm the detector reads P_d^{-1} from the emergency
-    stretch: a chunk's one inverse of blockdiag(P_d, R_II) per row, no
-    inverse per step and no R^{-1}, on drift-free and drift models."""
+    stretch: a chunk inverts its rows' P_d and R_II, no inverse per step
+    and no R^{-1}, on drift-free and drift models."""
 
     def test_equals_the_steps_block_bit_for_bit(self):
+        # P_d^{-1} alone has the bytes of P_d's block of blockdiag(P_d,
+        # R_II)^{-1}, which earlier versions inverted.
         config = parse_config(builtin_config_path())
-        m_G, mask = config.model.m_G, ScenarioShared(
-            config.model).stacked._inverse_mask
+        m_G = config.model.m_G
         for seed in range(5):
             shared = ScenarioShared(config.model)
             cols = run_scenario(replace(config, seed=seed),
@@ -482,8 +519,9 @@ class TestDeadReckoningDetector:
                 got = _detector_weight(on_stretch(P, stacked, Mode.EMERGENCY),
                                        stacked)
                 R = _innovation_system(P, stacked)[0]
-                want = _inv(np.where(mask[1], R, 0.0))[:m_G, :m_G]
-                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == _inv(R[:m_G, :m_G]).tobytes()
+                R[:m_G, m_G:] = R[m_G:, :m_G] = 0.0
+                assert got.tobytes() == _inv(R)[:m_G, :m_G].tobytes()
 
     def test_emergency_chunks_invert_one_block_pair(self, model, stacked,
                                                     monkeypatch):
@@ -491,37 +529,37 @@ class TestDeadReckoningDetector:
         for _ in range(2):
             P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
         est = on_stretch(P, stacked, Mode.EMERGENCY)
-        shapes, inv = [], estimator._inv
+        shapes, inverse = [], estimator._inverse
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
-            return inv(a, *args, **kwargs)
-        monkeypatch.setattr(estimator, "_inv", counted)
-        m = len(stacked.C)
+            return inverse(a, *args, **kwargs)
+        monkeypatch.setattr(estimator, "_inverse", counted)
         for _ in range(8):
             _detector_weight(est, stacked)
             est = fuse(est, model, stacked, np.zeros(2), np.zeros(2),
                        np.zeros(2))
-        assert shapes == [(8, 1, m, m)]
+        assert shapes == [(8, 2, 2), (8, 2, 2)]     # P_d, R_II
 
     def test_a_spoofed_run_builds_no_step_after_its_alarm(self, monkeypatch):
         # A NaN spoof from step 150 of seed 1 (no earlier alarm): the trunk's
         # chunks give priors 0..149 (8, 8, 16, 32, 64 and 128 rows, each
-        # inverting [R, blockdiag(P_d, R_II)]), the emergency stretch's
-        # priors 0..50 (8, 8, 16 and 32 rows, blockdiag(P_d, R_II) only).
+        # inverting P_d, then R), the emergency stretch's priors 0..50 (8,
+        # 8, 16 and 32 rows, P_d, then R_II), and no step is a Joseph step.
         config = parse_config(builtin_config_path())
         config = replace(config, seed=1, steps=200, attack=AttackSignal(
             kind="custom-sequence", start_step=150,
             sequence=[np.full(2, np.nan)] * 51))
-        shapes, inv, simulate = [], estimator._inv, harness._simulate
+        shapes, inverse, simulate = [], estimator._inverse, harness._simulate
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
-            return inv(a, *args, **kwargs)
+            return inverse(a, *args, **kwargs)
 
         def simulated(*args, **kwargs):
             with monkeypatch.context() as patched:
-                patched.setattr(estimator, "_inv", counted)
+                patched.setattr(estimator, "_inverse", counted)
+                patched.setattr(estimator, "_joseph_step", None)
                 return simulate(*args, **kwargs)
         monkeypatch.setattr(harness, "_simulate", simulated)
         shared = ScenarioShared(config.model)
@@ -529,8 +567,10 @@ class TestDeadReckoningDetector:
         assert np.flatnonzero(cols.alarmed).tolist() == list(range(149, 200))
         assert [s._done for s in trunk_stretches(shared)] == [256]
         m = len(shared.stacked.C)
-        assert shapes == [(k, 2, m, m) for k in (8, 8, 16, 32, 64, 128)] \
-            + [(k, 1, m, m) for k in (8, 8, 16, 32)]
+        assert shapes == [shape for k in (8, 8, 16, 32, 64, 128)
+                          for shape in ((k, 2, 2), (k, m, m))] \
+            + [shape for k in (8, 8, 16, 32) for shape in ((k, 2, 2),
+                                                           (k, 2, 2))]
 
     def test_drift_models_read_the_stretch(self, priors_per_model):
         for model, priors in priors_per_model[1:]:
@@ -938,17 +978,6 @@ def drift_free_random_model(rng, gaussian=False):
     return SystemModel(A=A, B=base.B, C_G=base.C_G, C_I=V_inv[:1],
                        Sigma_w=base.Sigma_w, Sigma_G=base.Sigma_G,
                        Sigma_I=base.Sigma_I[:1, :1])
-
-
-def imu_blind_model(rng):
-    """A random model made drift-free by A + c^T (c - c A) / (c c^T), with
-    C_I = c its first IMU row and Sigma_I = 1: unstable modes up to about
-    1.6 that the IMU does not see, so dead reckoning's P reaches 1e32."""
-    base = random_invertible_model(rng)
-    c = base.C_I[:1]
-    return SystemModel(A=base.A + c.T @ (c - c @ base.A) / (c @ c.T),
-                       B=base.B, C_G=base.C_G, C_I=c, Sigma_w=base.Sigma_w,
-                       Sigma_G=base.Sigma_G, Sigma_I=np.eye(1))
 
 
 def riccati_map(triple, P):

@@ -18,8 +18,9 @@ from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
 
 from spoofguard.estimator import _STRETCH, _innovation_system
 
-from conftest import (make_uav_model, random_invertible_model, run_columns,
-                      trunk_rows, trunk_stretches)
+from conftest import (IMU_BLIND_CONFIG, make_uav_model,
+                      random_invertible_model, run_columns, trunk_rows,
+                      trunk_stretches)
 
 
 class TestPdControl:
@@ -673,7 +674,7 @@ class TestTrunkHits:
             run_starts.append(len(calls))
             traces.append(run_scenario(*args, **kwargs))
             return traces[-1]
-        for module, name in ((np.linalg, "solve"), (estimator, "_inv"),
+        for module, name in ((np.linalg, "solve"), (estimator, "_inverse"),
                              (estimator, "_solve")):
             monkeypatch.setattr(module, name, counted(module, name))
         monkeypatch.setattr(harness, "fuse", recorded_fuse)
@@ -686,13 +687,42 @@ class TestTrunkHits:
         # The first run builds the normal table (the one-step triple's
         # solve, three stacked doublings to triple 8, then one solve per
         # power 16..128) and the trunk: per chunk of rows, one stacked solve
-        # and one stacked inverse give its rows, gains and P_d^{-1}; a batch
-        # runs no drift analysis.
+        # gives its rows, one stacked inverse its P_d^{-1} and one its
+        # gains; a batch runs no drift analysis.
         first_run = calls[run_starts[0]:run_starts[1]]
         chunks = [8, 16, 32, 64, 128, 256]
         assert len(trunk_rows(shared)) == chunks[-1]
         assert first_run == ["solve"] + ["_solve"] * 3 + ["_solve"] * 4 \
-            + ["_solve", "_inv"] * len(chunks)
+            + ["_solve", "_inverse", "_inverse"] * len(chunks)
+
+
+class TestNoJosephStep:
+    @pytest.mark.parametrize("case", ["clean", "attacked", "nan spoof",
+                                      "imu blind"])
+    def test_runs_read_every_covariance_from_stretches(self, case,
+                                                       monkeypatch):
+        # A run and a batch on paper_uav (clean, attacked, NaN-spoofed from
+        # the attack step) and on the IMU-blind config (clean, with its
+        # false alarms) read every covariance, P_d^{-1} and predictor from
+        # stretches: none makes a Joseph step.
+        def forbidden(*args):
+            raise AssertionError("a Joseph step")
+        monkeypatch.setattr(estimator, "_joseph_step", forbidden)
+        config = parse_config(IMU_BLIND_CONFIG if case == "imu blind"
+                              else builtin_config_path())
+        if case == "clean":
+            config = replace(config, attack=AttackSignal.none())
+        elif case == "nan spoof":
+            config = replace(config, attack=AttackSignal(
+                kind="custom-sequence", start_step=700,
+                sequence=[np.full(2, np.nan)] * 301))
+        trace = run_scenario(config)
+        batch = monte_carlo(replace(config, runs=3))
+        detected = None if case in ("clean", "imu blind") else 700
+        assert trace.attack_detection_step == detected
+        assert [r.attack_detection_step for r in batch.runs] == [detected] * 3
+        if case == "imu blind":
+            assert trace.columns.alarmed.any()
 
 
 class TestParseConfig:
