@@ -16,13 +16,17 @@ with the tree's ``src`` on PYTHONPATH and PYTHONWARNINGS=error::RuntimeWarning:
 For every output (stdout, stderr, trace file; the exit code goes with stdout,
 and the tree's own path reads <tree>, as in a traceback's file names) it
 prints "identical", or the largest relative and absolute differences of the
-floats and whether every other field (text, integers, exit codes) matches.
-A token is a float if either side writes it with a point or an exponent.  The exit status
+floats and whether every other field (text, integers, exit codes) matches;
+under a CSV trace that differs, it names each header column whose floats
+differ, with its largest relative difference ("S: 1.8e-13").  A token is a
+float if either side writes it with a point or an exponent.  The exit status
 is 1 if some non-float field differs, else 0.  --child defaults to the tree
 this script belongs to.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -171,6 +175,38 @@ def compare(parent: str, child: str):
     return relative, absolute, same
 
 
+def column_differences(parent: str, child: str) -> dict:
+    """{header column: largest relative float difference} of two CSV texts,
+    for the columns whose floats differ; {} unless both have the same header
+    and row count."""
+    a_rows, b_rows = (list(csv.reader(io.StringIO(text)))
+                      for text in (parent, child))
+    if a_rows[:1] != b_rows[:1] or len(a_rows) != len(b_rows):
+        return {}
+    moved = {}
+    for a_row, b_row in zip(a_rows[1:], b_rows[1:]):
+        for column, a, b in zip(a_rows[0], a_row, b_row):
+            relative = compare(a, b)[0]
+            if relative:
+                moved[column] = max(moved.get(column, 0.0), relative)
+    return moved
+
+
+def report(name: str, parent: str, child: str):
+    """(the lines printed for one output, whether a non-float field
+    differs)."""
+    if parent == child:
+        return [f"{name}: identical"], False
+    relative, absolute, same = compare(parent, child)
+    lines = [f"{name}: floats differ by at most {relative:.2g} relative, "
+             f"{absolute:.2g} absolute; other fields "
+             f"{'match' if same else 'DIFFER'}"]
+    if name.endswith(" csv: trace"):
+        lines += [f"  {column}: {value:.2g}" for column, value in
+                  column_differences(parent, child).items()]
+    return lines, not same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
@@ -188,14 +224,9 @@ def main(argv=None) -> int:
     parent, child = results
     status = 0
     for name in parent:
-        if parent[name] == child[name]:
-            print(f"{name}: identical")
-            continue
-        relative, absolute, same = compare(parent[name], child[name])
-        print(f"{name}: floats differ by at most {relative:.2g} relative, "
-              f"{absolute:.2g} absolute; other fields "
-              f"{'match' if same else 'DIFFER'}")
-        status |= not same
+        lines, differs = report(name, parent[name], child[name])
+        print("\n".join(lines))
+        status |= differs
     return status
 
 

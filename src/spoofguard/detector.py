@@ -14,8 +14,10 @@ and accumulated into the detector statistic
     S_k = delta * S_{k-1} + d_hat^T P_d^{-1} d_hat,   S_0 = 0,
 
 which alarms when S_k strictly exceeds chi2_quantile(m_G, alpha) / (1 - delta)
-(a tie stays quiet), in both operating modes.  The runner reads P_d^{-1} from
-the stretch row of P_{k-1}; cusum_update solves it from P_d.
+(a tie stays quiet), in both operating modes.  The runner reads d_hat =
+C_G A (x - x_hat) + C_G w + v_G + d (x: the state before the step) from its
+run-step product, and P_d^{-1} from the stretch row of P_{k-1}; cusum_update
+solves it from P_d.
 """
 
 import math

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import NumericalError
 from .model import (SystemModel, _inverse, _read_only, _solve,
@@ -59,8 +58,8 @@ class EstimatorState:
 
 
 class StackedSensorForms:
-    """Stacked sensor matrices, products reused in the per-step loop, each
-    mode's triple table, and the model invariants of dead reckoning.
+    """Stacked sensor matrices, per-step products (_plant: plant, sensors and
+    residual), each mode's triple table, and dead reckoning's invariants.
 
     _table(mode) holds the mode's j-step triples, j = 1..8, and its 2^k-step
     ones, which stretches and the escape analysis read; _innovation_system
@@ -106,17 +105,23 @@ class StackedSensorForms:
                                             Sw_Ct])
 
         # One product per step quantity, with M = [C_G A; C_I (A - I)]: the
-        # plant and sensors, [x'; y_G - d; y_I] = _plant [x; u; w; v_G; v_I],
-        # whose GPS rows start with the detector's [C_G A, C_G B]; the gain's
-        # blocks [T, B_K, K, I - K C] = [A, B, 0, I] - K [M, CB, -I, C], formed
-        # transposed, each contiguous.  F_E has no y_G column: 0 * NaN is NaN.
+        # plant, the sensors and the detector's residual d_hat = y_G - C_G (A
+        # x_hat + B u), [x'; y_G - d; y_I; d_hat - d] = _plant [x; u; w; v_G;
+        # v_I; x - x_hat]; the gain's blocks [T, B_K, K, I - K C] = [A, B, 0,
+        # I] - K [M, CB, -I, C], formed transposed, each contiguous.  F_E has
+        # no y_G column: 0 * NaN is NaN.
         A, B, CB = model.A, model.B, self.C @ model.B
-        self._plant = np.block([[A, B, self._I_n, np.zeros((n, m))],
-                                [self._M, CB, self.C, np.eye(m)]])
+        self._plant = np.block([
+            [A, B, self._I_n, np.zeros((n, m + n))],
+            [self._M, CB, self.C, np.eye(m), np.zeros((m, n))],
+            [np.zeros((m_G, n + p)), model.C_G, np.eye(m_G, m), self._M[:m_G]]])
         self._gain_base_T = np.vstack([A.T, B.T, np.zeros((m, n)), self._I_n])
         self._gain_coef_T = np.vstack([self._M_T, CB.T, -np.eye(m), self.C.T])
         self._predictor_cols = {Mode.NORMAL: np.s_[:n + p + m],
                                 Mode.EMERGENCY: np.r_[:n + p, n + p + m_G:k]}
+        # fuse's slots in [x_hat; u; y_G; y_I], or [x_hat; u; y_I] (F_E).
+        self._operand_cuts = {Mode.NORMAL: (n, n + p, n + p + m_G),
+                              Mode.EMERGENCY: (n, n + p)}
 
         # Dead reckoning's gain and noise floor (class docstring).
         K_E = _mode_gain(np.zeros((n, n)), Mode.EMERGENCY, self)
@@ -237,7 +242,8 @@ class _Stretch:
     128) the power triple lo on rows 1..lo.  Prior row j < L has P_d^{-1}
     and predictor F (as _joseph_step's), read-only, from one stacked inverse
     per chunk of each reader's operand (P_d; R, or R_II in emergency mode),
-    so a singular one is NaN in its own row and reader only."""
+    so a singular one is NaN in its own row and reader only.  It keeps
+    fuse's operand, so one stretch must not be stepped from two threads."""
 
     def __init__(self, mode: Mode, P_a: np.ndarray, stacked: StackedSensorForms):
         self.mode, (self._stack, _, length) = mode, stacked._table(mode)
@@ -245,8 +251,11 @@ class _Stretch:
         self._buffers = [np.empty((length + k, *shape)) for k, shape in (
             (1, P_a.shape), (0, (stacked._m_G,) * 2), (0, F_T.T.shape))]
         self._buffers[0][0] = P_a
-        self.P, self.P_d_inv, self.F = (as_strided(b, writeable=False)
-                                        for b in self._buffers)
+        self.P, self.P_d_inv, self.F = views = [b.view() for b in self._buffers]
+        for view in views:
+            view.flags.writeable = False
+        self._operand = np.empty(len(F_T))      # fuse's, filled each step
+        self._slots = np.split(self._operand, stacked._operand_cuts[mode])
         self.restart, self._done = None, 0
 
     def _ready(self, j: int, stacked: StackedSensorForms) -> bool:
@@ -297,14 +306,15 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
     Normal mode: x' = F [x_hat; u; y_G; y_I], the prediction A x_hat + B u
     corrected by both innovations.  Emergency mode: x' = F_E [x_hat; u; y_I],
     the IMU innovation only; y_G is never evaluated, so the estimate is
-    bit-for-bit independent of it.  F and P' are read from the state's
-    stretch, NaN or inf where they failed; a mode switch or a bare state
-    opens one.
+    bit-for-bit independent of it: the stretch's operand has no y_G slot.
+    F and P' are read from the state's stretch, NaN or inf where they
+    failed; a mode switch or a bare state opens one.
     """
     stretch, j = _stretch_row(est, stacked)
-    operand = np.concatenate((est.x_hat, u, y_I) if est.mode is
-                             Mode.EMERGENCY else (est.x_hat, u, y_G, y_I))
-    x_new = stretch.F[j].dot(operand)
+    for slot, value in zip(stretch._slots, (est.x_hat, u, y_I) if est.mode
+                           is Mode.EMERGENCY else (est.x_hat, u, y_G, y_I)):
+        slot[...] = value
+    x_new = stretch.F[j].dot(stretch._operand)
     stretch, j = (stretch, j + 1) if j + 1 < len(stretch.F) else \
         (stretch.restart, 0)
     new = EstimatorState(x_hat=x_new, P=stretch.P[j], mode=est.mode)

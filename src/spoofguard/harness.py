@@ -1,18 +1,19 @@
 """Closed-loop scenario runner: plant + tracking controller + detector + estimator.
 
 Per step the runner (1) computes the control from the current estimate,
-(2) steps the plant and reads both sensors in one StackedSensorForms product,
-[x'; y_G - d; y_I] = Pi [x; u; w; v_G; v_I], (3) updates the detector from
-the GPS residual, (4) picks the operating mode from the updated statistic,
-and (5) fuses in that mode.  The mode decision happens before the fuse so a
-detected attack never corrupts the estimate on the step it is detected.
+(2) steps the plant, reads both sensors and forms the GPS residual in one
+StackedSensorForms product, [x'; y_G - d; y_I; d_hat - d] = Pi [x; u; w;
+v_G; v_I; x - x_hat], (3) updates the detector from d_hat, (4) picks the
+mode from the updated statistic and (5) fuses in that mode, so a detected
+attack never corrupts the estimate on the step it is detected.
 
 run_scenario steps one run; each step's results go into arrays, one row per
-step (the run's columns); the exports and monte_carlo's aggregates read
-them, and the spectral norms and confidence radii are built from them on
-first read, as is the run's escape analysis.  monte_carlo calls
-run_scenario once per run, all on one ScenarioShared, so each run reads
-the trunk's covariances until its first alarm.
+step (the run's columns; P is copied from each stretch as the run leaves
+it); the exports and monte_carlo's aggregates read them, and the spectral
+norms and confidence radii are built from them on first read, as is the
+run's escape analysis.  monte_carlo calls run_scenario once per run, all on
+one ScenarioShared, so each run reads the trunk's covariances until its
+first alarm.
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -272,17 +273,20 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     """Advance one closed-loop run and return its per-step columns; it
     starts on the trunk, the normal stretch from P = 0."""
     model, stacked = config.model, shared.stacked
-    steps, n, m_G = config.steps, model.n, model.m_G
-    plant, n_G = stacked._plant, n + m_G
-    gps_prediction = np.ascontiguousarray(plant[n:n_G, :n + model.p])
+    steps, n, m_G, plant = config.steps, model.n, model.m_G, stacked._plant
     det, delta = config.detector, config.detector.delta
     threshold = det.threshold(m_G) if detector_enabled else math.inf
     u_ref, L = _control_law(config.target, config.kp, config.kd, n)
     rng_w, rng_G, rng_I = (np.random.default_rng(s) for s in
                            np.random.SeedSequence(config.seed).spawn(3))
-    # Operands filled in place each step; no column or state keeps a view.
-    plant_in, detector_in = np.empty(plant.shape[1]), np.empty(n + model.p)
-    u, w, v_G, v_I = np.split(plant_in[n:], np.cumsum((model.p, n, m_G)))
+    sample_w, sample_G, sample_I = (s.sample for s in (
+        shared.sampler_w, shared.sampler_G, shared.sampler_I))
+    # The product's operand and the product, filled in place each step; no
+    # column or state keeps a view of either.
+    plant_in, z = np.empty(plant.shape[1]), np.empty(len(plant))
+    x_in, u, w, v_G, v_I, error = np.split(plant_in, np.cumsum(
+        (n, model.p, n, m_G, model.m_I)))
+    x, y_G, y_I, d_hat = np.split(z, np.cumsum((n, m_G, model.m_I)))
     try:    # before the attack's (steps - onset, m_G) array
         xs, x_hats, us = (np.empty((steps, k)) for k in (n, n, model.p))
         Ps, S_col = np.empty((steps, n, n)), np.empty(steps)
@@ -293,37 +297,42 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     onset = config.attack_onset()
     attack = config.attack.signal_range(onset + 1, steps + 1, m_G)
 
-    plant_in[:n] = config.x0
+    x_in[:] = config.x0
     est = EstimatorState.initial(config.x0)
     est.stretch = shared.trunk
     S, alarmed = 0.0, False
+    stretch, first, row = est.stretch, 0, 1     # Ps[first:] = stretch.P[row:]
 
     for i in range(steps):
         np.subtract(u_ref, L.dot(est.x_hat), out=u)
-        shared.sampler_w.sample(rng_w, out=w)
-        shared.sampler_G.sample(rng_G, out=v_G)
-        shared.sampler_I.sample(rng_I, out=v_I)
-        z = plant.dot(plant_in)
-        x, y_G, y_I = z[:n], z[n:n_G], z[n_G:]
-        plant_in[:n] = x
+        sample_w(rng_w, out=w)
+        sample_G(rng_G, out=v_G)
+        sample_I(rng_I, out=v_I)
+        np.subtract(x_in, est.x_hat, out=error)
+        plant.dot(plant_in, out=z)
+        x_in[...] = x
         if i >= onset:
-            y_G += attack[i - onset]
+            d = attack[i - onset]
+            y_G += d
+            d_hat += d
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
         # P_d^{-1} is the state's stretch row's, read before this step's
         # mode replaces the state's.
         if detector_enabled:
-            detector_in[:n], detector_in[n:] = est.x_hat, u
-            d_hat = y_G - gps_prediction.dot(detector_in)
             S = delta * S + normalized_residual(d_hat,
                                                 _detector_weight(est, stacked))
             alarmed = S > threshold
         est.mode = _MODES[alarmed]
         est = fuse(est, model, stacked, u, y_G, y_I)
+        if est.stretch is not stretch:
+            Ps[first:i] = stretch.P[row:row + i - first]
+            stretch, first, row = est.stretch, i, est.row
 
-        xs[i], x_hats[i], us[i], Ps[i] = x, est.x_hat, u, est.P
+        xs[i], x_hats[i], us[i] = x, est.x_hat, u
         S_col[i], alarm_col[i] = S, alarmed
+    Ps[first:] = stretch.P[row:row + steps - first]
 
     cols = _RunColumns(
         x=xs, x_hat=x_hats, u=us, S=S_col, alarmed=alarm_col,

@@ -199,6 +199,8 @@ class GaussianSampler:
     The covariance is factored once (symmetric eigendecomposition with small
     negative eigenvalues clamped to zero at a -1e-12 tolerance) and the factor
     is reused across draws, since covariances are constant per scenario.
+    Each draw's standard normals go into a scratch array the sampler keeps,
+    so one sampler must not be used from two threads at once.
     """
 
     def __init__(self, Sigma):
@@ -214,10 +216,12 @@ class GaussianSampler:
                 f"covariance is not positive semidefinite "
                 f"(min eigenvalue {eigvals.min():.3e})")
         self._factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        self._draw = np.empty(self.dim)
 
     def sample(self, rng: np.random.Generator, out=None) -> np.ndarray:
-        """Draw one vector, into out if given; deterministic per generator."""
-        return self._factor.dot(rng.standard_normal(self.dim), out=out)
+        """Draw one vector, into out if given, else into a new array; the
+        stream and the bits are those of standard_normal(dim)."""
+        return self._factor.dot(rng.standard_normal(out=self._draw), out=out)
 
 
 def validate_model(model: SystemModel) -> list:

@@ -194,17 +194,36 @@ class TestRunScenario:
             start_step=300)), shared=uav_shared)
         assert last.columns.alarmed[-1]
 
-    def test_run_matches_public_step_functions(self, uav_config, uav_shared):
+    @pytest.mark.parametrize("case", ["paper_uav", "drifting", "nan_spoof"])
+    def test_run_matches_public_step_functions(self, uav_config, uav_shared,
+                                               case):
         # The public step functions, stepped in a plain loop, are the
-        # reference for the runner, which inlines the plant, the
-        # measurements and the detector: the same alarms on every step,
-        # states and statistics equal to roundoff.
-        config = replace(uav_config, steps=720)
+        # reference for the runner, which computes the plant, the
+        # measurements and the detector's residual in one product: the same
+        # alarms on every step, states and finite statistics equal to
+        # roundoff, and inf where the reference's statistic is inf.  Cases:
+        # paper_uav over 720 steps; its drifting variant, C_I = C_G (a
+        # relative-position IMU, so M's IMU rows are not zero), attacked;
+        # paper_uav with a NaN spoof from step 700.  No random_invertible_model
+        # draw: its B = 0 and unstable A drive |x| past 1e16 (2.3e16 at step
+        # 114 on default_rng(0)'s), where the roundoff eps |x| is as large
+        # as the residual itself and flips alarms between any two evaluation
+        # orders, the plain loop's and the runner's, whichever form it uses.
+        config, shared = replace(uav_config, steps=720), uav_shared
+        if case == "drifting":
+            model = uav_config.model
+            config = replace(uav_config, model=SystemModel(
+                A=model.A, B=model.B, C_G=model.C_G, C_I=model.C_G,
+                Sigma_w=model.Sigma_w, Sigma_G=model.Sigma_G,
+                Sigma_I=model.Sigma_I))
+            shared = ScenarioShared(config.model)
+            assert not shared.stacked.drift_free
+        elif case == "nan_spoof":
+            config = _spoofed(uav_config, np.nan)
         model, det = config.model, config.detector
-        trace = run_scenario(config, shared=uav_shared)
+        trace = run_scenario(config, shared=shared)
         cols = trace.columns
-        samplers = (uav_shared.sampler_w, uav_shared.sampler_G,
-                    uav_shared.sampler_I)
+        samplers = (shared.sampler_w, shared.sampler_G, shared.sampler_I)
         rngs = [np.random.default_rng(s)
                 for s in np.random.SeedSequence(config.seed).spawn(3)]
         plant = PlantState.initial(config.x0)
@@ -219,18 +238,23 @@ class TestRunScenario:
             S = cusum_update(S, residual(y_G, est.x_hat, u, model),
                              residual_covariance(est.P, model), det.delta)
             mode = Mode.EMERGENCY if S > threshold else Mode.NORMAL
-            est = fuse(replace(est, mode=mode), model, uav_shared.stacked,
+            est = fuse(replace(est, mode=mode), model, shared.stacked,
                        u, y_G, y_I)
             assert cols.alarmed[i] == (mode is Mode.EMERGENCY)
             np.testing.assert_allclose(cols.x[i], plant.x, rtol=1e-9,
                                        atol=1e-12)
             np.testing.assert_allclose(cols.x_hat[i], est.x_hat,
                                        rtol=1e-9, atol=1e-12)
-            assert cols.S[i] == pytest.approx(S, rel=1e-9, abs=1e-12)
+            if math.isinf(S):
+                assert cols.S[i] == S
+            else:
+                assert cols.S[i] == pytest.approx(S, rel=1e-9)
             assert cols.conf_radius[i] == pytest.approx(math.sqrt(
                 chi2_quantile(model.n, det.alpha) * spectral_norm(est.P)),
                 rel=1e-9)
         assert trace.attack_detection_step == 700
+        if case == "nan_spoof":
+            assert (cols.S[699:] == np.inf).all()
 
     def test_detector_covariance_is_the_innovation_block(self, uav_config,
                                                         uav_shared):
@@ -581,6 +605,31 @@ class TestCovarianceTrunk:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
+
+    def test_P_column_is_the_stepped_states_bit_for_bit(self, uav_config):
+        # The runner copies P once per stretch segment.  A kept state stepped
+        # through fuse from the trunk with the run's alarms has the column's
+        # P after every step; P depends on the modes only, so the readings
+        # may be any finite values.  Seed 1 false-alarms at step 311 only,
+        # so the run switches both ways and restarts stretches of both
+        # modes at their row 256: the trunk, the normal one opened at step
+        # 312 and the attack's emergency one.
+        config = replace(uav_config, seed=1)
+        shared = ScenarioShared(config.model)
+        cols = run_scenario(config, shared=shared).columns
+        assert np.flatnonzero(cols.alarmed[:699]).tolist() == [310]
+        assert cols.alarmed[699:].all()
+        est = EstimatorState.initial(config.x0)
+        est.stretch = shared.trunk
+        u, y = np.ones(config.model.p), np.ones(config.model.m_G)
+        restarts = []
+        for i, alarmed in enumerate(cols.alarmed, 1):
+            before, est.mode = est, Mode.EMERGENCY if alarmed else Mode.NORMAL
+            est = fuse(est, config.model, shared.stacked, u, y, y)
+            if before.stretch is not est.stretch and est.row == 0:
+                restarts.append(i)
+            assert cols.P[i - 1].tobytes() == est.P.tobytes()
+        assert restarts == [256, 311 + 256, 699 + 256]
 
     @pytest.mark.parametrize("steps", [200, 1000])
     def test_private_run_roots_no_chain(self, uav_config, steps):

@@ -235,6 +235,29 @@ class TestGaussianSampler:
         assert rng_out.bit_generator.state == rng.bit_generator.state
         assert out.shape == (dim,)
 
+    @pytest.mark.parametrize("sigma", [np.array([[2.0, 0.8], [0.8, 1.0]]),
+                                       1e-4 * np.eye(4)])
+    def test_scratch_draw_is_the_fresh_draws(self, sigma):
+        # The standard normals go into the sampler's scratch array: with or
+        # without out, a draw is the factor times a fresh standard_normal(dim)
+        # of a twin generator, bit for bit, and sample(rng) returns a new
+        # array each call, so the scratch never escapes.
+        sampler = GaussianSampler(sigma)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        out = np.empty(len(sigma))
+        for _ in range(3):
+            for draw in (sampler.sample(rng, out=out), sampler.sample(rng)):
+                want = sampler._factor.dot(twin.standard_normal(len(sigma)))
+                assert draw.tobytes() == want.tobytes()
+        first, second = sampler.sample(rng), sampler.sample(rng)
+        assert first is not second and not np.shares_memory(first, second)
+        assert not np.array_equal(first, second)
+        assert not np.shares_memory(first, sampler._draw)
+
+    def test_dimension_zero_draws_are_empty(self):
+        sampler = GaussianSampler(np.zeros((0, 0)))
+        assert sampler.sample(np.random.default_rng(0)).shape == (0,)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             GaussianSampler(np.array([[1.0, 0.0], [0.0, -0.5]]))

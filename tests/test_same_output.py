@@ -6,7 +6,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 import pytest  # noqa: E402
-from same_output import commands, compare  # noqa: E402
+from same_output import (column_differences, commands, compare,  # noqa: E402
+                         report)
 
 from spoofguard import builtin_config_path  # noqa: E402
 
@@ -28,6 +29,29 @@ def test_integers_text_and_layout_are_other_fields():
 
 def test_equal_floats_written_differently_match():
     assert compare("0.0, 1.0", "-0.0, 1.00") == (0.0, 0.0, True)
+
+
+def test_a_csv_trace_names_the_columns_that_moved():
+    # Each header column whose floats differ, with its largest relative
+    # difference; other outputs keep their one line, and only a non-float
+    # field sets the exit status.
+    parent = "k,x1,S,mode\n1,1.5,2.0,normal\n2,-0.0,4.0,normal\n"
+    child = "k,x1,S,mode\n1,1.5,2.000002,normal\n2,0.0,4.00004,normal\n"
+    assert column_differences(parent, child) == {
+        "S": pytest.approx(4e-5 / 4.00004, rel=1e-9)}
+    lines, differs = report("run seed 0 csv: trace", parent, child)
+    assert lines == ["run seed 0 csv: trace: floats differ by at most "
+                     "1e-05 relative, 4e-05 absolute; other fields match",
+                     "  S: 1e-05"]
+    assert not differs
+    assert report("run seed 0 json: trace", parent, child)[0] == [
+        lines[0].replace("csv", "json")]
+    assert report("run seed 0 csv: trace", parent, parent) == (
+        ["run seed 0 csv: trace: identical"], False)
+    moved = parent.replace("normal\n2", "emergency\n3")
+    lines, differs = report("run seed 0 csv: trace", parent, moved)
+    assert differs and lines[0].endswith("other fields DIFFER")
+    assert column_differences(parent, "k,x1\n") == {}
 
 
 def test_the_command_list(tmp_path):
