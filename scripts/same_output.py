@@ -7,8 +7,8 @@ with the tree's ``src`` on PYTHONPATH and PYTHONWARNINGS=error::RuntimeWarning:
 
 * ``run`` with a CSV and a JSON trace, seeds 0-4, on the shipped config;
 * ``mc --runs 20``, seeds 0-4, and ``analyze`` on the shipped config;
-* ``analyze`` and ``run`` on the configs the CI console-script step derives
-  from it;
+* ``analyze`` and ``run`` on the configs the console-script table
+  (``tests/test_console.py``) derives from it;
 * ``analyze`` on the IMU-blind test config (``tests/configs/imu_blind.json``,
   read from this script's tree), and ``run`` on it with a 50 m bias from
   step 10.
@@ -74,7 +74,7 @@ def _huge(raw):
                         Sigma_I=_eye(2, 2e306))
 
 
-# The configs of the CI console-script step: name -> mutation of the raw JSON.
+# The console-script table's configs: name -> mutation of the raw JSON.
 DERIVED = {
     "clean": _set((("attack", "kind"), "none")),
     "large": _set((("attack", "d"), [1e200, 1e200])),

@@ -18,10 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .chi2 import chi2_quantile
-from .estimator import Mode, StackedSensorForms, optimal_gain, \
-    _covariance_update_stacked, _joseph_step, _Stretch
+from .estimator import Mode, StackedSensorForms, covariance_update, \
+    optimal_gain, _apply, _Stretch
 from .exceptions import ConvergenceError, NumericalError
-from .model import SystemModel, _inv, _read_only
+from .model import SystemModel, _read_only
 
 
 def spectral_norm(M) -> float:
@@ -167,10 +167,13 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
     so max_iter counts doublings.  Converged means |f(P) - P| <= tol * |P| <
     inf for the one-step recursion f (covariance_magnitude's norm), a
     relative test at every scale, or A_k exactly 0, where every start maps
-    to H (a floor near 1e-16 Sigma_w can keep the test from tol).  The fixed
-    point is returned read-only.  Raises ConvergenceError (carrying the last
-    iterate and residual) when max_iter doublings do not converge or an
-    iterate is not finite, and fails fast on an undetectable GPS pair.
+    to H (a floor near 1e-16 Sigma_w can keep the test from tol).  f is the
+    Joseph form (covariance_update, optimal_gain), independent of the
+    triples: at Sigma_w = 1e300 I the one-step triple's H_1 cancels to 0,
+    and a triple-form f would accept P = 0.  The fixed point is returned
+    read-only.  Raises ConvergenceError (carrying the last iterate and
+    residual) when max_iter doublings do not converge or an iterate is not
+    finite, and fails fast on an undetectable GPS pair.
     """
     stacked = StackedSensorForms(model) if stacked is None else stacked
     if not is_detectable(model.C_G, model.A):
@@ -186,7 +189,7 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
                 f"non-finite covariance after {doublings} doublings",
                 last_iterate=H, residual=math.inf)
         K = optimal_gain(H, model, stacked)
-        resid = covariance_magnitude(_covariance_update_stacked(H, K, stacked)[1] - H)
+        resid = covariance_magnitude(covariance_update(H, K, model, stacked) - H)
         if resid <= tol * covariance_magnitude(H) < math.inf \
                 or not A_k.any():
             return H
@@ -247,7 +250,7 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     value = statistic(P)
     if not value > quantile:
         return 0
-    P_next = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
+    P_next = _apply(stacked._power(Mode.EMERGENCY, 0), P)
     if zeta_sq == math.inf or P_next.tobytes() == P.tobytes():
         return None
     last = max_horizon      # the last step the loop below may take
@@ -309,11 +312,11 @@ def _doubling_search(P, value, quantile, statistic, stacked, max_horizon):
     an A_m exactly 0, whose H_m is the limit of the iterates.  From the
     first miss, bisecting tries each triple once.
     """
-    eye = np.eye(len(P))
     k, level, galloping = 0, 0, True
     while level >= 0:
         m = 1 << level
-        A_m, G_m, H_m = stacked._power(Mode.EMERGENCY, level)
+        triple = stacked._power(Mode.EMERGENCY, level)
+        A_m, _, H_m = triple
         if k + m > max_horizon:
             if galloping and A_m.any() and level < 64:
                 level += 1
@@ -321,9 +324,7 @@ def _doubling_search(P, value, quantile, statistic, stacked, max_horizon):
             if galloping and not A_m.any() and statistic(H_m) > quantile:
                 return math.inf, H_m, statistic(H_m)
         else:
-            candidate = H_m + A_m.T.dot(P).dot(
-                _inv(eye + G_m.dot(P)).dot(A_m))
-            candidate = 0.5 * (candidate + candidate.T)
+            candidate = _apply(triple, P)
             if not np.isfinite(candidate).all():
                 return None
             candidate_value = statistic(candidate)

@@ -18,9 +18,9 @@ and the trace-minimizing gain is
 Each mode's covariance is one Riccati map f of P, so a run reads it, its
 predictor and P_d^{-1} only from a _Stretch: row j is f^j(P_a), P_a at the
 mode's last switch, from j-step triples f^j(P) = H_j + A_j^T P (I + G_j P)^{-1}
-A_j (Anderson & Moore, Optimal Filtering, 1979); a singular inverse is NaN, an
-overflow inf, for the run's final check.  covariance_update is the Joseph
-form the rows match.
+A_j (Anderson & Moore, Optimal Filtering, 1979), which _apply, the one map,
+evaluates; a singular inverse is NaN, an overflow inf, for the run's final
+check.  covariance_update is the Joseph form, kept as an independent check.
 """
 
 from dataclasses import dataclass, field
@@ -63,14 +63,14 @@ class StackedSensorForms:
 
     _table(mode) holds the mode's j-step triples, j = 1..8, and its 2^k-step
     ones, which stretches and the escape analysis read; _innovation_system
-    is the innovation system of one P; _covariance_update_stacked is the one
-    Joseph update.  The invariants are defined here once: A^{-1} (ValueError
-    for a singular A), C_bar_I = C_I (I - A^{-1}), the drift-free flag
-    C_bar_I = 0 within 1e-12, whereupon C_bar_I and M's IMU rows C_I (A - I)
-    are exact zeros in every form, so the flag and the matrices agree, the
-    emergency gain K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T + Sigma_I)^{-1},
-    and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T + K_I Sigma_I
-    K_I^T, the Joseph update of P = 0 with K_E = [0, K_I].
+    is the innovation system of one P or a stack.  The invariants are
+    defined here once: A^{-1} (ValueError for a singular A), C_bar_I = C_I
+    (I - A^{-1}), the drift-free flag C_bar_I = 0 within 1e-12, whereupon
+    C_bar_I and M's IMU rows C_I (A - I) are exact zeros in every form, so
+    the flag and the matrices agree, the emergency gain K_I = Sigma_w C_I^T
+    (C_I Sigma_w C_I^T + Sigma_I)^{-1} from the IMU blocks of the P = 0
+    system, and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T + K_I
+    Sigma_I K_I^T, covariance_update of P = 0 with K_E = [0, K_I].
     """
 
     def __init__(self, model: SystemModel):
@@ -88,9 +88,9 @@ class StackedSensorForms:
         self.D = np.diag(np.arange(m) >= m_G).astype(float)
 
         self._model, self._tables, self._m_G = model, {}, m_G
-        self._I_n = np.eye(n)
+        I_n = np.eye(n)
         # The drift-free structure (class docstring), before any form reads M.
-        self.C_bar_I = model.C_I @ (self._I_n - self.A_inv)
+        self.C_bar_I = model.C_I @ (I_n - self.A_inv)
         scale = max(1.0, float(np.abs(model.C_I).max(initial=0.0)))
         self.drift_free = bool(
             np.abs(self.C_bar_I).max(initial=0.0) <= 1e-12 * scale)
@@ -112,10 +112,10 @@ class StackedSensorForms:
         # no y_G column: 0 * NaN is NaN.
         A, B, CB = model.A, model.B, self.C @ model.B
         self._plant = np.block([
-            [A, B, self._I_n, np.zeros((n, m + n))],
+            [A, B, I_n, np.zeros((n, m + n))],
             [self._M, CB, self.C, np.eye(m), np.zeros((m, n))],
             [np.zeros((m_G, n + p)), model.C_G, np.eye(m_G, m), self._M[:m_G]]])
-        self._gain_base_T = np.vstack([A.T, B.T, np.zeros((m, n)), self._I_n])
+        self._gain_base_T = np.vstack([A.T, B.T, np.zeros((m, n)), I_n])
         self._gain_coef_T = np.vstack([self._M_T, CB.T, -np.eye(m), self.C.T])
         self._predictor_cols = {Mode.NORMAL: np.s_[:n + p + m],
                                 Mode.EMERGENCY: np.r_[:n + p, n + p + m_G:k]}
@@ -123,11 +123,12 @@ class StackedSensorForms:
         self._operand_cuts = {Mode.NORMAL: (n, n + p, n + p + m_G),
                               Mode.EMERGENCY: (n, n + p)}
 
-        # Dead reckoning's gain and noise floor (class docstring).
-        K_E = _mode_gain(np.zeros((n, n)), Mode.EMERGENCY, self)
-        self.K_I = K_E[:, m_G:]
-        self.Sigma_bar = _covariance_update_stacked(np.zeros((n, n)), K_E,
-                                                    self)[1]
+        # Dead reckoning's gain, from the P = 0 system, and noise floor.
+        self.K_I = _solve_gain(
+            self._innovation_noise[m_G:m, m_G:], Sw_Ct[:, m_G:],
+            "IMU-only innovation covariance")
+        self.Sigma_bar = covariance_update(np.zeros((n, n)), np.hstack(
+            [np.zeros((n, m_G)), self.K_I]), model, self)
 
     def _table(self, mode: Mode):
         """[stack, powers, length], read-only, built on first use: the mode's
@@ -166,8 +167,9 @@ class StackedSensorForms:
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
                  stacked: StackedSensorForms) -> np.ndarray:
     """Trace-minimizing stacked gain K = [K_G, K_I], (n, m_G + m_I), for the
-    given prior covariance."""
-    return _mode_gain(P_prev, Mode.NORMAL, stacked)
+    given prior covariance: G R^{-1} of its innovation system."""
+    return _solve_gain(*_innovation_system(P_prev, stacked),
+                       "innovation covariance")
 
 
 def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -181,11 +183,12 @@ def _solve_gain(innov_cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
 
 
 def _innovation_system(P: np.ndarray, stacked: StackedSensorForms):
-    """(R, G) of P from one product [M; A] (P M^T): R = M P M^T + C Sigma_w
-    C^T + Sigma_y, whose GPS-GPS block is the detector's P_d (the GPS rows
-    of M are C_G A), and G = A P M^T + Sigma_w C^T."""
-    system = stacked._M_A.dot(P.dot(stacked._M_T)) + stacked._innovation_noise
-    return system[:len(stacked.C)], system[len(stacked.C):]
+    """(R, G) of P, or of each P of a stack, from one product [M; A] (P
+    M^T): R = M P M^T + C Sigma_w C^T + Sigma_y, whose GPS-GPS block is the
+    detector's P_d (the GPS rows of M are C_G A), and G = A P M^T + Sigma_w
+    C^T."""
+    system = stacked._M_A @ (P @ stacked._M_T) + stacked._innovation_noise
+    return system[..., :len(stacked.C), :], system[..., len(stacked.C):, :]
 
 
 def _detector_weight(est: EstimatorState,
@@ -199,40 +202,25 @@ def _detector_weight(est: EstimatorState,
 def covariance_update(P_prev: np.ndarray, K: np.ndarray, model: SystemModel,
                       stacked: StackedSensorForms) -> np.ndarray:
     """Covariance propagation for an arbitrary stacked gain K = [K_G, K_I],
-    re-symmetrized."""
-    return _covariance_update_stacked(P_prev, K, stacked)[1]
-
-
-def _covariance_update_stacked(P_prev: np.ndarray, K: np.ndarray,
-                               stacked: StackedSensorForms):
-    """The gain's blocks W = [T, B_K, K, I - K C], one product, and the
-    covariance propagated by the stacked gain K, the Joseph update as one
-    quadratic form W blockdiag(P, 0_p, Sigma_y, Sigma_w) W^T."""
-    blocks = (stacked._gain_base_T - stacked._gain_coef_T.dot(K.T)).T
-    n = len(blocks)
+    re-symmetrized: the Joseph update as one quadratic form W blockdiag(P,
+    0_p, Sigma_y, Sigma_w) W^T of the gain's blocks W = [T, B_K, K, I - K
+    C], one product."""
+    W = (stacked._gain_base_T - stacked._gain_coef_T.dot(K.T)).T
     weight = stacked._joseph_weight
-    weight[:n, :n] = P_prev
-    P = blocks.dot(weight).dot(blocks.T)
-    return blocks, 0.5 * (P + P.T)
+    weight[:len(W), :len(W)] = P_prev
+    P = W.dot(weight).dot(W.T)
+    return 0.5 * (P + P.T)
 
 
-def _mode_gain(P: np.ndarray, mode: Mode, stacked: StackedSensorForms):
-    """The mode's optimal gain for P, solved from P's own system: the normal
-    gain G R^{-1}, or the IMU-only one [0, G_I R_II^{-1}]."""
-    (R, G), m_G = _innovation_system(P, stacked), stacked._m_G
-    if mode is Mode.NORMAL:
-        return _solve_gain(R, G, "innovation covariance")
-    return np.hstack([np.zeros_like(G[:, :m_G]), _solve_gain(
-        R[m_G:, m_G:], G[:, m_G:], "IMU-only innovation covariance")])
-
-
-def _joseph_step(P: np.ndarray, mode: Mode, stacked: StackedSensorForms):
-    """The mode's predictor, [T, B_K, K] or F_E = [T_E, B - K_I C_I B, K_I],
-    and covariance one step from P by the Joseph update with P's own gain
-    (dead reckoning's step in emergency mode)."""
-    blocks, P = _covariance_update_stacked(P, _mode_gain(P, mode, stacked),
-                                           stacked)
-    return blocks[:, stacked._predictor_cols[mode]], P
+def _apply(triple, P: np.ndarray) -> np.ndarray:
+    """f^j(P) = H_j + A_j^T P (I + G_j P)^{-1} A_j of a triple (A_j, G_j,
+    H_j), re-symmetrized, for one P or a stack (the triple may be a stack
+    too), in the caller's error state: where it ignores invalid values, a
+    singular I + G_j P gives NaN."""
+    A, G, H = triple
+    rows = H + A.swapaxes(-1, -2) @ (P @ _solve(np.eye(H.shape[-1]) + G @ P,
+                                                A))
+    return 0.5 * (rows + rows.swapaxes(-1, -2))
 
 
 class _Stretch:
@@ -240,7 +228,7 @@ class _Stretch:
     overflows, then the restart stretch from row L.  Chunks, as read: rows
     1..8 are the stack's triples on P_a, rows lo + 1..2 lo (lo = 8, ...,
     128) the power triple lo on rows 1..lo.  Prior row j < L has P_d^{-1}
-    and predictor F (as _joseph_step's), read-only, from one stacked inverse
+    and predictor F ([T, B_K, K], or F_E), read-only, from one stacked inverse
     per chunk of each reader's operand (P_d; R, or R_II in emergency mode),
     so a singular one is NaN in its own row and reader only.  It keeps
     fuse's operand, so one stretch must not be stepped from two threads."""
@@ -270,18 +258,14 @@ class _Stretch:
         hi - 1 by a stacked inverse each, and after the last the restart."""
         (P, P_d_inv, F), lo = self._buffers, self._done
         hi = self._done = min(len(F), max(_FIRST_CHUNK, 2 * lo))
-        (A, G, H), P_in = (stacked._power(self.mode, lo.bit_length() - 1),
-                           P[1:lo + 1]) if lo else (self._stack, P[0])
-        rows = H + A.swapaxes(-1, -2) @ (P_in @ _solve(
-            stacked._I_n + G @ P_in, A))
-        P[lo + 1:hi + 1] = 0.5 * (rows + rows.swapaxes(1, 2))
-        system = stacked._M_A @ (P[lo:hi] @ stacked._M_T) \
-            + stacked._innovation_noise
-        m, m_G = len(stacked.C), stacked._m_G
-        P_d_inv[lo:hi] = _inverse(system[:, :m_G, :m_G])
+        triple, P_in = (stacked._power(self.mode, lo.bit_length() - 1),
+                        P[1:lo + 1]) if lo else (self._stack, P[0])
+        P[lo + 1:hi + 1] = _apply(triple, P_in)
+        (R, G), m_G = _innovation_system(P[lo:hi], stacked), stacked._m_G
+        P_d_inv[lo:hi] = _inverse(R[:, :m_G, :m_G])
         # G R^{-1}, or G_I R_II^{-1} in K_I's columns: F_E needs no R^{-1}.
-        gain = np.s_[:m] if self.mode is Mode.NORMAL else np.s_[m_G:m]
-        K = system[:, m:, gain] @ _inverse(system[:, gain, gain])
+        gain = np.s_[:] if self.mode is Mode.NORMAL else np.s_[m_G:]
+        K = G[..., gain] @ _inverse(R[:, gain, gain])
         blocks = stacked._gain_base_T \
             - stacked._gain_coef_T[:, gain] @ K.swapaxes(1, 2)
         F[lo:hi] = blocks.swapaxes(1, 2)[..., stacked._predictor_cols[

@@ -14,11 +14,12 @@ from spoofguard import (ConvergenceError, NumericalError, ScenarioShared,
                         parse_config, run_scenario, spectral_norm,
                         stationary_covariance)
 from spoofguard import analysis
-from spoofguard.estimator import Mode, _joseph_step
+from spoofguard.estimator import Mode
 from spoofguard.harness import _RunColumns
 
 from conftest import (decoupling_residual, make_uav_model,
                       random_invertible_model)
+from reference import joseph_step
 
 
 def scalar_model(a=1.0, sigma_w=1.0, sigma_g=1.0):
@@ -323,9 +324,9 @@ class TestEscapeTime:
                             Sigma_I=m.Sigma_I)
         stacked, P = StackedSensorForms(model), stationary_covariance(model)
         for _ in range(3000):
-            P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
+            P = joseph_step(P, Mode.EMERGENCY, stacked)[1]
         start = 10.0 * P
-        P1 = _joseph_step(start, Mode.EMERGENCY, stacked)[1]
+        P1 = joseph_step(start, Mode.EMERGENCY, stacked)[1]
         assert not analysis._grows(start, P1)
         assert analysis._grows(start, P1, -1.0)
         zeta, alpha = config.zeta_norm, config.detector.alpha
@@ -355,18 +356,13 @@ class TestEscapeTime:
         # Without process noise dead reckoning maps P = 0 to itself bit for
         # bit: the tolerance never escapes, known after one step instead of
         # 100000.
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return _joseph_step(*args)
-        monkeypatch.setattr(analysis, "_joseph_step", counted)
         m = uav_model
         model = SystemModel(A=m.A, B=m.B, C_G=m.C_G, C_I=m.C_I,
                             Sigma_w=np.zeros((4, 4)), Sigma_G=m.Sigma_G,
                             Sigma_I=m.Sigma_I)
+        calls = counted_steps(monkeypatch)
         assert escape_time(np.zeros((4, 4)), model, 2.0, 0.01) is None
-        assert len(calls) == 1
+        assert calls == ["_apply"]
 
     def test_tolerance_whose_square_overflows(self, uav_model,
                                               uav_stationary_P):
@@ -392,7 +388,7 @@ def stepped_escape_time(P, model, zeta, alpha, horizon=math.inf):
     while magnitude == 0.0 or zeta * zeta / magnitude > quantile:
         if k == horizon:
             return None
-        P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
+        P = joseph_step(P, Mode.EMERGENCY, stacked)[1]
         k, magnitude = k + 1, covariance_magnitude(P)
     return k
 
@@ -409,15 +405,28 @@ def uav_variant(a=1.0, noise=1.0):
 
 
 def counted_steps(monkeypatch) -> list:
-    """The list escape_time's dead-reckoning steps (_joseph_step calls)
-    append to."""
+    """The list escape_time's one-step maps append their names to: _apply
+    on one P (its first step, then the doubling search's candidates; the
+    stretches' rows are applied in estimator, not counted here) and
+    covariance_update (a Joseph step, which it never takes)."""
     calls = []
 
-    def counted(*args):
-        calls.append(1)
-        return _joseph_step(*args)
-    monkeypatch.setattr(analysis, "_joseph_step", counted)
+    def counted(name):
+        original = getattr(analysis, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+    for name in ("_apply", "covariance_update"):
+        monkeypatch.setattr(analysis, name, counted(name))
     return calls
+
+
+# escape_time's one-step maps from a start that passes _grows: its first
+# step, then at most two search candidates per level below max_horizon
+# (100000), where stepping makes one per dead-reckoning step.
+SEARCH_MAPS = 1 + 2 * (100_000).bit_length()
 
 
 class TestEscapeTimeByDoubling:
@@ -436,7 +445,7 @@ class TestEscapeTimeByDoubling:
         start = time.perf_counter()
         assert escape_time(uav_stationary_P, uav_model, 2000.0, 0.01) == 41165
         assert time.perf_counter() - start < 0.25
-        assert len(calls) == 1
+        assert set(calls) == {"_apply"} and len(calls) <= SEARCH_MAPS
 
     @pytest.mark.parametrize("model, zeta", [
         pytest.param(uav_variant(), 2.0, id="uav"),
@@ -456,7 +465,7 @@ class TestEscapeTimeByDoubling:
         starts = [stationary_covariance(model), np.zeros((n, n)),
                   1e-3 * np.trace(stacked.Sigma_bar) * np.eye(n)]
         for P0 in starts:
-            P1 = _joseph_step(P0, Mode.EMERGENCY, stacked)[1]
+            P1 = joseph_step(P0, Mode.EMERGENCY, stacked)[1]
             assert analysis._grows(P0, P1)
             k = escape_time(P0, model, zeta, 0.05)
             assert k == stepped_escape_time(P0, model, zeta, 0.05)
@@ -464,7 +473,7 @@ class TestEscapeTimeByDoubling:
 
     def test_drift_models_equal_the_stepped_loop(self, monkeypatch):
         # From the stationary covariance dead reckoning never decreases
-        # (Kalman optimality): one counted step, then the search.  A model
+        # (Kalman optimality): one counted map, then the search.  A model
         # whose limit stays credible is "never"; stepping then stays
         # credible over 2000 steps.
         rng = np.random.default_rng(0)
@@ -479,7 +488,7 @@ class TestEscapeTimeByDoubling:
                                  * covariance_magnitude(P0))
                 calls.clear()
                 k = escape_time(P0, model, zeta, 0.05)
-                assert len(calls) == 1
+                assert set(calls) == {"_apply"} and len(calls) <= SEARCH_MAPS
                 assert k == stepped_escape_time(P0, model, zeta, 0.05,
                                                 horizon=2000)
                 verdicts.append(k is None)
@@ -489,35 +498,35 @@ class TestEscapeTimeByDoubling:
                                                       monkeypatch):
         # A large velocity variance: D_0 = f(P_0) - P_0 is indefinite (its
         # position-velocity block has determinant below 0), so escape_time
-        # reads the iterates from emergency stretches: one counted step, for
+        # reads the iterates from emergency stretches: one counted map, for
         # the rules, and the k that stepping gives.
         P0 = np.diag([0.0, 0.0, 1e-2, 1e-2])
         stacked = StackedSensorForms(uav_model)
-        P1 = _joseph_step(P0, Mode.EMERGENCY, stacked)[1]
+        P1 = joseph_step(P0, Mode.EMERGENCY, stacked)[1]
         assert not analysis._grows(P0, P1)
         assert not analysis._grows(P0, P1, -1.0)
         calls = counted_steps(monkeypatch)
         k = escape_time(P0, uav_model, 2.0, 0.01)
-        assert len(calls) == 1
+        assert calls == ["_apply"]
         assert k == stepped_escape_time(P0, uav_model, 2.0, 0.01) > 256
 
     def test_detections_that_fail_the_check_read_a_stretch(self,
                                                            monkeypatch):
         # 9 of paper_uav's seeds 0-39 detect the attack at a covariance that
         # fails _grows: their escape from the alarm reads emergency stretch
-        # rows, one counted step for the rules, and gives stepping's 290.
+        # rows, one counted map for the rules, and gives stepping's 290.
         config = parse_config(builtin_config_path())
         shared = ScenarioShared(config.model)
         calls = counted_steps(monkeypatch)
         for seed in (13, 21, 23, 26, 31, 32, 35, 36, 38):
             trace = run_scenario(replace(config, seed=seed), shared=shared)
             P = trace.columns.P[trace.attack_detection_step - 1]
-            assert not analysis._grows(P, _joseph_step(
+            assert not analysis._grows(P, joseph_step(
                 P, Mode.EMERGENCY, shared.stacked)[1])
             calls.clear()
             assert trace.escape_time_from_alarm == 290 == stepped_escape_time(
                 P, config.model, config.zeta_norm, config.detector.alpha)
-            assert len(calls) == 1
+            assert calls == ["_apply"]
 
     def test_horizon_error_carries_the_next_covariance(self, uav_model,
                                                        uav_stationary_P):
@@ -528,13 +537,13 @@ class TestEscapeTimeByDoubling:
         stacked = StackedSensorForms(uav_model)
         P = uav_stationary_P
         for _ in range(50):
-            P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
+            P = joseph_step(P, Mode.EMERGENCY, stacked)[1]
         value = 4.0 / covariance_magnitude(P)
         assert str(info.value) == (
             f"tolerance still credible after 50 steps (last statistic "
             f"{value:.6g} > quantile {chi2_quantile(4, 0.01):.6g})")
         assert info.value.residual == pytest.approx(value, rel=1e-12)
-        P = _joseph_step(P, Mode.EMERGENCY, stacked)[1]
+        P = joseph_step(P, Mode.EMERGENCY, stacked)[1]
         np.testing.assert_allclose(info.value.last_iterate, P, rtol=1e-12)
 
 

@@ -487,8 +487,8 @@ class TestOverflowingRun:
 class TestDivergingModel:
     """Velocity entries A[2][2] = A[3][3] = 3 pass validation; the run,
     attacked from step 10, overflows at step 361.  No np.errstate here:
-    pytest turns a RuntimeWarning into an error, as CI's console-script
-    step does."""
+    pytest turns a RuntimeWarning into an error, as the console-script
+    table (tests/test_console.py) does."""
 
     @pytest.mark.parametrize("argv", [["run"], ["mc", "--runs", "2"]])
     def test_exits_two_with_one_line(self, config_path, tmp_path, capsys,
@@ -513,8 +513,8 @@ class TestUnexcitedUnstableMode:
     overflows (its G_k grows like 4^(2^k)).  The non-finite check reports
     it: analyze and run exit 2 with one line and nothing on stdout; mc runs
     no escape analysis, and its stretches are finite, so it exits 0.  No
-    np.errstate here: pytest turns a RuntimeWarning into an error, as CI's
-    console-script step does."""
+    np.errstate here: pytest turns a RuntimeWarning into an error, as the
+    console-script table (tests/test_console.py) does."""
 
     @pytest.fixture()
     def unexcited(self, config_path, tmp_path):
@@ -549,8 +549,8 @@ class TestUnexcitedUnstableMode:
 class TestImuBlindConfig:
     """tests/configs/imu_blind.json: a drift-free model whose unstable modes
     the IMU does not see, so dead reckoning's P passes 1e300.  No
-    np.errstate here: pytest turns a RuntimeWarning into an error, as CI's
-    console-script step does."""
+    np.errstate here: pytest turns a RuntimeWarning into an error, as the
+    console-script table (tests/test_console.py) does."""
 
     def test_the_file_is_rebuilt_by_its_helper(self):
         assert IMU_BLIND_CONFIG.read_text(encoding="utf-8") == \
@@ -894,7 +894,7 @@ class TestScenarioRules:
 
 class TestCrossProcessReproducibility:
     """A seed reproduces its outputs byte for byte in two processes, under
-    the warnings rule of the console-script steps."""
+    the warnings rule of the console-script table."""
 
     COMMANDS = [["run", "--seed", "7", "--format", "csv",
                  "--out", "seed7.csv"],

@@ -21,6 +21,7 @@ from spoofguard.estimator import _STRETCH, _innovation_system
 from conftest import (IMU_BLIND_CONFIG, make_uav_model,
                       random_invertible_model, run_columns, trunk_rows,
                       trunk_stretches)
+from reference import forbid_joseph_forms
 
 
 class TestPdControl:
@@ -753,10 +754,8 @@ class TestNoJosephStep:
         # A run and a batch on paper_uav (clean, attacked, NaN-spoofed from
         # the attack step) and on the IMU-blind config (clean, with its
         # false alarms) read every covariance, P_d^{-1} and predictor from
-        # stretches: none makes a Joseph step.
-        def forbidden(*args):
-            raise AssertionError("a Joseph step")
-        monkeypatch.setattr(estimator, "_joseph_step", forbidden)
+        # stretches: once the ScenarioShared is built, neither makes a
+        # Joseph update nor solves an optimal gain.
         config = parse_config(IMU_BLIND_CONFIG if case == "imu blind"
                               else builtin_config_path())
         if case == "clean":
@@ -765,8 +764,10 @@ class TestNoJosephStep:
             config = replace(config, attack=AttackSignal(
                 kind="custom-sequence", start_step=700,
                 sequence=[np.full(2, np.nan)] * 301))
-        trace = run_scenario(config)
-        batch = monte_carlo(replace(config, runs=3))
+        shared = ScenarioShared(config.model)
+        forbid_joseph_forms(monkeypatch)
+        trace = run_scenario(config, shared=shared)
+        batch = monte_carlo(replace(config, runs=3), shared=shared)
         detected = None if case in ("clean", "imu blind") else 700
         assert trace.attack_detection_step == detected
         assert [r.attack_detection_step for r in batch.runs] == [detected] * 3

@@ -56,9 +56,9 @@ def test_a_csv_trace_names_the_columns_that_moved():
 
 def test_the_command_list(tmp_path):
     # run CSV and JSON for seeds 0-4, mc --runs 20 for seeds 0-4, analyze,
-    # analyze and run on each of CI's eight derived configs, analyze on the
-    # IMU-blind config and run on it with a bias; the config files are
-    # written next to the outputs under relative names.
+    # analyze and run on each of the console table's eight derived configs,
+    # analyze on the IMU-blind config and run on it with a bias; the config
+    # files are written next to the outputs under relative names.
     listed = commands(str(builtin_config_path()), str(tmp_path))
     names = [name for name, _, _ in listed]
     assert len(names) == len(set(names)) == 10 + 5 + 1 + 16 + 2
