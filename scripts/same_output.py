@@ -5,7 +5,9 @@
 Runs one fixed command list in each tree, through ``python -m spoofguard.cli``
 with the tree's ``src`` on PYTHONPATH and PYTHONWARNINGS=error::RuntimeWarning:
 
-* ``run`` with a CSV and a JSON trace, seeds 0-4, on the shipped config;
+* ``run`` with a CSV and a JSON trace, seeds 0-4, on the shipped config,
+  and with a JSON trace on seed 13, whose escape time from the alarm comes
+  from the step loop;
 * ``mc --runs 20``, seeds 0-4, and ``analyze`` on the shipped config;
 * ``analyze`` and ``run`` on the configs the console-script table
   (``tests/test_console.py``) derives from it;
@@ -74,6 +76,11 @@ def _huge(raw):
                         Sigma_I=_eye(2, 2e306))
 
 
+def _contracting(raw):
+    for i, row in enumerate(raw["model"]["A"]):
+        row[i] = 0.9
+
+
 # The console-script table's configs: name -> mutation of the raw JSON.
 DERIVED = {
     "clean": _set((("attack", "kind"), "none")),
@@ -84,6 +91,8 @@ DERIVED = {
     "small_alpha": _set((("detector", "alpha"), 1e-20)),
     "far_zeta": _set((("zeta_norm",), 2000)),
     "wide": _set((("zeta_norm",), 1e200)),
+    "contracting": _contracting,
+    "beyond_horizon": _set((("zeta_norm",), 20000)),
 }
 
 # The IMU-blind config's commands: name -> (command, mutation of its JSON).
@@ -116,6 +125,9 @@ def commands(config, out_dir):
             out.append((f"run seed {seed} {fmt}",
                         ["run", "--config", config, "--seed", str(seed),
                          "--format", fmt, "--out", trace], trace))
+    out.append(("run seed 13 json",
+                ["run", "--config", config, "--seed", "13", "--format",
+                 "json", "--out", "run_13.json"], "run_13.json"))
     out += [(f"mc seed {seed}", ["mc", "--config", config, "--runs", "20",
                                  "--seed", str(seed)], None) for seed in SEEDS]
     out.append(("analyze", ["analyze", "--config", config], None))

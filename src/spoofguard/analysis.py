@@ -23,6 +23,12 @@ from .estimator import Mode, StackedSensorForms, covariance_update, \
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel, _read_only
 
+# stationary_covariance's relative residual test and doubling cap, the cap
+# of escape_time's doubling search, and its step loop's budget.
+FIXED_POINT_TOL = 1e-12
+MAX_DOUBLINGS = 64
+STEP_BUDGET = 100_000
+
 
 def spectral_norm(M) -> float:
     """Largest singular value."""
@@ -103,11 +109,11 @@ class EscapeTimeReport:
         }
 
 
-def is_detectable(C, A, tol: float = 1e-8) -> bool:
+def is_detectable(C, A) -> bool:
     """Rank test: every eigenvalue of A with |lambda| >= 1 must be visible in C.
 
     For each such eigenvalue the stacked matrix [A - lambda I; C] must have
-    full column rank; rank is counted against the threshold tol * sigma_max.
+    full column rank; rank is counted against the threshold 1e-8 sigma_max.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -119,7 +125,7 @@ def is_detectable(C, A, tol: float = 1e-8) -> bool:
             continue
         stackmat = np.vstack([A - lam * np.eye(n), C.astype(complex)])
         sv = np.linalg.svd(stackmat, compute_uv=False)
-        rank = int(np.sum(sv > tol * sv[0])) if sv.size else 0
+        rank = int(np.sum(sv > 1e-8 * sv[0])) if sv.size else 0
         if rank < n:
             return False
     return True
@@ -156,24 +162,23 @@ def drift_matrices(model: SystemModel, *, stacked=None) -> DriftAnalysis:
     )
 
 
-def stationary_covariance(model: SystemModel, tol: float = 1e-12,
-                          max_iter: int = 64, *, stacked=None) -> np.ndarray:
+def stationary_covariance(model: SystemModel, *, stacked=None) -> np.ndarray:
     """Fixed point of the optimal-gain covariance recursion.
 
     Solves the recursion's Riccati equation by structure-preserving doubling
     after removing its cross term (Anderson & Moore, Optimal Filtering, 1979;
     Chu, Fan, Lin et al.): doubling k reads the normal mode's 2^k-step
     triple from stacked, the model's StackedSensorForms (built when absent),
-    so max_iter counts doublings.  Converged means |f(P) - P| <= tol * |P| <
-    inf for the one-step recursion f (covariance_magnitude's norm), a
-    relative test at every scale, or A_k exactly 0, where every start maps
-    to H (a floor near 1e-16 Sigma_w can keep the test from tol).  f is the
-    Joseph form (covariance_update, optimal_gain), independent of the
-    triples: at Sigma_w = 1e300 I the one-step triple's H_1 cancels to 0,
-    and a triple-form f would accept P = 0.  The fixed point is returned
+    for k up to MAX_DOUBLINGS.  Converged means |f(P) - P| <= FIXED_POINT_TOL
+    * |P| < inf for the one-step recursion f (covariance_magnitude's norm),
+    a relative test at every scale, or A_k exactly 0, where every start maps
+    to H (a floor near 1e-16 Sigma_w can keep the test from its tolerance).
+    f is the Joseph form (covariance_update, optimal_gain), independent of
+    the triples: at Sigma_w = 1e300 I the one-step triple's H_1 cancels to
+    0, and a triple-form f would accept P = 0.  The fixed point is returned
     read-only.  Raises ConvergenceError (carrying the last iterate and
-    residual) when max_iter doublings do not converge or an iterate is not
-    finite, and fails fast on an undetectable GPS pair.
+    residual) when MAX_DOUBLINGS doublings do not converge or an iterate is
+    not finite, and fails fast on an undetectable GPS pair.
     """
     stacked = StackedSensorForms(model) if stacked is None else stacked
     if not is_detectable(model.C_G, model.A):
@@ -182,7 +187,7 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
             "bounded fixed point")
     # Doubling iterates: A_k -> 0, G_k and H_k symmetric, H_k -> P.
     resid = math.inf
-    for doublings in range(1, max_iter + 1):
+    for doublings in range(1, MAX_DOUBLINGS + 1):
         A_k, _, H = stacked._power(Mode.NORMAL, doublings)
         if not np.isfinite(H).all():
             raise ConvergenceError(
@@ -190,11 +195,11 @@ def stationary_covariance(model: SystemModel, tol: float = 1e-12,
                 last_iterate=H, residual=math.inf)
         K = optimal_gain(H, model, stacked)
         resid = covariance_magnitude(covariance_update(H, K, model, stacked) - H)
-        if resid <= tol * covariance_magnitude(H) < math.inf \
+        if resid <= FIXED_POINT_TOL * covariance_magnitude(H) < math.inf \
                 or not A_k.any():
             return H
     raise ConvergenceError(
-        f"covariance fixed point not reached in {max_iter} doublings "
+        f"covariance fixed point not reached in {MAX_DOUBLINGS} doublings "
         f"(last residual {resid:.3e})", last_iterate=H, residual=resid)
 
 
@@ -215,8 +220,7 @@ def _growth(model: SystemModel):
 
 
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
-                alpha: float, *, max_horizon: int = 100_000,
-                stacked=None) -> Optional[int]:
+                alpha: float, *, stacked=None) -> Optional[int]:
     """Steps of dead reckoning until the error tolerance stops being credible,
     None when it never does.
 
@@ -232,11 +236,12 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     statistic is inf at every finite P); one step returns the start bit for
     bit, as with Sigma_w = 0; the doubling search's limit is credible; or
     P - f(P) passes _grows, so the statistic never falls.  From a start that
-    passes _grows the horizon is searched in O(log k) products over the
+    passes _grows, _doubling_search answers in O(log k) products over the
     power triples of stacked, the model's StackedSensorForms (built when
-    absent); other starts, and a search meeting a non-finite value, read
-    emergency stretch rows.  A tolerance credible at max_horizon but not
-    "never" raises ConvergenceError.
+    absent), at any k below 2^MAX_DOUBLINGS.  Other starts, and a search
+    meeting a non-finite value, read emergency stretch rows for at most
+    STEP_BUDGET steps.  A tolerance still credible at either cap raises
+    ConvergenceError.
     """
     quantile = chi2_quantile(model.n, alpha)
     zeta_sq = float(zeta) * float(zeta)     # inf past 1e154
@@ -247,33 +252,33 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
 
     stacked = StackedSensorForms(model) if stacked is None else stacked
     P = _finite_covariance(P_at_attack)
-    value = statistic(P)
-    if not value > quantile:
+    if not statistic(P) > quantile:
         return 0
     P_next = _apply(stacked._power(Mode.EMERGENCY, 0), P)
     if zeta_sq == math.inf or P_next.tobytes() == P.tobytes():
         return None
-    last = max_horizon      # the last step the loop below may take
     if _grows(P, P_next):
-        found = _doubling_search(P, value, quantile, statistic, stacked,
-                                 max_horizon)
+        found = _doubling_search(P, quantile, statistic, stacked)
         if found is not None:
-            k, P, value = found
-            if k != max_horizon:
-                return None if k == math.inf else k + 1
-            last = 0        # the search took every step
+            return None if found == math.inf else found
     elif _grows(P, P_next, -1.0):
         return None
     iterates = _dead_reckoning(P, stacked)
-    for k in range(1, last + 1):
+    for k in range(1, STEP_BUDGET + 1):
         value = statistic(_finite_covariance(next(iterates),
                                              f"dead-reckoning step {k}"))
         if not value > quantile:
             return k
-    raise ConvergenceError(     # value is P_max_horizon's, the iterate next
-        f"tolerance still credible after {max_horizon} steps "
+    raise _still_credible(STEP_BUDGET, value, quantile, next(iterates))
+
+
+def _still_credible(steps, value, quantile, P) -> ConvergenceError:
+    """The error for a tolerance credible after `steps` steps, value being
+    that step's statistic, carrying P."""
+    return ConvergenceError(
+        f"tolerance still credible after {steps} steps "
         f"(last statistic {value:.6g} > quantile {quantile:.6g})",
-        last_iterate=next(iterates), residual=value)
+        last_iterate=P, residual=value)
 
 
 def _dead_reckoning(P, stacked: StackedSensorForms):
@@ -299,42 +304,37 @@ def _grows(P: np.ndarray, P_next: np.ndarray, sign: float = 1.0) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _doubling_search(P, value, quantile, statistic, stacked, max_horizon):
-    """(k, P_k, statistic(P_k)) for the last k <= max_horizon whose P_k is
-    credible, for a credible P_0 = P whose iterates are nondecreasing;
-    (inf, limit, its statistic) for "never"; None when an iterate is not
-    finite (the step loop then decides).
+def _doubling_search(P, quantile, statistic, stacked):
+    """The escape step of a credible P_0 = P whose iterates never decrease,
+    math.inf for "never", None when a candidate is not finite (the step
+    loop then decides).
 
     stacked's emergency triple of m = 2^k steps gives P_{k+m} = H_m + A_m^T
     P_k (I + G_m P_k)^{-1} A_m.  Galloping tries m = 1, 2, 4, ... from the
-    last credible k, squaring a triple only while its predecessor's target
-    stayed credible; past the horizon it squares on, up to 64 doublings, to
-    an A_m exactly 0, whose H_m is the limit of the iterates.  From the
-    first miss, bisecting tries each triple once.
+    last credible k, until a miss, from which bisecting tries each smaller
+    triple once.  A galloping level whose A_m is exactly 0 maps every start
+    to H_m, the limit of every later iterate: "never" when it is credible.
+    A tolerance still credible after MAX_DOUBLINGS galloping levels raises
+    ConvergenceError carrying P_k.
     """
     k, level, galloping = 0, 0, True
     while level >= 0:
-        m = 1 << level
+        if level == MAX_DOUBLINGS:
+            raise _still_credible(k, value, quantile, P)
         triple = stacked._power(Mode.EMERGENCY, level)
         A_m, _, H_m = triple
-        if k + m > max_horizon:
-            if galloping and A_m.any() and level < 64:
-                level += 1
-                continue
-            if galloping and not A_m.any() and statistic(H_m) > quantile:
-                return math.inf, H_m, statistic(H_m)
+        if galloping and not A_m.any() and statistic(H_m) > quantile:
+            return math.inf
+        candidate = _apply(triple, P)
+        if not np.isfinite(candidate).all():
+            return None
+        candidate_value = statistic(candidate)
+        if candidate_value > quantile:
+            k, P, value = k + (1 << level), candidate, candidate_value
+            level += 1 if galloping else -1
         else:
-            candidate = _apply(triple, P)
-            if not np.isfinite(candidate).all():
-                return None
-            candidate_value = statistic(candidate)
-            if candidate_value > quantile:
-                k, P, value = k + m, candidate, candidate_value
-                level += 1 if galloping else -1
-                continue
-        galloping = False
-        level -= 1
-    return k, P, value
+            galloping, level = False, level - 1
+    return k + 1
 
 
 def escape_time_lower_bound(P: np.ndarray, model: SystemModel,

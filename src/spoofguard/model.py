@@ -226,9 +226,9 @@ class GaussianSampler:
 
 def validate_model(model: SystemModel) -> list:
     """Check the model invariants and return a list of findings (empty = valid)."""
-    findings = []
+    findings = [f"{name}: holds a non-finite entry" for name in MATRIX_NAMES
+                if not np.isfinite(getattr(model, name)).all()]
     n = model.n
-
     if model.A.shape != (n, n):
         findings.append(f"A: must be square, got shape {model.A.shape}")
     if model.B.shape[0] != n:
@@ -248,7 +248,7 @@ def validate_model(model: SystemModel) -> list:
             f"Sigma_I: has shape {model.Sigma_I.shape}, expected "
             f"({model.m_I}, {model.m_I}) to match the C_I row count")
     if findings:
-        return findings  # eigen checks below need consistent shapes
+        return findings  # the checks below need finite, well-shaped matrices
 
     for name, strict in (("Sigma_w", False), ("Sigma_G", True), ("Sigma_I", True)):
         findings.extend(_covariance_findings(name, getattr(model, name), strict))
@@ -261,31 +261,18 @@ def validate_model(model: SystemModel) -> list:
 
 
 def _transition_inverse(A: np.ndarray) -> np.ndarray:
-    """A^{-1}, or ValueError when A is singular or numerically singular.
+    """A^{-1}, or ValueError when A is singular or numerically singular, or
+    a singular value is not finite (a NaN entry fails the SVD itself).
 
     Invertible A is a model invariant: dead reckoning's drift structure
     C_I (I - A^{-1}) needs it.
     """
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size and sv.min() <= 1e-12 * max(1.0, sv.max()):
+    if sv.size and not sv.min() > 1e-12 * max(1.0, sv.max()):
         raise ValueError(
             f"A: singular or numerically singular (min singular value "
             f"{sv.min():.3e}); the model requires invertible A")
-    return _inv(A)
-
-
-def _singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
-def _inv(a: np.ndarray) -> np.ndarray:
-    """numpy.linalg.inv of a float64 matrix or stack: LAPACK's inv gufunc in
-    the error state that wrapper enters, set by one decorator, so a singular
-    matrix raises LinAlgError, without the wrapper's argument handling, which
-    costs more than the call on the per-step 2x2 to 4x4 operands."""
-    return _umath_linalg.inv(a, signature="d->d")
+    return _inverse(A)
 
 
 # a^{-1} b and a^{-1} for float64 stacks by LAPACK's gufuncs, in the caller's

@@ -138,10 +138,11 @@ class TestStationaryCovariance:
         with pytest.raises(NumericalError, match="detectable"):
             stationary_covariance(model)
 
-    def test_nonconvergence_carries_context(self, uav_model):
+    def test_nonconvergence_carries_context(self, uav_model, monkeypatch):
         # Two doublings cover four recursion steps, far short of the tolerance.
+        monkeypatch.setattr(analysis, "MAX_DOUBLINGS", 2)
         with pytest.raises(ConvergenceError) as info:
-            stationary_covariance(uav_model, max_iter=2)
+            stationary_covariance(uav_model)
         assert info.value.last_iterate is not None
         assert info.value.residual > 0
 
@@ -182,9 +183,10 @@ class TestStationaryCovariance:
         P = stationary_covariance(model)
         assert np.linalg.norm(P - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
-    def test_uav_converges_in_few_doublings(self, uav_model):
+    def test_uav_converges_in_few_doublings(self, uav_model, monkeypatch):
         # Raises ConvergenceError if 20 doublings do not reach the tolerance.
-        stationary_covariance(uav_model, max_iter=20)
+        monkeypatch.setattr(analysis, "MAX_DOUBLINGS", 20)
+        stationary_covariance(uav_model)
 
     def test_huge_noise_converges_at_a_scaled_test(self, uav_model):
         # Both Frobenius norms of the test overflow unscaled: inf <= tol *
@@ -304,11 +306,9 @@ class TestEscapeTime:
 
     def test_stable_plant_never_escapes(self):
         # P_k rises from 1 to its limit 4/3, far inside zeta^2 / chi2: the
-        # verdict is "never" whatever the horizon, 0 included.
+        # verdict is "never", from the limit.
         model = scalar_model(a=0.5)
-        for max_horizon in (0, 2000, 100_000):
-            assert escape_time(np.eye(1), model, 100.0, 0.05,
-                               max_horizon=max_horizon) is None
+        assert escape_time(np.eye(1), model, 100.0, 0.05) is None
 
     def test_a_shrinking_credible_start_never_escapes(self):
         # Every diagonal entry of A at 0.9: all modes decay.  From 10 times
@@ -349,7 +349,7 @@ class TestEscapeTime:
         assert escape_time(np.zeros((4, 4)), uav_model, 2.0, 0.01) >= 1
         # Without process noise P stays 0, so the tolerance never escapes.
         assert escape_time(np.zeros((1, 1)), scalar_model(a=2.0, sigma_w=0.0),
-                           1.0, 0.05, max_horizon=50) is None
+                           1.0, 0.05) is None
 
     def test_fixed_point_fails_without_walking_the_horizon(self, uav_model,
                                                            monkeypatch):
@@ -367,9 +367,8 @@ class TestEscapeTime:
     def test_tolerance_whose_square_overflows(self, uav_model,
                                               uav_stationary_P):
         # 1e200 ** 2 raises OverflowError; the squared tolerance is inf, a
-        # statistic inf at every finite covariance: never, at any horizon.
-        assert escape_time(uav_stationary_P, uav_model, 1e200, 0.01,
-                           max_horizon=50) is None
+        # statistic inf at every finite covariance: never, at once.
+        assert escape_time(uav_stationary_P, uav_model, 1e200, 0.01) is None
         assert escape_time_lower_bound(uav_stationary_P, uav_model, 1e200,
                                        0.01) == math.inf
         # Neither field has a finite value: the report writes both as None.
@@ -423,10 +422,18 @@ def counted_steps(monkeypatch) -> list:
     return calls
 
 
-# escape_time's one-step maps from a start that passes _grows: its first
-# step, then at most two search candidates per level below max_horizon
-# (100000), where stepping makes one per dead-reckoning step.
-SEARCH_MAPS = 1 + 2 * (100_000).bit_length()
+def search_maps(k: int) -> int:
+    """The most one-step maps escape_time makes from a start that passes
+    _grows and escapes at step k: its first step, then at most two search
+    candidates per level, where stepping makes one per dead-reckoning
+    step."""
+    return 1 + 2 * (k.bit_length() + 1)
+
+
+def first_zero_level(stacked) -> int:
+    """The first level whose emergency power triple's A_m is exactly 0."""
+    return next(level for level in range(analysis.MAX_DOUBLINGS)
+                if not stacked._power(Mode.EMERGENCY, level)[0].any())
 
 
 class TestEscapeTimeByDoubling:
@@ -445,7 +452,7 @@ class TestEscapeTimeByDoubling:
         start = time.perf_counter()
         assert escape_time(uav_stationary_P, uav_model, 2000.0, 0.01) == 41165
         assert time.perf_counter() - start < 0.25
-        assert set(calls) == {"_apply"} and len(calls) <= SEARCH_MAPS
+        assert set(calls) == {"_apply"} and len(calls) <= search_maps(41165)
 
     @pytest.mark.parametrize("model, zeta", [
         pytest.param(uav_variant(), 2.0, id="uav"),
@@ -458,24 +465,28 @@ class TestEscapeTimeByDoubling:
                      id="scalar-contracting"),
         pytest.param(scalar_model(a=1.02, sigma_w=1e-3), 3.0,
                      id="scalar-expanding")])
-    def test_equals_the_stepped_loop(self, model, zeta):
+    def test_equals_the_stepped_loop(self, model, zeta, monkeypatch):
         stacked = StackedSensorForms(model)
         assert stacked.drift_free
         n = model.n
         starts = [stationary_covariance(model), np.zeros((n, n)),
                   1e-3 * np.trace(stacked.Sigma_bar) * np.eye(n)]
+        calls = counted_steps(monkeypatch)
         for P0 in starts:
             P1 = joseph_step(P0, Mode.EMERGENCY, stacked)[1]
             assert analysis._grows(P0, P1)
+            calls.clear()
             k = escape_time(P0, model, zeta, 0.05)
+            assert len(calls) <= search_maps(k)
             assert k == stepped_escape_time(P0, model, zeta, 0.05)
             assert k > 10
 
     def test_drift_models_equal_the_stepped_loop(self, monkeypatch):
         # From the stationary covariance dead reckoning never decreases
         # (Kalman optimality): one counted map, then the search.  A model
-        # whose limit stays credible is "never"; stepping then stays
-        # credible over 2000 steps.
+        # whose limit stays credible is "never", one candidate per level
+        # below the first A_m exactly 0; stepping then stays credible over
+        # 2000 steps.
         rng = np.random.default_rng(0)
         calls = counted_steps(monkeypatch)
         verdicts = []
@@ -488,7 +499,12 @@ class TestEscapeTimeByDoubling:
                                  * covariance_magnitude(P0))
                 calls.clear()
                 k = escape_time(P0, model, zeta, 0.05)
-                assert set(calls) == {"_apply"} and len(calls) <= SEARCH_MAPS
+                assert set(calls) == {"_apply"}
+                if k is None:
+                    assert len(calls) == 1 + first_zero_level(
+                        StackedSensorForms(model))
+                else:
+                    assert len(calls) <= search_maps(k)
                 assert k == stepped_escape_time(P0, model, zeta, 0.05,
                                                 horizon=2000)
                 verdicts.append(k is None)
@@ -529,13 +545,15 @@ class TestEscapeTimeByDoubling:
             assert calls == ["_apply"]
 
     def test_horizon_error_carries_the_next_covariance(self, uav_model,
-                                                       uav_stationary_P):
-        # Still credible at step 50: the statistic of P_50, and P_51.
+                                                       monkeypatch):
+        # A start that fails both checks, still credible at the end of a
+        # 50-step budget: the statistic of P_50, and P_51.
+        monkeypatch.setattr(analysis, "STEP_BUDGET", 50)
+        P0 = np.diag([0.0, 0.0, 1e-2, 1e-2])
         with pytest.raises(ConvergenceError) as info:
-            escape_time(uav_stationary_P, uav_model, 2.0, 0.01,
-                        max_horizon=50)
+            escape_time(P0, uav_model, 2.0, 0.01)
         stacked = StackedSensorForms(uav_model)
-        P = uav_stationary_P
+        P = P0
         for _ in range(50):
             P = joseph_step(P, Mode.EMERGENCY, stacked)[1]
         value = 4.0 / covariance_magnitude(P)
@@ -545,6 +563,54 @@ class TestEscapeTimeByDoubling:
         assert info.value.residual == pytest.approx(value, rel=1e-12)
         P = joseph_step(P, Mode.EMERGENCY, stacked)[1]
         np.testing.assert_allclose(info.value.last_iterate, P, rtol=1e-12)
+
+    @pytest.mark.parametrize("zeta, k", [(20000.0, 191461),
+                                         (1e9, 259997622)])
+    def test_no_horizon_cuts_the_search(self, uav_model, uav_stationary_P,
+                                        monkeypatch, zeta, k):
+        # Both lie past the 100000 steps the search once stopped at; the
+        # first equals stepping the emergency stretch rows (about 0.8 s).
+        calls = counted_steps(monkeypatch)
+        assert escape_time(uav_stationary_P, uav_model, zeta, 0.01) == k
+        assert set(calls) == {"_apply"} and len(calls) <= search_maps(k)
+        if k < 1e6:
+            quantile = chi2_quantile(4, 0.01)
+            rows = analysis._dead_reckoning(uav_stationary_P,
+                                            StackedSensorForms(uav_model))
+            statistics = [zeta * zeta / covariance_magnitude(next(rows))
+                          for _ in range(k)]
+            assert min(statistics[:-1]) > quantile >= statistics[-1]
+
+    def test_the_search_stops_after_64_levels(self, uav_model,
+                                              uav_stationary_P):
+        # At zeta = 1e150 the cubic growth stays credible at step 2^64 - 1,
+        # and no A_m of the unit-norm transition is 0: ConvergenceError
+        # naming the steps searched and carrying P_k.
+        with pytest.raises(ConvergenceError) as info:
+            escape_time(uav_stationary_P, uav_model, 1e150, 0.01)
+        value = 1e150 * 1e150 / covariance_magnitude(info.value.last_iterate)
+        assert str(info.value) == (
+            f"tolerance still credible after {2 ** 64 - 1} steps (last "
+            f"statistic {value:.6g} > quantile {chi2_quantile(4, 0.01):.6g})")
+        assert info.value.residual == value
+
+    @pytest.mark.parametrize("zeta, k", [(1.0, 1670), (2.0, 6677)])
+    def test_a_non_finite_candidate_hands_the_start_to_the_steps(
+            self, zeta, k, monkeypatch):
+        # The unexcited unstable mode's G_m overflows on the way: the search
+        # meets a non-finite candidate and returns None, and the step loop
+        # gives the k that Joseph stepping gives.
+        from test_estimator import unexcited_unstable_model
+        model, P0 = unexcited_unstable_model(), np.zeros((2, 2))
+        search, results = analysis._doubling_search, []
+
+        def recorded(*args):
+            results.append(search(*args))
+            return results[-1]
+        monkeypatch.setattr(analysis, "_doubling_search", recorded)
+        assert escape_time(P0, model, zeta, 0.05) == k
+        assert results == [None]
+        assert stepped_escape_time(P0, model, zeta, 0.05) == k
 
 
 class TestNonFiniteCovariance:
@@ -772,7 +838,7 @@ class TestEscapeReport:
 class TestDegreesOfFreedom:
     """The chi-square quantiles take the state dimension as their degrees of
     freedom, so no function takes a df; a positional one is a TypeError
-    rather than a max_horizon or a drift analysis."""
+    rather than the sensor forms or a drift analysis."""
 
     @pytest.mark.parametrize("call", [
         lambda m, P: escape_time(P, m, 2.0, 0.01, 4),

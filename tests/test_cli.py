@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
 from operator import setitem
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,23 @@ from spoofguard.cli import main
 
 from conftest import IMU_BLIND_CONFIG, imu_blind_config
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+from same_output import DERIVED, _write  # noqa: E402
+
 
 @pytest.fixture()
 def config_path():
     return str(builtin_config_path())
+
+
+@pytest.fixture()
+def derived(tmp_path):
+    """name -> the path of scripts/same_output.py's DERIVED config `name`,
+    written to tmp_path."""
+    raw = json.loads(builtin_config_path().read_text(encoding="utf-8"))
+    return lambda name: str(tmp_path / _write(raw, DERIVED[name], tmp_path,
+                                              name))
 
 
 class TestRun:
@@ -408,14 +422,8 @@ class TestContractingPlant:
     credible, so the tolerance never escapes; analyze and run exit 0."""
 
     @pytest.fixture()
-    def contracting(self, config_path, tmp_path):
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        for i in range(4):
-            raw["model"]["A"][i][i] = 0.9
-        cfg = tmp_path / "contracting.json"
-        cfg.write_text(json.dumps(raw))
-        return str(cfg)
+    def contracting(self, derived):
+        return derived("contracting")
 
     def test_analyze_reports_never(self, contracting, capsys):
         assert main(["analyze", "--config", contracting]) == 0
@@ -463,18 +471,12 @@ class TestOverflowingRun:
                                       ["run", "--format", "json"],
                                       ["mc", "--runs", "2"]])
     def test_overflowing_confidence_radius_exits_two_without_output(
-            self, config_path, tmp_path, capsys, argv):
+            self, derived, tmp_path, capsys, argv):
         # Noise covariances near 1e306 keep P finite, but sqrt(q |P|_2)
         # overflows at step 90 of seed 0 and of mc's first run.
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["model"].update(Sigma_w=(2e305 * np.eye(4)).tolist(),
-                            Sigma_G=(2e306 * np.eye(2)).tolist(),
-                            Sigma_I=(2e306 * np.eye(2)).tolist())
-        cfg, out = tmp_path / "loud.json", tmp_path / "out"
-        cfg.write_text(json.dumps(raw))
+        cfg, out = derived("huge"), tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(argv + ["--config", str(cfg), "--out", str(out)])
+            code = main(argv + ["--config", cfg, "--out", str(out)])
         assert code == 2
         captured = capsys.readouterr()
         seed = 0 if argv[0] == "run" else spoofguard.derive_run_seed(0, 0)
@@ -491,15 +493,8 @@ class TestDivergingModel:
     table (tests/test_console.py) does."""
 
     @pytest.mark.parametrize("argv", [["run"], ["mc", "--runs", "2"]])
-    def test_exits_two_with_one_line(self, config_path, tmp_path, capsys,
-                                     argv):
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["model"]["A"][2][2] = raw["model"]["A"][3][3] = 3.0
-        raw["attack"]["start_step"] = 10
-        cfg = tmp_path / "diverging.json"
-        cfg.write_text(json.dumps(raw))
-        assert main([*argv, "--config", str(cfg)]) == 2
+    def test_exits_two_with_one_line(self, derived, capsys, argv):
+        assert main([*argv, "--config", derived("diverging")]) == 2
         captured = capsys.readouterr()
         seed = 0 if argv[0] == "run" else spoofguard.derive_run_seed(0, 0)
         assert captured.out == ""
@@ -517,18 +512,8 @@ class TestUnexcitedUnstableMode:
     console-script table (tests/test_console.py) does."""
 
     @pytest.fixture()
-    def unexcited(self, config_path, tmp_path):
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["model"] = {"A": [[2.0, 0.0], [0.0, 1.0]], "B": [[0.0], [0.0]],
-                        "C_G": [[1.0, 0.0], [0.0, 1.0]], "C_I": [[1.0, 0.0]],
-                        "Sigma_w": [[0.0, 0.0], [0.0, 1e-4]],
-                        "Sigma_G": [[1.0, 0.0], [0.0, 1.0]],
-                        "Sigma_I": [[1.0]]}
-        raw["x0"], raw["target"] = [0.0, 0.0], [10.0]
-        cfg = tmp_path / "unexcited.json"
-        cfg.write_text(json.dumps(raw))
-        return str(cfg)
+    def unexcited(self, derived):
+        return derived("unexcited")
 
     @pytest.mark.parametrize("argv", [["analyze"], ["run"],
                                       ["mc", "--runs", "2"]])
@@ -606,18 +591,11 @@ class TestImuBlindConfig:
 
 
 class TestHugeNoiseAnalyze:
-    def test_reports_the_fixed_point_without_a_warning(self, config_path,
-                                                       tmp_path, capsys):
+    def test_reports_the_fixed_point_without_a_warning(self, derived,
+                                                       capsys):
         # Noise covariances near 1e306: the fixed point's trace is 4.04e307,
         # and neither norm of the convergence test overflows.
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["model"].update(Sigma_w=(2e305 * np.eye(4)).tolist(),
-                            Sigma_G=(2e306 * np.eye(2)).tolist(),
-                            Sigma_I=(2e306 * np.eye(2)).tolist())
-        cfg = tmp_path / "huge.json"
-        cfg.write_text(json.dumps(raw))
-        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert main(["analyze", "--config", derived("huge")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 4.03e307 < payload["stationary_trace_P"] < 4.05e307
         assert payload["escape_time"] == 0
@@ -627,17 +605,11 @@ class TestLargeFiniteSpoof:
     @pytest.mark.parametrize("argv, key, want", [
         (["run"], "attack_detection_step", 700),
         (["mc", "--runs", "2"], "attack_detection_steps", [700, 700])])
-    def test_alarms_at_the_onset_without_a_warning(self, config_path,
-                                                  tmp_path, capsys, argv,
-                                                  key, want):
+    def test_alarms_at_the_onset_without_a_warning(self, derived, capsys,
+                                                  argv, key, want):
         # The detector's quadratic form of a 1e200 residual overflows: it
         # scores inf, under pytest's error::RuntimeWarning as in CI.
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["attack"]["d"] = [1e200, 1e200]
-        cfg = tmp_path / "large.json"
-        cfg.write_text(json.dumps(raw))
-        assert main([*argv, "--config", str(cfg)]) == 0
+        assert main([*argv, "--config", derived("large")]) == 0
         assert json.loads(capsys.readouterr().out)[key] == want
 
 
@@ -666,16 +638,11 @@ class TestHorizonTooLarge:
 
 
 class TestLargeTolerance:
-    def test_analyze_fails_with_one_line(self, config_path, tmp_path, capsys):
+    def test_analyze_fails_with_one_line(self, derived, capsys):
         # zeta_norm ** 2 overflows: the squared tolerance is inf, credible
         # at every finite covariance, so the tolerance never escapes and
         # the lower bound is inf; both are null in strict JSON.
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["zeta_norm"] = 1e200
-        cfg = tmp_path / "large_zeta.json"
-        cfg.write_text(json.dumps(raw))
-        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert main(["analyze", "--config", derived("wide")]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         payload = json.loads(captured.out, parse_constant=_reject)
@@ -684,30 +651,18 @@ class TestLargeTolerance:
 
 
 class TestFarTolerance:
-    def test_analyze_finds_a_far_horizon(self, config_path, tmp_path,
-                                         capsys):
+    def test_analyze_finds_a_far_horizon(self, derived, capsys):
         # 41165 steps of dead reckoning, searched by doubling on the
         # drift-free model.
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["zeta_norm"] = 2000
-        cfg = tmp_path / "far_zeta.json"
-        cfg.write_text(json.dumps(raw))
-        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert main(["analyze", "--config", derived("far_zeta")]) == 0
         assert json.loads(capsys.readouterr().out)["escape_time"] == 41165
 
 
 class TestSmallSignificanceLevel:
-    def test_analyze_uses_the_true_quantile(self, config_path, tmp_path,
-                                            capsys):
+    def test_analyze_uses_the_true_quantile(self, derived, capsys):
         # chi2(4, 1e-20) is 99.97.  Bisection on the CDF saturated at 82.34
         # for every alpha <= 1e-17 and reported escape time 95 (bound 89.75).
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["detector"]["alpha"] = 1e-20
-        cfg = tmp_path / "small_alpha.json"
-        cfg.write_text(json.dumps(raw))
-        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert main(["analyze", "--config", derived("small_alpha")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["escape_time"] == 80
         assert payload["escape_time_lower_bound"] == pytest.approx(73.93,

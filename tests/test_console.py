@@ -89,6 +89,11 @@ ROWS = [
     ("far_zeta", ["analyze"], 0, "", field("escape_time", 41165)),
     # A tolerance whose square overflows never escapes: null in strict JSON.
     ("wide", ["analyze"], 0, "", field("escape_time", None)),
+    # Every A[i][i] = 0.9: dead reckoning's limit, reached where a power
+    # triple's A_m is 0, is credible: never, null in strict JSON.
+    ("contracting", ["analyze"], 0, "", field("escape_time", None)),
+    # 191461 steps, past the 100000 the doubling search once stopped at.
+    ("beyond_horizon", ["analyze"], 0, "", field("escape_time", 191461)),
     # Dead reckoning's covariance reaches 1e39 at step 117, where the
     # tolerance 1e20 stops being credible.
     ("imu_blind", ["analyze"], 0, "", field("escape_time", 117)),

@@ -331,6 +331,17 @@ class TestValidateModel:
         assert main(["validate", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"config error: model: {finding}\n"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", MATRIX_NAMES)
+    def test_non_finite_entry_is_one_finding(self, name, bad):
+        # Without the check inf in Sigma_G warned in the symmetry test, NaN
+        # in A failed the SVD, and the other cases returned no finding.
+        model = make_uav_model()
+        matrices = {n: getattr(model, n).copy() for n in MATRIX_NAMES}
+        matrices[name][0, 0] = bad
+        assert validate_model(SystemModel(**matrices)) == [
+            f"{name}: holds a non-finite entry"]
+
     def test_reports_dimension_mismatch(self):
         model = make_uav_model()
         bad = SystemModel(A=model.A, B=model.B, C_G=model.C_G, C_I=model.C_I,
