@@ -131,11 +131,11 @@ def is_detectable(C, A) -> bool:
     return True
 
 
-def drift_matrices(model: SystemModel, *, stacked=None) -> DriftAnalysis:
-    """Build the dead-reckoning drift structure; requires invertible A.
-    stacked, the model's StackedSensorForms, is built when absent."""
+def drift_matrices(model: SystemModel) -> DriftAnalysis:
+    """Build the dead-reckoning drift structure from the model's
+    StackedSensorForms; requires invertible A."""
     n = model.n
-    stacked = StackedSensorForms(model) if stacked is None else stacked
+    stacked = model._derived(StackedSensorForms)
     A_inv, C_bar = stacked.A_inv, stacked.C_bar_I
     CI_Ainv = model.C_I @ A_inv
 
@@ -162,17 +162,17 @@ def drift_matrices(model: SystemModel, *, stacked=None) -> DriftAnalysis:
     )
 
 
-def stationary_covariance(model: SystemModel, *, stacked=None) -> np.ndarray:
+def stationary_covariance(model: SystemModel) -> np.ndarray:
     """Fixed point of the optimal-gain covariance recursion.
 
     Solves the recursion's Riccati equation by structure-preserving doubling
     after removing its cross term (Anderson & Moore, Optimal Filtering, 1979;
     Chu, Fan, Lin et al.): doubling k reads the normal mode's 2^k-step
-    triple from stacked, the model's StackedSensorForms (built when absent),
-    for k up to MAX_DOUBLINGS.  Converged means |f(P) - P| <= FIXED_POINT_TOL
-    * |P| < inf for the one-step recursion f (covariance_magnitude's norm),
-    a relative test at every scale, or A_k exactly 0, where every start maps
-    to H (a floor near 1e-16 Sigma_w can keep the test from its tolerance).
+    triple from the model's StackedSensorForms, for k up to MAX_DOUBLINGS.
+    Converged means |f(P) - P| <= FIXED_POINT_TOL * |P| < inf for the
+    one-step recursion f (covariance_magnitude's norm), a relative test at
+    every scale, or A_k exactly 0, where every start maps to H (a floor
+    near 1e-16 Sigma_w can keep the test from its tolerance).
     f is the Joseph form (covariance_update, optimal_gain), independent of
     the triples: at Sigma_w = 1e300 I the one-step triple's H_1 cancels to
     0, and a triple-form f would accept P = 0.  The fixed point is returned
@@ -180,7 +180,7 @@ def stationary_covariance(model: SystemModel, *, stacked=None) -> np.ndarray:
     residual) when MAX_DOUBLINGS doublings do not converge or an iterate is
     not finite, and fails fast on an undetectable GPS pair.
     """
-    stacked = StackedSensorForms(model) if stacked is None else stacked
+    stacked = model._derived(StackedSensorForms)
     if not is_detectable(model.C_G, model.A):
         raise NumericalError(
             "(C_G, A) is not detectable: the covariance recursion has no "
@@ -220,7 +220,7 @@ def _growth(model: SystemModel):
 
 
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
-                alpha: float, *, stacked=None) -> Optional[int]:
+                alpha: float) -> Optional[int]:
     """Steps of dead reckoning until the error tolerance stops being credible,
     None when it never does.
 
@@ -237,11 +237,10 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     bit, as with Sigma_w = 0; the doubling search's limit is credible; or
     P - f(P) passes _grows, so the statistic never falls.  From a start that
     passes _grows, _doubling_search answers in O(log k) products over the
-    power triples of stacked, the model's StackedSensorForms (built when
-    absent), at any k below 2^MAX_DOUBLINGS.  Other starts, and a search
-    meeting a non-finite value, read emergency stretch rows for at most
-    STEP_BUDGET steps.  A tolerance still credible at either cap raises
-    ConvergenceError.
+    power triples of the model's StackedSensorForms, at any k below
+    2^MAX_DOUBLINGS.  Other starts, and a search meeting a non-finite
+    value, read emergency stretch rows for at most STEP_BUDGET steps.  A
+    tolerance still credible at either cap raises ConvergenceError.
     """
     quantile = chi2_quantile(model.n, alpha)
     zeta_sq = float(zeta) * float(zeta)     # inf past 1e154
@@ -250,7 +249,7 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
         magnitude = covariance_magnitude(P)
         return zeta_sq / magnitude if magnitude > 0.0 else math.inf
 
-    stacked = StackedSensorForms(model) if stacked is None else stacked
+    stacked = model._derived(StackedSensorForms)
     P = _finite_covariance(P_at_attack)
     if not statistic(P) > quantile:
         return 0
@@ -258,7 +257,7 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     if zeta_sq == math.inf or P_next.tobytes() == P.tobytes():
         return None
     if _grows(P, P_next):
-        found = _doubling_search(P, quantile, statistic, stacked)
+        found = _doubling_search(P_next, quantile, statistic, stacked)
         if found is not None:
             return None if found == math.inf else found
     elif _grows(P, P_next, -1.0):
@@ -305,19 +304,22 @@ def _grows(P: np.ndarray, P_next: np.ndarray, sign: float = 1.0) -> bool:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _doubling_search(P, quantile, statistic, stacked):
-    """The escape step of a credible P_0 = P whose iterates never decrease,
-    math.inf for "never", None when a candidate is not finite (the step
-    loop then decides).
+    """The escape step of a credible P_0 whose iterates never decrease, from
+    its first step P_1 = P: 1 when P is not credible, math.inf for "never",
+    None when a candidate is not finite (the step loop then decides).
 
     stacked's emergency triple of m = 2^k steps gives P_{k+m} = H_m + A_m^T
-    P_k (I + G_m P_k)^{-1} A_m.  Galloping tries m = 1, 2, 4, ... from the
+    P_k (I + G_m P_k)^{-1} A_m.  Galloping tries m = 2, 4, ... from the
     last credible k, until a miss, from which bisecting tries each smaller
     triple once.  A galloping level whose A_m is exactly 0 maps every start
     to H_m, the limit of every later iterate: "never" when it is credible.
     A tolerance still credible after MAX_DOUBLINGS galloping levels raises
     ConvergenceError carrying P_k.
     """
-    k, level, galloping = 0, 0, True
+    value = statistic(P)
+    if not value > quantile:
+        return 1
+    k, level, galloping = 1, 1, True
     while level >= 0:
         if level == MAX_DOUBLINGS:
             raise _still_credible(k, value, quantile, P)
@@ -338,8 +340,7 @@ def _doubling_search(P, quantile, statistic, stacked):
 
 
 def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
-                            zeta_norm: float, alpha: float, *,
-                            drift: Optional[DriftAnalysis] = None) -> float:
+                            zeta_norm: float, alpha: float) -> float:
     """Closed-form lower bound on the escape time, for drift-free models.
 
     Requires C_I (I - A^{-1}) = 0 so that dead reckoning reduces to
@@ -347,11 +348,10 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     magnitude and A, Sigma_bar through their spectral norms; when the spectral
     norm of A is 1 the geometric sum degenerates and the linear branch is
     used.  Results below zero clamp to zero (tolerance already exceeded).
-    drift, the model's drift analysis, is computed when absent.  A NaN or
-    infinite entry in P raises NumericalError.
+    A NaN or infinite entry in P raises NumericalError.
     """
     P = _finite_covariance(P)
-    drift = drift_matrices(model) if drift is None else drift
+    drift = model._derived(drift_matrices)
     if not drift.drift_free:
         raise ValueError(
             "escape-time lower bound requires a drift-free relative sensor "
@@ -386,24 +386,17 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     return math.log(numerator / denominator) / math.log(growth)
 
 
-def escape_report(model: SystemModel, zeta_norm: float, alpha: float, *,
-                  stationary_P: Optional[np.ndarray] = None,
-                  drift: Optional[DriftAnalysis] = None,
-                  stacked=None) -> EscapeTimeReport:
-    """Escape time and lower bound from the stationary covariance; each of
-    stationary_P, drift (the drift analysis) and stacked (the model's
-    StackedSensorForms) is computed when absent."""
-    stacked = StackedSensorForms(model) if stacked is None else stacked
-    if stationary_P is None:
-        stationary_P = stationary_covariance(model, stacked=stacked)
-    drift = drift_matrices(model, stacked=stacked) if drift is None else drift
-    k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha,
-                        stacked=stacked)
+def escape_report(model: SystemModel, zeta_norm: float,
+                  alpha: float) -> EscapeTimeReport:
+    """Escape time and lower bound from the stationary covariance, which,
+    like the drift analysis, the model keeps from its first use."""
+    stationary_P = model._derived(stationary_covariance)
+    k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha)
     norm_A, branch = _growth(model)
     k_lb = None
-    if drift.drift_free:
+    if model._derived(drift_matrices).drift_free:
         k_lb = escape_time_lower_bound(stationary_P, model, float(zeta_norm),
-                                       alpha, drift=drift)
+                                       alpha)
     return EscapeTimeReport(
         k_escape=k_esc, k_lower_bound=k_lb, zeta=float(zeta_norm),
         alpha=alpha, df=model.n, stationary_P=stationary_P, norm_A=norm_A,

@@ -14,9 +14,10 @@ from dataclasses import replace
 
 import numpy as np
 
+from .analysis import escape_report
 from .exceptions import ConfigError, NumericalError
-from .harness import (ScenarioShared, export_trace, monte_carlo, parse_config,
-                      run_scenario, _escape_fields)
+from .harness import (export_trace, monte_carlo, parse_config, run_scenario,
+                      _escape_fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,11 +107,11 @@ def cmd_mc(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _load(args)
-    shared = ScenarioShared(config.model)
-    report = shared.escape(config.zeta_norm, config.detector.alpha)
+    report = escape_report(config.model, config.zeta_norm,
+                           config.detector.alpha)
     payload = {
         "first_alarm_step": None,
-        **_escape_fields(report, shared.drift),
+        **_escape_fields(report, config.model),
         "norm_A": report.norm_A,
         "branch": report.branch,
         "zeta_norm": config.zeta_norm,

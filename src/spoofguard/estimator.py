@@ -71,6 +71,9 @@ class StackedSensorForms:
     (C_I Sigma_w C_I^T + Sigma_I)^{-1} from the IMU blocks of the P = 0
     system, and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T + K_I
     Sigma_I K_I^T, covariance_update of P = 0 with K_E = [0, K_I].
+    A model keeps its forms (SystemModel._derived) for any thread to read:
+    every array is read-only, and a table or power is kept whole, equal
+    from whichever thread built it.
     """
 
     def __init__(self, model: SystemModel):
@@ -78,7 +81,7 @@ class StackedSensorForms:
         n, p, m_G, m_I = model.n, model.p, model.m_G, model.m_I
         m = m_G + m_I
         self.C = np.vstack([model.C_G, model.C_I])
-        # The Joseph weight blockdiag(P, 0_p, Sigma_y, Sigma_w); updates write P.
+        # The Joseph weight blockdiag(P, 0_p, Sigma_y, Sigma_w), P = 0 here.
         k = n + p + m
         self._joseph_weight = np.zeros((k + n, k + n))
         self._joseph_weight[k:, k:] = model.Sigma_w
@@ -129,9 +132,12 @@ class StackedSensorForms:
             "IMU-only innovation covariance")
         self.Sigma_bar = covariance_update(np.zeros((n, n)), np.hstack(
             [np.zeros((n, m_G)), self.K_I]), model, self)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def _table(self, mode: Mode):
-        """[stack, powers, length], read-only, built on first use: the mode's
+        """(stack, powers, length), read-only, built on first use: the mode's
         j-step triples (A_j, G_j, H_j), j = 1..8, by three stacked doublings,
         cut before the first non-finite one; its 2^k-step triples (_power);
         its stretch length, 8 doubled per finite power.  NumericalError for
@@ -144,24 +150,28 @@ class StackedSensorForms:
                 stack = [np.concatenate(pair) for pair in zip(
                     stack, _compose(stack, powers[k]))]
                 powers.append(tuple(map(_read_only, (t[-1] for t in stack))))
-            finite = int(np.isfinite(np.concatenate(stack, axis=1)).all(
+            length = int(np.isfinite(np.concatenate(stack, axis=1)).all(
                 axis=(1, 2)).cumprod().sum())
-            if not finite:
+            if not length:
                 raise NumericalError(f"non-finite {mode.value} one-step triple")
-            self._tables[mode] = table = [
-                [_read_only(t[:finite]) for t in stack], powers, finite]
-            while _FIRST_CHUNK <= table[2] < _STRETCH and np.isfinite(
-                    self._power(mode, table[2].bit_length() - 1)).all():
-                table[2] *= 2
+            stack = [_read_only(t[:length]) for t in stack]
+            while _FIRST_CHUNK <= length < _STRETCH and np.isfinite(
+                    _square(powers, length.bit_length() - 1)).all():
+                length *= 2
+            self._tables.setdefault(mode, (stack, powers, length))
         return self._tables[mode]
 
     def _power(self, mode: Mode, k: int):
         """The mode's 2^k-step triple, squared on demand and kept."""
-        powers = self._table(mode)[1]
-        while len(powers) <= k:
-            last = powers[-1]
-            powers.append(tuple(map(_read_only, _compose(last, last))))
-        return powers[k]
+        return _square(self._table(mode)[1], k)
+
+
+def _square(powers: list, k: int):
+    """powers[k], each power it lacks squared and stored at its own index."""
+    for i in range(len(powers), k + 1):
+        last = powers[i - 1]
+        powers[i:i + 1] = [tuple(map(_read_only, _compose(last, last)))]
+    return powers[k]
 
 
 def optimal_gain(P_prev: np.ndarray, model: SystemModel,
@@ -206,7 +216,7 @@ def covariance_update(P_prev: np.ndarray, K: np.ndarray, model: SystemModel,
     0_p, Sigma_y, Sigma_w) W^T of the gain's blocks W = [T, B_K, K, I - K
     C], one product."""
     W = (stacked._gain_base_T - stacked._gain_coef_T.dot(K.T)).T
-    weight = stacked._joseph_weight
+    weight = stacked._joseph_weight.copy()
     weight[:len(W), :len(W)] = P_prev
     P = W.dot(weight).dot(W.T)
     return 0.5 * (P + P.T)

@@ -35,7 +35,7 @@ from typing import List, Optional
 import numpy as np
 
 from .analysis import (EscapeTimeReport, drift_matrices, escape_report,
-                       escape_time, stationary_covariance, _spectral_norms)
+                       escape_time, _spectral_norms)
 from .chi2 import chi2_quantile
 from .detector import DetectorConfig, normalized_residual
 from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
@@ -103,22 +103,21 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioTrace:
-    """One run's columns and alarm steps, with the config and ScenarioShared
-    it ran with; its escape analysis is derived on first read."""
+    """One run's columns and alarm steps, with the config it ran with; its
+    escape analysis is derived on first read."""
 
     columns: "_RunColumns" = field(repr=False)
     first_alarm_step: Optional[int]
     attack_detection_step: Optional[int]
     config: ScenarioConfig = field(repr=False, compare=False)
-    shared: "ScenarioShared" = field(repr=False, compare=False)
 
     @cached_property
     def escape(self) -> Optional[EscapeTimeReport]:
         """The stationary covariance's escape report, None without alarms."""
         if self.first_alarm_step is None:
             return None
-        return self.shared.escape(self.config.zeta_norm,
-                                  self.config.detector.alpha)
+        return escape_report(self.config.model, self.config.zeta_norm,
+                             self.config.detector.alpha)
 
     @cached_property
     def escape_time_from_alarm(self) -> Optional[int]:
@@ -128,19 +127,19 @@ class ScenarioTrace:
         if step is None:
             return None
         return escape_time(self.columns.P[step - 1], config.model,
-                           config.zeta_norm, config.detector.alpha,
-                           stacked=self.shared.stacked)
+                           config.zeta_norm, config.detector.alpha)
 
     def summary(self) -> dict:
         return {"first_alarm_step": self.first_alarm_step,
                 "attack_detection_step": self.attack_detection_step,
-                **_escape_fields(self.escape, self.shared.drift)}
+                **_escape_fields(self.escape, self.config.model)}
 
 
-def _escape_fields(report: Optional[EscapeTimeReport], drift) -> dict:
-    """The escape and detectability (from the drift analysis) fields of a
-    run summary and of analyze; the escape fields are None without a
+def _escape_fields(report: Optional[EscapeTimeReport], model) -> dict:
+    """The escape and detectability (from the model's drift analysis) fields
+    of a run summary and of analyze; the escape fields are None without a
     report."""
+    drift = model._derived(drift_matrices)
     escape = {} if report is None else report.to_dict()
     return {"escape_time": escape.get("k_escape"),
             "escape_time_lower_bound": escape.get("k_lower_bound"),
@@ -178,31 +177,19 @@ class MonteCarloSummary:
 
 
 class ScenarioShared:
-    """Model-derived pieces reused across runs of the same scenario; the
-    trunk (the normal stretch from P = 0, see estimator), the stationary
-    covariance and the drift analysis are built once, on first read."""
+    """Run state reused across runs of one model: the forms the model keeps,
+    the three noise samplers and the trunk (the normal stretch from P = 0,
+    see estimator), built on first read.  Samplers and stretches keep
+    scratch arrays: give each thread a ScenarioShared of its own."""
 
     def __init__(self, model: SystemModel):
         self.model = model
-        self.stacked = StackedSensorForms(model)
-        self.sampler_w = GaussianSampler(model.Sigma_w)
-        self.sampler_G = GaussianSampler(model.Sigma_G)
-        self.sampler_I = GaussianSampler(model.Sigma_I)
+        self.stacked = model._derived(StackedSensorForms)
+        self.sampler_w, self.sampler_G, self.sampler_I = map(
+            GaussianSampler, (model.Sigma_w, model.Sigma_G, model.Sigma_I))
 
     trunk = cached_property(lambda self: _Stretch(
         Mode.NORMAL, np.zeros((self.model.n,) * 2), self.stacked))
-    _stationary_P = cached_property(lambda self: stationary_covariance(
-        self.model, stacked=self.stacked))
-    _drift = cached_property(
-        lambda self: drift_matrices(self.model, stacked=self.stacked))
-    stationary_P = property(lambda self: self._stationary_P)
-    drift = property(lambda self: self._drift)
-
-    def escape(self, zeta_norm: float, alpha: float) -> EscapeTimeReport:
-        """Escape report from the stationary covariance."""
-        return escape_report(self.model, zeta_norm, alpha,
-                             stationary_P=self.stationary_P, drift=self.drift,
-                             stacked=self.stacked)
 
 
 def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:
@@ -366,8 +353,7 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
     infinite-threshold detector.  A run without a shared builds its own
     trunk on a new ScenarioShared.
     """
-    if shared is None:
-        shared = ScenarioShared(config.model)
+    shared = shared or ScenarioShared(config.model)
     cols = _simulate(config, shared, detector_enabled)
     first_alarm = _first_step(cols.alarmed)
     # Detection latency is measured against the attack onset; noise can trip
@@ -378,15 +364,13 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
     if detection_step is not None:
         detection_step += detect_from
     return ScenarioTrace(columns=cols, first_alarm_step=first_alarm,
-                         attack_detection_step=detection_step, config=config,
-                         shared=shared)
+                         attack_detection_step=detection_step, config=config)
 
 
 def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,
                 shared: Optional[ScenarioShared] = None) -> MonteCarloSummary:
     """Run `config.runs` independent scenarios with derived seeds and aggregate."""
-    if shared is None:
-        shared = ScenarioShared(config.model)
+    shared = shared or ScenarioShared(config.model)
     post_from = config.attack_onset()
     post_steps = config.steps - post_from
 

@@ -46,7 +46,7 @@ def _read_only(values) -> np.ndarray:
 class SystemModel:
     """Immutable container for the plant and sensor matrices: each is a
     read-only float copy, and every attribute fails at assignment, as a
-    frozen dataclass's does.
+    frozen dataclass's does.  _derived keeps what is built from it alone.
 
     Construction only coerces shapes; use validate_model() to get a report
     of violated invariants (dimensions, positive definiteness, singular A).
@@ -64,6 +64,14 @@ class SystemModel:
                            ("m_G", self.C_G.shape[0]),
                            ("m_I", self.C_I.shape[0])):
             object.__setattr__(self, name, size)
+        object.__setattr__(self, "_memo", {})
+
+    def _derived(self, build):
+        """build(self), built on first use and kept; a build that raises
+        keeps nothing.  Threads that build at once all get the first kept."""
+        if build not in self._memo:
+            self._memo.setdefault(build, build(self))
+        return self._memo[build]
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -261,12 +269,14 @@ def validate_model(model: SystemModel) -> list:
 
 
 def _transition_inverse(A: np.ndarray) -> np.ndarray:
-    """A^{-1}, or ValueError when A is singular or numerically singular, or
-    a singular value is not finite (a NaN entry fails the SVD itself).
+    """A^{-1}, or ValueError when an entry of A is not finite, or A is
+    singular or numerically singular.
 
     Invertible A is a model invariant: dead reckoning's drift structure
     C_I (I - A^{-1}) needs it.
     """
+    if not np.isfinite(A).all():
+        raise ValueError("A: holds a non-finite entry")
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.size and not sv.min() > 1e-12 * max(1.0, sv.max()):
         raise ValueError(

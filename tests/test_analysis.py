@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 from dataclasses import replace
@@ -372,8 +373,7 @@ class TestEscapeTime:
         assert escape_time_lower_bound(uav_stationary_P, uav_model, 1e200,
                                        0.01) == math.inf
         # Neither field has a finite value: the report writes both as None.
-        report = escape_report(uav_model, 1e200, 0.01,
-                               stationary_P=uav_stationary_P).to_dict()
+        report = escape_report(uav_model, 1e200, 0.01).to_dict()
         assert report["k_escape"] is None and report["k_lower_bound"] is None
 
 
@@ -424,10 +424,10 @@ def counted_steps(monkeypatch) -> list:
 
 def search_maps(k: int) -> int:
     """The most one-step maps escape_time makes from a start that passes
-    _grows and escapes at step k: its first step, then at most two search
-    candidates per level, where stepping makes one per dead-reckoning
-    step."""
-    return 1 + 2 * (k.bit_length() + 1)
+    _grows and escapes at step k: its first step, which the search starts
+    from, then at most two search candidates per level from 1, where
+    stepping makes one per dead-reckoning step."""
+    return 2 * (k.bit_length() + 1)
 
 
 def first_zero_level(stacked) -> int:
@@ -483,10 +483,10 @@ class TestEscapeTimeByDoubling:
 
     def test_drift_models_equal_the_stepped_loop(self, monkeypatch):
         # From the stationary covariance dead reckoning never decreases
-        # (Kalman optimality): one counted map, then the search.  A model
-        # whose limit stays credible is "never", one candidate per level
-        # below the first A_m exactly 0; stepping then stays credible over
-        # 2000 steps.
+        # (Kalman optimality): one counted map, then the search from it.  A
+        # model whose limit stays credible is "never", one candidate per
+        # level from 1 below the first A_m exactly 0; stepping then stays
+        # credible over 2000 steps.
         rng = np.random.default_rng(0)
         calls = counted_steps(monkeypatch)
         verdicts = []
@@ -501,7 +501,7 @@ class TestEscapeTimeByDoubling:
                 k = escape_time(P0, model, zeta, 0.05)
                 assert set(calls) == {"_apply"}
                 if k is None:
-                    assert len(calls) == 1 + first_zero_level(
+                    assert len(calls) == first_zero_level(
                         StackedSensorForms(model))
                 else:
                     assert len(calls) <= search_maps(k)
@@ -810,8 +810,8 @@ class TestConfidenceBound:
 
 class TestEscapeReport:
     def test_uav_report(self, uav_model, uav_stationary_P):
-        report = escape_report(uav_model, 2.0, 0.01,
-                               stationary_P=uav_stationary_P)
+        report = escape_report(uav_model, 2.0, 0.01)
+        assert report.stationary_P.tobytes() == uav_stationary_P.tobytes()
         assert report.df == 4
         assert report.branch == "general"
         assert 285 <= report.k_escape <= 295
@@ -837,8 +837,22 @@ class TestEscapeReport:
 
 class TestDegreesOfFreedom:
     """The chi-square quantiles take the state dimension as their degrees of
-    freedom, so no function takes a df; a positional one is a TypeError
-    rather than the sensor forms or a drift analysis."""
+    freedom, so no function takes a df; a positional one is a TypeError.
+    What the model alone determines (its sensor forms, stationary
+    covariance and drift analysis) the model keeps, so no function takes
+    it either."""
+
+    @pytest.mark.parametrize("function, names", [
+        (stationary_covariance, ["model"]),
+        (drift_matrices, ["model"]),
+        (escape_time, ["P_at_attack", "model", "zeta", "alpha"]),
+        (escape_time_lower_bound, ["P", "model", "zeta_norm", "alpha"]),
+        (escape_report, ["model", "zeta_norm", "alpha"])])
+    def test_only_the_papers_inputs(self, function, names):
+        parameters = inspect.signature(function).parameters.values()
+        assert [p.name for p in parameters] == names
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+                   for p in parameters)
 
     @pytest.mark.parametrize("call", [
         lambda m, P: escape_time(P, m, 2.0, 0.01, 4),

@@ -103,9 +103,10 @@ class TestSharedForms:
     def test_a_command_builds_one_set_of_sensor_forms(self, config_path,
                                                       tmp_path, monkeypatch,
                                                       capsys, argv):
-        # ScenarioShared hands its StackedSensorForms to the stationary
-        # covariance, the drift analysis and both escape analyses (a JSON
-        # trace runs the one from the alarm too), so a command builds one.
+        # The model keeps its StackedSensorForms, which the run, the
+        # stationary covariance, the drift analysis and both escape analyses
+        # (a JSON trace runs the one from the alarm too) read, so a command
+        # builds one.
         built, init = [], spoofguard.StackedSensorForms.__init__
 
         def counted(self, model):

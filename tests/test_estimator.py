@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +20,7 @@ from spoofguard.detector import normalized_residual
 from spoofguard.estimator import (_STRETCH, _Stretch, _apply, _compose,
                                   _detector_weight, _innovation_system,
                                   _riccati_triple)
-from spoofguard.model import _inverse
+from spoofguard.model import MATRIX_NAMES, _inverse
 
 from conftest import (imu_blind_model, make_uav_model,
                       random_invertible_model, stretch_chain, trunk_stretches)
@@ -1194,3 +1197,75 @@ class TestNoiseRatio:
     def test_normal_rows_keep_their_digits(self):
         assert max(gap_to_joseph(noisy_uav_model(scale), Mode.NORMAL)
                    for scale in NOISE_SCALES) <= 1e-12
+
+
+def form_arrays(stacked) -> dict:
+    """The forms' array attributes, by name."""
+    return {name: value for name, value in vars(stacked).items()
+            if isinstance(value, np.ndarray)}
+
+
+class TestFormsAnyThreadMayShare:
+    """A model keeps its StackedSensorForms, so every ScenarioShared and
+    analysis of one model reads the same forms, from any thread."""
+
+    def test_every_array_is_read_only(self, model):
+        arrays = form_arrays(StackedSensorForms(model))
+        assert len(arrays) == 15
+        for name, value in arrays.items():
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0.0
+
+    def test_covariance_update_leaves_the_forms(self, model):
+        # It wrote P into the kept Joseph weight.
+        stacked = StackedSensorForms(model)
+        before = {name: value.tobytes()
+                  for name, value in form_arrays(stacked).items()}
+        P = stationary_covariance(model)
+        covariance_update(3.0 * P, optimal_gain(P, model, stacked), model,
+                          stacked)
+        assert {name: value.tobytes() for name, value in
+                form_arrays(stacked).items()} == before
+
+    def test_threads_get_the_single_thread_bytes(self):
+        # Four threads, each with its own ScenarioShared on one fresh model,
+        # build its forms and tables at once, run an attacked batch (both
+        # modes), then square both modes' powers up to level 40.
+        config = replace(parse_config(builtin_config_path()), steps=720,
+                         runs=3)
+        threads = 4
+        barrier = threading.Barrier(threads)
+
+        def fresh():
+            m = config.model
+            return SystemModel(**{name: getattr(m, name)
+                                  for name in MATRIX_NAMES})
+
+        def work(model, wait=lambda: None):
+            wait()
+            shared = ScenarioShared(model)
+            batch = monte_carlo(replace(config, model=model), shared=shared)
+            wait()
+            powers = b"".join(np.stack(shared.stacked._power(mode, level))
+                              .tobytes() for mode in Mode
+                              for level in range(41))
+            runs = [(r.first_alarm_step, r.attack_detection_step,
+                     r.covered_steps, r.final_err_norm) for r in batch.runs]
+            return (shared.stacked, batch.mean_error.tobytes(),
+                    batch.coverage.tobytes(), runs, powers)
+
+        _, *want = work(fresh())
+        model, interval = fresh(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as it can
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(work, model, lambda: barrier.wait(60))
+                           for _ in range(threads)]
+                got = [future.result() for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert {id(forms) for forms, *_ in got} == {
+            id(model._derived(StackedSensorForms))}
+        for _, *values in got:
+            assert values == want

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
                         NumericalError, PlantState, ScenarioConfig,
-                        ScenarioShared, SystemModel, builtin_config_path,
-                        chi2_quantile, cusum_update, derive_run_seed,
+                        ScenarioShared, SystemModel, analysis,
+                        builtin_config_path, chi2_quantile, cusum_update,
+                        derive_run_seed, drift_matrices, escape_report,
                         estimator, export_trace, fuse, harness, measure_gps,
                         measure_imu, monte_carlo, parse_config, pd_control,
                         residual, residual_covariance, run_scenario,
@@ -368,9 +369,11 @@ class TestMonteCarlo:
 
         def not_called(*args, **kwargs):
             raise AssertionError("escape analysis ran")
-        for name in ("stationary_covariance", "drift_matrices",
-                     "escape_report", "escape_time"):
-            monkeypatch.setattr(harness, name, not_called)
+        for module, name in ((analysis, "stationary_covariance"),
+                             (harness, "drift_matrices"),
+                             (harness, "escape_report"),
+                             (harness, "escape_time")):
+            monkeypatch.setattr(module, name, not_called)
         assert monte_carlo(config).runs == want
         trace = run_scenario(replace(config, seed=derive_run_seed(
             config.seed, 0), runs=1))
@@ -638,11 +641,21 @@ class TestCovarianceTrunk:
         # own, whose rows no other run reads, and its columns are a shared
         # run's.
         config = replace(uav_config, steps=steps)
-        private = run_scenario(config)
-        shared = run_scenario(config, shared=ScenarioShared(config.model))
-        assert private.shared is not shared.shared
-        assert trunk_rows(private.shared).tobytes() == \
-            trunk_rows(shared.shared).tobytes()
+        built = []
+
+        def recorded(model):
+            built.append(ScenarioShared(model))
+            return built[-1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "ScenarioShared", recorded)
+            private = run_scenario(config)
+        [private_shared] = built
+        own = ScenarioShared(config.model)
+        shared = run_scenario(config, shared=own)
+        assert private_shared is not own
+        assert private_shared.trunk is not own.trunk
+        assert trunk_rows(private_shared).tobytes() == \
+            trunk_rows(own).tobytes()
         for got, want in zip(run_columns(private.columns),
                              run_columns(shared.columns)):
             assert got.dtype == want.dtype
@@ -991,15 +1004,43 @@ def _spoofed(config, spoof):
         sequence=[np.full(2, spoof)] * (config.steps - 699)))
 
 
+class TestModelKeepsItsAnalyses:
+    def test_a_model_builds_each_table_once(self, uav_config, monkeypatch):
+        # Runs without a shared, their summaries and escapes from the alarm,
+        # and direct analyses of one model read one set of tables: one
+        # one-step triple per mode.  Before the model kept its forms, each
+        # run built its own.
+        built, original = [], estimator._riccati_triple
+
+        def counted(model, stacked, first):
+            built.append(first)
+            return original(model, stacked, first)
+        monkeypatch.setattr(estimator, "_riccati_triple", counted)
+        model = uav_config.model
+        for seed in (0, 1):
+            trace = run_scenario(replace(uav_config, seed=seed))
+            assert trace.summary()["escape_time"] == 291
+            assert trace.escape_time_from_alarm is not None
+        assert escape_report(model, 2.0, 0.01).k_escape == 291
+        assert drift_matrices(model).drift_free
+        assert sorted(built) == [0, model.m_G]
+
+
 class TestSharedAnalysisIsReadOnly:
+    """The model keeps its stationary covariance and drift analysis, which
+    every run of it reads."""
+
     def test_a_run_cannot_change_the_next_runs_escape(self, uav_config):
         # Before the shared results were read-only, the in-place product
         # made the next run on the shared report escape time 0.
-        shared = ScenarioShared(uav_config.model)
+        model = uav_config.model
+        shared = ScenarioShared(model)
         first = run_scenario(uav_config, shared=shared)
+        assert first.escape.stationary_P is model._derived(
+            analysis.stationary_covariance)
         with pytest.raises(ValueError, match="read-only"):
             first.escape.stationary_P *= 100
-        drift = shared.drift
+        drift = model._derived(analysis.drift_matrices)
         for name in ("C_bar_I", "L", "A_bar", "Sigma_bar"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(drift, name)[...] = 0.0
@@ -1010,13 +1051,18 @@ class TestSharedAnalysisIsReadOnly:
 
     def test_shared_results_cannot_be_rebound(self, uav_config):
         # Before they were read-only properties, stationary_P = 100 I made
-        # the next run on the shared report escape time 0.
-        shared = ScenarioShared(uav_config.model)
-        first = shared.stationary_P
-        for name, value in (("stationary_P", 100 * np.eye(4)),
-                            ("drift", None)):
-            with pytest.raises(AttributeError):
-                setattr(shared, name, value)
-        assert shared.stationary_P is first
+        # the next run on the shared report escape time 0.  The model keeps
+        # its results and cannot be assigned to; a ScenarioShared holds
+        # none of them.
+        model = uav_config.model
+        shared = ScenarioShared(model)
+        first = model._derived(analysis.stationary_covariance)
+        for name in ("_memo", "A"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(model, name, {})
+        for name in ("stationary_P", "drift", "escape"):
+            assert not hasattr(shared, name)
         run = run_scenario(replace(uav_config, seed=1), shared=shared)
         assert run.summary()["escape_time"] == 291
+        assert run.escape.stationary_P is first
+        assert not hasattr(run, "shared")

@@ -10,7 +10,7 @@ from spoofguard import (AttackSignal, ConfigError, GaussianSampler, PlantState,
                         escape_report, measure_gps, measure_imu, run_scenario,
                         step_dynamics, validate_model)
 from spoofguard.cli import main
-from spoofguard.model import MATRIX_NAMES
+from spoofguard.model import MATRIX_NAMES, _transition_inverse
 
 from conftest import make_uav_model
 
@@ -287,6 +287,28 @@ class TestSystemModel:
 class TestValidateModel:
     def test_uav_model_valid(self, uav_model):
         assert validate_model(uav_model) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_A_is_one_finding_everywhere(self, bad):
+        # A NaN in A failed the SVD with a bare LAPACK error in every build
+        # that needs A^-1.  A failed build keeps nothing with the model: a
+        # second call raises the same error.
+        model = make_uav_model()
+        A = model.A.copy()
+        A[2, 2] = bad
+        model = SystemModel(A=A, B=model.B, C_G=model.C_G, C_I=model.C_I,
+                            Sigma_w=model.Sigma_w, Sigma_G=model.Sigma_G,
+                            Sigma_I=model.Sigma_I)
+        [finding] = validate_model(model)
+        assert finding == "A: holds a non-finite entry"
+        for build in (lambda m: _transition_inverse(m.A), StackedSensorForms,
+                      lambda m: m._derived(StackedSensorForms),
+                      drift_matrices, lambda m: escape_report(m, 2.0, 0.01)):
+            for _ in range(2):
+                with pytest.raises(ValueError) as info:
+                    build(model)
+                assert type(info.value) is ValueError
+                assert str(info.value) == finding
 
     def test_reports_indefinite_sensor_covariance(self):
         model = make_uav_model()

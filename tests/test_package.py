@@ -45,7 +45,7 @@ REIMPORT = """
 import gc, sys, weakref
 import spoofguard
 config = spoofguard.parse_config(spoofguard.builtin_config_path())
-spoofguard.ScenarioShared(config.model).escape(2.0, 0.01)
+spoofguard.escape_report(config.model, 2.0, 0.01)
 old = weakref.ref(spoofguard.harness.ScenarioConfig)
 for name in [m for m in sys.modules if m.split(".")[0] == "spoofguard"]:
     del sys.modules[name]
