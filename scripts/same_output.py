@@ -81,6 +81,10 @@ def _contracting(raw):
         row[i] = 0.9
 
 
+def _drift(raw):
+    raw["model"]["C_I"] = raw["model"]["C_G"]
+
+
 # The console-script table's configs: name -> mutation of the raw JSON.
 DERIVED = {
     "clean": _set((("attack", "kind"), "none")),
@@ -93,6 +97,7 @@ DERIVED = {
     "wide": _set((("zeta_norm",), 1e200)),
     "contracting": _contracting,
     "beyond_horizon": _set((("zeta_norm",), 20000)),
+    "drift": _drift,
 }
 
 # The IMU-blind config's commands: name -> (command, mutation of its JSON).

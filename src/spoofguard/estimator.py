@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import (SystemModel, _inverse, _read_only, _solve,
+from .model import (SystemModel, _cut, _inverse, _read_only, _solve,
                     _transition_inverse)
 
 _FIRST_CHUNK, _STRETCH = 8, 256     # rows of a stretch's first chunk, at most
@@ -40,7 +40,7 @@ class Mode(Enum):
     EMERGENCY = "emergency"
 
 
-@dataclass
+@dataclass(slots=True)
 class EstimatorState:
     x_hat: np.ndarray
     P: np.ndarray
@@ -120,11 +120,15 @@ class StackedSensorForms:
             [np.zeros((m_G, n + p)), model.C_G, np.eye(m_G, m), self._M[:m_G]]])
         self._gain_base_T = np.vstack([A.T, B.T, np.zeros((m, n)), I_n])
         self._gain_coef_T = np.vstack([self._M_T, CB.T, -np.eye(m), self.C.T])
-        self._predictor_cols = {Mode.NORMAL: np.s_[:n + p + m],
-                                Mode.EMERGENCY: np.r_[:n + p, n + p + m_G:k]}
-        # fuse's slots in [x_hat; u; y_G; y_I], or [x_hat; u; y_I] (F_E).
-        self._operand_cuts = {Mode.NORMAL: (n, n + p, n + p + m_G),
-                              Mode.EMERGENCY: (n, n + p)}
+        # Per mode, the predictor's rows of them, F^T = base_T - coef_T K^T
+        # for K in the gain columns: [T, B_K, K] on fuse's slots [x_hat; u;
+        # y_G; y_I], or F_E = [T_E, B_E, K_I] on [x_hat; u; y_I].
+        self._predictor = {mode: (gain, _read_only(self._gain_base_T[rows]),
+                                  _read_only(self._gain_coef_T[rows, gain]),
+                                  sizes) for mode, rows, gain, sizes in (
+            (Mode.NORMAL, np.s_[:k], np.s_[:], (n, p, m_G, m_I)),
+            (Mode.EMERGENCY, np.r_[:n + p, n + p + m_G:k], np.s_[m_G:],
+             (n, p, m_I)))}
 
         # Dead reckoning's gain, from the P = 0 system, and noise floor.
         self.K_I = _solve_gain(
@@ -201,14 +205,6 @@ def _innovation_system(P: np.ndarray, stacked: StackedSensorForms):
     return system[..., :len(stacked.C), :], system[..., len(stacked.C):, :]
 
 
-def _detector_weight(est: EstimatorState,
-                     stacked: StackedSensorForms) -> np.ndarray:
-    """P_d^{-1} of the state's P, read from its stretch row (NaN where P_d
-    is singular); a bare state opens a stretch, as fuse does."""
-    stretch, j = _stretch_row(est, stacked)
-    return stretch.P_d_inv[j]
-
-
 def covariance_update(P_prev: np.ndarray, K: np.ndarray, model: SystemModel,
                       stacked: StackedSensorForms) -> np.ndarray:
     """Covariance propagation for an arbitrary stacked gain K = [K_G, K_I],
@@ -228,8 +224,9 @@ def _apply(triple, P: np.ndarray) -> np.ndarray:
     too), in the caller's error state: where it ignores invalid values, a
     singular I + G_j P gives NaN."""
     A, G, H = triple
-    rows = H + A.swapaxes(-1, -2) @ (P @ _solve(np.eye(H.shape[-1]) + G @ P,
-                                                A))
+    GP = G @ P      # made I + G_j P in place: 1 added to its diagonal
+    GP.reshape(*GP.shape[:-2], -1)[..., ::H.shape[-1] + 1] += 1.0
+    rows = H + A.swapaxes(-1, -2) @ (P @ _solve(GP, A))
     return 0.5 * (rows + rows.swapaxes(-1, -2))
 
 
@@ -240,20 +237,22 @@ class _Stretch:
     128) the power triple lo on rows 1..lo.  Prior row j < L has P_d^{-1}
     and predictor F ([T, B_K, K], or F_E), read-only, from one stacked inverse
     per chunk of each reader's operand (P_d; R, or R_II in emergency mode),
-    so a singular one is NaN in its own row and reader only.  It keeps
-    fuse's operand, so one stretch must not be stepped from two threads."""
+    so a singular one is NaN in its own row and reader only; F is one
+    product of the mode's predictor rows (StackedSensorForms._predictor).
+    It keeps fuse's operand, cut once into its slots, so one stretch must
+    not be stepped from two threads."""
 
     def __init__(self, mode: Mode, P_a: np.ndarray, stacked: StackedSensorForms):
         self.mode, (self._stack, _, length) = mode, stacked._table(mode)
-        F_T = stacked._gain_base_T[stacked._predictor_cols[mode]]
+        _, base_T, _, sizes = stacked._predictor[mode]
         self._buffers = [np.empty((length + k, *shape)) for k, shape in (
-            (1, P_a.shape), (0, (stacked._m_G,) * 2), (0, F_T.T.shape))]
+            (1, P_a.shape), (0, (stacked._m_G,) * 2), (0, base_T.T.shape))]
         self._buffers[0][0] = P_a
         self.P, self.P_d_inv, self.F = views = [b.view() for b in self._buffers]
         for view in views:
             view.flags.writeable = False
-        self._operand = np.empty(len(F_T))      # fuse's, filled each step
-        self._slots = np.split(self._operand, stacked._operand_cuts[mode])
+        self._operand = np.empty(len(base_T))       # fuse's, filled each step
+        self._slots = _cut(self._operand, sizes)
         self.restart, self._done = None, 0
 
     def _ready(self, j: int, stacked: StackedSensorForms) -> bool:
@@ -274,23 +273,11 @@ class _Stretch:
         (R, G), m_G = _innovation_system(P[lo:hi], stacked), stacked._m_G
         P_d_inv[lo:hi] = _inverse(R[:, :m_G, :m_G])
         # G R^{-1}, or G_I R_II^{-1} in K_I's columns: F_E needs no R^{-1}.
-        gain = np.s_[:] if self.mode is Mode.NORMAL else np.s_[m_G:]
+        gain, base_T, coef_T, _ = stacked._predictor[self.mode]
         K = G[..., gain] @ _inverse(R[:, gain, gain])
-        blocks = stacked._gain_base_T \
-            - stacked._gain_coef_T[:, gain] @ K.swapaxes(1, 2)
-        F[lo:hi] = blocks.swapaxes(1, 2)[..., stacked._predictor_cols[
-            self.mode]]
+        F[lo:hi] = (base_T - coef_T @ K.swapaxes(1, 2)).swapaxes(1, 2)
         if hi == len(F):
             self.restart = _Stretch(self.mode, P[hi], stacked)
-
-
-def _stretch_row(est: EstimatorState, stacked: StackedSensorForms):
-    """The state's (stretch, row), computed; new at a switch or bare state."""
-    stretch, j = est.stretch, est.row
-    if stretch is None or stretch.mode is not est.mode:
-        stretch, j = _Stretch(est.mode, est.P, stacked), 0
-    stretch._ready(j, stacked)
-    return stretch, j
 
 
 def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
@@ -301,17 +288,24 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
     corrected by both innovations.  Emergency mode: x' = F_E [x_hat; u; y_I],
     the IMU innovation only; y_G is never evaluated, so the estimate is
     bit-for-bit independent of it: the stretch's operand has no y_G slot.
-    F and P' are read from the state's stretch, NaN or inf where they
-    failed; a mode switch or a bare state opens one.
+    The operand's slots are filled in place, the mode's own only.  F and P'
+    are read from the state's stretch, NaN or inf where they failed; a mode
+    switch or a bare state opens one, and the row's chunk is computed
+    unless a reader (the run's detector) already has.
     """
-    stretch, j = _stretch_row(est, stacked)
-    for slot, value in zip(stretch._slots, (est.x_hat, u, y_I) if est.mode
-                           is Mode.EMERGENCY else (est.x_hat, u, y_G, y_I)):
-        slot[...] = value
+    stretch, j = est.stretch, est.row
+    if stretch is None or stretch.mode is not est.mode:
+        stretch, j = _Stretch(est.mode, est.P, stacked), 0
+    if j >= stretch._done:
+        stretch._extend(stacked)
+    slots = stretch._slots
+    slots[0][...], slots[1][...], slots[-1][...] = est.x_hat, u, y_I
+    if est.mode is Mode.NORMAL:
+        slots[2][...] = y_G
     x_new = stretch.F[j].dot(stretch._operand)
     stretch, j = (stretch, j + 1) if j + 1 < len(stretch.F) else \
         (stretch.restart, 0)
-    new = EstimatorState(x_hat=x_new, P=stretch.P[j], mode=est.mode)
+    new = EstimatorState(x_new, stretch.P[j], est.mode)
     new.stretch, new.row = stretch, j
     return new
 

@@ -7,13 +7,15 @@ v_G; v_I; x - x_hat], (3) updates the detector from d_hat, (4) picks the
 mode from the updated statistic and (5) fuses in that mode, so a detected
 attack never corrupts the estimate on the step it is detected.
 
-run_scenario steps one run; each step's results go into arrays, one row per
-step (the run's columns; P is copied from each stretch as the run leaves
-it); the exports and monte_carlo's aggregates read them, and the spectral
-norms and confidence radii are built from them on first read, as is the
-run's escape analysis.  monte_carlo calls run_scenario once per run, all on
-one ScenarioShared, so each run reads the trunk's covariances until its
-first alarm.
+run_scenario steps one run.  A step reads P_d^{-1} once, from the state's
+stretch row (fuse finds the row computed), copies the operand's head [x';
+u] into one record row and x_hat into its column, and appends S; after the
+loop x and u are copied apart, and alarmed is S above the threshold.  P is
+copied from each stretch as the run leaves it.  The exports and
+monte_carlo's aggregates read these columns; the spectral norms, the
+confidence radii and the run's escape analysis are built on first read.
+monte_carlo calls run_scenario once per run, all on one ScenarioShared, so
+each run reads the trunk's covariances until its first alarm.
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -39,10 +41,10 @@ from .analysis import (EscapeTimeReport, drift_matrices, escape_report,
 from .chi2 import chi2_quantile
 from .detector import DetectorConfig, normalized_residual
 from .estimator import (EstimatorState, Mode, StackedSensorForms, fuse,
-                        _detector_weight, _Stretch)
+                        _Stretch)
 from .exceptions import ConfigError, NumericalError
 from .model import (MATRIX_NAMES, AttackSignal, GaussianSampler, SystemModel,
-                    validate_model, _check_count, _read_only)
+                    validate_model, _check_count, _cut, _read_only)
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
@@ -268,16 +270,16 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
                            np.random.SeedSequence(config.seed).spawn(3))
     sample_w, sample_G, sample_I = (s.sample for s in (
         shared.sampler_w, shared.sampler_G, shared.sampler_I))
-    # The product's operand and the product, filled in place each step; no
-    # column or state keeps a view of either.
+    # The product's operand and the product, filled in place each step, cut
+    # once into views; no column or state keeps a view of either.
     plant_in, z = np.empty(plant.shape[1]), np.empty(len(plant))
-    x_in, u, w, v_G, v_I, error = np.split(plant_in, np.cumsum(
-        (n, model.p, n, m_G, model.m_I)))
-    x, y_G, y_I, d_hat = np.split(z, np.cumsum((n, m_G, model.m_I)))
+    x_in, u, w, v_G, v_I, error = _cut(plant_in, (
+        n, model.p, n, m_G, model.m_I, n))
+    x, y_G, y_I, d_hat = _cut(z, (n, m_G, model.m_I, m_G))
+    head = plant_in[:n + model.p]               # [x'; u] once x' is copied
     try:    # before the attack's (steps - onset, m_G) array
-        xs, x_hats, us = (np.empty((steps, k)) for k in (n, n, model.p))
-        Ps, S_col = np.empty((steps, n, n)), np.empty(steps)
-        alarm_col = np.zeros(steps, dtype=bool)
+        records, x_hats = np.empty((steps, len(head))), np.empty((steps, n))
+        Ps = np.empty((steps, n, n))
     except (MemoryError, ValueError) as exc:    # ValueError: array is too big
         raise ConfigError(
             f"steps: {steps} steps cannot be allocated ({exc})") from exc
@@ -287,7 +289,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     x_in[:] = config.x0
     est = EstimatorState.initial(config.x0)
     est.stretch = shared.trunk
-    S, alarmed = 0.0, False
+    S, alarmed, S_list = 0.0, False, []
     stretch, first, row = est.stretch, 0, 1     # Ps[first:] = stretch.P[row:]
 
     for i in range(steps):
@@ -298,6 +300,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         np.subtract(x_in, est.x_hat, out=error)
         plant.dot(plant_in, out=z)
         x_in[...] = x
+        records[i] = head
         if i >= onset:
             d = attack[i - onset]
             y_G += d
@@ -305,11 +308,13 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
 
         # The detector sees the GPS innovation against the previous estimate
         # and covariance, in both modes; its alarm picks this step's mode.
-        # P_d^{-1} is the state's stretch row's, read before this step's
-        # mode replaces the state's.
+        # P_d^{-1} is the state's stretch row's (the run's state always has
+        # one, of its mode), read before this step's mode replaces the
+        # state's; fuse then finds the row computed.
         if detector_enabled:
+            stretch._ready(est.row, stacked)
             S = delta * S + normalized_residual(d_hat,
-                                                _detector_weight(est, stacked))
+                                                stretch.P_d_inv[est.row])
             alarmed = S > threshold
         est.mode = _MODES[alarmed]
         est = fuse(est, model, stacked, u, y_G, y_I)
@@ -317,18 +322,20 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
             Ps[first:i] = stretch.P[row:row + i - first]
             stretch, first, row = est.stretch, i, est.row
 
-        xs[i], x_hats[i], us[i] = x, est.x_hat, u
-        S_col[i], alarm_col[i] = S, alarmed
+        x_hats[i] = est.x_hat
+        S_list.append(S)
     Ps[first:] = stretch.P[row:row + steps - first]
 
+    # x and u copied apart from the record; alarmed as each step decided it.
+    S_col, xs = np.array(S_list), records[:, :n].copy()
     cols = _RunColumns(
-        x=xs, x_hat=x_hats, u=us, S=S_col, alarmed=alarm_col,
-        trace_P=np.trace(Ps, axis1=1, axis2=2),
+        x=xs, x_hat=x_hats, u=records[:, n:].copy(), S=S_col,
+        alarmed=S_col > threshold, trace_P=np.trace(Ps, axis1=1, axis2=2),
         err_norm=np.linalg.norm(xs - x_hats, axis=-1), P=Ps,
         q=chi2_quantile(n, det.alpha))
     # Columns but S must be finite, S not NaN (min(S, 0) is 0 at inf, the
     # latched alarm); conf_radius can overflow only where |P|_F > 1e150.
-    exported = (Ps, xs, x_hats, us, cols.trace_P, cols.err_norm,
+    exported = (Ps, xs, x_hats, cols.u, cols.trace_P, cols.err_norm,
                 np.minimum(S_col, 0.0))
     big = np.flatnonzero(np.einsum("kij,kij->k", Ps, Ps) > 1e300)
     if big.size or not all(np.isfinite(col).all() for col in exported):

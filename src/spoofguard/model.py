@@ -15,6 +15,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +42,12 @@ def _read_only(values) -> np.ndarray:
     values = np.array(values, dtype=float)
     values.setflags(write=False)
     return values
+
+
+def _cut(array: np.ndarray, sizes) -> list:
+    """Consecutive views of array's first axis, of the given sizes."""
+    ends = list(accumulate(sizes, initial=0))
+    return [array[a:b] for a, b in zip(ends, ends[1:])]
 
 
 class SystemModel:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spoofguard import (ScenarioShared, SystemModel, builtin_config_path,
-                        harness, parse_config, stationary_covariance)
+                        estimator, harness, parse_config,
+                        stationary_covariance)
 from spoofguard.model import MATRIX_NAMES
 
 # Draw 4 of imu_blind_model from default_rng(1), as written by
@@ -92,6 +93,17 @@ def stretch_chain(stretch) -> list:
         stretches.append(stretch)
         stretch = stretch.restart
     return stretches
+
+
+def detector_weight(est, stacked) -> np.ndarray:
+    """P_d^{-1} of the state's P as a run's detector reads it, from its
+    stretch row (NaN where P_d is singular); a bare state, or one whose mode
+    is not its stretch's, opens a stretch, as fuse does."""
+    stretch, j = est.stretch, est.row
+    if stretch is None or stretch.mode is not est.mode:
+        stretch, j = estimator._Stretch(est.mode, est.P, stacked), 0
+    stretch._ready(j, stacked)
+    return stretch.P_d_inv[j]
 
 
 def trunk_stretches(shared) -> list:

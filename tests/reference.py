@@ -35,7 +35,10 @@ def joseph_step(P, mode, stacked):
     K], or F_E = [T_E, B - K_I C_I B, K_I], and covariance_update's Joseph
     update with P's own gain (dead reckoning's step in emergency mode)."""
     K = mode_gain(P, mode, stacked)
-    return (gain_blocks(K, stacked)[:, stacked._predictor_cols[mode]],
+    n_p, m_G = stacked._model.n + stacked._model.p, stacked._m_G
+    columns = np.s_[:n_p + len(stacked.C)] if mode is Mode.NORMAL else \
+        np.r_[:n_p, n_p + m_G:n_p + len(stacked.C)]     # F_E: no K_G
+    return (gain_blocks(K, stacked)[:, columns],
             covariance_update(P, K, stacked._model, stacked))
 
 

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from operator import setitem
 from pathlib import Path
@@ -636,6 +638,37 @@ class TestHorizonTooLarge:
             "config error: steps: 4611686018427387904 steps cannot be "
             "allocated (")
         assert captured.err.count("\n") == 1
+
+    def test_a_console_run_prints_one_line(self, config_path, tmp_path):
+        # 10^18 steps from the console, under error::RuntimeWarning: exit 1,
+        # the one config error line and no traceback.
+        env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+               "PYTHONPATH": os.pathsep.join(
+                   [os.path.dirname(os.path.dirname(spoofguard.__file__)),
+                    os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "spoofguard.cli", "run", "--config",
+             config_path, "--steps", "1000000000000000000"], cwd=tmp_path,
+            env=env, capture_output=True, text=True, check=False)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert re.fullmatch(r"config error: steps: 1000000000000000000 "
+                            r"steps cannot be allocated \(.+\)\n",
+                            done.stderr), done.stderr
+
+    def test_nothing_is_allocated(self, config_path, capsys):
+        # numpy refuses the first column, the (steps, n + p) record of [x';
+        # u], before allocating it: the run's peak traced memory stays far
+        # below one row per step of any column.
+        main(["validate", "--config", config_path])
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", config_path,
+                         "--steps", "1000000000000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 2 ** 20
 
 
 class TestLargeTolerance:

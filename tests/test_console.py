@@ -94,6 +94,11 @@ ROWS = [
     ("contracting", ["analyze"], 0, "", field("escape_time", None)),
     # 191461 steps, past the 100000 the doubling search once stopped at.
     ("beyond_horizon", ["analyze"], 0, "", field("escape_time", 191461)),
+    # C_I = C_G, the IMU reading position increments: a drifting model, so
+    # dead reckoning's gain differs per row and its predictor rows are a
+    # product; it escapes at 394 and still detects at the onset.
+    ("drift", ["analyze"], 0, "", field("escape_time", 394)),
+    ("drift", ["run"], 0, "", field("attack_detection_step", 700)),
     # Dead reckoning's covariance reaches 1e39 at step 117, where the
     # tolerance 1e20 stops being credible.
     ("imu_blind", ["analyze"], 0, "", field("escape_time", 117)),

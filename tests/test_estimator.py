@@ -18,11 +18,10 @@ from spoofguard import (AttackSignal, EstimatorState, Mode,
 
 from spoofguard.detector import normalized_residual
 from spoofguard.estimator import (_STRETCH, _Stretch, _apply, _compose,
-                                  _detector_weight, _innovation_system,
-                                  _riccati_triple)
+                                  _innovation_system, _riccati_triple)
 from spoofguard.model import MATRIX_NAMES, _inverse
 
-from conftest import (imu_blind_model, make_uav_model,
+from conftest import (detector_weight, imu_blind_model, make_uav_model,
                       random_invertible_model, stretch_chain, trunk_stretches)
 from reference import forbid_joseph_forms, gain_blocks, joseph_step
 
@@ -106,12 +105,12 @@ class TestInnovationSystem:
                      u, y_G, y_I)
         assert first.stretch is not None and first.row == 1
         assert np.shares_memory(first.P, first.stretch.P)
-        _detector_weight(first, stacked)
+        detector_weight(first, stacked)
         other = 5.0 * first.P
 
         def outputs(est):
             out = fuse(est, model, stacked, u, y_G, y_I)
-            return (_detector_weight(est, stacked), out.x_hat, out.P,
+            return (detector_weight(est, stacked), out.x_hat, out.P,
                     optimal_gain(est.P, model, stacked))
 
         want = outputs(EstimatorState(first.x_hat, other, mode))
@@ -121,6 +120,41 @@ class TestInnovationSystem:
             for got, w in zip(outputs(est), want):
                 assert got.tobytes() == w.tobytes()
             assert est.stretch is None
+
+
+class TestStateSlots:
+    """EstimatorState is a slotted dataclass: a state holds its five fields
+    only, and fuse builds a new one each step."""
+
+    def test_replace_carries_no_stretch(self, model, stacked):
+        est = fuse(EstimatorState.initial(np.ones(4)), model, stacked,
+                   np.zeros(2), np.zeros(2), np.zeros(2))
+        assert (est.stretch is not None, est.row) == (True, 1)
+        assert not hasattr(est, "__dict__")
+        with pytest.raises(AttributeError):
+            est.gain = None
+        for mode in Mode:
+            moved = replace(est, mode=mode)
+            assert (moved.stretch, moved.row, moved.mode) == (None, 0, mode)
+            assert moved.x_hat is est.x_hat and moved.P is est.P
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_fuse_leaves_its_input_and_shares_its_row(self, model, stacked,
+                                                      mode):
+        # 300 steps cross a stretch's restart; a bare state opens one.
+        rng = np.random.default_rng(23)
+        est = EstimatorState(rng.normal(size=4), 1e-3 * np.eye(4), mode)
+        for _ in range(300):
+            u, y_G, y_I = rng.normal(size=(3, 2))
+            before = (est.x_hat.tobytes(), est.P.tobytes(), est.mode,
+                      est.stretch, est.row)
+            out = fuse(est, model, stacked, u, y_G, y_I)
+            assert (est.x_hat.tobytes(), est.P.tobytes(), est.mode,
+                    est.stretch, est.row) == before
+            assert out.mode is mode and out.stretch.mode is mode
+            assert np.shares_memory(out.P, out.stretch.P[out.row])
+            assert out.P.tobytes() == out.stretch.P[out.row].tobytes()
+            est = out
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +185,7 @@ class TestNormalStepCoefficients:
             for P in priors:
                 d_hat = rng.normal(size=m_G)
                 P_d = _innovation_system(P, stacked)[0][:m_G, :m_G]
-                q = normalized_residual(d_hat, _detector_weight(
+                q = normalized_residual(d_hat, detector_weight(
                     on_stretch(P, stacked), stacked))
                 expected = d_hat @ np.linalg.solve(P_d, d_hat)
                 assert abs(q - expected) <= 1e-12 * expected
@@ -187,9 +221,9 @@ class TestNormalStepCoefficients:
         stacked = StackedSensorForms(quiet)
         with pytest.raises(NumericalError, match="^measurement noise "
                                                  "covariance is singular"):
-            _detector_weight(EstimatorState(np.zeros(4), np.zeros((4, 4))),
-                             stacked)
-        assert np.isnan(_detector_weight(EstimatorState(
+            detector_weight(EstimatorState(np.zeros(4), np.zeros((4, 4))),
+                            stacked)
+        assert np.isnan(detector_weight(EstimatorState(
             np.zeros(4), np.zeros((4, 4)), Mode.EMERGENCY), stacked)).all()
         with pytest.raises(NumericalError, match="residual covariance"):
             cusum_update(0.0, np.ones(2), np.zeros((2, 2)), 0.15)
@@ -229,7 +263,7 @@ class TestStackedInverse:
                 want_P_d_inv = np.linalg.solve(P_d, np.eye(m_G))
                 for mode in Mode:
                     est = on_stretch(P, stacked, mode)
-                    P_d_inv = _detector_weight(est, stacked)
+                    P_d_inv = detector_weight(est, stacked)
                     assert (np.abs(P_d_inv - want_P_d_inv).max()
                             <= 1e-12 * np.abs(want_P_d_inv).max())
                     F, want = est.stretch.F[0], joseph_step(P, mode,
@@ -259,7 +293,7 @@ class TestStackedInverse:
                     del calls[:]
                     est = on_stretch(P, stacked, mode)
                     for _ in range(9):
-                        _detector_weight(est, stacked)
+                        detector_weight(est, stacked)
                         est = fuse(est, model, stacked, np.zeros(p),
                                    np.zeros(m_G), np.zeros(m_I))
                         assert len(calls) == 2 * (1 + (est.row > 8))
@@ -277,7 +311,7 @@ class TestStackedInverse:
         def quantities(model, est, stacked):
             out = fuse(est, model, stacked, np.ones(model.p),
                        np.ones(model.m_G), np.ones(model.m_I))
-            return _detector_weight(est, stacked), out.x_hat, out.P
+            return detector_weight(est, stacked), out.x_hat, out.P
 
         for model, priors in priors_per_model:
             for P in priors[:5]:
@@ -336,7 +370,7 @@ class TestStackedInverse:
         X = np.random.default_rng(5).normal(size=(n, n))
         for P in (np.eye(n), X @ X.T):
             est = on_stretch(P, stacked)
-            got = _detector_weight(est, stacked)
+            got = detector_weight(est, stacked)
             R = _innovation_system(P, stacked)[0]
             assert got.tobytes() == np.linalg.inv(R[:m_G, :m_G]).tobytes()
             assert np.isfinite(est.stretch.F[0]).all()
@@ -490,8 +524,8 @@ class TestDeadReckoningDetector:
             assert len(priors) >= 300
             stacked = shared.stacked
             for P in priors:
-                got = _detector_weight(on_stretch(P, stacked, Mode.EMERGENCY),
-                                       stacked)
+                got = detector_weight(on_stretch(P, stacked, Mode.EMERGENCY),
+                                      stacked)
                 R = _innovation_system(P, stacked)[0]
                 assert got.tobytes() == np.linalg.inv(R[:m_G, :m_G]).tobytes()
                 R[:m_G, m_G:] = R[m_G:, :m_G] = 0.0
@@ -510,7 +544,7 @@ class TestDeadReckoningDetector:
             return inverse(a, *args, **kwargs)
         monkeypatch.setattr(estimator, "_inverse", counted)
         for _ in range(8):
-            _detector_weight(est, stacked)
+            detector_weight(est, stacked)
             est = fuse(est, model, stacked, np.zeros(2), np.zeros(2),
                        np.zeros(2))
         assert shapes == [(8, 2, 2), (8, 2, 2)]     # P_d, R_II
@@ -551,7 +585,7 @@ class TestDeadReckoningDetector:
             stacked = StackedSensorForms(model)
             for P in priors[:5]:
                 est = on_stretch(P, stacked, Mode.EMERGENCY)
-                got = _detector_weight(est, stacked)
+                got = detector_weight(est, stacked)
                 assert np.shares_memory(got, est.stretch.P_d_inv)
                 assert not got.flags.writeable
 

@@ -167,12 +167,33 @@ class TestRunScenario:
 
     def test_input_column_is_pd_control_bit_for_bit(self, uav_config,
                                                     uav_shared):
-        config = replace(uav_config, steps=800)
-        cols = run_scenario(config, shared=uav_shared).columns
-        priors = np.vstack([config.x0, cols.x_hat[:-1]])
-        for u, x_hat in zip(cols.u, priors):
-            want = pd_control(x_hat, config.target, config.kp, config.kd)
-            assert u.tobytes() == want.tobytes()
+        # u[0] from x0, u[i] from x_hat[i - 1], through the attack on seeds
+        # 0-2: the record of [x'; u] holds the input the plant received.
+        for seed in range(3):
+            config = replace(uav_config, seed=seed)
+            cols = run_scenario(config, shared=uav_shared).columns
+            priors = np.vstack([config.x0, cols.x_hat[:-1]])
+            for u, x_hat in zip(cols.u, priors):
+                want = pd_control(x_hat, config.target, config.kp, config.kd)
+                assert u.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_recorded_columns_are_contiguous_and_apart(self, uav_config,
+                                                       uav_shared, seed):
+        # x and u are cut from one record per step, S and alarmed are
+        # collected apart; each column is its own C-contiguous array.
+        cols = run_scenario(replace(uav_config, seed=seed),
+                            shared=uav_shared).columns
+        recorded = [cols.x, cols.x_hat, cols.u, cols.S, cols.alarmed]
+        assert [a.shape for a in recorded] == [
+            (1000, 4), (1000, 4), (1000, 2), (1000,), (1000,)]
+        assert [a.dtype for a in recorded] == [np.float64] * 4 + [np.bool_]
+        for i, a in enumerate(recorded):
+            assert a.flags.c_contiguous and a.flags.owndata
+            for b in recorded[i + 1:]:
+                assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(
+            cols.err_norm, np.linalg.norm(cols.x - cols.x_hat, axis=-1))
 
     @pytest.mark.parametrize("attack", [
         AttackSignal(kind="constant-bias", d=[100.0, 100.0], start_step=301),
