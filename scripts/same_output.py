@@ -10,7 +10,9 @@ with the tree's ``src`` on PYTHONPATH and PYTHONWARNINGS=error::RuntimeWarning:
   from the step loop;
 * ``mc --runs 20``, seeds 0-4, and ``analyze`` on the shipped config;
 * ``analyze`` and ``run`` on the configs the console-script table
-  (``tests/test_console.py``) derives from it;
+  (``tests/test_console.py``) derives from it, and ``run`` with a JSON
+  trace on seed 13 of its ``beyond_horizon`` config (``zeta_norm`` 20000),
+  whose escape from the alarm exceeds the step loop's budget;
 * ``analyze`` on the IMU-blind test config (``tests/configs/imu_blind.json``,
   read from this script's tree), and ``run`` on it with a 50 m bias from
   step 10.
@@ -141,6 +143,10 @@ def commands(config, out_dir):
         path = _write(raw, mutate, out_dir, name)
         out += [(f"{command} {name}", [command, "--config", path], None)
                 for command in ("analyze", "run")]
+    out.append(("run beyond_horizon seed 13 json",
+                ["run", "--config", "beyond_horizon.json", "--seed", "13",
+                 "--format", "json", "--out", "run_beyond_horizon_13.json"],
+                "run_beyond_horizon_13.json"))
     raw = json.loads(IMU_BLIND_CONFIG.read_text(encoding="utf-8"))
     for name, (command, mutate) in IMU_BLIND.items():
         path = _write(raw, mutate, out_dir, name)

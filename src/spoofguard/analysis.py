@@ -285,7 +285,7 @@ def _dead_reckoning(P, stacked: StackedSensorForms):
     stretch = _Stretch(Mode.EMERGENCY, P, stacked)
     while True:
         for j in range(len(stretch.F)):
-            stretch._ready(j, stacked)
+            stretch._ready(j)
             yield stretch.P[j + 1]
         stretch = stretch.restart
 

@@ -239,11 +239,12 @@ class _Stretch:
     per chunk of each reader's operand (P_d; R, or R_II in emergency mode),
     so a singular one is NaN in its own row and reader only; F is one
     product of the mode's predictor rows (StackedSensorForms._predictor).
-    It keeps fuse's operand, cut once into its slots, so one stretch must
-    not be stepped from two threads."""
+    It keeps its forms and fuse's operand, cut once into its slots, so one
+    stretch must not be stepped from two threads."""
 
     def __init__(self, mode: Mode, P_a: np.ndarray, stacked: StackedSensorForms):
         self.mode, (self._stack, _, length) = mode, stacked._table(mode)
+        self._stacked = stacked
         _, base_T, _, sizes = stacked._predictor[mode]
         self._buffers = [np.empty((length + k, *shape)) for k, shape in (
             (1, P_a.shape), (0, (stacked._m_G,) * 2), (0, base_T.T.shape))]
@@ -255,17 +256,16 @@ class _Stretch:
         self._slots = _cut(self._operand, sizes)
         self.restart, self._done = None, 0
 
-    def _ready(self, j: int, stacked: StackedSensorForms) -> bool:
-        """Whether prior row j has P_d^{-1} and F, computing its chunk."""
+    def _ready(self, j: int) -> None:
+        """Compute prior row j's chunk, P_d^{-1} and F, unless it is done."""
         if self._done <= j < len(self.F):
-            self._extend(stacked)
-        return j < self._done
+            self._extend()
 
     @np.errstate(over="ignore", invalid="ignore")   # the run's check reports
-    def _extend(self, stacked: StackedSensorForms) -> None:
+    def _extend(self) -> None:
         """Rows lo + 1..hi by one stacked solve, P_d^{-1} and F of rows lo..
         hi - 1 by a stacked inverse each, and after the last the restart."""
-        (P, P_d_inv, F), lo = self._buffers, self._done
+        (P, P_d_inv, F), lo, stacked = self._buffers, self._done, self._stacked
         hi = self._done = min(len(F), max(_FIRST_CHUNK, 2 * lo))
         triple, P_in = (stacked._power(self.mode, lo.bit_length() - 1),
                         P[1:lo + 1]) if lo else (self._stack, P[0])
@@ -280,7 +280,7 @@ class _Stretch:
             self.restart = _Stretch(self.mode, P[hi], stacked)
 
 
-def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
+def fuse(est: EstimatorState, model: SystemModel,
          u, y_G, y_I) -> EstimatorState:
     """Run one measurement update in the state's current mode, one product.
 
@@ -290,14 +290,14 @@ def fuse(est: EstimatorState, model: SystemModel, stacked: StackedSensorForms,
     bit-for-bit independent of it: the stretch's operand has no y_G slot.
     The operand's slots are filled in place, the mode's own only.  F and P'
     are read from the state's stretch, NaN or inf where they failed; a mode
-    switch or a bare state opens one, and the row's chunk is computed
-    unless a reader (the run's detector) already has.
+    switch or a bare state opens one on the model's kept forms, and the
+    row's chunk is computed unless a reader (the run's detector) already has.
     """
     stretch, j = est.stretch, est.row
     if stretch is None or stretch.mode is not est.mode:
-        stretch, j = _Stretch(est.mode, est.P, stacked), 0
-    if j >= stretch._done:
-        stretch._extend(stacked)
+        stretch, j = _Stretch(est.mode, est.P,
+                              model._derived(StackedSensorForms)), 0
+    stretch._ready(j)
     slots = stretch._slots
     slots[0][...], slots[1][...], slots[-1][...] = est.x_hat, u, y_I
     if est.mode is Mode.NORMAL:

@@ -14,8 +14,8 @@ loop x and u are copied apart, and alarmed is S above the threshold.  P is
 copied from each stretch as the run leaves it.  The exports and
 monte_carlo's aggregates read these columns; the spectral norms, the
 confidence radii and the run's escape analysis are built on first read.
-monte_carlo calls run_scenario once per run, all on one ScenarioShared, so
-each run reads the trunk's covariances until its first alarm.
+A run's forms are config.model's, kept by it; monte_carlo runs its batch on
+one new ScenarioShared, so each run reads the trunk until its first alarm.
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -179,19 +179,18 @@ class MonteCarloSummary:
 
 
 class ScenarioShared:
-    """Run state reused across runs of one model: the forms the model keeps,
-    the three noise samplers and the trunk (the normal stretch from P = 0,
-    see estimator), built on first read.  Samplers and stretches keep
-    scratch arrays: give each thread a ScenarioShared of its own."""
+    """Run state reused across runs of one model: the model, the three noise
+    samplers and the trunk (the normal stretch from P = 0, see estimator),
+    built on first read.  Samplers and stretches keep scratch arrays: give
+    each thread a ScenarioShared of its own; only run_scenario takes one."""
 
     def __init__(self, model: SystemModel):
         self.model = model
-        self.stacked = model._derived(StackedSensorForms)
         self.sampler_w, self.sampler_G, self.sampler_I = map(
             GaussianSampler, (model.Sigma_w, model.Sigma_G, model.Sigma_I))
 
-    trunk = cached_property(lambda self: _Stretch(
-        Mode.NORMAL, np.zeros((self.model.n,) * 2), self.stacked))
+    trunk = cached_property(lambda self: _Stretch(Mode.NORMAL, np.zeros(
+        (self.model.n,) * 2), self.model._derived(StackedSensorForms)))
 
 
 def pd_control(x_hat, target, kp: float, kd: float) -> np.ndarray:
@@ -261,9 +260,9 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
               detector_enabled: bool) -> _RunColumns:
     """Advance one closed-loop run and return its per-step columns; it
     starts on the trunk, the normal stretch from P = 0."""
-    model, stacked = config.model, shared.stacked
-    steps, n, m_G, plant = config.steps, model.n, model.m_G, stacked._plant
-    det, delta = config.detector, config.detector.delta
+    model, det = config.model, config.detector
+    steps, n, m_G, delta = config.steps, model.n, model.m_G, det.delta
+    plant = model._derived(StackedSensorForms)._plant
     threshold = det.threshold(m_G) if detector_enabled else math.inf
     u_ref, L = _control_law(config.target, config.kp, config.kd, n)
     rng_w, rng_G, rng_I = (np.random.default_rng(s) for s in
@@ -312,12 +311,12 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         # one, of its mode), read before this step's mode replaces the
         # state's; fuse then finds the row computed.
         if detector_enabled:
-            stretch._ready(est.row, stacked)
+            stretch._ready(est.row)
             S = delta * S + normalized_residual(d_hat,
                                                 stretch.P_d_inv[est.row])
             alarmed = S > threshold
         est.mode = _MODES[alarmed]
-        est = fuse(est, model, stacked, u, y_G, y_I)
+        est = fuse(est, model, u, y_G, y_I)
         if est.stretch is not stretch:
             Ps[first:i] = stretch.P[row:row + i - first]
             stretch, first, row = est.stretch, i, est.row
@@ -358,9 +357,11 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
     detector_enabled=False disables the alarm entirely (the statistic is not
     accumulated and the estimator stays in normal mode), matching an
     infinite-threshold detector.  A run without a shared builds its own
-    trunk on a new ScenarioShared.
+    trunk on a new ScenarioShared; one of another model is a ValueError.
     """
     shared = shared or ScenarioShared(config.model)
+    if shared.model is not config.model:
+        raise ValueError("shared: built for another model than config.model")
     cols = _simulate(config, shared, detector_enabled)
     first_alarm = _first_step(cols.alarmed)
     # Detection latency is measured against the attack onset; noise can trip
@@ -374,10 +375,11 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
                          attack_detection_step=detection_step, config=config)
 
 
-def monte_carlo(config: ScenarioConfig, *, detector_enabled: bool = True,
-                shared: Optional[ScenarioShared] = None) -> MonteCarloSummary:
-    """Run `config.runs` independent scenarios with derived seeds and aggregate."""
-    shared = shared or ScenarioShared(config.model)
+def monte_carlo(config: ScenarioConfig, *,
+                detector_enabled: bool = True) -> MonteCarloSummary:
+    """Run `config.runs` independent scenarios with derived seeds, all on one
+    new ScenarioShared of config.model, and aggregate."""
+    shared = ScenarioShared(config.model)
     post_from = config.attack_onset()
     post_steps = config.steps - post_from
 

@@ -102,7 +102,7 @@ def detector_weight(est, stacked) -> np.ndarray:
     stretch, j = est.stretch, est.row
     if stretch is None or stretch.mode is not est.mode:
         stretch, j = estimator._Stretch(est.mode, est.P, stacked), 0
-    stretch._ready(j, stacked)
+    stretch._ready(j)
     return stretch.P_d_inv[j]
 
 
@@ -142,7 +142,7 @@ def uav_config():
     return parse_config(builtin_config_path())
 
 
-@pytest.fixture(scope="session")
-def uav_shared():
-    config = parse_config(builtin_config_path())
-    return ScenarioShared(config.model)
+@pytest.fixture()
+def uav_shared(uav_config):
+    """Run state of uav_config's model, which a run on it requires."""
+    return ScenarioShared(uav_config.model)

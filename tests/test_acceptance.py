@@ -57,10 +57,10 @@ class TestAcceptance:
                f"bound={bound:.3f} (ceil {math.ceil(bound)}, target 257±5), "
                f"escape={k}, {elapsed:.3f}s")
 
-    def test_03_detection_latency(self, uav_config, uav_shared):
+    def test_03_detection_latency(self, uav_config):
         config = replace(uav_config, runs=100, steps=710)
         t0 = perf_counter()
-        batch = monte_carlo(config, shared=uav_shared)
+        batch = monte_carlo(config)
         elapsed = perf_counter() - t0
         detections = [r.attack_detection_step for r in batch.runs]
         hits = sum(1 for s in detections if s is not None and 700 <= s <= 703)
@@ -108,7 +108,6 @@ class TestAcceptance:
 
     def test_05_emergency_mode_instability(self, uav_model, uav_stationary_P):
         drift = drift_matrices(uav_model)
-        stacked = StackedSensorForms(uav_model)
         est = EstimatorState(x_hat=np.zeros(4), P=uav_stationary_P,
                              mode=Mode.EMERGENCY)
         closed = uav_stationary_P.copy()
@@ -118,7 +117,7 @@ class TestAcceptance:
         strictly_increasing = True
         max_rel = 0.0
         for _ in range(10_000):
-            est = fuse(est, uav_model, stacked, u, y, y)
+            est = fuse(est, uav_model, u, y, y)
             closed = uav_model.A @ closed @ uav_model.A.T + drift.Sigma_bar
             closed = 0.5 * (closed + closed.T)
             tr = np.trace(est.P)
@@ -132,10 +131,10 @@ class TestAcceptance:
                f"trace strictly increasing over 1e4 steps: {strictly_increasing}, "
                f"max closed-form deviation {max_rel:.2e} (needs <=1e-12)")
 
-    def test_06_unbiasedness(self, uav_config, uav_shared, uav_model):
+    def test_06_unbiasedness(self, uav_config, uav_model):
         config = replace(uav_config, attack=AttackSignal.none(),
                          runs=1000, steps=200)
-        batch = monte_carlo(config, shared=uav_shared)
+        batch = monte_carlo(config)
         # reference covariance along the nominal normal-mode recursion
         stacked = StackedSensorForms(uav_model)
         P = np.zeros((4, 4))
@@ -157,9 +156,9 @@ class TestAcceptance:
                f"N=1000 mean error within 4*sqrt(P_k[i,i]/N) at k=50,100,200; "
                f"worst ratio {worst:.2f}")
 
-    def test_07_confidence_envelope_coverage(self, uav_config, uav_shared):
+    def test_07_confidence_envelope_coverage(self, uav_config):
         config = replace(uav_config, runs=100, steps=1000)
-        batch = monte_carlo(config, shared=uav_shared)
+        batch = monte_carlo(config)
         frac = batch.coverage_post_attack()
         ok = frac is not None and frac >= 0.95
         report(7, "confidence envelope coverage", ok,

@@ -533,12 +533,13 @@ class TestEscapeTimeByDoubling:
         # rows, one counted map for the rules, and gives stepping's 290.
         config = parse_config(builtin_config_path())
         shared = ScenarioShared(config.model)
+        stacked = config.model._derived(StackedSensorForms)
         calls = counted_steps(monkeypatch)
         for seed in (13, 21, 23, 26, 31, 32, 35, 36, 38):
             trace = run_scenario(replace(config, seed=seed), shared=shared)
             P = trace.columns.P[trace.attack_detection_step - 1]
             assert not analysis._grows(P, joseph_step(
-                P, Mode.EMERGENCY, shared.stacked)[1])
+                P, Mode.EMERGENCY, stacked)[1])
             calls.clear()
             assert trace.escape_time_from_alarm == 290 == stepped_escape_time(
                 P, config.model, config.zeta_norm, config.detector.alpha)
@@ -580,6 +581,28 @@ class TestEscapeTimeByDoubling:
             statistics = [zeta * zeta / covariance_magnitude(next(rows))
                           for _ in range(k)]
             assert min(statistics[:-1]) > quantile >= statistics[-1]
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+        "a start that fails _grows both ways is stepped for at most "
+        "STEP_BUDGET = 100000 rows, and on drift-free paper_uav the "
+        "difference P_1 - P_0 keeps its inertia under A (.) A^T, so no "
+        "later iterate hands over to the search"))
+    def test_a_non_monotone_start_escapes_past_the_step_budget(self):
+        # The shipped config at zeta_norm 20000, seed 13: a false alarm at
+        # step 33, the attack detected at step 700.  Stepping that P's
+        # emergency stretch rows escapes at 191460, as seeds 0-2 do through
+        # the search; escape_time raises "still credible after 100000
+        # steps", and `run --format json --out` exits 2.
+        config = replace(parse_config(builtin_config_path()),
+                         zeta_norm=20000.0, seed=13)
+        trace = run_scenario(config)
+        assert (trace.first_alarm_step, trace.attack_detection_step) == (
+            33, 700)
+        P = trace.columns.P[699]
+        assert not analysis._grows(P, joseph_step(
+            P, Mode.EMERGENCY, StackedSensorForms(config.model))[1])
+        assert escape_time(P, config.model, config.zeta_norm,
+                           config.detector.alpha) == 191460
 
     def test_the_search_stops_after_64_levels(self, uav_model,
                                               uav_stationary_P):

@@ -6,7 +6,7 @@ import pytest
 
 from spoofguard import (AttackSignal, ConfigError, DetectorConfig,
                         EstimatorState, GaussianSampler, PlantState,
-                        ScenarioConfig, StackedSensorForms, SystemModel,
+                        ScenarioConfig, SystemModel,
                         chi2_quantile, cusum_update, fuse, measure_gps,
                         measure_imu, residual, residual_covariance,
                         run_scenario, step_dynamics)
@@ -42,7 +42,6 @@ class TestResidual:
     def test_no_attack_covariance_matches_prediction(self, uav_model):
         # Run the closed loop long enough for stationarity, then compare the
         # empirical covariance of the residual with the predicted formula.
-        stacked = StackedSensorForms(uav_model)
         samplers = [GaussianSampler(S) for S in
                     (uav_model.Sigma_w, uav_model.Sigma_G, uav_model.Sigma_I)]
         rngs = [np.random.default_rng(s)
@@ -62,7 +61,7 @@ class TestResidual:
                 residuals.append(d_hat)
                 if P_pred is None:
                     P_pred = residual_covariance(est.P, uav_model)
-            est = fuse(est, uav_model, stacked, u, y_G, y_I)
+            est = fuse(est, uav_model, u, y_G, y_I)
         emp = np.cov(np.array(residuals).T)
         rel = np.linalg.norm(emp - P_pred) / np.linalg.norm(P_pred)
         assert rel < 0.10

@@ -47,12 +47,13 @@ def on_stretch(P, stacked, mode=Mode.NORMAL):
     return est
 
 
-def stretch_rows(stretch, stacked, steps):
+def stretch_rows(stretch, steps):
     """The covariances of `steps` steps from the stretch's row 0, read as
     fuse reads them, across restarts."""
     rows, j = [], 0
     for _ in range(steps):
-        assert stretch._ready(j, stacked)
+        stretch._ready(j)
+        assert j < stretch._done
         j += 1
         if j == len(stretch.F):
             stretch, j = stretch.restart, 0
@@ -101,7 +102,7 @@ class TestInnovationSystem:
         stacked = StackedSensorForms(model)
         rng = np.random.default_rng(7)
         x_hat, u, y_G, y_I = (rng.normal(size=2 * k) for k in (2, 1, 1, 1))
-        first = fuse(EstimatorState(x_hat, 1e-3 * np.eye(4)), model, stacked,
+        first = fuse(EstimatorState(x_hat, 1e-3 * np.eye(4)), model,
                      u, y_G, y_I)
         assert first.stretch is not None and first.row == 1
         assert np.shares_memory(first.P, first.stretch.P)
@@ -109,7 +110,7 @@ class TestInnovationSystem:
         other = 5.0 * first.P
 
         def outputs(est):
-            out = fuse(est, model, stacked, u, y_G, y_I)
+            out = fuse(est, model, u, y_G, y_I)
             return (detector_weight(est, stacked), out.x_hat, out.P,
                     optimal_gain(est.P, model, stacked))
 
@@ -126,8 +127,8 @@ class TestStateSlots:
     """EstimatorState is a slotted dataclass: a state holds its five fields
     only, and fuse builds a new one each step."""
 
-    def test_replace_carries_no_stretch(self, model, stacked):
-        est = fuse(EstimatorState.initial(np.ones(4)), model, stacked,
+    def test_replace_carries_no_stretch(self, model):
+        est = fuse(EstimatorState.initial(np.ones(4)), model,
                    np.zeros(2), np.zeros(2), np.zeros(2))
         assert (est.stretch is not None, est.row) == (True, 1)
         assert not hasattr(est, "__dict__")
@@ -139,8 +140,7 @@ class TestStateSlots:
             assert moved.x_hat is est.x_hat and moved.P is est.P
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_fuse_leaves_its_input_and_shares_its_row(self, model, stacked,
-                                                      mode):
+    def test_fuse_leaves_its_input_and_shares_its_row(self, model, mode):
         # 300 steps cross a stretch's restart; a bare state opens one.
         rng = np.random.default_rng(23)
         est = EstimatorState(rng.normal(size=4), 1e-3 * np.eye(4), mode)
@@ -148,7 +148,7 @@ class TestStateSlots:
             u, y_G, y_I = rng.normal(size=(3, 2))
             before = (est.x_hat.tobytes(), est.P.tobytes(), est.mode,
                       est.stretch, est.row)
-            out = fuse(est, model, stacked, u, y_G, y_I)
+            out = fuse(est, model, u, y_G, y_I)
             assert (est.x_hat.tobytes(), est.P.tobytes(), est.mode,
                     est.stretch, est.row) == before
             assert out.mode is mode and out.stretch.mode is mode
@@ -237,8 +237,7 @@ class TestNormalStepCoefficients:
                 x_hat = rng.normal(size=model.n)
                 u = rng.normal(size=model.p)
                 y_G, y_I = rng.normal(size=model.m_G), rng.normal(size=model.m_I)
-                got = fuse(EstimatorState(x_hat, P), model, stacked, u, y_G,
-                           y_I).x_hat
+                got = fuse(EstimatorState(x_hat, P), model, u, y_G, y_I).x_hat
                 K = optimal_gain(P, model, stacked)
                 pred = A @ x_hat + B @ u
                 want = (pred + K[:, :model.m_G] @ (y_G - C_G @ pred)
@@ -294,7 +293,7 @@ class TestStackedInverse:
                     est = on_stretch(P, stacked, mode)
                     for _ in range(9):
                         detector_weight(est, stacked)
-                        est = fuse(est, model, stacked, np.zeros(p),
+                        est = fuse(est, model, np.zeros(p),
                                    np.zeros(m_G), np.zeros(m_I))
                         assert len(calls) == 2 * (1 + (est.row > 8))
                 optimal_gain(P, model, stacked)
@@ -309,7 +308,7 @@ class TestStackedInverse:
             return np.full(np.shape(a), np.nan)
 
         def quantities(model, est, stacked):
-            out = fuse(est, model, stacked, np.ones(model.p),
+            out = fuse(est, model, np.ones(model.p),
                        np.ones(model.m_G), np.ones(model.m_I))
             return detector_weight(est, stacked), out.x_hat, out.P
 
@@ -357,7 +356,8 @@ class TestStackedInverse:
             P_bad = np.array([[1.0, 5e307], [5e307, 1.0]])
         stacked, n, m_G = StackedSensorForms(model), model.n, model.m_G
         stretch = _Stretch(Mode.NORMAL, P_bad, stacked)
-        assert stretch._ready(0, stacked)
+        stretch._ready(0)
+        assert 0 < stretch._done
         # a non-finite predictor, for the run's final check
         assert not np.isfinite(stretch.F[0]).all()
         if bad == "inf off the blocks":
@@ -385,11 +385,13 @@ class TestStackedInverse:
         P_a = -np.diag([s, s, 0.0, 0.0])
         assert not _innovation_system(P_a, stacked)[0][:2, :2].any()
         stretch = _Stretch(Mode.EMERGENCY, P_a, stacked)
-        assert stretch._ready(0, stacked)
+        stretch._ready(0)
+        assert 0 < stretch._done
         assert np.isnan(stretch.P_d_inv[0]).all()
         for j in range(1, 8):
             alone = _Stretch(Mode.EMERGENCY, stretch.P[j], stacked)
-            assert alone._ready(0, stacked)
+            alone._ready(0)
+            assert 0 < alone._done
             assert np.isfinite(stretch.P_d_inv[j]).all()
             assert alone.P_d_inv[0].tobytes() == stretch.P_d_inv[j].tobytes()
             assert alone.F[0].tobytes() == stretch.F[j].tobytes()
@@ -411,7 +413,7 @@ class TestStackedInverse:
         big = np.finfo(float).max
         for draw in range(20):
             model = imu_blind_model(rng)
-            stacked, n = StackedSensorForms(model), model.n
+            stacked, n = model._derived(StackedSensorForms), model.n
             assert stacked.drift_free
             est = EstimatorState(np.zeros(n), np.zeros((n, n)),
                                  Mode.EMERGENCY)
@@ -420,7 +422,7 @@ class TestStackedInverse:
                     monkeypatch.context() as patched:
                 forbid_joseph_forms(patched)
                 for _ in range(1000):
-                    est = fuse(est, model, stacked, np.zeros(model.p),
+                    est = fuse(est, model, np.zeros(model.p),
                                np.zeros(model.m_G), np.zeros(model.m_I))
                     rows.append(est.P)
             A, floor = (np.asarray(a, dtype=np.longdouble)
@@ -453,7 +455,7 @@ class TestStackedInverse:
         stacked, P = StackedSensorForms(quiet), np.zeros((4, 4))
         with pytest.raises(NumericalError, match="^measurement noise "
                                                  "covariance is singular"):
-            fuse(EstimatorState(np.zeros(4), P), quiet, stacked,
+            fuse(EstimatorState(np.zeros(4), P), quiet,
                  np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(NumericalError, match="^innovation covariance"):
             optimal_gain(P, quiet, stacked)
@@ -517,12 +519,10 @@ class TestDeadReckoningDetector:
         config = parse_config(builtin_config_path())
         m_G = config.model.m_G
         for seed in range(5):
-            shared = ScenarioShared(config.model)
-            cols = run_scenario(replace(config, seed=seed),
-                                shared=shared).columns
+            cols = run_scenario(replace(config, seed=seed)).columns
             priors = cols.P[cols.alarmed]
             assert len(priors) >= 300
-            stacked = shared.stacked
+            stacked = config.model._derived(StackedSensorForms)
             for P in priors:
                 got = detector_weight(on_stretch(P, stacked, Mode.EMERGENCY),
                                       stacked)
@@ -545,8 +545,7 @@ class TestDeadReckoningDetector:
         monkeypatch.setattr(estimator, "_inverse", counted)
         for _ in range(8):
             detector_weight(est, stacked)
-            est = fuse(est, model, stacked, np.zeros(2), np.zeros(2),
-                       np.zeros(2))
+            est = fuse(est, model, np.zeros(2), np.zeros(2), np.zeros(2))
         assert shapes == [(8, 2, 2), (8, 2, 2)]     # P_d, R_II
 
     def test_a_spoofed_run_builds_no_step_after_its_alarm(self, monkeypatch):
@@ -570,11 +569,12 @@ class TestDeadReckoningDetector:
                 forbid_joseph_forms(patched)
                 return simulate(*args, **kwargs)
         monkeypatch.setattr(harness, "_simulate", simulated)
+        # The model's forms, built before the run forbids the Joseph forms.
+        m = len(config.model._derived(StackedSensorForms).C)
         shared = ScenarioShared(config.model)
         cols = run_scenario(config, shared=shared).columns
         assert np.flatnonzero(cols.alarmed).tolist() == list(range(149, 200))
         assert [s._done for s in trunk_stretches(shared)] == [256]
-        m = len(shared.stacked.C)
         assert shapes == [shape for k in (8, 8, 16, 32, 64, 128)
                           for shape in ((k, 2, 2), (k, m, m))] \
             + [shape for k in (8, 8, 16, 32) for shape in ((k, 2, 2),
@@ -636,7 +636,7 @@ class TestOneProductBlocks:
                 u = rng.normal(size=model.p)
                 y_I = rng.normal(size=model.m_I)
                 got = fuse(EstimatorState(x_hat, P, Mode.EMERGENCY), model,
-                           stacked, u, np.full(model.m_G, np.nan), y_I).x_hat
+                           u, np.full(model.m_G, np.nan), y_I).x_hat
                 K_I = np.linalg.solve(
                     (M_I @ P @ M_I.T + C_I @ Sw @ C_I.T + model.Sigma_I).T,
                     (A @ P @ M_I.T + Sw @ C_I.T).T).T
@@ -798,7 +798,7 @@ class TestDerivedInvariants:
 
 
 class TestFuse:
-    def test_noise_free_consistency(self, model, stacked):
+    def test_noise_free_consistency(self, model):
         # Perfect initial estimate and no noise: the estimate tracks exactly.
         x = np.array([1.0, -1.0, 0.2, 0.1])
         est = EstimatorState.initial(x)
@@ -808,10 +808,10 @@ class TestFuse:
             x = model.A @ x + model.B @ u
             y_G = model.C_G @ x
             y_I = model.C_I @ (x - x_prev)
-            est = fuse(est, model, stacked, u, y_G, y_I)
+            est = fuse(est, model, u, y_G, y_I)
             assert np.linalg.norm(x - est.x_hat) <= 1e-9
 
-    def test_emergency_ignores_gps_bit_exact(self, model, stacked):
+    def test_emergency_ignores_gps_bit_exact(self, model):
         # The constant predictor of a drift-free model: the estimate and P
         # are bit-for-bit those of the unspoofed readings.
         rng = np.random.default_rng(17)
@@ -823,13 +823,13 @@ class TestFuse:
             u = rng.normal(size=2)
             y_I = rng.normal(size=2)
             y_truth = rng.normal(size=2)
-            est1 = fuse(est1, model, stacked, u, y_truth, y_I)
-            est2 = fuse(est2, model, stacked, u, y_truth + 1e6, y_I)
+            est1 = fuse(est1, model, u, y_truth, y_I)
+            est2 = fuse(est2, model, u, y_truth + 1e6, y_I)
             assert np.array_equal(est1.x_hat, est2.x_hat)
             assert np.array_equal(est1.P, est2.P)
 
     @pytest.mark.parametrize("spoof", [1e6, np.inf, -np.inf, np.nan])
-    def test_emergency_ignores_non_finite_gps(self, model, stacked, spoof):
+    def test_emergency_ignores_non_finite_gps(self, model, spoof):
         rng = np.random.default_rng(18)
         est1 = EstimatorState(x_hat=np.zeros(4), P=1e-3 * np.eye(4),
                               mode=Mode.EMERGENCY)
@@ -837,8 +837,8 @@ class TestFuse:
                               mode=Mode.EMERGENCY)
         for _ in range(20):
             u, y_I, y_truth = rng.normal(size=(3, 2))
-            est1 = fuse(est1, model, stacked, u, y_truth, y_I)
-            est2 = fuse(est2, model, stacked, u, np.full(2, spoof), y_I)
+            est1 = fuse(est1, model, u, y_truth, y_I)
+            est2 = fuse(est2, model, u, np.full(2, spoof), y_I)
             assert np.array_equal(est1.x_hat, est2.x_hat)
             assert np.array_equal(est1.P, est2.P)
 
@@ -848,7 +848,7 @@ class TestFuse:
         # emergency covariance equals the zero-GPS-gain update
         est = EstimatorState(x_hat=np.zeros(4), P=1e-3 * np.eye(4),
                              mode=Mode.EMERGENCY)
-        out = fuse(est, model, stacked, np.zeros(2), np.zeros(2), np.zeros(2))
+        out = fuse(est, model, np.zeros(2), np.zeros(2), np.zeros(2))
         K_emergency = np.hstack([np.zeros((4, 2)), stacked.K_I])
         expected = covariance_update(est.P, K_emergency, model, stacked)
         np.testing.assert_allclose(out.P, expected, rtol=1e-14)
@@ -874,10 +874,10 @@ class TestFuse:
                   *(R @ R.T for R in rng.normal(size=(3, 4, 4)))):
             est = EstimatorState(x_hat=np.zeros(4), P=P,
                                  mode=Mode.EMERGENCY)
-            out = fuse(est, model, stacked, np.zeros(2), np.zeros(2),
-                       np.zeros(2))
+            out = fuse(est, model, np.zeros(2), np.zeros(2), np.zeros(2))
             stretch = _Stretch(Mode.EMERGENCY, P, stacked)
-            assert stretch._ready(0, stacked)
+            stretch._ready(0)
+            assert 0 < stretch._done
             assert out.P.tobytes() == stretch.P[1].tobytes()
             for other in (covariance_update(P, K_emergency, model, stacked),
                           joseph_step(P, Mode.EMERGENCY, stacked)[1]):
@@ -907,7 +907,7 @@ class TestEmergencyWithDrift:
             T = A - K_I @ M_I
             IKC = np.eye(model.n) - K_I @ C_I
             want = T @ P @ T.T + IKC @ Sw @ IKC.T + K_I @ S_I @ K_I.T
-            est = fuse(est, model, stacked, rng.normal(size=1),
+            est = fuse(est, model, rng.normal(size=1),
                        rng.normal(size=model.m_G), rng.normal(size=model.m_I))
             assert np.linalg.norm(est.P - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -923,9 +923,8 @@ class TestEmergencyWithDrift:
         for _ in range(20):
             u, y_I = rng.normal(size=1), rng.normal(size=model.m_I)
             y_truth = rng.normal(size=model.m_G)
-            est1 = fuse(est1, model, stacked, u, y_truth, y_I)
-            est2 = fuse(est2, model, stacked, u, np.full(model.m_G, spoof),
-                        y_I)
+            est1 = fuse(est1, model, u, y_truth, y_I)
+            est2 = fuse(est2, model, u, np.full(model.m_G, spoof), y_I)
             assert np.array_equal(est1.x_hat, est2.x_hat)
             assert np.array_equal(est1.P, est2.P)
 
@@ -1027,7 +1026,8 @@ class TestStretch:
         for mode in Mode:
             stretch = _Stretch(mode, P_a, stacked)
             for j in range(_STRETCH):
-                assert stretch._ready(j, stacked)
+                stretch._ready(j)
+                assert j < stretch._done
             stack = stacked._table(mode)[0]
             for j in range(1, _STRETCH + 1):
                 if j <= 8:
@@ -1040,7 +1040,8 @@ class TestStretch:
                 assert stretch.P[j].tobytes() == want.tobytes()
             for j in range(_STRETCH):
                 alone = _Stretch(mode, stretch.P[j], stacked)
-                assert alone._ready(0, stacked)
+                alone._ready(0)
+                assert 0 < alone._done
                 assert alone.P_d_inv[0].tobytes() == \
                     stretch.P_d_inv[j].tobytes()
                 assert alone.F[0].tobytes() == stretch.F[j].tobytes()
@@ -1081,8 +1082,7 @@ class TestStretch:
         # covariance, across three restarts: within 1e-13.
         for P_a in (np.zeros((4, 4)), stationary_covariance(model)):
             for mode in Mode:
-                rows = stretch_rows(_Stretch(mode, P_a, stacked), stacked,
-                                    1000)
+                rows = stretch_rows(_Stretch(mode, P_a, stacked), 1000)
                 oracle = joseph_rows(P_a, mode, stacked, 1000)
                 assert largest_relative_gap(rows, oracle) <= 1e-13
 
@@ -1099,8 +1099,7 @@ class TestStretch:
             assert stacked.drift_free is not drift
             P_a = np.zeros((model.n, model.n))
             for mode in Mode:
-                rows = stretch_rows(_Stretch(mode, P_a, stacked), stacked,
-                                    1000)
+                rows = stretch_rows(_Stretch(mode, P_a, stacked), 1000)
                 oracle = joseph_rows(P_a, mode, stacked, 1000)
                 assert largest_relative_gap(rows, oracle) <= 1e-11
 
@@ -1115,7 +1114,7 @@ class TestStretch:
         stacked = StackedSensorForms(model)
         assert stacked.drift_free and 2000 < np.linalg.cond(model.A) < 2300
         rows = stretch_rows(_Stretch(Mode.EMERGENCY, np.zeros((model.n,) * 2),
-                                     stacked), stacked, 1000)
+                                     stacked), 1000)
         A, floor = (np.asarray(a, dtype=np.longdouble)
                     for a in (model.A, stacked.Sigma_bar))
         P, oracle = np.zeros_like(A), []
@@ -1144,7 +1143,7 @@ class TestStretch:
                       for k in range(8)]
             assert finite == [(1 << k) < length for k in range(8)]
             stretch = _Stretch(mode, np.zeros((2, 2)), stacked)
-            rows = stretch_rows(stretch, stacked, 1000)
+            rows = stretch_rows(stretch, 1000)
             assert len(stretch_chain(stretch)) == -(-1000 // length)
             oracle = joseph_rows(np.zeros((2, 2)), mode, stacked, 1000)
             assert largest_relative_gap(rows, oracle) <= 1e-12
@@ -1175,7 +1174,8 @@ class TestOneMap:
         for mode in Mode:
             stretch = _Stretch(mode, priors[-1], stacked)
             for j in range(64):
-                assert stretch._ready(j, stacked)
+                stretch._ready(j)
+                assert j < stretch._done
             rows = stretch.P[:64]
             power, stack = stacked._power(mode, 3), stacked._table(mode)[0]
             mapped, (R, G) = (_apply(power, rows),
@@ -1211,7 +1211,7 @@ def gap_to_joseph(model, mode, steps=200):
     the Joseph recursion over `steps` steps."""
     stacked, zero = StackedSensorForms(model), np.zeros((model.n,) * 2)
     return largest_relative_gap(
-        stretch_rows(_Stretch(mode, zero, stacked), stacked, steps),
+        stretch_rows(_Stretch(mode, zero, stacked), steps),
         joseph_rows(zero, mode, stacked, steps))
 
 
@@ -1240,8 +1240,8 @@ def form_arrays(stacked) -> dict:
 
 
 class TestFormsAnyThreadMayShare:
-    """A model keeps its StackedSensorForms, so every ScenarioShared and
-    analysis of one model reads the same forms, from any thread."""
+    """A model keeps its StackedSensorForms, so every run and analysis of
+    one model reads the same forms, from any thread."""
 
     def test_every_array_is_read_only(self, model):
         arrays = form_arrays(StackedSensorForms(model))
@@ -1263,9 +1263,9 @@ class TestFormsAnyThreadMayShare:
                 form_arrays(stacked).items()} == before
 
     def test_threads_get_the_single_thread_bytes(self):
-        # Four threads, each with its own ScenarioShared on one fresh model,
-        # build its forms and tables at once, run an attacked batch (both
-        # modes), then square both modes' powers up to level 40.
+        # Four threads on one fresh model, with no ScenarioShared in hand,
+        # build its forms at once, run an attacked batch (both modes), which
+        # builds its tables, then square both modes' powers up to level 40.
         config = replace(parse_config(builtin_config_path()), steps=720,
                          runs=3)
         threads = 4
@@ -1278,15 +1278,15 @@ class TestFormsAnyThreadMayShare:
 
         def work(model, wait=lambda: None):
             wait()
-            shared = ScenarioShared(model)
-            batch = monte_carlo(replace(config, model=model), shared=shared)
+            forms = model._derived(StackedSensorForms)
+            batch = monte_carlo(replace(config, model=model))
             wait()
-            powers = b"".join(np.stack(shared.stacked._power(mode, level))
+            powers = b"".join(np.stack(forms._power(mode, level))
                               .tobytes() for mode in Mode
                               for level in range(41))
             runs = [(r.first_alarm_step, r.attack_detection_step,
                      r.covered_steps, r.final_err_norm) for r in batch.runs]
-            return (shared.stacked, batch.mean_error.tobytes(),
+            return (forms, batch.mean_error.tobytes(),
                     batch.coverage.tobytes(), runs, powers)
 
         _, *want = work(fresh())

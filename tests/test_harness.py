@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 from dataclasses import FrozenInstanceError, replace
@@ -9,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
                         NumericalError, PlantState, ScenarioConfig,
-                        ScenarioShared, SystemModel, analysis,
-                        builtin_config_path, chi2_quantile, cusum_update,
-                        derive_run_seed, drift_matrices, escape_report,
-                        estimator, export_trace, fuse, harness, measure_gps,
-                        measure_imu, monte_carlo, parse_config, pd_control,
-                        residual, residual_covariance, run_scenario,
-                        spectral_norm, step_dynamics)
+                        ScenarioShared, StackedSensorForms, SystemModel,
+                        analysis, builtin_config_path, chi2_quantile,
+                        cusum_update, derive_run_seed, drift_matrices,
+                        escape_report, estimator, export_trace, fuse,
+                        harness, measure_gps, measure_imu, monte_carlo,
+                        parse_config, pd_control, residual,
+                        residual_covariance, run_scenario, spectral_norm,
+                        step_dynamics)
 
-from spoofguard.estimator import _STRETCH, _innovation_system
+from spoofguard.estimator import _STRETCH, _Stretch, _innovation_system
 
 from conftest import (IMU_BLIND_CONFIG, make_uav_model,
                       random_invertible_model, run_columns, trunk_rows,
@@ -240,7 +242,7 @@ class TestRunScenario:
                 Sigma_w=model.Sigma_w, Sigma_G=model.Sigma_G,
                 Sigma_I=model.Sigma_I))
             shared = ScenarioShared(config.model)
-            assert not shared.stacked.drift_free
+            assert not config.model._derived(StackedSensorForms).drift_free
         elif case == "nan_spoof":
             config = _spoofed(uav_config, np.nan)
         model, det = config.model, config.detector
@@ -261,8 +263,7 @@ class TestRunScenario:
             S = cusum_update(S, residual(y_G, est.x_hat, u, model),
                              residual_covariance(est.P, model), det.delta)
             mode = Mode.EMERGENCY if S > threshold else Mode.NORMAL
-            est = fuse(replace(est, mode=mode), model, shared.stacked,
-                       u, y_G, y_I)
+            est = fuse(replace(est, mode=mode), model, u, y_G, y_I)
             assert cols.alarmed[i] == (mode is Mode.EMERGENCY)
             np.testing.assert_allclose(cols.x[i], plant.x, rtol=1e-9,
                                        atol=1e-12)
@@ -286,8 +287,9 @@ class TestRunScenario:
         trace = run_scenario(uav_config, shared=uav_shared)
         model = uav_config.model
         priors = [np.zeros((model.n, model.n))] + list(trace.columns.P[:-1])
+        stacked = model._derived(StackedSensorForms)
         for P in priors:
-            block = _innovation_system(P, uav_shared.stacked)[0][:2, :2]
+            block = _innovation_system(P, stacked)[0][:2, :2]
             reference = residual_covariance(P, model)
             assert np.linalg.norm(block - reference) <= \
                 1e-14 * np.linalg.norm(reference)
@@ -336,7 +338,7 @@ class TestRunScenario:
 class TestMonteCarlo:
     def test_single_run_matches_derived_seed(self, uav_config, uav_shared):
         config = replace(uav_config, runs=1, steps=400)
-        batch = monte_carlo(config, shared=uav_shared)
+        batch = monte_carlo(config)
         direct = run_scenario(
             replace(config, seed=derive_run_seed(config.seed, 0)),
             shared=uav_shared)
@@ -350,7 +352,7 @@ class TestMonteCarlo:
         # Every run of a multi-run batch equals run_scenario with its
         # derived seed bit for bit.
         config = replace(uav_config, runs=5, steps=720)
-        batch = monte_carlo(config, shared=uav_shared)
+        batch = monte_carlo(config)
         for i, run in enumerate(batch.runs):
             direct = run_scenario(
                 replace(config, seed=derive_run_seed(config.seed, i), runs=1),
@@ -370,8 +372,7 @@ class TestMonteCarlo:
         def not_called(*args, **kwargs):
             raise AssertionError("escape_time was called")
         monkeypatch.setattr(harness, "escape_time", not_called)
-        batch = monte_carlo(replace(uav_config, runs=2, steps=710),
-                            shared=uav_shared)
+        batch = monte_carlo(replace(uav_config, runs=2, steps=710))
         assert [run.attack_detection_step for run in batch.runs] == [700, 700]
         trace = run_scenario(replace(uav_config, steps=710), shared=uav_shared)
         with pytest.raises(AssertionError, match="escape_time was called"):
@@ -409,28 +410,27 @@ class TestMonteCarlo:
             assert 285 <= summary["escape_time"] <= 295
             assert summary["escape_time_lower_bound"] is not None
 
-    def test_attacked_batch_coverage(self, uav_config, uav_shared):
+    def test_attacked_batch_coverage(self, uav_config):
         config = replace(uav_config, runs=10)
-        batch = monte_carlo(config, shared=uav_shared)
+        batch = monte_carlo(config)
         assert batch.attack_start == 700
         for run in batch.runs:
             assert run.post_attack_steps == config.steps - 700 + 1
             assert run.covered_post_attack >= 0.95 * run.post_attack_steps
         assert batch.coverage_post_attack() >= 0.95
 
-    def test_no_attack_coverage_aggregate(self, uav_config, uav_shared):
+    def test_no_attack_coverage_aggregate(self, uav_config):
         config = replace(uav_config, attack=AttackSignal.none(),
                          runs=100, steps=500)
-        batch = monte_carlo(config, shared=uav_shared)
+        batch = monte_carlo(config)
         assert batch.coverage_post_attack() is None
         covered = sum(r.covered_steps for r in batch.runs)
         assert covered >= 0.95 * config.runs * config.steps
 
     def test_horizon_before_the_onset_has_no_post_attack_steps(
-            self, uav_config, uav_shared):
+            self, uav_config):
         # The attack starts at step 700, after a 200-step horizon ends.
-        batch = monte_carlo(replace(uav_config, runs=3, steps=200),
-                            shared=uav_shared)
+        batch = monte_carlo(replace(uav_config, runs=3, steps=200))
         assert batch.attack_start == 700
         for run in batch.runs:
             assert run.post_attack_steps == 0
@@ -539,18 +539,20 @@ class TestOverflowingCovariance:
 
 
 def _batch_traces(config, monkeypatch, **kwargs):
-    """Run a monte_carlo batch on a fresh ScenarioShared; return it and the
-    trace of each of its runs."""
-    traces = []
+    """Run a monte_carlo batch; return the ScenarioShared of config.model
+    that all its runs were given and the trace of each of its runs."""
+    traces, shared = [], []
 
     def recorded(*args, **kw):
+        shared.append(kw["shared"])
         traces.append(run_scenario(*args, **kw))
         return traces[-1]
     monkeypatch.setattr(harness, "run_scenario", recorded)
-    shared = ScenarioShared(config.model)
-    monte_carlo(config, shared=shared, **kwargs)
+    monte_carlo(config, **kwargs)
     monkeypatch.undo()
-    return shared, traces
+    assert shared[0].model is config.model
+    assert all(s is shared[0] for s in shared)
+    return shared[0], traces
 
 
 class TestCovarianceTrunk:
@@ -619,7 +621,7 @@ class TestCovarianceTrunk:
         assert trunk_rows(shared).tobytes() == trunk.tobytes()
         # Every array a stretch or a triple table holds is read-only: the
         # stack of triples 1..8 and the powers, 2^k steps, each mode has.
-        stacked = shared.stacked
+        stacked = config.model._derived(StackedSensorForms)
         arrays = [a for s in trunk_stretches(shared)
                   for a in (s.P, s.P_d_inv, s.F)]
         for mode in Mode:
@@ -650,7 +652,7 @@ class TestCovarianceTrunk:
         restarts = []
         for i, alarmed in enumerate(cols.alarmed, 1):
             before, est.mode = est, Mode.EMERGENCY if alarmed else Mode.NORMAL
-            est = fuse(est, config.model, shared.stacked, u, y, y)
+            est = fuse(est, config.model, u, y, y)
             if before.stretch is not est.stretch and est.row == 0:
                 restarts.append(i)
             assert cols.P[i - 1].tobytes() == est.P.tobytes()
@@ -719,7 +721,7 @@ class TestDriftModelBatch:
             steps=120, runs=8)
         _, traces = _batch_traces(config, monkeypatch)
         first = [t.first_alarm_step for t in traces]
-        assert not ScenarioShared(model).stacked.drift_free
+        assert not model._derived(StackedSensorForms).drift_free
         assert min(first) < max(first) == 60
         for i, trace in enumerate(traces):
             fresh = run_scenario(
@@ -738,7 +740,7 @@ class TestTrunkHits:
         # its predictor, covariance and P_d^{-1} from the trunk.
         config = replace(uav_config, attack=AttackSignal.none(), runs=2,
                          steps=200, seed=11)
-        calls, run_starts, before_alarm, traces = [], [], [], []
+        calls, run_starts, before_alarm, traces, shared = [], [], [], [], []
 
         def counted(module, name):
             original = getattr(module, name)
@@ -756,6 +758,7 @@ class TestTrunkHits:
 
         def recorded_run(*args, **kwargs):
             run_starts.append(len(calls))
+            shared.append(kwargs["shared"])
             traces.append(run_scenario(*args, **kwargs))
             return traces[-1]
         for module, name in ((np.linalg, "solve"), (estimator, "_inverse"),
@@ -763,20 +766,21 @@ class TestTrunkHits:
             monkeypatch.setattr(module, name, counted(module, name))
         monkeypatch.setattr(harness, "fuse", recorded_fuse)
         monkeypatch.setattr(harness, "run_scenario", recorded_run)
-        shared = ScenarioShared(config.model)
-        monte_carlo(config, shared=shared)
+        monte_carlo(config)
         monkeypatch.undo()
         assert [t.first_alarm_step for t in traces] == [None, 164]
         assert before_alarm == [[]]
-        # The first run builds the normal table (the one-step triple's
-        # solve, three stacked doublings to triple 8, then one solve per
-        # power 16..128) and the trunk: per chunk of rows, one stacked solve
-        # gives its rows, one stacked inverse its P_d^{-1} and one its
-        # gains; a batch runs no drift analysis.
+        assert shared[0] is shared[1]
+        # The first run builds the model's forms (K_I's solve), the normal
+        # table (the one-step triple's solve, three stacked doublings to
+        # triple 8, then one solve per power 16..128) and the trunk: per
+        # chunk of rows, one stacked solve gives its rows, one stacked
+        # inverse its P_d^{-1} and one its gains; a batch runs no drift
+        # analysis.
         first_run = calls[run_starts[0]:run_starts[1]]
         chunks = [8, 16, 32, 64, 128, 256]
-        assert len(trunk_rows(shared)) == chunks[-1]
-        assert first_run == ["solve"] + ["_solve"] * 3 + ["_solve"] * 4 \
+        assert len(trunk_rows(shared[0])) == chunks[-1]
+        assert first_run == ["solve"] * 2 + ["_solve"] * 3 + ["_solve"] * 4 \
             + ["_solve", "_inverse", "_inverse"] * len(chunks)
 
 
@@ -788,7 +792,7 @@ class TestNoJosephStep:
         # A run and a batch on paper_uav (clean, attacked, NaN-spoofed from
         # the attack step) and on the IMU-blind config (clean, with its
         # false alarms) read every covariance, P_d^{-1} and predictor from
-        # stretches: once the ScenarioShared is built, neither makes a
+        # stretches: once the model's forms are built, neither makes a
         # Joseph update nor solves an optimal gain.
         config = parse_config(IMU_BLIND_CONFIG if case == "imu blind"
                               else builtin_config_path())
@@ -798,15 +802,57 @@ class TestNoJosephStep:
             config = replace(config, attack=AttackSignal(
                 kind="custom-sequence", start_step=700,
                 sequence=[np.full(2, np.nan)] * 301))
-        shared = ScenarioShared(config.model)
+        config.model._derived(StackedSensorForms)
         forbid_joseph_forms(monkeypatch)
-        trace = run_scenario(config, shared=shared)
-        batch = monte_carlo(replace(config, runs=3), shared=shared)
+        trace = run_scenario(config)
+        batch = monte_carlo(replace(config, runs=3))
         detected = None if case in ("clean", "imu blind") else 700
         assert trace.attack_detection_step == detected
         assert [r.attack_detection_step for r in batch.runs] == [detected] * 3
         if case == "imu blind":
             assert trace.columns.alarmed.any()
+
+
+class TestRunStateOfItsOwnModel:
+    """A run takes its forms from config.model and its run state from a
+    ScenarioShared of that model: no call passes a second copy of either."""
+
+    def test_no_call_takes_the_forms_or_a_batchs_run_state(self):
+        assert list(inspect.signature(fuse).parameters) == [
+            "est", "model", "u", "y_G", "y_I"]
+        assert "shared" not in inspect.signature(monte_carlo).parameters
+        assert list(inspect.signature(_Stretch._ready).parameters) == [
+            "self", "j"]
+        assert list(inspect.signature(_Stretch._extend).parameters) == [
+            "self"]
+        assert not hasattr(ScenarioShared(make_uav_model()), "stacked")
+
+    @pytest.mark.parametrize("other", ["noisier gps", "equal copy"])
+    def test_another_models_run_state_is_refused(self, uav_config,
+                                                 monkeypatch, other):
+        # The shipped config on the run state of a model at 100 x Sigma_G
+        # returned that model's columns (first alarm at step 2) with
+        # paper_uav's escape analysis.  A model equal to config.model but
+        # another object is refused too: the check is identity.  Neither
+        # run makes a stretch chunk.
+        m = uav_config.model
+        scale = 100.0 if other == "noisier gps" else 1.0
+        shared = ScenarioShared(SystemModel(
+            A=m.A, B=m.B, C_G=m.C_G, C_I=m.C_I, Sigma_w=m.Sigma_w,
+            Sigma_G=scale * m.Sigma_G, Sigma_I=m.Sigma_I))
+        chunks, extend = [], _Stretch._extend
+
+        def counted(stretch):
+            chunks.append(stretch)
+            return extend(stretch)
+        monkeypatch.setattr(_Stretch, "_extend", counted)
+        with pytest.raises(ValueError, match="^shared: built for another "
+                                             "model than config.model$"):
+            run_scenario(uav_config, shared=shared)
+        assert chunks == [] and "trunk" not in vars(shared)
+        run_scenario(replace(uav_config, steps=10),
+                     shared=ScenarioShared(m))
+        assert len(chunks) == 2     # the trunk's rows 1..8, then 9..16
 
 
 class TestParseConfig:

@@ -339,7 +339,8 @@ class TestValidateModel:
                           Sigma_w=model.Sigma_w, Sigma_G=model.Sigma_G,
                           Sigma_I=model.Sigma_I)
         [finding] = validate_model(bad)
-        for build in (drift_matrices, StackedSensorForms, ScenarioShared,
+        for build in (drift_matrices, StackedSensorForms,
+                      lambda m: ScenarioShared(m).trunk,
                       lambda m: run_scenario(replace(uav_config, model=m)),
                       lambda m: escape_report(m, 2.0, 0.01)):
             with pytest.raises(ValueError) as info:
@@ -352,6 +353,33 @@ class TestValidateModel:
         path.write_text(json.dumps(raw))
         assert main(["validate", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"config error: model: {finding}\n"
+
+    @pytest.mark.parametrize("name, value, finding", [
+        ("A", np.hstack([np.eye(4), np.zeros((4, 1))]),
+         "A: must be square, got shape (4, 5)"),
+        ("B", np.zeros((3, 2)), "B: has 3 rows, expected 4"),
+        ("C_G", np.eye(2, 3), "C_G: has 3 columns, expected 4"),
+        ("C_I", np.eye(2, 3), "C_I: has 3 columns, expected 4"),
+        ("Sigma_w", 1e-4 * np.eye(3),
+         "Sigma_w: has shape (3, 3), expected (4, 4)"),
+        ("Sigma_I", 1e-3 * np.eye(3), "Sigma_I: has shape (3, 3), expected "
+                                      "(2, 2) to match the C_I row count"),
+        ("Sigma_w", np.diag([1e-4, 1e-4, 1e-4, -1e-4]),
+         "Sigma_w: not positive semidefinite (min eigenvalue -1.000e-04)"),
+    ], ids=["A square", "B rows", "C_G columns", "C_I columns",
+            "Sigma_w shape", "Sigma_I shape", "Sigma_w semidefinite"])
+    def test_validate_prints_the_one_finding(self, name, value, finding,
+                                             tmp_path, capsys):
+        # The shipped config with one matrix replaced: validate exits 1 and
+        # prints the finding alone, on one line of stderr.
+        with open(builtin_config_path(), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["model"][name] = value.tolist()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: model: "
+                                           f"{finding}\n")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", MATRIX_NAMES)
