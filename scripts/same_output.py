@@ -100,6 +100,7 @@ DERIVED = {
     "contracting": _contracting,
     "beyond_horizon": _set((("zeta_norm",), 20000)),
     "drift": _drift,
+    "noisy": _set((("model", "Sigma_w"), _eye(4, 1e8))),
 }
 
 # The IMU-blind config's commands: name -> (command, mutation of its JSON).

@@ -18,12 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .chi2 import chi2_quantile
-from .estimator import Mode, StackedSensorForms, covariance_update, \
-    optimal_gain, _apply, _Stretch
+from .estimator import Mode, StackedSensorForms, _apply, _Stretch
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel, _read_only
 
-# stationary_covariance's relative residual test and doubling cap, the cap
+# stationary_covariance's relative stop test and doubling cap, the cap
 # of escape_time's doubling search, and its step loop's budget.
 FIXED_POINT_TOL = 1e-12
 MAX_DOUBLINGS = 64
@@ -167,36 +166,31 @@ def stationary_covariance(model: SystemModel) -> np.ndarray:
 
     Solves the recursion's Riccati equation by structure-preserving doubling
     after removing its cross term (Anderson & Moore, Optimal Filtering, 1979;
-    Chu, Fan, Lin et al.): doubling k reads the normal mode's 2^k-step
-    triple from the model's StackedSensorForms, for k up to MAX_DOUBLINGS.
-    Converged means |f(P) - P| <= FIXED_POINT_TOL * |P| < inf for the
-    one-step recursion f (covariance_magnitude's norm), a relative test at
-    every scale, or A_k exactly 0, where every start maps to H (a floor
-    near 1e-16 Sigma_w can keep the test from its tolerance).
-    f is the Joseph form (covariance_update, optimal_gain), independent of
-    the triples: at Sigma_w = 1e300 I the one-step triple's H_1 cancels to
-    0, and a triple-form f would accept P = 0.  The fixed point is returned
-    read-only.  Raises ConvergenceError (carrying the last iterate and
-    residual) when MAX_DOUBLINGS doublings do not converge or an iterate is
-    not finite, and fails fast on an undetectable GPS pair.
+    Chu, Fan, Lin et al.): doubling k reads H_m of the normal mode's m =
+    2^k-step triple (A_m, G_m, H_m) from the model's StackedSensorForms, for
+    k up to MAX_DOUBLINGS, and stops on its own doublings.  From P = 0 they
+    never decrease, H_2m - H_m = A_m^T H_m (I + G_m H_m)^{-1} A_m >= 0, so
+    converged means |H_2m - H_m| <= FIXED_POINT_TOL * |H_2m| < inf
+    (covariance_magnitude's norm), a relative test at every scale that a
+    fixed point meets exactly (Sigma_w = 0, or A_m = 0).  The fixed point is
+    returned read-only.  Raises ConvergenceError (carrying the last iterate
+    and residual) when MAX_DOUBLINGS doublings do not converge or an
+    iterate is not finite, and fails fast on an undetectable GPS pair.
     """
     stacked = model._derived(StackedSensorForms)
     if not is_detectable(model.C_G, model.A):
         raise NumericalError(
             "(C_G, A) is not detectable: the covariance recursion has no "
             "bounded fixed point")
-    # Doubling iterates: A_k -> 0, G_k and H_k symmetric, H_k -> P.
-    resid = math.inf
+    H, resid = stacked._power(Mode.NORMAL, 0)[2], math.inf
     for doublings in range(1, MAX_DOUBLINGS + 1):
-        A_k, _, H = stacked._power(Mode.NORMAL, doublings)
+        previous, H = H, stacked._power(Mode.NORMAL, doublings)[2]
         if not np.isfinite(H).all():
             raise ConvergenceError(
                 f"non-finite covariance after {doublings} doublings",
                 last_iterate=H, residual=math.inf)
-        K = optimal_gain(H, model, stacked)
-        resid = covariance_magnitude(covariance_update(H, K, model, stacked) - H)
-        if resid <= FIXED_POINT_TOL * covariance_magnitude(H) < math.inf \
-                or not A_k.any():
+        resid = covariance_magnitude(H - previous)
+        if resid <= FIXED_POINT_TOL * covariance_magnitude(H) < math.inf:
             return H
     raise ConvergenceError(
         f"covariance fixed point not reached in {MAX_DOUBLINGS} doublings "

@@ -20,7 +20,7 @@ predictor and P_d^{-1} only from a _Stretch: row j is f^j(P_a), P_a at the
 mode's last switch, from j-step triples f^j(P) = H_j + A_j^T P (I + G_j P)^{-1}
 A_j (Anderson & Moore, Optimal Filtering, 1979), which _apply, the one map,
 evaluates; a singular inverse is NaN, an overflow inf, for the run's final
-check.  covariance_update is the Joseph form, kept as an independent check.
+check.  covariance_update (Joseph) and optimal_gain are reference forms only.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +33,7 @@ from .model import (SystemModel, _cut, _inverse, _read_only, _solve,
                     _transition_inverse)
 
 _FIRST_CHUNK, _STRETCH = 8, 256     # rows of a stretch's first chunk, at most
+_EPS = np.finfo(float).eps
 
 
 class Mode(Enum):
@@ -67,10 +68,8 @@ class StackedSensorForms:
     defined here once: A^{-1} (ValueError for a singular A), C_bar_I = C_I
     (I - A^{-1}), the drift-free flag C_bar_I = 0 within 1e-12, whereupon
     C_bar_I and M's IMU rows C_I (A - I) are exact zeros in every form, so
-    the flag and the matrices agree, the emergency gain K_I = Sigma_w C_I^T
-    (C_I Sigma_w C_I^T + Sigma_I)^{-1} from the IMU blocks of the P = 0
-    system, and Sigma_bar = (I - K_I C_I) Sigma_w (I - K_I C_I)^T + K_I
-    Sigma_I K_I^T, covariance_update of P = 0 with K_E = [0, K_I].
+    the flag and the matrices agree, and Sigma_bar, dead reckoning's floor,
+    the emergency table's one-step H_1 (_riccati_triple).
     A model keeps its forms (SystemModel._derived) for any thread to read:
     every array is read-only, and a table or power is kept whole, equal
     from whichever thread built it.
@@ -89,6 +88,7 @@ class StackedSensorForms:
         self.Sigma_y[:m_G, :m_G] = model.Sigma_G
         self.Sigma_y[m_G:, m_G:] = model.Sigma_I
         self.D = np.diag(np.arange(m) >= m_G).astype(float)
+        self._lambda_min_G = np.linalg.eigvalsh(model.Sigma_G).min(initial=np.inf)
 
         self._model, self._tables, self._m_G = model, {}, m_G
         I_n = np.eye(n)
@@ -129,13 +129,6 @@ class StackedSensorForms:
             (Mode.NORMAL, np.s_[:k], np.s_[:], (n, p, m_G, m_I)),
             (Mode.EMERGENCY, np.r_[:n + p, n + p + m_G:k], np.s_[m_G:],
              (n, p, m_I)))}
-
-        # Dead reckoning's gain, from the P = 0 system, and noise floor.
-        self.K_I = _solve_gain(
-            self._innovation_noise[m_G:m, m_G:], Sw_Ct[:, m_G:],
-            "IMU-only innovation covariance")
-        self.Sigma_bar = covariance_update(np.zeros((n, n)), np.hstack(
-            [np.zeros((n, m_G)), self.K_I]), model, self)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -168,6 +161,8 @@ class StackedSensorForms:
     def _power(self, mode: Mode, k: int):
         """The mode's 2^k-step triple, squared on demand and kept."""
         return _square(self._table(mode)[1], k)
+
+    Sigma_bar = property(lambda self: self._power(Mode.EMERGENCY, 0)[2])
 
 
 def _square(powers: list, k: int):
@@ -271,7 +266,13 @@ class _Stretch:
                         P[1:lo + 1]) if lo else (self._stack, P[0])
         P[lo + 1:hi + 1] = _apply(triple, P_in)
         (R, G), m_G = _innovation_system(P[lo:hi], stacked), stacked._m_G
-        P_d_inv[lo:hi] = _inverse(R[:, :m_G, :m_G])
+        P_d, weight = R[:, :m_G, :m_G], P_d_inv[lo:hi]
+        weight[...] = _inverse(P_d)
+        # A row whose 1-norm condition reaches 1/eps is NaN, for the run's
+        # check; P_d >= Sigma_G bounds it by trace(P_d) / lambda_min(Sigma_G).
+        if P_d.trace(axis1=1, axis2=2).max() * _EPS >= stacked._lambda_min_G:
+            weight[np.abs(P_d).sum(1).max(1) * np.abs(weight).sum(1).max(1)
+                   * _EPS >= 1.0] = np.nan
         # G R^{-1}, or G_I R_II^{-1} in K_I's columns: F_E needs no R^{-1}.
         gain, base_T, coef_T, _ = stacked._predictor[self.mode]
         K = G[..., gain] @ _inverse(R[:, gain, gain])
@@ -314,13 +315,18 @@ def _riccati_triple(model: SystemModel, stacked: StackedSensorForms,
                     first: int):
     """The one-step triple (A_1, G_1, H_1) of the optimal-gain recursion on
     the sensor rows from first on (0: normal mode; m_G: the IMU alone), its
-    cross term removed by the P = 0 system R = C Sigma_w C^T + Sigma_y."""
+    cross term removed by the P = 0 system's R = C Sigma_w C^T + Sigma_y and
+    gain K = Sigma_w C^T R^{-1}; H_1 = f(0) is in Joseph form, (I - K C)
+    Sigma_w (I - K C)^T + K Sigma_y K^T, which does not cancel as Sigma_w /
+    Sigma_y grows."""
     n, m, noise = model.n, len(stacked.C), stacked._innovation_noise
     M, R, Sw_Ct = stacked._M[first:], noise[first:m, first:], noise[m:, first:]
-    scaled = _solve_gain(R, np.vstack([M.T, Sw_Ct]),
-                         "measurement noise covariance")
-    return ((model.A - scaled[n:].dot(M)).T, scaled[:n].dot(M),
-            model.Sigma_w - scaled[n:].dot(Sw_Ct.T))
+    M_T_R_inv, K = np.split(_solve_gain(R, np.vstack([M.T, Sw_Ct]),
+                                        "measurement noise covariance"), 2)
+    I_KC = np.eye(n) - K.dot(stacked.C[first:])
+    H = I_KC.dot(model.Sigma_w).dot(I_KC.T) \
+        + K.dot(stacked.Sigma_y[first:, first:]).dot(K.T)
+    return (model.A - K.dot(M)).T, M_T_R_inv.dot(M), 0.5 * (H + H.T)
 
 
 @np.errstate(over="ignore", invalid="ignore")

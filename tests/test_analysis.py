@@ -20,7 +20,7 @@ from spoofguard.harness import _RunColumns
 
 from conftest import (decoupling_residual, make_uav_model,
                       random_invertible_model)
-from reference import joseph_step
+from reference import joseph_step, long_fixed_point
 
 
 def scalar_model(a=1.0, sigma_w=1.0, sigma_g=1.0):
@@ -115,6 +115,20 @@ class TestStationaryCovariance:
             P = covariance_update(P, optimal_gain(P, uav_model, stacked),
                                   uav_model, stacked)
         assert np.linalg.norm(P - uav_stationary_P) <= 1e-10
+
+    @pytest.mark.parametrize("sigma_w, tol", [(1e-4, 1e-12), (1e8, 1e-8)])
+    def test_long_double_doubling_judges_it(self, uav_model, sigma_w, tol):
+        # paper_uav, and its Sigma_w raised to 1e8 I, against the doubling
+        # in long double (tests/reference.py).  At 1e8 the one-step triple's
+        # H_1 = Sigma_w - K C Sigma_w cancelled, and a Joseph residual of
+        # 7.5e-13 accepted a fixed point 8.4e-6 away.
+        model = SystemModel(A=uav_model.A, B=uav_model.B, C_G=uav_model.C_G,
+                            C_I=uav_model.C_I, Sigma_w=sigma_w * np.eye(4),
+                            Sigma_G=uav_model.Sigma_G,
+                            Sigma_I=uav_model.Sigma_I)
+        want = long_fixed_point(StackedSensorForms(model)).astype(float)
+        got = stationary_covariance(model)
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
     def test_scalar_riccati_oracle(self):
         # Fixed point of the scalar recursion with a = 1/2 and unit noises
@@ -224,9 +238,9 @@ class TestStationaryCovariance:
     @pytest.mark.parametrize("a, sigma_w", [(1.0, 1e4), (1.0, 1e5),
                                             (1.0, 1e6), (0.9, 1e4)])
     def test_process_noise_dwarfing_gps_noise(self, a, sigma_w):
-        # The residual's rounding floor follows Sigma_w while |P| stays near
-        # Sigma_G = 1, so the relative residual stalls at 1e-12 to 9e-12,
-        # not below tol; a doubling whose A_k is exactly 0 ends the solve.
+        # |P| stays near Sigma_G = 1 while Sigma_w reaches 1e6: P_1 = H_1 is
+        # already near the fixed point, and the doubling stops after one or
+        # two doublings, where H_2m is within tol of H_m (equal at 1e5).
         # Closed form: P = p / (p + 1), p = a^2 P + sigma_w.
         b = sigma_w + 1.0 - a * a
         expected = 2.0 * sigma_w / (b + math.sqrt(b * b + 4 * a * a * sigma_w))
@@ -406,19 +420,14 @@ def uav_variant(a=1.0, noise=1.0):
 def counted_steps(monkeypatch) -> list:
     """The list escape_time's one-step maps append their names to: _apply
     on one P (its first step, then the doubling search's candidates; the
-    stretches' rows are applied in estimator, not counted here) and
-    covariance_update (a Joseph step, which it never takes)."""
-    calls = []
+    stretches' rows are applied in estimator, not counted here), the only
+    one-step map analysis holds."""
+    calls, original = [], analysis._apply
 
-    def counted(name):
-        original = getattr(analysis, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-        return wrapper
-    for name in ("_apply", "covariance_update"):
-        monkeypatch.setattr(analysis, name, counted(name))
+    def counted(*args):
+        calls.append("_apply")
+        return original(*args)
+    monkeypatch.setattr(analysis, "_apply", counted)
     return calls
 
 

@@ -560,9 +560,11 @@ class TestImuBlindConfig:
 
     def test_a_singular_residual_covariance_exits_two(self, tmp_path,
                                                       capsys):
-        # A 50 m bias from step 10 latches the alarm; dead reckoning makes
-        # P_d singular at step 125, whose NaN P_d^{-1} gives a NaN
-        # statistic, and the run's final check names that step.
+        # A 50 m bias from step 10 latches the alarm; dead reckoning drives
+        # P_d's 1-norm condition to 1/eps at step 59, whose P_d^{-1} is NaN
+        # and gives a NaN statistic, and the run's final check names that
+        # step.  (Whether LAPACK's inverse itself came out NaN hung on the
+        # last bits: step 125 with the cancelling normal H_1.)
         raw = imu_blind_config()
         raw["attack"] = {"kind": "constant-bias", "d": [50.0] * 4,
                          "start_step": 10}
@@ -572,7 +574,7 @@ class TestImuBlindConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("numerical failure: run with seed 0: a value "
-                                "of step 125 is not finite\n")
+                                "of step 59 is not finite\n")
 
     def test_a_nan_spoof_runs_until_the_covariance_overflows(
             self, monkeypatch, capsys):

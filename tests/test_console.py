@@ -99,11 +99,15 @@ ROWS = [
     # product; it escapes at 394 and still detects at the onset.
     ("drift", ["analyze"], 0, "", field("escape_time", 394)),
     ("drift", ["run"], 0, "", field("attack_detection_step", 700)),
+    # Sigma_w = 1e8 I, 1e11 times Sigma_G: the stationary covariance from
+    # H_1 in Joseph form, past the tolerance at the start.
+    ("noisy", ["analyze"], 0, "", field("escape_time", 0)),
     # Dead reckoning's covariance reaches 1e39 at step 117, where the
     # tolerance 1e20 stops being credible.
     ("imu_blind", ["analyze"], 0, "", field("escape_time", 117)),
-    # With a 50 m bias from step 10 the IMU-blind run overflows at step 125.
-    ("imu_blind_bias", ["run"], 2, DIVERGED.format(125), empty),
+    # With a 50 m bias from step 10 the IMU-blind run's P_d reaches
+    # condition 1/eps at step 59, where the detector's weight is NaN.
+    ("imu_blind_bias", ["run"], 2, DIVERGED.format(59), empty),
     # Every part of a config is frozen: a broken value in the file is still
     # a config error, not a FrozenInstanceError.
     ("start_float", ["validate"], 1,

@@ -23,7 +23,8 @@ from spoofguard.model import MATRIX_NAMES, _inverse
 
 from conftest import (detector_weight, imu_blind_model, make_uav_model,
                       random_invertible_model, stretch_chain, trunk_stretches)
-from reference import forbid_joseph_forms, gain_blocks, joseph_step
+from reference import (forbid_joseph_forms, gain_blocks, joseph_step,
+                       long_joseph_rows)
 
 
 @pytest.fixture(scope="module")
@@ -399,6 +400,25 @@ class TestStackedInverse:
         assert np.isfinite(stretch.F[0]).all()
         assert np.abs(stretch.F[0] - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("big, kept", [(1e11, True), (4.7e12, True),
+                                           (1e14, False)])
+    def test_an_ill_conditioned_P_d_is_nan_in_its_own_slot(self, stacked,
+                                                           big, kept):
+        # P_a = diag(big, 0, 0, 0) gives row 0 P_d = diag(big + s, s), s =
+        # 1.1e-3 on paper_uav: condition 9e13 (no chunk check, as trace(P_d)
+        # eps < lambda_min(Sigma_G) = 1e-3), 4.3e15 (checked, below 1/eps)
+        # and 9e16, whose P_d^{-1} is NaN though LAPACK inverts it.  Row 0's
+        # emergency predictor stays finite.
+        P_a = np.diag([big, 0.0, 0.0, 0.0])
+        stretch = _Stretch(Mode.EMERGENCY, P_a, stacked)
+        stretch._ready(0)
+        want = np.linalg.inv(_innovation_system(P_a, stacked)[0][:2, :2])
+        assert np.isfinite(want).all() and np.isfinite(stretch.F[0]).all()
+        if kept:
+            assert stretch.P_d_inv[0].tobytes() == want.tobytes()
+        else:
+            assert np.isnan(stretch.P_d_inv[0]).all()
+
     def test_emergency_fuse_follows_long_double_until_overflow(
             self, monkeypatch):
         # The 20 imu_blind_model draws: drift-free, with unstable modes the
@@ -663,7 +683,7 @@ class TestCovarianceUpdate:
         # With a drift-free relative sensor the dead-reckoning covariance law
         # collapses to A P A^T + Sigma_bar.
         drift = drift_matrices(model)
-        K = np.hstack([np.zeros((4, 2)), stacked.K_I])
+        K = np.hstack([np.zeros((4, 2)), closed_form_invariants(model)[0]])
         P = stationary_covariance(model)
         for _ in range(50):
             updated = covariance_update(P, K, model, stacked)
@@ -750,7 +770,7 @@ class TestOptimalGain:
 
 class TestEmergencyGain:
     def test_uav_values(self, model):
-        K = StackedSensorForms(model).K_I
+        K = closed_form_invariants(model)[0]
         expected = np.zeros((4, 2))
         expected[2, 0] = 1e-4 / 1.1e-3
         expected[3, 1] = 1e-4 / 1.1e-3
@@ -761,18 +781,20 @@ class TestEmergencyGain:
         model = SystemModel(A=base.A, B=base.B, C_G=base.C_G, C_I=base.C_I,
                             Sigma_w=base.Sigma_w, Sigma_G=base.Sigma_G,
                             Sigma_I=1e6 * np.eye(2))
-        assert np.linalg.norm(StackedSensorForms(model).K_I) <= 1e-6
+        assert np.linalg.norm(closed_form_invariants(model)[0]) <= 1e-6
 
     def test_symmetric_scalar_blend(self):
         one = np.eye(1)
         model = SystemModel(A=one, B=one, C_G=one, C_I=one,
                             Sigma_w=one, Sigma_G=one, Sigma_I=one)
-        np.testing.assert_allclose(StackedSensorForms(model).K_I, [[0.5]],
+        np.testing.assert_allclose(closed_form_invariants(model)[0], [[0.5]],
                                    rtol=1e-14)
 
 
 def closed_form_invariants(model):
-    """K_I and Sigma_bar as StackedSensorForms' docstring writes them."""
+    """Dead reckoning's gain K_I = Sigma_w C_I^T (C_I Sigma_w C_I^T +
+    Sigma_I)^{-1} from the P = 0 system, and Sigma_bar = (I - K_I C_I)
+    Sigma_w (I - K_I C_I)^T + K_I Sigma_I K_I^T, the emergency H_1."""
     Sw_CIt = model.Sigma_w @ model.C_I.T
     K_I = np.linalg.solve((model.C_I @ Sw_CIt + model.Sigma_I).T, Sw_CIt.T).T
     IKC = np.eye(model.n) - K_I @ model.C_I
@@ -781,20 +803,30 @@ def closed_form_invariants(model):
 
 class TestDerivedInvariants:
     def test_uav_closed_forms_bit_for_bit(self, model, stacked):
-        K_I, Sigma_bar = closed_form_invariants(model)
-        assert stacked.K_I.tobytes() == K_I.tobytes()
+        Sigma_bar = closed_form_invariants(model)[1]
         assert stacked.Sigma_bar.tobytes() == Sigma_bar.tobytes()
-        assert StackedSensorForms(model).K_I.tobytes() == K_I.tobytes()
+        assert stacked.Sigma_bar is stacked._power(Mode.EMERGENCY, 0)[2]
 
     def test_random_closed_forms(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
             model = random_invertible_model(rng)
-            stacked = StackedSensorForms(model)
-            for got, want in zip((stacked.K_I, stacked.Sigma_bar),
-                                 closed_form_invariants(model)):
-                assert (np.linalg.norm(got - want)
-                        <= 1e-12 * np.linalg.norm(want))
+            got = StackedSensorForms(model).Sigma_bar
+            want = closed_form_invariants(model)[1]
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_long_double_judges_the_floor_and_the_rows(self):
+        # The 20 drift-free draws: Sigma_bar and 300 emergency rows from P =
+        # 0 against the Joseph recursion in long double (tests/reference.py).
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            model = drift_free_random_model(rng)
+            stacked, zero = StackedSensorForms(model), np.zeros((model.n,) * 2)
+            want = long_joseph_rows(zero, Mode.EMERGENCY, stacked, 300)
+            assert largest_relative_gap(stacked.Sigma_bar[None],
+                                        want[:1]) <= 1e-15
+            rows = stretch_rows(_Stretch(Mode.EMERGENCY, zero, stacked), 300)
+            assert largest_relative_gap(rows, want) <= 1e-13
 
 
 class TestFuse:
@@ -849,7 +881,8 @@ class TestFuse:
         est = EstimatorState(x_hat=np.zeros(4), P=1e-3 * np.eye(4),
                              mode=Mode.EMERGENCY)
         out = fuse(est, model, np.zeros(2), np.zeros(2), np.zeros(2))
-        K_emergency = np.hstack([np.zeros((4, 2)), stacked.K_I])
+        K_emergency = np.hstack([np.zeros((4, 2)),
+                                 closed_form_invariants(model)[0]])
         expected = covariance_update(est.P, K_emergency, model, stacked)
         np.testing.assert_allclose(out.P, expected, rtol=1e-14)
 
@@ -868,7 +901,8 @@ class TestFuse:
             1e-15 * np.linalg.norm(stacked.Sigma_bar)
         np.testing.assert_array_equal(stacked.Sigma_bar,
                                       drift_matrices(model).Sigma_bar)
-        K_emergency = np.hstack([np.zeros((4, 2)), stacked.K_I])
+        K_emergency = np.hstack([np.zeros((4, 2)),
+                                 closed_form_invariants(model)[0]])
         rng = np.random.default_rng(19)
         for P in (stationary_covariance(model), 1e-3 * np.eye(4),
                   *(R @ R.T for R in rng.normal(size=(3, 4, 4)))):
@@ -948,7 +982,7 @@ class TestModeBehaviour:
         assert np.linalg.norm(P - stationary_covariance(model)) <= 1e-8
 
     def test_emergency_mode_covariance_grows_unbounded(self, model, stacked):
-        K = np.hstack([np.zeros((4, 2)), stacked.K_I])
+        K = np.hstack([np.zeros((4, 2)), closed_form_invariants(model)[0]])
         P = stationary_covariance(model)
         start_trace = np.trace(P)
         prev = start_trace
@@ -1223,12 +1257,12 @@ class TestNoiseRatio:
     def test_emergency_rows_keep_their_digits(self, scale):
         assert gap_to_joseph(noisy_uav_model(scale), Mode.EMERGENCY) <= 1e-14
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the normal one-step triple's H_1 = Sigma_w - Sigma_w C^T R^{-1} C "
-        "Sigma_w cancels as Sigma_w / Sigma_y grows: rows 5e-15 from the "
-        "Joseph recursion at s = 1, 1.5e-13 at 1e4, 1.6e-10 at 1e8, 1.7e-5 "
-        "at 1e12, 2.3e-2 at 1e16 and 1.0 from 1e50"))
     def test_normal_rows_keep_their_digits(self):
+        # With H_1 = Sigma_w - Sigma_w C^T R^{-1} C Sigma_w, which cancels
+        # as Sigma_w / Sigma_y grows, the rows were 1.5e-13 from the Joseph
+        # recursion at s = 1e4, 1.6e-10 at 1e8, 1.7e-5 at 1e12, 2.3e-2 at
+        # 1e16 and 1.0 from 1e50; H_1 in Joseph form keeps them within
+        # 1.3e-14.
         assert max(gap_to_joseph(noisy_uav_model(scale), Mode.NORMAL)
                    for scale in NOISE_SCALES) <= 1e-12
 
@@ -1244,8 +1278,10 @@ class TestFormsAnyThreadMayShare:
     one model reads the same forms, from any thread."""
 
     def test_every_array_is_read_only(self, model):
-        arrays = form_arrays(StackedSensorForms(model))
-        assert len(arrays) == 15
+        stacked = StackedSensorForms(model)
+        arrays = form_arrays(stacked)
+        assert len(arrays) == 13
+        arrays["Sigma_bar"] = stacked.Sigma_bar
         for name, value in arrays.items():
             assert not value.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):

@@ -19,6 +19,7 @@ from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
                         residual_covariance, run_scenario, spectral_norm,
                         step_dynamics)
 
+from spoofguard.cli import main
 from spoofguard.estimator import _STRETCH, _Stretch, _innovation_system
 
 from conftest import (IMU_BLIND_CONFIG, make_uav_model,
@@ -771,7 +772,7 @@ class TestTrunkHits:
         assert [t.first_alarm_step for t in traces] == [None, 164]
         assert before_alarm == [[]]
         assert shared[0] is shared[1]
-        # The first run builds the model's forms (K_I's solve), the normal
+        # The first run builds the model's forms (no solve), the normal
         # table (the one-step triple's solve, three stacked doublings to
         # triple 8, then one solve per power 16..128) and the trunk: per
         # chunk of rows, one stacked solve gives its rows, one stacked
@@ -780,32 +781,36 @@ class TestTrunkHits:
         first_run = calls[run_starts[0]:run_starts[1]]
         chunks = [8, 16, 32, 64, 128, 256]
         assert len(trunk_rows(shared[0])) == chunks[-1]
-        assert first_run == ["solve"] * 2 + ["_solve"] * 3 + ["_solve"] * 4 \
+        assert first_run == ["solve"] + ["_solve"] * 3 + ["_solve"] * 4 \
             + ["_solve", "_inverse", "_inverse"] * len(chunks)
 
 
 class TestNoJosephStep:
     @pytest.mark.parametrize("case", ["clean", "attacked", "nan spoof",
                                       "imu blind"])
-    def test_runs_read_every_covariance_from_stretches(self, case,
+    def test_runs_read_every_covariance_from_stretches(self, case, capsys,
                                                        monkeypatch):
         # A run and a batch on paper_uav (clean, attacked, NaN-spoofed from
         # the attack step) and on the IMU-blind config (clean, with its
         # false alarms) read every covariance, P_d^{-1} and predictor from
-        # stretches: once the model's forms are built, neither makes a
-        # Joseph update nor solves an optimal gain.
-        config = parse_config(IMU_BLIND_CONFIG if case == "imu blind"
-                              else builtin_config_path())
+        # stretches, and analyze reads its fixed point and escape time from
+        # the triples: from a fresh model on, none makes a Joseph update or
+        # solves an optimal gain.
+        path = IMU_BLIND_CONFIG if case == "imu blind" \
+            else builtin_config_path()
+        config = parse_config(path)
         if case == "clean":
             config = replace(config, attack=AttackSignal.none())
         elif case == "nan spoof":
             config = replace(config, attack=AttackSignal(
                 kind="custom-sequence", start_step=700,
                 sequence=[np.full(2, np.nan)] * 301))
-        config.model._derived(StackedSensorForms)
         forbid_joseph_forms(monkeypatch)
         trace = run_scenario(config)
         batch = monte_carlo(replace(config, runs=3))
+        assert main(["analyze", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["escape_time"] == \
+            trace.summary()["escape_time"]
         detected = None if case in ("clean", "imu blind") else 700
         assert trace.attack_detection_step == detected
         assert [r.attack_detection_step for r in batch.runs] == [detected] * 3
