@@ -10,9 +10,11 @@ with the tree's ``src`` on PYTHONPATH and PYTHONWARNINGS=error::RuntimeWarning:
   from the step loop;
 * ``mc --runs 20``, seeds 0-4, and ``analyze`` on the shipped config;
 * ``analyze`` and ``run`` on the configs the console-script table
-  (``tests/test_console.py``) derives from it, and ``run`` with a JSON
-  trace on seed 13 of its ``beyond_horizon`` config (``zeta_norm`` 20000),
-  whose escape from the alarm exceeds the step loop's budget;
+  (``tests/test_console.py``) derives from it, the ``run`` with a JSON
+  trace on its ``far_bias`` config (a 1e120 bias from step 700, whose
+  detector form is past 1e100 yet finite), and ``run`` with a JSON trace
+  on seed 13 of its ``beyond_horizon`` config (``zeta_norm`` 20000), whose
+  escape from the alarm exceeds the step loop's budget;
 * ``analyze`` on the IMU-blind test config (``tests/configs/imu_blind.json``,
   read from this script's tree), and ``run`` on it with a 50 m bias from
   step 10.
@@ -101,7 +103,10 @@ DERIVED = {
     "beyond_horizon": _set((("zeta_norm",), 20000)),
     "drift": _drift,
     "noisy": _set((("model", "Sigma_w"), _eye(4, 1e8))),
+    "far_bias": _set((("attack", "d"), [1e120, 1e120])),
 }
+# The derived configs whose run writes a JSON trace.
+TRACED = ("far_bias",)
 
 # The IMU-blind config's commands: name -> (command, mutation of its JSON).
 IMU_BLIND = {
@@ -142,8 +147,11 @@ def commands(config, out_dir):
     raw = json.loads(Path(config).read_text(encoding="utf-8"))
     for name, mutate in DERIVED.items():
         path = _write(raw, mutate, out_dir, name)
-        out += [(f"{command} {name}", [command, "--config", path], None)
-                for command in ("analyze", "run")]
+        trace = f"run_{name}.json" if name in TRACED else None
+        out += [(f"analyze {name}", ["analyze", "--config", path], None),
+                (f"run {name}", ["run", "--config", path] + (
+                    ["--format", "json", "--out", trace] if trace else []),
+                 trace)]
     out.append(("run beyond_horizon seed 13 json",
                 ["run", "--config", "beyond_horizon.json", "--seed", "13",
                  "--format", "json", "--out", "run_beyond_horizon_13.json"],

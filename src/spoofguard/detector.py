@@ -17,7 +17,8 @@ which alarms when S_k strictly exceeds chi2_quantile(m_G, alpha) / (1 - delta)
 (a tie stays quiet), in both operating modes.  The runner reads d_hat =
 C_G A (x - x_hat) + C_G w + v_G + d (x: the state before the step) from its
 run-step product, and P_d^{-1} from the stretch row of P_{k-1}; cusum_update
-solves it from P_d.
+solves it from P_d.  The runner's float product d_hat^T (W d_hat) is this
+form bit for bit in [0, inf); any other value goes to normalized_residual.
 """
 
 import math

@@ -80,11 +80,8 @@ class StackedSensorForms:
         n, p, m_G, m_I = model.n, model.p, model.m_G, model.m_I
         m = m_G + m_I
         self.C = np.vstack([model.C_G, model.C_I])
-        # The Joseph weight blockdiag(P, 0_p, Sigma_y, Sigma_w), P = 0 here.
         k = n + p + m
-        self._joseph_weight = np.zeros((k + n, k + n))
-        self._joseph_weight[k:, k:] = model.Sigma_w
-        self.Sigma_y = self._joseph_weight[n + p:k, n + p:k]
+        self.Sigma_y = np.zeros((m, m))
         self.Sigma_y[:m_G, :m_G] = model.Sigma_G
         self.Sigma_y[m_G:, m_G:] = model.Sigma_I
         self.D = np.diag(np.arange(m) >= m_G).astype(float)
@@ -207,8 +204,11 @@ def covariance_update(P_prev: np.ndarray, K: np.ndarray, model: SystemModel,
     0_p, Sigma_y, Sigma_w) W^T of the gain's blocks W = [T, B_K, K, I - K
     C], one product."""
     W = (stacked._gain_base_T - stacked._gain_coef_T.dot(K.T)).T
-    weight = stacked._joseph_weight.copy()
-    weight[:len(W), :len(W)] = P_prev
+    weight, at = np.zeros((W.shape[1],) * 2), 0
+    for block in (P_prev, np.zeros((model.p,) * 2), stacked.Sigma_y,
+                  model.Sigma_w):
+        weight[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
     P = W.dot(weight).dot(W.T)
     return 0.5 * (P + P.T)
 

@@ -7,15 +7,17 @@ v_G; v_I; x - x_hat], (3) updates the detector from d_hat, (4) picks the
 mode from the updated statistic and (5) fuses in that mode, so a detected
 attack never corrupts the estimate on the step it is detected.
 
-run_scenario steps one run.  A step reads P_d^{-1} once, from the state's
-stretch row (fuse finds the row computed), copies the operand's head [x';
-u] into one record row and x_hat into its column, and appends S; after the
-loop x and u are copied apart, and alarmed is S above the threshold.  P is
-copied from each stretch as the run leaves it.  The exports and
-monte_carlo's aggregates read these columns; the spectral norms, the
-confidence radii and the run's escape analysis are built on first read.
-A run's forms are config.model's, kept by it; monte_carlo runs its batch on
-one new ScenarioShared, so each run reads the trunk until its first alarm.
+run_scenario steps one run.  A step writes u in place, reads P_d^{-1} once,
+from the state's stretch row (fuse finds the row computed), as the weight W
+of S's one float product d_hat^T (W d_hat), which only outside [0, inf) goes
+to normalized_residual; it copies the operand's head [x'; u] into one record
+row and x_hat into its column, and appends S; after the loop x and u are
+copied apart, and alarmed is S above the threshold.  P is copied from each
+stretch as the run leaves it.  The exports and monte_carlo's aggregates read
+these columns; the spectral norms, the confidence radii and the run's escape
+analysis are built on first read.  A run's forms are config.model's, kept by
+it; monte_carlo runs its batch on one new ScenarioShared, so each run reads
+the trunk until its first alarm.
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -247,9 +249,6 @@ def _covered(cols: _RunColumns) -> np.ndarray:
     return covered
 
 
-_MODES = {False: Mode.NORMAL, True: Mode.EMERGENCY}
-
-
 def _first_step(mask: np.ndarray) -> Optional[int]:
     """The first step (1-based) where mask holds, else None."""
     return int(mask.argmax()) + 1 if mask.any() else None
@@ -290,9 +289,11 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     est.stretch = shared.trunk
     S, alarmed, S_list = 0.0, False, []
     stretch, first, row = est.stretch, 0, 1     # Ps[first:] = stretch.P[row:]
+    normal, emergency = Mode.NORMAL, Mode.EMERGENCY
 
     for i in range(steps):
-        np.subtract(u_ref, L.dot(est.x_hat), out=u)
+        L.dot(est.x_hat, out=u)
+        np.subtract(u_ref, u, out=u)
         sample_w(rng_w, out=w)
         sample_G(rng_G, out=v_G)
         sample_I(rng_I, out=v_I)
@@ -309,13 +310,16 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
         # and covariance, in both modes; its alarm picks this step's mode.
         # P_d^{-1} is the state's stretch row's (the run's state always has
         # one, of its mode), read before this step's mode replaces the
-        # state's; fuse then finds the row computed.
+        # state's; fuse then finds the row computed.  A form in [0, inf) is
+        # normalized_residual's value bit for bit; any other goes to it.
         if detector_enabled:
             stretch._ready(est.row)
-            S = delta * S + normalized_residual(d_hat,
-                                                stretch.P_d_inv[est.row])
+            W = stretch.P_d_inv[est.row]
+            q = float(d_hat.dot(W.dot(d_hat)))
+            S = delta * S + (q if 0.0 <= q < math.inf
+                             else normalized_residual(d_hat, W))
             alarmed = S > threshold
-        est.mode = _MODES[alarmed]
+        est.mode = emergency if alarmed else normal
         est = fuse(est, model, u, y_G, y_I)
         if est.stretch is not stretch:
             Ps[first:i] = stretch.P[row:row + i - first]

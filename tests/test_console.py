@@ -71,6 +71,9 @@ ROWS = [
     ("large", ["run"], 0, "", field("attack_detection_step", 700)),
     ("large", ["mc", "--runs", "2"], 0, "",
      field("attack_detection_steps", [700, 700])),
+    # A 1e120 spoof: the form, about 1e240, is past normalized_residual's
+    # 1e100 scaling yet finite, so S stays finite and alarms at the onset.
+    ("far_bias", ["run"], 0, "", field("attack_detection_step", 700)),
     # A diverging model overflows at step 361: the run's final check is the
     # only report.
     ("diverging", ["run"], 2, DIVERGED.format(361), empty),

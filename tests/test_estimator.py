@@ -1280,7 +1280,7 @@ class TestFormsAnyThreadMayShare:
     def test_every_array_is_read_only(self, model):
         stacked = StackedSensorForms(model)
         arrays = form_arrays(stacked)
-        assert len(arrays) == 13
+        assert len(arrays) == 12
         arrays["Sigma_bar"] = stacked.Sigma_bar
         for name, value in arrays.items():
             assert not value.flags.writeable, name

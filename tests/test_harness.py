@@ -20,9 +20,10 @@ from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
                         step_dynamics)
 
 from spoofguard.cli import main
+from spoofguard.detector import normalized_residual
 from spoofguard.estimator import _STRETCH, _Stretch, _innovation_system
 
-from conftest import (IMU_BLIND_CONFIG, make_uav_model,
+from conftest import (IMU_BLIND_CONFIG, detector_weight, make_uav_model,
                       random_invertible_model, run_columns, trunk_rows,
                       trunk_stretches)
 from reference import forbid_joseph_forms
@@ -816,6 +817,58 @@ class TestNoJosephStep:
         assert [r.attack_detection_step for r in batch.runs] == [detected] * 3
         if case == "imu blind":
             assert trace.columns.alarmed.any()
+
+
+class TestDetectorStatistic:
+    """The runner's statistic is one float product d_hat^T W d_hat of the
+    prior row's weight W; only a form outside [0, inf) goes to
+    normalized_residual, the statistic's one definition."""
+
+    def test_a_form_past_1e100_has_the_definitions_bits(self, uav_config):
+        # A 1e120 constant bias from step 700: d_hat is the bias exactly,
+        # and its form, about 1e240, is past normalized_residual's 1e100
+        # scaling yet finite, so the product is used.  Seed 1 false-alarms
+        # at step 311 only; a kept state stepped through fuse with the
+        # run's alarms is the run's state before step 700, so it reads the
+        # prior row's weight.
+        config = replace(uav_config, seed=1, attack=AttackSignal(
+            kind="constant-bias", d=np.full(2, 1e120), start_step=700))
+        shared = ScenarioShared(config.model)
+        trace = run_scenario(config, shared=shared)
+        S, alarmed = trace.columns.S, trace.columns.alarmed
+        assert np.flatnonzero(alarmed[:699]).tolist() == [310]
+        assert trace.attack_detection_step == 700
+        assert np.isfinite(S).all() and 1e243 < S[699] < 2e243
+        est = EstimatorState.initial(config.x0)
+        est.stretch = shared.trunk
+        ones = np.ones(config.model.m_G)
+        for a in alarmed[:699]:
+            est.mode = Mode.EMERGENCY if a else Mode.NORMAL
+            est = fuse(est, config.model, ones, ones, ones)
+        W = detector_weight(est, config.model._derived(StackedSensorForms))
+        assert S[699] == 0.15 * S[698] + normalized_residual(
+            np.full(2, 1e120), W)
+
+    @pytest.mark.parametrize("spoof", [None, math.nan])
+    def test_the_definition_is_called_off_the_product_only(
+            self, uav_config, monkeypatch, spoof):
+        # The shipped attacked run never calls it; a NaN spoof calls it
+        # once per step from the onset, where it latches the alarm.
+        calls, definition = [], harness.normalized_residual
+
+        def counted(d_hat, W):
+            calls.append(d_hat.copy())
+            return definition(d_hat, W)
+        monkeypatch.setattr(harness, "normalized_residual", counted)
+        config = _spoofed(uav_config, spoof)
+        trace = run_scenario(config)
+        assert trace.attack_detection_step == 700
+        if spoof is None:
+            assert calls == []
+        else:
+            assert len(calls) == config.steps - config.attack_onset() == 301
+            assert np.isnan(calls).all()
+            assert (trace.columns.S[699:] == math.inf).all()
 
 
 class TestRunStateOfItsOwnModel:

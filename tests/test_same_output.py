@@ -57,14 +57,18 @@ def test_a_csv_trace_names_the_columns_that_moved():
 def test_the_command_list(tmp_path):
     # run CSV and JSON for seeds 0-4 and JSON for seed 13, mc --runs 20 for
     # seeds 0-4, analyze, analyze and run on each of the console table's
-    # twelve derived configs (the drifting C_I = C_G among them), run JSON
-    # for seed 13 on beyond_horizon, analyze on the IMU-blind config and
-    # run on it with a bias; the config files are written next to the
-    # outputs under relative names.
+    # thirteen derived configs (the drifting C_I = C_G among them; far_bias
+    # runs with a JSON trace), run JSON for seed 13 on beyond_horizon,
+    # analyze on the IMU-blind config and run on it with a bias; the config
+    # files are written next to the outputs under relative names.
     listed = commands(str(builtin_config_path()), str(tmp_path))
     names = [name for name, _, _ in listed]
-    assert len(names) == len(set(names)) == 11 + 5 + 1 + 24 + 1 + 2
-    assert sum(trace is not None for _, _, trace in listed) == 12
+    assert len(names) == len(set(names)) == 11 + 5 + 1 + 26 + 1 + 2
+    assert sum(trace is not None for _, _, trace in listed) == 13
+    [(_, argv, trace)] = [entry for entry in listed
+                          if entry[0] == "run far_bias"]
+    assert argv == ["run", "--config", "far_bias.json", "--format", "json",
+                    "--out", trace]
     [(_, argv, trace)] = [entry for entry in listed
                           if entry[0] == "run beyond_horizon seed 13 json"]
     assert argv == ["run", "--config", "beyond_horizon.json", "--seed", "13",
@@ -74,5 +78,5 @@ def test_the_command_list(tmp_path):
                                     "unexcited", "huge", "small_alpha",
                                     "far_zeta", "wide", "contracting",
                                     "beyond_horizon", "drift", "noisy",
-                                    "imu_blind",
+                                    "far_bias", "imu_blind",
                                     "imu_blind_bias"))
