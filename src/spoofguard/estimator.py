@@ -259,9 +259,10 @@ class _Stretch:
     @np.errstate(over="ignore", invalid="ignore")   # the run's check reports
     def _extend(self) -> None:
         """Rows lo + 1..hi by one stacked solve, P_d^{-1} and F of rows lo..
-        hi - 1 by a stacked inverse each, and after the last the restart."""
+        hi - 1 by a stacked inverse each, done once written; after the last
+        the restart, the stretch itself where row L is row 0 bit for bit."""
         (P, P_d_inv, F), lo, stacked = self._buffers, self._done, self._stacked
-        hi = self._done = min(len(F), max(_FIRST_CHUNK, 2 * lo))
+        hi = min(len(F), max(_FIRST_CHUNK, 2 * lo))
         triple, P_in = (stacked._power(self.mode, lo.bit_length() - 1),
                         P[1:lo + 1]) if lo else (self._stack, P[0])
         P[lo + 1:hi + 1] = _apply(triple, P_in)
@@ -278,7 +279,9 @@ class _Stretch:
         K = G[..., gain] @ _inverse(R[:, gain, gain])
         F[lo:hi] = (base_T - coef_T @ K.swapaxes(1, 2)).swapaxes(1, 2)
         if hi == len(F):
-            self.restart = _Stretch(self.mode, P[hi], stacked)
+            self.restart = self if P[hi].tobytes() == P[0].tobytes() else \
+                _Stretch(self.mode, P[hi], stacked)
+        self._done = hi
 
 
 def fuse(est: EstimatorState, model: SystemModel,
@@ -311,6 +314,7 @@ def fuse(est: EstimatorState, model: SystemModel,
     return new
 
 
+@np.errstate(over="ignore", invalid="ignore")      # _table reports
 def _riccati_triple(model: SystemModel, stacked: StackedSensorForms,
                     first: int):
     """The one-step triple (A_1, G_1, H_1) of the optimal-gain recursion on

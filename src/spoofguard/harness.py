@@ -15,9 +15,8 @@ row and x_hat into its column, and appends S; after the loop x and u are
 copied apart, and alarmed is S above the threshold.  P is copied from each
 stretch as the run leaves it.  The exports and monte_carlo's aggregates read
 these columns; the spectral norms, the confidence radii and the run's escape
-analysis are built on first read.  A run's forms are config.model's, kept by
-it; monte_carlo runs its batch on one new ScenarioShared, so each run reads
-the trunk until its first alarm.
+analysis are built on first read.  A run's forms and run state are
+config.model's, kept by it: each run reads its trunk until its first alarm.
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
 spawned from SeedSequence(seed), drawn one vector per step.  Monte
@@ -31,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
 from importlib import resources
@@ -181,13 +181,12 @@ class MonteCarloSummary:
 
 
 class ScenarioShared:
-    """Run state reused across runs of one model: the model, the three noise
-    samplers and the trunk (the normal stretch from P = 0, see estimator),
-    built on first read.  Samplers and stretches keep scratch arrays: give
-    each thread a ScenarioShared of its own; only run_scenario takes one."""
+    """A model's run state, kept as long as it lives (model._derived): the
+    three noise samplers and the trunk (the normal stretch from P = 0, see
+    estimator), which its runs extend and read, holding lock in turn."""
 
     def __init__(self, model: SystemModel):
-        self.model = model
+        self.model, self.lock = model, threading.Lock()
         self.sampler_w, self.sampler_G, self.sampler_I = map(
             GaussianSampler, (model.Sigma_w, model.Sigma_G, model.Sigma_I))
 
@@ -321,7 +320,7 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
             alarmed = S > threshold
         est.mode = emergency if alarmed else normal
         est = fuse(est, model, u, y_G, y_I)
-        if est.stretch is not stretch:
+        if est.stretch is not stretch or est.row == 0:     # row 0: a wrap
             Ps[first:i] = stretch.P[row:row + i - first]
             stretch, first, row = est.stretch, i, est.row
 
@@ -353,20 +352,18 @@ def _simulate(config: ScenarioConfig, shared: ScenarioShared,
     return cols
 
 
-def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
-                 shared: Optional[ScenarioShared] = None) -> ScenarioTrace:
-    """Execute one seeded closed-loop run; the trace it returns derives its
-    escape analysis on first read.
+def run_scenario(config: ScenarioConfig, *,
+                 detector_enabled: bool = True) -> ScenarioTrace:
+    """Execute one seeded closed-loop run, holding config.model's run state;
+    the trace it returns derives its escape analysis on first read.
 
     detector_enabled=False disables the alarm entirely (the statistic is not
     accumulated and the estimator stays in normal mode), matching an
-    infinite-threshold detector.  A run without a shared builds its own
-    trunk on a new ScenarioShared; one of another model is a ValueError.
+    infinite-threshold detector.
     """
-    shared = shared or ScenarioShared(config.model)
-    if shared.model is not config.model:
-        raise ValueError("shared: built for another model than config.model")
-    cols = _simulate(config, shared, detector_enabled)
+    shared = config.model._derived(ScenarioShared)
+    with shared.lock:
+        cols = _simulate(config, shared, detector_enabled)
     first_alarm = _first_step(cols.alarmed)
     # Detection latency is measured against the attack onset; noise can trip
     # transient alarms earlier, which are kept separate.  Without an attack
@@ -381,9 +378,8 @@ def run_scenario(config: ScenarioConfig, *, detector_enabled: bool = True,
 
 def monte_carlo(config: ScenarioConfig, *,
                 detector_enabled: bool = True) -> MonteCarloSummary:
-    """Run `config.runs` independent scenarios with derived seeds, all on one
-    new ScenarioShared of config.model, and aggregate."""
-    shared = ScenarioShared(config.model)
+    """Run `config.runs` independent scenarios with derived seeds, on the
+    run state config.model keeps, and aggregate."""
     post_from = config.attack_onset()
     post_steps = config.steps - post_from
 
@@ -393,7 +389,7 @@ def monte_carlo(config: ScenarioConfig, *,
     for i in range(config.runs):
         seed = derive_run_seed(config.seed, i)
         trace = run_scenario(replace(config, seed=seed, runs=1),
-                             detector_enabled=detector_enabled, shared=shared)
+                             detector_enabled=detector_enabled)
         cols = trace.columns
         err_sum += cols.x - cols.x_hat
         covered = _covered(cols)

@@ -89,9 +89,11 @@ def imu_blind_config() -> dict:
 
 
 def stretch_chain(stretch) -> list:
-    """The stretch and its restarts, in order, as far as rows are computed."""
+    """The stretch and its restarts, in order, as far as rows are computed;
+    a stretch that is its own restart (a float fixed point) ends it."""
     stretches = []
-    while stretch is not None and stretch._done:
+    while stretch is not None and stretch._done and (
+            not stretches or stretch is not stretches[-1]):
         stretches.append(stretch)
         stretch = stretch.restart
     return stretches
@@ -108,17 +110,18 @@ def detector_weight(est, stacked) -> np.ndarray:
     return stretch.P_d_inv[j]
 
 
-def trunk_stretches(shared) -> list:
-    """The trunk's stretches with computed rows: the normal stretch from
-    P = 0, then each restart; none before a run reads it."""
-    return stretch_chain(shared.__dict__.get("trunk"))
+def trunk_stretches(model) -> list:
+    """The stretches with computed rows of the trunk the model keeps: the
+    normal stretch from P = 0, then each restart; none before a run of the
+    model reads it."""
+    return stretch_chain(model._derived(ScenarioShared).__dict__.get("trunk"))
 
 
-def trunk_rows(shared) -> np.ndarray:
-    """The trunk's computed covariances P_1, P_2, ... across its restarts."""
-    n = shared.model.n
-    return np.concatenate([np.empty((0, n, n))] + [
-        s.P[1:s._done + 1] for s in trunk_stretches(shared)])
+def trunk_rows(model) -> np.ndarray:
+    """The trunk's computed covariances P_1, P_2, ... across its restarts,
+    one per stretch row (a self-restart's rows once)."""
+    return np.concatenate([np.empty((0, model.n, model.n))] + [
+        s.P[1:s._done + 1] for s in trunk_stretches(model)])
 
 
 def run_columns(cols) -> tuple:
@@ -141,10 +144,6 @@ def decoupling_residual(model: SystemModel, L: np.ndarray,
 
 @pytest.fixture()
 def uav_config():
+    """The shipped config parsed anew: its model keeps no run state yet."""
     return parse_config(builtin_config_path())
 
-
-@pytest.fixture()
-def uav_shared(uav_config):
-    """Run state of uav_config's model, which a run on it requires."""
-    return ScenarioShared(uav_config.model)

@@ -213,9 +213,9 @@ class TestAcceptance:
                f"max residual over 200 random invertible models "
                f"{worst:.2e} (needs <=1e-10)")
 
-    def test_11_no_detector_divergence(self, uav_config, uav_shared):
+    def test_11_no_detector_divergence(self, uav_config):
         config = replace(uav_config, steps=2500)
-        trace = run_scenario(config, detector_enabled=False, shared=uav_shared)
+        trace = run_scenario(config, detector_enabled=False)
         goal = np.array([10.0, 10.0, 0.0, 0.0])
         xs, x_hats = trace.columns.x[2000:], trace.columns.x_hat[2000:]
         pos_ok = all(np.all(np.abs(x[:2] - (-90.0)) <= 5.0) for x in xs)

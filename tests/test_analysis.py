@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spoofguard import (ConvergenceError, NumericalError, ScenarioShared,
-                        StackedSensorForms, SystemModel, builtin_config_path,
-                        chi2_quantile,
+from spoofguard import (ConvergenceError, NumericalError, StackedSensorForms,
+                        SystemModel, builtin_config_path, chi2_quantile,
                         covariance_magnitude, covariance_update,
                         drift_matrices, escape_report, escape_time,
                         escape_time_lower_bound, is_detectable, optimal_gain,
@@ -72,7 +71,15 @@ class TestSpectralNorm:
             assert (batched == -np.linalg.eigvalsh(Ms)[:, 0]).any()
 
 
+    def test_empty_matrix_has_norm_zero(self):
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
+
+
 class TestDetectability:
+    def test_rejects_an_output_matrix_of_the_wrong_width(self, uav_model):
+        with pytest.raises(ValueError, match="^C has 3 columns, expected 4$"):
+            is_detectable(np.ones((2, 3)), uav_model.A)
+
     def test_gps_pair_detectable(self, uav_model):
         assert is_detectable(uav_model.C_G, uav_model.A) is True
 
@@ -291,6 +298,17 @@ class TestDriftMatrices:
                             C_I=np.eye(2), Sigma_w=np.eye(2),
                             Sigma_G=np.eye(2), Sigma_I=np.eye(2))
         with pytest.raises(ValueError, match="singular"):
+            drift_matrices(model)
+
+    def test_singular_decoupling_system_raises(self, uav_model):
+        # Built without validate_model, Sigma_I = 0: on the drift-free
+        # paper_uav the decoupling system is Sigma_I itself.
+        m = uav_model
+        model = SystemModel(A=m.A, B=m.B, C_G=m.C_G, C_I=m.C_I,
+                            Sigma_w=m.Sigma_w, Sigma_G=m.Sigma_G,
+                            Sigma_I=np.zeros((2, 2)))
+        with pytest.raises(NumericalError, match="^noise-decoupling system "
+                                                 "is singular$"):
             drift_matrices(model)
 
     def test_decoupling_identity_random_models(self):
@@ -541,11 +559,10 @@ class TestEscapeTimeByDoubling:
         # fails _grows: their escape from the alarm reads emergency stretch
         # rows, one counted map for the rules, and gives stepping's 290.
         config = parse_config(builtin_config_path())
-        shared = ScenarioShared(config.model)
         stacked = config.model._derived(StackedSensorForms)
         calls = counted_steps(monkeypatch)
         for seed in (13, 21, 23, 26, 31, 32, 35, 36, 38):
-            trace = run_scenario(replace(config, seed=seed), shared=shared)
+            trace = run_scenario(replace(config, seed=seed))
             P = trace.columns.P[trace.attack_detection_step - 1]
             assert not analysis._grows(P, joseph_step(
                 P, Mode.EMERGENCY, stacked)[1])

@@ -856,14 +856,14 @@ class TestScenarioRules:
                      ValueError, id="attack.sequence[0][0]"),
         pytest.param(lambda c, s: setitem(s.attack.sequence, 0, [0.0, 0.0]),
                      TypeError, id="attack.sequence[0]")])
-    def test_held_values_fail_at_the_assignment(self, uav_config, uav_shared,
-                                                mutate, error):
+    def test_held_values_fail_at_the_assignment(self, uav_config, mutate,
+                                                error):
         sequenced = replace(uav_config, attack=AttackSignal(**_SEQUENCE),
                             steps=10)
         with pytest.raises(error):
             mutate(uav_config, sequenced)
         for config in (uav_config, sequenced):
-            run_scenario(replace(config, steps=10), shared=uav_shared)
+            run_scenario(replace(config, steps=10))
         assert uav_config.x0.tolist() == [0.0] * 4
         assert sequenced.attack.sequence[0].tolist() == [1.0, 1.0]
 

@@ -166,7 +166,7 @@ class TestCusum:
 
 
 class TestAlarm:
-    def test_threshold_value_and_strictness(self, uav_config, uav_shared):
+    def test_threshold_value_and_strictness(self, uav_config):
         config = DetectorConfig(alpha=0.01, delta=0.15)
         threshold = config.threshold(2)
         assert threshold == pytest.approx(9.210340371976184 / 0.85, abs=1e-8)
@@ -177,7 +177,7 @@ class TestAlarm:
 
         def run(fixed):
             return run_scenario(replace(quiet, detector=FixedThreshold(
-                fixed=fixed)), shared=uav_shared)
+                fixed=fixed)))
         S = run(math.inf).columns.S
         peak = float(S.max())
         tie = run(peak)
@@ -210,12 +210,12 @@ class TestAlarm:
         assert trace.first_alarm_step == 222
         assert threshold < S[221] <= chi2_quantile(2, 0.01) / 0.85
 
-    def test_zero_statistic_never_alarms(self, uav_config, uav_shared):
+    def test_zero_statistic_never_alarms(self, uav_config):
         assert DetectorConfig().threshold(2) > 0.0
         # With the detector off the statistic stays zero and the attack at
         # step 700 never raises the alarm.
         trace = run_scenario(replace(uav_config, steps=800),
-                             detector_enabled=False, shared=uav_shared)
+                             detector_enabled=False)
         assert not trace.columns.S.any()
         assert not trace.columns.alarmed.any()
         assert trace.first_alarm_step is None

@@ -12,8 +12,8 @@ from spoofguard import (AttackSignal, EstimatorState, Mode,
                         NumericalError, ScenarioShared, StackedSensorForms,
                         SystemModel, builtin_config_path,
                         covariance_update, cusum_update, drift_matrices,
-                        estimator, fuse, monte_carlo, optimal_gain,
-                        parse_config, harness, run_scenario,
+                        escape_time, estimator, fuse, monte_carlo,
+                        optimal_gain, parse_config, harness, run_scenario,
                         stationary_covariance)
 
 from spoofguard.detector import normalized_residual
@@ -22,7 +22,8 @@ from spoofguard.estimator import (_STRETCH, _Stretch, _apply, _compose,
 from spoofguard.model import MATRIX_NAMES, _inverse
 
 from conftest import (detector_weight, imu_blind_model, make_uav_model,
-                      random_invertible_model, stretch_chain, trunk_stretches)
+                      random_invertible_model, run_columns, stretch_chain,
+                      trunk_rows, trunk_stretches)
 from reference import (forbid_joseph_forms, gain_blocks, joseph_step,
                        long_joseph_rows)
 
@@ -591,10 +592,9 @@ class TestDeadReckoningDetector:
         monkeypatch.setattr(harness, "_simulate", simulated)
         # The model's forms, built before the run forbids the Joseph forms.
         m = len(config.model._derived(StackedSensorForms).C)
-        shared = ScenarioShared(config.model)
-        cols = run_scenario(config, shared=shared).columns
+        cols = run_scenario(config).columns
         assert np.flatnonzero(cols.alarmed).tolist() == list(range(149, 200))
-        assert [s._done for s in trunk_stretches(shared)] == [256]
+        assert [s._done for s in trunk_stretches(config.model)] == [256]
         assert shapes == [shape for k in (8, 8, 16, 32, 64, 128)
                           for shape in ((k, 2, 2), (k, m, m))] \
             + [shape for k in (8, 8, 16, 32) for shape in ((k, 2, 2),
@@ -827,6 +827,35 @@ class TestDerivedInvariants:
                                         want[:1]) <= 1e-15
             rows = stretch_rows(_Stretch(Mode.EMERGENCY, zero, stacked), 300)
             assert largest_relative_gap(rows, want) <= 1e-13
+
+
+class TestNonFiniteOneStepTriple:
+    """A one-step triple that overflows, on paper_uav with A scaled by
+    1e200, is _table's NumericalError, and no warning comes before it."""
+
+    @pytest.fixture()
+    def overflowing(self, model):
+        return SystemModel(A=1e200 * model.A, B=model.B, C_G=model.C_G,
+                           C_I=model.C_I, Sigma_w=model.Sigma_w,
+                           Sigma_G=model.Sigma_G, Sigma_I=model.Sigma_I)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_table_raises(self, overflowing, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=(
+                    f"^non-finite {mode.value} one-step triple$")):
+                StackedSensorForms(overflowing)._table(mode)
+
+    @pytest.mark.parametrize("analyse", [
+        drift_matrices, lambda m: escape_time(np.zeros((4, 4)), m, 2.0, 0.01)],
+        ids=["drift_matrices", "escape_time"])
+    def test_analyses_raise_without_a_warning(self, overflowing, analyse):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=(
+                    "^non-finite emergency one-step triple$")):
+                analyse(overflowing)
 
 
 class TestFuse:
@@ -1298,14 +1327,22 @@ class TestFormsAnyThreadMayShare:
         assert {name: value.tobytes() for name, value in
                 form_arrays(stacked).items()} == before
 
-    def test_threads_get_the_single_thread_bytes(self):
-        # Four threads on one fresh model, with no ScenarioShared in hand,
-        # build its forms at once, run an attacked batch (both modes), which
-        # builds its tables, then square both modes' powers up to level 40.
+    def test_threads_get_the_single_thread_bytes(self, monkeypatch):
+        # Four threads on one fresh model build its forms at once, run an
+        # attacked batch (both modes), which builds its tables, and a
+        # 1200-step detector-off run, then square both modes' powers up to
+        # level 40.  Every run is on the one run state the model keeps,
+        # held in turn, and the trunk the threads grew is one thread's.
         config = replace(parse_config(builtin_config_path()), steps=720,
                          runs=3)
         threads = 4
         barrier = threading.Barrier(threads)
+        held, simulate = [], harness._simulate
+
+        def recorded(*args):
+            held.append(args[1])
+            return simulate(*args)
+        monkeypatch.setattr(harness, "_simulate", recorded)
 
         def fresh():
             m = config.model
@@ -1316,6 +1353,8 @@ class TestFormsAnyThreadMayShare:
             wait()
             forms = model._derived(StackedSensorForms)
             batch = monte_carlo(replace(config, model=model))
+            run = run_scenario(replace(config, model=model, steps=1200),
+                               detector_enabled=False)
             wait()
             powers = b"".join(np.stack(forms._power(mode, level))
                               .tobytes() for mode in Mode
@@ -1323,10 +1362,16 @@ class TestFormsAnyThreadMayShare:
             runs = [(r.first_alarm_step, r.attack_detection_step,
                      r.covered_steps, r.final_err_norm) for r in batch.runs]
             return (forms, batch.mean_error.tobytes(),
-                    batch.coverage.tobytes(), runs, powers)
+                    batch.coverage.tobytes(), runs, [
+                        column.tobytes()
+                        for column in run_columns(run.columns)], powers)
 
-        _, *want = work(fresh())
+        single = fresh()
+        _, *want = work(single)
+        trunk = trunk_rows(single)
+        assert len(trunk) == 5 * _STRETCH      # 1200 rows, whole stretches
         model, interval = fresh(), sys.getswitchinterval()
+        del held[:]
         sys.setswitchinterval(1e-6)     # switch threads as often as it can
         try:
             with ThreadPoolExecutor(threads) as pool:
@@ -1339,3 +1384,7 @@ class TestFormsAnyThreadMayShare:
             id(model._derived(StackedSensorForms))}
         for _, *values in got:
             assert values == want
+        assert len(held) == threads * (config.runs + 1)
+        assert {id(shared) for shared in held} == {
+            id(model._derived(ScenarioShared))}
+        assert trunk_rows(model).tobytes() == trunk.tobytes()

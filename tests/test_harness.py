@@ -22,6 +22,7 @@ from spoofguard import (AttackSignal, ConfigError, EstimatorState, Mode,
 from spoofguard.cli import main
 from spoofguard.detector import normalized_residual
 from spoofguard.estimator import _STRETCH, _Stretch, _innovation_system
+from spoofguard.model import MATRIX_NAMES
 
 from conftest import (IMU_BLIND_CONFIG, detector_weight, make_uav_model,
                       random_invertible_model, run_columns, trunk_rows,
@@ -57,9 +58,8 @@ class TestPdControl:
 
 
 class TestRunScenario:
-    def test_paper_scenario_alarm_latency(self, uav_config, uav_shared,
-                                          tmp_path):
-        trace = run_scenario(uav_config, shared=uav_shared)
+    def test_paper_scenario_alarm_latency(self, uav_config, tmp_path):
+        trace = run_scenario(uav_config)
         # Noise can trip transient alarms before the attack; the detection
         # latency is measured from the attack onset.
         assert 700 <= trace.attack_detection_step <= 703
@@ -67,17 +67,15 @@ class TestRunScenario:
         row = _csv_rows(trace, tmp_path)[trace.attack_detection_step - 1]
         assert row["alarmed"] == "true" and row["mode"] == "emergency"
 
-    def test_record_count_and_initial_mode(self, uav_config, uav_shared,
-                                           tmp_path):
-        trace = run_scenario(uav_config, shared=uav_shared)
+    def test_record_count_and_initial_mode(self, uav_config, tmp_path):
+        trace = run_scenario(uav_config)
         rows = _csv_rows(trace, tmp_path)
         assert len(trace.columns.alarmed) == len(rows) == uav_config.steps
         assert rows[0]["k"] == "1"
         assert rows[0]["mode"] == "normal"
 
-    def test_alarmed_steps_ran_in_emergency(self, uav_config, uav_shared,
-                                            tmp_path):
-        trace = run_scenario(uav_config, shared=uav_shared)
+    def test_alarmed_steps_ran_in_emergency(self, uav_config, tmp_path):
+        trace = run_scenario(uav_config)
         rows = _csv_rows(trace, tmp_path)
         for row, alarmed in zip(rows, trace.columns.alarmed.tolist()):
             assert row["alarmed"] == ("true" if alarmed else "false")
@@ -87,36 +85,36 @@ class TestRunScenario:
         AttackSignal.none(),
         AttackSignal(kind="constant-bias", d=[100.0, 100.0], start_step=601)])
     def test_false_alarm_without_attack_is_no_detection(self, uav_config,
-                                                        uav_shared, attack):
+                                                        attack):
         # Seed 1 trips a false alarm at step 311; with no attack inside the
         # horizon it is reported as the first alarm, never as a detection.
         config = replace(uav_config, attack=attack, steps=600, seed=1)
-        trace = run_scenario(config, shared=uav_shared)
+        trace = run_scenario(config)
         assert trace.first_alarm_step == 311
         assert trace.attack_detection_step is None
         assert trace.escape_time_from_alarm is None
         assert trace.summary()["attack_detection_step"] is None
 
-    def test_spoofed_gps_never_touches_estimate(self, uav_config, uav_shared):
+    def test_spoofed_gps_never_touches_estimate(self, uav_config):
         # Identical streams, wildly different attack magnitudes: once both
         # runs alarm (same step, deterministic), the estimates must coincide
         # bit for bit because emergency mode never reads the GPS innovation.
         big = replace(uav_config,
                       attack=AttackSignal(kind="constant-bias",
                                           d=[1e6, 1e6], start_step=700))
-        t1 = run_scenario(uav_config, shared=uav_shared)
-        t2 = run_scenario(big, shared=uav_shared)
+        t1 = run_scenario(uav_config)
+        t2 = run_scenario(big)
         assert t1.attack_detection_step == t2.attack_detection_step == 700
         assert t1.first_alarm_step == t2.first_alarm_step
         assert np.array_equal(t1.columns.x_hat, t2.columns.x_hat)
         assert np.array_equal(t1.columns.x, t2.columns.x)
 
-    def test_non_finite_spoof_forces_emergency(self, uav_config, uav_shared):
+    def test_non_finite_spoof_forces_emergency(self, uav_config):
         # A NaN or infinite GPS reading alarms on its step and latches the
         # alarm; the estimate stays finite and equals the finite-spoof run's.
         traces = [run_scenario(replace(uav_config, attack=AttackSignal(
             kind="custom-sequence", start_step=700,
-            sequence=[np.full(2, v)] * 301)), shared=uav_shared)
+            sequence=[np.full(2, v)] * 301)))
             for v in (1e6, np.nan, np.inf, -np.inf)]
         for trace in traces:
             assert trace.attack_detection_step == 700
@@ -124,32 +122,30 @@ class TestRunScenario:
             assert np.array_equal(trace.columns.x_hat, traces[0].columns.x_hat)
             assert np.isfinite(trace.columns.x_hat).all()
 
-    def test_large_finite_spoof_alarms_at_its_onset(self, uav_config,
-                                                    uav_shared):
+    def test_large_finite_spoof_alarms_at_its_onset(self, uav_config):
         # The detector's form of a 1e200 residual overflows: S is inf from
         # the onset, and the estimate is the 1e6 spoof's, bit for bit.
         traces = [run_scenario(replace(uav_config, attack=AttackSignal(
-            kind="constant-bias", d=[v, v], start_step=700)),
-            shared=uav_shared) for v in (1e6, 1e200)]
+            kind="constant-bias", d=[v, v], start_step=700)))
+            for v in (1e6, 1e200)]
         assert traces[1].attack_detection_step == 700
         assert (traces[1].columns.S[699:] == np.inf).all()
         assert np.array_equal(traces[1].columns.x_hat,
                               traces[0].columns.x_hat)
 
-    def test_non_finite_estimate_raises(self, uav_config, uav_shared):
+    def test_non_finite_estimate_raises(self, uav_config):
         config = replace(uav_config, x0=np.full(4, 1e308), steps=10)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError, match="not finite"):
-            run_scenario(config, shared=uav_shared)
+            run_scenario(config)
 
-    def test_non_finite_error_norm_raises_at_its_step(self, uav_config,
-                                                      uav_shared):
+    def test_non_finite_error_norm_raises_at_its_step(self, uav_config):
         # x and x_hat stay finite near 1e300, but |x - x_hat| overflows from
         # step 2 on.
         config = replace(uav_config, target=np.full(2, 1e300), steps=20)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError, match="step 2 is not finite"):
-            run_scenario(config, shared=uav_shared)
+            run_scenario(config)
 
     def test_diverging_model_raises_at_its_step_without_a_warning(
             self, uav_config):
@@ -169,13 +165,12 @@ class TestRunScenario:
             run_scenario(config)
         assert np.geterr() == before
 
-    def test_input_column_is_pd_control_bit_for_bit(self, uav_config,
-                                                    uav_shared):
+    def test_input_column_is_pd_control_bit_for_bit(self, uav_config):
         # u[0] from x0, u[i] from x_hat[i - 1], through the attack on seeds
         # 0-2: the record of [x'; u] holds the input the plant received.
         for seed in range(3):
             config = replace(uav_config, seed=seed)
-            cols = run_scenario(config, shared=uav_shared).columns
+            cols = run_scenario(config).columns
             priors = np.vstack([config.x0, cols.x_hat[:-1]])
             for u, x_hat in zip(cols.u, priors):
                 want = pd_control(x_hat, config.target, config.kp, config.kd)
@@ -183,11 +178,10 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_recorded_columns_are_contiguous_and_apart(self, uav_config,
-                                                       uav_shared, seed):
+                                                       seed):
         # x and u are cut from one record per step, S and alarmed are
         # collected apart; each column is its own C-contiguous array.
-        cols = run_scenario(replace(uav_config, seed=seed),
-                            shared=uav_shared).columns
+        cols = run_scenario(replace(uav_config, seed=seed)).columns
         recorded = [cols.x, cols.x_hat, cols.u, cols.S, cols.alarmed]
         assert [a.shape for a in recorded] == [
             (1000, 4), (1000, 4), (1000, 2), (1000,), (1000,)]
@@ -204,26 +198,24 @@ class TestRunScenario:
         AttackSignal(kind="ramp", d=[1.0, 1.0], start_step=5000),
         AttackSignal(kind="custom-sequence", start_step=301, sequence=[])])
     def test_attack_past_the_horizon_changes_nothing(self, uav_config,
-                                                     uav_shared, tmp_path,
+                                                     tmp_path,
                                                      attack):
         config = replace(uav_config, steps=300)
         paths = []
         for name, run_attack in (("none", AttackSignal.none()),
                                  ("late", attack)):
-            trace = run_scenario(replace(config, attack=run_attack),
-                                 shared=uav_shared)
+            trace = run_scenario(replace(config, attack=run_attack))
             paths.append(tmp_path / f"{name}.csv")
             export_trace(trace, paths[-1], "csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
         # The last step inside the horizon is attacked.
         last = run_scenario(replace(config, attack=replace(
             attack, kind="constant-bias", d=np.full(2, 100.0),
-            start_step=300)), shared=uav_shared)
+            start_step=300)))
         assert last.columns.alarmed[-1]
 
     @pytest.mark.parametrize("case", ["paper_uav", "drifting", "nan_spoof"])
-    def test_run_matches_public_step_functions(self, uav_config, uav_shared,
-                                               case):
+    def test_run_matches_public_step_functions(self, uav_config, case):
         # The public step functions, stepped in a plain loop, are the
         # reference for the runner, which computes the plant, the
         # measurements and the detector's residual in one product: the same
@@ -236,20 +228,20 @@ class TestRunScenario:
         # 114 on default_rng(0)'s), where the roundoff eps |x| is as large
         # as the residual itself and flips alarms between any two evaluation
         # orders, the plain loop's and the runner's, whichever form it uses.
-        config, shared = replace(uav_config, steps=720), uav_shared
+        config = replace(uav_config, steps=720)
         if case == "drifting":
             model = uav_config.model
             config = replace(uav_config, model=SystemModel(
                 A=model.A, B=model.B, C_G=model.C_G, C_I=model.C_G,
                 Sigma_w=model.Sigma_w, Sigma_G=model.Sigma_G,
                 Sigma_I=model.Sigma_I))
-            shared = ScenarioShared(config.model)
             assert not config.model._derived(StackedSensorForms).drift_free
         elif case == "nan_spoof":
             config = _spoofed(uav_config, np.nan)
         model, det = config.model, config.detector
-        trace = run_scenario(config, shared=shared)
+        trace = run_scenario(config)
         cols = trace.columns
+        shared = model._derived(ScenarioShared)
         samplers = (shared.sampler_w, shared.sampler_G, shared.sampler_I)
         rngs = [np.random.default_rng(s)
                 for s in np.random.SeedSequence(config.seed).spawn(3)]
@@ -282,11 +274,10 @@ class TestRunScenario:
         if case == "nan_spoof":
             assert (cols.S[699:] == np.inf).all()
 
-    def test_detector_covariance_is_the_innovation_block(self, uav_config,
-                                                        uav_shared):
+    def test_detector_covariance_is_the_innovation_block(self, uav_config):
         # The runner's detector reads P_d as the GPS-GPS block of the
         # estimator's innovation covariance, for the prior of every step.
-        trace = run_scenario(uav_config, shared=uav_shared)
+        trace = run_scenario(uav_config)
         model = uav_config.model
         priors = [np.zeros((model.n, model.n))] + list(trace.columns.P[:-1])
         stacked = model._derived(StackedSensorForms)
@@ -296,29 +287,29 @@ class TestRunScenario:
             assert np.linalg.norm(block - reference) <= \
                 1e-14 * np.linalg.norm(reference)
 
-    def test_deterministic_given_seed(self, uav_config, uav_shared, tmp_path):
+    def test_deterministic_given_seed(self, uav_config, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_trace(run_scenario(uav_config, shared=uav_shared), a, "csv")
-        export_trace(run_scenario(uav_config, shared=uav_shared), b, "csv")
+        export_trace(run_scenario(uav_config), a, "csv")
+        export_trace(run_scenario(uav_config), b, "csv")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_seed_changes_trace(self, uav_config, uav_shared):
-        t1 = run_scenario(uav_config, shared=uav_shared)
-        t2 = run_scenario(replace(uav_config, seed=1), shared=uav_shared)
+    def test_seed_changes_trace(self, uav_config):
+        t1 = run_scenario(uav_config)
+        t2 = run_scenario(replace(uav_config, seed=1))
         assert not np.array_equal(t1.columns.x[10], t2.columns.x[10])
 
-    def test_no_attack_stays_normal(self, uav_config, uav_shared):
+    def test_no_attack_stays_normal(self, uav_config):
         config = replace(uav_config, attack=AttackSignal.none(), steps=10_000)
-        trace = run_scenario(config, shared=uav_shared)
+        trace = run_scenario(config)
         normal = int((~trace.columns.alarmed).sum())
         assert normal >= 0.99 * config.steps
         assert trace.first_alarm_step is None or trace.escape is not None
 
-    def test_detector_disabled_divergence(self, uav_config, uav_shared):
+    def test_detector_disabled_divergence(self, uav_config):
         # Without the detector the spoofed GPS drags the true position to
         # target minus the bias while the estimate still reports the target.
         config = replace(uav_config, steps=2500)
-        trace = run_scenario(config, detector_enabled=False, shared=uav_shared)
+        trace = run_scenario(config, detector_enabled=False)
         assert trace.first_alarm_step is None
         goal = np.array([10.0, 10.0, 0.0, 0.0])
         cols = trace.columns
@@ -326,8 +317,8 @@ class TestRunScenario:
             assert np.all(np.abs(x[:2] - (-90.0)) <= 5.0)
             assert np.linalg.norm(x_hat - goal) <= 1.0
 
-    def test_escape_report_attached_on_alarm(self, uav_config, uav_shared):
-        trace = run_scenario(uav_config, shared=uav_shared)
+    def test_escape_report_attached_on_alarm(self, uav_config):
+        trace = run_scenario(uav_config)
         assert trace.escape is not None
         assert 285 <= trace.escape.k_escape <= 295
         assert trace.escape_time_from_alarm is not None
@@ -338,27 +329,24 @@ class TestRunScenario:
 
 
 class TestMonteCarlo:
-    def test_single_run_matches_derived_seed(self, uav_config, uav_shared):
+    def test_single_run_matches_derived_seed(self, uav_config):
         config = replace(uav_config, runs=1, steps=400)
         batch = monte_carlo(config)
         direct = run_scenario(
-            replace(config, seed=derive_run_seed(config.seed, 0)),
-            shared=uav_shared)
+            replace(config, seed=derive_run_seed(config.seed, 0)))
         assert batch.runs[0].seed == derive_run_seed(config.seed, 0)
         assert batch.runs[0].first_alarm_step == direct.first_alarm_step
         errors = direct.columns.x - direct.columns.x_hat
         np.testing.assert_array_equal(batch.mean_error, errors)
 
-    def test_run_result_does_not_depend_on_its_batch(self, uav_config,
-                                                      uav_shared):
+    def test_run_result_does_not_depend_on_its_batch(self, uav_config):
         # Every run of a multi-run batch equals run_scenario with its
         # derived seed bit for bit.
         config = replace(uav_config, runs=5, steps=720)
         batch = monte_carlo(config)
         for i, run in enumerate(batch.runs):
             direct = run_scenario(
-                replace(config, seed=derive_run_seed(config.seed, i), runs=1),
-                shared=uav_shared)
+                replace(config, seed=derive_run_seed(config.seed, i), runs=1))
             cols = direct.columns
             covered = (cols.err_norm <= cols.conf_radius).tolist()
             assert run.first_alarm_step == direct.first_alarm_step
@@ -368,7 +356,7 @@ class TestMonteCarlo:
             assert run.final_err_norm == cols.err_norm[-1]
 
     def test_batch_skips_the_unreported_escape_time(self, uav_config,
-                                                     uav_shared, monkeypatch):
+                                                     monkeypatch):
         # RunSummary does not report the escape time from the alarm, so a
         # batch never computes it; a single run computes it on access.
         def not_called(*args, **kwargs):
@@ -376,7 +364,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(harness, "escape_time", not_called)
         batch = monte_carlo(replace(uav_config, runs=2, steps=710))
         assert [run.attack_detection_step for run in batch.runs] == [700, 700]
-        trace = run_scenario(replace(uav_config, steps=710), shared=uav_shared)
+        trace = run_scenario(replace(uav_config, steps=710))
         with pytest.raises(AssertionError, match="escape_time was called"):
             trace.escape_time_from_alarm
 
@@ -489,8 +477,7 @@ class TestCoverage:
         assert covered.tolist() == (err <= radius).tolist()
 
     @pytest.mark.parametrize("attack", [None, AttackSignal.none()])
-    def test_runs_decompose_few_steps_and_agree(self, uav_config, uav_shared,
-                                                 monkeypatch, attack):
+    def test_runs_decompose_few_steps_and_agree(self, uav_config, monkeypatch, attack):
         rows, spectral_norms = [], harness._spectral_norms
 
         def counted(Ps):
@@ -500,8 +487,7 @@ class TestCoverage:
         config = uav_config if attack is None else replace(uav_config,
                                                            attack=attack)
         for seed in range(5):
-            cols = run_scenario(replace(config, seed=seed),
-                                shared=uav_shared).columns
+            cols = run_scenario(replace(config, seed=seed)).columns
             assert not rows     # the guard: no |P|_F past 1e150
             covered = harness._covered(cols)
             assert covered.tolist() == (
@@ -541,30 +527,42 @@ class TestOverflowingCovariance:
 
 
 def _batch_traces(config, monkeypatch, **kwargs):
-    """Run a monte_carlo batch; return the ScenarioShared of config.model
-    that all its runs were given and the trace of each of its runs."""
-    traces, shared = [], []
+    """Run a monte_carlo batch; return the trace of each of its runs, all
+    on config.model, whose run state they share."""
+    traces = []
 
     def recorded(*args, **kw):
-        shared.append(kw["shared"])
         traces.append(run_scenario(*args, **kw))
         return traces[-1]
     monkeypatch.setattr(harness, "run_scenario", recorded)
     monte_carlo(config, **kwargs)
     monkeypatch.undo()
-    assert shared[0].model is config.model
-    assert all(s is shared[0] for s in shared)
-    return shared[0], traces
+    assert all(t.config.model is config.model for t in traces)
+    return traces
+
+
+def _fresh(config):
+    """config on an equal model of its own, which keeps no forms or run
+    state yet."""
+    return replace(config, model=SystemModel(**{
+        name: getattr(config.model, name) for name in MATRIX_NAMES}))
+
+
+def _assert_same_columns(got, want):
+    for a, b in zip(run_columns(got.columns), run_columns(want.columns)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 class TestCovarianceTrunk:
-    """Runs of a batch share the trunk, the normal stretch from P = 0 and its
-    restarts, until their first alarms; sharing must not change one bit of
-    any run."""
+    """Runs of a model share the trunk it keeps, the normal stretch from
+    P = 0 and its restarts, until their first alarms; sharing must not
+    change one bit of any run."""
 
     @pytest.mark.parametrize("case", ["clean", "detector_off", "nan_spoof"])
     def test_batch_runs_equal_runs_on_a_fresh_shared(self, uav_config,
                                                      monkeypatch, case):
+        # Each run against a run of its seed on a fresh model.
         config = replace(uav_config, attack=AttackSignal.none(), runs=25,
                          steps=200)
         if case == "nan_spoof":
@@ -572,23 +570,18 @@ class TestCovarianceTrunk:
                 kind="custom-sequence", start_step=120,
                 sequence=[np.full(2, np.nan)] * 81))
         enabled = case != "detector_off"
-        shared, traces = _batch_traces(config, monkeypatch,
-                                       detector_enabled=enabled)
+        traces = _batch_traces(config, monkeypatch, detector_enabled=enabled)
         assert len(traces) == config.runs
         on_trunk = 0
         for i, trace in enumerate(traces):
-            fresh = run_scenario(
-                replace(config, seed=derive_run_seed(config.seed, i), runs=1),
-                detector_enabled=enabled,
-                shared=ScenarioShared(config.model))
-            for got, want in zip(run_columns(trace.columns),
-                                 run_columns(fresh.columns)):
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+            fresh = run_scenario(_fresh(replace(
+                config, seed=derive_run_seed(config.seed, i), runs=1)),
+                detector_enabled=enabled)
+            _assert_same_columns(trace, fresh)
             first = trace.first_alarm_step
             on_trunk += config.steps if first is None else first - 1
         # Later runs read what the first run to reach a row computed.
-        assert on_trunk > len(trunk_rows(shared))
+        assert on_trunk > len(trunk_rows(config.model))
         if case == "nan_spoof":
             assert all(t.first_alarm_step <= 120 for t in traces)
 
@@ -596,7 +589,7 @@ class TestCovarianceTrunk:
             self, uav_config, monkeypatch):
         config = replace(uav_config, attack=AttackSignal.none(), runs=25,
                          steps=200)
-        shared, traces = _batch_traces(config, monkeypatch)
+        traces = _batch_traces(config, monkeypatch)
         stretches = [config.steps if t.first_alarm_step is None
                      else t.first_alarm_step - 1 for t in traces]
         longest = max(stretches)
@@ -606,7 +599,7 @@ class TestCovarianceTrunk:
         # no-alarm stretch reads rows 1..longest as its P column.
         last = max(config.steps - 1 if t.first_alarm_step is None
                    else t.first_alarm_step - 1 for t in traces)
-        trunk = trunk_rows(shared)
+        trunk = trunk_rows(config.model)
         assert len(trunk) == max(8, 1 << last.bit_length())
         assert np.array_equal(
             trunk[:longest], traces[stretches.index(longest)].columns.P[:longest])
@@ -616,15 +609,15 @@ class TestCovarianceTrunk:
         spoofed = run_scenario(replace(
             config, seed=3, runs=1, attack=AttackSignal(
                 kind="custom-sequence", start_step=150,
-                sequence=[np.full(2, np.nan)] * 51)), shared=shared)
+                sequence=[np.full(2, np.nan)] * 51)))
         alarmed = spoofed.columns.alarmed
         assert np.flatnonzero(alarmed[:149]).tolist() == [72]
         assert alarmed[149:].all()
-        assert trunk_rows(shared).tobytes() == trunk.tobytes()
+        assert trunk_rows(config.model).tobytes() == trunk.tobytes()
         # Every array a stretch or a triple table holds is read-only: the
         # stack of triples 1..8 and the powers, 2^k steps, each mode has.
         stacked = config.model._derived(StackedSensorForms)
-        arrays = [a for s in trunk_stretches(shared)
+        arrays = [a for s in trunk_stretches(config.model)
                   for a in (s.P, s.P_d_inv, s.F)]
         for mode in Mode:
             stack, powers, _ = stacked._table(mode)
@@ -644,12 +637,11 @@ class TestCovarianceTrunk:
         # modes at their row 256: the trunk, the normal one opened at step
         # 312 and the attack's emergency one.
         config = replace(uav_config, seed=1)
-        shared = ScenarioShared(config.model)
-        cols = run_scenario(config, shared=shared).columns
+        cols = run_scenario(config).columns
         assert np.flatnonzero(cols.alarmed[:699]).tolist() == [310]
         assert cols.alarmed[699:].all()
         est = EstimatorState.initial(config.x0)
-        est.stretch = shared.trunk
+        est.stretch = config.model._derived(ScenarioShared).trunk
         u, y = np.ones(config.model.p), np.ones(config.model.m_G)
         restarts = []
         for i, alarmed in enumerate(cols.alarmed, 1):
@@ -662,48 +654,107 @@ class TestCovarianceTrunk:
 
     @pytest.mark.parametrize("steps", [200, 1000])
     def test_private_run_roots_no_chain(self, uav_config, steps):
-        # Without a shared a run builds its trunk on a ScenarioShared of its
-        # own, whose rows no other run reads, and its columns are a shared
-        # run's.
-        config = replace(uav_config, steps=steps)
-        built = []
+        # A run roots its trunk in the run state its model keeps, and no
+        # other model's: a run on an equal model of its own builds a trunk
+        # of its own, with the same rows, and the same columns.
+        config, held, simulate = replace(uav_config, steps=steps), [], \
+            harness._simulate
 
-        def recorded(model):
-            built.append(ScenarioShared(model))
-            return built[-1]
+        def recorded(config, shared, detector_enabled):
+            held.append(shared)
+            return simulate(config, shared, detector_enabled)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(harness, "ScenarioShared", recorded)
-            private = run_scenario(config)
-        [private_shared] = built
-        own = ScenarioShared(config.model)
-        shared = run_scenario(config, shared=own)
-        assert private_shared is not own
-        assert private_shared.trunk is not own.trunk
-        assert trunk_rows(private_shared).tobytes() == \
-            trunk_rows(own).tobytes()
-        for got, want in zip(run_columns(private.columns),
-                             run_columns(shared.columns)):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-        assert private.summary() == shared.summary()
+            patch.setattr(harness, "_simulate", recorded)
+            kept = run_scenario(config)
+        own = _fresh(config)
+        private = run_scenario(own)
+        assert held == [config.model._derived(ScenarioShared)]
+        assert held[0].trunk is not own.model._derived(ScenarioShared).trunk
+        assert trunk_rows(own.model).tobytes() == \
+            trunk_rows(config.model).tobytes()
+        _assert_same_columns(private, kept)
+        assert private.summary() == kept.summary()
 
     def test_trunk_restarts_every_256_rows(self, uav_config):
         # No triple past 256 steps is read: row j of the trunk's k-th
         # stretch is f^j of row 256 of the one before, bit for bit, so a
         # run's columns are those rows, and a second run adds no row.
         config = replace(uav_config, attack=AttackSignal.none(), steps=1000)
-        shared = ScenarioShared(config.model)
-        trace = run_scenario(config, detector_enabled=False, shared=shared)
-        stretches = trunk_stretches(shared)
+        trace = run_scenario(config, detector_enabled=False)
+        stretches = trunk_stretches(config.model)
         assert [s._done for s in stretches] == [_STRETCH] * 4
         for before, after in zip(stretches, stretches[1:]):
             assert after.P[0].tobytes() == before.P[_STRETCH].tobytes()
         assert trace.columns.P.tobytes() == \
-            trunk_rows(shared)[:config.steps].tobytes()
-        rows = trunk_rows(shared)
-        run_scenario(replace(config, seed=1), detector_enabled=False,
-                     shared=shared)
-        assert trunk_rows(shared).tobytes() == rows.tobytes()
+            trunk_rows(config.model)[:config.steps].tobytes()
+        rows = trunk_rows(config.model)
+        run_scenario(replace(config, seed=1), detector_enabled=False)
+        assert trunk_rows(config.model).tobytes() == rows.tobytes()
+
+    def test_trunk_ends_at_its_float_fixed_point(self, uav_config):
+        # On paper_uav row 256 of the trunk's 9th stretch, from step 2048,
+        # is its row 0 bit for bit, so that stretch is its own restart: a
+        # detector-off run of any length keeps 9 trunk stretches, and its P
+        # column is the rows of freshly opened restarts, bit for bit.
+        config = replace(uav_config, attack=AttackSignal.none(), steps=5000)
+        cols = run_scenario(config, detector_enabled=False).columns
+        stretches = trunk_stretches(config.model)
+        assert len(stretches) == 9
+        assert stretches[-1].restart is stretches[-1]
+        assert all(s.restart is not s for s in stretches[:-1])
+        stacked, P_a, rows = config.model._derived(StackedSensorForms), \
+            np.zeros((config.model.n,) * 2), []
+        while len(rows) < config.steps:
+            stretch = _Stretch(Mode.NORMAL, P_a, stacked)
+            for j in range(_STRETCH):
+                stretch._ready(j)
+            rows.extend(stretch.P[1:])
+            P_a = stretch.P[_STRETCH]
+        assert cols.P.tobytes() == np.array(rows[:config.steps]).tobytes()
+
+    def test_an_interrupted_chunk_is_computed_anew(self, uav_config,
+                                                   monkeypatch):
+        # The trunk's second chunk raises at its first inverse, after its
+        # rows are written and before its P_d^{-1} and predictors are: the
+        # chunk is not done, so the next run computes it again instead of
+        # reading unwritten rows, and equals a run on a fresh model.
+        calls, inverse = [], estimator._inverse
+
+        def failing(a):
+            calls.append(len(a))
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return inverse(a)
+        config = replace(uav_config, attack=AttackSignal.none(), steps=50)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "_inverse", failing)
+            with pytest.raises(RuntimeError, match="^interrupted$"):
+                run_scenario(config)
+        assert calls == [8, 8, 8]
+        assert [s._done for s in trunk_stretches(config.model)] == [8]
+        _assert_same_columns(run_scenario(config),
+                             run_scenario(_fresh(config)))
+
+    def test_a_second_batch_computes_no_trunk_row_again(self, uav_config,
+                                                        monkeypatch):
+        # A batch after another on the model computes only trunk chunks
+        # past the ones the first computed, and none when it is the same.
+        chunks, extend = [], _Stretch._extend
+
+        def counted(stretch):
+            chunks.append((stretch, stretch._done))
+            return extend(stretch)
+        monkeypatch.setattr(_Stretch, "_extend", counted)
+        config = replace(uav_config, runs=4, steps=300)
+        batches = []
+        for batch in (config, config, replace(config, seed=1, steps=600)):
+            del chunks[:]
+            monte_carlo(batch)
+            trunk = trunk_stretches(config.model)
+            batches.append([(trunk.index(s), lo) for s, lo in chunks
+                            if s in trunk])
+        assert batches[0] and batches[1] == []
+        assert not set(batches[0]) & set(batches[2])
 
 
 class TestDriftModelBatch:
@@ -721,17 +772,13 @@ class TestDriftModelBatch:
             attack=AttackSignal(kind="constant-bias",
                                 d=np.full(model.m_G, 5.0), start_step=60),
             steps=120, runs=8)
-        _, traces = _batch_traces(config, monkeypatch)
+        traces = _batch_traces(config, monkeypatch)
         first = [t.first_alarm_step for t in traces]
         assert not model._derived(StackedSensorForms).drift_free
         assert min(first) < max(first) == 60
         for i, trace in enumerate(traces):
-            fresh = run_scenario(
-                replace(config, seed=derive_run_seed(config.seed, i), runs=1),
-                shared=ScenarioShared(model))
-            for got, want in zip(run_columns(trace.columns),
-                                 run_columns(fresh.columns)):
-                assert got.tobytes() == want.tobytes()
+            _assert_same_columns(trace, run_scenario(_fresh(replace(
+                config, seed=derive_run_seed(config.seed, i), runs=1))))
 
 
 class TestTrunkHits:
@@ -742,7 +789,7 @@ class TestTrunkHits:
         # its predictor, covariance and P_d^{-1} from the trunk.
         config = replace(uav_config, attack=AttackSignal.none(), runs=2,
                          steps=200, seed=11)
-        calls, run_starts, before_alarm, traces, shared = [], [], [], [], []
+        calls, run_starts, before_alarm, traces = [], [], [], []
 
         def counted(module, name):
             original = getattr(module, name)
@@ -760,7 +807,6 @@ class TestTrunkHits:
 
         def recorded_run(*args, **kwargs):
             run_starts.append(len(calls))
-            shared.append(kwargs["shared"])
             traces.append(run_scenario(*args, **kwargs))
             return traces[-1]
         for module, name in ((np.linalg, "solve"), (estimator, "_inverse"),
@@ -772,7 +818,6 @@ class TestTrunkHits:
         monkeypatch.undo()
         assert [t.first_alarm_step for t in traces] == [None, 164]
         assert before_alarm == [[]]
-        assert shared[0] is shared[1]
         # The first run builds the model's forms (no solve), the normal
         # table (the one-step triple's solve, three stacked doublings to
         # triple 8, then one solve per power 16..128) and the trunk: per
@@ -781,7 +826,7 @@ class TestTrunkHits:
         # analysis.
         first_run = calls[run_starts[0]:run_starts[1]]
         chunks = [8, 16, 32, 64, 128, 256]
-        assert len(trunk_rows(shared[0])) == chunks[-1]
+        assert len(trunk_rows(config.model)) == chunks[-1]
         assert first_run == ["solve"] + ["_solve"] * 3 + ["_solve"] * 4 \
             + ["_solve", "_inverse", "_inverse"] * len(chunks)
 
@@ -833,14 +878,13 @@ class TestDetectorStatistic:
         # prior row's weight.
         config = replace(uav_config, seed=1, attack=AttackSignal(
             kind="constant-bias", d=np.full(2, 1e120), start_step=700))
-        shared = ScenarioShared(config.model)
-        trace = run_scenario(config, shared=shared)
+        trace = run_scenario(config)
         S, alarmed = trace.columns.S, trace.columns.alarmed
         assert np.flatnonzero(alarmed[:699]).tolist() == [310]
         assert trace.attack_detection_step == 700
         assert np.isfinite(S).all() and 1e243 < S[699] < 2e243
         est = EstimatorState.initial(config.x0)
-        est.stretch = shared.trunk
+        est.stretch = config.model._derived(ScenarioShared).trunk
         ones = np.ones(config.model.m_G)
         for a in alarmed[:699]:
             est.mode = Mode.EMERGENCY if a else Mode.NORMAL
@@ -872,12 +916,14 @@ class TestDetectorStatistic:
 
 
 class TestRunStateOfItsOwnModel:
-    """A run takes its forms from config.model and its run state from a
-    ScenarioShared of that model: no call passes a second copy of either."""
+    """A run takes its forms and its run state from config.model, which
+    keeps them: no call passes a second copy of either."""
 
     def test_no_call_takes_the_forms_or_a_batchs_run_state(self):
         assert list(inspect.signature(fuse).parameters) == [
             "est", "model", "u", "y_G", "y_I"]
+        assert list(inspect.signature(run_scenario).parameters) == [
+            "config", "detector_enabled"]
         assert "shared" not in inspect.signature(monte_carlo).parameters
         assert list(inspect.signature(_Stretch._ready).parameters) == [
             "self", "j"]
@@ -885,32 +931,22 @@ class TestRunStateOfItsOwnModel:
             "self"]
         assert not hasattr(ScenarioShared(make_uav_model()), "stacked")
 
-    @pytest.mark.parametrize("other", ["noisier gps", "equal copy"])
-    def test_another_models_run_state_is_refused(self, uav_config,
-                                                 monkeypatch, other):
-        # The shipped config on the run state of a model at 100 x Sigma_G
-        # returned that model's columns (first alarm at step 2) with
-        # paper_uav's escape analysis.  A model equal to config.model but
-        # another object is refused too: the check is identity.  Neither
-        # run makes a stretch chunk.
-        m = uav_config.model
-        scale = 100.0 if other == "noisier gps" else 1.0
-        shared = ScenarioShared(SystemModel(
-            A=m.A, B=m.B, C_G=m.C_G, C_I=m.C_I, Sigma_w=m.Sigma_w,
-            Sigma_G=scale * m.Sigma_G, Sigma_I=m.Sigma_I))
-        chunks, extend = [], _Stretch._extend
+    def test_a_run_holds_its_models_run_state(self, uav_config,
+                                              monkeypatch):
+        # Each run, alone or in a batch, runs on the one run state the
+        # model keeps, with its lock held.
+        held, simulate = [], harness._simulate
 
-        def counted(stretch):
-            chunks.append(stretch)
-            return extend(stretch)
-        monkeypatch.setattr(_Stretch, "_extend", counted)
-        with pytest.raises(ValueError, match="^shared: built for another "
-                                             "model than config.model$"):
-            run_scenario(uav_config, shared=shared)
-        assert chunks == [] and "trunk" not in vars(shared)
-        run_scenario(replace(uav_config, steps=10),
-                     shared=ScenarioShared(m))
-        assert len(chunks) == 2     # the trunk's rows 1..8, then 9..16
+        def recorded(config, shared, detector_enabled):
+            held.append((shared, shared.lock.locked()))
+            return simulate(config, shared, detector_enabled)
+        monkeypatch.setattr(harness, "_simulate", recorded)
+        config = replace(uav_config, steps=10)
+        run_scenario(config)
+        monte_carlo(replace(config, runs=2))
+        shared = config.model._derived(ScenarioShared)
+        assert held == [(shared, True)] * 3
+        assert not shared.lock.locked()
 
 
 class TestParseConfig:
@@ -996,8 +1032,8 @@ class TestParseConfig:
 
 
 class TestExportTrace:
-    def test_csv_line_count_and_header(self, uav_config, uav_shared, tmp_path):
-        trace = run_scenario(uav_config, shared=uav_shared)
+    def test_csv_line_count_and_header(self, uav_config, tmp_path):
+        trace = run_scenario(uav_config)
         path = tmp_path / "trace.csv"
         export_trace(trace, path, "csv")
         lines = path.read_text().splitlines()
@@ -1009,8 +1045,8 @@ class TestExportTrace:
         assert first[12] == "normal"
         assert first[13] == "false"
 
-    def test_json_round_trip_summary(self, uav_config, uav_shared, tmp_path):
-        trace = run_scenario(uav_config, shared=uav_shared)
+    def test_json_round_trip_summary(self, uav_config, tmp_path):
+        trace = run_scenario(uav_config)
         path = tmp_path / "trace.json"
         export_trace(trace, path, "json")
         with open(path, "r", encoding="utf-8") as fh:
@@ -1023,9 +1059,8 @@ class TestExportTrace:
             trace.escape.k_escape
 
     @pytest.mark.parametrize("spoof", [None, np.nan])
-    def test_csv_bytes_match_per_value_format(self, uav_config, uav_shared,
-                                              tmp_path, spoof):
-        trace = run_scenario(_spoofed(uav_config, spoof), shared=uav_shared)
+    def test_csv_bytes_match_per_value_format(self, uav_config, tmp_path, spoof):
+        trace = run_scenario(_spoofed(uav_config, spoof))
         path = tmp_path / "trace.csv"
         export_trace(trace, path, "csv")
 
@@ -1044,9 +1079,8 @@ class TestExportTrace:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("spoof", [None, np.nan])
-    def test_json_loads_to_records_and_summary(self, uav_config, uav_shared,
-                                               tmp_path, spoof):
-        trace = run_scenario(_spoofed(uav_config, spoof), shared=uav_shared)
+    def test_json_loads_to_records_and_summary(self, uav_config, tmp_path, spoof):
+        trace = run_scenario(_spoofed(uav_config, spoof))
         path = tmp_path / "trace.json"
         export_trace(trace, path, "json")
         summary = trace.summary()
@@ -1065,12 +1099,11 @@ class TestExportTrace:
         assert ('"S": Infinity' in lines[700]) == (spoof is not None)
 
     @pytest.mark.parametrize("spoof", [None, np.nan])
-    def test_json_bytes_match_per_record_dumps(self, uav_config, uav_shared,
-                                               tmp_path, spoof):
+    def test_json_bytes_match_per_record_dumps(self, uav_config, tmp_path, spoof):
         # The reference writes each record dict, keys in the order of the CSV
         # columns, with its own json.dumps; a NaN spoof gives S = Infinity
         # from 700.
-        trace = run_scenario(_spoofed(uav_config, spoof), shared=uav_shared)
+        trace = run_scenario(_spoofed(uav_config, spoof))
         path = tmp_path / "trace.json"
         export_trace(trace, path, "json")
         summary = trace.summary()
@@ -1084,16 +1117,16 @@ class TestExportTrace:
         assert path.read_bytes() == expected.encode()
         assert ('"S": Infinity' in records[699]) == (spoof is not None)
 
-    def test_conf_radius_column_is_reproducible(self, uav_config, uav_shared):
+    def test_conf_radius_column_is_reproducible(self, uav_config):
         config = replace(uav_config, steps=200)
-        trace = run_scenario(config, shared=uav_shared)
+        trace = run_scenario(config)
         cols = trace.columns
         q = chi2_quantile(config.model.n, config.detector.alpha)
         for conf_radius, P in zip(cols.conf_radius.tolist(), cols.P):
             assert conf_radius == math.sqrt(q * spectral_norm(P))
 
-    def test_rejects_unknown_format(self, uav_config, uav_shared, tmp_path):
-        trace = run_scenario(replace(uav_config, steps=5), shared=uav_shared)
+    def test_rejects_unknown_format(self, uav_config, tmp_path):
+        trace = run_scenario(replace(uav_config, steps=5))
         with pytest.raises(ValueError, match="format"):
             export_trace(trace, tmp_path / "x.bin", "parquet")
 
@@ -1131,7 +1164,7 @@ def _spoofed(config, spoof):
 
 class TestModelKeepsItsAnalyses:
     def test_a_model_builds_each_table_once(self, uav_config, monkeypatch):
-        # Runs without a shared, their summaries and escapes from the alarm,
+        # Runs, their summaries and escapes from the alarm,
         # and direct analyses of one model read one set of tables: one
         # one-step triple per mode.  Before the model kept its forms, each
         # run built its own.
@@ -1159,8 +1192,7 @@ class TestSharedAnalysisIsReadOnly:
         # Before the shared results were read-only, the in-place product
         # made the next run on the shared report escape time 0.
         model = uav_config.model
-        shared = ScenarioShared(model)
-        first = run_scenario(uav_config, shared=shared)
+        first = run_scenario(uav_config)
         assert first.escape.stationary_P is model._derived(
             analysis.stationary_covariance)
         with pytest.raises(ValueError, match="read-only"):
@@ -1171,23 +1203,23 @@ class TestSharedAnalysisIsReadOnly:
                 getattr(drift, name)[...] = 0.0
         with pytest.raises(FrozenInstanceError):
             drift.drift_free = False
-        second = run_scenario(replace(uav_config, seed=1), shared=shared)
+        second = run_scenario(replace(uav_config, seed=1))
         assert second.summary()["escape_time"] == 291
 
     def test_shared_results_cannot_be_rebound(self, uav_config):
         # Before they were read-only properties, stationary_P = 100 I made
         # the next run on the shared report escape time 0.  The model keeps
-        # its results and cannot be assigned to; a ScenarioShared holds
-        # none of them.
+        # its results and cannot be assigned to; its run state holds none
+        # of them.
         model = uav_config.model
-        shared = ScenarioShared(model)
+        shared = model._derived(ScenarioShared)
         first = model._derived(analysis.stationary_covariance)
         for name in ("_memo", "A"):
             with pytest.raises(FrozenInstanceError):
                 setattr(model, name, {})
         for name in ("stationary_P", "drift", "escape"):
             assert not hasattr(shared, name)
-        run = run_scenario(replace(uav_config, seed=1), shared=shared)
+        run = run_scenario(replace(uav_config, seed=1))
         assert run.summary()["escape_time"] == 291
         assert run.escape.stationary_P is first
         assert not hasattr(run, "shared")
