@@ -8,21 +8,20 @@ mode from the updated statistic and (5) fuses in that mode, so a detected
 attack never corrupts the estimate on the step it is detected.
 
 run_scenario steps one run.  A step writes u in place, reads P_d^{-1} once,
-from the state's stretch row (fuse finds the row computed), as the weight W
-of S's one float product d_hat^T (W d_hat), which only outside [0, inf) goes
-to normalized_residual; it copies the operand's head [x'; u] into one record
-row and x_hat into its column, and appends S; after the loop x and u are
-copied apart, and alarmed is S above the threshold.  P is copied from each
-stretch as the run leaves it.  The exports and monte_carlo's aggregates read
-these columns; the spectral norms, the confidence radii and the run's escape
-analysis are built on first read.  A run's forms and run state are
-config.model's, kept by it: each run reads its trunk until its first alarm.
+from the state's stretch row (fuse finds the row computed), as the weight W of
+S's one float product d_hat^T (W d_hat), which only outside [0, inf) goes to
+normalized_residual; it copies the operand's head [x'; u] into one record row
+and x_hat into its column, and appends S; after the loop x and u are copied
+apart, and alarmed is S above the threshold.  P is copied from each stretch as
+the run leaves it.  The exports and monte_carlo's aggregates read these
+columns; the spectral norms, the confidence radii and the run's escape analysis
+are built on first read.  A run's forms and run state are config.model's, kept
+while it lives; its runs take turns, each on the trunk until its first alarm.
 
 Randomness: a run owns three numpy Generator streams (process, GPS, IMU)
-spawned from SeedSequence(seed), drawn one vector per step.  Monte
-Carlo run i uses the derived seed
-SeedSequence([master_seed, i]).generate_state(1)[0], so batches are
-reproducible and runs are independent.
+spawned from SeedSequence(seed), drawn one vector per step.  Monte Carlo run
+i uses the derived seed SeedSequence([master_seed, i]).generate_state(1)[0],
+so batches are reproducible and runs are independent.
 """
 
 from __future__ import annotations
@@ -359,8 +358,7 @@ def run_scenario(config: ScenarioConfig, *,
 
     detector_enabled=False disables the alarm entirely (the statistic is not
     accumulated and the estimator stays in normal mode), matching an
-    infinite-threshold detector.
-    """
+    infinite-threshold detector."""
     shared = config.model._derived(ScenarioShared)
     with shared.lock:
         cols = _simulate(config, shared, detector_enabled)

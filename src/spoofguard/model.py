@@ -13,6 +13,7 @@ The additive term d_k is the injected spoofing signal.
 from __future__ import annotations
 
 import reprlib
+import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
 from itertools import accumulate
@@ -75,9 +76,10 @@ class SystemModel:
 
     def _derived(self, build):
         """build(self), built on first use and kept; a build that raises
-        keeps nothing.  Threads that build at once all get the first kept."""
+        keeps nothing.  Threads that build at once all get the first kept.
+        A build sees a weak proxy, so an unused model frees all it keeps."""
         if build not in self._memo:
-            self._memo.setdefault(build, build(self))
+            self._memo.setdefault(build, build(weakref.proxy(self)))
         return self._memo[build]
 
     def __setattr__(self, name, value):

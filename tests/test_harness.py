@@ -1,7 +1,9 @@
 import csv
+import gc
 import inspect
 import json
 import math
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -654,22 +656,15 @@ class TestCovarianceTrunk:
 
     @pytest.mark.parametrize("steps", [200, 1000])
     def test_private_run_roots_no_chain(self, uav_config, steps):
-        # A run roots its trunk in the run state its model keeps, and no
-        # other model's: a run on an equal model of its own builds a trunk
-        # of its own, with the same rows, and the same columns.
-        config, held, simulate = replace(uav_config, steps=steps), [], \
-            harness._simulate
-
-        def recorded(config, shared, detector_enabled):
-            held.append(shared)
-            return simulate(config, shared, detector_enabled)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(harness, "_simulate", recorded)
-            kept = run_scenario(config)
+        # A run reads only its own model's trunk: a run on an equal model of
+        # its own builds another trunk, with the same rows, and the same
+        # columns.
+        config = replace(uav_config, steps=steps)
+        kept = run_scenario(config)
         own = _fresh(config)
         private = run_scenario(own)
-        assert held == [config.model._derived(ScenarioShared)]
-        assert held[0].trunk is not own.model._derived(ScenarioShared).trunk
+        assert config.model._derived(ScenarioShared).trunk is not \
+            own.model._derived(ScenarioShared).trunk
         assert trunk_rows(own.model).tobytes() == \
             trunk_rows(config.model).tobytes()
         _assert_same_columns(private, kept)
@@ -947,6 +942,21 @@ class TestRunStateOfItsOwnModel:
         shared = config.model._derived(ScenarioShared)
         assert held == [(shared, True)] * 3
         assert not shared.lock.locked()
+
+    def test_an_unused_model_is_freed_with_its_run_state(self):
+        # Nothing a model keeps holds it, so once its run and escape analysis
+        # are dropped it goes at once, trunk and forms with it, without
+        # waiting for the cycle collector.
+        config = replace(parse_config(builtin_config_path()), steps=800)
+        assert run_scenario(config).escape is not None
+        kept = [weakref.ref(config.model), weakref.ref(
+            config.model._derived(ScenarioShared).trunk)]
+        gc.disable()
+        try:
+            del config
+            assert [ref() for ref in kept] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestParseConfig:
