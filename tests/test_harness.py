@@ -479,7 +479,8 @@ class TestCoverage:
         assert covered.tolist() == (err <= radius).tolist()
 
     @pytest.mark.parametrize("attack", [None, AttackSignal.none()])
-    def test_runs_decompose_few_steps_and_agree(self, uav_config, monkeypatch, attack):
+    def test_runs_decompose_few_steps_and_agree(self, uav_config,
+                                                 monkeypatch, attack):
         rows, spectral_norms = [], harness._spectral_norms
 
         def counted(Ps):
@@ -1069,7 +1070,8 @@ class TestExportTrace:
             trace.escape.k_escape
 
     @pytest.mark.parametrize("spoof", [None, np.nan])
-    def test_csv_bytes_match_per_value_format(self, uav_config, tmp_path, spoof):
+    def test_csv_bytes_match_per_value_format(self, uav_config, tmp_path,
+                                              spoof):
         trace = run_scenario(_spoofed(uav_config, spoof))
         path = tmp_path / "trace.csv"
         export_trace(trace, path, "csv")
@@ -1089,7 +1091,8 @@ class TestExportTrace:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("spoof", [None, np.nan])
-    def test_json_loads_to_records_and_summary(self, uav_config, tmp_path, spoof):
+    def test_json_loads_to_records_and_summary(self, uav_config, tmp_path,
+                                               spoof):
         trace = run_scenario(_spoofed(uav_config, spoof))
         path = tmp_path / "trace.json"
         export_trace(trace, path, "json")
@@ -1109,7 +1112,8 @@ class TestExportTrace:
         assert ('"S": Infinity' in lines[700]) == (spoof is not None)
 
     @pytest.mark.parametrize("spoof", [None, np.nan])
-    def test_json_bytes_match_per_record_dumps(self, uav_config, tmp_path, spoof):
+    def test_json_bytes_match_per_record_dumps(self, uav_config, tmp_path,
+                                               spoof):
         # The reference writes each record dict, keys in the order of the CSV
         # columns, with its own json.dumps; a NaN spoof gives S = Infinity
         # from 700.
