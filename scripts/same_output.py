@@ -6,15 +6,15 @@ Runs one fixed command list in each tree, through ``python -m spoofguard.cli``
 with the tree's ``src`` on PYTHONPATH and PYTHONWARNINGS=error::RuntimeWarning:
 
 * ``run`` with a CSV and a JSON trace, seeds 0-4, on the shipped config,
-  and with a JSON trace on seed 13, whose escape time from the alarm comes
-  from the step loop;
+  and with a JSON trace on seed 13, whose covariance at the alarm does not
+  lie below its successor;
 * ``mc --runs 20``, seeds 0-4, and ``analyze`` on the shipped config;
 * ``analyze`` and ``run`` on the configs the console-script table
   (``tests/test_console.py``) derives from it, the ``run`` with a JSON
   trace on its ``far_bias`` config (a 1e120 bias from step 700, whose
   detector form is past 1e100 yet finite), and ``run`` with a JSON trace
   on seed 13 of its ``beyond_horizon`` config (``zeta_norm`` 20000), whose
-  escape from the alarm exceeds the step loop's budget;
+  escape from the alarm lies 191460 steps out;
 * ``analyze`` on the IMU-blind test config (``tests/configs/imu_blind.json``,
   read from this script's tree), and ``run`` on it with a 50 m bias from
   step 10.

@@ -18,15 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .chi2 import chi2_quantile
-from .estimator import Mode, StackedSensorForms, _apply, _Stretch
+from .estimator import Mode, StackedSensorForms, _apply, _chunk
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel, _read_only
 
-# stationary_covariance's relative stop test and doubling cap, the cap
-# of escape_time's doubling search, and its step loop's budget.
+# stationary_covariance's relative stop test and doubling cap, and the cap
+# of the galloping search on escape_time's emergency trunk.
 FIXED_POINT_TOL = 1e-12
 MAX_DOUBLINGS = 64
-STEP_BUDGET = 100_000
 
 
 def spectral_norm(M) -> float:
@@ -46,15 +45,22 @@ def _spectral_norms(Ms: np.ndarray) -> np.ndarray:
     return np.maximum(eigvals[:, -1], -eigvals[:, 0])
 
 
-def covariance_magnitude(P) -> float:
-    """Frobenius norm, the covariance-size measure of the escape analysis; a
-    sum of squares out of the float range is redone at a power-of-two scale."""
-    flat = np.asarray(P, dtype=float).ravel(order="K")
-    square = np.vdot(flat, flat)    # flat.dot(flat)'s bits, without a warning
-    if (square == math.inf or square < 1e-290) and np.isfinite(flat).all():
-        scale = 2.0 ** (math.frexp(np.abs(flat).max(initial=0.0))[1] - 1)
-        return math.sqrt(np.vdot(flat / scale, flat / scale)) * scale
-    return math.sqrt(square)
+def covariance_magnitude(P):
+    """Frobenius norm, the escape analysis's covariance size, of P (a float)
+    or of each P of a stack (an array).  A sum of squares out of the float
+    range, and each of a stack, is formed at the power of two of its
+    largest entry, which in range has the plain sum's bits."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim == 2:
+        square = np.vdot(P, P)      # flat.dot(flat)'s bits, without a warning
+        return math.sqrt(square) if 1e-290 <= square < math.inf else \
+            float(covariance_magnitude(P[None])[0])
+    flat = P.reshape(*P.shape[:-2], P.shape[-2] * P.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.ldexp(1.0, np.frexp(np.abs(flat).max(
+            axis=-1, initial=0.0))[1] - 1)
+        flat = flat / scale[..., None]
+        return np.sqrt(np.vecdot(flat, flat)) * scale
 
 
 @dataclass(frozen=True)
@@ -197,12 +203,11 @@ def stationary_covariance(model: SystemModel) -> np.ndarray:
         f"(last residual {resid:.3e})", last_iterate=H, residual=resid)
 
 
-def _finite_covariance(P, where: str = "the attack step") -> np.ndarray:
-    """P as a float array; NumericalError naming where if an entry is NaN
-    or infinite."""
+def _finite_covariance(P) -> np.ndarray:
+    """P as a float array; NumericalError if an entry is NaN or infinite."""
     P = np.asarray(P, dtype=float)
     if not np.isfinite(P).all():
-        raise NumericalError(f"non-finite covariance at {where}")
+        raise NumericalError("non-finite covariance at the attack step")
     return P
 
 
@@ -213,6 +218,7 @@ def _growth(model: SystemModel):
     return norm_A, "unit-norm" if abs(norm_A - 1.0) <= 1e-12 else "general"
 
 
+@np.errstate(over="ignore", invalid="ignore")      # for its helpers too
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
                 alpha: float) -> Optional[int]:
     """Steps of dead reckoning until the error tolerance stops being credible,
@@ -221,116 +227,105 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     The statistic is the squared norm tolerance zeta^2 divided by the
     Frobenius magnitude of P_k (inf when that is zero), tested against the
     chi-square quantile with n degrees of freedom, the state dimension.
-    Counting starts at the covariance supplied for the attack step; the
-    count is 0 when the tolerance is already not credible there.  A NaN or
-    infinite entry in it, or in an iterate read, raises NumericalError
-    naming that step.
+    Counting starts at the covariance supplied for the attack step: 0 when
+    the tolerance is not credible there, "never" when zeta^2 overflows.  A
+    NaN or infinite entry in it, or in a row read, raises NumericalError.
 
-    None ("never") follows from an exact rule only: zeta^2 overflows (the
-    statistic is inf at every finite P); one step returns the start bit for
-    bit, as with Sigma_w = 0; the doubling search's limit is credible; or
-    P - f(P) passes _grows, so the statistic never falls.  From a start that
-    passes _grows, _doubling_search answers in O(log k) products over the
-    power triples of the model's StackedSensorForms, at any k below
-    2^MAX_DOUBLINGS.  Other starts, and a search meeting a non-finite
-    value, read emergency stretch rows for at most STEP_BUDGET steps.  A
-    tolerance still credible at either cap raises ConvergenceError.
+    The emergency map f and the Frobenius norm are monotone on PSD matrices
+    (Bitmead, Gevers, Petersen & Kaye, 1985), so H_j <= P <= H_i on the
+    trunk H_k = f^k(0) (_trunk: escape step k_0) puts the escape step in
+    [k_0 - i, k_0 - j]: the power triples carry P k_0 - i steps, i the first
+    trunk row read above P, then rows are read.  If k_0 is "never", so is P
+    <= c H_inf, c = max(1, lambda_max(P) / lambda_min(H_inf)), if c H_inf is
+    credible (f(c Q) <= c f(Q): a Joseph form is T Q T^T + N, N >= 0).  A
+    start not PSD, or not "never" there, is open: ConvergenceError.
     """
     quantile = chi2_quantile(model.n, alpha)
     zeta_sq = float(zeta) * float(zeta)     # inf past 1e154
 
-    def statistic(P):
-        magnitude = covariance_magnitude(P)
-        return zeta_sq / magnitude if magnitude > 0.0 else math.inf
+    def credible(P):    # each statistic (inf at 0), and if above quantile
+        m = covariance_magnitude(P)
+        value = (zeta_sq / m if m else math.inf) if np.ndim(m) == 0 else \
+            np.divide(zeta_sq, m, where=m != 0.0, out=np.full_like(m, math.inf))
+        return value, value > quantile
 
     stacked = model._derived(StackedSensorForms)
     P = _finite_covariance(P_at_attack)
-    if not statistic(P) > quantile:
+    if not credible(P)[1]:
         return 0
-    P_next = _apply(stacked._power(Mode.EMERGENCY, 0), P)
-    if zeta_sq == math.inf or P_next.tobytes() == P.tobytes():
+    if zeta_sq == math.inf:
         return None
-    if _grows(P, P_next):
-        found = _doubling_search(P_next, quantile, statistic, stacked)
-        if found is not None:
-            return None if found == math.inf else found
-    elif _grows(P, P_next, -1.0):
-        return None
-    iterates = _dead_reckoning(P, stacked)
-    for k in range(1, STEP_BUDGET + 1):
-        value = statistic(_finite_covariance(next(iterates),
-                                             f"dead-reckoning step {k}"))
-        if not value > quantile:
-            return k
-    raise _still_credible(STEP_BUDGET, value, quantile, next(iterates))
+    k_0, rows = _trunk(credible, quantile, stacked)
+    ks = np.array(sorted(rows))
+    eigvals = np.linalg.eigvalsh(np.stack(
+        [rows[k] - P for k in ks] + [P, rows[ks[-1]]]))
+    above = ks[eigvals[:-2, 0] >= -1e-12 * eigvals[:-2, -1]]    # P <= H_k
+    if eigvals[-2, 0] < -1e-12 * eigvals[-2, -1]:
+        raise ConvergenceError("escape time left open: no row of the emergency"
+                               " trunk lies below the start", last_iterate=P)
+    if k_0 is None:
+        scale = max(1.0, eigvals[-2, -1] / eigvals[-1, 0]) \
+            if eigvals[-1, 0] > 0.0 else math.inf
+        if above.size or credible(scale * rows[ks[-1]])[1]:
+            return None
+        raise ConvergenceError(
+            "escape time left open: the emergency trunk never escapes, and "
+            "its limit scaled to lie above the start is not credible",
+            last_iterate=P)
+    lo, start = max(0, int(k_0 - above[0])) if above.size else 0, P
+    for level in (b for b in range(lo.bit_length()) if lo >> b & 1):
+        start = _apply(stacked._power(Mode.EMERGENCY, level), start)
+    if not np.isfinite(start).all():    # a power triple overflowed
+        start, lo = P, 0
+    return _first_escape(start, lo, credible, stacked)
 
 
-def _still_credible(steps, value, quantile, P) -> ConvergenceError:
-    """The error for a tolerance credible after `steps` steps, value being
-    that step's statistic, carrying P."""
-    return ConvergenceError(
-        f"tolerance still credible after {steps} steps "
-        f"(last statistic {value:.6g} > quantile {quantile:.6g})",
-        last_iterate=P, residual=value)
-
-
-def _dead_reckoning(P, stacked: StackedSensorForms):
-    """Dead reckoning's f^k(P), k = 1, 2, ..., the emergency stretch's rows."""
-    stretch = _Stretch(Mode.EMERGENCY, P, stacked)
-    while True:
-        for j in range(len(stretch.F)):
-            stretch._ready(j)
-            yield stretch.P[j + 1]
-        stretch = stretch.restart
-
-
-def _grows(P: np.ndarray, P_next: np.ndarray, sign: float = 1.0) -> bool:
-    """escape_time's doubling condition, by one eigvalsh: P_0 = P (as each
-    step leaves it, symmetric) and sign D_0 = sign (P_next - P_0) positive
-    semidefinite (smallest eigenvalue >= -1e-12 x largest): the iterates
-    never decrease (sign 1) or never increase (sign -1)."""
-    if not np.isfinite(P_next).all():
-        return False
-    sym = 0.5 * (P + P.T)
-    eigvals = np.linalg.eigvalsh(np.stack([sign * (P_next - sym), sym]))
-    return bool((eigvals[:, 0] >= -1e-12 * eigvals[:, -1]).all())
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _doubling_search(P, quantile, statistic, stacked):
-    """The escape step of a credible P_0 whose iterates never decrease, from
-    its first step P_1 = P: 1 when P is not credible, math.inf for "never",
-    None when a candidate is not finite (the step loop then decides).
-
-    stacked's emergency triple of m = 2^k steps gives P_{k+m} = H_m + A_m^T
-    P_k (I + G_m P_k)^{-1} A_m.  Galloping tries m = 2, 4, ... from the
-    last credible k, until a miss, from which bisecting tries each smaller
-    triple once.  A galloping level whose A_m is exactly 0 maps every start
-    to H_m, the limit of every later iterate: "never" when it is credible.
-    A tolerance still credible after MAX_DOUBLINGS galloping levels raises
-    ConvergenceError carrying P_k.
-    """
-    value = statistic(P)
-    if not value > quantile:
-        return 1
-    k, level, galloping = 1, 1, True
+def _trunk(credible, quantile, stacked):
+    """(k_0, rows): the emergency trunk's escape step ("never": None) and the
+    rows {k: H_k} read.  Galloping reads row 2^k, H_m of the m = 2^k-step
+    triple (A_m, G_m, H_m), to a miss; bisecting tries each smaller triple
+    once, H_{k+m} = H_m + A_m^T H_k (I + G_m H_k)^{-1} A_m; a non-finite row
+    hands over to reading rows.  "Never": a credible galloping row repeats
+    the last bit for bit, a fixed point (Sigma_bar or an A_m exactly 0)."""
+    H = np.zeros_like(stacked.Sigma_bar)
+    k, rows, level, galloping = 0, {0: H}, 0, True
     while level >= 0:
         if level == MAX_DOUBLINGS:
-            raise _still_credible(k, value, quantile, P)
+            value = float(credible(H)[0])
+            raise ConvergenceError(
+                f"tolerance still credible after {k} steps (last statistic "
+                f"{value:.6g} > quantile {quantile:.6g})", H, value)
         triple = stacked._power(Mode.EMERGENCY, level)
-        A_m, _, H_m = triple
-        if galloping and not A_m.any() and statistic(H_m) > quantile:
-            return math.inf
-        candidate = _apply(triple, P)
+        row, candidate = (1 << level, triple[2]) if galloping else \
+            (k + (1 << level), _apply(triple, H))
         if not np.isfinite(candidate).all():
-            return None
-        candidate_value = statistic(candidate)
-        if candidate_value > quantile:
-            k, P, value = k + (1 << level), candidate, candidate_value
-            level += 1 if galloping else -1
-        else:
-            galloping, level = False, level - 1
-    return k + 1
+            return _first_escape(H, k, credible, stacked), rows
+        rows[row], still = candidate, credible(candidate)[1]
+        if galloping and still and candidate.tobytes() == H.tobytes():
+            break
+        if still:
+            k, H, level = row, candidate, level + (1 if galloping else -1)
+        else:   # rows k + 1..row - 1 remain, by the triples below row - k
+            level, galloping = (row - k).bit_length() - 2, False
+    return None if galloping else k + 1, rows
+
+
+def _first_escape(P, k: int, credible, stacked) -> int:
+    """The first step from k, P's, whose row (by emergency stretch chunks,
+    _chunk) is not credible; NumericalError if that row is not finite."""
+    rows = np.empty((stacked._table(Mode.EMERGENCY)[2] + 1, *P.shape))
+    rows[0], lo, done = P, -1, 0        # row 0 is step k
+    while True:
+        miss = ~credible(rows[lo + 1:done + 1])[1]      # a non-finite row too
+        if miss.any():
+            at = lo + 1 + int(miss.argmax())
+            if not np.isfinite(rows[at]).all():
+                raise NumericalError("non-finite covariance at "
+                                     f"dead-reckoning step {k + at}")
+            return k + at
+        if done == len(rows) - 1:
+            rows[0], k, done = rows[done], k + done, 0
+        lo, done = done, _chunk(rows, done, Mode.EMERGENCY, stacked)
 
 
 def escape_time_lower_bound(P: np.ndarray, model: SystemModel,

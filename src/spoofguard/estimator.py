@@ -225,21 +225,28 @@ def _apply(triple, P: np.ndarray) -> np.ndarray:
     return 0.5 * (rows + rows.swapaxes(-1, -2))
 
 
+def _chunk(P: np.ndarray, lo: int, mode: Mode, stacked) -> int:
+    """Fill rows lo + 1..hi of a stretch's rows P by one stacked solve: 1..8
+    by the stack's triples on row 0, lo + 1..2 lo by power lo on 1..lo."""
+    hi = min(len(P) - 1, max(_FIRST_CHUNK, 2 * lo))
+    triple, P_in = (stacked._power(mode, lo.bit_length() - 1),
+                    P[1:lo + 1]) if lo else (stacked._table(mode)[0], P[0])
+    P[lo + 1:hi + 1] = _apply(triple, P_in)
+    return hi
+
+
 class _Stretch:
     """Row j of P is f^j(P_a), j = 0..L, L = 256 unless a power triple
-    overflows, then the restart stretch from row L.  Chunks, as read: rows
-    1..8 are the stack's triples on P_a, rows lo + 1..2 lo (lo = 8, ...,
-    128) the power triple lo on rows 1..lo.  Prior row j < L has P_d^{-1}
-    and predictor F ([T, B_K, K], or F_E), read-only, from one stacked inverse
-    per chunk of each reader's operand (P_d; R, or R_II in emergency mode),
-    so a singular one is NaN in its own row and reader only; F is one
-    product of the mode's predictor rows (StackedSensorForms._predictor).
-    It keeps its forms and fuse's operand, cut once into its slots, so one
-    stretch must not be stepped from two threads."""
+    overflows, then the restart stretch from row L, in _chunk's chunks, as
+    read.  Prior row j < L has P_d^{-1} and predictor F ([T, B_K, K], or
+    F_E), read-only, from one stacked inverse per chunk of each reader's
+    operand (P_d; R, or R_II in emergency mode), so a singular one is NaN in
+    its own row and reader only; F is one product of the mode's predictor
+    rows (StackedSensorForms._predictor).  It keeps its forms and fuse's
+    operand, cut once into slots: step one stretch from one thread only."""
 
     def __init__(self, mode: Mode, P_a: np.ndarray, stacked: StackedSensorForms):
-        self.mode, (self._stack, _, length) = mode, stacked._table(mode)
-        self._stacked = stacked
+        self.mode, length, self._stacked = mode, stacked._table(mode)[2], stacked
         _, base_T, _, sizes = stacked._predictor[mode]
         self._buffers = [np.empty((length + k, *shape)) for k, shape in (
             (1, P_a.shape), (0, (stacked._m_G,) * 2), (0, base_T.T.shape))]
@@ -258,14 +265,11 @@ class _Stretch:
 
     @np.errstate(over="ignore", invalid="ignore")   # the run's check reports
     def _extend(self) -> None:
-        """Rows lo + 1..hi by one stacked solve, P_d^{-1} and F of rows lo..
-        hi - 1 by a stacked inverse each, done once written; after the last
-        the restart, the stretch itself where row L is row 0 bit for bit."""
+        """Rows lo + 1..hi (_chunk), P_d^{-1} and F of rows lo..hi - 1 by a
+        stacked inverse each, done once written; after the last the restart,
+        the stretch itself where row L is row 0 bit for bit."""
         (P, P_d_inv, F), lo, stacked = self._buffers, self._done, self._stacked
-        hi = min(len(F), max(_FIRST_CHUNK, 2 * lo))
-        triple, P_in = (stacked._power(self.mode, lo.bit_length() - 1),
-                        P[1:lo + 1]) if lo else (self._stack, P[0])
-        P[lo + 1:hi + 1] = _apply(triple, P_in)
+        hi = _chunk(P, lo, self.mode, stacked)
         (R, G), m_G = _innovation_system(P[lo:hi], stacked), stacked._m_G
         P_d, weight = R[:, :m_G, :m_G], P_d_inv[lo:hi]
         weight[...] = _inverse(P_d)

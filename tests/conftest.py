@@ -1,3 +1,5 @@
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,23 @@ from spoofguard import (ScenarioShared, SystemModel, builtin_config_path,
                         stationary_covariance)
 from spoofguard.model import MATRIX_NAMES
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+from same_output import DERIVED, _write  # noqa: E402
+
 # Draw 4 of imu_blind_model from default_rng(1), as written by
 # imu_blind_config.
 IMU_BLIND_CONFIG = Path(__file__).resolve().parent / "configs" / \
     "imu_blind.json"
+
+
+@pytest.fixture()
+def derived(tmp_path):
+    """name -> the path of scripts/same_output.py's DERIVED config `name`,
+    written to tmp_path."""
+    raw = json.loads(builtin_config_path().read_text(encoding="utf-8"))
+    return lambda name: str(tmp_path / _write(raw, DERIVED[name], tmp_path,
+                                              name))
 
 
 def make_uav_model() -> SystemModel:

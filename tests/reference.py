@@ -3,10 +3,11 @@ against, kept out of the package.
 
 joseph_step is one step of a mode's covariance recursion by the Joseph
 update with the prior's own optimal gain: the step-by-step oracle for the
-Riccati map estimator._apply, which the stretches, the escape search and
-escape_time's first step apply.  long_joseph_rows and long_fixed_point are
-the long-double judge: the Joseph recursion and the normal mode's doubling
-in np.longdouble.
+Riccati map estimator._apply, which the stretches and the escape analysis
+apply.  lies_below is the Loewner order, and emergency_trunk and
+trunk_bracket the emergency trunk that brackets every escape time.
+long_joseph_rows and long_fixed_point are the long-double judge: the Joseph
+recursion and the normal mode's doubling in np.longdouble.
 """
 
 from types import ModuleType
@@ -44,6 +45,29 @@ def joseph_step(P, mode, stacked):
         np.r_[:n_p, n_p + m_G:n_p + len(stacked.C)]     # F_E: no K_G
     return (gain_blocks(K, stacked)[:, columns],
             covariance_update(P, K, stacked._model, stacked))
+
+
+def lies_below(P, Q) -> bool:
+    """P <= Q in the Loewner order, by one eigvalsh: Q - P has no eigenvalue
+    below -1e-12 times its largest."""
+    eigvals = np.linalg.eigvalsh(np.asarray(Q, dtype=float) - P)
+    return bool(eigvals[0] >= -1e-12 * eigvals[-1])
+
+
+def emergency_trunk(stacked, steps) -> list:
+    """H_0..H_steps of the emergency trunk H_k = f^k(0), by joseph_step."""
+    rows = [np.zeros((stacked._model.n,) * 2)]
+    for _ in range(steps):
+        rows.append(joseph_step(rows[-1], Mode.EMERGENCY, stacked)[1])
+    return rows
+
+
+def trunk_bracket(P, trunk) -> tuple:
+    """(j, i): the last row of trunk below P and the first above it, None
+    where no row is."""
+    below = [k for k, H in enumerate(trunk) if lies_below(H, P)]
+    above = [k for k, H in enumerate(trunk) if lies_below(P, H)]
+    return (below[-1] if below else None, above[0] if above else None)
 
 
 def forbid_joseph_forms(patch):

@@ -14,12 +14,14 @@ from spoofguard import (ConvergenceError, NumericalError, StackedSensorForms,
                         parse_config, run_scenario, spectral_norm,
                         stationary_covariance)
 from spoofguard import analysis
-from spoofguard.estimator import Mode
+from spoofguard.estimator import Mode, _Stretch
 from spoofguard.harness import _RunColumns
 
 from conftest import (decoupling_residual, make_uav_model,
                       random_invertible_model)
-from reference import joseph_step, long_fixed_point
+from test_estimator import stretch_rows
+from reference import (emergency_trunk, joseph_step, lies_below,
+                       long_fixed_point, trunk_bracket)
 
 
 def scalar_model(a=1.0, sigma_w=1.0, sigma_g=1.0):
@@ -346,9 +348,11 @@ class TestEscapeTime:
     def test_a_shrinking_credible_start_never_escapes(self):
         # Every diagonal entry of A at 0.9: all modes decay.  From 10 times
         # its dead-reckoning limit (3000 steps from the stationary
-        # covariance) f(P) <= P, so every later iterate is smaller and the
-        # tolerance stays credible: "never" at once, where stepping took
-        # 100000 Joseph steps and then raised ConvergenceError.
+        # covariance) f(P) <= P, above every row of the trunk.  Its limit
+        # H_inf scaled by c = lambda_max(P) / lambda_min(H_inf), about 11,
+        # lies above P and is still credible, and every later iterate lies
+        # below c H_inf: "never" at once, where stepping took 100000 Joseph
+        # steps and then raised ConvergenceError.
         config = parse_config(builtin_config_path())
         m, A = config.model, config.model.A.copy()
         np.fill_diagonal(A, 0.9)
@@ -360,8 +364,8 @@ class TestEscapeTime:
             P = joseph_step(P, Mode.EMERGENCY, stacked)[1]
         start = 10.0 * P
         P1 = joseph_step(start, Mode.EMERGENCY, stacked)[1]
-        assert not analysis._grows(start, P1)
-        assert analysis._grows(start, P1, -1.0)
+        assert not lies_below(start, P1)
+        assert lies_below(P1, start)
         zeta, alpha = config.zeta_norm, config.detector.alpha
         began = time.perf_counter()
         assert escape_time(start, model, zeta, alpha) is None
@@ -386,16 +390,16 @@ class TestEscapeTime:
 
     def test_fixed_point_fails_without_walking_the_horizon(self, uav_model,
                                                            monkeypatch):
-        # Without process noise dead reckoning maps P = 0 to itself bit for
-        # bit: the tolerance never escapes, known after one step instead of
-        # 100000.
+        # Without process noise Sigma_bar is exactly 0, so the emergency
+        # trunk stays 0 and never escapes, and P = 0 lies below it: "never"
+        # without a one-step map, where stepping took 100000.
         m = uav_model
         model = SystemModel(A=m.A, B=m.B, C_G=m.C_G, C_I=m.C_I,
                             Sigma_w=np.zeros((4, 4)), Sigma_G=m.Sigma_G,
                             Sigma_I=m.Sigma_I)
         calls = counted_steps(monkeypatch)
         assert escape_time(np.zeros((4, 4)), model, 2.0, 0.01) is None
-        assert calls == ["_apply"]
+        assert calls == []
 
     def test_tolerance_whose_square_overflows(self, uav_model,
                                               uav_stationary_P):
@@ -436,25 +440,26 @@ def uav_variant(a=1.0, noise=1.0):
 
 
 def counted_steps(monkeypatch) -> list:
-    """The list escape_time's one-step maps append their names to: _apply
-    on one P (its first step, then the doubling search's candidates; the
-    stretches' rows are applied in estimator, not counted here), the only
-    one-step map analysis holds."""
-    calls, original = [], analysis._apply
-
-    def counted(*args):
-        calls.append("_apply")
-        return original(*args)
-    monkeypatch.setattr(analysis, "_apply", counted)
+    """The list escape_time's maps append their names to: "_apply" for each
+    one-step map on one P (the trunk's bisection, then carrying the start
+    into its bracket), "_chunk" for each stacked chunk of stretch rows it
+    reads; the two are the maps analysis holds."""
+    calls = []
+    for name in ("_apply", "_chunk"):
+        def counted(*args, name=name, original=getattr(analysis, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(analysis, name, counted)
     return calls
 
 
-def search_maps(k: int) -> int:
-    """The most one-step maps escape_time makes from a start that passes
-    _grows and escapes at step k: its first step, which the search starts
-    from, then at most two search candidates per level from 1, where
-    stepping makes one per dead-reckoning step."""
-    return 2 * (k.bit_length() + 1)
+def bracket_maps(model, zeta, alpha) -> int:
+    """The most one-step maps escape_time makes on one P: one per bisection
+    level below the trunk's escape step k_0, then one per bit of the k_0 - i
+    < k_0 steps that carry the start into its bracket.  k_0 is the escape
+    time of P = 0, the trunk's row 0, carried to row k_0 itself."""
+    k_0 = escape_time(np.zeros((model.n,) * 2), model, zeta, alpha)
+    return 2 * k_0.bit_length()
 
 
 def first_zero_level(stacked) -> int:
@@ -463,9 +468,14 @@ def first_zero_level(stacked) -> int:
                 if not stacked._power(Mode.EMERGENCY, level)[0].any())
 
 
+# The chunks of one emergency stretch's 256 rows: 8, 8, 16, ..., 128.
+STRETCH_CHUNKS = 6
+
+
 class TestEscapeTimeByDoubling:
-    """From a start that lies below its successor, on any model, the
-    horizon is searched by doubling; its k is the one stepping gives."""
+    """Every start's escape step is bracketed by the emergency trunk, whose
+    own is searched by doubling, on any model; its k is the one stepping
+    gives."""
 
     def test_uav_tolerance_grid(self, uav_model, uav_stationary_P):
         ks = [escape_time(uav_stationary_P, uav_model, zeta, 0.01)
@@ -474,12 +484,15 @@ class TestEscapeTimeByDoubling:
 
     def test_far_horizon_takes_few_products(self, uav_model,
                                             uav_stationary_P, monkeypatch):
-        # Stepping took 41165 dead-reckoning steps and about 0.4 s.
+        # Stepping took 41165 dead-reckoning steps and about 0.4 s; the
+        # bracket, (2, 155) rows, reads one stretch.
+        bound = bracket_maps(uav_model, 2000.0, 0.01)
         calls = counted_steps(monkeypatch)
         start = time.perf_counter()
         assert escape_time(uav_stationary_P, uav_model, 2000.0, 0.01) == 41165
         assert time.perf_counter() - start < 0.25
-        assert set(calls) == {"_apply"} and len(calls) <= search_maps(41165)
+        assert calls.count("_apply") <= bound
+        assert calls.count("_chunk") <= STRETCH_CHUNKS
 
     @pytest.mark.parametrize("model, zeta", [
         pytest.param(uav_variant(), 2.0, id="uav"),
@@ -498,22 +511,23 @@ class TestEscapeTimeByDoubling:
         n = model.n
         starts = [stationary_covariance(model), np.zeros((n, n)),
                   1e-3 * np.trace(stacked.Sigma_bar) * np.eye(n)]
+        bound = bracket_maps(model, zeta, 0.05)
         calls = counted_steps(monkeypatch)
         for P0 in starts:
             P1 = joseph_step(P0, Mode.EMERGENCY, stacked)[1]
-            assert analysis._grows(P0, P1)
+            assert lies_below(P0, P1)
             calls.clear()
             k = escape_time(P0, model, zeta, 0.05)
-            assert len(calls) <= search_maps(k)
+            assert calls.count("_apply") <= bound
             assert k == stepped_escape_time(P0, model, zeta, 0.05)
             assert k > 10
 
     def test_drift_models_equal_the_stepped_loop(self, monkeypatch):
-        # From the stationary covariance dead reckoning never decreases
-        # (Kalman optimality): one counted map, then the search from it.  A
-        # model whose limit stays credible is "never", one candidate per
-        # level from 1 below the first A_m exactly 0; stepping then stays
-        # credible over 2000 steps.
+        # The stationary covariance lies below a row of the emergency trunk
+        # (f_N <= f_E): one bracket per start.  A model whose trunk limit
+        # stays credible is "never", read from the galloping rows alone: the
+        # one after the first A_m exactly 0 repeats it bit for bit, without
+        # a one-step map; stepping then stays credible over 2000 steps.
         rng = np.random.default_rng(0)
         calls = counted_steps(monkeypatch)
         verdicts = []
@@ -526,12 +540,12 @@ class TestEscapeTimeByDoubling:
                                  * covariance_magnitude(P0))
                 calls.clear()
                 k = escape_time(P0, model, zeta, 0.05)
-                assert set(calls) == {"_apply"}
                 if k is None:
-                    assert len(calls) == first_zero_level(
-                        StackedSensorForms(model))
+                    assert calls == [] and first_zero_level(
+                        StackedSensorForms(model)) < analysis.MAX_DOUBLINGS
                 else:
-                    assert len(calls) <= search_maps(k)
+                    assert calls.count("_apply") <= bracket_maps(model, zeta,
+                                                                 0.05)
                 assert k == stepped_escape_time(P0, model, zeta, 0.05,
                                                 horizon=2000)
                 verdicts.append(k is None)
@@ -540,56 +554,41 @@ class TestEscapeTimeByDoubling:
     def test_failing_start_reads_an_emergency_stretch(self, uav_model,
                                                       monkeypatch):
         # A large velocity variance: D_0 = f(P_0) - P_0 is indefinite (its
-        # position-velocity block has determinant below 0), so escape_time
-        # reads the iterates from emergency stretches: one counted map, for
-        # the rules, and the k that stepping gives.
+        # position-velocity block has determinant below 0).  The trunk
+        # brackets it all the same, rows (0, 167): escape_time reads one
+        # emergency stretch's chunks, and gives the k that stepping gives.
         P0 = np.diag([0.0, 0.0, 1e-2, 1e-2])
         stacked = StackedSensorForms(uav_model)
         P1 = joseph_step(P0, Mode.EMERGENCY, stacked)[1]
-        assert not analysis._grows(P0, P1)
-        assert not analysis._grows(P0, P1, -1.0)
+        assert not lies_below(P0, P1) and not lies_below(P1, P0)
+        bound = bracket_maps(uav_model, 2.0, 0.01)
         calls = counted_steps(monkeypatch)
         k = escape_time(P0, uav_model, 2.0, 0.01)
-        assert calls == ["_apply"]
+        assert calls.count("_apply") <= bound
+        assert 0 < calls.count("_chunk") <= STRETCH_CHUNKS
         assert k == stepped_escape_time(P0, uav_model, 2.0, 0.01) > 256
 
     def test_detections_that_fail_the_check_read_a_stretch(self,
                                                            monkeypatch):
         # 9 of paper_uav's seeds 0-39 detect the attack at a covariance that
-        # fails _grows: their escape from the alarm reads emergency stretch
-        # rows, one counted map for the rules, and gives stepping's 290.
+        # does not lie below its successor: their escape from the alarm
+        # reads one emergency stretch's chunks of the bracket, as every
+        # start's does, and gives stepping's 290.
         config = parse_config(builtin_config_path())
         stacked = config.model._derived(StackedSensorForms)
+        bound = bracket_maps(config.model, config.zeta_norm,
+                             config.detector.alpha)
         calls = counted_steps(monkeypatch)
         for seed in (13, 21, 23, 26, 31, 32, 35, 36, 38):
             trace = run_scenario(replace(config, seed=seed))
             P = trace.columns.P[trace.attack_detection_step - 1]
-            assert not analysis._grows(P, joseph_step(
+            assert not lies_below(P, joseph_step(
                 P, Mode.EMERGENCY, stacked)[1])
             calls.clear()
             assert trace.escape_time_from_alarm == 290 == stepped_escape_time(
                 P, config.model, config.zeta_norm, config.detector.alpha)
-            assert calls == ["_apply"]
-
-    def test_horizon_error_carries_the_next_covariance(self, uav_model,
-                                                       monkeypatch):
-        # A start that fails both checks, still credible at the end of a
-        # 50-step budget: the statistic of P_50, and P_51.
-        monkeypatch.setattr(analysis, "STEP_BUDGET", 50)
-        P0 = np.diag([0.0, 0.0, 1e-2, 1e-2])
-        with pytest.raises(ConvergenceError) as info:
-            escape_time(P0, uav_model, 2.0, 0.01)
-        stacked = StackedSensorForms(uav_model)
-        P = P0
-        for _ in range(50):
-            P = joseph_step(P, Mode.EMERGENCY, stacked)[1]
-        value = 4.0 / covariance_magnitude(P)
-        assert str(info.value) == (
-            f"tolerance still credible after 50 steps (last statistic "
-            f"{value:.6g} > quantile {chi2_quantile(4, 0.01):.6g})")
-        assert info.value.residual == pytest.approx(value, rel=1e-12)
-        P = joseph_step(P, Mode.EMERGENCY, stacked)[1]
-        np.testing.assert_allclose(info.value.last_iterate, P, rtol=1e-12)
+            assert calls.count("_apply") <= bound
+            assert 0 < calls.count("_chunk") <= STRETCH_CHUNKS
 
     @pytest.mark.parametrize("zeta, k", [(20000.0, 191461),
                                          (1e9, 259997622)])
@@ -597,69 +596,151 @@ class TestEscapeTimeByDoubling:
                                         monkeypatch, zeta, k):
         # Both lie past the 100000 steps the search once stopped at; the
         # first equals stepping the emergency stretch rows (about 0.8 s).
+        bound = bracket_maps(uav_model, zeta, 0.01)
         calls = counted_steps(monkeypatch)
         assert escape_time(uav_stationary_P, uav_model, zeta, 0.01) == k
-        assert set(calls) == {"_apply"} and len(calls) <= search_maps(k)
+        assert calls.count("_apply") <= bound
+        assert calls.count("_chunk") <= STRETCH_CHUNKS
         if k < 1e6:
             quantile = chi2_quantile(4, 0.01)
-            rows = analysis._dead_reckoning(uav_stationary_P,
-                                            StackedSensorForms(uav_model))
-            statistics = [zeta * zeta / covariance_magnitude(next(rows))
-                          for _ in range(k)]
-            assert min(statistics[:-1]) > quantile >= statistics[-1]
+            rows = stretch_rows(_Stretch(Mode.EMERGENCY, uav_stationary_P,
+                                         StackedSensorForms(uav_model)), k)
+            statistics = zeta * zeta / covariance_magnitude(rows)
+            assert statistics[:-1].min() > quantile >= statistics[-1]
 
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
-        "a start that fails _grows both ways is stepped for at most "
-        "STEP_BUDGET = 100000 rows, and on drift-free paper_uav the "
-        "difference P_1 - P_0 keeps its inertia under A (.) A^T, so no "
-        "later iterate hands over to the search"))
     def test_a_non_monotone_start_escapes_past_the_step_budget(self):
         # The shipped config at zeta_norm 20000, seed 13: a false alarm at
-        # step 33, the attack detected at step 700.  Stepping that P's
-        # emergency stretch rows escapes at 191460, as seeds 0-2 do through
-        # the search; escape_time raises "still credible after 100000
-        # steps", and `run --format json --out` exits 2.
+        # step 33, the attack detected at step 700.  P - f(P) is indefinite
+        # there, and on drift-free paper_uav keeps its inertia under A (.)
+        # A^T, so no later iterate lies below its successor; a step loop
+        # with a 100000-step budget raised "still credible".  The trunk's
+        # bracket gives stepping's 191460, as seeds 0-2 do.
         config = replace(parse_config(builtin_config_path()),
                          zeta_norm=20000.0, seed=13)
         trace = run_scenario(config)
         assert (trace.first_alarm_step, trace.attack_detection_step) == (
             33, 700)
         P = trace.columns.P[699]
-        assert not analysis._grows(P, joseph_step(
+        assert not lies_below(P, joseph_step(
             P, Mode.EMERGENCY, StackedSensorForms(config.model))[1])
         assert escape_time(P, config.model, config.zeta_norm,
                            config.detector.alpha) == 191460
 
     def test_the_search_stops_after_64_levels(self, uav_model,
                                               uav_stationary_P):
-        # At zeta = 1e150 the cubic growth stays credible at step 2^64 - 1,
-        # and no A_m of the unit-norm transition is 0: ConvergenceError
-        # naming the steps searched and carrying P_k.
+        # At zeta = 1e150 the trunk's cubic growth stays credible at its
+        # row 2^63, the 64th galloping level's, and no A_m of the unit-norm
+        # transition is 0: ConvergenceError naming the trunk's steps
+        # searched and carrying its row.
         with pytest.raises(ConvergenceError) as info:
             escape_time(uav_stationary_P, uav_model, 1e150, 0.01)
         value = 1e150 * 1e150 / covariance_magnitude(info.value.last_iterate)
         assert str(info.value) == (
-            f"tolerance still credible after {2 ** 64 - 1} steps (last "
+            f"tolerance still credible after {2 ** 63} steps (last "
             f"statistic {value:.6g} > quantile {chi2_quantile(4, 0.01):.6g})")
         assert info.value.residual == value
 
     @pytest.mark.parametrize("zeta, k", [(1.0, 1670), (2.0, 6677)])
     def test_a_non_finite_candidate_hands_the_start_to_the_steps(
             self, zeta, k, monkeypatch):
-        # The unexcited unstable mode's G_m overflows on the way: the search
-        # meets a non-finite candidate and returns None, and the step loop
-        # gives the k that Joseph stepping gives.
+        # The unexcited unstable mode's G_m overflows on the way: the
+        # trunk's gallop meets a non-finite row 2^(a+1) and reads the rows
+        # from its last credible one, 2^a, to the escape (past 2^(a+1) at
+        # zeta 2).  P = 0 is the trunk's row 0 and gets the k that Joseph
+        # stepping gives.
         from test_estimator import unexcited_unstable_model
         model, P0 = unexcited_unstable_model(), np.zeros((2, 2))
-        search, results = analysis._doubling_search, []
+        read, starts = analysis._first_escape, []
 
-        def recorded(*args):
-            results.append(search(*args))
-            return results[-1]
-        monkeypatch.setattr(analysis, "_doubling_search", recorded)
+        def recorded(P, k, *args):
+            starts.append(k)
+            return read(P, k, *args)
+        monkeypatch.setattr(analysis, "_first_escape", recorded)
         assert escape_time(P0, model, zeta, 0.05) == k
-        assert results == [None]
+        row = starts[0]     # the trunk's read, before the start's
+        assert row & (row - 1) == 0 and row < k
+        assert not np.isfinite(model._derived(StackedSensorForms)._power(
+            Mode.EMERGENCY, row.bit_length())[2]).all()
         assert stepped_escape_time(P0, model, zeta, 0.05) == k
+
+
+class TestTrunkBracket:
+    """The emergency trunk H_k = f^k(0) brackets every escape time: a run's
+    covariances lie below it row by row, and H_j <= P <= H_i puts the
+    escape step of P in [k_0 - i, k_0 - j], k_0 the trunk's own."""
+
+    @pytest.fixture()
+    def config(self, derived):
+        """name -> the shipped config, or its DERIVED variant `name`."""
+        return lambda name: parse_config(builtin_config_path()
+                                         if name == "shipped" else derived(name))
+
+    @pytest.mark.parametrize("name", ["shipped", "drift"])
+    def test_every_run_covariance_lies_below_the_trunk(self, name, config):
+        # f_N <= f_E, the normal gain being optimal over both sensors: from
+        # P_0 = H_0 = 0 every step keeps P_k <= H_k, in either mode.
+        config = config(name)
+        trunk = np.array(emergency_trunk(
+            config.model._derived(StackedSensorForms), config.steps))
+        for seed in range(5):
+            trace = run_scenario(replace(config, seed=seed))
+            assert trace.attack_detection_step == 700
+            eigvals = np.linalg.eigvalsh(trunk[1:] - trace.columns.P)
+            assert (eigvals[:, 0] >= -1e-12 * eigvals[:, -1]).all()
+
+    @pytest.mark.parametrize("name, brackets, escapes", [
+        ("shipped", [(2, 155), (3, 156), (3, 156), (0, 167)],
+         {2.0: [291, 290, 290, 291], 20.0: [1805, 1804, 1804, 1803]}),
+        ("drift", [(2, 152), (3, 153), (3, 153), (0, 147)],
+         {2.0: [394, 393, 393, 397]}),
+        ("contracting", [(2, 71), (3, 72), (3, 72), (0, None)],
+         {2.0: [None] * 4})])
+    def test_the_bracket_holds_the_stepped_escape(self, name, brackets,
+                                                  escapes, config):
+        # The stationary covariance, the covariance at detection on seeds 0
+        # and 13, and a large velocity variance.  The contracting trunk
+        # never escapes: "never", the last start's by the scaled trunk.
+        config = config(name)
+        model, alpha = config.model, config.detector.alpha
+        starts = [model._derived(stationary_covariance)]
+        for seed in (0, 13):
+            trace = run_scenario(replace(config, seed=seed))
+            starts.append(trace.columns.P[trace.attack_detection_step - 1])
+        starts.append(np.diag([0.0, 0.0, 1e-2, 1e-2]))
+        trunk = emergency_trunk(model._derived(StackedSensorForms), 200)
+        assert [trunk_bracket(P, trunk) for P in starts] == brackets
+        for zeta, ks in escapes.items():
+            k_0 = stepped_escape_time(trunk[0], model, zeta, alpha,
+                                      horizon=2000)
+            for P, (j, i), k in zip(starts, brackets, ks):
+                assert escape_time(P, model, zeta, alpha) == k == \
+                    stepped_escape_time(P, model, zeta, alpha, horizon=2000)
+                assert k_0 is None or k_0 - i <= k <= k_0 - j
+
+    @pytest.mark.parametrize("name, why", [
+        ("contracting", "the emergency trunk never escapes, and its limit "
+         "scaled to lie above the start is not credible"),
+        ("shipped", "no row of the emergency trunk lies below the start")])
+    def test_an_open_bracket_fails_at_once(self, name, why, config):
+        # On the contracting plant, a variance along the trunk limit's
+        # least eigenvector that its scale puts past the tolerance; on the
+        # shipped one, a negative variance, which not even H_0 = 0 lies
+        # below.  Both are credible starts.
+        model = config(name).model
+        if name == "contracting":
+            stacked = model._derived(StackedSensorForms)
+            limit = stacked._power(Mode.EMERGENCY, first_zero_level(
+                stacked))[2]
+            least = np.linalg.eigh(limit)[1][:, 0]
+            P = 0.2 * np.outer(least, least)
+        else:
+            P = np.diag([-1e-3, 0.0, 0.0, 0.0])
+        began = time.perf_counter()
+        with pytest.raises(ConvergenceError) as info:
+            escape_time(P, model, 2.0, 0.01)
+        assert time.perf_counter() - began < 0.25
+        assert str(info.value) == f"escape time left open: {why}"
+        assert info.value.last_iterate is P
 
 
 class TestNonFiniteCovariance:
@@ -678,18 +759,21 @@ class TestNonFiniteCovariance:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_iterate_names_its_step(self, uav_model,
                                                  monkeypatch, bad):
-        # A start that fails both of _grows's checks: escape_time reads the
-        # iterates.  A non-finite fifth iterate is a NumericalError naming
-        # that step, never an escape time (NaN's statistic read as
-        # credible, inf's as escaped).
-        reckoning = analysis._dead_reckoning
+        # A velocity variance that no trunk row before the trunk's own
+        # escape lies above: the bracket starts at step 0, so escape_time
+        # reads the rows from the start itself.  A non-finite fifth row is a NumericalError naming that step, never
+        # an escape time (NaN's statistic read as credible, inf's as
+        # escaped).
+        chunk = analysis._chunk
 
-        def corrupted(P, stacked):
-            for k, P_k in enumerate(reckoning(P, stacked), 1):
-                yield np.full_like(P_k, bad) if k == 5 else P_k
-        monkeypatch.setattr(analysis, "_dead_reckoning", corrupted)
+        def corrupted(P, lo, *args):
+            hi = chunk(P, lo, *args)
+            if lo < 5 <= hi:
+                P[5] = bad
+            return hi
+        monkeypatch.setattr(analysis, "_chunk", corrupted)
         with pytest.raises(NumericalError) as info:
-            escape_time(np.diag([0.0, 0.0, 1e-2, 1e-2]), uav_model, 2.0,
+            escape_time(np.diag([0.0, 0.0, 5e-2, 5e-2]), uav_model, 2.0,
                         0.01)
         assert str(info.value) == \
             "non-finite covariance at dead-reckoning step 5"
@@ -798,6 +882,22 @@ class TestCovarianceMagnitude:
         assert covariance_magnitude([[math.inf, 1e308]]) == math.inf
         assert math.isnan(covariance_magnitude([[math.nan, 1.0]]))
         assert math.isnan(covariance_magnitude([[math.inf, math.nan]]))
+
+    def test_a_stack_has_the_bits_of_each_alone(self):
+        # The escape analysis tests a chunk of rows at once, by the rule
+        # that tests one row.
+        rng = np.random.default_rng(8)
+        stack = np.concatenate([
+            rng.normal(size=(20, 4, 4))
+            * 10.0 ** rng.uniform(-160, 160, size=(20, 1, 1)),
+            [1e300 * np.eye(4), 1e-170 * np.eye(4), np.zeros((4, 4)),
+             np.full((4, 4), math.inf), np.full((4, 4), math.nan)]])
+        magnitudes = covariance_magnitude(stack)
+        np.testing.assert_array_equal(
+            magnitudes, [covariance_magnitude(P) for P in stack])
+        np.testing.assert_array_equal(
+            covariance_magnitude(stack.reshape(5, 5, 4, 4)),
+            magnitudes.reshape(5, 5))
 
 
 class TestEmergencyGrowth:

@@ -7,7 +7,6 @@ import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from operator import setitem
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,23 +19,10 @@ from spoofguard.cli import main
 
 from conftest import IMU_BLIND_CONFIG, imu_blind_config
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-
-from same_output import DERIVED, _write  # noqa: E402
-
 
 @pytest.fixture()
 def config_path():
     return str(builtin_config_path())
-
-
-@pytest.fixture()
-def derived(tmp_path):
-    """name -> the path of scripts/same_output.py's DERIVED config `name`,
-    written to tmp_path."""
-    raw = json.loads(builtin_config_path().read_text(encoding="utf-8"))
-    return lambda name: str(tmp_path / _write(raw, DERIVED[name], tmp_path,
-                                              name))
 
 
 class TestRun:
@@ -688,10 +674,26 @@ class TestLargeTolerance:
 
 class TestFarTolerance:
     def test_analyze_finds_a_far_horizon(self, derived, capsys):
-        # 41165 steps of dead reckoning, searched by doubling on the
-        # drift-free model.
+        # 41165 steps of dead reckoning, bracketed by the emergency trunk,
+        # whose own escape is searched by doubling.
         assert main(["analyze", "--config", derived("far_zeta")]) == 0
         assert json.loads(capsys.readouterr().out)["escape_time"] == 41165
+
+
+class TestBeyondTheStepBudget:
+    def test_run_reports_the_escape_from_the_alarm(self, derived, tmp_path,
+                                                   capsys):
+        # zeta_norm 20000, seed 13: the covariance at detection does not
+        # lie below its successor.  A step loop with a 100000-step budget
+        # raised "still credible" there and the run exited 2; the trunk's
+        # bracket gives stepping's 191460.
+        out = tmp_path / "trace.json"
+        assert main(["run", "--config", derived("beyond_horizon"), "--seed",
+                     "13", "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text(), parse_constant=_reject)[
+            "summary"]["escape_report"]
+        assert report["k_escape_from_alarm"] == 191460
 
 
 class TestSmallSignificanceLevel:

@@ -88,7 +88,7 @@ ROWS = [
     ("huge", ["analyze"], 0, "", field("escape_time", 0)),
     # chi2(4, 1e-20) = 99.97 gives escape time 80.
     ("small_alpha", ["analyze"], 0, "", field("escape_time", 80)),
-    # 41165 steps of dead reckoning, searched by doubling.
+    # 41165 steps of dead reckoning, bracketed by the emergency trunk.
     ("far_zeta", ["analyze"], 0, "", field("escape_time", 41165)),
     # A tolerance whose square overflows never escapes: null in strict JSON.
     ("wide", ["analyze"], 0, "", field("escape_time", None)),
