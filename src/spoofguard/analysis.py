@@ -255,7 +255,7 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
         return 0
     if zeta_sq == math.inf:
         return None
-    k_0, rows = _trunk(credible, quantile, stacked)
+    k_0, rows, top = _trunk(credible, quantile, stacked)
     ks = np.array(sorted(rows))
     eigvals = np.linalg.eigvalsh(np.stack(
         [rows[k] - P for k in ks] + [P, rows[ks[-1]]]))
@@ -274,32 +274,33 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
             last_iterate=P)
     lo, start = max(0, int(k_0 - above[0])) if above.size else 0, P
     for level in (b for b in range(lo.bit_length()) if lo >> b & 1):
-        start = _apply(stacked._power(Mode.EMERGENCY, level), start)
-    if not np.isfinite(start).all():    # a power triple overflowed
-        start, lo = P, 0
+        for _ in range(1 << max(0, level - top)):   # finite triples only
+            start = _apply(stacked._power(Mode.EMERGENCY, min(level, top)), start)
     return _first_escape(start, lo, credible, stacked)
 
 
 def _trunk(credible, quantile, stacked):
-    """(k_0, rows): the emergency trunk's escape step ("never": None) and the
-    rows {k: H_k} read.  Galloping reads row 2^k, H_m of the m = 2^k-step
-    triple (A_m, G_m, H_m), to a miss; bisecting tries each smaller triple
-    once, H_{k+m} = H_m + A_m^T H_k (I + G_m H_k)^{-1} A_m; a non-finite row
-    hands over to reading rows.  "Never": a credible galloping row repeats
-    the last bit for bit, a fixed point (Sigma_bar or an A_m exactly 0)."""
+    """(k_0, rows, top): the emergency trunk's escape step ("never": None),
+    the rows {k: H_k} read, and the last level whose power triple is finite
+    (or MAX_DOUBLINGS).  Galloping reads row 2^k, H_m of the m = 2^k-step
+    triple (A_m, G_m, H_m), to a miss, past top by strides of 2^top;
+    bisecting tries each smaller triple once, H_{k+m} = H_m + A_m^T H_k (I +
+    G_m H_k)^{-1} A_m.  "Never": a credible galloping row repeats the last
+    bit for bit, a fixed point (Sigma_bar or an A_m exactly 0)."""
     H = np.zeros_like(stacked.Sigma_bar)
-    k, rows, level, galloping = 0, {0: H}, 0, True
+    k, rows, level, galloping, top = 0, {0: H}, 0, True, MAX_DOUBLINGS
     while level >= 0:
         if level == MAX_DOUBLINGS:
             value = float(credible(H)[0])
             raise ConvergenceError(
                 f"tolerance still credible after {k} steps (last statistic "
                 f"{value:.6g} > quantile {quantile:.6g})", H, value)
-        triple = stacked._power(Mode.EMERGENCY, level)
-        row, candidate = (1 << level, triple[2]) if galloping else \
-            (k + (1 << level), _apply(triple, H))
-        if not np.isfinite(candidate).all():
-            return _first_escape(H, k, credible, stacked), rows
+        triple = stacked._power(Mode.EMERGENCY, min(level, top))
+        row, candidate = (1 << level, triple[2]) if galloping and level <= \
+            top else (k + (1 << min(level, top)), _apply(triple, H))
+        if galloping and level <= top and not np.isfinite(triple).all():
+            top = level - 1     # an overflowing triple, not an overflowing row
+            continue
         rows[row], still = candidate, credible(candidate)[1]
         if galloping and still and candidate.tobytes() == H.tobytes():
             break
@@ -307,7 +308,7 @@ def _trunk(credible, quantile, stacked):
             k, H, level = row, candidate, level + (1 if galloping else -1)
         else:   # rows k + 1..row - 1 remain, by the triples below row - k
             level, galloping = (row - k).bit_length() - 2, False
-    return None if galloping else k + 1, rows
+    return None if galloping else k + 1, rows, top
 
 
 def _first_escape(P, k: int, credible, stacked) -> int:

@@ -643,25 +643,38 @@ class TestEscapeTimeByDoubling:
     @pytest.mark.parametrize("zeta, k", [(1.0, 1670), (2.0, 6677)])
     def test_a_non_finite_candidate_hands_the_start_to_the_steps(
             self, zeta, k, monkeypatch):
-        # The unexcited unstable mode's G_m overflows on the way: the
-        # trunk's gallop meets a non-finite row 2^(a+1) and reads the rows
-        # from its last credible one, 2^a, to the escape (past 2^(a+1) at
-        # zeta 2).  P = 0 is the trunk's row 0 and gets the k that Joseph
-        # stepping gives.
+        # The unexcited unstable mode's G_m overflows on the way: the power
+        # triple of 1024 steps is not finite, so the trunk's search strides
+        # by 512 rows, the last finite triple's, and bisects below it.
+        # P = 0, the trunk's row 0, is carried to row k by those triples
+        # alone and gets the k that Joseph stepping gives, reading no rows.
         from test_estimator import unexcited_unstable_model
         model, P0 = unexcited_unstable_model(), np.zeros((2, 2))
-        read, starts = analysis._first_escape, []
-
-        def recorded(P, k, *args):
-            starts.append(k)
-            return read(P, k, *args)
-        monkeypatch.setattr(analysis, "_first_escape", recorded)
+        stacked = model._derived(StackedSensorForms)
+        assert np.isfinite(stacked._power(Mode.EMERGENCY, 9)).all()
+        assert not np.isfinite(stacked._power(Mode.EMERGENCY, 10)).all()
+        calls = counted_steps(monkeypatch)
         assert escape_time(P0, model, zeta, 0.05) == k
-        row = starts[0]     # the trunk's read, before the start's
-        assert row & (row - 1) == 0 and row < k
-        assert not np.isfinite(model._derived(StackedSensorForms)._power(
-            Mode.EMERGENCY, row.bit_length())[2]).all()
+        assert "_chunk" not in calls
+        assert calls.count("_apply") <= 2 * (9 + k // 512)
         assert stepped_escape_time(P0, model, zeta, 0.05) == k
+
+    def test_a_trunk_past_its_finite_triples_still_converges(self):
+        # The unexcited unstable mode, with the other mode contracting by
+        # 0.999: the power triples overflow from 1024 steps on, long before
+        # the trunk's variance (1e-4 / (1 - 0.999^2), about 0.05) settles
+        # below the tolerance's 1 / chi2.  Strides of the last finite triple
+        # reach a row that repeats bit for bit: "never", as stepping says,
+        # where a 100000-step loop raised "still credible".
+        model = SystemModel(A=np.diag([2.0, 0.999]), B=np.zeros((2, 1)),
+                            C_G=np.eye(2), C_I=[[1.0, 0.0]],
+                            Sigma_w=np.diag([0.0, 1e-4]), Sigma_G=np.eye(2),
+                            Sigma_I=np.eye(1))
+        began = time.perf_counter()
+        assert escape_time(np.zeros((2, 2)), model, 1.0, 0.05) is None
+        assert time.perf_counter() - began < 0.25
+        assert stepped_escape_time(np.zeros((2, 2)), model, 1.0, 0.05,
+                                   horizon=5000) is None
 
 
 class TestTrunkBracket:
