@@ -22,8 +22,8 @@ from .estimator import Mode, StackedSensorForms, _apply, _chunk
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel, _read_only
 
-# stationary_covariance's relative stop test and doubling cap, and the cap
-# of the galloping search on escape_time's emergency trunk.
+# stationary_covariance's relative stop test and doubling cap; escape_time
+# searches its emergency trunk's rows below row 2^MAX_DOUBLINGS.
 FIXED_POINT_TOL = 1e-12
 MAX_DOUBLINGS = 64
 
@@ -45,22 +45,23 @@ def _spectral_norms(Ms: np.ndarray) -> np.ndarray:
     return np.maximum(eigvals[:, -1], -eigvals[:, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def covariance_magnitude(P):
     """Frobenius norm, the escape analysis's covariance size, of P (a float)
     or of each P of a stack (an array).  A sum of squares out of the float
-    range, and each of a stack, is formed at the power of two of its
-    largest entry, which in range has the plain sum's bits."""
+    range is redone at the power of two of its matrix's largest entry."""
     P = np.asarray(P, dtype=float)
-    if P.ndim == 2:
-        square = np.vdot(P, P)      # flat.dot(flat)'s bits, without a warning
-        return math.sqrt(square) if 1e-290 <= square < math.inf else \
-            float(covariance_magnitude(P[None])[0])
-    flat = P.reshape(*P.shape[:-2], P.shape[-2] * P.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
+    flat = P.reshape(*P.shape[:-2], 1, P.shape[-2] * P.shape[-1])
+    square = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]  # flat.dot(flat)'s bits
+    magnitudes = np.sqrt(square)
+    redo = ~(square >= 1e-290) | (square == math.inf)
+    if redo.any():
         scale = np.ldexp(1.0, np.frexp(np.abs(flat).max(
-            axis=-1, initial=0.0))[1] - 1)
-        flat = flat / scale[..., None]
-        return np.sqrt(np.vecdot(flat, flat)) * scale
+            axis=(-2, -1), initial=0.0))[1] - 1)
+        flat = flat / scale[..., None, None]
+        magnitudes = np.where(redo, np.sqrt(
+            (flat @ flat.swapaxes(-1, -2))[..., 0, 0]) * scale, magnitudes)
+    return float(magnitudes) if P.ndim == 2 else magnitudes
 
 
 @dataclass(frozen=True)
@@ -234,81 +235,128 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     The emergency map f and the Frobenius norm are monotone on PSD matrices
     (Bitmead, Gevers, Petersen & Kaye, 1985), so H_j <= P <= H_i on the
     trunk H_k = f^k(0) (_trunk: escape step k_0) puts the escape step in
-    [k_0 - i, k_0 - j]: the power triples carry P k_0 - i steps, i the first
-    trunk row read above P, then rows are read.  If k_0 is "never", so is P
-    <= c H_inf, c = max(1, lambda_max(P) / lambda_min(H_inf)), if c H_inf is
-    credible (f(c Q) <= c f(Q): a Joseph form is T Q T^T + N, N >= 0).  A
-    start not PSD, or not "never" there, is open: ConvergenceError.
+    [k_0 - i, k_0 - j]: i is the first trunk row read above P, or one probe
+    between it and the last read below, or, when none is, a power row past
+    them (then i > k_0); the power triples carry P max(0, k_0 - i) steps,
+    and at most i - j rows are read.  If k_0 is "never", so is P <= c H_inf,
+    c = max(1, lambda_max(P) / lambda_min(H_inf)), if c H_inf is credible
+    (f(c Q) <= c f(Q): a Joseph form is T Q T^T + N, N >= 0).  A start not
+    PSD, above every row read and every power row of a finite triple, or
+    not "never" by the scaled limit, is open: ConvergenceError.
     """
     quantile = chi2_quantile(model.n, alpha)
     zeta_sq = float(zeta) * float(zeta)     # inf past 1e154
 
-    def credible(P):    # each statistic (inf at 0), and if above quantile
-        m = covariance_magnitude(P)
-        value = (zeta_sq / m if m else math.inf) if np.ndim(m) == 0 else \
-            np.divide(zeta_sq, m, where=m != 0.0, out=np.full_like(m, math.inf))
+    def credible(Ps):   # each statistic (inf at 0), and if above quantile
+        m = covariance_magnitude(Ps)
+        value = np.divide(zeta_sq, m, out=np.full_like(m, math.inf),
+                          where=m != 0.0)
         return value, value > quantile
 
     stacked = model._derived(StackedSensorForms)
     P = _finite_covariance(P_at_attack)
-    if not credible(P)[1]:
+    if not credible(P[None])[1][0]:
         return 0
     if zeta_sq == math.inf:
         return None
-    k_0, rows, top = _trunk(credible, quantile, stacked)
-    ks = np.array(sorted(rows))
-    eigvals = np.linalg.eigvalsh(np.stack(
-        [rows[k] - P for k in ks] + [P, rows[ks[-1]]]))
-    above = ks[eigvals[:-2, 0] >= -1e-12 * eigvals[:-2, -1]]    # P <= H_k
-    if eigvals[-2, 0] < -1e-12 * eigvals[-2, -1]:
+    if not _lies_below(np.zeros_like(P), P[None])[0]:
         raise ConvergenceError("escape time left open: no row of the emergency"
                                " trunk lies below the start", last_iterate=P)
+    k_0, rows, top = _trunk(credible, quantile, stacked)
+    ks = sorted(rows)
+    above = _lies_below(P, np.stack([rows[k] for k in ks]))
     if k_0 is None:
-        scale = max(1.0, eigvals[-2, -1] / eigvals[-1, 0]) \
-            if eigvals[-1, 0] > 0.0 else math.inf
-        if above.size or credible(scale * rows[ks[-1]])[1]:
+        eigvals = np.linalg.eigvalsh(np.stack([P, rows[ks[-1]]]))
+        scale = max(1.0, eigvals[0, -1] / eigvals[1, 0]) \
+            if eigvals[1, 0] > 0.0 else math.inf
+        if above.any() or credible(scale * rows[ks[-1]][None])[1][0]:
             return None
         raise ConvergenceError(
             "escape time left open: the emergency trunk never escapes, and "
             "its limit scaled to lie above the start is not credible",
             last_iterate=P)
-    lo, start = max(0, int(k_0 - above[0])) if above.size else 0, P
+    lo, start = 0, P    # or a power row past those read lies above P
+    if above.any():
+        at = int(above.argmax())
+        i = ks[at]
+        if at and i - ks[at - 1] > 1:     # a row between: the rows read halve
+            level = (i - ks[at - 1] - 1).bit_length() - 1
+            probe = _apply(stacked._power(Mode.EMERGENCY, level),
+                           rows[ks[at - 1]])
+            if _lies_below(P, probe[None])[0]:
+                i = ks[at - 1] + (1 << level)
+        lo = max(0, k_0 - i)
+    elif not _below_a_power_row(P, ks[-1].bit_length(), stacked):
+        raise ConvergenceError(
+            "escape time left open: no row of the emergency trunk lies above "
+            "the start", last_iterate=P)
     for level in (b for b in range(lo.bit_length()) if lo >> b & 1):
+        triple = stacked._power(Mode.EMERGENCY, min(level, top))
         for _ in range(1 << max(0, level - top)):   # finite triples only
-            start = _apply(stacked._power(Mode.EMERGENCY, min(level, top)), start)
+            start = _apply(triple, start)
     return _first_escape(start, lo, credible, stacked)
 
 
 def _trunk(credible, quantile, stacked):
     """(k_0, rows, top): the emergency trunk's escape step ("never": None),
     the rows {k: H_k} read, and the last level whose power triple is finite
-    (or MAX_DOUBLINGS).  Galloping reads row 2^k, H_m of the m = 2^k-step
-    triple (A_m, G_m, H_m), to a miss, past top by strides of 2^top;
-    bisecting tries each smaller triple once, H_{k+m} = H_m + A_m^T H_k (I +
-    G_m H_k)^{-1} A_m.  "Never": a credible galloping row repeats the last
-    bit for bit, a fixed point (Sigma_bar or an A_m exactly 0)."""
+    (or MAX_DOUBLINGS).  Galloping reads row 2^l, H_m of the m = 2^l-step
+    triple (A_m, G_m, H_m), for l up to top, then strides by top's triple,
+    H_{k+m} = H_m + A_m^T H_k (I + G_m H_k)^{-1} A_m, to a miss; bisecting
+    tries each smaller triple once.  "Never": a credible galloping row
+    repeats the last bit for bit, a fixed point (Sigma_bar or an A_m exactly
+    0).  ConvergenceError when row 2^MAX_DOUBLINGS would be next."""
     H = np.zeros_like(stacked.Sigma_bar)
-    k, rows, level, galloping, top = 0, {0: H}, 0, True, MAX_DOUBLINGS
-    while level >= 0:
-        if level == MAX_DOUBLINGS:
-            value = float(credible(H)[0])
+    k, rows, level, top = 0, {0: H}, 0, MAX_DOUBLINGS
+    while True:
+        row = 1 << level if level <= top else k + (1 << top)
+        if row >= 1 << MAX_DOUBLINGS:
+            value = float(credible(H[None])[0][0])
             raise ConvergenceError(
                 f"tolerance still credible after {k} steps (last statistic "
                 f"{value:.6g} > quantile {quantile:.6g})", H, value)
-        triple = stacked._power(Mode.EMERGENCY, min(level, top))
-        row, candidate = (1 << level, triple[2]) if galloping and level <= \
-            top else (k + (1 << min(level, top)), _apply(triple, H))
-        if galloping and level <= top and not np.isfinite(triple).all():
-            top = level - 1     # an overflowing triple, not an overflowing row
-            continue
-        rows[row], still = candidate, credible(candidate)[1]
-        if galloping and still and candidate.tobytes() == H.tobytes():
+        if level > top:
+            candidate = _apply(stacked._power(Mode.EMERGENCY, top), H)
+        else:
+            triple = stacked._power(Mode.EMERGENCY, level)
+            if not np.isfinite(triple).all():   # not an overflowing row
+                top = level - 1
+                continue
+            candidate = triple[2]
+        rows[row] = candidate
+        if not credible(candidate[None])[1][0]:
             break
-        if still:
-            k, H, level = row, candidate, level + (1 if galloping else -1)
-        else:   # rows k + 1..row - 1 remain, by the triples below row - k
-            level, galloping = (row - k).bit_length() - 2, False
-    return None if galloping else k + 1, rows, top
+        if candidate.tobytes() == H.tobytes():
+            return None, rows, top
+        k, H, level = row, candidate, level + 1
+    for level in reversed(range((row - k).bit_length() - 1)):   # below row - k
+        candidate = _apply(stacked._power(Mode.EMERGENCY, level), H)
+        rows[k + (1 << level)] = candidate
+        if credible(candidate[None])[1][0]:
+            k, H = k + (1 << level), candidate
+    return k + 1, rows, top
+
+
+def _lies_below(P, Hs) -> np.ndarray:
+    """Whether P <= H for each H of the stack Hs: H - P, scaled to the unit
+    diagonal of H + P so that each direction's roundoff is at its own size,
+    has no eigenvalue below -1e-12 times its largest."""
+    diagonal = np.diagonal(Hs, axis1=-2, axis2=-1) + np.diagonal(P)
+    s = 1.0 / np.sqrt(np.where(diagonal > 0.0, diagonal, 1.0))
+    eigvals = np.linalg.eigvalsh((Hs - P) * s[:, :, None] * s[:, None, :])
+    return eigvals[:, 0] >= -1e-12 * eigvals[:, -1]
+
+
+def _below_a_power_row(P, level: int, stacked) -> bool:
+    """Whether P lies below a trunk row 2^l, l from level on, read from a
+    finite power triple of fewer than 2^MAX_DOUBLINGS steps."""
+    for level in range(level, MAX_DOUBLINGS):
+        triple = stacked._power(Mode.EMERGENCY, level)
+        if not np.isfinite(triple).all():
+            return False
+        if _lies_below(P, triple[2][None])[0]:
+            return True
+    return False
 
 
 def _first_escape(P, k: int, credible, stacked) -> int:

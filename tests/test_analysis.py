@@ -441,9 +441,10 @@ def uav_variant(a=1.0, noise=1.0):
 
 def counted_steps(monkeypatch) -> list:
     """The list escape_time's maps append their names to: "_apply" for each
-    one-step map on one P (the trunk's bisection, then carrying the start
-    into its bracket), "_chunk" for each stacked chunk of stretch rows it
-    reads; the two are the maps analysis holds."""
+    one-step map on one P (the trunk's bisection, the probe for the row
+    above the start, then carrying the start into its bracket), "_chunk"
+    for each stacked chunk of stretch rows it reads; the two are the maps
+    analysis holds."""
     calls = []
     for name in ("_apply", "_chunk"):
         def counted(*args, name=name, original=getattr(analysis, name)):
@@ -455,11 +456,12 @@ def counted_steps(monkeypatch) -> list:
 
 def bracket_maps(model, zeta, alpha) -> int:
     """The most one-step maps escape_time makes on one P: one per bisection
-    level below the trunk's escape step k_0, then one per bit of the k_0 - i
-    < k_0 steps that carry the start into its bracket.  k_0 is the escape
-    time of P = 0, the trunk's row 0, carried to row k_0 itself."""
+    level below the trunk's escape step k_0, one probe for the row i above
+    the start, then one per bit of the k_0 - i < k_0 steps that carry the
+    start into its bracket.  k_0 is the escape time of P = 0, the trunk's
+    row 0, carried to row k_0 itself."""
     k_0 = escape_time(np.zeros((model.n,) * 2), model, zeta, alpha)
-    return 2 * k_0.bit_length()
+    return 2 * k_0.bit_length() + 1
 
 
 def first_zero_level(stacked) -> int:
@@ -484,15 +486,17 @@ class TestEscapeTimeByDoubling:
 
     def test_far_horizon_takes_few_products(self, uav_model,
                                             uav_stationary_P, monkeypatch):
-        # Stepping took 41165 dead-reckoning steps and about 0.4 s; the
-        # bracket, (2, 155) rows, reads one stretch.
+        # Stepping took 41165 dead-reckoning steps and about 0.4 s.  The
+        # bracket is (2, 155) rows; the probe between power rows 128 and
+        # 256, row 192, lies above the start, so it reads the first 128 rows
+        # of one stretch, 5 of its chunks.
         bound = bracket_maps(uav_model, 2000.0, 0.01)
         calls = counted_steps(monkeypatch)
         start = time.perf_counter()
         assert escape_time(uav_stationary_P, uav_model, 2000.0, 0.01) == 41165
         assert time.perf_counter() - start < 0.25
         assert calls.count("_apply") <= bound
-        assert calls.count("_chunk") <= STRETCH_CHUNKS
+        assert calls.count("_chunk") == STRETCH_CHUNKS - 1
 
     @pytest.mark.parametrize("model, zeta", [
         pytest.param(uav_variant(), 2.0, id="uav"),
@@ -572,8 +576,9 @@ class TestEscapeTimeByDoubling:
                                                            monkeypatch):
         # 9 of paper_uav's seeds 0-39 detect the attack at a covariance that
         # does not lie below its successor: their escape from the alarm
-        # reads one emergency stretch's chunks of the bracket, as every
-        # start's does, and gives stepping's 290.
+        # reads the first 128 rows of one emergency stretch from its
+        # probed bracket, as the stationary start's does, and gives
+        # stepping's 290.
         config = parse_config(builtin_config_path())
         stacked = config.model._derived(StackedSensorForms)
         bound = bracket_maps(config.model, config.zeta_norm,
@@ -588,7 +593,7 @@ class TestEscapeTimeByDoubling:
             assert trace.escape_time_from_alarm == 290 == stepped_escape_time(
                 P, config.model, config.zeta_norm, config.detector.alpha)
             assert calls.count("_apply") <= bound
-            assert 0 < calls.count("_chunk") <= STRETCH_CHUNKS
+            assert calls.count("_chunk") == STRETCH_CHUNKS - 1
 
     @pytest.mark.parametrize("zeta, k", [(20000.0, 191461),
                                          (1e9, 259997622)])
@@ -640,14 +645,17 @@ class TestEscapeTimeByDoubling:
             f"statistic {value:.6g} > quantile {chi2_quantile(4, 0.01):.6g})")
         assert info.value.residual == value
 
-    @pytest.mark.parametrize("zeta, k", [(1.0, 1670), (2.0, 6677)])
+    @pytest.mark.parametrize("zeta, k", [(1.0, 1670), (2.0, 6677),
+                                         (4.2, 29442)])
     def test_a_non_finite_candidate_hands_the_start_to_the_steps(
             self, zeta, k, monkeypatch):
         # The unexcited unstable mode's G_m overflows on the way: the power
         # triple of 1024 steps is not finite, so the trunk's search strides
-        # by 512 rows, the last finite triple's, and bisects below it.
-        # P = 0, the trunk's row 0, is carried to row k by those triples
-        # alone and gets the k that Joseph stepping gives, reading no rows.
+        # by 512 rows, the last finite triple's, and bisects below it; 29442
+        # lies past the 512 * 55 rows that 64 levels counting each stride
+        # once would reach.  P = 0, the trunk's row 0, is carried to row k
+        # by those triples alone and gets the k that Joseph stepping gives,
+        # reading no rows.
         from test_estimator import unexcited_unstable_model
         model, P0 = unexcited_unstable_model(), np.zeros((2, 2))
         stacked = model._derived(StackedSensorForms)
@@ -755,6 +763,25 @@ class TestTrunkBracket:
         assert str(info.value) == f"escape time left open: {why}"
         assert info.value.last_iterate is P
 
+    def test_a_start_no_trunk_row_covers_fails_at_once(self):
+        # A variance of 10 along a mode contracting by 0.5, past its trunk
+        # limit 4/3, while the other mode's random walk of 1e-4 a step
+        # drives the trunk's escape, at about 1.7e9 steps: no trunk row
+        # lies above the start.  Read from step 0, the escape would take
+        # as many rows; it is left open at once instead.
+        model = SystemModel(A=np.diag([1.0, 0.5]), B=np.eye(2),
+                            C_G=np.eye(2), C_I=np.zeros((0, 2)),
+                            Sigma_w=np.diag([1e-4, 1.0]), Sigma_G=np.eye(2),
+                            Sigma_I=np.zeros((0, 0)))
+        P = np.diag([0.0, 10.0])
+        began = time.perf_counter()
+        with pytest.raises(ConvergenceError) as info:
+            escape_time(P, model, 1e3, 0.05)
+        assert time.perf_counter() - began < 0.25
+        assert str(info.value) == ("escape time left open: no row of the "
+                                   "emergency trunk lies above the start")
+        assert info.value.last_iterate is P
+
 
 class TestNonFiniteCovariance:
     # The message is the check: ConvergenceError, which escape_time raised
@@ -772,11 +799,12 @@ class TestNonFiniteCovariance:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_iterate_names_its_step(self, uav_model,
                                                  monkeypatch, bad):
-        # A velocity variance that no trunk row before the trunk's own
-        # escape lies above: the bracket starts at step 0, so escape_time
-        # reads the rows from the start itself.  A non-finite fifth row is a NumericalError naming that step, never
-        # an escape time (NaN's statistic read as credible, inf's as
-        # escaped).
+        # A velocity variance that no trunk row the search reads lies
+        # above, but power row 1024, past the trunk's escape at 371, does:
+        # i > k_0, so escape_time reads the rows from the start itself,
+        # step 0 on.  A non-finite fifth row is a NumericalError naming that
+        # step, never an escape time (NaN's statistic read as credible,
+        # inf's as escaped).
         chunk = analysis._chunk
 
         def corrupted(P, lo, *args):
