@@ -6,8 +6,8 @@ Runs one fixed command list in each tree, through ``python -m spoofguard.cli``
 with the tree's ``src`` on PYTHONPATH and PYTHONWARNINGS=error::RuntimeWarning:
 
 * ``run`` with a CSV and a JSON trace, seeds 0-4, on the shipped config,
-  and with a JSON trace on seed 13, whose covariance at the alarm does not
-  lie below its successor;
+  and with a JSON trace on seed 13, whose escape from the alarm is searched
+  over blocks of two rows;
 * ``mc --runs 20``, seeds 0-4, and ``analyze`` on the shipped config;
 * ``analyze`` and ``run`` on the configs the console-script table
   (``tests/test_console.py``) derives from it, the ``run`` with a JSON

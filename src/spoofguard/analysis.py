@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .chi2 import chi2_quantile
-from .estimator import Mode, StackedSensorForms, _apply, _chunk
+from .estimator import Mode, StackedSensorForms, _apply
 from .exceptions import ConvergenceError, NumericalError
 from .model import SystemModel, _read_only
 
 # stationary_covariance's relative stop test and doubling cap; escape_time
-# searches its emergency trunk's rows below row 2^MAX_DOUBLINGS.
+# searches the rows below row 2^MAX_DOUBLINGS.
 FIXED_POINT_TOL = 1e-12
 MAX_DOUBLINGS = 64
 
@@ -204,12 +205,25 @@ def stationary_covariance(model: SystemModel) -> np.ndarray:
         f"(last residual {resid:.3e})", last_iterate=H, residual=resid)
 
 
-def _finite_covariance(P) -> np.ndarray:
-    """P as a float array; NumericalError if an entry is NaN or infinite."""
+def _start(P, model: SystemModel, name: str) -> np.ndarray:
+    """P as an (n, n) float array: ValueError, naming the argument, for
+    another shape, and NumericalError for a NaN or infinite entry."""
     P = np.asarray(P, dtype=float)
+    if P.shape != (model.n,) * 2:
+        raise ValueError(f"{name} must have shape {(model.n,) * 2}, got "
+                         f"{P.shape}")
     if not np.isfinite(P).all():
         raise NumericalError("non-finite covariance at the attack step")
     return P
+
+
+def _tolerance(zeta, name: str) -> float:
+    """zeta as a float (TypeError for an array of several entries), and
+    ValueError, naming the argument, unless it is > 0."""
+    zeta = float(zeta)
+    if not zeta > 0.0:
+        raise ValueError(f"{name} must be > 0, got {zeta}")
+    return zeta
 
 
 def _growth(model: SystemModel):
@@ -219,7 +233,7 @@ def _growth(model: SystemModel):
     return norm_A, "unit-norm" if abs(norm_A - 1.0) <= 1e-12 else "general"
 
 
-@np.errstate(over="ignore", invalid="ignore")      # for its helpers too
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")     # helpers too
 def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
                 alpha: float) -> Optional[int]:
     """Steps of dead reckoning until the error tolerance stops being credible,
@@ -229,112 +243,102 @@ def escape_time(P_at_attack: np.ndarray, model: SystemModel, zeta: float,
     Frobenius magnitude of P_k (inf when that is zero), tested against the
     chi-square quantile with n degrees of freedom, the state dimension.
     Counting starts at the covariance supplied for the attack step: 0 when
-    the tolerance is not credible there, "never" when zeta^2 overflows.  A
-    NaN or infinite entry in it, or in a row read, raises NumericalError.
+    the tolerance is not credible there, "never" when zeta^2 overflows.
+    ValueError for a start not (n, n) or a zeta not > 0; NumericalError for
+    a NaN or infinite entry in the start or a row read.
 
-    The emergency map f and the Frobenius norm are monotone on PSD matrices
-    (Bitmead, Gevers, Petersen & Kaye, 1985), so H_j <= P <= H_i on the
-    trunk H_k = f^k(0) (_trunk: escape step k_0) puts the escape step in
-    [k_0 - i, k_0 - j]: i is the first trunk row read above P, or one probe
-    between it and the last read below, or, when none is, a power row past
-    them (then i > k_0); the power triples carry P max(0, k_0 - i) steps,
-    and at most i - j rows are read.  If k_0 is "never", so is P <= c H_inf,
-    c = max(1, lambda_max(P) / lambda_min(H_inf)), if c H_inf is credible
-    (f(c Q) <= c f(Q): a Joseph form is T Q T^T + N, N >= 0).  A start not
-    PSD, above every row read and every power row of a finite triple, or
-    not "never" by the scaled limit, is open: ConvergenceError.
+    Row k is f^k(P), f dead reckoning's one-step map.  f and the Frobenius
+    norm are monotone on PSD matrices (Bitmead, Gevers, Petersen & Kaye,
+    1985): once P <= f^m(P), m = 2^b, no class of rows mod m decreases, so
+    block t, rows t m .. t m + m - 1, holds a row not credible from some t
+    on.  Block 0 is read by doubling (half l: power triple l on the rows
+    before it), returning at a row not credible, up to the first b whose
+    row 2^b, or trunk row H_{2^b} = f^{2^b}(0), lies above P: it holds at
+    most 2^b rows, 2^b < 2 i if trunk row H_i does.  Galloping (power
+    triple b + l maps block 0 to block 2^l; past the last finite triple,
+    strides by it) and bisecting find the first block with such a row.
+
+    The trunk only certifies "never": its galloping rows H_{2^l}, the power
+    triples' H parts, are read without a map up to one not credible or one
+    repeating the last bit for bit, a fixed point H; then P is "never" if
+    it lies below H or c H is credible, c = max(1, lambda_max(P) /
+    lambda_min(H)) (f(c Q) <= c f(Q): a Joseph form is T Q T^T + N, N >=
+    0).  So is a start whose galloping block repeats the last bit for bit.
+    ConvergenceError: the escape time is left open for a start not PSD,
+    one with a fixed-point trunk that c H does not certify, and one that no
+    trunk or own row 2^l of a finite power triple lies above; "still
+    credible" when row 2^MAX_DOUBLINGS would be next.
     """
-    quantile = chi2_quantile(model.n, alpha)
-    zeta_sq = float(zeta) * float(zeta)     # inf past 1e154
+    P = _start(P_at_attack, model, "P_at_attack")
+    zeta = _tolerance(zeta, "zeta")
+    quantile, zeta_sq = chi2_quantile(model.n, alpha), zeta * zeta
 
-    def credible(Ps):   # each statistic (inf at 0), and if above quantile
-        m = covariance_magnitude(Ps)
-        value = np.divide(zeta_sq, m, out=np.full_like(m, math.inf),
-                          where=m != 0.0)
-        return value, value > quantile
+    def credible(Ps):   # whether each statistic (inf at 0) is above quantile
+        return zeta_sq / covariance_magnitude(Ps) > quantile
 
-    stacked = model._derived(StackedSensorForms)
-    P = _finite_covariance(P_at_attack)
-    if not credible(P[None])[1][0]:
+    if not credible(P[None])[0]:
         return 0
-    if zeta_sq == math.inf:
+    if zeta_sq == math.inf:     # zeta past 1e154
         return None
     if not _lies_below(np.zeros_like(P), P[None])[0]:
         raise ConvergenceError("escape time left open: no row of the emergency"
                                " trunk lies below the start", last_iterate=P)
-    k_0, rows, top = _trunk(credible, quantile, stacked)
-    ks = sorted(rows)
-    above = _lies_below(P, np.stack([rows[k] for k in ks]))
-    if k_0 is None:
-        eigvals = np.linalg.eigvalsh(np.stack([P, rows[ks[-1]]]))
-        scale = max(1.0, eigvals[0, -1] / eigvals[1, 0]) \
-            if eigvals[1, 0] > 0.0 else math.inf
-        if above.any() or credible(scale * rows[ks[-1]][None])[1][0]:
-            return None
-        raise ConvergenceError(
-            "escape time left open: the emergency trunk never escapes, and "
-            "its limit scaled to lie above the start is not credible",
-            last_iterate=P)
-    lo, start = 0, P    # or a power row past those read lies above P
-    if above.any():
-        at = int(above.argmax())
-        i = ks[at]
-        if at and i - ks[at - 1] > 1:     # a row between: the rows read halve
-            level = (i - ks[at - 1] - 1).bit_length() - 1
-            probe = _apply(stacked._power(Mode.EMERGENCY, level),
-                           rows[ks[at - 1]])
-            if _lies_below(P, probe[None])[0]:
-                i = ks[at - 1] + (1 << level)
-        lo = max(0, k_0 - i)
-    elif not _below_a_power_row(P, ks[-1].bit_length(), stacked):
-        raise ConvergenceError(
-            "escape time left open: no row of the emergency trunk lies above "
-            "the start", last_iterate=P)
-    for level in (b for b in range(lo.bit_length()) if lo >> b & 1):
-        triple = stacked._power(Mode.EMERGENCY, min(level, top))
-        for _ in range(1 << max(0, level - top)):   # finite triples only
-            start = _apply(triple, start)
-    return _first_escape(start, lo, credible, stacked)
-
-
-def _trunk(credible, quantile, stacked):
-    """(k_0, rows, top): the emergency trunk's escape step ("never": None),
-    the rows {k: H_k} read, and the last level whose power triple is finite
-    (or MAX_DOUBLINGS).  Galloping reads row 2^l, H_m of the m = 2^l-step
-    triple (A_m, G_m, H_m), for l up to top, then strides by top's triple,
-    H_{k+m} = H_m + A_m^T H_k (I + G_m H_k)^{-1} A_m, to a miss; bisecting
-    tries each smaller triple once.  "Never": a credible galloping row
-    repeats the last bit for bit, a fixed point (Sigma_bar or an A_m exactly
-    0).  ConvergenceError when row 2^MAX_DOUBLINGS would be next."""
-    H = np.zeros_like(stacked.Sigma_bar)
-    k, rows, level, top = 0, {0: H}, 0, MAX_DOUBLINGS
-    while True:
-        row = 1 << level if level <= top else k + (1 << top)
-        if row >= 1 << MAX_DOUBLINGS:
-            value = float(credible(H[None])[0][0])
-            raise ConvergenceError(
-                f"tolerance still credible after {k} steps (last statistic "
-                f"{value:.6g} > quantile {quantile:.6g})", H, value)
-        if level > top:
-            candidate = _apply(stacked._power(Mode.EMERGENCY, top), H)
-        else:
-            triple = stacked._power(Mode.EMERGENCY, level)
-            if not np.isfinite(triple).all():   # not an overflowing row
-                top = level - 1
-                continue
-            candidate = triple[2]
-        rows[row] = candidate
-        if not credible(candidate[None])[1][0]:
+    power = partial(model._derived(StackedSensorForms)._power, Mode.EMERGENCY)
+    H = np.zeros_like(P)        # H_0, then the trunk's galloping rows
+    for triple in map(power, range(MAX_DOUBLINGS)):
+        if not (np.isfinite(triple).all() and credible(triple[2][None])[0]):
             break
-        if candidate.tobytes() == H.tobytes():
-            return None, rows, top
-        k, H, level = row, candidate, level + 1
-    for level in reversed(range((row - k).bit_length() - 1)):   # below row - k
-        candidate = _apply(stacked._power(Mode.EMERGENCY, level), H)
-        rows[k + (1 << level)] = candidate
-        if credible(candidate[None])[1][0]:
-            k, H = k + (1 << level), candidate
-    return k + 1, rows, top
+        if triple[2].tobytes() == H.tobytes():
+            eigvals = np.linalg.eigvalsh(np.stack([P, H]))
+            scale = max(1.0, eigvals[0, -1] / max(eigvals[1, 0], 0.0))
+            if _lies_below(P, H[None])[0] or credible(scale * H[None])[0]:
+                return None
+            raise ConvergenceError(
+                "escape time left open: the emergency trunk never escapes, "
+                "and its limit scaled to lie above the start is not credible",
+                last_iterate=P)
+        H = triple[2]
+
+    rows, b, above = P[None], 0, None       # block 0 by doubling
+    while True:
+        half = _apply(power(b), rows)
+        if not credible(half).all():
+            return _first_miss(half, len(rows), credible)
+        if _lies_below(P, half[:1])[0]:
+            break
+        if above is None:
+            above = _level_above(P, power)
+        if b == above:      # P <= H_{2^b} <= row 2^b
+            break
+        rows, b = np.concatenate([rows, half]), b + 1
+
+    t, block, level, top = 1, half, 1, MAX_DOUBLINGS    # block t: credible
+    while True:
+        stride = b + level > top
+        ahead = t + (1 << (top - b)) if stride else 1 << level
+        if ahead << b >= 1 << MAX_DOUBLINGS:
+            value = zeta_sq / covariance_magnitude(block[-1:])[0]
+            raise ConvergenceError(
+                f"tolerance still credible after {((t + 1) << b) - 1} steps "
+                f"(last statistic {value:.6g} > quantile {quantile:.6g})",
+                block[-1], value)
+        triple = power(top if stride else b + level)
+        if not np.isfinite(triple).all():
+            top = b + level - 1
+            continue
+        candidate = _apply(triple, block if stride else rows)
+        if not credible(candidate).all():
+            break
+        if candidate.tobytes() == block.tobytes():
+            return None
+        t, block, level = ahead, candidate, level + 1
+    for level in reversed(range((ahead - t).bit_length() - 1)):
+        lower = _apply(power(b + level), block)
+        if credible(lower).all():
+            t, block = t + (1 << level), lower
+        else:
+            candidate = lower
+    return _first_miss(candidate, (t + 1) << b, credible)
 
 
 def _lies_below(P, Hs) -> np.ndarray:
@@ -347,34 +351,30 @@ def _lies_below(P, Hs) -> np.ndarray:
     return eigvals[:, 0] >= -1e-12 * eigvals[:, -1]
 
 
-def _below_a_power_row(P, level: int, stacked) -> bool:
-    """Whether P lies below a trunk row 2^l, l from level on, read from a
-    finite power triple of fewer than 2^MAX_DOUBLINGS steps."""
-    for level in range(level, MAX_DOUBLINGS):
-        triple = stacked._power(Mode.EMERGENCY, level)
-        if not np.isfinite(triple).all():
-            return False
-        if _lies_below(P, triple[2][None])[0]:
-            return True
-    return False
+def _level_above(P, power) -> int:
+    """The first level l of a finite power triple whose trunk row H_{2^l}
+    lies above P, or else whose row 2^l, f^{2^l}(P), does (or overflows);
+    ConvergenceError (open) if none does."""
+    for own in (False, True):       # trunk rows first: they take no map
+        for level in range(MAX_DOUBLINGS):
+            triple = power(level)
+            if not np.isfinite(triple).all():
+                break
+            row = _apply(triple, P) if own else triple[2]
+            if not np.isfinite(row).all() or _lies_below(P, row[None])[0]:
+                return level
+    raise ConvergenceError("escape time left open: no row of the emergency "
+                           "trunk lies above the start", last_iterate=P)
 
 
-def _first_escape(P, k: int, credible, stacked) -> int:
-    """The first step from k, P's, whose row (by emergency stretch chunks,
-    _chunk) is not credible; NumericalError if that row is not finite."""
-    rows = np.empty((stacked._table(Mode.EMERGENCY)[2] + 1, *P.shape))
-    rows[0], lo, done = P, -1, 0        # row 0 is step k
-    while True:
-        miss = ~credible(rows[lo + 1:done + 1])[1]      # a non-finite row too
-        if miss.any():
-            at = lo + 1 + int(miss.argmax())
-            if not np.isfinite(rows[at]).all():
-                raise NumericalError("non-finite covariance at "
-                                     f"dead-reckoning step {k + at}")
-            return k + at
-        if done == len(rows) - 1:
-            rows[0], k, done = rows[done], k + done, 0
-        lo, done = done, _chunk(rows, done, Mode.EMERGENCY, stacked)
+def _first_miss(rows, k: int, credible) -> int:
+    """The step of the first of rows, steps k on, that is not credible;
+    NumericalError if that row is not finite."""
+    at = int((~credible(rows)).argmax())
+    if not np.isfinite(rows[at]).all():
+        raise NumericalError(
+            f"non-finite covariance at dead-reckoning step {k + at}")
+    return k + at
 
 
 def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
@@ -386,9 +386,10 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
     magnitude and A, Sigma_bar through their spectral norms; when the spectral
     norm of A is 1 the geometric sum degenerates and the linear branch is
     used.  Results below zero clamp to zero (tolerance already exceeded).
-    A NaN or infinite entry in P raises NumericalError.
+    ValueError for a P whose shape is not (n, n) or a zeta_norm not > 0;
+    NumericalError for a NaN or infinite entry in P.
     """
-    P = _finite_covariance(P)
+    P, zeta_norm = _start(P, model, "P"), _tolerance(zeta_norm, "zeta_norm")
     drift = model._derived(drift_matrices)
     if not drift.drift_free:
         raise ValueError(
@@ -397,7 +398,7 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
             f"max |C_bar_I| = {np.abs(drift.C_bar_I).max():.3e}")
 
     quantile = chi2_quantile(model.n, alpha)
-    target = float(zeta_norm) * float(zeta_norm) / quantile  # inf past 1e154
+    target = zeta_norm * zeta_norm / quantile  # inf past 1e154
     norm_A, branch = _growth(model)
     norm_P = covariance_magnitude(P)
     norm_S = spectral_norm(drift.Sigma_bar)
@@ -427,15 +428,16 @@ def escape_time_lower_bound(P: np.ndarray, model: SystemModel,
 def escape_report(model: SystemModel, zeta_norm: float,
                   alpha: float) -> EscapeTimeReport:
     """Escape time and lower bound from the stationary covariance, which,
-    like the drift analysis, the model keeps from its first use."""
+    like the drift analysis, the model keeps from its first use; ValueError
+    for a zeta_norm not > 0."""
+    zeta_norm = _tolerance(zeta_norm, "zeta_norm")
     stationary_P = model._derived(stationary_covariance)
-    k_esc = escape_time(stationary_P, model, float(zeta_norm), alpha)
+    k_esc = escape_time(stationary_P, model, zeta_norm, alpha)
     norm_A, branch = _growth(model)
     k_lb = None
     if model._derived(drift_matrices).drift_free:
-        k_lb = escape_time_lower_bound(stationary_P, model, float(zeta_norm),
-                                       alpha)
+        k_lb = escape_time_lower_bound(stationary_P, model, zeta_norm, alpha)
     return EscapeTimeReport(
-        k_escape=k_esc, k_lower_bound=k_lb, zeta=float(zeta_norm),
+        k_escape=k_esc, k_lower_bound=k_lb, zeta=zeta_norm,
         alpha=alpha, df=model.n, stationary_P=stationary_P, norm_A=norm_A,
         branch=branch)

@@ -4,8 +4,9 @@ against, kept out of the package.
 joseph_step is one step of a mode's covariance recursion by the Joseph
 update with the prior's own optimal gain: the step-by-step oracle for the
 Riccati map estimator._apply, which the stretches and the escape analysis
-apply.  lies_below is the Loewner order, and emergency_trunk and
-trunk_bracket the emergency trunk that brackets every escape time.
+apply.  lies_below is the Loewner order; emergency_trunk is the emergency
+trunk H_k = f^k(0), which every run's covariance lies below, and
+trunk_bracket the trunk rows just below and above a covariance.
 long_joseph_rows and long_fixed_point are the long-double judge: the Joseph
 recursion and the normal mode's doubling in np.longdouble.
 """

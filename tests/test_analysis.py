@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -380,6 +381,33 @@ class TestEscapeTime:
             with pytest.raises(TypeError):
                 escape_time(np.eye(4), uav_model, zeta, 0.01)
 
+    @pytest.mark.parametrize("zeta", [0.0, -2.0, math.nan])
+    def test_rejects_a_tolerance_not_above_zero(self, uav_model,
+                                                uav_stationary_P, zeta):
+        # -2 once gave +2's 291 and 256.86, NaN gave 0 and a NaN bound.
+        calls = [
+            ("zeta", lambda: escape_time(uav_stationary_P, uav_model, zeta,
+                                         0.01)),
+            ("zeta_norm", lambda: escape_time_lower_bound(
+                uav_stationary_P, uav_model, zeta, 0.01)),
+            ("zeta_norm", lambda: escape_report(uav_model, zeta, 0.01))]
+        for name, call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{name} must be > 0, got {zeta}"
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (4, 4, 1)])
+    def test_rejects_a_start_not_n_by_n(self, uav_model, shape):
+        # A 3 x 3 start once gave 0 and a bound of 0.0, a 1-D one an
+        # IndexError.
+        P = np.zeros(shape)
+        for name, call in [("P_at_attack", escape_time),
+                           ("P", escape_time_lower_bound)]:
+            with pytest.raises(ValueError) as info:
+                call(P, uav_model, 2.0, 0.01)
+            assert str(info.value) == \
+                f"{name} must have shape (4, 4), got {shape}"
+
     def test_zero_covariance_is_an_infinite_statistic(self, uav_model):
         # P = 0 makes the tolerance credible, not a division by zero; with
         # process noise dead reckoning leaves 0 after one step.
@@ -440,28 +468,49 @@ def uav_variant(a=1.0, noise=1.0):
 
 
 def counted_steps(monkeypatch) -> list:
-    """The list escape_time's maps append their names to: "_apply" for each
-    one-step map on one P (the trunk's bisection, the probe for the row
-    above the start, then carrying the start into its bracket), "_chunk"
-    for each stacked chunk of stretch rows it reads; the two are the maps
-    analysis holds."""
+    """The list that escape_time's one-step maps append "_apply" to, one
+    for each stacked map of rows by a power triple: reading block 0 by
+    doubling, galloping and bisecting over the blocks."""
     calls = []
-    for name in ("_apply", "_chunk"):
-        def counted(*args, name=name, original=getattr(analysis, name)):
-            calls.append(name)
-            return original(*args)
-        monkeypatch.setattr(analysis, name, counted)
+
+    def counted(*args, original=analysis._apply):
+        calls.append("_apply")
+        return original(*args)
+    monkeypatch.setattr(analysis, "_apply", counted)
     return calls
 
 
+def stretch_chunks(monkeypatch) -> list:
+    """The list that each stretch chunk computed (_Stretch._extend) appends
+    its mode to: escape_time reads none."""
+    chunks = []
+
+    def counted(stretch, original=_Stretch._extend):
+        chunks.append(stretch.mode)
+        return original(stretch)
+    monkeypatch.setattr(_Stretch, "_extend", counted)
+    return chunks
+
+
 def bracket_maps(model, zeta, alpha) -> int:
-    """The most one-step maps escape_time makes on one P: one per bisection
-    level below the trunk's escape step k_0, one probe for the row i above
-    the start, then one per bit of the k_0 - i < k_0 steps that carry the
-    start into its bracket.  k_0 is the escape time of P = 0, the trunk's
-    row 0, carried to row k_0 itself."""
+    """A bound on escape_time's one-step maps from a PSD start whose block
+    is 2^b rows, without strides: b + 1 maps read blocks 0 and 1, and the
+    doubling search to the block of the escape step k, at most k / 2^b,
+    makes one per galloping and one per bisecting level, 2 (bit_length(k)
+    - b) - 1 at most.  The total is below 2 bit_length(k_0) + 1: the start
+    lies above P = 0, the trunk's row 0, whose escape step k_0 bounds k."""
     k_0 = escape_time(np.zeros((model.n,) * 2), model, zeta, alpha)
     return 2 * k_0.bit_length() + 1
+
+
+def first_block_level(P, stacked) -> int:
+    """The first level b with P <= f^(2^b)(P), by joseph_step."""
+    row, steps = P, 0
+    for b in itertools.count():
+        while steps < 1 << b:
+            row, steps = joseph_step(row, Mode.EMERGENCY, stacked)[1], steps + 1
+        if lies_below(P, row):
+            return b
 
 
 def first_zero_level(stacked) -> int:
@@ -470,14 +519,10 @@ def first_zero_level(stacked) -> int:
                 if not stacked._power(Mode.EMERGENCY, level)[0].any())
 
 
-# The chunks of one emergency stretch's 256 rows: 8, 8, 16, ..., 128.
-STRETCH_CHUNKS = 6
-
 
 class TestEscapeTimeByDoubling:
-    """Every start's escape step is bracketed by the emergency trunk, whose
-    own is searched by doubling, on any model; its k is the one stepping
-    gives."""
+    """Every start's escape step is found by one doubling search over its
+    blocks of rows, on any model; its k is the one stepping gives."""
 
     def test_uav_tolerance_grid(self, uav_model, uav_stationary_P):
         ks = [escape_time(uav_stationary_P, uav_model, zeta, 0.01)
@@ -487,16 +532,15 @@ class TestEscapeTimeByDoubling:
     def test_far_horizon_takes_few_products(self, uav_model,
                                             uav_stationary_P, monkeypatch):
         # Stepping took 41165 dead-reckoning steps and about 0.4 s.  The
-        # bracket is (2, 155) rows; the probe between power rows 128 and
-        # 256, row 192, lies above the start, so it reads the first 128 rows
-        # of one stretch, 5 of its chunks.
+        # stationary covariance lies below its row 1, a block of one row:
+        # the doubling search over single rows, and no stretch chunk.
         bound = bracket_maps(uav_model, 2000.0, 0.01)
-        calls = counted_steps(monkeypatch)
+        calls, chunks = counted_steps(monkeypatch), stretch_chunks(monkeypatch)
         start = time.perf_counter()
         assert escape_time(uav_stationary_P, uav_model, 2000.0, 0.01) == 41165
         assert time.perf_counter() - start < 0.25
         assert calls.count("_apply") <= bound
-        assert calls.count("_chunk") == STRETCH_CHUNKS - 1
+        assert chunks == []
 
     @pytest.mark.parametrize("model, zeta", [
         pytest.param(uav_variant(), 2.0, id="uav"),
@@ -528,8 +572,8 @@ class TestEscapeTimeByDoubling:
 
     def test_drift_models_equal_the_stepped_loop(self, monkeypatch):
         # The stationary covariance lies below a row of the emergency trunk
-        # (f_N <= f_E): one bracket per start.  A model whose trunk limit
-        # stays credible is "never", read from the galloping rows alone: the
+        # (f_N <= f_E), so it has a block.  A model whose trunk limit stays
+        # credible is "never", read from the galloping rows alone: the
         # one after the first A_m exactly 0 repeats it bit for bit, without
         # a one-step map; stepping then stays credible over 2000 steps.
         rng = np.random.default_rng(0)
@@ -555,45 +599,48 @@ class TestEscapeTimeByDoubling:
                 verdicts.append(k is None)
         assert 10 <= sum(verdicts) <= 30
 
-    def test_failing_start_reads_an_emergency_stretch(self, uav_model,
-                                                      monkeypatch):
+    def test_failing_start_searches_blocks_of_128_rows(self, uav_model,
+                                                       monkeypatch):
         # A large velocity variance: D_0 = f(P_0) - P_0 is indefinite (its
-        # position-velocity block has determinant below 0).  The trunk
-        # brackets it all the same, rows (0, 167): escape_time reads one
-        # emergency stretch's chunks, and gives the k that stepping gives.
+        # position-velocity block has determinant below 0).  Trunk row 167
+        # lies above it, so its block is at most 256 rows; it first lies
+        # below its row 128.  Block 0 read by doubling, the search over
+        # blocks of 128 rows gives the k that stepping gives.
         P0 = np.diag([0.0, 0.0, 1e-2, 1e-2])
         stacked = StackedSensorForms(uav_model)
         P1 = joseph_step(P0, Mode.EMERGENCY, stacked)[1]
         assert not lies_below(P0, P1) and not lies_below(P1, P0)
+        assert first_block_level(P0, stacked) == 7
         bound = bracket_maps(uav_model, 2.0, 0.01)
-        calls = counted_steps(monkeypatch)
+        calls, chunks = counted_steps(monkeypatch), stretch_chunks(monkeypatch)
         k = escape_time(P0, uav_model, 2.0, 0.01)
         assert calls.count("_apply") <= bound
-        assert 0 < calls.count("_chunk") <= STRETCH_CHUNKS
+        assert chunks == []
         assert k == stepped_escape_time(P0, uav_model, 2.0, 0.01) > 256
 
-    def test_detections_that_fail_the_check_read_a_stretch(self,
-                                                           monkeypatch):
+    def test_detections_that_fail_the_check_search_blocks_of_two(
+            self, monkeypatch):
         # 9 of paper_uav's seeds 0-39 detect the attack at a covariance that
-        # does not lie below its successor: their escape from the alarm
-        # reads the first 128 rows of one emergency stretch from its
-        # probed bracket, as the stationary start's does, and gives
-        # stepping's 290.
+        # does not lie below its successor but below its row 2: their
+        # escape from the alarm is a doubling search over blocks of two
+        # rows, reads no stretch chunk, and gives stepping's 290.
         config = parse_config(builtin_config_path())
         stacked = config.model._derived(StackedSensorForms)
         bound = bracket_maps(config.model, config.zeta_norm,
                              config.detector.alpha)
-        calls = counted_steps(monkeypatch)
+        calls, chunks = counted_steps(monkeypatch), stretch_chunks(monkeypatch)
         for seed in (13, 21, 23, 26, 31, 32, 35, 36, 38):
             trace = run_scenario(replace(config, seed=seed))
             P = trace.columns.P[trace.attack_detection_step - 1]
-            assert not lies_below(P, joseph_step(
-                P, Mode.EMERGENCY, stacked)[1])
+            P1 = joseph_step(P, Mode.EMERGENCY, stacked)[1]
+            assert not lies_below(P, P1)
+            assert lies_below(P, joseph_step(P1, Mode.EMERGENCY, stacked)[1])
             calls.clear()
+            chunks.clear()
             assert trace.escape_time_from_alarm == 290 == stepped_escape_time(
                 P, config.model, config.zeta_norm, config.detector.alpha)
             assert calls.count("_apply") <= bound
-            assert calls.count("_chunk") == STRETCH_CHUNKS - 1
+            assert chunks == []
 
     @pytest.mark.parametrize("zeta, k", [(20000.0, 191461),
                                          (1e9, 259997622)])
@@ -602,10 +649,10 @@ class TestEscapeTimeByDoubling:
         # Both lie past the 100000 steps the search once stopped at; the
         # first equals stepping the emergency stretch rows (about 0.8 s).
         bound = bracket_maps(uav_model, zeta, 0.01)
-        calls = counted_steps(monkeypatch)
+        calls, chunks = counted_steps(monkeypatch), stretch_chunks(monkeypatch)
         assert escape_time(uav_stationary_P, uav_model, zeta, 0.01) == k
         assert calls.count("_apply") <= bound
-        assert calls.count("_chunk") <= STRETCH_CHUNKS
+        assert chunks == []
         if k < 1e6:
             quantile = chi2_quantile(4, 0.01)
             rows = stretch_rows(_Stretch(Mode.EMERGENCY, uav_stationary_P,
@@ -618,8 +665,9 @@ class TestEscapeTimeByDoubling:
         # step 33, the attack detected at step 700.  P - f(P) is indefinite
         # there, and on drift-free paper_uav keeps its inertia under A (.)
         # A^T, so no later iterate lies below its successor; a step loop
-        # with a 100000-step budget raised "still credible".  The trunk's
-        # bracket gives stepping's 191460, as seeds 0-2 do.
+        # with a 100000-step budget raised "still credible".  It lies below
+        # its row 2: the search over blocks of two rows gives stepping's
+        # 191460, as seeds 0-2 do.
         config = replace(parse_config(builtin_config_path()),
                          zeta_norm=20000.0, seed=13)
         trace = run_scenario(config)
@@ -633,10 +681,10 @@ class TestEscapeTimeByDoubling:
 
     def test_the_search_stops_after_64_levels(self, uav_model,
                                               uav_stationary_P):
-        # At zeta = 1e150 the trunk's cubic growth stays credible at its
-        # row 2^63, the 64th galloping level's, and no A_m of the unit-norm
-        # transition is 0: ConvergenceError naming the trunk's steps
-        # searched and carrying its row.
+        # At zeta = 1e150 the cubic growth stays credible at row 2^63, the
+        # 64th galloping level's, and no A_m of the unit-norm transition is
+        # 0: ConvergenceError naming the steps searched and carrying the
+        # last row read.
         with pytest.raises(ConvergenceError) as info:
             escape_time(uav_stationary_P, uav_model, 1e150, 0.01)
         value = 1e150 * 1e150 / covariance_magnitude(info.value.last_iterate)
@@ -650,22 +698,124 @@ class TestEscapeTimeByDoubling:
     def test_a_non_finite_candidate_hands_the_start_to_the_steps(
             self, zeta, k, monkeypatch):
         # The unexcited unstable mode's G_m overflows on the way: the power
-        # triple of 1024 steps is not finite, so the trunk's search strides
-        # by 512 rows, the last finite triple's, and bisects below it; 29442
-        # lies past the 512 * 55 rows that 64 levels counting each stride
-        # once would reach.  P = 0, the trunk's row 0, is carried to row k
-        # by those triples alone and gets the k that Joseph stepping gives,
-        # reading no rows.
+        # triple of 1024 steps is not finite, so the search over blocks of
+        # one row strides by 512 rows, the last finite triple's, and
+        # bisects below it; 29442 lies past the 512 * 55 rows that 64
+        # levels counting each stride once would reach.  P = 0, the trunk's
+        # row 0, is carried to row k by those triples alone and gets the k
+        # that Joseph stepping gives, reading no stretch chunk.
         from test_estimator import unexcited_unstable_model
         model, P0 = unexcited_unstable_model(), np.zeros((2, 2))
         stacked = model._derived(StackedSensorForms)
         assert np.isfinite(stacked._power(Mode.EMERGENCY, 9)).all()
         assert not np.isfinite(stacked._power(Mode.EMERGENCY, 10)).all()
-        calls = counted_steps(monkeypatch)
+        calls, chunks = counted_steps(monkeypatch), stretch_chunks(monkeypatch)
         assert escape_time(P0, model, zeta, 0.05) == k
-        assert "_chunk" not in calls
+        assert chunks == []
         assert calls.count("_apply") <= 2 * (9 + k // 512)
         assert stepped_escape_time(P0, model, zeta, 0.05) == k
+
+    def test_a_random_walk_start_is_searched_not_read(self):
+        # A = I, no relative sensor: P_k = P + k Sigma_w, which crosses the
+        # tolerance at step 1502137.  The start's variance of 100 along the
+        # slow mode lies below no trunk row before about 1e8, yet below its
+        # own row 1: a doubling search over single rows (once 2.8 s, read
+        # row by row from step 0).
+        model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C_G=np.eye(2),
+                            C_I=np.zeros((0, 2)), Sigma_w=np.diag([1.0, 1e-6]),
+                            Sigma_G=np.eye(2), Sigma_I=np.zeros((0, 0)))
+        P, zeta = np.diag([0.0, 100.0]), 3000.0
+        bound = zeta * zeta / chi2_quantile(2, 0.05)
+        rows = P + np.multiply.outer(np.arange(1502136, 1502139),
+                                     model.Sigma_w)
+        assert [covariance_magnitude(row) < bound for row in rows] == [
+            True, False, False]
+        began = time.perf_counter()
+        assert escape_time(P, model, zeta, 0.05) == 1502137
+        assert time.perf_counter() - began < 0.25
+
+    @pytest.mark.parametrize("turning", [False, True])
+    def test_a_start_the_trunk_never_excites_escapes(self, turning):
+        # A variance of 1e-6 in a mode doubling each step that gets no
+        # process noise, so that no trunk row has it: the start lies below
+        # its own row 1 all the same (once left open).  Turned by a quarter
+        # each step too, it lies below its row 2 only, found among its own
+        # power rows.  Both escape at stepping's 9.
+        from test_estimator import unexcited_unstable_model
+        model, P = unexcited_unstable_model(), np.diag([1e-6, 0.0])
+        if turning:
+            A = np.diag([0.0, 0.0, 1.0])
+            A[:2, :2] = [[0.0, -2.0], [2.0, 0.0]]
+            model = SystemModel(A=A, B=np.zeros((3, 1)), C_G=np.eye(3),
+                                C_I=np.zeros((0, 3)),
+                                Sigma_w=np.diag([0.0, 0.0, 1e-4]),
+                                Sigma_G=np.eye(3), Sigma_I=np.zeros((0, 0)))
+            P = np.diag([1e-6, 0.0, 0.0])
+        stacked = model._derived(StackedSensorForms)
+        assert first_block_level(P, stacked) == turning
+        assert not any(lies_below(P, H) for H in emergency_trunk(stacked, 16))
+        assert escape_time(P, model, 1.0, 0.05) == 9 == stepped_escape_time(
+            P, model, 1.0, 0.05)
+
+    def test_a_large_block(self, uav_model):
+        # A large velocity variance lies first below its row 2^11: blocks
+        # of 2048 rows, searched to stepping's escape step.
+        P, stacked = np.diag([0.0, 0.0, 5e-2, 5e-2]), StackedSensorForms(
+            uav_model)
+        assert first_block_level(P, stacked) == 11
+        began = time.perf_counter()
+        k = escape_time(P, uav_model, 200.0, 0.01)
+        assert time.perf_counter() - began < 0.25
+        assert k == 8373 == stepped_escape_time(P, uav_model, 200.0, 0.01)
+
+    def test_a_start_above_the_finite_power_rows_is_open(self):
+        # The unexcited unstable mode, with the other mode contracting by
+        # 0.999 to a trunk variance of about 0.05: a variance of 1 there
+        # lies above its own row 1 and every finite power row of the
+        # trunk, up to row 512 (the triple of 1024 steps overflows).
+        model = SystemModel(A=np.diag([2.0, 0.999]), B=np.zeros((2, 1)),
+                            C_G=np.eye(2), C_I=[[1.0, 0.0]],
+                            Sigma_w=np.diag([0.0, 1e-4]), Sigma_G=np.eye(2),
+                            Sigma_I=np.eye(1))
+        stacked = model._derived(StackedSensorForms)
+        assert not np.isfinite(stacked._power(Mode.EMERGENCY, 10)).all()
+        P = np.diag([0.0, 1.0])
+        with pytest.raises(ConvergenceError) as info:
+            escape_time(P, model, 10.0, 0.05)
+        assert str(info.value) == ("escape time left open: no row of the "
+                                   "emergency trunk lies above the start")
+        assert info.value.last_iterate is P
+
+    def test_random_starts_equal_the_stepped_loop(self):
+        # Stationary covariances plus c R, R random PSD, on drifting and
+        # drift-free random models: the escape step is stepping's, or both
+        # say "never", or the escape time is left open.
+        from test_estimator import drift_free_random_model
+        rng = np.random.default_rng(4)
+        verdicts = []
+        for draw in range(24):
+            model = (random_invertible_model if draw % 2 else
+                     drift_free_random_model)(rng)
+            P_stat, n = stationary_covariance(model), model.n
+            R = rng.normal(size=(n, n))
+            R = R @ R.T
+            P = P_stat + float(rng.choice([0.0, 0.1, 1.0, 10.0])) * np.trace(
+                P_stat) / np.trace(R) * R
+            zeta = math.sqrt(rng.uniform(1.5, 30.0) * chi2_quantile(n, 0.05)
+                             * covariance_magnitude(P))
+            monotone = lies_below(P, joseph_step(
+                P, Mode.EMERGENCY, model._derived(StackedSensorForms))[1])
+            try:
+                k = escape_time(P, model, zeta, 0.05)
+            except ConvergenceError as error:
+                assert str(error).startswith("escape time left open: ")
+                verdicts.append("open")
+                continue
+            assert k == stepped_escape_time(P, model, zeta, 0.05,
+                                            horizon=3000)
+            verdicts.append("never" if k is None else
+                            "monotone" if monotone else "not monotone")
+        assert {"open", "never", "monotone", "not monotone"} <= set(verdicts)
 
     def test_a_trunk_past_its_finite_triples_still_converges(self):
         # The unexcited unstable mode, with the other mode contracting by
@@ -728,8 +878,13 @@ class TestTrunkBracket:
             trace = run_scenario(replace(config, seed=seed))
             starts.append(trace.columns.P[trace.attack_detection_step - 1])
         starts.append(np.diag([0.0, 0.0, 1e-2, 1e-2]))
-        trunk = emergency_trunk(model._derived(StackedSensorForms), 200)
+        stacked = model._derived(StackedSensorForms)
+        trunk = emergency_trunk(stacked, 200)
         assert [trunk_bracket(P, trunk) for P in starts] == brackets
+        # Trunk row i above P gives P <= H_i <= H_(2^b) <= f^(2^b)(P) once
+        # 2^b >= i: the start's block, 2^b rows, is at most 2 i.
+        for P, (_, i) in zip(starts, brackets):
+            assert i is None or 1 << first_block_level(P, stacked) <= 2 * i
         for zeta, ks in escapes.items():
             k_0 = stepped_escape_time(trunk[0], model, zeta, alpha,
                                       horizon=2000)
@@ -767,8 +922,8 @@ class TestTrunkBracket:
         # A variance of 10 along a mode contracting by 0.5, past its trunk
         # limit 4/3, while the other mode's random walk of 1e-4 a step
         # drives the trunk's escape, at about 1.7e9 steps: no trunk row
-        # lies above the start.  Read from step 0, the escape would take
-        # as many rows; it is left open at once instead.
+        # lies above the start, nor does its own row 1.  Read from step 0,
+        # the escape would take as many rows; it is left open at once.
         model = SystemModel(A=np.diag([1.0, 0.5]), B=np.eye(2),
                             C_G=np.eye(2), C_I=np.zeros((0, 2)),
                             Sigma_w=np.diag([1e-4, 1.0]), Sigma_G=np.eye(2),
@@ -799,20 +954,21 @@ class TestNonFiniteCovariance:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_iterate_names_its_step(self, uav_model,
                                                  monkeypatch, bad):
-        # A velocity variance that no trunk row the search reads lies
-        # above, but power row 1024, past the trunk's escape at 371, does:
-        # i > k_0, so escape_time reads the rows from the start itself,
-        # step 0 on.  A non-finite fifth row is a NumericalError naming that
+        # A velocity variance that first lies below its row 2048 and no
+        # trunk row before the trunk's escape at 371: the escape step lies
+        # in block 0, which escape_time reads by doubling from the start
+        # itself, step 0 on.  A non-finite row 5, the second of those that
+        # power triple 2 maps rows 0..3 to, is a NumericalError naming that
         # step, never an escape time (NaN's statistic read as credible,
         # inf's as escaped).
-        chunk = analysis._chunk
+        apply = analysis._apply
 
-        def corrupted(P, lo, *args):
-            hi = chunk(P, lo, *args)
-            if lo < 5 <= hi:
-                P[5] = bad
-            return hi
-        monkeypatch.setattr(analysis, "_chunk", corrupted)
+        def corrupted(triple, rows):
+            mapped = apply(triple, rows)
+            if len(rows) == 4:
+                mapped[1] = bad
+            return mapped
+        monkeypatch.setattr(analysis, "_apply", corrupted)
         with pytest.raises(NumericalError) as info:
             escape_time(np.diag([0.0, 0.0, 5e-2, 5e-2]), uav_model, 2.0,
                         0.01)
